@@ -8,8 +8,9 @@ the submitted-request index, so a seeded run arms the same faults at
 the same requests every time — injects, mid-run:
 
 * **slow shards** (``physical.scan_shard`` sleeps) — latency, not error;
-* **failing shard scans** (``physical.scan_shard`` raises) — the
-  planner's ladder degrades threads→sequential and retries;
+* **failing shard scans** (``physical.scan_shard`` raises) — an
+  in-process execution has no rung below it, so each injected failure
+  surfaces as one typed ``RequestFailure`` and poisons nothing else;
 * **hung executor slots** (``serve.batch`` sleeps past the deadline) —
   the hedge re-dispatches, or the deadline timer sheds typed;
 * **a corrupted checkpoint** (``persist.snapshot`` bit-flip) — the
@@ -79,7 +80,7 @@ def build_schedule(total: int) -> FaultSchedule:
         FaultPhase(start=at(0.20), stop=at(0.35), handlers={
             "physical.scan_shard": sleeping(0.002),
         }),
-        # failing shard scans: the ladder retries sequentially
+        # failing shard scans: typed RequestFailures, nothing wedged
         FaultPhase(start=at(0.40), stop=at(0.55), handlers={
             "physical.scan_shard": raising(
                 lambda: RuntimeError("chaos: shard scan blew up"), times=4
@@ -159,11 +160,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         budget_s = 300.0
 
     site = build_site(site_config)
-    # sharded, so per-shard scan subtasks (and their fault point) exist
+    # sharded, so per-shard scans (and their fault point) exist
     session = Session.from_graph(site.graph, SessionConfig(shards=4))
     # short breaker cooldowns: a breaker tripped mid-chaos must get its
     # half-open probe during the recovery wave, not five seconds later
-    session.planner.pool_breaker.cooldown_s = 0.5
     session.planner.attr_breaker.cooldown_s = 0.5
     mix = LoadMix.for_site(
         site.user_ids, site.categories, LoadMixConfig(seed=args.seed)

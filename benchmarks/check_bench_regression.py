@@ -106,10 +106,10 @@ def tracked_metrics(results: dict) -> dict[str, float]:
 
     if "multicore" in results:
         multicore = results["multicore"]
-        # process backend / thread pool on the big sharded σN sweep:
-        # < 1.0 means the slab workers beat the GIL-bound threads
-        metrics["multicore.processes_over_threads"] = (
-            multicore["processes_over_threads"]
+        # process backend / in-process scans on the big sharded σN
+        # sweep: < 1.0 means the slab workers beat the one-core loop
+        metrics["multicore.processes_over_sequential"] = (
+            multicore["processes_over_sequential"]
         )
     return metrics
 

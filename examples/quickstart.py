@@ -193,7 +193,7 @@ print(f"  auto strategy pick: {pick.chosen} ({pick.reason})")
 assert auto.resolved["social_strategy"] == pick.chosen
 
 # ---------------------------------------------------------------------------
-# 5. Scale out: partitioned storage, columnar scans, pooled execution.
+# 5. Scale out: partitioned storage and columnar scans.
 # ---------------------------------------------------------------------------
 # SessionConfig(shards=N) backs the Data Manager with a hash-partitioned
 # PartitionedGraphStore (same interface, N shards with per-shard stats),
@@ -202,9 +202,9 @@ assert auto.resolved["social_strategy"] == pick.chosen
 # buckets, dictionary-encoded attributes, term postings), the selection
 # compiles into a vectorized evaluator over them, and real node records
 # only materialise for the survivors — at the single union that hands
-# the next operator its graph.  parallelism="force" drives every plan
-# through the shared worker pool ("auto" lets the cost model's threshold
-# decide, so small plans stay sequential).
+# the next operator its graph.  The plan itself always runs by one
+# sequential recursion over its operators; §9 shows the one other way a
+# *scan* can run.
 from repro.api import SessionConfig
 from repro.plan import CostModel
 
@@ -221,30 +221,26 @@ for u in range(80):
         big.add_link(Link(f"a{u}-{step}", f"u{u}", f"d{(u * 5 + step) % 400}",
                           type="act, visit"))
 
-sharded = Session.from_graph(big, SessionConfig(shards=4,
-                                                parallelism="force"))
+sharded = Session.from_graph(big, SessionConfig(shards=4))
 # the demo graph is small, so lower the scatter threshold to see it work
 sharded.planner.cost_model = CostModel(shard_scan_min_nodes=64.0)
 
 flat = Session.from_graph(big)
 recommendation = sharded.query("u0").limit(5).explain().run()
 assert recommendation.items == flat.query("u0").limit(5).run().items
-print(f"\nsharded+pooled session: executor={recommendation.plan.executor},"
+print(f"\nsharded session: executor={recommendation.plan.executor},"
       f" sharded={recommendation.plan.sharded}")
 # EXPLAIN shows the columnar access path — the σN row reads
 # "[sharded×4:…]" (partition-scattered, pruned/covered by the
-# partition-local type buckets) — broken down per shard, each tagged
-# with the pool worker that ran it; and the header carries the top-k
-# bound the .limit(5) budget pushed into the ranking stage (the sort is
+# partition-local type buckets) — broken down per shard; and the header
+# carries the top-k bound the .limit(5) budget pushed into the ranking stage (the sort is
 # a heap selection of 5, not a full ordering of every candidate):
 assert "top-k=5" in recommendation.plan.text
 assert recommendation.plan.topk == 5
 for op in recommendation.plan.operators:
     if op.shard is not None or "sharded" in op.op:
-        where = f" @{op.worker}" if op.worker else ""
-        print(f"  {'  ' * op.depth}{op.op}: {op.actual.nodes:.0f} nodes"
-              f"{where}")
-assert recommendation.plan.executor.startswith("pooled(")
+        print(f"  {'  ' * op.depth}{op.op}: {op.actual.nodes:.0f} nodes")
+assert recommendation.plan.executor == "sequential"
 
 # Compiled plans now live in a process-wide SharedPlanCache: a second
 # session over the same Data Manager — same graph, same cost model, same
@@ -433,16 +429,17 @@ print("\nfacade parity holds: scope.search == session.query(...).run().page")
 # ---------------------------------------------------------------------------
 # 9. True multicore execution: the shared-memory process backend.
 # ---------------------------------------------------------------------------
-# Threads share one GIL, so the pooled executor above overlaps only the
-# bookkeeping around a scan, not the scan kernels themselves.  With
+# One interpreter runs one scan kernel at a time.  With
 # parallelism="processes" (or "auto" past CostModel.process_min_rows ×
 # shards), shippable scatter scans leave the interpreter entirely: a
 # ProcessShardPool of spawned workers keeps each shard's columnar view
 # resident, position indexes live in one shared-memory slab per graph
 # generation, and only the compiled ScanProgram and the surviving row
-# positions cross the pipe.  Conditions that cannot pickle (closure
-# lambdas) pin their plan to threads; a worker dying mid-plan degrades
-# that execution to the in-process kernels — same answer, slower.
+# positions cross the pipe — one message per worker per operator, then
+# one reply per worker, so the workers overlap each other without any
+# coordinator threads.  Conditions that cannot pickle (closure lambdas)
+# pin their plan in-process; a worker dying mid-plan degrades that
+# execution to the in-process kernels — same answer, slower.
 #
 # Spawned workers re-import __main__, so the demo lives behind the
 # __main__ guard below — the same reason real services keep their spawn
@@ -484,7 +481,7 @@ def multicore_demo() -> None:
         # test-only arming API (rule T001 keeps it out of production
         # modules) and `worker_killer` SIGKILLs the worker right before
         # the next pipe request — an OOM kill, made deterministic.  The
-        # executor degrades processes → threads mid-plan, the answer is
+        # executor degrades processes → sequential mid-plan, the answer is
         # identical, and EXPLAIN records both the degrade and the
         # breaker transition in its `resilience:` header — never a
         # silent fallback.  (The faulted query must be a *fresh* shape:
@@ -501,14 +498,14 @@ def multicore_demo() -> None:
         ):
             degraded = planner.execute(expr)
         assert degraded.result.same_as(reference.result)  # same answer
-        assert "degraded→threads" in degraded.executor
-        assert "pool:processes→threads" in degraded.resilience
+        assert "degraded→sequential" in degraded.executor
+        assert "pool:processes→sequential" in degraded.resilience
         print(f"  after the worker was killed mid-plan: {degraded.executor}")
         for line in degraded.render().splitlines():
             if line.strip().startswith("resilience:"):
                 print(f"  {line.strip()}")
         breaker = planner.process_pool.breaker
-        print(f"  worker_pool breaker: {breaker.stats().state}"
+        print(f"  {breaker.name} breaker: {breaker.stats().state}"
               f" (cooldown {breaker.cooldown_s:.1f}s, then a half-open"
               f" probe reaps + respawns the workers and re-closes it)")
     finally:

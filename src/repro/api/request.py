@@ -25,6 +25,10 @@ from repro.plan import PlanExplain
 from repro.presentation import ResultGroup, ResultPage
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SearchRequest:
     """One structured query against a session.
@@ -69,13 +73,17 @@ class SearchRequest:
             object.__setattr__(self, "structural", as_condition(self.structural))
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
             raise QueryError(f"alpha must be in [0, 1], got {self.alpha!r}")
-        if self.k is not None and self.k <= 0:
-            raise QueryError(f"k must be positive, got {self.k!r}")
-        if self.page < 1:
-            raise QueryError(f"page is 1-based, got {self.page!r}")
-        if self.page_size is not None and self.page_size <= 0:
+        # window fields slice the ranking: a float (or a bool, which
+        # *is* an int) must be refused here, not after the plan has run
+        if self.k is not None and not (_is_int(self.k) and self.k > 0):
+            raise QueryError(f"k must be a positive int, got {self.k!r}")
+        if not (_is_int(self.page) and self.page >= 1):
+            raise QueryError(f"page is a 1-based int, got {self.page!r}")
+        if self.page_size is not None and not (
+            _is_int(self.page_size) and self.page_size > 0
+        ):
             raise QueryError(
-                f"page_size must be positive, got {self.page_size!r}"
+                f"page_size must be a positive int, got {self.page_size!r}"
             )
 
     # -- derivation ----------------------------------------------------------

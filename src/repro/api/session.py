@@ -100,12 +100,11 @@ class SessionConfig:
     #: base scans to the scattered form.  A session over an existing
     #: Data Manager inherits the manager's own shard count instead.
     shards: int = 1
-    #: plan-executor mode: "auto" pools plans past the cost threshold and
-    #: escalates shippable scans to the process backend once estimated
-    #: rows × shards clear ``CostModel.process_min_rows``; "never" pins
-    #: everything sequential, "force" pools unconditionally, "threads"
-    #: allows the thread pool but never processes, and "processes" ships
-    #: every shippable scan to the shared-memory process workers.
+    #: plan-executor mode (``repro.plan.PARALLEL_MODES``): every plan
+    #: runs sequentially in-process; "auto" additionally hands shippable
+    #: scans to the shared-memory process workers once estimated rows ×
+    #: shards clear ``CostModel.process_min_rows``, "processes" always
+    #: does, and "never" keeps every scan in-process.
     parallelism: str = "auto"
 
 
@@ -132,10 +131,7 @@ class SessionStats:
     plan_compiles: int = 0
     #: queries served by an already-compiled plan
     plan_cache_hits: int = 0
-    #: queries whose plan ran on the worker pool
-    parallel_queries: int = 0
-    #: queries whose scans shipped to the process backend (subset of
-    #: parallel_queries: process runs wrap the thread pool)
+    #: queries with at least one shard scanned by a process worker
     process_queries: int = 0
 
 
@@ -201,7 +197,7 @@ class Session:
             self.discoverer.planner.attach_attribute_index(indexed)
         # Physical-layer wiring: the store's partitioning (or an explicit
         # config request) enables sharded scans, and the configured
-        # parallelism mode pins the executor choice.
+        # parallelism mode decides whether scans may leave the process.
         shards = max(data_manager.num_shards, self.config.shards)
         if shards > 1:
             self.discoverer.planner.attach_shards(shards)
@@ -420,15 +416,10 @@ class Session:
     def set_parallelism(self, mode: str) -> None:
         """Re-pin the plan-executor mode on the warm session's planner.
 
-        The serve layer routes through this (rather than reaching into
-        the planner) so mode validation lives in one place.
+        Anything outside ``repro.plan.PARALLEL_MODES`` raises
+        :class:`~repro.errors.QueryError` from the planner's setter —
+        the one place the mode is validated.
         """
-        from repro.plan import PARALLEL_MODES
-
-        if mode not in PARALLEL_MODES:
-            raise QueryError(
-                f"unknown parallelism {mode!r}; have {PARALLEL_MODES}"
-            )
         self.discoverer.planner.parallelism = mode
 
     def close(self) -> None:
@@ -731,10 +722,7 @@ class Session:
                     self.stats.plan_compiles += 1
                 if ev.execution.used_network_index:
                     self.stats.social_index_queries += 1
-                executor = ev.execution.executor
-                if "pooled" in executor or executor.startswith("processes"):
-                    self.stats.parallel_queries += 1
-                if executor.startswith("processes"):
+                if ev.execution.process_served:
                     self.stats.process_queries += 1
             self.stats.tfidf_builds = self.discoverer.semantic.builds
         return SearchResponse(

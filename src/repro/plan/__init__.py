@@ -20,9 +20,9 @@ foundation carries weight.  Every serving query — ``Session.run``,
   together;
 * :mod:`repro.plan.explain` — the frozen EXPLAIN view responses carry.
 
-New physical strategies (more indexes, parallel operators, sharded scans)
-slot in as new :class:`PhysicalOp` subclasses plus a lowering rule — no
-serving-path rewrite required.
+New physical strategies (more indexes, sharded scans) slot in as new
+:class:`PhysicalOp` subclasses plus a lowering rule — no serving-path
+rewrite required.
 """
 
 from repro.plan.cache import (
@@ -51,8 +51,6 @@ from repro.plan.parallel import (
     ProcessBackend,
     ProcessPoolError,
     ProcessShardPool,
-    WorkerPool,
-    shared_worker_pool,
 )
 from repro.plan.physical import (
     ATTR_INDEX,
@@ -126,10 +124,8 @@ __all__ = [
     "ShardedScanOp",
     "StrategyDecision",
     "VectorCondition",
-    "WorkerPool",
     "compile_plan",
     "explain_execution",
     "run_scan_program",
     "shared_plan_cache",
-    "shared_worker_pool",
 ]

@@ -306,11 +306,11 @@ class ResultMemo:
     stores *result graphs*, whose footprint varies by orders of
     magnitude — so the bound is an estimated byte budget
     (:func:`estimate_graph_bytes`), not just an entry count.  Thread
-    -safe: under the pooled executor independent memoisable operators
-    touch the memo from worker threads concurrently, and the LRU /
-    byte-accounting updates are multi-step.  The dict-style surface
-    (``get`` / ``[]=`` / ``in``) is what the physical layer and the
-    pooled scheduler already speak.
+    -safe: gateway threads execute plans concurrently on one session,
+    so memoisable operators touch the memo from several threads at
+    once, and the LRU / byte-accounting updates are multi-step.  The
+    dict-style surface (``get`` / ``[]=`` / ``in``) is what the physical
+    layer speaks.
     """
 
     def __init__(self, max_entries: int = 256,

@@ -619,7 +619,7 @@ class VectorCondition:
         inside the condition, so one successful pickle of the condition
         proves the entire compiled program ships.  Opaque residuals —
         closure lambdas, bound methods — fail here and pin the operator
-        to the in-process (threads) path.  Cached: the object is a pure
+        to the in-process path.  Cached: the object is a pure
         function of the condition.
         """
         cached = self._shippable

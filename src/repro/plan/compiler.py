@@ -117,15 +117,12 @@ class CostModel:
     #: master switch for the columnar scan family (benchmarks pin it off
     #: to measure the legacy row-at-a-time executor)
     columnar: bool = True
-    #: minimum estimated plan cost (summed operator cardinalities) before
-    #: execution moves onto the worker pool — pool handoff costs real
-    #: microseconds, so trivial plans must stay sequential
-    parallel_min_cost: float = 5_000.0
     #: minimum estimated rows × shards before ``parallelism="auto"``
-    #: escalates from the thread pool to the process backend: shipping a
-    #: program and unpickling a position set per shard costs far more
-    #: than a thread handoff, so only genuinely large scatters should
-    #: leave the process (explicit ``"processes"`` skips this floor)
+    #: hands shippable scans to the process backend: shipping a program
+    #: and unpickling a position set per shard costs far more than the
+    #: in-process kernel on a small population, so only genuinely large
+    #: scatters should leave the process (explicit ``"processes"`` skips
+    #: this floor)
     process_min_rows: float = 50_000.0
 
     def scan_cost(self, input_nodes: float) -> float:
@@ -502,7 +499,7 @@ def compile_plan(
         elif isinstance(node, SocialScoreE):
             physical = _choose_social_path(
                 node, children, stats, access, model, decisions,
-                strategy_state, shards,
+                strategy_state,
             )
         elif _index_eligible(node, index) and access != SCAN:
             physical = _choose_select_path(
@@ -535,7 +532,7 @@ def compile_plan(
             social_children = tuple(lower(c) for c in social.children())
             social_phys = _choose_social_path(
                 social, social_children, stats, access, model, decisions,
-                strategy_state, shards,
+                strategy_state,
             )
             if not isinstance(social_phys, EndorsementMergeOp):
                 return FusedSocialCombineOp(
@@ -643,7 +640,6 @@ def _choose_social_path(
     model: CostModel,
     decisions: list[AccessDecision],
     strategy_state: dict,
-    shards: int = 1,
 ) -> PhysicalOp:
     """Lower the social stage: resolve the strategy, then pick its form.
 
@@ -710,4 +706,4 @@ def _choose_social_path(
     ))
     if chosen == SCAN:
         return SemiJoinProbeOp(node, children, resolved)
-    return EndorsementMergeOp(node, children, resolved, chosen, shards)
+    return EndorsementMergeOp(node, children, resolved, chosen)

@@ -35,7 +35,7 @@ class PlanExplain:
     strategy_decision: StrategyDecision | None = None
     #: concrete social strategy the plan ran (None: no social stage)
     resolved_strategy: str | None = None
-    #: how the plan ran: "sequential" or "pooled(<max_workers>)"
+    #: how the plan ran: "sequential" or "processes(<n>)+sequential"
     executor: str = "sequential"
     #: True when any scan ran columnar over partition views
     sharded: bool = False

@@ -1,38 +1,26 @@
-"""Pooled execution: worker pools (threads *and* processes) + scheduler.
+"""The process backend: shared-memory shard workers and their scatter.
 
-A physical plan is a DAG of side-effect-free operators (the
-:class:`~repro.plan.physical.PhysicalOp` / ``ExecContext`` contract:
-operators read their inputs and the context's providers, and write only
-their own memo/profile slots).  That makes independent sub-plans — union
-branches, the two sides of the social stage, per-shard scan tasks —
-safely schedulable on a worker pool.
+A plan runs by the sequential recursion (``PhysicalOp.execute``); the
+one other way a *scan* can run is here.  Scatter operators whose
+condition ships whole hand their :class:`~repro.plan.columnar.ScanProgram`
+to spawned worker processes that hold the shard views resident, and
+gather the survivors from their own identically-ordered views.
 
-Four pieces live here:
+Three pieces:
 
-* :class:`WorkerPool` — a lazily-started ``ThreadPoolExecutor`` wrapper
-  with task accounting.  One process-wide pool is shared by default
-  (:func:`shared_worker_pool`): executor threads are a per-process
-  resource exactly like the shared plan cache, and serving stacks should
-  not each spin up their own.
-* :class:`ProcessShardPool` — the true-multicore backend: spawned worker
-  processes each hold their shards' :class:`ColumnarShardView` resident,
-  with the position indexes (type buckets, term postings, link buckets)
-  attached zero-copy from a ``multiprocessing.shared_memory`` slab.
-  Only picklable :class:`~repro.plan.columnar.ScanProgram` descriptors
-  travel to workers and compact position sets travel back, so on GIL
-  builds the per-row work actually runs on other cores.
+* :class:`ProcessShardPool` — spawned worker processes each hold their
+  shards' :class:`ColumnarShardView` resident, with the position indexes
+  (type buckets, term postings, link buckets) attached zero-copy from a
+  ``multiprocessing.shared_memory`` slab.  Only picklable program
+  descriptors travel to workers and compact position sets travel back,
+  so on GIL builds the per-row work actually runs on other cores.
+* the two-phase exchange (:meth:`ProcessShardPool.scatter`) — one
+  message per worker carrying all of that worker's shards, then one
+  reply per worker: the workers overlap each other without any
+  coordinator-side threads.
 * :class:`ProcessBackend` — the per-execution adapter scatter operators
-  call: lazily ships the current slab version on first use and routes
-  each shard's scan to its resident worker.
-* :func:`execute_pooled` — a dataflow scheduler: every operator becomes a
-  task once all of its children have finished; *expandable* operators
-  (the sharded scan) fan out into one task per shard plus a finalizer.
-  Nothing ever blocks inside a worker waiting for another task, so the
-  schedule is deadlock-free at any pool size.
-
-Sequential execution (``PhysicalOp.execute``) remains the default for
-small plans — the compiler's cost threshold decides, because pool
-handoff latency swamps sub-millisecond operators.
+  call: lazily ships the current slab version on first use, then
+  scatters each operator's program.
 
 This module is the *only* place in the tree allowed to touch
 ``multiprocessing`` (archcheck rule L004): process lifecycle, pipe
@@ -45,8 +33,8 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from contextlib import ExitStack
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.faults import fault_point
 from repro.core.partition import SLAB_ITEMSIZE, pack_sections, unpack_sections
@@ -58,25 +46,22 @@ from repro.plan.columnar import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.graph import SocialContentGraph
-    from repro.plan.physical import ExecContext, PhysicalOp
+    from repro.plan.physical import ExecContext
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - toolchain always bakes numpy in
     _np = None
 
-#: Default pool width: bounded so a serving box is not oversubscribed by
-#: plan execution alone (request-level parallelism exists too).
-DEFAULT_MAX_WORKERS = max(2, min(8, os.cpu_count() or 2))
-
-#: Default process-worker count: one per core up to the thread-pool
-#: bound; a single-core box still gets one worker (the parity and
-#: protocol machinery must work there even though it cannot win).
+#: Default process-worker count: one per core, bounded so a serving box
+#: is not oversubscribed by plan execution alone (request-level
+#: parallelism exists too); a single-core box still gets one worker (the
+#: parity and protocol machinery must work there even though it cannot
+#: win).
 DEFAULT_PROCESS_WORKERS = max(1, min(8, os.cpu_count() or 1))
 
 #: Seconds a coordinator waits on a worker pipe before declaring the
-#: worker poisoned (and degrading the execution to threads).
+#: worker poisoned (and degrading the execution to the in-process path).
 PROCESS_REPLY_TIMEOUT_S = float(os.environ.get("REPRO_PROCESS_TIMEOUT_S", 60))
 
 #: how long a tripped process pool stays open before the breaker lets a
@@ -93,90 +78,6 @@ class ProcessPoolError(RuntimeError):
     Scatter operators catch exactly this and degrade the execution to
     the in-process path — a poisoned worker must never fail a query.
     """
-
-
-class WorkerPool:
-    """A lazily-started thread pool with task accounting.
-
-    The underlying executor is created on first use (importing the plan
-    package must not spawn threads) and reused for every plan afterwards;
-    ``tasks_run`` counts scheduled operator tasks, which the benchmarks
-    and the EXPLAIN header read.
-
-    Fork-safe: the pool stamps its creating PID and re-validates on
-    every use.  An ``os.fork`` (Linux's default ``multiprocessing``
-    start method) clones the pool object into the child but *not* its
-    executor threads — submitting to the inherited executor would queue
-    work no thread will ever run, and the inherited lock may be held by
-    a thread that does not exist in the child.  Detecting the PID change
-    replaces both with fresh ones before they can deadlock.
-    """
-
-    def __init__(self, max_workers: int | None = None,
-                 name: str = "plan-worker"):
-        self.max_workers = (
-            max_workers if max_workers is not None else DEFAULT_MAX_WORKERS
-        )
-        if self.max_workers <= 0:
-            raise ValueError(
-                f"max_workers must be positive, got {self.max_workers!r}"
-            )
-        self._name = name
-        self._executor: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
-        self._pid = os.getpid()
-        self.tasks_run = 0
-
-    def _revalidate(self) -> None:
-        """Replace fork-inherited executor state with fresh objects.
-
-        Must swap ``_lock`` *before* acquiring anything: the inherited
-        lock may have been held mid-``submit`` at fork time by a parent
-        thread that does not exist here, so acquiring it would block
-        forever.  Single-threaded in the child at this point (fork
-        clones only the calling thread), so the swap is safe — and the
-        fresh, uncontended lock then guards the state reset.
-        """
-        if self._pid != os.getpid():
-            self._lock = threading.Lock()
-            with self._lock:
-                self._executor = None
-                self._pid = os.getpid()
-
-    @property
-    def executor(self) -> ThreadPoolExecutor:
-        self._revalidate()
-        if self._executor is None:
-            with self._lock:
-                if self._executor is None:
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self.max_workers,
-                        thread_name_prefix=self._name,
-                    )
-        return self._executor
-
-    def submit(self, fn: Callable, *args: object, **kwargs: object) -> Future:
-        self._revalidate()
-        with self._lock:
-            self.tasks_run += 1
-        return self.executor.submit(fn, *args, **kwargs)
-
-    def shutdown(self) -> None:
-        self._revalidate()
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-    def __repr__(self) -> str:
-        started = self._executor is not None
-        return (
-            f"WorkerPool(max_workers={self.max_workers}, "
-            f"started={started}, tasks_run={self.tasks_run})"
-        )
-
-
-# -- process backend ----------------------------------------------------------
 
 
 def _attach_segment(name: str) -> Any:
@@ -251,10 +152,11 @@ def _process_worker_main(conn: Any) -> None:
       resident views, attach the named slab segment (``None`` = inline
       buffer in the payload), rebuild this worker's shard views, ack
       with ``("ok", pid)``.
-    * ``("scan", version, shard, program_bytes)`` — run the program over
-      the resident view; reply ``("ok", positions, scan_s, pid)``.  A
-      version mismatch is an error: the coordinator always ships before
-      scanning, so a mismatch means a protocol bug, not a race.
+    * ``("scan", version, shards, program_bytes)`` — run the program over
+      each listed resident view; reply ``("ok", [(positions, scan_s),
+      …], pid)`` aligned with *shards*.  A version mismatch is an error:
+      the coordinator always ships before scanning, so a mismatch means
+      a protocol bug, not a race.
     * ``("stop",)`` — exit.
 
     Any per-message failure is reported as ``("err", repr)`` and the
@@ -288,17 +190,19 @@ def _process_worker_main(conn: Any) -> None:
                 version = new_version
                 conn.send(("ok", pid))
             elif kind == "scan":
-                _, want_version, shard, program_bytes = message
+                _, want_version, shards, program_bytes = message
                 if want_version != version:
                     raise ProcessPoolError(
                         f"scan for slab version {want_version!r} but "
                         f"worker holds {version!r}"
                     )
                 program: ScanProgram = pickle.loads(program_bytes)
-                start = time.perf_counter()
-                rows = run_scan_program(views[shard], program)
-                scan_s = time.perf_counter() - start
-                conn.send(("ok", rows, scan_s, pid))
+                scans = []
+                for shard in shards:
+                    start = time.perf_counter()
+                    rows = run_scan_program(views[shard], program)
+                    scans.append((rows, time.perf_counter() - start))
+                conn.send(("ok", scans, pid))
             else:
                 raise ProcessPoolError(f"unknown message kind {kind!r}")
         except BaseException as error:
@@ -312,50 +216,61 @@ def _process_worker_main(conn: Any) -> None:
 
 
 class _ProcessWorker:
-    """Coordinator-side handle: one spawned process + its pipe + lock."""
+    """Coordinator-side handle: one spawned process + its pipe + lock.
 
-    __slots__ = ("process", "conn", "lock")
+    The pipe carries at most one in-flight message: :attr:`owed` counts
+    replies the worker still has to deliver (non-zero between the two
+    phases of an exchange, and after a gather abandoned at a request
+    deadline), and the next exchange drains them before it sends — a
+    worker blocked writing a large reply must never face a coordinator
+    blocked writing the next request.  Callers hold :attr:`lock` around
+    :meth:`send`/:meth:`receive`.
+    """
+
+    __slots__ = ("process", "conn", "lock", "owed")
 
     def __init__(self, process: Any, conn: Any):
         self.process = process
         self.conn = conn
-        #: serialises pipe round-trips — shard subtasks on the thread
-        #: pool may target the same worker concurrently
+        #: serialises exchanges — gateway threads execute plans
+        #: concurrently over one pool
         self.lock = threading.Lock()
+        self.owed = 0
 
-    def request(self, message: tuple, timeout: float) -> tuple:
-        """One send/recv round-trip; raises ProcessPoolError on failure."""
+    def send(self, message: tuple) -> None:
+        """Write one message; raises ProcessPoolError on a dead pipe."""
         fault_point("parallel.worker_request", worker=self)
-        with self.lock:
-            try:
-                self.conn.send(message)
-                if not self.conn.poll(timeout):
-                    raise ProcessPoolError(
-                        f"worker pid={self.process.pid} did not reply "
-                        f"within {timeout:.0f}s"
-                    )
-                reply = self.conn.recv()
-            except ProcessPoolError:
-                raise
-            except (EOFError, OSError, BrokenPipeError) as error:
-                raise ProcessPoolError(
-                    f"worker pid={self.process.pid} pipe failed: {error!r}"
-                ) from error
-        if reply[0] == "err":
+        try:
+            self.conn.send(message)
+        except OSError as error:
             raise ProcessPoolError(
-                f"worker pid={self.process.pid} errored: {reply[1]}"
-            )
+                f"worker pid={self.process.pid} pipe failed: {error!r}"
+            ) from error
+        self.owed += 1
+
+    def receive(self, timeout: float) -> tuple | None:
+        """The oldest owed reply, or ``None`` if none came in *timeout*."""
+        try:
+            if not self.conn.poll(timeout):
+                return None
+            reply = self.conn.recv()
+        except (EOFError, OSError) as error:
+            raise ProcessPoolError(
+                f"worker pid={self.process.pid} pipe failed: {error!r}"
+            ) from error
+        self.owed -= 1
         return reply
 
 
 class ProcessShardPool:
     """Spawned worker processes holding shard views in shared memory.
 
-    The true-multicore backend behind ``parallelism="processes"``: each
-    worker owns the shards that hash to it (``shard % num_workers``) and
-    keeps their columnar views *resident* across executions, so a scan
-    ships only a :class:`~repro.plan.columnar.ScanProgram` and receives
-    only surviving row positions.  Shard slabs — every position index of
+    The multicore backend behind ``parallelism="processes"`` (and
+    ``"auto"`` past the row floor): each worker owns the shards that hash
+    to it (``shard % num_workers``) and keeps their columnar views
+    *resident* across executions, so a scan ships only a
+    :class:`~repro.plan.columnar.ScanProgram` and receives only
+    surviving row positions.  Shard slabs — every position index of
     every shard, packed int64 — live in one shared-memory segment per
     version: workers attach, never copy.
 
@@ -395,7 +310,7 @@ class ProcessShardPool:
         self._lock = threading.Lock()
         self._version: Any = None
         self._segment: Any = None
-        #: the ladder's processes→threads step: open = skip the backend.
+        #: the ladder's processes→sequential step: open = skip the backend.
         #: Worker faults are structural (a dead process stays dead), so
         #: failures force the circuit open rather than being rate-graded
         self.breaker = CircuitBreaker(
@@ -560,7 +475,8 @@ class ProcessShardPool:
                     )
                     segment.buf[: len(slab)] = slab
                     segment_name = segment.name
-                for index, worker in enumerate(self._workers):
+
+                def slab_message(index: int) -> tuple:
                     shards = {
                         shard: {
                             "nodes": view.nodes,
@@ -573,17 +489,16 @@ class ProcessShardPool:
                     payload: dict[str, Any] = {"shards": shards}
                     if segment_name is None:
                         payload["slab"] = bytes(slab)
-                    worker.request(
-                        (
-                            "slabs",
-                            token,
-                            pickle.dumps(
-                                payload, protocol=pickle.HIGHEST_PROTOCOL
-                            ),
-                            segment_name,
-                        ),
-                        PROCESS_REPLY_TIMEOUT_S,
+                    return (
+                        "slabs",
+                        token,
+                        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+                        segment_name,
                     )
+
+                # lazily: each payload is pickled just before its send
+                messages = map(slab_message, range(len(self._workers)))
+                self._exchange(self._workers, messages)
             except Exception as error:
                 # any ship failure — spawn refusal, an unpicklable record
                 # attribute, a dead pipe — trips the circuit; callers
@@ -611,40 +526,107 @@ class ProcessShardPool:
 
     # -- scans ----------------------------------------------------------------
 
-    def scan(
-        self, shard: int, program: ScanProgram
-    ) -> tuple[list[int], float, int]:
-        """Run *program* on the worker holding *shard*.
+    @staticmethod
+    def _exchange(
+        workers: Sequence[_ProcessWorker],
+        messages: Iterable[tuple],
+        ctx: "ExecContext | None" = None,
+    ) -> list[tuple]:
+        """One message to each worker, then one reply from each.
 
-        Returns ``(positions, worker_scan_seconds, worker_pid)``.  Any
-        failure trips the circuit open and raises
-        :class:`ProcessPoolError` — the caller degrades to threads.
+        The two phases are what overlap the workers: every worker is
+        busy before the coordinator waits on any of them.  *workers*
+        must be in pool (index) order — their locks are taken in that
+        order, so concurrent exchanges from gateway threads cannot
+        deadlock — and each pipe carries one in-flight message: replies
+        still owed from an abandoned gather are drained before the send.
+
+        The wait for a reply is bounded by ``PROCESS_REPLY_TIMEOUT_S``
+        and by *ctx*'s deadline.  Running out of the request's budget
+        raises :class:`~repro.errors.DeadlineError` — expiry is not a
+        worker fault and must not trip the breaker; a silent worker
+        otherwise raises :class:`ProcessPoolError`, as do dead pipes
+        and ``("err", …)`` replies.
+        """
+        deadline = ctx.deadline if ctx is not None else None
+
+        def reply_of(worker: _ProcessWorker) -> tuple:
+            wait = PROCESS_REPLY_TIMEOUT_S
+            if deadline is not None:
+                wait = min(wait, max(0.0, deadline - time.monotonic()))
+            reply = worker.receive(wait)
+            if reply is None:
+                if ctx is not None:
+                    ctx.check_deadline(
+                        lambda: f"process worker pid={worker.process.pid}"
+                    )
+                raise ProcessPoolError(
+                    f"worker pid={worker.process.pid} did not reply "
+                    f"within {wait:.0f}s"
+                )
+            return reply
+
+        with ExitStack() as held:
+            for worker in workers:
+                held.enter_context(worker.lock)
+            for worker, message in zip(workers, messages):
+                while worker.owed:
+                    reply_of(worker)
+                worker.send(message)
+            replies = [reply_of(worker) for worker in workers]
+        for worker, reply in zip(workers, replies):
+            if reply[0] == "err":
+                raise ProcessPoolError(
+                    f"worker pid={worker.process.pid} errored: {reply[1]}"
+                )
+        return replies
+
+    def scatter(
+        self,
+        num_shards: int,
+        program: ScanProgram,
+        ctx: "ExecContext",
+    ) -> list[tuple[list[int], float, int]]:
+        """Run *program* on shards ``0..num_shards-1``, each on its worker.
+
+        Returns one ``(positions, worker_scan_seconds, worker_pid)`` per
+        shard.  Each worker that owns a shard gets exactly one message
+        carrying all of its shards.  Any worker failure trips the
+        circuit open and raises :class:`ProcessPoolError` — the caller
+        degrades to the in-process path; a request deadline running out
+        mid-gather raises ``DeadlineError`` and leaves the circuit alone.
         """
         if self.breaker.state == OPEN:
             raise ProcessPoolError("process pool circuit open")
         with self._lock:
             if not self._workers:
                 raise ProcessPoolError("no slab version shipped yet")
-            worker = self._workers[shard % self.num_workers]
+            # worker i owns shards i, i+W, …: only the first num_shards
+            # workers own any
+            workers = self._workers[:num_shards]
             version = self._version
+        program_bytes = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
+        owned = [
+            list(range(index, num_shards, self.num_workers))
+            for index in range(len(workers))
+        ]
         try:
-            reply = worker.request(
-                (
-                    "scan",
-                    version,
-                    shard,
-                    pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL),
-                ),
-                PROCESS_REPLY_TIMEOUT_S,
+            replies = self._exchange(
+                workers,
+                [("scan", version, shards, program_bytes) for shards in owned],
+                ctx,
             )
         except ProcessPoolError:
             self.breaker.force_open()
             raise
         with self._lock:
-            self.scans_run += 1
+            self.scans_run += num_shards
         self.breaker.record_success()
-        _, rows, scan_s, pid = reply
-        return rows, scan_s, pid
+        results: list[Any] = [None] * num_shards
+        for shards, (_, scans, pid) in zip(owned, replies):
+            for shard, (rows, scan_s) in zip(shards, scans):
+                results[shard] = (rows, scan_s, pid)
+        return results
 
     @property
     def worker_pids(self) -> list[int]:
@@ -663,8 +645,8 @@ class ProcessShardPool:
 class ProcessBackend:
     """Per-execution adapter binding a pool to one slab version.
 
-    Scatter operators see one method: :meth:`scan`.  The first scan of
-    an execution ships the planner's current views under its
+    Scatter operators see one method: :meth:`scatter`.  The first
+    scatter of an execution ships the planner's current views under its
     ``(generation, mutation_epoch)`` token (a no-op when resident);
     shipping cost is amortised evenly over the execution's shards so the
     EXPLAIN ship/scan split sums to the true wall cost.
@@ -676,159 +658,22 @@ class ProcessBackend:
         self.token = token
         self.views = views
         self._ship_s: float | None = None
-        self._lock = threading.Lock()
 
     @property
     def workers(self) -> int:
         return self.pool.num_workers
 
-    def scan(
-        self, shard: int, program: ScanProgram
-    ) -> tuple[list[int], float, float, int]:
-        """Ship-if-needed, then scan: ``(rows, ship_s, scan_s, pid)``."""
-        with self._lock:
-            if self._ship_s is None:
-                self._ship_s = self.pool.ensure_version(self.token, self.views)
-        rows, scan_s, pid = self.pool.scan(shard, program)
+    def scatter(
+        self, program: ScanProgram, ctx: "ExecContext"
+    ) -> list[tuple[list[int], float, float, int]]:
+        """Ship-if-needed, then scan every shard: one
+        ``(rows, ship_s, scan_s, pid)`` per shard."""
+        if self._ship_s is None:
+            self._ship_s = self.pool.ensure_version(self.token, self.views)
         ship_share = self._ship_s / max(len(self.views), 1)
-        return rows, ship_share, scan_s, pid
-
-
-_shared_pool: WorkerPool | None = None
-_shared_pool_lock = threading.Lock()
-
-
-def shared_worker_pool() -> WorkerPool:
-    """The process-wide pool plan execution defaults to."""
-    global _shared_pool
-    if _shared_pool is None:
-        with _shared_pool_lock:
-            if _shared_pool is None:
-                _shared_pool = WorkerPool()
-    return _shared_pool
-
-
-def execute_pooled(
-    root: "PhysicalOp", ctx: "ExecContext", pool: WorkerPool
-) -> "SocialContentGraph":
-    """Run a physical DAG on *pool*, operators firing as inputs complete.
-
-    Produces exactly the graphs (and operator profiles) sequential
-    execution would — the parity suite holds the two equal — but
-    wall-clock is bounded by the critical path instead of the operator
-    sum.  Scheduling state lives entirely in this call frame; the context
-    is only written through the operators' own profiling slots, plus
-    ``ctx.workers`` recording which pool thread ran each operator.
-    """
-    ops: dict[int, "PhysicalOp"] = {}
-    postorder: list["PhysicalOp"] = []
-
-    def collect(op: "PhysicalOp") -> None:
-        if id(op) in ops:
-            return
-        ops[id(op)] = op
-        for child in op.children:
-            collect(child)
-        postorder.append(op)
-
-    collect(root)
-
-    dependents: dict[int, list["PhysicalOp"]] = {key: [] for key in ops}
-    pending: dict[int, int] = {}
-    for op in postorder:
-        unique_children = {id(child) for child in op.children}
-        pending[id(op)] = len(unique_children)
-        for child_key in unique_children:
-            dependents[child_key].append(op)
-
-    state_lock = threading.Lock()
-    done = threading.Event()
-    failures: list[BaseException] = []
-    #: per-expanded-op remaining subtask count and collected parts
-    fanout: dict[int, list] = {}
-
-    def fail(error: BaseException) -> None:
-        with state_lock:
-            failures.append(error)
-        done.set()
-
-    def op_finished(op: "PhysicalOp") -> None:
-        if op is root:
-            done.set()
-            return
-        ready: list["PhysicalOp"] = []
-        with state_lock:
-            for parent in dependents[id(op)]:
-                pending[id(parent)] -= 1
-                if pending[id(parent)] == 0:
-                    ready.append(parent)
-        for parent in ready:
-            schedule(parent)
-
-    def run_plain(op: "PhysicalOp") -> None:
-        try:
-            inputs = [ctx.memo[id(child)] for child in op.children]
-            op.run_profiled(ctx, inputs)
-        except BaseException as error:  # surfaced to the caller
-            fail(error)
-            return
-        op_finished(op)
-
-    def run_subtask(op: "PhysicalOp", index: int, task: Callable) -> None:
-        try:
-            part = task()
-        except BaseException as error:
-            fail(error)
-            return
-        finalize = False
-        with state_lock:
-            slots = fanout[id(op)]
-            slots[0] -= 1
-            slots[1][index] = part
-            finalize = slots[0] == 0
-        if finalize:
-            run_finalize(op)
-
-    def run_finalize(op: "PhysicalOp") -> None:
-        try:
-            inputs = [ctx.memo[id(child)] for child in op.children]
-            parts = fanout[id(op)][1]
-            op.finish_subtasks(ctx, inputs, parts)
-        except BaseException as error:
-            fail(error)
-            return
-        op_finished(op)
-
-    def schedule(op: "PhysicalOp") -> None:
-        if failures:
-            return
-        if (
-            op.memo_key is not None
-            and ctx.result_cache is not None
-            and op.memo_key in ctx.result_cache
-        ):
-            # the sub-plan memo already holds this result: don't fan out,
-            # let run_profiled serve (and profile) the memo hit
-            pool.submit(run_plain, op)
-            return
-        inputs = [ctx.memo[id(child)] for child in op.children]
-        try:
-            tasks = op.subtasks(ctx, inputs)
-        except BaseException as error:
-            fail(error)
-            return
-        if not tasks:
-            pool.submit(run_plain, op)
-            return
-        with state_lock:
-            fanout[id(op)] = [len(tasks), [None] * len(tasks)]
-        for index, task in enumerate(tasks):
-            pool.submit(run_subtask, op, index, task)
-
-    initially_ready = [op for op in postorder if pending[id(op)] == 0]
-    for op in initially_ready:
-        schedule(op)
-    done.wait()
-    if failures:
-        raise failures[0]
-    return ctx.memo[id(root)]
+        return [
+            (rows, ship_share, scan_s, pid)
+            for rows, scan_s, pid in self.pool.scatter(
+                len(self.views), program, ctx
+            )
+        ]

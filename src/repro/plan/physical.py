@@ -19,7 +19,6 @@ per operator (:meth:`PhysicalPlan.render`).
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -68,6 +67,7 @@ class ShardProfile:
     shard: int
     actual: Card
     elapsed_s: float
+    #: ``pid:<n>`` of the worker process that scanned the shard
     worker: str | None = None
     ship_s: float = 0.0
     scan_s: float | None = None
@@ -113,11 +113,6 @@ class ExecContext:
         #: id()s of operators that degraded from their planned access path
         #: at runtime (e.g. endorsement merge falling back to the probe)
         self.degraded: set[int] = set()
-        #: True while a worker pool is driving this execution — operators
-        #: then record which pool thread ran them
-        self.pooled = False
-        #: operator id → pool-thread name (pooled executions only)
-        self.workers: dict[int, str] = {}
         #: operator id → per-shard profiles (scattered operators only)
         self.shard_actuals: dict[int, list[ShardProfile]] = {}
         #: operator id → decoded side output (fused operators hand their
@@ -141,23 +136,17 @@ class ExecContext:
         #: True once any worker failure degraded this execution to the
         #: in-process path (the executor string reports it)
         self.process_degraded = False
-        #: per-operator scratch for multi-phase operators (e.g. the
-        #: sharded endorsement merge stashing its entry prelude between
-        #: ``subtasks`` and ``finish_subtasks``)
-        self.scratch: dict[int, Any] = {}
         #: absolute monotonic deadline for this execution (``None`` = no
         #: deadline — the check is then a single branch).  Cooperative:
-        #: checked between operators and between per-shard subtasks, so
+        #: checked between operators and between per-shard scans, so
         #: one running kernel bounds the expiry lag
         self.deadline: float | None = None
         #: monotonic stamp when execution began (set by ``execute`` when
         #: a deadline is in force; gives ``DeadlineError.elapsed_s``)
         self.deadline_anchor = 0.0
         #: resilience transitions this execution took, in order (e.g.
-        #: ``"pool:threads→sequential"``) — surfaced in EXPLAIN
+        #: ``"pool:processes→sequential"``) — surfaced in EXPLAIN
         self.resilience_events: list[str] = []
-        #: guards the shard-profile lists under concurrent shard tasks
-        self.lock = threading.Lock()
 
     def check_deadline(self, stage: str | Callable[[], str]) -> None:
         """Cooperative deadline checkpoint — raise if the clock ran out.
@@ -198,7 +187,7 @@ class PhysicalOp:
         return self.logical.describe()
 
     def execute(self, ctx: ExecContext) -> SocialContentGraph:
-        """Run this operator sequentially (memoised per execution)."""
+        """Run this operator, children first (memoised per execution)."""
         key = id(self)
         if key in ctx.memo:
             return ctx.memo[key]
@@ -208,12 +197,7 @@ class PhysicalOp:
     def run_profiled(
         self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
     ) -> SocialContentGraph:
-        """Run over already-evaluated inputs, recording the profile slot.
-
-        The shared leaf of both execution modes: the sequential recursion
-        and the pooled scheduler funnel through here, so profiles (and
-        the memo contract) cannot drift between them.
-        """
+        """Run over already-evaluated inputs, recording the profile slot."""
         key = id(self)
         if key in ctx.memo:
             return ctx.memo[key]
@@ -256,31 +240,6 @@ class PhysicalOp:
         key = id(self)
         ctx.memo[key] = result
         ctx.actuals[key] = (Card(result.num_nodes, result.num_links), elapsed)
-        if ctx.pooled:
-            ctx.workers[key] = threading.current_thread().name
-
-    # -- pooled fan-out protocol (scattered operators override) ---------------
-
-    def subtasks(
-        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
-    ) -> list[Callable[[], Any]] | None:
-        """Optional fan-out: independent subtasks the scheduler may pool.
-
-        ``None`` (the default) means the operator runs as one task.  A
-        non-empty list means: run every callable (in any order, on any
-        worker), then hand the collected results to
-        :meth:`finish_subtasks` — which must record the profile slot.
-        """
-        return None
-
-    def finish_subtasks(
-        self,
-        ctx: ExecContext,
-        inputs: Sequence[SocialContentGraph],
-        parts: list,
-    ) -> SocialContentGraph:
-        """Combine subtask results (only called when subtasks() fanned out)."""
-        raise NotImplementedError
 
     def _run(
         self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
@@ -364,14 +323,14 @@ class _ScatterScanOp(PhysicalOp):
     """Shared machinery of the partition-scattered (columnar) scans.
 
     One implementation of the scatter protocol — shard-view fetch with
-    the degrade check, per-shard kernel timing and :class:`ShardProfile`
-    recording, the pooled fan-out (one subtask per shard plus a
-    finalizer whose elapsed time is the critical path, not the operator
-    sum), and the sequential loop — parameterised by three hooks:
-    :meth:`_kernel` (one partition's selection), :meth:`_merge` (parts →
-    result graph) and :meth:`_part_card` (a part's profile cardinality).
-    The node and link forms differ *only* in those hooks, so a fix to
-    the fan-out or profile accounting cannot drift between them.
+    the degrade check, the process-backend scatter, per-shard kernel
+    timing and :class:`ShardProfile` recording, and the shard loop —
+    parameterised by four hooks: :meth:`_kernel` (one partition's
+    selection), :meth:`_gather` (worker-returned positions → records),
+    :meth:`_merge` (parts → result graph) and :meth:`_part_card` (a
+    part's profile cardinality).  The node and link forms differ *only*
+    in those hooks, so a fix to the scatter or profile accounting cannot
+    drift between them.
 
     ``num_shards == 1`` is the monolithic columnar form: one view, same
     machinery, no scatter overhead.  If the shard provider is missing at
@@ -451,86 +410,56 @@ class _ScatterScanOp(PhysicalOp):
             return None
         return ctx.shard_provider(inputs[0]) or None
 
-    def _scan_shard(
-        self, ctx: ExecContext, shard: int, view: ShardView
-    ) -> list:
-        ctx.check_deadline(lambda: f"{self.describe()} [shard {shard}]")
-        fault_point("physical.scan_shard", shard=shard)
-        start = time.perf_counter()
-        part, worker, ship_s, scan_s = self._scan_shard_backend(
-            ctx, shard, view
-        )
-        if part is None:
-            part = self._kernel(view)
-            worker = threading.current_thread().name if ctx.pooled else None
-            ship_s, scan_s = 0.0, None
-        elapsed = time.perf_counter() - start
-        with ctx.lock:
-            ctx.shard_actuals.setdefault(id(self), []).append(ShardProfile(
-                shard=shard,
-                actual=self._part_card(part),
-                elapsed_s=elapsed,
-                worker=worker,
-                ship_s=ship_s,
-                scan_s=scan_s,
-            ))
-        return part
+    def _ship(self, ctx: ExecContext) -> list | None:
+        """Scatter the program over the process backend, if one serves it.
 
-    def _scan_shard_backend(
-        self, ctx: ExecContext, shard: int, view: ShardView
-    ) -> tuple[list | None, str | None, float, float | None]:
-        """Try the process backend; ``(None, ...)`` means run in-process.
-
-        Worker failure is *contained*: the execution flips to
-        ``process_degraded`` (every remaining shard of every scatter op
-        runs the in-process kernel) and the scan proceeds — a poisoned
-        worker costs latency, never correctness.
+        Returns one ``(rows, ship_s, scan_s, pid)`` per shard, or
+        ``None`` when the shards run in-process.  Worker failure is
+        *contained*: the execution flips to ``process_degraded`` (every
+        shard of this and every later scatter op runs the in-process
+        kernel) and the scan proceeds — a poisoned worker costs latency,
+        never correctness.
         """
         backend = ctx.process_backend
         if backend is None or ctx.process_degraded:
-            return None, None, 0.0, None
+            return None
         program = self.ship_program()
         if program is None:
-            return None, None, 0.0, None
+            return None
         from repro.plan.parallel import ProcessPoolError
 
         try:
-            rows, ship_s, scan_s, pid = backend.scan(shard, program)
+            return backend.scatter(program, ctx)
         except ProcessPoolError:
-            with ctx.lock:
-                ctx.process_degraded = True
-            return None, None, 0.0, None
-        return self._gather(view, rows), f"pid:{pid}", ship_s, scan_s
+            ctx.process_degraded = True
+            return None
 
-    def subtasks(
-        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
-    ) -> list[Callable[[], Any]] | None:
-        views = self._shard_views(ctx, inputs)
-        if views is None or len(views) < 2:
-            return None  # degrade / monolithic-columnar: one plain task
-        return [
-            (lambda shard=shard, view=view: self._scan_shard(ctx, shard, view))
-            for shard, view in enumerate(views)
-        ]
-
-    def finish_subtasks(
-        self,
-        ctx: ExecContext,
-        inputs: Sequence[SocialContentGraph],
-        parts: list,
-    ) -> SocialContentGraph:
+    def _scan_shard(
+        self, ctx: ExecContext, shard: int, view: ShardView,
+        served: tuple | None,
+    ) -> list:
+        """One shard's part: gathered from *served*, else the kernel."""
+        ctx.check_deadline(lambda: f"{self.describe()} [shard {shard}]")
+        fault_point("physical.scan_shard", shard=shard)
         start = time.perf_counter()
-        result = self._merge(inputs[0], parts)
-        merge_elapsed = time.perf_counter() - start
-        with ctx.lock:
-            slowest = max(
-                (p.elapsed_s for p in ctx.shard_actuals.get(id(self), ())),
-                default=0.0,
-            )
-        self._store_result_memo(ctx, result)
-        # critical path, not operator sum: shards overlapped on the pool
-        self._record(ctx, result, slowest + merge_elapsed)
-        return result
+        if served is None:
+            part = self._kernel(view)
+            worker, ship_s, scan_s = None, 0.0, None
+            elapsed = time.perf_counter() - start
+        else:
+            rows, ship_s, scan_s, pid = served
+            part = self._gather(view, rows)
+            worker = f"pid:{pid}"
+            elapsed = ship_s + scan_s + (time.perf_counter() - start)
+        ctx.shard_actuals.setdefault(id(self), []).append(ShardProfile(
+            shard=shard,
+            actual=self._part_card(part),
+            elapsed_s=elapsed,
+            worker=worker,
+            ship_s=ship_s,
+            scan_s=scan_s,
+        ))
+        return part
 
     def _run(
         self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
@@ -539,8 +468,9 @@ class _ScatterScanOp(PhysicalOp):
         if views is None:
             ctx.degraded.add(id(self))
             return self.logical._compute(inputs)
+        served = self._ship(ctx) or [None] * len(views)
         parts = [
-            self._scan_shard(ctx, shard, view)
+            self._scan_shard(ctx, shard, view, served[shard])
             for shard, view in enumerate(views)
         ]
         return self._merge(inputs[0], parts)
@@ -687,8 +617,7 @@ class AttrIndexScanOp(PhysicalOp):
             # a faulting index path degrades to the scan compute — the
             # planner-side breaker decides whether to keep trying the
             # index on later executions
-            with ctx.lock:
-                ctx.resilience_events.append(f"attr-index:{self.att}→scan")
+            ctx.resilience_events.append(f"attr-index:{self.att}→scan")
             candidates = None
         if candidates is None:
             ctx.degraded.add(id(self))
@@ -819,147 +748,52 @@ class EndorsementMergeOp(_SocialStageOp):
     """
 
     def __init__(self, logical: Expr, children: Sequence[PhysicalOp],
-                 strategy: str, variant: str, num_shards: int = 1):
+                 strategy: str, variant: str):
         super().__init__(logical, children, strategy)
         self.variant = variant
-        #: posting-merge scatter width: ≥2 cuts the user's endorsement
-        #: entries by item shard and merges per-shard score maps at the
-        #: union, instead of one coordinator-side pass over the full list
-        self.num_shards = max(1, num_shards)
         self.access_path = (
             NETWORK_CLUSTERED if variant == "clustered" else NETWORK_EXACT
         )
 
     @property
     def form(self) -> str:  # type: ignore[override]
-        if self.num_shards > 1:
-            return f"endorse-merge:{self.variant}×{self.num_shards}"
         return f"endorse-merge:{self.variant}"
 
-    def _prelude(
+    def _run(
         self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
-    ) -> tuple | None:
-        """Resolve index + entries, or ``None`` (degraded to the probe)."""
-        from repro.indexing.endorsement import endorsement_entries
+    ) -> SocialContentGraph:
+        from repro.core.social import encode_social_result
+        from repro.indexing.endorsement import ACT_TAG, endorsement_entries
 
         provider = ctx.network_provider
         index = provider(self.variant) if provider is not None else None
         if index is None:
             ctx.degraded.add(id(self))
-            return None
+            return super()._run(ctx, inputs)
         user = self.logical.user_id  # type: ignore[attr-defined]
         entries = endorsement_entries(index, user)
         if entries is None:  # regime the index cannot serve exactly
             ctx.degraded.add(id(self))
-            return None
-        candidate_ids = {n.id for n in inputs[1].nodes()}
+            return super()._run(ctx, inputs)
+        graph, candidates, _basis = inputs
+        candidate_ids = {n.id for n in candidates.nodes()}
         basis_members = index.data.basis.get(user, set())
-        return index, entries, candidate_ids, basis_members
-
-    def _merge_shard(
-        self, ctx: ExecContext, shard: int, prelude: tuple
-    ) -> tuple[dict, dict]:
-        """Score one item shard's cut of the user's endorsement entries."""
-        from repro.core.partition import shard_of
-        from repro.indexing.endorsement import ACT_TAG
-
-        index, entries, candidate_ids, basis_members = prelude
-        start = time.perf_counter()
         scores: dict = {}
         endorsers: dict = {}
-        n = self.num_shards
         for item, score in entries:
-            if n > 1 and shard_of(item, n) != shard:
-                continue
             if item not in candidate_ids:
                 continue
             scores[item] = score
             members = index.data.taggers.get((item, ACT_TAG), set())
             endorsers[item] = {m: 1.0 for m in sorted(members & basis_members,
                                                       key=repr)}
-        elapsed = time.perf_counter() - start
-        worker = threading.current_thread().name if ctx.pooled else None
-        with ctx.lock:
-            ctx.shard_actuals.setdefault(id(self), []).append(ShardProfile(
-                shard=shard,
-                actual=Card(len(scores), 0),
-                elapsed_s=elapsed,
-                worker=worker,
-            ))
-        return scores, endorsers
-
-    def _combine(
-        self, inputs: Sequence[SocialContentGraph],
-        prelude: tuple, parts: Sequence[tuple[dict, dict]],
-    ) -> SocialContentGraph:
-        from repro.core.social import encode_social_result
-
-        _index, entries, _candidate_ids, _basis = prelude
-        merged_scores: dict = {}
-        merged_endorsers: dict = {}
-        for part_scores, part_endorsers in parts:
-            merged_scores.update(part_scores)
-            merged_endorsers.update(part_endorsers)
-        # Re-key in the posting list's own entry order: the scatter must
-        # be bit-identical to the coordinator-side pass, and downstream
-        # encode/tie-break behaviour may observe dict order.
-        scores = {item: merged_scores[item] for item, _ in entries
-                  if item in merged_scores}
-        endorsers = {item: merged_endorsers[item] for item in scores}
         # Uniform-weight Selma fallback: an empty endorsement set under an
         # empty query marks the expert fallback (whose expert search over
         # zero query terms yields nothing), exactly as the probe path does.
         return encode_social_result(
-            inputs[0], inputs[1], scores, endorsers, {}, self.strategy,
+            graph, candidates, scores, endorsers, {}, self.strategy,
             fallback=not scores,
         )
-
-    def subtasks(
-        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
-    ) -> list[Callable[[], Any]] | None:
-        if self.num_shards < 2:
-            return None
-        prelude = self._prelude(ctx, inputs)
-        if prelude is None:
-            # plain-task fallback re-resolves the prelude and degrades
-            return None
-        ctx.scratch[id(self)] = prelude
-        return [
-            (lambda shard=shard: self._merge_shard(ctx, shard, prelude))
-            for shard in range(self.num_shards)
-        ]
-
-    def finish_subtasks(
-        self,
-        ctx: ExecContext,
-        inputs: Sequence[SocialContentGraph],
-        parts: list,
-    ) -> SocialContentGraph:
-        prelude = ctx.scratch.pop(id(self))
-        start = time.perf_counter()
-        result = self._combine(inputs, prelude, parts)
-        merge_elapsed = time.perf_counter() - start
-        with ctx.lock:
-            slowest = max(
-                (p.elapsed_s for p in ctx.shard_actuals.get(id(self), ())),
-                default=0.0,
-            )
-        self._store_result_memo(ctx, result)
-        # critical path, as in the scatter scans: shards overlapped
-        self._record(ctx, result, slowest + merge_elapsed)
-        return result
-
-    def _run(
-        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
-    ) -> SocialContentGraph:
-        prelude = self._prelude(ctx, inputs)
-        if prelude is None:
-            return super()._run(ctx, inputs)
-        parts = [
-            self._merge_shard(ctx, shard, prelude)
-            for shard in range(self.num_shards)
-        ]
-        return self._combine(inputs, prelude, parts)
 
 
 @dataclass(frozen=True)
@@ -972,7 +806,7 @@ class OperatorProfile:
     actual: Card | None
     elapsed_s: float
     access_path: str | None = None
-    #: pool thread that ran the operator (pooled executions only)
+    #: ``pid:<n>`` on shard sub-rows a worker process served
     worker: str | None = None
     #: shard index, on the per-shard sub-rows of a scattered operator
     shard: int | None = None
@@ -1007,7 +841,7 @@ class PlanExecution:
     cache_hit: bool = False
     #: operators that abandoned their planned access path at runtime
     degraded_ops: int = 0
-    #: how the plan ran: "sequential" or "pooled(<max_workers>)"
+    #: how the plan ran: "sequential" or "processes(<n>)+sequential"
     executor: str = "sequential"
     #: result bound pushed into the ranking stage (None = full ranking)
     topk: int | None = None
@@ -1070,6 +904,15 @@ class PlanExecution:
         return self.plan.uses_index
 
     @property
+    def process_served(self) -> bool:
+        """True when a worker process scanned at least one shard."""
+        return any(
+            row.scan_s is not None
+            for rows in self.ctx.shard_actuals.values()
+            for row in rows
+        )
+
+    @property
     def resilience(self) -> tuple[str, ...]:
         """Degradation-ladder transitions this execution took, in order."""
         return tuple(self.ctx.resilience_events)
@@ -1129,7 +972,6 @@ class PhysicalPlan:
         #: set by the planner once this plan's first execution has fed
         #: its actual cardinalities back to the cost model
         self.feedback_observed = False
-        self._estimated_cost: float | None = None
 
     @property
     def uses_index(self) -> bool:
@@ -1160,7 +1002,7 @@ class PhysicalPlan:
         At least one scattered scan ships its program whole, and no
         scattered scan is pinned in-process by an unpicklable residual —
         covered scans (which never ship, by choice) don't disqualify.  A
-        half-shippable plan stays on threads: paying slab shipping to
+        half-shippable plan stays in-process: paying slab shipping to
         parallelise only part of the scatter loses on both sides.
         """
         ships = 0
@@ -1177,21 +1019,6 @@ class PhysicalPlan:
     def access_path(self) -> str:
         """Dominant access path tag for response metadata."""
         return INDEX if self.uses_index else SCAN
-
-    @property
-    def estimated_cost(self) -> float:
-        """Scalar work proxy: summed estimated cardinality over all ops.
-
-        The pooled executor's go/no-go signal — pool handoff costs real
-        microseconds, so plans below the cost model's threshold stay on
-        the sequential path.
-        """
-        if self._estimated_cost is None:
-            self._estimated_cost = sum(
-                op.estimate(self.stats).cost()
-                for op in self._walk(self.root, set())
-            )
-        return self._estimated_cost
 
     @staticmethod
     def _walk(op: PhysicalOp, seen: set) -> Iterator[PhysicalOp]:
@@ -1212,9 +1039,6 @@ class PhysicalPlan:
         shard_provider: Callable[
             [SocialContentGraph], "Sequence[ShardView] | None"
         ] | None = None,
-        pool: Any = None,
-        parallel: str = "auto",
-        parallel_min_cost: float = 0.0,
         result_cache: dict | None = None,
         attr_provider: Callable[
             [SocialContentGraph, str, Any], "list | None"
@@ -1226,23 +1050,12 @@ class PhysicalPlan:
     ) -> PlanExecution:
         """Run the plan; the result never aliases an input/literal graph.
 
-        *parallel* picks the executor: ``"never"`` stays sequential,
-        ``"force"`` drives the DAG through *pool* unconditionally,
-        ``"threads"`` is cost-gated pooling with the process backend
-        pinned off, ``"processes"`` forces pooling (the thread pool
-        overlaps the per-shard pipe round-trips) with the backend
-        attached, and ``"auto"`` (the default) uses the pool only when
-        one was supplied and :attr:`estimated_cost` clears
-        *parallel_min_cost* — pool handoff on a trivial plan costs more
-        than it saves.  Every mode produces identical graphs and
-        profiles; pooled runs additionally tag each operator with the
-        worker thread that ran it.
-
         *process_backend* (a :class:`repro.plan.parallel.ProcessBackend`
         bound to the planner's current shard views, or ``None``) routes
-        shippable scatter scans to resident worker processes; any worker
-        failure degrades the rest of the execution to the in-process
-        path, annotated in the executor string.
+        shippable scatter scans to resident worker processes — everything
+        else, and every plan without one, runs by the sequential
+        recursion.  Any worker failure degrades the rest of the execution
+        to the in-process kernels, annotated in the executor string.
 
         *topk* is an execution parameter, not part of the plan shape (so
         cached plans serve any k): ranking operators bound their sorted
@@ -1252,12 +1065,12 @@ class PhysicalPlan:
 
         *deadline* is an absolute monotonic timestamp (``None`` = none):
         cooperative checks between operators and between per-shard
-        subtasks raise :class:`~repro.errors.DeadlineError` once it has
+        scans raise :class:`~repro.errors.DeadlineError` once it has
         passed, unwinding the execution promptly instead of finishing
         doomed work.  *resilience_notes* seeds the execution's
         resilience-event trail (the planner passes the ladder steps that
-        led to this attempt, e.g. a pooled run that was retried
-        sequentially).
+        led to this attempt, e.g. a process-backed run that was retried
+        in-process).
         """
         ctx = ExecContext(env, index_provider, network_provider,
                           shard_provider, attr_provider)
@@ -1268,24 +1081,13 @@ class PhysicalPlan:
             ctx.deadline = deadline
             ctx.deadline_anchor = time.monotonic()
         ctx.resilience_events.extend(resilience_notes)
-        use_pool = pool is not None and parallel != "never" and (
-            parallel in ("force", "processes")
-            or self.estimated_cost >= parallel_min_cost
-        )
-        if use_pool:
-            from repro.plan.parallel import execute_pooled
-
-            ctx.pooled = True
-            result = execute_pooled(self.root, ctx, pool)
-            executor = f"pooled({pool.max_workers})"
-        else:
-            result = self.root.execute(ctx)
-            executor = "sequential"
+        result = self.root.execute(ctx)
+        executor = "sequential"
         if process_backend is not None:
-            executor = f"processes({process_backend.workers})+{executor}"
+            executor = f"processes({process_backend.workers})+sequential"
             if ctx.process_degraded:
-                executor += " (degraded→threads)"
-                ctx.resilience_events.append("pool:processes→threads")
+                executor += " (degraded→sequential)"
+                ctx.resilience_events.append("pool:processes→sequential")
         if id(result) in ctx.borrowed:
             result = result.copy()
         return PlanExecution(
@@ -1312,7 +1114,6 @@ class PhysicalPlan:
             actual=actual,
             elapsed_s=elapsed,
             access_path=op.access_path,
-            worker=ctx.workers.get(id(op)),
         )
         shard_rows = ctx.shard_actuals.get(id(op))
         if shard_rows:

@@ -18,11 +18,12 @@ compilation needs and serving must keep coherent:
   once;
 * **the index binding** — where the semantic inverted index lives and
   which population it covers, attached by the session;
-* **partitions and the pool** — when the backing store is sharded the
-  session attaches the shard count; the planner then partitions its live
-  graph into per-shard views (lazily, per generation) for
-  :class:`~repro.plan.physical.ShardedScanOp`, and drives large plans
-  through the shared worker pool (:mod:`repro.plan.parallel`).
+* **partitions and the process backend** — when the backing store is
+  sharded the session attaches the shard count; the planner then
+  partitions its live graph into per-shard views (lazily, per
+  generation) for :class:`~repro.plan.physical.ShardedScanOp`, and hands
+  large shippable scans to its process workers
+  (:mod:`repro.plan.parallel`).
 
 ``semantic_candidates`` is the serving entry point: it builds the σN plan
 for a parsed query's scope condition and runs it through the compiler,
@@ -48,16 +49,11 @@ from repro.core.graph import SocialContentGraph
 from repro.core.resilience import CircuitBreaker
 from repro.core.stats import CardinalityFeedback, GraphStats
 from repro.core.partition import shard_of
-from repro.errors import DeadlineError
+from repro.errors import DeadlineError, QueryError
 from repro.plan.cache import PlanCache, ResultMemo, shared_plan_cache
 from repro.plan.columnar import cut_columnar_views
 from repro.plan.compiler import CostModel, IndexBinding, compile_plan
-from repro.plan.parallel import (
-    ProcessBackend,
-    ProcessShardPool,
-    WorkerPool,
-    shared_worker_pool,
-)
+from repro.plan.parallel import ProcessBackend, ProcessShardPool
 from repro.plan.physical import (
     AttrIndexScanOp,
     FusedSocialCombineOp,
@@ -69,14 +65,13 @@ from repro.plan.physical import (
 #: Name under which the planner binds its live graph in plan environments.
 BASE_GRAPH = "G"
 
-#: Execution-parallelism modes a planner can be pinned to.
-#: ``"auto"`` cost-gates the thread pool and escalates to the process
-#: backend only past the cost model's row floor; ``"threads"`` is the
-#: cost-gated thread pool with processes pinned off; ``"processes"``
-#: forces the process backend (degrading per execution if workers fail);
-#: ``"force"`` drives every plan through the thread pool; ``"never"``
-#: stays sequential.
-PARALLEL_MODES = ("auto", "never", "force", "threads", "processes")
+#: Execution-parallelism modes a planner can be pinned to.  Every plan
+#: runs by the sequential recursion; the mode only decides whether
+#: shippable scatter scans leave the process.  ``"auto"`` hands them to
+#: the process backend past the cost model's row floor, ``"processes"``
+#: always does (degrading per execution if workers fail), ``"never"``
+#: keeps everything in-process.
+PARALLEL_MODES = ("auto", "never", "processes")
 
 
 class QueryPlanner:
@@ -84,9 +79,9 @@ class QueryPlanner:
 
     *cache* defaults to the process-wide shared cache; pass a private
     :class:`PlanCache` to opt a planner out of cross-session sharing.
-    *shards* > 1 enables partition-scattered scans; *parallelism* pins the
-    executor choice (``"auto"`` lets the cost model's threshold decide
-    per plan).
+    *shards* > 1 enables partition-scattered scans; *parallelism* is one
+    of :data:`PARALLEL_MODES` (``"auto"`` lets the cost model's row floor
+    decide per plan).
     """
 
     def __init__(
@@ -96,19 +91,13 @@ class QueryPlanner:
         cache: PlanCache | None = None,
         shards: int = 1,
         parallelism: str = "auto",
-        pool: WorkerPool | None = None,
         feedback: CardinalityFeedback | None = None,
     ):
-        if parallelism not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallelism {parallelism!r}; have {PARALLEL_MODES}"
-            )
         self.graph = graph
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.cache = cache if cache is not None else shared_plan_cache()
         self.shards = max(1, shards)
         self.parallelism = parallelism
-        self._pool = pool
         #: execution-observed correction factors, surviving refreshes so
         #: repeated queries keep sharpening the cost model
         self.feedback = (
@@ -141,12 +130,6 @@ class QueryPlanner:
         #: big-scatter ``"auto"`` executions); planner-owned so the slab
         #: version token is this planner's ``(generation, epoch)`` stamp
         self._process_pool: "ProcessShardPool | None" = None
-        #: the ladder's threads→sequential step: pooled-execution
-        #: failures trip it and later plans run sequentially until the
-        #: cooldown's recovery probe succeeds
-        self.pool_breaker = CircuitBreaker(
-            "worker_pool", failure_threshold=2, cooldown_s=1.0
-        )
         #: the attr-index→columnar-scan step: posting-path faults trip
         #: it and the provider degrades to ``None`` (the op falls back
         #: to the scan compute) until a probe succeeds
@@ -222,11 +205,17 @@ class QueryPlanner:
         return self._index
 
     @property
-    def pool(self) -> WorkerPool:
-        """The worker pool pooled executions run on (shared by default)."""
-        if self._pool is None:
-            self._pool = shared_worker_pool()
-        return self._pool
+    def parallelism(self) -> str:
+        """The pinned executor mode (one of :data:`PARALLEL_MODES`)."""
+        return self._parallelism
+
+    @parallelism.setter
+    def parallelism(self, mode: str) -> None:
+        if mode not in PARALLEL_MODES:
+            raise QueryError(
+                f"unknown parallelism {mode!r}; have {PARALLEL_MODES}"
+            )
+        self._parallelism = mode
 
     @property
     def process_pool(self) -> ProcessShardPool:
@@ -244,10 +233,10 @@ class QueryPlanner:
             pool.shutdown()
 
     def _process_backend(
-        self, plan: PhysicalPlan, mode: str,
+        self, plan: PhysicalPlan,
         env: Mapping[str, SocialContentGraph] | None,
     ) -> ProcessBackend | None:
-        """The process backend for one execution, or ``None`` (threads).
+        """The process backend for one execution, or ``None`` (in-process).
 
         Eligibility: the mode asks for processes (explicitly, or
         ``"auto"`` with the estimated scatter population over the cost
@@ -259,7 +248,8 @@ class QueryPlanner:
         ``(generation, mutation_epoch)`` token, so a mutated graph
         re-ships fresh slabs before any worker scans.
         """
-        if mode not in ("processes", "auto"):
+        mode = self.parallelism
+        if mode == "never":
             return None
         if env is not None:  # foreign graphs never reach worker residency
             return None
@@ -271,7 +261,7 @@ class QueryPlanner:
                     < self.cost_model.process_min_rows):
                 return None
         pool = self.process_pool
-        # the breaker decides: closed → go, open → threads, half-open →
+        # the breaker decides: closed → go, open → in-process, half-open →
         # this execution is the recovery probe (dead workers respawn on
         # the re-ship; success re-closes the circuit)
         if not pool.breaker.allow():
@@ -453,74 +443,59 @@ class QueryPlanner:
         expr: Expr,
         env: Mapping[str, SocialContentGraph] | None = None,
         access: str = "auto",
-        parallel: str | None = None,
         topk: int | None = None,
         deadline: float | None = None,
     ) -> PlanExecution:
         """Compile (or fetch) and run a plan against the live graph.
 
-        *parallel* overrides the planner's pinned mode for this one
-        execution (the differential harness uses ``"force"``/``"never"``
-        to hold both executors to identical results).  *topk* bounds the
-        ranking stage's sorted output (an execution parameter — cached
-        plans serve any k).  *deadline* is an absolute monotonic
-        timestamp the execution's cooperative checks enforce.
+        *topk* bounds the ranking stage's sorted output (an execution
+        parameter — cached plans serve any k).  *deadline* is an absolute
+        monotonic timestamp the execution's cooperative checks enforce.
 
-        Executor faults walk the degradation ladder, never fail the
-        query: the process backend's breaker already degrades
-        processes→threads, and a pooled execution that *raises* is
-        retried sequentially here (operators are side-effect-free, so
-        the retry is safe), tripping ``pool_breaker`` so later plans
-        skip the pool until its recovery probe succeeds.  Deadline
-        expiry is the exception — it propagates, retrying would only
-        burn more of a budget that is already gone.
+        Process-backend faults walk the degradation ladder, never fail
+        the query: worker failures degrade the execution to the
+        in-process kernels mid-plan (the pool's breaker then skips the
+        backend until its recovery probe succeeds), and an execution
+        that *raises* with a backend attached is retried once in-process
+        (operators are side-effect-free, so the retry is safe).  An
+        in-process execution that raises propagates — there is no rung
+        below it.  Deadline expiry always propagates: retrying would
+        only burn more of a budget that is already gone.
         """
         plan, cache_hit = self.compile(expr, access)
         provider = self._index.provider if self._index is not None else None
-        mode = parallel if parallel is not None else self.parallelism
-        if mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallelism {mode!r}; have {PARALLEL_MODES}"
-            )
-        notes: list[str] = []
-        if mode != "never" and not self.pool_breaker.allow():
-            notes.append("pool:threads→sequential")
-            mode = "never"
         # the sub-plan memo assumes the default environment: a custom
         # env may bind G to a different graph than the memo was cut on
         run_env = env if env is not None else {BASE_GRAPH: self.graph}
         result_cache = self._subplan_cache() if env is None else None
 
-        def attempt(run_mode: str) -> PlanExecution:
+        def attempt(
+            backend: ProcessBackend | None, notes: tuple[str, ...] = ()
+        ) -> PlanExecution:
             return plan.execute(
                 run_env,
                 index_provider=provider,
                 network_provider=self.network_index,
                 shard_provider=self.shard_views,
                 attr_provider=self.attr_posting_candidates,
-                pool=self.pool if run_mode != "never" else None,
-                parallel=run_mode,
-                parallel_min_cost=self.cost_model.parallel_min_cost,
-                process_backend=self._process_backend(plan, run_mode, env),
+                process_backend=backend,
                 result_cache=result_cache,
                 topk=topk,
                 deadline=deadline,
-                resilience_notes=tuple(notes),
+                resilience_notes=notes,
             )
 
+        backend = self._process_backend(plan, env)
         try:
-            execution = attempt(mode)
+            execution = attempt(backend)
         except DeadlineError:
             raise
         except Exception:
-            if mode == "never":
+            if backend is None:
                 raise
-            self.pool_breaker.record_failure()
-            notes.append("pool:threads→sequential")
-            execution = attempt("never")
-        else:
-            if mode != "never":
-                self.pool_breaker.record_success()
+            execution = attempt(None, ("pool:processes→sequential",))
+            # the in-process run answered: the backend was at fault
+            backend.pool.breaker.record_failure()
         execution.cache_hit = cache_hit
         if not plan.feedback_observed:
             # Feedback rides on fresh plans, not on every hot-path hit:
@@ -654,7 +629,6 @@ class QueryPlanner:
         min_qualified: int = 2,
         max_experts: int = 10,
         access: str = "auto",
-        parallel: str | None = None,
         limit: int | None = None,
         deadline: float | None = None,
     ) -> PlanExecution:
@@ -694,8 +668,8 @@ class QueryPlanner:
         )
         root = CombineScoresE(candidates, social, alpha=alpha,
                               drop_zero=drop_zero)
-        return self.execute(root, access=access, parallel=parallel,
-                            topk=limit, deadline=deadline)
+        return self.execute(root, access=access, topk=limit,
+                            deadline=deadline)
 
 
 def _condition_type_names(condition: Any) -> list[str]:

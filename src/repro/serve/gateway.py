@@ -67,7 +67,7 @@ from typing import Any, Callable, Mapping
 from repro.api import RequestFailure, SearchRequest, SearchResponse, Session
 from repro.core.faults import fault_point
 from repro.core.resilience import BreakerStats
-from repro.errors import DeadlineError, QueryError, ServeError
+from repro.errors import DeadlineError, ServeError
 from repro.serve.admission import (
     AdmissionController,
     AdmissionPolicy,
@@ -90,7 +90,12 @@ _BatchResult = list[SearchResponse | RequestFailure]
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Gateway tunables: batching shape, execution width, admission."""
+    """Gateway tunables: batching shape, execution width, admission.
+
+    The plan-executor mode is the session's own
+    (``SessionConfig.parallelism``): the gateway serves the session its
+    caller built and re-pins nothing on it.
+    """
 
     #: how long the first request of a plan key waits for batch-mates
     batch_window_s: float = 0.004
@@ -98,10 +103,6 @@ class GatewayConfig:
     max_batch: int = 16
     #: worker threads — concurrent ``run_many`` batches in flight
     max_concurrent_batches: int = 4
-    #: plan-executor mode pinned onto the session's planner at gateway
-    #: construction ("auto"/"never"/"force"/"threads"/"processes"); None
-    #: leaves the session's configured mode untouched
-    parallelism: str | None = None
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     #: end-to-end deadline applied to tenants whose policy does not set
     #: one; ``None`` (the default) keeps the pre-resilience behavior
@@ -248,11 +249,6 @@ class ServeGateway:
                 "drain_timeout_s must be positive, got "
                 f"{self.config.drain_timeout_s!r}"
             )
-        if self.config.parallelism is not None:
-            try:
-                session.set_parallelism(self.config.parallelism)
-            except QueryError as error:
-                raise ServeError(str(error)) from error
         self.admission = AdmissionController(self.config.admission)
         self._hedge = HedgeTracker(
             quantile=self.config.hedge_quantile,

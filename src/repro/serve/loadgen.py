@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.api import SearchRequest, Session, SessionConfig
+from repro.api import PARALLEL_MODES, SearchRequest, Session, SessionConfig
 from repro.core import Id
 from repro.management import DataManager
 from repro.serve.admission import (
@@ -375,12 +375,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--concurrency", type=int, default=None,
                         help="concurrent in-flight clients")
     parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--parallelism", default=None,
-                        choices=("auto", "never", "force", "threads",
-                                 "processes"),
-                        help="pin the session's plan-executor mode "
-                             "(default: leave the session on auto)")
-    parser.add_argument("--shards", type=int, default=None,
+    parser.add_argument("--parallelism", default="auto",
+                        choices=PARALLEL_MODES,
+                        help="the session's plan-executor mode")
+    parser.add_argument("--shards", type=int, default=1,
                         help="partition the site graph into N shards "
                              "(enables scattered scans)")
     parser.add_argument("--json", action="store_true",
@@ -406,16 +404,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.concurrency if args.concurrency is not None else 32
         )
     site = build_site(site_config)
-    session_config = None
-    if args.shards is not None and args.shards > 1:
-        session_config = SessionConfig(shards=args.shards)
-    session = Session.from_graph(site.graph, session_config)
+    session = Session.from_graph(site.graph, SessionConfig(
+        shards=args.shards, parallelism=args.parallelism,
+    ))
     mix = LoadMix.for_site(
         site.user_ids, site.categories, LoadMixConfig(seed=args.seed)
     )
-    gateway_config = GatewayConfig(
-        admission=DEFAULT_LOAD_ADMISSION, parallelism=args.parallelism
-    )
+    gateway_config = GatewayConfig(admission=DEFAULT_LOAD_ADMISSION)
     config = HarnessConfig(
         concurrency=concurrency, total_requests=total, gateway=gateway_config
     )

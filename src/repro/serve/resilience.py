@@ -1,8 +1,8 @@
 """Gateway-side resilience: hedge pacing and breaker visibility.
 
 The plan layer owns the degradation ladder's breakers
-(processes→threads on the :class:`~repro.plan.parallel.ProcessShardPool`,
-threads→sequential and attr-index→scan on the
+(processes→sequential on the
+:class:`~repro.plan.parallel.ProcessShardPool`, attr-index→scan on the
 :class:`~repro.plan.planner.QueryPlanner`); this module holds the pieces
 the *gateway* adds on top:
 
@@ -74,13 +74,12 @@ class HedgeTracker:
 def breaker_snapshot(session: "Session") -> Mapping[str, BreakerStats]:
     """Every breaker the serving session carries, by name.
 
-    Reads the planner's ladder breakers and — only if one was ever
+    Reads the planner's attr-index breaker and — only if one was ever
     spawned — the process pool's; never *creates* a pool just to report
     on it.
     """
     planner = session.planner
     snapshot: dict[str, BreakerStats] = {
-        planner.pool_breaker.name: planner.pool_breaker.stats(),
         planner.attr_breaker.name: planner.attr_breaker.stats(),
     }
     process_pool = planner._process_pool

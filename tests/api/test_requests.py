@@ -54,6 +54,12 @@ class TestValidation:
         dict(user_id=1, k=-3),
         dict(user_id=1, page=0),
         dict(user_id=1, page_size=0),
+        dict(user_id=1, k=2.5),
+        dict(user_id=1, k=True),
+        dict(user_id=1, page=1.5),
+        dict(user_id=1, page=None),
+        dict(user_id=1, page_size=2.0),
+        dict(user_id=1, page_size=True),
     ])
     def test_bad_requests_rejected(self, bad):
         with pytest.raises(QueryError):

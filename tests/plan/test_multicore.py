@@ -1,18 +1,21 @@
-"""The process backend: parity, shipping, invalidation, degrade, fork.
+"""The process backend: parity, scatter, invalidation, degrade, deadline.
 
 The acceptance net of the multicore executor: every query answers
-identically (1e-9 on scores) across {sequential, threads, processes} ×
-{1, 2, 7 shards}; slab generations invalidate worker-resident columns
-on in-place writes; a poisoned worker degrades the execution to the
-in-process path mid-plan without changing the answer; the σL residual
-vectorization and the sharded endorsement merge hold parity against
-their row-wise references; and a forked :class:`WorkerPool` revalidates
-instead of deadlocking on inherited executor state.
+identically (1e-9 on scores) across {never, processes} × {1, 2, 7
+shards}; the two-phase scatter sends each worker one message per
+operator and survives concurrent executions; slab generations
+invalidate worker-resident columns on in-place writes; a poisoned
+worker degrades the execution to the in-process path mid-plan without
+changing the answer; a hung worker costs the caller its deadline, not
+the reply timeout; and the σL residual vectorization and the
+endorsement merge hold parity against their row-wise references.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import sys
 import threading
 import time
 
@@ -24,14 +27,16 @@ from repro.core import Condition, Node, input_graph
 from repro.core.conditions import AttrCompare, HasAttr, Lambda, Or
 from repro.core.selection import select_matching_links
 from repro.discovery import InformationDiscoverer, parse_query
+from repro.errors import DeadlineError
 from repro.plan import (
     CostModel,
-    EndorsementMergeOp,
+    ProcessShardPool,
     QueryPlanner,
+    ShardedScanOp,
     VectorCondition,
-    WorkerPool,
 )
 from repro.plan.columnar import cut_columnar_views
+from repro.plan.parallel import _ProcessWorker
 from repro.core.partition import shard_of
 
 TOL = 1e-9
@@ -66,7 +71,7 @@ def process_planner(graph, shards, mode="processes",
 
 
 class TestCrossBackendParity:
-    """{sequential, threads, processes} × {1, 2, 7 shards} — one answer."""
+    """{never, processes} × {1, 2, 7 shards} — one answer."""
 
     def test_scan_matrix_matches_monolithic(self):
         graph = factories.social_site_graph(num_users=10, num_items=16)
@@ -74,7 +79,7 @@ class TestCrossBackendParity:
         mono = QueryPlanner(graph)
         reference = [mono.execute(e).result for e in exprs]
         for shards in (1, 2, 7):
-            for mode in ("never", "threads", "processes"):
+            for mode in ("never", "processes"):
                 planner = process_planner(graph, shards, mode)
                 try:
                     for expr, ref in zip(exprs, reference):
@@ -91,7 +96,7 @@ class TestCrossBackendParity:
                 query, strategy=strategy
             )
             for shards in (2, 7):
-                for mode in ("threads", "processes"):
+                for mode in ("never", "processes"):
                     discoverer = InformationDiscoverer(graph)
                     planner = discoverer.planner
                     planner.cost_model = CostModel(shard_scan_min_nodes=0.0)
@@ -124,9 +129,48 @@ class TestCrossBackendParity:
                 Condition({"type": "item"}, keywords="topic0")
             ))
             assert execution.executor.startswith("processes(")
+            assert execution.process_served
             rendered = execution.render()
             assert "pid:" in rendered
             assert "ship=" in rendered and "scan=" in rendered
+        finally:
+            planner.close()
+
+    def test_scatter_sends_each_worker_one_message(self, monkeypatch):
+        """7 shards over 2 workers: every shard answers, two messages."""
+        graph = factories.social_site_graph(num_users=10, num_items=16)
+        planner = process_planner(graph, 7)
+        planner._process_pool = ProcessShardPool(num_workers=2)
+        expr = input_graph("G").select_nodes(
+            Condition({"type": "item"}, keywords="topic0")
+        )
+        sent: list[tuple[int, str]] = []
+        real_send = _ProcessWorker.send
+
+        def counting_send(worker, message):
+            sent.append((worker.process.pid, message[0]))
+            real_send(worker, message)
+
+        monkeypatch.setattr(_ProcessWorker, "send", counting_send)
+        try:
+            execution = planner.execute(expr)
+            pids = planner.process_pool.worker_pids
+            assert len(set(pids)) == 2 and os.getpid() not in pids
+            # one operator scattered: one scan message per worker (after
+            # the one slab ship each), whatever the shard count
+            assert sorted(sent) == sorted(
+                [(pid, "slabs") for pid in pids]
+                + [(pid, "scan") for pid in pids]
+            )
+            rows = [p for p in execution.profiles if p.shard is not None]
+            assert [p.shard for p in rows] == list(range(7))
+            assert [p.worker for p in rows] == [
+                f"pid:{pids[shard % 2]}" for shard in range(7)
+            ]
+            assert planner.process_pool.scans_run == 7
+            assert execution.result.same_as(
+                QueryPlanner(graph).execute(expr).result
+            )
         finally:
             planner.close()
 
@@ -170,6 +214,8 @@ class TestEpochInvalidation:
 
 
 class TestDegradeToThreads:
+    """The processes → sequential rung (the class name predates it)."""
+
     def test_poisoned_worker_degrades_mid_plan(self):
         from repro.testing import armed_faults, worker_killer
 
@@ -195,7 +241,10 @@ class TestDegradeToThreads:
             ):
                 execution = planner.execute(poisoned)
             assert execution.result.same_as(seq.execute(poisoned).result)
-            assert "degraded→threads" in execution.executor
+            assert execution.executor.endswith(
+                "+sequential (degraded→sequential)"
+            )
+            assert not execution.process_served
             assert pool.broken
             # broken pool: later plans skip the backend entirely
             later = input_graph("G").select_nodes({"name": "item 1"})
@@ -306,9 +355,143 @@ class TestSelfHealing:
             ):
                 execution = planner.execute(expr)
             assert execution.result.same_as(seq.execute(expr).result)
-            assert "degraded→threads" in execution.executor
-            assert "pool:processes→threads" in execution.resilience
+            assert "degraded→sequential" in execution.executor
+            assert "pool:processes→sequential" in execution.resilience
             assert planner.process_pool.broken
+        finally:
+            planner.close()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
+                        reason="platform has no SIGSTOP")
+    @pytest.mark.usefixtures("deadlock_watchdog")
+    def test_worker_killed_between_send_and_gather_degrades(
+        self, monkeypatch
+    ):
+        """Both workers got their message; one dies before it replies.
+
+        The victim is stopped just before its send (so it cannot answer
+        early) and killed at the first gather-phase receive.
+        """
+        from repro.testing import armed_faults
+
+        graph = factories.social_site_graph(num_users=10, num_items=16)
+        planner = process_planner(graph, 2)
+        seq = QueryPlanner(graph)
+        expr = input_graph("G").select_nodes(
+            Condition({"type": "item"}, keywords="topic0")
+        )
+        victims: list = []
+
+        def stop_first(name, worker, **info):
+            if not victims:
+                victims.append(worker.process)
+                os.kill(worker.process.pid, signal.SIGSTOP)
+
+        real_receive = _ProcessWorker.receive
+
+        def killing_receive(worker, timeout):
+            if victims and victims[0].is_alive():
+                victims[0].kill()
+                victims[0].join(timeout=5.0)
+            return real_receive(worker, timeout)
+
+        try:
+            planner.execute(input_graph("G").select_nodes(
+                Condition({"type": "item"}, keywords="thing")
+            ))
+            monkeypatch.setattr(_ProcessWorker, "receive", killing_receive)
+            with armed_faults({"parallel.worker_request": stop_first}):
+                execution = planner.execute(expr)
+            assert victims and not victims[0].is_alive()
+            assert execution.result.same_as(seq.execute(expr).result)
+            assert "degraded→sequential" in execution.executor
+            assert "pool:processes→sequential" in execution.resilience
+            assert not execution.process_served
+            assert planner.process_pool.broken
+        finally:
+            planner.close()
+
+    def test_raising_process_execution_retries_in_process(self, monkeypatch):
+        """Not a worker fault, yet the backend was attached: retry once."""
+        graph = factories.social_site_graph(num_users=10, num_items=16)
+        planner = process_planner(graph, 2)
+        expr = input_graph("G").select_nodes(
+            Condition({"type": "item"}, keywords="topic0")
+        )
+
+        def broken_gather(op, view, rows):
+            raise RuntimeError("gather bug")
+
+        # only process-served shards gather; the in-process kernel
+        # never calls it
+        monkeypatch.setattr(ShardedScanOp, "_gather", broken_gather)
+        try:
+            execution = planner.execute(expr)
+            assert execution.executor == "sequential"
+            assert execution.resilience == ("pool:processes→sequential",)
+            assert execution.result.same_as(
+                QueryPlanner(graph).execute(expr).result
+            )
+            assert planner.process_pool.breaker.stats().failures == 1
+            # with no backend attached there is no rung left: it raises
+            planner.parallelism = "never"
+            monkeypatch.setattr(
+                ShardedScanOp, "_kernel",
+                lambda op, view: broken_gather(op, view, ()),
+            )
+            with pytest.raises(RuntimeError, match="gather bug"):
+                planner.execute(input_graph("G").select_nodes(
+                    Condition({"type": "item"}, keywords="thing")
+                ))
+        finally:
+            planner.close()
+
+
+# ---------------------------------------------------------------------------
+# Deadlines: a hung worker costs the caller its budget, not the reply timeout
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"),
+                    reason="platform has no SIGSTOP")
+class TestGatherDeadline:
+    @pytest.mark.usefixtures("deadlock_watchdog")
+    def test_stopped_worker_expires_the_deadline_not_the_timeout(self):
+        graph = factories.social_site_graph(num_users=10, num_items=16)
+        planner = process_planner(graph, 2)
+        seq = QueryPlanner(graph)
+        try:
+            planner.execute(input_graph("G").select_nodes(
+                Condition({"type": "item"}, keywords="thing")
+            ))
+            pool = planner.process_pool
+            stopped = pool.worker_pids[0]
+            os.kill(stopped, signal.SIGSTOP)
+            try:
+                started = time.monotonic()
+                with pytest.raises(DeadlineError):
+                    planner.execute(
+                        input_graph("G").select_nodes(
+                            Condition({"type": "item"}, keywords="topic0")
+                        ),
+                        deadline=started + 0.3,
+                    )
+                elapsed = time.monotonic() - started
+            finally:
+                os.kill(stopped, signal.SIGCONT)
+            assert 0.3 <= elapsed < 5.0  # nowhere near the 60 s timeout
+            # expiry is not a worker fault: the circuit stays closed and
+            # the next execution drains the late replies and is served
+            assert not pool.broken
+            fresh = input_graph("G").select_nodes(
+                Condition({"type": "item"}, keywords="topic1")
+            )
+            execution = planner.execute(fresh)
+            assert execution.executor.startswith("processes(")
+            assert execution.process_served
+            assert "degraded" not in execution.executor
+            assert execution.result.same_as(seq.execute(fresh).result)
+            assert pool.worker_pids[0] == stopped  # same workers, healed
         finally:
             planner.close()
 
@@ -319,7 +502,7 @@ class TestSelfHealing:
 
 
 class TestShippability:
-    def test_opaque_residuals_pin_the_plan_to_threads(self):
+    def test_opaque_residuals_pin_the_plan_in_process(self):
         graph = factories.social_site_graph(num_users=10, num_items=16)
         planner = process_planner(graph, 2)
         threshold = 0.0  # closure state: the lambda cannot pickle
@@ -335,15 +518,6 @@ class TestShippability:
             assert execution.result.same_as(
                 QueryPlanner(graph).execute(expr).result
             )
-        finally:
-            planner.close()
-
-    def test_threads_mode_never_spawns_processes(self):
-        graph = factories.social_site_graph(num_users=10, num_items=16)
-        planner = process_planner(graph, 2, mode="threads")
-        try:
-            planner.execute(input_graph("G").select_nodes({"type": "item"}))
-            assert planner._process_pool is None
         finally:
             planner.close()
 
@@ -376,27 +550,47 @@ class TestShippability:
 
 class TestProcessPoolStorm:
     def test_concurrent_executes_share_one_pool(self, deadlock_watchdog):
+        """More threads than cores, several rounds each, one pool.
+
+        Every exchange takes both worker locks in index order, so the
+        storm can only serialise, never deadlock; the pool's shard
+        counter (updated under its lock) must equal the process-served
+        shard rows the executions themselves reported — a lost update
+        or a reply delivered to the wrong execution breaks one of the
+        two assertions.
+        """
         graph = factories.social_site_graph(num_users=10, num_items=16)
         planner = process_planner(graph, 3)
         exprs = [
             input_graph("G").select_nodes(cond)
             for cond in NODE_CONDITIONS
         ] * 2
+        rounds = 4
         seq = QueryPlanner(graph)
         references = [seq.execute(e).result for e in exprs]
         errors: list[BaseException] = []
+        served_rows: list[int] = []
         barrier = threading.Barrier(len(exprs))
 
         def run(i: int) -> None:
             try:
                 barrier.wait(timeout=30)
-                got = planner.execute(exprs[i])
-                assert got.result.same_as(references[i]), i
+                for step in range(rounds):
+                    j = (i + step) % len(exprs)
+                    got = planner.execute(exprs[j])
+                    assert got.result.same_as(references[j]), (i, j)
+                    assert "degraded" not in got.executor
+                    served_rows.append(sum(
+                        1 for p in got.profiles
+                        if p.shard is not None and p.worker is not None
+                    ))
             except BaseException as error:  # noqa: BLE001 — collected
                 errors.append(error)
 
         threads = [threading.Thread(target=run, args=(i,))
                    for i in range(len(exprs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
             for t in threads:
                 t.start()
@@ -404,59 +598,14 @@ class TestProcessPoolStorm:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert not errors
-            assert planner.process_pool.ships_run == 1  # one resident slab
+            pool = planner.process_pool
+            assert pool.ships_run == 1  # one resident slab
+            assert not pool.broken
+            assert pool.scans_run == sum(served_rows) > 0
+            assert all(w.owed == 0 for w in pool._workers)
         finally:
+            sys.setswitchinterval(interval)
             planner.close()
-
-
-# ---------------------------------------------------------------------------
-# WorkerPool fork revalidation
-# ---------------------------------------------------------------------------
-
-
-class TestForkRevalidation:
-    def test_stale_pid_swaps_executor_and_lock(self):
-        pool = WorkerPool(max_workers=1)
-        assert pool.submit(lambda: 1).result(timeout=10) == 1
-        stale_executor = pool._executor
-        stale_lock = pool._lock
-        pool._pid = -1  # what a fork-inherited copy looks like
-        assert pool.submit(lambda: 42).result(timeout=10) == 42
-        assert pool._pid == os.getpid()
-        assert pool._executor is not stale_executor
-        assert pool._lock is not stale_lock
-        pool.shutdown()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"),
-                        reason="platform has no os.fork")
-    def test_forked_child_submits_without_deadlocking(self):
-        pool = WorkerPool(max_workers=2)
-        # warm the executor so the child inherits real (dead) threads
-        assert pool.submit(lambda: 1).result(timeout=10) == 1
-        child = os.fork()
-        if child == 0:
-            # child: a hang here (the pre-fix behavior: work queued to
-            # threads that do not exist) is caught by the parent's
-            # timeout below; report pass/fail via the exit status only
-            try:
-                ok = pool.submit(lambda: 42).result(timeout=10) == 42
-            except BaseException:
-                ok = False
-            os._exit(0 if ok else 1)
-        deadline = time.monotonic() + 30
-        status: int | None = None
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(child, os.WNOHANG)
-            if done == child:
-                break
-            time.sleep(0.05)
-        else:
-            os.kill(child, 9)
-            os.waitpid(child, 0)
-            pytest.fail("forked child hung on the inherited worker pool")
-        pool.shutdown()
-        assert status is not None
-        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +666,7 @@ class TestLinkResidualVectorization:
 
 
 # ---------------------------------------------------------------------------
-# Sharded endorsement merges
+# Endorsement merges over sharded candidates
 # ---------------------------------------------------------------------------
 
 
@@ -526,7 +675,8 @@ def _friends_social_expr(user: str = "u0"):
 
     The merge form exists only for the friends strategy on empty-keyword
     queries (the basis-weight correctness boundary), so that is the
-    regime the sharded merge must hold parity in.
+    regime the merge must hold parity in when its candidates arrive
+    shard-concatenated.
     """
     from repro.core.expr import ConnectionBasisE, SocialScoreE
 
@@ -592,15 +742,3 @@ class TestShardedEndorsementMerge:
                 assert got.endorsers[item] == pytest.approx(
                     per_user, abs=TOL
                 )
-
-    def test_merge_operator_carries_the_shard_count(self):
-        graph = factories.social_site_graph()
-        planner = QueryPlanner(
-            graph, cost_model=CostModel(shard_scan_min_nodes=0.0)
-        )
-        planner.attach_shards(4)
-        plan, _ = planner.compile(_friends_social_expr(), access="index")
-        merges = [op for op in plan._walk(plan.root, set())
-                  if isinstance(op, EndorsementMergeOp)]
-        assert merges and all(op.num_shards == 4 for op in merges)
-        assert any("×4" in op.form for op in merges)

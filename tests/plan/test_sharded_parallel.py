@@ -1,11 +1,11 @@
-"""Sharded scans and the pooled executor: parity, lowering, EXPLAIN.
+"""Sharded scans across both backends: parity, lowering, EXPLAIN.
 
-The acceptance contract of the partition/parallel refactor: every query
+The acceptance contract of the partitioned executor: every query
 produces identical results (1e-9 on scores) across {monolithic, 2-shard,
-7-shard} stores × {sequential, pooled} executors, verified here with the
-hypothesis workload factory; plus structural tests for the lowering rule
-(threshold, pruning, covering), the runtime degrade path, per-shard
-EXPLAIN rows, and the session-level wiring.
+7-shard} stores × {in-process, process-backend} scans, verified here
+with the hypothesis workload factory; plus structural tests for the
+lowering rule (threshold, pruning, covering), the runtime degrade path,
+per-shard EXPLAIN rows, and the session-level wiring.
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ import factories
 from repro.api import SearchRequest, Session, SessionConfig
 from repro.core import Condition, Link, Node, input_graph
 from repro.discovery import InformationDiscoverer, parse_query
+from repro.errors import QueryError
 from repro.plan import (
+    PARALLEL_MODES,
     CostModel,
+    ProcessShardPool,
     QueryPlanner,
     SHARDED,
     ShardedScanOp,
-    WorkerPool,
 )
 
 TOL = 1e-9
@@ -42,6 +44,27 @@ def sharded_planner(graph, shards, parallelism="never",
     return planner
 
 
+@pytest.fixture(scope="module")
+def shared_workers():
+    """One worker set for the whole matrix (a spawn per example is ~0.5 s)."""
+    pool = ProcessShardPool(num_workers=2)
+    yield pool
+    pool.shutdown()
+
+
+def set_mode(planner: QueryPlanner, mode: str, pool: ProcessShardPool) -> None:
+    """Pin *mode*; under ``"processes"`` serve from the shared *pool*.
+
+    Slab residency is keyed by the owning planner's (generation, epoch)
+    token, which two planners can share — a borrowed pool must forget
+    what the previous borrower shipped.
+    """
+    planner.parallelism = mode
+    if mode == "processes":
+        pool._version = None
+        planner._process_pool = pool
+
+
 @st.composite
 def site_queries(draw):
     graph = factories.social_site_graph(
@@ -59,24 +82,25 @@ def site_queries(draw):
 
 
 class TestDifferentialParity:
-    """{monolithic, 2, 7 shards} × {sequential, pooled} — one ranking."""
+    """{monolithic, 2, 7 shards} × {never, processes} — one ranking."""
 
     @settings(max_examples=25, deadline=None)
     @given(site_queries())
-    def test_every_configuration_ranks_identically(self, workload):
+    def test_every_configuration_ranks_identically(self, shared_workers,
+                                                   workload):
         graph, user, text, strategy = workload
         reference = InformationDiscoverer(graph).rank(
             parse_query(user, text), strategy=strategy
         )
         for shards in (1, 2, 7):
-            for mode in ("never", "force"):
+            for mode in ("never", "processes"):
                 discoverer = InformationDiscoverer(graph)
                 discoverer.planner.cost_model = CostModel(
                     shard_scan_min_nodes=0.0
                 )
                 if shards > 1:
                     discoverer.planner.attach_shards(shards)
-                discoverer.planner.parallelism = mode
+                set_mode(discoverer.planner, mode, shared_workers)
                 got = discoverer.rank(parse_query(user, text),
                                       strategy=strategy)
                 assert [s.item_id for s in got.items] == [
@@ -89,17 +113,24 @@ class TestDifferentialParity:
                 assert got.social.scores == pytest.approx(
                     reference.social.scores, abs=TOL
                 )
+        assert not shared_workers.broken  # never silently degraded
 
     @settings(max_examples=15, deadline=None)
     @given(site_queries(), st.sampled_from([2, 7]))
-    def test_raw_sharded_scan_matches_monolithic(self, workload, shards):
-        graph, _user, _text, _strategy = workload
-        expr = input_graph("G").select_nodes({"type": "item"})
-        mono = QueryPlanner(graph).execute(expr)
-        for mode in ("never", "force"):
-            planner = sharded_planner(graph, shards, parallelism=mode)
-            execution = planner.execute(expr)
-            assert execution.result.same_as(mono.result)
+    def test_raw_sharded_scan_matches_monolithic(self, shared_workers,
+                                                 workload, shards):
+        graph, _user, text, _strategy = workload
+        # a covered scan (never ships) and a keyword scan (ships whole)
+        for condition in ({"type": "item"},
+                          Condition({"type": "item"}, keywords=text)):
+            expr = input_graph("G").select_nodes(condition)
+            mono = QueryPlanner(graph).execute(expr)
+            for mode in ("never", "processes"):
+                planner = sharded_planner(graph, shards)
+                set_mode(planner, mode, shared_workers)
+                execution = planner.execute(expr)
+                assert execution.result.same_as(mono.result)
+        assert not shared_workers.broken
 
 
 class TestLowering:
@@ -256,54 +287,40 @@ class TestExplainAndProfiles:
         assert execution.executor == "sequential"
         assert "[sharded×3:item*]" in execution.render()
 
-    @pytest.mark.usefixtures("deadlock_watchdog")
-    def test_pooled_execution_tags_workers(self):
-        graph = factories.social_site_graph(num_users=7, num_items=9)
-        planner = sharded_planner(graph, 2, parallelism="force")
-        execution = planner.execute(
-            input_graph("G").select_nodes({"type": "item"})
-        )
-        assert execution.executor.startswith("pooled(")
-        workers = {p.worker for p in execution.profiles if p.worker}
-        assert workers  # at least one op ran on a named pool thread
-        assert "executor=pooled" in execution.render()
 
-    @pytest.mark.usefixtures("deadlock_watchdog")
-    def test_pooled_errors_propagate(self):
+    def test_execution_errors_propagate(self):
         from repro.errors import ExpressionError
 
         graph = factories.social_site_graph()
-        planner = sharded_planner(graph, 2, parallelism="force")
-        with pytest.raises(ExpressionError):
-            planner.execute(input_graph("MISSING").select_nodes({}))
+        for mode in ("never", "processes"):
+            planner = sharded_planner(graph, 2, parallelism=mode)
+            with pytest.raises(ExpressionError):
+                planner.execute(input_graph("MISSING").select_nodes({}))
+        # the scan would have shipped, so the raising run was retried
+        # in-process; a query that fails there too is no backend fault
+        assert planner.process_pool.breaker.stats().failures == 0
+        assert not planner.process_pool.worker_pids
 
-    @pytest.mark.usefixtures("deadlock_watchdog")
-    def test_pooled_repeats_serve_from_the_subplan_memo(self):
-        # The scheduler must consult the generation memo before fanning a
-        # sharded scan out — otherwise the pooled executor re-scans every
-        # partition on every repeat of a hot query.
+    def test_process_repeats_hit_the_subplan_memo(self,
+                                                         shared_workers):
+        # The generation memo is consulted before the scatter — otherwise
+        # a hot query would re-ship its program to every worker on every
+        # repeat.
         graph = factories.social_site_graph(num_users=7, num_items=9)
-        planner = sharded_planner(graph, 3, parallelism="force")
-        expr = input_graph("G").select_nodes({"type": "item"})
+        planner = sharded_planner(graph, 3)
+        set_mode(planner, "processes", shared_workers)
+        expr = input_graph("G").select_nodes(
+            Condition({"type": "item"}, keywords="topic0")
+        )
         first = planner.execute(expr)
-        assert any(p.shard is not None for p in first.profiles)
+        assert first.process_served
+        scans = shared_workers.scans_run
         second = planner.execute(expr)
         assert second.result.same_as(first.result)
         assert not any(p.shard is not None for p in second.profiles)
         assert "(memo)" in second.render()
-
-    @pytest.mark.usefixtures("deadlock_watchdog")
-    def test_worker_pool_accounts_tasks(self):
-        pool = WorkerPool(max_workers=2)
-        graph = factories.social_site_graph()
-        planner = QueryPlanner(
-            graph, cost_model=CostModel(shard_scan_min_nodes=0.0),
-            parallelism="force", pool=pool,
-        )
-        planner.attach_shards(3)
-        planner.execute(input_graph("G").select_nodes({"type": "item"}))
-        assert pool.tasks_run >= 3  # the shard tasks at minimum
-        pool.shutdown()
+        assert shared_workers.scans_run == scans
+        assert not second.process_served
 
 
 class TestSessionWiring:
@@ -318,20 +335,63 @@ class TestSessionWiring:
     def test_sharded_parallel_session_serves_identical_pages(self):
         graph = factories.social_site_graph(num_users=7, num_items=9)
         plain = Session.from_graph(graph)
-        fancy = Session.from_graph(
-            graph, SessionConfig(shards=5, parallelism="force"),
+        with Session.from_graph(
+            graph, SessionConfig(shards=5, parallelism="processes"),
+        ) as fancy:
+            fancy.planner.cost_model = CostModel(shard_scan_min_nodes=0.0)
+            for request in (
+                SearchRequest(user_id="u0", text="topic0"),
+                SearchRequest(user_id="u1"),
+                SearchRequest(user_id="u2", text="thing",
+                              strategy="item_based"),
+            ):
+                # scan path: the index path never scatters a scan
+                request = request.replace(use_index=False)
+                assert fancy.run(request).items == plain.run(request).items
+            # counted from the shards workers served, not the label: the
+            # empty-text request's covered scan never leaves the process
+            assert fancy.stats.process_queries == 2
+            assert not hasattr(fancy.stats, "parallel_queries")
+            response = fancy.run(SearchRequest(
+                user_id="u3", text="topic1", use_index=False, explain=True,
+            ))
+            assert response.plan.executor.startswith("processes(")
+            assert response.plan.sharded
+
+    def test_parallelism_is_validated_in_one_place(self):
+        assert PARALLEL_MODES == ("auto", "never", "processes")
+        graph = factories.social_site_graph()
+        for retired in ("force", "threads", "pooled"):
+            with pytest.raises(QueryError, match="unknown parallelism"):
+                QueryPlanner(graph, parallelism=retired)
+            with pytest.raises(QueryError, match="unknown parallelism"):
+                Session.from_graph(graph, SessionConfig(parallelism=retired))
+        session = Session.from_graph(graph)
+        with pytest.raises(QueryError, match="unknown parallelism"):
+            session.set_parallelism("force")
+        session.set_parallelism("never")
+        assert session.planner.parallelism == "never"
+
+    def test_failing_in_process_scan_is_a_typed_failure_not_a_retry(self):
+        """No rung below the in-process path: the error reaches the caller."""
+        from repro.api import RequestFailure
+        from repro.testing import armed_faults, raising
+
+        session = Session.from_graph(
+            factories.social_site_graph(), SessionConfig(shards=3),
         )
-        fancy.planner.cost_model = CostModel(shard_scan_min_nodes=0.0)
-        for request in (
-            SearchRequest(user_id="u0", text="topic0"),
-            SearchRequest(user_id="u1"),
-            SearchRequest(user_id="u2", text="thing", strategy="item_based"),
-        ):
-            assert fancy.run(request).items == plain.run(request).items
-        assert fancy.stats.parallel_queries >= 1
-        response = fancy.run(SearchRequest(user_id="u0", explain=True))
-        assert response.plan.executor.startswith("pooled(")
-        assert response.plan.sharded
+        session.planner.cost_model = CostModel(shard_scan_min_nodes=0.0)
+        request = SearchRequest(user_id="u0", text="topic0", use_index=False)
+        with armed_faults({"physical.scan_shard": raising(
+            lambda: RuntimeError("shard scan blew up"), times=1
+        )}):
+            (failed,) = session.run_many([request], isolate_errors=True)
+        assert isinstance(failed, RequestFailure)
+        assert failed.kind == "RuntimeError"
+        (served,) = session.run_many([request], isolate_errors=True)
+        assert served.items == Session.from_graph(
+            factories.social_site_graph()
+        ).run(request).items
 
     def test_writes_invalidate_shard_views(self):
         session = Session.from_graph(
@@ -349,3 +409,4 @@ class TestSessionWiring:
         after = session.run(SearchRequest(user_id="u0"))
         assert "i-new" in after.items
         assert before.items != after.items
+
