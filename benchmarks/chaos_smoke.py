@@ -173,8 +173,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     reference = reference_responses(session, stream + clean_stream)
 
     config = GatewayConfig(
-        batch_window_s=0.002,
-        max_batch=8,
         default_deadline_s=2.0,
         drain_timeout_s=5.0,
         hedge=True,
@@ -287,7 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"  outcomes:   completed {counts['completed']}  "
           f"failed {counts['failed']}  shed {counts['shed']}  "
           f"deadline {counts['deadline']}")
-    print(f"  hedges:     {stats.hedged_batches} batches re-dispatched")
+    print(f"  hedges:     {stats.hedged_batches} dispatches re-run")
     print(f"  deadline:   {stats.deadline_expired} expiries (gateway-side)")
     print("  breakers:   " + ", ".join(
         f"{name}={snap.state}" for name, snap in sorted(stats.breakers.items())

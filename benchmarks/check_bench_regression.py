@@ -4,7 +4,7 @@
 Wall-clock milliseconds do not transfer between machines, so the gate
 mostly tracks *ratios* — columnar scan over the legacy row scan, compiled
 serving over the hand-written pipeline, compiled social strategies over
-their legacy references, sequential serving over the batching gateway.
+their legacy references.
 The serve bench additionally gates its latency percentiles (p95/p99) and
 peak RSS directly: regime-matched baselines plus the multiplicative
 budget absorb runner variance there.  Each tracked metric must not
@@ -87,10 +87,6 @@ def tracked_metrics(results: dict) -> dict[str, float]:
         metrics["serve.p95_ms"] = serve["latency_ms"]["p95"]
         metrics["serve.p99_ms"] = serve["latency_ms"]["p99"]
         metrics["serve.peak_rss_mb"] = serve["peak_rss_mb"]
-        # sequential rps / gateway rps: grows when the gateway regresses
-        metrics["serve.sequential_over_gateway"] = (
-            serve["sequential_over_gateway"]
-        )
         # deadlined run / undeadlined run on the same stream, no
         # expiries: the no-fault cost of the deadline machinery (target
         # <3%, i.e. a ratio hugging 1.0)

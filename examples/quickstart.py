@@ -272,9 +272,9 @@ assert site_cache["hits"] >= 1
 # One warm session answers one query at a time; repro.serve.ServeGateway
 # is its concurrent front door.  Tenants submit concurrently, admission
 # control sheds past-budget traffic with a typed Overloaded *value* (not
-# an exception), and requests that compile to the same plan coalesce
-# into a single Session.run_many batch — the shared plan cache compiles
-# once for the whole batch.
+# an exception), and each admitted request runs on a bounded worker pool
+# over the shared warm state — same-shape requests compile once in the
+# shared plan cache.
 import asyncio
 
 from repro.serve import (
@@ -285,12 +285,11 @@ hot = SearchRequest(user_id="u0", text="denver", k=5)
 
 
 async def serve_demo():
-    config = GatewayConfig(batch_window_s=0.05)  # wide window: demo batching
-    async with ServeGateway(sharded, config) as gateway:
+    async with ServeGateway(sharded) as gateway:
         outcomes = await asyncio.gather(
             gateway.submit("alice", hot),
-            gateway.submit("bob", hot.replace(k=3)),        # same plan key
-            gateway.submit("carol", hot.replace(page=2)),   # same plan key
+            gateway.submit("bob", hot.replace(k=3)),
+            gateway.submit("carol", hot.replace(page=2)),
             gateway.submit("dave", SearchRequest(user_id="u1", k=5)),
         )
         return outcomes, gateway.stats(), gateway.plan_cache_stats()
@@ -298,12 +297,11 @@ async def serve_demo():
 
 outcomes, serve_stats, serve_cache = asyncio.run(serve_demo())
 assert all(o.ok for o in outcomes)
-# alice/bob/carol differ only in execution fields (k, pagination), so
-# they shared one batch; each still got their own exact response window
+# alice/bob/carol differ only in k and pagination: each got their own
+# exact response window over the same ranking
 assert outcomes[0].items[:3] == outcomes[1].items
-print(f"\ngateway: {serve_stats.completed} served in {serve_stats.batches}"
-      f" batches, sizes {dict(serve_stats.batch_size_histogram)},"
-      f" mean {serve_stats.mean_batch_size:.2f}")
+print(f"\ngateway: {serve_stats.completed} served,"
+      f" {serve_stats.shed} shed, {serve_stats.failed} failed")
 print(f"  site-wide plan cache through the gateway:"
       f" hits={serve_cache['hits']} compiles={serve_cache['compiles']}")
 
@@ -330,11 +328,11 @@ assert len(shed) == 2 and all(v.reason == "tenant_budget" for v in shed)
 # carries one (tenant policy, or the gateway default), enforced both by
 # a loop-side timer and by cooperative checks inside the plan executor.
 # A request that cannot make its budget resolves as DeadlineExceeded —
-# a value, never a stuck future.  (Here the batch window is wider than
-# the deadline, so the timer fires while the request is still queued.)
+# a value, never a stuck future.  (Here the deadline is shorter than one
+# request takes, so the clock runs out before an answer exists.)
 from repro.serve import DeadlineExceeded
 
-impatient = GatewayConfig(batch_window_s=5.0, default_deadline_s=0.05)
+impatient = GatewayConfig(default_deadline_s=1e-4)
 
 
 async def deadline_demo():
@@ -345,8 +343,8 @@ async def deadline_demo():
 expired, dstats = asyncio.run(deadline_demo())
 assert isinstance(expired, DeadlineExceeded) and not expired.ok
 print(f"  deadline: shed at stage={expired.stage!r} after"
-      f" {expired.elapsed_s * 1e3:.0f}ms (budget"
-      f" {expired.deadline_s * 1e3:.0f}ms); breakers: "
+      f" {expired.elapsed_s * 1e3:.1f}ms (budget"
+      f" {expired.deadline_s * 1e3:.1f}ms); breakers: "
       + ", ".join(f"{name}={snap.state}"
                   for name, snap in sorted(dstats.breakers.items())))
 assert dstats.deadline_expired == 1

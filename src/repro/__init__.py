@@ -25,7 +25,7 @@ The library implements the paper's three-layer architecture end to end:
   discovery);
 * :mod:`repro.serve` — the concurrent serving front: the asyncio
   :class:`~repro.serve.ServeGateway` with per-tenant admission control
-  and dynamic plan-key batching, plus the closed-loop load harness
+  and priority dispatch, plus the closed-loop load harness
   (:mod:`repro.serve.loadgen`);
 * :class:`repro.socialscope.SocialScope` — the stable facade over one
   session (Figure 1).

@@ -500,10 +500,19 @@ class Session:
         """Start a fluent query for *user_id* (see :class:`QueryBuilder`)."""
         return QueryBuilder(self, user_id)
 
-    def run(self, request: SearchRequest) -> SearchResponse:
-        """Evaluate one structured request into an organized response."""
+    def run(
+        self, request: SearchRequest, deadline: float | None = None
+    ) -> SearchResponse:
+        """Evaluate one structured request into an organized response.
+
+        *deadline* is the request's absolute monotonic deadline — the
+        gateway's end-to-end budget — carried into plan execution, where
+        running past it raises :class:`~repro.errors.DeadlineError`.  It
+        is per call, never session state: one session serves several
+        concurrent requests.
+        """
         self._ensure_fresh()
-        return self._run_prepared(request)
+        return self._run_prepared(request, deadline=deadline)
 
     def run_many(
         self,
@@ -511,7 +520,6 @@ class Session:
         # anything with `.map(fn, *iterables)`, e.g. a ThreadPoolExecutor
         executor: Executor | None = None,
         isolate_errors: bool = False,
-        deadlines: Sequence[float | None] | None = None,
     ) -> list[SearchResponse | RequestFailure]:
         """Evaluate a batch against the shared warm session state.
 
@@ -523,24 +531,11 @@ class Session:
 
         With ``isolate_errors=True`` a request whose evaluation raises
         yields a :class:`RequestFailure` in its slot instead of aborting
-        the whole batch — the contract dynamic batching rests on, where
-        one batch mixes unrelated tenants and a stale cursor from one must
-        not poison the others.  The default (``False``) keeps the historic
+        the whole batch, so a stale cursor from one caller does not
+        poison the others.  The default (``False``) keeps the historic
         fail-fast behavior.
-
-        *deadlines* (aligned with *requests*) carries each request's
-        absolute monotonic deadline into plan execution — the gateway's
-        end-to-end budget.  Deadlines are per call, never session state:
-        one session serves several concurrent batches.
         """
         batch = list(requests)
-        budgets: Sequence[float | None] = (
-            list(deadlines) if deadlines is not None else [None] * len(batch)
-        )
-        if len(budgets) != len(batch):
-            raise ValueError(
-                f"deadlines length {len(budgets)} != requests {len(batch)}"
-            )
         self._ensure_fresh()
         if batch:
             # Prime lazy shared state while still single-threaded: the
@@ -559,18 +554,18 @@ class Session:
         runner = self._run_isolated if isolate_errors else self._run_prepared
         if executor is None:
             responses: list[SearchResponse | RequestFailure] = [
-                runner(r, deadline=d) for r, d in zip(batch, budgets)
+                runner(r) for r in batch
             ]
         else:
-            responses = list(executor.map(runner, batch, budgets))
+            responses = list(executor.map(runner, batch))
         return responses
 
     def _run_isolated(
-        self, request: SearchRequest, deadline: float | None = None
+        self, request: SearchRequest
     ) -> SearchResponse | RequestFailure:
         """One request under per-request error isolation (see run_many)."""
         try:
-            return self._run_prepared(request, deadline=deadline)
+            return self._run_prepared(request)
         except Exception as exc:
             return RequestFailure(
                 request=request,

@@ -2,7 +2,7 @@
 
 Production modules call :func:`fault_point` at the places where real
 deployments fail — a worker pipe request, a shard scan, a WAL fsync, a
-snapshot write, a gateway batch dispatch.  The call is a dict lookup
+snapshot write, a gateway dispatch.  The call is a dict lookup
 guarded by a single ``is None`` check, so the unarmed serving path pays
 one branch per site and nothing else.
 

@@ -3,11 +3,10 @@
 The layers below (:mod:`repro.api` downwards) answer *one* query well;
 this package answers *many at once*: an asyncio gateway
 (:class:`ServeGateway`) that admission-controls per-tenant traffic
-(:mod:`repro.serve.admission`), coalesces concurrent same-plan requests
-into dynamic batches (:mod:`repro.serve.batching`), and executes them on
-a bounded pool with per-request error isolation.  The closed-loop load
-harness (:mod:`repro.serve.loadgen`) replays the paper's power-law
-traffic shape against it.
+(:mod:`repro.serve.admission`), queues admitted requests by tenant
+priority, and executes each on a bounded pool with per-request error
+isolation.  The closed-loop load harness (:mod:`repro.serve.loadgen`)
+replays the paper's power-law traffic shape against it.
 """
 
 from __future__ import annotations
@@ -23,11 +22,9 @@ from repro.serve.admission import (
     Overloaded,
     TenantPolicy,
 )
-from repro.serve.batching import EXECUTION_ONLY_FIELDS, batch_key, describe_key
 from repro.serve.gateway import (
     GatewayConfig,
     GatewayStats,
-    KeyStats,
     ServeGateway,
     ServeOutcome,
 )
@@ -44,12 +41,8 @@ __all__ = [
     "Admitted",
     "AdmissionStats",
     "AdmissionController",
-    "batch_key",
-    "describe_key",
-    "EXECUTION_ONLY_FIELDS",
     "GatewayConfig",
     "GatewayStats",
-    "KeyStats",
     "ServeGateway",
     "ServeOutcome",
     "percentile",

@@ -13,11 +13,11 @@ starving everyone else:
   ``retry_after_s`` hint, while other tenants' budgets are untouched —
   per-tenant isolation is the whole point;
 * **a global depth cap** — the gateway bounds total in-flight requests
-  (queued in batch buffers plus executing); past ``max_depth`` every
-  tenant sheds, because unbounded queueing just converts overload into
-  latency and memory growth;
+  (queued plus executing); past ``max_depth`` every tenant sheds,
+  because unbounded queueing just converts overload into latency and
+  memory growth;
 * **priorities** — each tenant carries a priority class (lower = more
-  urgent) that the gateway's dispatcher uses to order ready batches, so
+  urgent) that the gateway's dispatcher uses to order its queue, so
   paying/interactive traffic drains before background crawlers under
   contention.
 
@@ -66,8 +66,8 @@ class AdmissionPolicy:
     default: TenantPolicy = field(default_factory=TenantPolicy)
     #: per-tenant overrides of the default contract
     tenants: Mapping[str, TenantPolicy] = field(default_factory=dict)
-    #: hard cap on requests in flight across all tenants (queued in batch
-    #: buffers + executing); 0 disables global admission entirely
+    #: hard cap on requests in flight across all tenants (queued +
+    #: executing); 0 disables global admission entirely
     max_depth: int = 256
     #: tokens one admitted request spends
     request_cost: float = 1.0
@@ -84,7 +84,7 @@ class AdmissionPolicy:
 class Overloaded:
     """The typed shed outcome: *why* a request was turned away.
 
-    Returned (not raised) by the gateway so a batch of concurrent callers
+    Returned (not raised) by the gateway so concurrent callers
     can pattern-match outcomes uniformly; ``retry_after_s`` is the
     earliest time the same request could plausibly be admitted (budget
     refill for ``tenant_budget``, "soon" for ``global_depth``).
@@ -118,7 +118,7 @@ class DeadlineExceeded:
 
     Returned (never raised, never a stuck future) by the gateway when a
     request's end-to-end deadline expires, whether it was still queued
-    in a batch buffer, waiting on an executor slot, mid-plan-execution
+    for a worker slot, mid-plan-execution
     (the cooperative ``ExecContext`` check fired), or stranded by a
     bounded shutdown drain.  ``stage`` says where the clock ran out and
     ``elapsed_s`` is the honest submit→expiry wall time.

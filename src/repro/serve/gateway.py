@@ -1,4 +1,4 @@
-"""The asyncio serving gateway: admission → dynamic batching → execution.
+"""The asyncio serving gateway: admission → priority queue → execution.
 
 :class:`ServeGateway` is the concurrent front door of one warm
 :class:`~repro.api.Session`.  Many logical tenants submit
@@ -8,20 +8,17 @@
    spend budgets plus a global in-flight depth cap, shedding with a typed
    :class:`~repro.serve.admission.Overloaded` outcome instead of queueing
    unboundedly;
-2. performs **dynamic batching**: admitted requests sharing a plan key
-   (:func:`repro.serve.batching.batch_key`) within a short batching
-   window coalesce into a single ``Session.run_many`` call — the shared
-   plan cache compiles once and every other batch member is a cache hit
-   over already-primed warm state;
-3. executes batches on a bounded thread pool with **per-request error
-   isolation** (``run_many(isolate_errors=True)``): one tenant's stale
-   cursor returns that tenant a
-   :class:`~repro.api.RequestFailure`, never aborting batch-mates.
+2. queues each admitted request on a priority heap — (tenant priority
+   class, arrival order) — so interactive traffic goes first when the
+   workers are contended;
+3. runs one request per worker slot on a bounded thread pool
+   (``Session.run``) with **per-request error isolation**: one tenant's
+   stale cursor returns that tenant a
+   :class:`~repro.api.RequestFailure`, and the gateway stays up.
 
-Ready batches drain through a priority heap — (tenant priority class,
-arrival order) — so interactive traffic goes first when the pool is
-contended, and a batch keeps accumulating joiners while it waits for a
-pool slot.
+A discovery answer is a function of who asks (the connection basis and
+the social score embed the user), so one admitted request is the unit of
+work: nothing waits for company and nothing is coalesced.
 
 **Deadlines.**  Each admitted request carries an end-to-end deadline
 (the tenant's :attr:`~repro.serve.admission.TenantPolicy.deadline_s`,
@@ -30,34 +27,36 @@ disables).  The deadline is enforced twice: a loop-side timer resolves
 the future with a typed
 :class:`~repro.serve.admission.DeadlineExceeded` the moment the clock
 runs out (``stage="queued"`` or ``"executing"`` — a submission can
-*never* wedge, whatever the executor threads are doing), and the same
+*never* wedge, whatever the worker threads are doing), and the same
 absolute monotonic deadline rides into
-``Session.run_many(deadlines=...)`` where the plan executor's
+``Session.run(request, deadline=...)`` where the plan executor's
 cooperative :meth:`~repro.plan.physical.ExecContext.check_deadline`
 stops shard scans between operators so a doomed request stops burning
-pool time.  Requests already expired at dispatch are dropped from the
-batch before execution.
+pool time.  Requests already expired when their turn comes are skipped
+at dispatch.
 
-**Hedging.**  The gateway tracks batch-execution latencies
-(:class:`~repro.serve.resilience.HedgeTracker`); a dispatched batch
-that exceeds the tracked quantile is re-dispatched on a dedicated hedge
-thread and the first completion wins — batch execution is deterministic
-and read-only, so the duplicate is wasted heat, not a correctness
-hazard, and one wedged executor thread no longer wedges its batch.
+**Hedging.**  The gateway tracks execution latencies
+(:class:`~repro.serve.resilience.HedgeTracker`); a dispatch that
+exceeds the tracked quantile is re-run on a dedicated hedge thread and
+the first completion wins — execution is deterministic and read-only,
+so the duplicate is wasted heat, not a correctness hazard, and one
+wedged worker thread no longer wedges its request.  A request whose
+deadline already answered the caller is never hedged.
 
 Concurrency model: ``submit`` must be called from the event loop the
 gateway was started on (the load harness and the quickstart both drive it
 with ``asyncio``; threads integrate via
-``asyncio.run_coroutine_threadsafe``).  All loop-side state (pending
-batches, the ready heap, entry bookkeeping, counters) is therefore
-single-threaded by construction; the pieces shared with worker threads —
-the admission controller and the session itself — carry their own locks.
+``asyncio.run_coroutine_threadsafe``).  All loop-side state (the ready
+heap, entry bookkeeping, counters) is therefore single-threaded by
+construction; the pieces shared with worker threads — the admission
+controller and the session itself — carry their own locks.
 """
 
 from __future__ import annotations
 
 import asyncio
 import heapq
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -76,8 +75,6 @@ from repro.serve.admission import (
     DeadlineExceeded,
     Overloaded,
 )
-from repro.serve.batching import batch_key, describe_key
-from repro.serve.metrics import histogram_mean
 from repro.serve.resilience import HedgeTracker, breaker_snapshot
 
 #: What one submission resolves to.
@@ -85,24 +82,18 @@ ServeOutcome = (
     SearchResponse | RequestFailure | Overloaded | DeadlineExceeded
 )
 
-_BatchResult = list[SearchResponse | RequestFailure]
-
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Gateway tunables: batching shape, execution width, admission.
+    """Gateway tunables: execution width, admission, deadlines, hedging.
 
     The plan-executor mode is the session's own
     (``SessionConfig.parallelism``): the gateway serves the session its
     caller built and re-pins nothing on it.
     """
 
-    #: how long the first request of a plan key waits for batch-mates
-    batch_window_s: float = 0.004
-    #: flush a batch early once it reaches this size
-    max_batch: int = 16
-    #: worker threads — concurrent ``run_many`` batches in flight
-    max_concurrent_batches: int = 4
+    #: worker threads — requests executing concurrently
+    max_workers: int = 4
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     #: end-to-end deadline applied to tenants whose policy does not set
     #: one; ``None`` (the default) keeps the pre-resilience behavior
@@ -111,7 +102,7 @@ class GatewayConfig:
     #: stragglers with a typed ``DeadlineExceeded(stage="shutdown")``;
     #: also bounds the ``checkpoint()`` quiesce
     drain_timeout_s: float = 5.0
-    #: hedge batches whose execution exceeds the tracked latency
+    #: hedge dispatches whose execution exceeds the tracked latency
     #: quantile (False disables the hedge thread entirely)
     hedge: bool = True
     #: latency quantile (0..1) that arms a hedge
@@ -123,19 +114,6 @@ class GatewayConfig:
 
 
 @dataclass(frozen=True)
-class KeyStats:
-    """Per-plan-key batching accounting (hot-key reporting)."""
-
-    label: str
-    requests: int
-    batches: int
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.requests / self.batches if self.batches else 0.0
-
-
-@dataclass(frozen=True)
 class GatewayStats:
     """One snapshot of the gateway's serving counters."""
 
@@ -143,37 +121,31 @@ class GatewayStats:
     completed: int
     failed: int
     shed: int
-    batches: int
-    #: batch size -> number of batches executed at that size
-    batch_size_histogram: Mapping[int, int]
-    #: per plan key: requests and batches (hot-key mean batch sizes)
-    keys: Mapping[str, KeyStats]
     admission: AdmissionStats
     #: requests resolved with a typed ``DeadlineExceeded`` (any stage)
     deadline_expired: int = 0
-    #: batches re-dispatched because their slot exceeded the hedge cut
+    #: dispatches re-run on the hedge thread (slot exceeded the hedge cut)
     hedged_batches: int = 0
     #: every breaker the serving session carries, by name
     breakers: Mapping[str, BreakerStats] = field(default_factory=dict)
 
+    # Constants kept only for the frozen benchmarks/e2e/gateway.py reader
+    # (one request per dispatch); they go with its next revision.
     @property
     def mean_batch_size(self) -> float:
-        return histogram_mean(self.batch_size_histogram)
+        return 1.0
 
-    def hot_keys(self, n: int = 5) -> list[KeyStats]:
-        """The *n* most-requested plan keys, busiest first."""
-        ranked = sorted(
-            self.keys.values(), key=lambda ks: (-ks.requests, ks.label)
-        )
-        return ranked[:n]
+    def hot_keys(self, n: int = 5) -> list[Any]:
+        return []
 
 
 class _Entry:
     """One admitted submission's loop-side bookkeeping.
 
-    Holds the future, the admission ticket, and the deadline machinery.
+    Holds the future, the admission ticket, and the deadline machinery;
+    orders on the ready heap by (tenant priority class, arrival).
     Resolution (:meth:`ServeGateway._resolve`) is idempotent: whichever
-    of the deadline timer, the executing batch, or the shutdown drain
+    of the deadline timer, the executing worker, or the shutdown drain
     gets there first sets the result, cancels the timer, and releases
     the ticket — the losers find ``future.done()`` / ``released`` and
     do nothing.
@@ -183,6 +155,7 @@ class _Entry:
         "request",
         "future",
         "ticket",
+        "seq",
         "deadline",
         "deadline_s",
         "submitted",
@@ -196,11 +169,13 @@ class _Entry:
         request: SearchRequest,
         future: "asyncio.Future[ServeOutcome]",
         ticket: Admitted,
+        seq: int,
         deadline_s: float | None,
     ) -> None:
         self.request = request
         self.future = future
         self.ticket = ticket
+        self.seq = seq
         self.deadline_s = deadline_s
         self.submitted = time.monotonic()
         #: absolute monotonic expiry (rides into the plan executor)
@@ -211,22 +186,10 @@ class _Entry:
         self.released = False
         self.dispatched = False
 
-
-class _PendingBatch:
-    """Requests accumulating under one plan key until flush."""
-
-    __slots__ = ("key", "seq", "priority", "entries", "timer", "ready")
-
-    def __init__(self, key: SearchRequest, seq: int, priority: int):
-        self.key = key
-        self.seq = seq
-        self.priority = priority
-        self.entries: list[_Entry] = []
-        self.timer: asyncio.TimerHandle | None = None
-        self.ready = False
-
-    def __lt__(self, other: "_PendingBatch") -> bool:
-        return (self.priority, self.seq) < (other.priority, other.seq)
+    def __lt__(self, other: "_Entry") -> bool:
+        return (self.ticket.priority, self.seq) < (
+            other.ticket.priority, other.seq
+        )
 
 
 class ServeGateway:
@@ -234,39 +197,62 @@ class ServeGateway:
 
     def __init__(self, session: Session, config: GatewayConfig | None = None):
         self.session = session
-        self.config = config if config is not None else GatewayConfig()
-        if self.config.max_batch < 1:
+        config = config if config is not None else GatewayConfig()
+        self.config = config
+        if config.max_workers < 1:
             raise ServeError(
-                f"max_batch must be >= 1, got {self.config.max_batch!r}"
+                f"max_workers must be >= 1, got {config.max_workers!r}"
             )
-        if self.config.max_concurrent_batches < 1:
-            raise ServeError(
-                "max_concurrent_batches must be >= 1, got "
-                f"{self.config.max_concurrent_batches!r}"
-            )
-        if self.config.drain_timeout_s <= 0.0:
+        if config.drain_timeout_s <= 0.0:
             raise ServeError(
                 "drain_timeout_s must be positive, got "
-                f"{self.config.drain_timeout_s!r}"
+                f"{config.drain_timeout_s!r}"
             )
-        self.admission = AdmissionController(self.config.admission)
+        policy = config.admission
+        for deadline_s in (
+            config.default_deadline_s,
+            policy.default.deadline_s,
+            *(tenant.deadline_s for tenant in policy.tenants.values()),
+        ):
+            if deadline_s is not None and not (
+                math.isfinite(deadline_s) and deadline_s > 0.0
+            ):
+                raise ServeError(
+                    "a deadline must be finite and > 0 (or None), got "
+                    f"{deadline_s!r}"
+                )
+        if not 0.0 < config.hedge_quantile <= 1.0:
+            raise ServeError(
+                "hedge_quantile must be in (0, 1], got "
+                f"{config.hedge_quantile!r}"
+            )
+        if not config.hedge_multiplier > 0.0:
+            raise ServeError(
+                "hedge_multiplier must be > 0, got "
+                f"{config.hedge_multiplier!r}"
+            )
+        if config.hedge_min_samples < 1:
+            raise ServeError(
+                "hedge_min_samples must be >= 1, got "
+                f"{config.hedge_min_samples!r}"
+            )
+        self.admission = AdmissionController(config.admission)
         self._hedge = HedgeTracker(
-            quantile=self.config.hedge_quantile,
-            multiplier=self.config.hedge_multiplier,
-            min_samples=self.config.hedge_min_samples,
+            quantile=config.hedge_quantile,
+            multiplier=config.hedge_multiplier,
+            min_samples=config.hedge_min_samples,
         )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._hedge_executor: ThreadPoolExecutor | None = None
         self._dispatcher: asyncio.Task[None] | None = None
-        self._pending: dict[SearchRequest, _PendingBatch] = {}
-        self._ready: list[_PendingBatch] = []
+        self._ready: list[_Entry] = []
         self._ready_event: asyncio.Event | None = None
         self._slots: asyncio.Semaphore | None = None
         self._entries: set[_Entry] = set()
+        self._running_tasks: set[asyncio.Task[None]] = set()
         self._open = 0
         self._drained: asyncio.Event | None = None
-        self._seq = 0
         self._running = False
         # counters (event-loop thread only)
         self._submitted = 0
@@ -274,11 +260,7 @@ class ServeGateway:
         self._failed = 0
         self._shed = 0
         self._deadline_expired = 0
-        self._hedged_batches = 0
-        self._batches = 0
-        self._batch_sizes: dict[int, int] = {}
-        self._key_requests: dict[str, int] = {}
-        self._key_batches: dict[str, int] = {}
+        self._hedged = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -288,8 +270,8 @@ class ServeGateway:
             raise ServeError("gateway already started")
         self._loop = asyncio.get_running_loop()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_concurrent_batches,
-            thread_name_prefix="serve-batch",
+            max_workers=self.config.max_workers,
+            thread_name_prefix="serve-worker",
         )
         if self.config.hedge:
             # one spare thread, deliberately outside the slot-bounded
@@ -299,7 +281,7 @@ class ServeGateway:
                 max_workers=1, thread_name_prefix="serve-hedge"
             )
         self._ready_event = asyncio.Event()
-        self._slots = asyncio.Semaphore(self.config.max_concurrent_batches)
+        self._slots = asyncio.Semaphore(self.config.max_workers)
         self._drained = asyncio.Event()
         self._drained.set()
         self._running = True
@@ -308,9 +290,10 @@ class ServeGateway:
     async def stop(self) -> None:
         """Stop accepting, drain in-flight work *boundedly*, release the pool.
 
-        The drain waits at most :attr:`GatewayConfig.drain_timeout_s`.
-        Requests still unresolved past that bound (a wedged executor
-        thread, a hung fault) are failed with a typed
+        The drain waits at most :attr:`GatewayConfig.drain_timeout_s`
+        for queued and executing requests alike.  Requests still
+        unresolved past that bound (a wedged worker thread, a hung
+        fault) are failed with a typed
         ``DeadlineExceeded(stage="shutdown")`` — shutdown never hangs
         and never strands a future — and the pool is torn down without
         joining the wedged thread.
@@ -318,9 +301,6 @@ class ServeGateway:
         if not self._running:
             return
         self._running = False
-        # flush every accumulating batch now — nothing new can join
-        for batch in list(self._pending.values()):
-            self._flush(batch)
         drain_clean = True
         if self._drained is not None:
             try:
@@ -382,7 +362,7 @@ class ServeGateway:
     async def submit(
         self, tenant: str, request: SearchRequest
     ) -> ServeOutcome:
-        """One tenant's request: admitted+batched+executed, or shed.
+        """One tenant's request: admitted, queued and executed — or shed.
 
         Returns a :class:`SearchResponse` on success, a
         :class:`RequestFailure` when this request's own evaluation raised,
@@ -393,6 +373,7 @@ class ServeGateway:
         """
         if not self._running or self._loop is None:
             raise ServeError("gateway is not running (use `async with`)")
+        assert self._ready_event is not None
         self._submitted += 1
         verdict = self.admission.admit(tenant)
         if isinstance(verdict, Overloaded):
@@ -405,29 +386,16 @@ class ServeGateway:
             else self.config.default_deadline_s
         )
         future: "asyncio.Future[ServeOutcome]" = self._loop.create_future()
-        entry = _Entry(request, future, verdict, deadline_s)
+        # the submission count doubles as the arrival number
+        entry = _Entry(request, future, verdict, self._submitted, deadline_s)
         if deadline_s is not None:
             entry.timer = self._loop.call_later(
                 deadline_s, self._expire, entry
             )
         self._entries.add(entry)
         self._track_open(+1)
-        key = batch_key(request)
-        batch = self._pending.get(key)
-        if batch is None:
-            self._seq += 1
-            batch = _PendingBatch(key, self._seq, verdict.priority)
-            self._pending[key] = batch
-            batch.timer = self._loop.call_later(
-                self.config.batch_window_s, self._flush, batch
-            )
-        batch.entries.append(entry)
-        if not batch.ready:
-            # heap ordering key — frozen once the batch is in the heap
-            batch.priority = min(batch.priority, verdict.priority)
-        if len(batch.entries) >= self.config.max_batch:
-            self._flush(batch)
-            self._retire(batch)
+        heapq.heappush(self._ready, entry)
+        self._ready_event.set()
         try:
             return await future
         finally:
@@ -438,23 +406,20 @@ class ServeGateway:
     async def checkpoint(self, directory: str | Path) -> dict[str, Any]:
         """Drain, then snapshot the serving site into *directory*.
 
-        Quiesce protocol: every accumulating batch is flushed, then all
-        pool slots are acquired — no batch is executing and none can
-        start — and the session checkpoints
+        Quiesce protocol: all worker slots are acquired — no request is
+        executing and none can start — and the session checkpoints
         (:meth:`~repro.api.Session.save`) on the loop's *default*
         executor (our own pool is deliberately full).  Slots release in
         dispatch order afterwards, so serving resumes exactly where it
         paused; submissions arriving mid-checkpoint simply queue behind
         the held slots.  The quiesce is bounded by
-        :attr:`GatewayConfig.drain_timeout_s`: a wedged batch raises a
+        :attr:`GatewayConfig.drain_timeout_s`: a wedged worker raises a
         :class:`~repro.errors.ServeError` instead of hanging the
         checkpoint forever.  Returns the snapshot manifest.
         """
         if not self._running or self._loop is None or self._slots is None:
             raise ServeError("gateway is not running (use `async with`)")
-        for batch in list(self._pending.values()):
-            self._flush(batch)
-        width = self.config.max_concurrent_batches
+        width = self.config.max_workers
         acquired = 0
         try:
             for _ in range(width):
@@ -466,7 +431,7 @@ class ServeGateway:
                     raise ServeError(
                         "checkpoint quiesce timed out after "
                         f"{self.config.drain_timeout_s}s "
-                        f"({acquired}/{width} slots; a batch is wedged)"
+                        f"({acquired}/{width} slots; a worker is wedged)"
                     ) from None
                 acquired += 1
             return await self._loop.run_in_executor(
@@ -476,7 +441,7 @@ class ServeGateway:
             for _ in range(acquired):
                 self._slots.release()
 
-    # -- batching internals ---------------------------------------------------
+    # -- dispatch internals ---------------------------------------------------
 
     def _track_open(self, delta: int) -> None:
         self._open += delta
@@ -488,7 +453,7 @@ class ServeGateway:
             self._drained.clear()
 
     def _resolve(self, entry: _Entry, outcome: ServeOutcome) -> None:
-        """Resolve one entry exactly once (timer/batch/shutdown race-safe).
+        """Resolve one entry exactly once (timer/worker/shutdown race-safe).
 
         Cancels the deadline timer, releases the admission ticket, and
         sets the future — each at most once, in that order, so whichever
@@ -518,7 +483,7 @@ class ServeGateway:
         """Deadline timer fired (loop thread): fail the future, typed.
 
         The entry may simultaneously be executing on a pool thread; the
-        executor's eventual result is discarded by :meth:`_resolve`'s
+        worker's eventual result is discarded by :meth:`_resolve`'s
         ``future.done()`` guard.  Expiry releases the admission ticket —
         the caller is no longer waiting, so the depth slot is free even
         though a doomed computation may still be burning a pool thread
@@ -537,135 +502,78 @@ class ServeGateway:
             ),
         )
 
-    def _flush(self, batch: _PendingBatch) -> None:
-        """Hand *batch* to the dispatcher (idempotent).
-
-        The batch stays *joinable* — it remains in the pending map, so
-        same-key arrivals keep coalescing into it while it waits for a
-        pool slot (that wait dominates the batching window under load).
-        It stops accepting joiners only when full (:meth:`_retire` at
-        ``max_batch``) or actually dispatched.
-        """
-        if batch.ready:
-            return
-        batch.ready = True
-        if batch.timer is not None:
-            batch.timer.cancel()
-        heapq.heappush(self._ready, batch)
-        if self._ready_event is not None:
-            self._ready_event.set()
-
-    def _retire(self, batch: _PendingBatch) -> None:
-        """Stop *batch* from accepting joiners (full or dispatching)."""
-        if self._pending.get(batch.key) is batch:
-            del self._pending[batch.key]
-
     async def _dispatch_loop(self) -> None:
-        """Drain ready batches into pool slots, best priority first."""
+        """Drain queued entries into worker slots, best priority first."""
         assert self._ready_event is not None and self._slots is not None
+        assert self._loop is not None
         while True:
+            # set exactly while the heap is non-empty: submit pushes and
+            # sets, and this loop — the only consumer — clears on empty
             await self._ready_event.wait()
-            if not self._ready:
-                self._ready_event.clear()
-                continue
-            # take a slot first: while we wait, joiners keep accumulating
-            # in *pending* batches and higher-priority batches may become
-            # ready — the pop below happens at dispatch time.
+            # take a slot first: higher-priority entries may arrive while
+            # we wait — the pop below happens at dispatch time.
             await self._slots.acquire()
+            entry = heapq.heappop(self._ready)
             if not self._ready:
+                self._ready_event.clear()
+            if entry.future.done():
+                # its deadline fired while queued: no point spending a
+                # worker on an answer nobody waits for
                 self._slots.release()
-                self._ready_event.clear()
                 continue
-            batch = heapq.heappop(self._ready)
-            # close the joining window *now*, on the loop thread, before
-            # the executing task snapshots the entry list
-            self._retire(batch)
-            if not self._ready:
-                self._ready_event.clear()
-            assert self._loop is not None
-            self._loop.create_task(self._run_batch(batch))
-
-    async def _run_batch(self, batch: _PendingBatch) -> None:
-        """Execute one sealed batch on the pool; resolve its futures."""
-        assert self._loop is not None and self._slots is not None
-        # requests whose deadline already fired while queued are dropped
-        # here — no point spending a pool slot on an answer nobody waits
-        # for (their futures were resolved by the timer)
-        live = [e for e in batch.entries if not e.future.done()]
-        if not live:
-            self._slots.release()
-            return
-        for entry in live:
+            # set on the loop thread before the worker starts, so an
+            # expiry from here on reports stage="executing"
             entry.dispatched = True
-        requests = [entry.request for entry in live]
-        deadlines = [entry.deadline for entry in live]
-        label = describe_key(batch.key)
-        session = self.session
+            task = self._loop.create_task(self._run_entry(entry))
+            self._running_tasks.add(task)
+            task.add_done_callback(self._running_tasks.discard)
 
-        def work() -> _BatchResult:
-            fault_point("serve.batch", key=label, size=len(requests))
-            return session.run_many(
-                requests, isolate_errors=True, deadlines=deadlines
-            )
+    async def _run_entry(self, entry: _Entry) -> None:
+        """Execute one entry on a worker; resolve its future."""
+        assert self._slots is not None
+
+        def work() -> SearchResponse:
+            fault_point("serve.batch")
+            return self.session.run(entry.request, deadline=entry.deadline)
 
         started = time.monotonic()
+        outcome: ServeOutcome
         try:
-            outcomes = await self._execute_hedged(work)
-        except Exception as exc:
-            # batch-level failure (e.g. refresh blew up): every member
-            # gets a failure outcome — the gateway itself stays up.
-            outcomes = [
-                RequestFailure(
-                    request=request,
-                    kind=type(exc).__name__,
-                    message=str(exc),
-                    error=exc,
-                )
-                for request in requests
-            ]
-        finally:
-            self._slots.release()
-        self._hedge.observe(time.monotonic() - started)
-        self._record_batch(live, batch)
-        now = time.monotonic()
-        for entry, outcome in zip(live, outcomes):
-            self._resolve(entry, self._map_outcome(entry, outcome, now))
-
-    def _map_outcome(
-        self,
-        entry: _Entry,
-        outcome: SearchResponse | RequestFailure,
-        now: float,
-    ) -> ServeOutcome:
-        """Plan-side deadline expiry surfaces as the same typed outcome.
-
-        The executor reports a cooperative deadline stop as a
-        ``RequestFailure`` wrapping a :class:`~repro.errors.DeadlineError`
-        (that is ``run_many``'s uniform isolation envelope); the gateway
-        unwraps it so callers see one ``DeadlineExceeded`` type whether
-        the clock ran out on the loop or between two shard scans.
-        """
-        if isinstance(outcome, RequestFailure) and isinstance(
-            outcome.error, DeadlineError
-        ):
-            return DeadlineExceeded(
+            outcome = await self._execute_hedged(entry, work)
+        except DeadlineError as exc:
+            # the plan executor's cooperative stop surfaces as the same
+            # typed outcome the loop-side timer produces
+            outcome = DeadlineExceeded(
                 tenant=entry.ticket.tenant,
-                stage=outcome.error.stage,
-                elapsed_s=now - entry.submitted,
+                stage=exc.stage,
+                elapsed_s=time.monotonic() - entry.submitted,
                 deadline_s=(
                     entry.deadline_s if entry.deadline_s is not None else 0.0
                 ),
             )
-        return outcome
+        except Exception as exc:
+            # this request's own failure (a stale cursor, a refresh that
+            # blew up): its caller gets a typed failure, the gateway
+            # itself stays up
+            outcome = RequestFailure(
+                request=entry.request,
+                kind=type(exc).__name__,
+                message=str(exc),
+                error=exc,
+            )
+        finally:
+            self._slots.release()
+        self._hedge.observe(time.monotonic() - started)
+        self._resolve(entry, outcome)
 
     async def _execute_hedged(
-        self, work: Callable[[], _BatchResult]
-    ) -> _BatchResult:
+        self, entry: _Entry, work: Callable[[], SearchResponse]
+    ) -> SearchResponse:
         """Run *work* on the pool; hedge it if it outlives the quantile.
 
         The hedge re-runs the same closure on the dedicated hedge thread
-        and the first completion wins.  Batch execution is deterministic
-        and side-effect-free over warm state, so the loser's result (or
+        and the first completion wins.  Execution is deterministic and
+        side-effect-free over warm state, so the loser's result (or
         exception) is simply discarded.
         """
         assert self._loop is not None
@@ -680,7 +588,11 @@ class ServeGateway:
         done, _ = await asyncio.wait({primary}, timeout=delay)
         if done:
             return primary.result()
-        self._hedged_batches += 1
+        if entry.future.done():
+            # the deadline already answered the caller: a second run
+            # would be duplicate work for nobody
+            return await primary
+        self._hedged += 1
         secondary = self._loop.run_in_executor(self._hedge_executor, work)
         done, pending = await asyncio.wait(
             {primary, secondary}, return_when=asyncio.FIRST_COMPLETED
@@ -696,39 +608,18 @@ class ServeGateway:
             return await next(iter(pending))
         return done.pop().result()  # re-raises the (only) exception
 
-    def _record_batch(
-        self, live: list[_Entry], batch: _PendingBatch
-    ) -> None:
-        size = len(live)
-        self._batches += 1
-        self._batch_sizes[size] = self._batch_sizes.get(size, 0) + 1
-        label = describe_key(batch.key)
-        self._key_requests[label] = self._key_requests.get(label, 0) + size
-        self._key_batches[label] = self._key_batches.get(label, 0) + 1
-
     # -- introspection --------------------------------------------------------
 
     def stats(self) -> GatewayStats:
         """A snapshot of the serving counters (loop thread)."""
-        keys = {
-            label: KeyStats(
-                label=label,
-                requests=requests,
-                batches=self._key_batches.get(label, 0),
-            )
-            for label, requests in self._key_requests.items()
-        }
         return GatewayStats(
             submitted=self._submitted,
             completed=self._completed,
             failed=self._failed,
             shed=self._shed,
-            batches=self._batches,
-            batch_size_histogram=dict(self._batch_sizes),
-            keys=keys,
             admission=self.admission.stats(),
             deadline_expired=self._deadline_expired,
-            hedged_batches=self._hedged_batches,
+            hedged_batches=self._hedged,
             breakers=breaker_snapshot(self.session),
         )
 
@@ -740,7 +631,6 @@ class ServeGateway:
 __all__ = [
     "GatewayConfig",
     "GatewayStats",
-    "KeyStats",
     "ServeGateway",
     "ServeOutcome",
 ]

@@ -11,9 +11,9 @@ Digg voting study).  This harness replays exactly that regime:
 * a **tenant mix**: ``num_tenants`` logical tenants bound to site users,
   sampled Zipf(``tenant_zipf``) — rank 1 is the heavy tenant;
 * a **closed loop**: ``concurrency`` clients each keep exactly one
-  request in flight (submit → await → next), which is the load shape
-  under which dynamic batching pays — hot (tenant × query) pairs overlap
-  in flight and coalesce.
+  request in flight (submit → await → next), so offered load tracks what
+  the gateway can serve and the queue depth is bounded by the client
+  count.
 
 Everything is drawn from one ``random.Random(seed)`` so a run's request
 *stream* is exactly reproducible; wall-clock interleaving of course is
@@ -35,7 +35,6 @@ from typing import Any, Sequence
 
 from repro.api import PARALLEL_MODES, SearchRequest, Session, SessionConfig
 from repro.core import Id
-from repro.management import DataManager
 from repro.serve.admission import (
     AdmissionPolicy,
     DeadlineExceeded,
@@ -152,8 +151,8 @@ class LoadMix:
 
 
 #: A generous default admission policy for load runs: budgets shape the
-#: skew instead of shedding most of it, so batching is measurable; the
-#: overload tests construct tight policies explicitly.
+#: skew instead of shedding most of it; the overload tests construct
+#: tight policies explicitly.
 DEFAULT_LOAD_ADMISSION = AdmissionPolicy(
     default=TenantPolicy(capacity=64.0, refill_per_s=512.0),
     max_depth=512,
@@ -182,14 +181,6 @@ class LoadReport:
     duration_s: float
     throughput_rps: float
     latency_ms: dict[str, float]
-    batches: int
-    mean_batch_size: float
-    max_batch_size: int
-    batch_size_histogram: dict[int, int]
-    #: busiest plan keys: label, requests, batches, mean batch size
-    hot_keys: list[dict[str, Any]]
-    #: mean batch size of the single busiest plan key
-    hot_key_mean_batch_size: float
     shed_rate: float
     peak_rss_mb: float
     plan_cache: dict[str, Any]
@@ -203,15 +194,6 @@ class LoadReport:
             "duration_s": self.duration_s,
             "throughput_rps": self.throughput_rps,
             "latency_ms": dict(self.latency_ms),
-            "batches": self.batches,
-            "mean_batch_size": self.mean_batch_size,
-            "max_batch_size": self.max_batch_size,
-            "batch_size_histogram": {
-                str(size): count
-                for size, count in sorted(self.batch_size_histogram.items())
-            },
-            "hot_keys": list(self.hot_keys),
-            "hot_key_mean_batch_size": self.hot_key_mean_batch_size,
             "shed_rate": self.shed_rate,
             "peak_rss_mb": self.peak_rss_mb,
             "plan_cache": dict(self.plan_cache),
@@ -228,9 +210,6 @@ class LoadReport:
             f"  latency ms:  p50 {self.latency_ms['p50']:7.2f}   "
             f"p95 {self.latency_ms['p95']:7.2f}   "
             f"p99 {self.latency_ms['p99']:7.2f}",
-            f"  batching:    {self.batches} batches, mean size "
-            f"{self.mean_batch_size:.2f}, max {self.max_batch_size}",
-            f"  hot key:     mean batch {self.hot_key_mean_batch_size:.2f}",
             f"  shed rate:   {self.shed_rate:6.1%}",
             f"  peak RSS:    {self.peak_rss_mb:8.1f} MiB",
             f"  plan cache:  hits {self.plan_cache.get('hits')}, "
@@ -305,8 +284,6 @@ def run_closed_loop(
     latencies, completed, failed, shed, duration, stats, cache = (
         asyncio.run(_run())
     )
-    hot = stats.hot_keys(5)
-    histogram = dict(stats.batch_size_histogram)
     return LoadReport(
         requests=len(stream),
         completed=completed,
@@ -315,48 +292,10 @@ def run_closed_loop(
         duration_s=duration,
         throughput_rps=completed / duration if duration > 0 else 0.0,
         latency_ms=latency_summary(latencies),
-        batches=stats.batches,
-        mean_batch_size=stats.mean_batch_size,
-        max_batch_size=max(histogram) if histogram else 0,
-        batch_size_histogram=histogram,
-        hot_keys=[
-            {
-                "label": ks.label,
-                "requests": ks.requests,
-                "batches": ks.batches,
-                "mean_batch_size": ks.mean_batch_size,
-            }
-            for ks in hot
-        ],
-        hot_key_mean_batch_size=hot[0].mean_batch_size if hot else 0.0,
         shed_rate=stats.admission.shed_rate,
         peak_rss_mb=peak_rss_mb(),
         plan_cache=dict(cache),
     )
-
-
-def run_sequential_baseline(
-    data_manager: DataManager,
-    stream: Sequence[tuple[str, SearchRequest]],
-    session_config: SessionConfig | None = None,
-) -> dict[str, float]:
-    """The naive serving model: one fresh Session per request, in series.
-
-    This is the architecture the gateway replaces — every request pays
-    layer wiring and statistics collection again, and nothing batches.
-    The shared data manager keeps storage loading out of the comparison;
-    everything session-scoped is honestly per-request.
-    """
-    start = time.perf_counter()
-    for _, request in stream:
-        session = Session(data_manager, session_config)
-        session.run(request)
-    duration = time.perf_counter() - start
-    return {
-        "requests": float(len(stream)),
-        "duration_s": duration,
-        "throughput_rps": len(stream) / duration if duration > 0 else 0.0,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +380,5 @@ __all__ = [
     "DEFAULT_LOAD_ADMISSION",
     "drive",
     "run_closed_loop",
-    "run_sequential_baseline",
     "main",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import resource
 import sys
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -60,17 +60,8 @@ def peak_rss_mb() -> float:
     return peak / 1024.0
 
 
-def histogram_mean(histogram: Mapping[int, int]) -> float:
-    """Mean of a ``value -> count`` histogram (0.0 when empty)."""
-    total = sum(histogram.values())
-    if not total:
-        return 0.0
-    return sum(value * count for value, count in histogram.items()) / total
-
-
 __all__ = [
     "percentile",
     "latency_summary",
     "peak_rss_mb",
-    "histogram_mean",
 ]

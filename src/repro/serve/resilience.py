@@ -6,12 +6,12 @@ The plan layer owns the degradation ladder's breakers
 :class:`~repro.plan.planner.QueryPlanner`); this module holds the pieces
 the *gateway* adds on top:
 
-* :class:`HedgeTracker` — an online latency profile of batch executions
-  deciding when a pool slot has been held suspiciously long.  A batch
-  whose execution exceeds the tracked quantile (times a multiplier) gets
-  a hedged re-dispatch on a separate thread: batch execution is
-  deterministic and read-only, so first-completion-wins is safe, and a
-  wedged slot costs one duplicated batch instead of a wedged request.
+* :class:`HedgeTracker` — an online latency profile of dispatches
+  deciding when a worker slot has been held suspiciously long.  A
+  dispatch whose execution exceeds the tracked quantile (times a
+  multiplier) is re-run on a separate thread: execution is deterministic
+  and read-only, so first-completion-wins is safe, and a wedged slot
+  costs one duplicated request instead of a wedged one.
 * :func:`breaker_snapshot` — one mapping of every breaker the serving
   session carries, for ``GatewayStats`` (state transitions are already
   visible per-execution in EXPLAIN's ``resilience:`` header).
@@ -29,13 +29,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class HedgeTracker:
-    """Online quantile of batch-execution latencies → the hedge delay.
+    """Online quantile of dispatch-execution latencies → the hedge delay.
 
     Keeps the last *max_samples* execution times (loop-thread only, no
     lock); :meth:`hedge_delay` is ``None`` until *min_samples* have been
     observed — hedging on no evidence would just double early load —
     and then ``quantile × multiplier``, floored at *min_delay_s* so
-    micro-batches don't hedge on scheduler noise.
+    sub-millisecond requests don't hedge on scheduler noise.
     """
 
     def __init__(
@@ -56,7 +56,7 @@ class HedgeTracker:
         self.hedges = 0
 
     def observe(self, elapsed_s: float) -> None:
-        """Record one batch execution's wall time (ring-buffered)."""
+        """Record one dispatch's wall time (ring-buffered)."""
         if len(self._samples) < self.max_samples:
             self._samples.append(elapsed_s)
         else:
@@ -67,7 +67,7 @@ class HedgeTracker:
         """Seconds to wait before hedging, or ``None`` (not enough data)."""
         if len(self._samples) < self.min_samples:
             return None
-        cut = percentile(sorted(self._samples), self.quantile * 100.0)
+        cut = percentile(self._samples, self.quantile * 100.0)
         return max(cut * self.multiplier, self.min_delay_s)
 
 

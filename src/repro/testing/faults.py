@@ -27,8 +27,8 @@ Registered fault-point names (the contract with production modules):
                              (``shard=`` index)
 ``wal.fsync``                before a WAL file fsync (``path=``)
 ``persist.snapshot``         after an atomic snapshot write (``path=``)
-``serve.batch``              inside a gateway batch's executor slot
-                             (``key=`` plan key)
+``serve.batch``              inside a gateway worker slot, before the
+                             request runs
 ======================  ====================================================
 """
 

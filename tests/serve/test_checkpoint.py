@@ -171,7 +171,7 @@ class TestGatewayCheckpoint:
         async def drive():
             async with ServeGateway(
                 session,
-                GatewayConfig(admission=OPEN, max_concurrent_batches=2),
+                GatewayConfig(admission=OPEN, max_workers=2),
             ) as gateway:
                 first = asyncio.gather(*[
                     gateway.submit("a", _request(user_id=f"u{i % 8}"))

@@ -4,8 +4,8 @@ The resilience contract under test: a submission NEVER wedges.  Its
 future resolves with a typed outcome whether the deadline fires while
 queued, mid-execution (cooperative plan-side checks), or because a
 bounded shutdown drain gave up on a hung executor slot — and a slot held
-past the hedge quantile gets the batch re-dispatched instead of holding
-its requests hostage.
+past the hedge quantile gets its request re-dispatched instead of holding
+it hostage.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.api import RequestFailure, SearchRequest, SearchResponse, Session
+from repro.api import SearchRequest, SearchResponse, Session
 from repro.errors import DeadlineError, ServeError
 from repro.serve import (
     AdmissionPolicy,
@@ -55,23 +55,50 @@ OPEN_ADMISSION = AdmissionPolicy(
 REQUEST = SearchRequest(user_id=JOHN, text="Denver attractions")
 
 
+async def occupy_worker(gateway: ServeGateway) -> "asyncio.Future[object]":
+    """Hold one worker slot: the caller has ``serve.batch`` armed sleeping.
+
+    Submits a request and yields until it has been dispatched, so with
+    ``max_workers=1`` whatever is submitted next stays queued.
+    """
+    blocker = asyncio.ensure_future(gateway.submit("blocker", REQUEST))
+    await asyncio.sleep(0.02)
+    return blocker
+
+
 @pytest.mark.usefixtures("deadlock_watchdog")
 class TestQueuedDeadline:
     def test_queued_past_deadline_sheds_typed(self, session):
-        # a batch window far longer than the deadline: the request can
-        # only resolve via the deadline timer, stage "queued"
+        # the one worker is held far longer than the deadline: the
+        # request behind it can only resolve via the deadline timer,
+        # stage "queued"
         config = GatewayConfig(
-            batch_window_s=5.0,
+            max_workers=1,
             default_deadline_s=0.05,
-            admission=OPEN_ADMISSION,
+            admission=AdmissionPolicy(
+                default=TenantPolicy(capacity=1000.0, refill_per_s=1000.0),
+                tenants={
+                    "blocker": TenantPolicy(
+                        capacity=1000.0, refill_per_s=1000.0,
+                        deadline_s=30.0,
+                    )
+                },
+                max_depth=0,
+            ),
         )
 
         async def _run():
             async with ServeGateway(session, config) as gateway:
-                t0 = time.monotonic()
-                outcome = await gateway.submit("tenant", REQUEST)
-                elapsed = time.monotonic() - t0
-                return outcome, elapsed, gateway.stats()
+                with armed_faults(
+                    {"serve.batch": sleeping(0.5, times=1)}
+                ):
+                    blocker = await occupy_worker(gateway)
+                    t0 = time.monotonic()
+                    outcome = await gateway.submit("tenant", REQUEST)
+                    elapsed = time.monotonic() - t0
+                    stats = gateway.stats()
+                    await blocker
+                return outcome, elapsed, stats
 
         outcome, elapsed, stats = asyncio.run(_run())
         assert isinstance(outcome, DeadlineExceeded)
@@ -80,13 +107,13 @@ class TestQueuedDeadline:
         assert outcome.tenant == "tenant"
         assert outcome.deadline_s == 0.05
         assert outcome.elapsed_s >= 0.05
-        assert elapsed < 2.0  # resolved by the timer, not the window
+        assert elapsed < 0.4  # resolved by the timer, not the worker
         assert stats.deadline_expired == 1
         assert stats.completed == 0
 
     def test_tenant_policy_deadline_overrides_gateway_default(self, session):
         config = GatewayConfig(
-            batch_window_s=5.0,
+            max_workers=1,
             default_deadline_s=30.0,
             admission=AdmissionPolicy(
                 default=TenantPolicy(capacity=1000.0, refill_per_s=1000.0),
@@ -102,10 +129,17 @@ class TestQueuedDeadline:
 
         async def _run():
             async with ServeGateway(session, config) as gateway:
-                return await gateway.submit("impatient", REQUEST)
+                with armed_faults(
+                    {"serve.batch": sleeping(0.5, times=1)}
+                ):
+                    blocker = await occupy_worker(gateway)
+                    outcome = await gateway.submit("impatient", REQUEST)
+                    await blocker
+                return outcome
 
         outcome = asyncio.run(_run())
         assert isinstance(outcome, DeadlineExceeded)
+        assert outcome.stage == "queued"
         assert outcome.deadline_s == 0.05
 
     def test_generous_deadline_serves_normally(self, session):
@@ -132,44 +166,31 @@ class TestQueuedDeadline:
 class TestPlanSideDeadline:
     def test_expired_deadline_stops_execution_typed(self, session):
         # an already-expired absolute deadline: the first cooperative
-        # check in the plan executor fires, and isolation wraps it as a
-        # RequestFailure carrying the DeadlineError
-        outcomes = session.run_many(
-            [REQUEST],
-            isolate_errors=True,
-            deadlines=[time.monotonic() - 1.0],
-        )
-        assert len(outcomes) == 1
-        failure = outcomes[0]
-        assert isinstance(failure, RequestFailure)
-        assert isinstance(failure.error, DeadlineError)
-        assert failure.error.stage  # names the operator that noticed
-        assert failure.error.elapsed_s >= 0.0
+        # check in the plan executor fires
+        with pytest.raises(DeadlineError) as raised:
+            session.run(REQUEST, deadline=time.monotonic() - 1.0)
+        assert raised.value.stage  # names the operator that noticed
+        assert raised.value.elapsed_s >= 0.0
 
     def test_batchmates_unharmed_by_one_expiry(self, session):
+        # a deadline is per call, never session state: the same request
+        # right after an expiry is served in full
         reference = session.run(REQUEST)
-        outcomes = session.run_many(
-            [REQUEST, REQUEST],
-            isolate_errors=True,
-            deadlines=[time.monotonic() - 1.0, None],
-        )
-        assert isinstance(outcomes[0], RequestFailure)
-        assert isinstance(outcomes[1], SearchResponse)
-        for a, b in zip(outcomes[1].page.flat, reference.page.flat):
+        with pytest.raises(DeadlineError):
+            session.run(REQUEST, deadline=time.monotonic() - 1.0)
+        response = session.run(REQUEST)
+        assert isinstance(response, SearchResponse)
+        assert response.items == reference.items
+        for a, b in zip(response.page.flat, reference.page.flat):
             assert abs(a.score - b.score) <= 1e-9
-
-    def test_deadlines_length_must_match(self, session):
-        with pytest.raises(ValueError):
-            session.run_many([REQUEST], deadlines=[None, None])
 
 
 @pytest.mark.usefixtures("deadlock_watchdog")
 class TestBoundedShutdown:
     def test_stop_fails_wedged_requests_typed(self, session):
         config = GatewayConfig(
-            batch_window_s=0.001,
             drain_timeout_s=0.3,
-            hedge=False,  # the hedge would rescue the batch — this test
+            hedge=False,  # the hedge would rescue the request — this test
             # wants the wedge to survive until the drain gives up
             admission=OPEN_ADMISSION,
         )
@@ -209,7 +230,6 @@ class TestBoundedShutdown:
 
     def test_checkpoint_quiesce_is_bounded(self, session, tmp_path):
         config = GatewayConfig(
-            batch_window_s=0.001,
             drain_timeout_s=0.2,
             hedge=False,
             admission=OPEN_ADMISSION,
@@ -267,7 +287,6 @@ class TestHedging:
     def test_wedged_slot_is_hedged_around(self, session):
         reference = session.run(REQUEST)
         config = GatewayConfig(
-            batch_window_s=0.001,
             hedge=True,
             hedge_min_samples=4,
             admission=OPEN_ADMISSION,
@@ -287,13 +306,40 @@ class TestHedging:
                 return outcome, elapsed, gateway.stats()
 
         outcome, elapsed, stats = asyncio.run(_run())
-        # the hedge ran the batch on the spare thread while the primary
-        # slot slept out the injected 3s hang
+        # the hedge ran the request on the spare thread while the
+        # primary slot slept out the injected 3s hang
         assert isinstance(outcome, SearchResponse)
         assert elapsed < 2.0
         assert stats.hedged_batches >= 1
         for a, b in zip(outcome.page.flat, reference.page.flat):
             assert abs(a.score - b.score) <= 1e-9
+
+    @pytest.mark.usefixtures("deadlock_watchdog")
+    def test_no_hedge_for_a_request_nobody_waits_for(self, session):
+        config = GatewayConfig(
+            default_deadline_s=0.05,
+            hedge=True,
+            hedge_min_samples=4,
+            admission=OPEN_ADMISSION,
+        )
+
+        async def _run():
+            async with ServeGateway(session, config) as gateway:
+                # armed hedge whose cut (0.1 s x 2) lands after the
+                # deadline and before the injected hang ends
+                for _ in range(4):
+                    gateway._hedge.observe(0.1)
+                with armed_faults(
+                    {"serve.batch": sleeping(0.6, times=1)}
+                ):
+                    outcome = await gateway.submit("tenant", REQUEST)
+                    await asyncio.sleep(0.4)  # past the hedge cut
+                    return outcome, gateway.stats()
+
+        outcome, stats = asyncio.run(_run())
+        assert isinstance(outcome, DeadlineExceeded)
+        assert outcome.stage == "executing"
+        assert stats.hedged_batches == 0
 
 
 class TestStatsSurface:

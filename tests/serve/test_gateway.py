@@ -1,9 +1,9 @@
-"""The serving gateway: batching parity, backpressure, fairness, storms.
+"""The serving gateway: parity, backpressure, fairness, storms.
 
 The non-negotiable contract is **parity**: a response served through the
-batching gateway is bit-identical (scores to 1e-9) to the same request
-run sequentially through ``Session.run`` — dynamic batching is a
-throughput optimisation, never a semantics change.
+gateway is bit-identical (scores to 1e-9) to the same request run
+sequentially through ``Session.run`` — concurrency is a serving concern,
+never a semantics change.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.serve import (
     ServeGateway,
     TenantPolicy,
 )
+from repro.testing import armed_faults, disarm_all, sleeping
 from repro.workloads import ALEXIA, JOHN, TravelSiteConfig, build_travel_site
 from tools.archcheck.racetrack import RaceTracker, TracedLock
 
@@ -46,7 +47,14 @@ def session(travel):
     return Session.from_graph(travel.graph)
 
 
-#: Generous budgets: these tests exercise batching, not admission.
+@pytest.fixture(autouse=True)
+def _always_disarm():
+    disarm_all()
+    yield
+    disarm_all()
+
+
+#: Generous budgets: these tests exercise dispatch, not admission.
 OPEN_ADMISSION = AdmissionPolicy(
     default=TenantPolicy(capacity=1000.0, refill_per_s=1000.0),
     max_depth=0,
@@ -90,74 +98,33 @@ class TestBatchingParity:
         hot = SearchRequest(user_id=JOHN, text="Denver attractions")
         return [
             ("alpha", hot),
-            ("alpha", hot.replace(k=5)),           # same key: differs in k
-            ("alpha", hot.replace(page_size=3)),   # same key: pagination
+            ("alpha", hot.replace(k=5)),           # same user: differs in k
+            ("alpha", hot.replace(page_size=3)),   # same user: pagination
+            ("alpha", hot.replace(grouping="social")),  # same user: grouping
             ("beta", SearchRequest(user_id=ALEXIA, text="history")),
             ("beta", SearchRequest(user_id=ALEXIA)),  # recommendation
-            ("alpha", hot.replace(explain=True)),  # same key: explain
+            ("alpha", hot.replace(explain=True)),  # same user: explain
         ]
 
     def test_batched_identical_to_sequential(self, session):
+        """Concurrent same-user requests each equal their ``Session.run``."""
         submissions = self.submissions()
         solo = [session.run(request) for _, request in submissions]
-        config = GatewayConfig(
-            batch_window_s=0.05, admission=OPEN_ADMISSION
-        )
+        config = GatewayConfig(admission=OPEN_ADMISSION)
         outcomes, stats = serve_all(session, submissions, config)
         assert all(isinstance(o, SearchResponse) for o in outcomes)
         for served, reference in zip(outcomes, solo):
             assert_response_parity(served, reference)
-        # and the hot key really was batched, not served one by one
-        assert stats.batches < len(submissions)
-        assert stats.hot_keys(1)[0].mean_batch_size > 1.0
-
-    def test_same_key_requests_share_one_batch(self, session):
-        request = SearchRequest(user_id=JOHN, text="museum")
-        submissions = [(f"t{i}", request) for i in range(6)]
-        config = GatewayConfig(
-            batch_window_s=0.1, admission=OPEN_ADMISSION
-        )
-        outcomes, stats = serve_all(session, submissions, config)
-        assert all(isinstance(o, SearchResponse) for o in outcomes)
-        assert stats.batches == 1
-        assert stats.batch_size_histogram == {6: 1}
-        assert stats.mean_batch_size == pytest.approx(6.0)
-
-    def test_max_batch_flushes_early(self, session):
-        request = SearchRequest(user_id=JOHN, text="museum")
-        submissions = [(f"t{i}", request) for i in range(5)]
-        config = GatewayConfig(
-            batch_window_s=10.0, max_batch=2, admission=OPEN_ADMISSION
-        )
-        outcomes, stats = serve_all(session, submissions, config)
-        assert all(isinstance(o, SearchResponse) for o in outcomes)
-        # window is effectively infinite: only the size cap flushes, the
-        # leftover single flushes at shutdown drain
-        assert max(stats.batch_size_histogram) == 2
-        assert stats.completed == 5
-
-    def test_distinct_keys_do_not_batch(self, session):
-        submissions = [
-            ("a", SearchRequest(user_id=JOHN, text="museum")),
-            ("a", SearchRequest(user_id=JOHN, text="history")),
-            ("a", SearchRequest(user_id=ALEXIA, text="museum")),
-        ]
-        config = GatewayConfig(
-            batch_window_s=0.05, admission=OPEN_ADMISSION
-        )
-        _, stats = serve_all(session, submissions, config)
-        assert stats.batches == 3
-        assert set(stats.batch_size_histogram) == {1}
+        assert stats.completed == len(submissions)
 
 
 class TestErrorIsolation:
     def test_stale_cursor_fails_alone_in_batch(self, session):
+        """A stale cursor submitted alongside good requests fails alone."""
         good = SearchRequest(user_id=JOHN, text="denver")
         bad = good.replace(cursor=encode_cursor(0, 5, epoch=999))
         submissions = [("a", good), ("a", bad), ("b", good)]
-        config = GatewayConfig(
-            batch_window_s=0.05, admission=OPEN_ADMISSION
-        )
+        config = GatewayConfig(admission=OPEN_ADMISSION)
         outcomes, stats = serve_all(session, submissions, config)
         assert isinstance(outcomes[0], SearchResponse)
         assert isinstance(outcomes[1], RequestFailure)
@@ -167,19 +134,19 @@ class TestErrorIsolation:
         assert stats.failed == 1 and stats.completed == 2
 
     def test_batch_level_explosion_fails_members_not_gateway(self, session):
-        config = GatewayConfig(batch_window_s=0.01, admission=OPEN_ADMISSION)
+        config = GatewayConfig(admission=OPEN_ADMISSION)
         request = SearchRequest(user_id=JOHN, text="denver")
 
         async def _run():
             async with ServeGateway(session, config) as gateway:
-                original = session.run_many
-                session.run_many = lambda *a, **kw: (_ for _ in ()).throw(
+                original = session.run
+                session.run = lambda *a, **kw: (_ for _ in ()).throw(
                     RuntimeError("executor blew up")
                 )
                 try:
                     broken = await gateway.submit("a", request)
                 finally:
-                    session.run_many = original
+                    session.run = original
                 healed = await gateway.submit("a", request)
                 return broken, healed
 
@@ -196,7 +163,7 @@ class TestAdmissionBackpressure:
         )
         request = SearchRequest(user_id=JOHN, text="denver")
         submissions = [("greedy", request)] * 5
-        config = GatewayConfig(batch_window_s=0.02, admission=policy)
+        config = GatewayConfig(admission=policy)
         outcomes, stats = serve_all(session, submissions, config)
         served = [o for o in outcomes if isinstance(o, SearchResponse)]
         shed = [o for o in outcomes if isinstance(o, Overloaded)]
@@ -212,7 +179,7 @@ class TestAdmissionBackpressure:
         )
         request = SearchRequest(user_id=JOHN, text="denver")
         submissions = [(f"t{i}", request) for i in range(10)]
-        config = GatewayConfig(batch_window_s=0.05, admission=policy)
+        config = GatewayConfig(admission=policy)
         outcomes, stats = serve_all(session, submissions, config)
         shed = [o for o in outcomes if isinstance(o, Overloaded)]
         assert len(shed) == 8
@@ -227,7 +194,7 @@ class TestAdmissionBackpressure:
         )
         request = SearchRequest(user_id=JOHN, text="denver")
         submissions = [("heavy", request)] * 12 + [("light", request)] * 3
-        config = GatewayConfig(batch_window_s=0.02, admission=policy)
+        config = GatewayConfig(admission=policy)
         outcomes, stats = serve_all(session, submissions, config)
         light = outcomes[12:]
         assert all(isinstance(o, SearchResponse) for o in light)
@@ -250,10 +217,30 @@ class TestLifecycle:
             asyncio.run(_run())
 
     def test_invalid_config_rejected(self, session):
-        with pytest.raises(ServeError, match="max_batch"):
-            ServeGateway(session, GatewayConfig(max_batch=0))
-        with pytest.raises(ServeError, match="max_concurrent_batches"):
-            ServeGateway(session, GatewayConfig(max_concurrent_batches=0))
+        def policy(deadline_s: float) -> AdmissionPolicy:
+            return AdmissionPolicy(
+                tenants={"t": TenantPolicy(deadline_s=deadline_s)}
+            )
+
+        rejected = [("max_workers", GatewayConfig(max_workers=0))]
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            rejected += [
+                ("deadline", GatewayConfig(default_deadline_s=bad)),
+                ("deadline", GatewayConfig(admission=policy(bad))),
+                ("deadline", GatewayConfig(admission=AdmissionPolicy(
+                    default=TenantPolicy(deadline_s=bad)
+                ))),
+            ]
+        rejected += [
+            ("hedge_quantile", GatewayConfig(hedge_quantile=7.0)),
+            ("hedge_quantile", GatewayConfig(hedge_quantile=0.0)),
+            ("hedge_multiplier", GatewayConfig(hedge_multiplier=0.0)),
+            ("hedge_multiplier", GatewayConfig(hedge_multiplier=-2.0)),
+            ("hedge_min_samples", GatewayConfig(hedge_min_samples=0)),
+        ]
+        for match, config in rejected:
+            with pytest.raises(ServeError, match=match):
+                ServeGateway(session, config)
 
     def test_double_start_raises(self, session):
         async def _run():
@@ -264,21 +251,85 @@ class TestLifecycle:
         asyncio.run(_run())
 
     def test_stop_drains_pending_batches(self, session):
-        """Requests still waiting out the window complete at shutdown."""
+        """Entries still queued for the one worker complete at shutdown."""
         request = SearchRequest(user_id=JOHN, text="denver")
 
         async def _run():
             gateway = ServeGateway(session, GatewayConfig(
-                batch_window_s=30.0, admission=OPEN_ADMISSION
+                max_workers=1, admission=OPEN_ADMISSION
             ))
             await gateway.start()
-            pending = asyncio.ensure_future(gateway.submit("a", request))
-            await asyncio.sleep(0.01)  # let it enter the batch buffer
-            await gateway.stop()
-            return await pending
+            with armed_faults({"serve.batch": sleeping(0.2, times=1)}):
+                pending = [
+                    asyncio.ensure_future(gateway.submit("a", request))
+                    for _ in range(3)
+                ]
+                await asyncio.sleep(0.05)  # one executing, two queued
+                assert len(gateway._ready) == 2
+                await gateway.stop()
+            return await asyncio.gather(*pending)
 
-        outcome = asyncio.run(_run())
+        outcomes = asyncio.run(_run())
+        assert all(isinstance(o, SearchResponse) for o in outcomes)
+
+    def test_idle_submit_arms_no_timer(self, session):
+        """No deadline configured: nothing on the submit path waits on a
+        clock — a request is dispatched the moment it is admitted."""
+        request = SearchRequest(user_id=JOHN, text="denver")
+
+        async def _run():
+            loop = asyncio.get_running_loop()
+            armed: list[float] = []
+            call_later = loop.call_later
+
+            def counting(delay, callback, *args, **kwargs):
+                armed.append(delay)
+                return call_later(delay, callback, *args, **kwargs)
+
+            config = GatewayConfig(admission=OPEN_ADMISSION)
+            async with ServeGateway(session, config) as gateway:
+                loop.call_later = counting
+                try:
+                    outcome = await gateway.submit("a", request)
+                finally:
+                    del loop.call_later
+            return outcome, armed
+
+        outcome, armed = asyncio.run(_run())
         assert isinstance(outcome, SearchResponse)
+        assert armed == []
+
+    @pytest.mark.usefixtures("deadlock_watchdog")
+    def test_priority_orders_the_queue(self, session):
+        """With the one worker occupied, a priority-1 tenant submitted
+        after a priority-10 tenant is served first."""
+        request = SearchRequest(user_id=JOHN, text="denver")
+        budget = {"capacity": 1000.0, "refill_per_s": 1000.0}
+        config = GatewayConfig(max_workers=1, admission=AdmissionPolicy(
+            default=TenantPolicy(priority=10, **budget),
+            tenants={"vip": TenantPolicy(priority=1, **budget)},
+            max_depth=0,
+        ))
+
+        async def _run():
+            served: list[str] = []
+
+            async def submit(tenant: str) -> None:
+                outcome = await gateway.submit(tenant, request)
+                assert isinstance(outcome, SearchResponse)
+                served.append(tenant)
+
+            async with ServeGateway(session, config) as gateway:
+                with armed_faults({"serve.batch": sleeping(0.2, times=1)}):
+                    blocker = asyncio.ensure_future(submit("blocker"))
+                    await asyncio.sleep(0.05)  # the worker is now occupied
+                    bulk = asyncio.ensure_future(submit("bulk"))
+                    await asyncio.sleep(0)  # bulk is queued first
+                    vip = asyncio.ensure_future(submit("vip"))
+                    await asyncio.gather(blocker, bulk, vip)
+            return served
+
+        assert asyncio.run(_run()) == ["blocker", "vip", "bulk"]
 
     def test_plan_cache_stats_management_endpoint(self, session):
         request = SearchRequest(user_id=JOHN, text="denver")
@@ -286,7 +337,7 @@ class TestLifecycle:
         async def _run():
             async with ServeGateway(
                 session,
-                GatewayConfig(batch_window_s=0.01, admission=OPEN_ADMISSION),
+                GatewayConfig(admission=OPEN_ADMISSION),
             ) as gateway:
                 await gateway.submit("a", request)
                 return gateway.plan_cache_stats()
@@ -300,7 +351,7 @@ class TestStorms:
     @pytest.mark.usefixtures("deadlock_watchdog")
     def test_threaded_submitters_against_one_loop(self, session):
         """Thread/asyncio storm: 8 raw threads funnel submissions into the
-        gateway loop via run_coroutine_threadsafe while batches execute on
+        gateway loop via run_coroutine_threadsafe while requests execute on
         the worker pool — the watchdog converts any deadlock into stacks."""
         request = SearchRequest(user_id=JOHN, text="denver")
         per_thread = 12
@@ -309,8 +360,7 @@ class TestStorms:
 
         async def _serve():
             async with ServeGateway(session, GatewayConfig(
-                batch_window_s=0.005,
-                max_concurrent_batches=3,
+                max_workers=3,
                 admission=OPEN_ADMISSION,
             )) as gateway:
                 loop = asyncio.get_running_loop()
@@ -345,8 +395,6 @@ class TestStorms:
         assert len(results) == 8 * per_thread
         assert all(isinstance(r, SearchResponse) for r in results)
         assert stats.completed == 8 * per_thread
-        # concurrent same-key submitters actually coalesced
-        assert stats.mean_batch_size > 1.0
 
     @pytest.mark.usefixtures("deadlock_watchdog")
     def test_admission_controller_storm_is_race_free(self):
