@@ -318,18 +318,17 @@ def test_shard_and_worker_sweep(report, quick):
     expr = input_graph("G").select_nodes({"type": "item"})
     env = {"G": graph}
     configurations = [
-        (False, 1, "never"),  # the legacy baseline: row scan, no columns
-        (True, 1, "never"),   # monolithic columnar
-        (True, 2, "never"), (True, 4, "never"),
+        (False, 1),  # the legacy baseline: row scan, no columns
+        (True, 1),   # monolithic columnar
+        (True, 2), (True, 4),
     ]
     sweep = []
     reference = None
-    for columnar, shards, mode in configurations:
+    for columnar, shards in configurations:
         planner = QueryPlanner(
             graph,
             cost_model=CostModel(shard_scan_min_nodes=64.0,
                                  columnar=columnar),
-            parallelism=mode,
         )
         if shards > 1:
             planner.attach_shards(shards)
@@ -347,8 +346,6 @@ def test_shard_and_worker_sweep(report, quick):
         sweep.append({
             "columnar": columnar,
             "shards": shards,
-            "parallel": mode,
-            "executor": execution.executor if columnar else "legacy-scan",
             "scan_ms": elapsed * 1e3,
         })
 
@@ -361,13 +358,12 @@ def test_shard_and_worker_sweep(report, quick):
         "",
         f"=== Columnar scan sweep ({num_users} users + {num_items} items, "
         "σN type=item) ===",
-        "  columnar  shards  parallel   executor       scan ms",
+        "  columnar  shards   scan ms",
     ]
     for point in sweep:
         lines.append(
             f"  {str(point['columnar']):<8}  {point['shards']:6d}"
-            f"  {point['parallel']:<8}"
-            f"  {point['executor']:<12}  {point['scan_ms']:8.2f}"
+            f"  {point['scan_ms']:8.2f}"
         )
     report(*lines)
 
@@ -383,124 +379,6 @@ def test_shard_and_worker_sweep(report, quick):
         assert columnar_mono["scan_ms"] * 2 <= legacy["scan_ms"]
         assert min(p["scan_ms"] for p in columnar_sharded) * 2 <= \
             legacy["scan_ms"]
-
-
-def test_processes_vs_sequential_sweep(report, quick):
-    """The shared-memory process backend vs. in-process scans, big σN.
-
-    The multicore acceptance row: on the 8k-user/12k-item corpus with 4
-    shards, process workers holding resident columnar slabs must beat
-    the in-process shard loop (one core runs its kernels back to back;
-    the workers scan in true parallel) — a claim that only holds with
-    ≥4 cores, so the ratio is *waived* (``waived_metrics``) on smaller
-    runners and in the quick regime, while the parity, PID-crossing and
-    one-message-per-worker assertions still run everywhere.  Distinct per-round conditions keep the planner's
-    sub-plan memo out of the measurement; the slab ship happens once,
-    outside the timed region, exactly as a warm server amortizes it.
-    """
-    import os
-
-    from repro.plan import CostModel, QueryPlanner
-    from repro.plan.parallel import _ProcessWorker
-
-    num_users, num_items = (400, 600) if quick else (8_000, 12_000)
-    rounds = 4 if quick else 16
-    shards = 4
-    graph = sharded_workload(num_users, num_items)
-    # big-σN, non-covered scans: "filler" keeps 49/50 items, the unique
-    # second term defeats the sub-plan memo without changing survivors
-    conditions = [
-        Condition({"type": "item"}, keywords=f"filler uniq{r}")
-        for r in range(rounds + 1)
-    ]
-    exprs = [input_graph("G").select_nodes(c) for c in conditions]
-    reference = sorted(
-        n.id for n in QueryPlanner(graph).execute(exprs[0]).result.nodes()
-    )
-
-    # count scan messages per worker: the scatter must overlap its
-    # workers with one message each per operator, not one per shard
-    scan_messages: dict[int, int] = {}
-    real_send = _ProcessWorker.send
-
-    def counting_send(worker, message):
-        if message[0] == "scan":
-            pid = worker.process.pid
-            scan_messages[pid] = scan_messages.get(pid, 0) + 1
-        real_send(worker, message)
-
-    timings: dict[str, float] = {}
-    worker_pids: list[int] = []
-    ids_by_mode: dict[str, list] = {}
-    for mode in ("never", "processes"):
-        planner = QueryPlanner(
-            graph,
-            cost_model=CostModel(shard_scan_min_nodes=64.0,
-                                 process_min_rows=0.0),
-            parallelism=mode,
-        )
-        planner.attach_shards(shards)
-        _ProcessWorker.send = counting_send
-        try:
-            # prime: compile, cut views, spawn workers, ship slabs
-            primed = planner.execute(exprs[0])
-            ids = sorted(n.id for n in primed.result.nodes())
-            assert ids == reference, mode
-            if mode == "processes":
-                assert primed.executor.startswith("processes("), (
-                    primed.executor
-                )
-            start = time.perf_counter()
-            for expr in exprs[1:]:
-                execution = planner.execute(expr)
-            timings[mode] = (time.perf_counter() - start) / rounds
-            ids_by_mode[mode] = sorted(
-                n.id for n in execution.result.nodes()
-            )
-            if mode == "processes":
-                pool = planner.process_pool
-                worker_pids = list(pool.worker_pids)
-                assert pool.scans_run >= shards  # work actually shipped
-        finally:
-            _ProcessWorker.send = real_send
-            planner.close()
-
-    assert ids_by_mode["never"] == ids_by_mode["processes"]
-    # the multicore smoke invariant: scans ran outside this process,
-    # under every worker that owns a shard, one message per operator
-    busy = sorted(set(worker_pids[:shards]))
-    assert len(busy) >= min(2, len(worker_pids))
-    assert os.getpid() not in busy
-    assert scan_messages == {pid: rounds + 1 for pid in busy}
-
-    cpu_count = os.cpu_count() or 1
-    ratio = timings["processes"] / timings["never"]
-    waived = ["multicore.processes_over_sequential"] \
-        if quick or cpu_count < 4 else []
-    RESULTS["multicore"] = {
-        "cpu_count": cpu_count,
-        "num_users": num_users,
-        "num_items": num_items,
-        "shards": shards,
-        "sequential_s": timings["never"],
-        "processes_s": timings["processes"],
-        "processes_over_sequential": ratio,
-        "worker_pids": worker_pids,
-        "waived_metrics": waived,
-    }
-    report(
-        "",
-        f"=== Processes vs sequential ({num_users} users + {num_items} "
-        f"items, {shards} shards, {cpu_count} cores) ===",
-        f"  sequential {timings['never'] * 1e3:8.2f} ms/round",
-        f"  processes  {timings['processes'] * 1e3:8.2f} ms/round "
-        f"(workers {worker_pids})",
-        f"  processes/sequential = {ratio:.3f}"
-        + ("  [waived: quick regime or <4 cores]" if waived else ""),
-    )
-    if not waived:
-        # the acceptance claim itself, when the hardware can host it
-        assert ratio < 1.0
 
 
 def test_attr_index_vs_columnar_scan(report, quick):
@@ -661,5 +539,4 @@ def test_emit_bench_json(report, quick):
     report("", f"BENCH_plan.json written: {OUTPUT}")
     assert OUTPUT.exists()
     assert {"compile", "serving", "selectivity_sweep", "social_stage",
-            "social_access_sweep", "shard_sweep", "multicore",
-            "attr_index_sweep"} <= RESULTS.keys()
+            "social_access_sweep", "shard_sweep", "attr_index_sweep"} <= RESULTS.keys()

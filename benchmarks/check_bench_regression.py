@@ -99,29 +99,7 @@ def tracked_metrics(results: dict) -> dict[str, float]:
         metrics["recovery.warm_first_over_cold_first"] = (
             recovery["warm_first_over_cold_first"]
         )
-
-    if "multicore" in results:
-        multicore = results["multicore"]
-        # process backend / in-process scans on the big sharded σN
-        # sweep: < 1.0 means the slab workers beat the one-core loop
-        metrics["multicore.processes_over_sequential"] = (
-            multicore["processes_over_sequential"]
-        )
     return metrics
-
-
-def waived_metrics(results: dict) -> set[str]:
-    """Metric names the producing bench declared unjudgeable this run.
-
-    Hardware-conditional claims (the multicore ratio needs ≥4 cores)
-    ship a ``waived_metrics`` list inside their results section; the
-    gate reports them but neither passes nor fails them.
-    """
-    waived: set[str] = set()
-    for section in results.values():
-        if isinstance(section, dict):
-            waived.update(section.get("waived_metrics", ()))
-    return waived
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -146,17 +124,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     fresh = tracked_metrics(results)
-    waived = waived_metrics(results)
     failures = []
     print(f"bench regression gate ({regime} regime, "
           f"tolerance {args.tolerance:g}x + {ABS_SLACK:g} slack)")
     for name, baseline in sorted(baselines.items()):
         got = fresh.get(name)
-        if name in waived:
-            shown = f"fresh {got:7.4f}" if got is not None else "no value"
-            print(f"  {name:<44} {shown}  "
-                  "(waived by the producing bench this run)")
-            continue
         if got is None:
             failures.append(f"{name}: missing from fresh results")
             continue

@@ -14,18 +14,6 @@ Walks the things a new user of the library does first:
 Run:  python examples/quickstart.py
 """
 
-import os
-import sys
-
-if __name__ == "__mp_main__":
-    # A spawned process-backend worker (section 9) re-imports __main__
-    # to reconstruct this script's namespace.  The walkthrough is
-    # idempotent, so the re-run is harmless — but its output isn't
-    # wanted twice, so the worker's copy runs silently.  (Real services
-    # avoid the re-run entirely by keeping spawn entry points in
-    # importable modules rather than scripts.)
-    sys.stdout = open(os.devnull, "w")
-
 from repro import Session
 from repro.core import (
     Condition,
@@ -228,8 +216,7 @@ sharded.planner.cost_model = CostModel(shard_scan_min_nodes=64.0)
 flat = Session.from_graph(big)
 recommendation = sharded.query("u0").limit(5).explain().run()
 assert recommendation.items == flat.query("u0").limit(5).run().items
-print(f"\nsharded session: executor={recommendation.plan.executor},"
-      f" sharded={recommendation.plan.sharded}")
+print(f"\nsharded session: sharded={recommendation.plan.sharded}")
 # EXPLAIN shows the columnar access path — the σN row reads
 # "[sharded×4:…]" (partition-scattered, pruned/covered by the
 # partition-local type buckets) — broken down per shard; and the header
@@ -240,7 +227,6 @@ assert recommendation.plan.topk == 5
 for op in recommendation.plan.operators:
     if op.shard is not None or "sharded" in op.op:
         print(f"  {'  ' * op.depth}{op.op}: {op.actual.nodes:.0f} nodes")
-assert recommendation.plan.executor == "sequential"
 
 # Compiled plans now live in a process-wide SharedPlanCache: a second
 # session over the same Data Manager — same graph, same cost model, same
@@ -423,92 +409,3 @@ page = scope.search(user_id=1, query="denver baseball")
 assert [e.item_id for e in page.flat] == \
     [e.item_id for e in response.page.flat]
 print("\nfacade parity holds: scope.search == session.query(...).run().page")
-
-# ---------------------------------------------------------------------------
-# 9. True multicore execution: the shared-memory process backend.
-# ---------------------------------------------------------------------------
-# One interpreter runs one scan kernel at a time.  With
-# parallelism="processes" (or "auto" past CostModel.process_min_rows ×
-# shards), shippable scatter scans leave the interpreter entirely: a
-# ProcessShardPool of spawned workers keeps each shard's columnar view
-# resident, position indexes live in one shared-memory slab per graph
-# generation, and only the compiled ScanProgram and the surviving row
-# positions cross the pipe — one message per worker per operator, then
-# one reply per worker, so the workers overlap each other without any
-# coordinator threads.  Conditions that cannot pickle (closure lambdas)
-# pin their plan in-process; a worker dying mid-plan degrades that
-# execution to the in-process kernels — same answer, slower.
-#
-# Spawned workers re-import __main__, so the demo lives behind the
-# __main__ guard below — the same reason real services keep their spawn
-# entry points in importable modules.
-
-
-def multicore_demo() -> None:
-    import os
-
-    from repro.core import input_graph
-    from repro.plan import QueryPlanner
-
-    planner = QueryPlanner(
-        big,
-        cost_model=CostModel(shard_scan_min_nodes=64.0,
-                             process_min_rows=0.0),
-        parallelism="processes",
-    )
-    planner.attach_shards(4)
-    try:
-        execution = planner.execute(input_graph("G").select_nodes(
-            Condition({"type": "destination"}, keywords="denver")
-        ))
-        pids = planner.process_pool.worker_pids
-        print(f"\nprocess executor: {execution.executor}")
-        print(f"  coordinator pid {os.getpid()}, worker pids {list(pids)}")
-        assert any(pid != os.getpid() for pid in pids)  # real parallelism
-        # per-shard EXPLAIN rows split ship (slab transfer, amortised
-        # once per generation) from scan (the worker-side kernel):
-        for line in execution.render().splitlines():
-            if "shard[" in line:
-                print(f"  {line.strip()}")
-
-        # The degradation ladder, live.  A worker that merely dies
-        # *between* plans is reaped and respawned at the next slab ship
-        # (the pool self-heals before degrading); to watch a *mid-plan*
-        # crash we need the worker to die after dispatch.  That is what
-        # the fault-injection subsystem is for: repro.testing is the
-        # test-only arming API (rule T001 keeps it out of production
-        # modules) and `worker_killer` SIGKILLs the worker right before
-        # the next pipe request — an OOM kill, made deterministic.  The
-        # executor degrades processes → sequential mid-plan, the answer is
-        # identical, and EXPLAIN records both the degrade and the
-        # breaker transition in its `resilience:` header — never a
-        # silent fallback.  (The faulted query must be a *fresh* shape:
-        # repeating the "denver" scan above would be answered from the
-        # plan cache without ever touching a worker pipe.)
-        from repro.testing import armed_faults, worker_killer
-
-        expr = input_graph("G").select_nodes(
-            Condition({"type": "destination"}, keywords="topic1")
-        )
-        reference = QueryPlanner(big).execute(expr)  # in-process answer
-        with armed_faults(
-            {"parallel.worker_request": worker_killer(times=1)}
-        ):
-            degraded = planner.execute(expr)
-        assert degraded.result.same_as(reference.result)  # same answer
-        assert "degraded→sequential" in degraded.executor
-        assert "pool:processes→sequential" in degraded.resilience
-        print(f"  after the worker was killed mid-plan: {degraded.executor}")
-        for line in degraded.render().splitlines():
-            if line.strip().startswith("resilience:"):
-                print(f"  {line.strip()}")
-        breaker = planner.process_pool.breaker
-        print(f"  {breaker.name} breaker: {breaker.stats().state}"
-              f" (cooldown {breaker.cooldown_s:.1f}s, then a half-open"
-              f" probe reaps + respawns the workers and re-closes it)")
-    finally:
-        planner.close()  # shuts workers down, unlinks the shared slab
-
-
-if __name__ == "__main__":
-    multicore_demo()

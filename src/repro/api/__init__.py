@@ -26,10 +26,8 @@ from repro.api.request import (
     encode_cursor,
 )
 from repro.api.session import Session, SessionConfig, SessionStats
-from repro.plan import PARALLEL_MODES
 
 __all__ = [
-    "PARALLEL_MODES",
     "SearchRequest",
     "SearchResponse",
     "RequestFailure",

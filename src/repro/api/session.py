@@ -100,12 +100,25 @@ class SessionConfig:
     #: base scans to the scattered form.  A session over an existing
     #: Data Manager inherits the manager's own shard count instead.
     shards: int = 1
-    #: plan-executor mode (``repro.plan.PARALLEL_MODES``): every plan
-    #: runs sequentially in-process; "auto" additionally hands shippable
-    #: scans to the shared-memory process workers once estimated rows ×
-    #: shards clear ``CostModel.process_min_rows``, "processes" always
-    #: does, and "never" keeps every scan in-process.
+    #: inert: every scan runs on the calling thread.  The field, its two
+    #: accepted spellings and :meth:`Session.close` stay only because the
+    #: frozen ``benchmarks/e2e/direct.py`` passes ``parallelism=`` and
+    #: calls ``close()``; all three go in the next benchmark PR.
     parallelism: str = "auto"
+
+    def __post_init__(self) -> None:
+        shards = self.shards
+        if isinstance(shards, bool) or not isinstance(shards, int) \
+                or shards < 1:
+            raise QueryError(f"shards must be an int >= 1, got {shards!r}")
+        if self.parallelism not in ("auto", "never"):
+            raise QueryError(
+                'parallelism="processes": the process backend was removed; '
+                "every scan runs in-process"
+                if self.parallelism == "processes" else
+                f"parallelism must be 'auto' or 'never', "
+                f"got {self.parallelism!r}"
+            )
 
 
 @dataclass
@@ -131,8 +144,6 @@ class SessionStats:
     plan_compiles: int = 0
     #: queries served by an already-compiled plan
     plan_cache_hits: int = 0
-    #: queries with at least one shard scanned by a process worker
-    process_queries: int = 0
 
 
 class _Evaluation(NamedTuple):
@@ -196,12 +207,10 @@ class Session:
         if indexed:
             self.discoverer.planner.attach_attribute_index(indexed)
         # Physical-layer wiring: the store's partitioning (or an explicit
-        # config request) enables sharded scans, and the configured
-        # parallelism mode decides whether scans may leave the process.
+        # config request) enables sharded scans.
         shards = max(data_manager.num_shards, self.config.shards)
         if shards > 1:
             self.discoverer.planner.attach_shards(shards)
-        self.set_parallelism(self.config.parallelism)
         self.organizer = InformationOrganizer(
             self.analyzer.graph, config=self.config.organizer
         )
@@ -413,24 +422,8 @@ class Session:
         """The session's query planner (owned by the discoverer)."""
         return self.discoverer.planner
 
-    def set_parallelism(self, mode: str) -> None:
-        """Re-pin the plan-executor mode on the warm session's planner.
-
-        Anything outside ``repro.plan.PARALLEL_MODES`` raises
-        :class:`~repro.errors.QueryError` from the planner's setter —
-        the one place the mode is validated.
-        """
-        self.discoverer.planner.parallelism = mode
-
     def close(self) -> None:
-        """Release executor resources held by the warm session.
-
-        Shuts the planner's process workers down and unlinks their
-        shared-memory slabs (a no-op when the process backend never
-        started).  The session stays usable afterwards — the next
-        process-backed query simply pays the worker warm-up again.
-        """
-        self.discoverer.planner.close()
+        """An empty lifecycle hook (see the comment in :class:`SessionConfig`)."""
 
     def __enter__(self) -> "Session":
         return self
@@ -717,8 +710,6 @@ class Session:
                     self.stats.plan_compiles += 1
                 if ev.execution.used_network_index:
                     self.stats.social_index_queries += 1
-                if ev.execution.process_served:
-                    self.stats.process_queries += 1
             self.stats.tfidf_builds = self.discoverer.semantic.builds
         return SearchResponse(
             request=request,

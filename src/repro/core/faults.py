@@ -1,8 +1,8 @@
 """Named fault points: zero-cost no-ops unless a test harness arms them.
 
 Production modules call :func:`fault_point` at the places where real
-deployments fail — a worker pipe request, a shard scan, a WAL fsync, a
-snapshot write, a gateway dispatch.  The call is a dict lookup
+deployments fail — a shard scan, a WAL fsync, a snapshot write, a
+gateway dispatch.  The call is a dict lookup
 guarded by a single ``is None`` check, so the unarmed serving path pays
 one branch per site and nothing else.
 
@@ -11,11 +11,7 @@ is forbidden (archcheck rule T001) from importing, so the only way a
 fault can fire in a process is for test/bench code to have armed it
 explicitly.  This module deliberately knows nothing about *what* a
 handler does: it receives the site name plus keyword context (paths,
-worker handles, shard ids) and may raise, sleep, or mutate state.
-
-Handlers installed here do **not** propagate into spawned worker
-processes — arming is per-interpreter, which is why every fault site
-sits coordinator-side.
+shard ids) and may raise, sleep, or mutate state.
 """
 
 from __future__ import annotations

@@ -1,11 +1,4 @@
-"""Stable hash partitioning of record ids, plus slab byte layout.
-
-Also home to the flat int64 slab layout
-(:func:`pack_sections` / :func:`unpack_sections`) the process-parallel
-executor uses to place per-shard position sets — type buckets, term
-postings, link buckets — into ``multiprocessing.shared_memory`` segments
-for zero-copy worker scans.  It lives here (stdlib-only, below every
-layer) for the same layering reason as :func:`shard_of`.
+"""Stable hash partitioning of record ids.
 
 The one routing function both the physical store
 (:class:`repro.management.storage.PartitionedGraphStore`) and the plan
@@ -20,85 +13,8 @@ package cycle.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Mapping, Sequence
 
 from repro.core.graph import Id
-
-#: Byte width of one slab element (int64 row positions).
-SLAB_ITEMSIZE = 8
-
-
-def pack_sections(
-    groups: Mapping[str, Mapping[Any, Sequence[int]]],
-) -> tuple[dict[str, dict[Any, tuple[int, int]]], bytearray]:
-    """Pack named groups of position lists into one flat int64 slab.
-
-    Returns ``(directory, buffer)``: the directory maps each group name
-    to ``{key: (offset, count)}`` — *offset* in elements, not bytes —
-    and the buffer holds every position list back to back as native
-    int64.  The directory is small and picklable (it carries no
-    positions); the buffer is the payload a shared-memory segment can
-    hold so attached processes read the very same bytes.
-    """
-    import array
-
-    flat = array.array("q")
-    directory: dict[str, dict[Any, tuple[int, int]]] = {}
-    for group, sections in groups.items():
-        entry: dict[Any, tuple[int, int]] = {}
-        for key, positions in sections.items():
-            offset = len(flat)
-            flat.extend(int(p) for p in positions)
-            entry[key] = (offset, len(flat) - offset)
-        directory[group] = entry
-    return directory, bytearray(flat.tobytes())
-
-
-def section_positions(
-    buffer: Any, offset: int, count: int
-) -> "memoryview":
-    """One packed section of a slab buffer, zero-copy.
-
-    *buffer* is anything exposing the buffer protocol over the bytes
-    :func:`pack_sections` produced (a ``bytearray``, a
-    ``multiprocessing.shared_memory`` buffer).  The returned int64
-    memoryview aliases the slab — no positions are copied, which is the
-    point of placing the slab in shared memory.
-    """
-    view = memoryview(buffer).cast("B")
-    start = offset * SLAB_ITEMSIZE
-    return view[start:start + count * SLAB_ITEMSIZE].cast("q")
-
-
-def unpack_sections(
-    directory: Mapping[str, Mapping[Any, tuple[int, int]]],
-    buffer: Any,
-    wrap: Any = None,
-) -> dict[str, dict[Any, Any]]:
-    """Rebuild every group's ``{key: positions}`` views over *buffer*.
-
-    *wrap* post-processes each section view (e.g. ``numpy.asarray`` for
-    vectorized fancy indexing); by default the raw int64 memoryviews are
-    returned.  Either way the positions alias the slab bytes.
-    """
-    out: dict[str, dict[Any, Any]] = {}
-    for group, sections in directory.items():
-        rebuilt: dict[Any, Any] = {}
-        for key, (offset, count) in sections.items():
-            positions = section_positions(buffer, offset, count)
-            rebuilt[key] = wrap(positions) if wrap is not None else positions
-        out[group] = rebuilt
-    return out
-
-
-def slab_nbytes(groups: Mapping[str, Mapping[Any, Sequence[int]]]) -> int:
-    """Total slab size in bytes for the given groups (≥1 for SharedMemory)."""
-    total = sum(
-        len(positions)
-        for sections in groups.values()
-        for positions in sections.values()
-    )
-    return max(total * SLAB_ITEMSIZE, 1)
 
 
 def shard_of(record_id: Id, num_shards: int) -> int:

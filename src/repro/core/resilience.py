@@ -1,8 +1,6 @@
 """A failure-rate circuit breaker with half-open recovery probes.
 
-This generalizes the old ``ProcessShardPool.broken`` boolean (which
-tripped permanently until a manual ``reset()``) into the standard
-three-state machine:
+The standard three-state machine:
 
 * **closed** — calls flow; outcomes land in a sliding window.
 * **open** — tripped: either too many *consecutive* failures or the
@@ -216,7 +214,7 @@ class CircuitBreaker:
         self._fire(events)
 
     def reset(self) -> None:
-        """Manually re-close, clearing history (the old ``pool.reset()``)."""
+        """Manually re-close, clearing history."""
         events: list[tuple[str, str, str]] = []
         with self._lock:
             self._transition_locked(CLOSED, events)

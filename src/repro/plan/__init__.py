@@ -32,12 +32,7 @@ from repro.plan.cache import (
     SharedPlanCache,
     shared_plan_cache,
 )
-from repro.plan.columnar import (
-    ColumnarShardView,
-    ScanProgram,
-    VectorCondition,
-    run_scan_program,
-)
+from repro.plan.columnar import ColumnarShardView, VectorCondition
 from repro.plan.compiler import (
     ACCESS_MODES,
     AccessDecision,
@@ -47,11 +42,6 @@ from repro.plan.compiler import (
     compile_plan,
 )
 from repro.plan.explain import PlanExplain, explain_execution
-from repro.plan.parallel import (
-    ProcessBackend,
-    ProcessPoolError,
-    ProcessShardPool,
-)
 from repro.plan.physical import (
     ATTR_INDEX,
     INDEX,
@@ -78,7 +68,7 @@ from repro.plan.physical import (
     ShardedLinkScanOp,
     ShardedScanOp,
 )
-from repro.plan.planner import BASE_GRAPH, PARALLEL_MODES, QueryPlanner
+from repro.plan.planner import BASE_GRAPH, QueryPlanner
 
 __all__ = [
     "ACCESS_MODES",
@@ -101,21 +91,16 @@ __all__ = [
     "NETWORK_CLUSTERED",
     "NETWORK_EXACT",
     "OperatorProfile",
-    "PARALLEL_MODES",
     "PhysicalOp",
     "PhysicalPlan",
     "PlanCache",
     "PlanExecution",
-    "ProcessBackend",
-    "ProcessPoolError",
-    "ProcessShardPool",
     "PlanExplain",
     "QueryPlanner",
     "ResultMemo",
     "SCAN",
     "SHARDED",
     "ScanOp",
-    "ScanProgram",
     "SemiJoinProbeOp",
     "SharedPlanCache",
     "ShardProfile",
@@ -126,6 +111,5 @@ __all__ = [
     "VectorCondition",
     "compile_plan",
     "explain_execution",
-    "run_scan_program",
     "shared_plan_cache",
 ]

@@ -43,8 +43,6 @@ results.
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 try:  # vectorized path; the row-wise fallback below needs nothing
@@ -310,31 +308,6 @@ class ColumnarShardView:
             }
         return self._link_term_postings
 
-    # -- precomputed-index adoption (process workers) -------------------------
-
-    def adopt_precomputed(
-        self,
-        type_buckets: dict[Any, Any] | None = None,
-        term_postings: dict[str, Any] | None = None,
-        link_type_buckets: dict[Any, Any] | None = None,
-    ) -> None:
-        """Install pre-built position indexes instead of deriving them.
-
-        The process backend ships each shard's type buckets, term
-        postings and link-type buckets as one shared-memory slab; worker
-        processes rebuild their views around the attached positions
-        (zero-copy) rather than re-bucketing and re-tokenising the
-        population.  The adopted dicts must be exactly what the lazy
-        builders would produce — the coordinator packs them from its own
-        views, so they are.
-        """
-        if type_buckets is not None:
-            self._type_buckets = type_buckets
-        if term_postings is not None:
-            self._term_postings = term_postings
-        if link_type_buckets is not None:
-            self._link_type_buckets = link_type_buckets
-
     # -- link-side buckets ----------------------------------------------------
 
     def link_type_lists(self) -> dict[Any, list[Link]]:
@@ -407,11 +380,9 @@ class VectorCondition:
     a pure function of the condition.
     """
 
-    __slots__ = ("cond", "bucket_types", "column_preds", "residual",
-                 "_shippable")
+    __slots__ = ("cond", "bucket_types", "column_preds", "residual")
 
     def __init__(self, cond: Condition):
-        self._shippable: bool | None = None
         self.cond = cond
         bucket_types: list[Any] = []
         column_preds: list[tuple[str, Predicate]] = []
@@ -544,31 +515,6 @@ class VectorCondition:
             if all(p.matches(records[row]) for p in residual)
         ])
 
-    def node_survivors(self, view: ColumnarShardView) -> Sequence[int]:
-        """Final surviving node rows: vectorized candidates ∧ residuals.
-
-        The position-set form of :meth:`select` — what a process worker
-        ships back over the pipe.  Row order is the view's node order, so
-        a coordinator holding an identically-cut view gathers the very
-        records :meth:`select` would.  Without NumPy the same set falls
-        out of a row-wise pass.
-        """
-        positions = self.candidate_positions(view)
-        if positions is None:
-            cond = self.cond
-            return [row for row, node in enumerate(view.nodes)
-                    if cond.satisfied_by(node)]
-        return self._filter_residual(view.nodes, positions)
-
-    def link_survivors(self, view: ColumnarShardView) -> Sequence[int]:
-        """Final surviving link rows (the σL twin of node_survivors)."""
-        positions = self.candidate_link_positions(view)
-        if positions is None:
-            cond = self.cond
-            return [row for row, link in enumerate(view.links)
-                    if cond.satisfied_by(link)]
-        return self._filter_residual(view.links, positions)
-
     def gather_nodes(self, view: ColumnarShardView,
                      positions: Sequence[int],
                      scorer: Any = None) -> list[Node]:
@@ -611,27 +557,6 @@ class VectorCondition:
             append(link.with_score(scoring(link, keywords)))
         return selected
 
-    def shippable(self) -> bool:
-        """True when the condition can cross a process boundary whole.
-
-        The picklability contract of the process backend: bucket types,
-        column predicates, keyword terms and residual predicates all ride
-        inside the condition, so one successful pickle of the condition
-        proves the entire compiled program ships.  Opaque residuals —
-        closure lambdas, bound methods — fail here and pin the operator
-        to the in-process path.  Cached: the object is a pure
-        function of the condition.
-        """
-        cached = self._shippable
-        if cached is None:
-            try:
-                pickle.dumps(self.cond, protocol=pickle.HIGHEST_PROTOCOL)
-                cached = True
-            except Exception:
-                cached = False
-            self._shippable = cached
-        return cached
-
     def select(self, view: ColumnarShardView, scorer: Any = None) -> list[Node]:
         """σN over one view: the columnar twin of the row kernel.
 
@@ -670,40 +595,6 @@ class VectorCondition:
         return self.gather_links(
             view, self._filter_residual(view.links, positions), scorer
         )
-
-
-@dataclass(frozen=True)
-class ScanProgram:
-    """A compiled scan, in the form that crosses a process boundary.
-
-    What the coordinator ships to a :class:`~repro.plan.parallel`
-    worker instead of the operator object: the selection kind and the
-    condition (from which the worker recompiles the identical
-    :class:`VectorCondition` — bucket types, per-code truth tables,
-    posting keys and residual predicates are all pure functions of it).
-    Scorers never ship: workers return position sets and the coordinator
-    gathers and scores from its own identically-ordered view, so scoring
-    semantics cannot fork across the boundary.
-    """
-
-    #: "nodes" (σN) or "links" (σL)
-    kind: str
-    cond: Condition
-
-
-def run_scan_program(view: ColumnarShardView, program: ScanProgram) -> list[int]:
-    """Execute a shipped program over a worker-resident view.
-
-    Returns the surviving row positions as plain ints — the compact
-    result that crosses the pipe back.  Positions index the view's row
-    order, which matches the coordinator's by the slab contract.
-    """
-    vector = VectorCondition(program.cond)
-    rows = (
-        vector.link_survivors(view) if program.kind == "links"
-        else vector.node_survivors(view)
-    )
-    return [int(row) for row in rows]
 
 
 def union_null_graph(

@@ -117,13 +117,6 @@ class CostModel:
     #: master switch for the columnar scan family (benchmarks pin it off
     #: to measure the legacy row-at-a-time executor)
     columnar: bool = True
-    #: minimum estimated rows × shards before ``parallelism="auto"``
-    #: hands shippable scans to the process backend: shipping a program
-    #: and unpickling a position set per shard costs far more than the
-    #: in-process kernel on a small population, so only genuinely large
-    #: scatters should leave the process (explicit ``"processes"`` skips
-    #: this floor)
-    process_min_rows: float = 50_000.0
 
     def scan_cost(self, input_nodes: float) -> float:
         return input_nodes * self.scan_cost_per_node

@@ -35,8 +35,6 @@ class PlanExplain:
     strategy_decision: StrategyDecision | None = None
     #: concrete social strategy the plan ran (None: no social stage)
     resolved_strategy: str | None = None
-    #: how the plan ran: "sequential" or "processes(<n>)+sequential"
-    executor: str = "sequential"
     #: True when any scan ran columnar over partition views
     sharded: bool = False
     #: result bound pushed into the ranking stage (None = full ranking)
@@ -71,7 +69,6 @@ def explain_execution(execution: PlanExecution) -> PlanExplain:
         cache_hit=execution.cache_hit,
         strategy_decision=execution.plan.strategy_decision,
         resolved_strategy=execution.plan.resolved_strategy,
-        executor=execution.executor,
         sharded=execution.plan.uses_sharded_scan,
         topk=execution.topk,
     )

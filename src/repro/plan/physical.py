@@ -31,7 +31,6 @@ from repro.core.stats import Card, GraphStats
 from repro.errors import DeadlineError, ExpressionError
 from repro.plan.columnar import (
     ColumnarShardView,
-    ScanProgram,
     VectorCondition,
     union_link_subgraph,
     union_null_graph,
@@ -55,22 +54,11 @@ ShardView = ColumnarShardView
 
 @dataclass(frozen=True)
 class ShardProfile:
-    """One shard's slice of a scattered operator, for EXPLAIN.
-
-    Process-served shards additionally carry the ship/scan split:
-    ``ship_s`` is this shard's amortised share of the slab-shipping
-    cost (0.0 when the views were already worker-resident) and
-    ``scan_s`` the worker-measured kernel time; ``None`` means the
-    shard ran in-process and ``elapsed_s`` is the whole story.
-    """
+    """One shard's slice of a scattered operator, for EXPLAIN."""
 
     shard: int
     actual: Card
     elapsed_s: float
-    #: ``pid:<n>`` of the worker process that scanned the shard
-    worker: str | None = None
-    ship_s: float = 0.0
-    scan_s: float | None = None
 
 
 class ExecContext:
@@ -129,13 +117,6 @@ class ExecContext:
         self.result_cache: dict | None = None
         #: operator ids whose result came from the sub-plan memo
         self.subplan_hits: set[int] = set()
-        #: process backend for this execution (``None`` = in-process
-        #: scans only); scatter operators route shippable programs
-        #: through it and gather survivors locally
-        self.process_backend: Any | None = None
-        #: True once any worker failure degraded this execution to the
-        #: in-process path (the executor string reports it)
-        self.process_degraded = False
         #: absolute monotonic deadline for this execution (``None`` = no
         #: deadline — the check is then a single branch).  Cooperative:
         #: checked between operators and between per-shard scans, so
@@ -145,7 +126,7 @@ class ExecContext:
         #: a deadline is in force; gives ``DeadlineError.elapsed_s``)
         self.deadline_anchor = 0.0
         #: resilience transitions this execution took, in order (e.g.
-        #: ``"pool:processes→sequential"``) — surfaced in EXPLAIN
+        #: ``"attr-index:category→scan"``) — surfaced in EXPLAIN
         self.resilience_events: list[str] = []
 
     def check_deadline(self, stage: str | Callable[[], str]) -> None:
@@ -323,14 +304,12 @@ class _ScatterScanOp(PhysicalOp):
     """Shared machinery of the partition-scattered (columnar) scans.
 
     One implementation of the scatter protocol — shard-view fetch with
-    the degrade check, the process-backend scatter, per-shard kernel
-    timing and :class:`ShardProfile` recording, and the shard loop —
-    parameterised by four hooks: :meth:`_kernel` (one partition's
-    selection), :meth:`_gather` (worker-returned positions → records),
-    :meth:`_merge` (parts → result graph) and :meth:`_part_card` (a
-    part's profile cardinality).  The node and link forms differ *only*
-    in those hooks, so a fix to the scatter or profile accounting cannot
-    drift between them.
+    the degrade check, per-shard kernel timing and :class:`ShardProfile`
+    recording, and the shard loop — parameterised by three hooks:
+    :meth:`_kernel` (one partition's selection), :meth:`_merge` (parts →
+    result graph) and :meth:`_part_card` (a part's profile cardinality).
+    The node and link forms differ *only* in those hooks, so a fix to
+    the scatter or profile accounting cannot drift between them.
 
     ``num_shards == 1`` is the monolithic columnar form: one view, same
     machinery, no scatter overhead.  If the shard provider is missing at
@@ -355,23 +334,10 @@ class _ScatterScanOp(PhysicalOp):
             logical.condition  # type: ignore[attr-defined]
         )
 
-    #: record kind the shipped :class:`ScanProgram` declares
-    _program_kind = "nodes"
-
     # -- hooks the node/link forms implement -----------------------------------
 
     def _kernel(self, view: ShardView) -> list:
         """Select one partition's matching records."""
-        raise NotImplementedError
-
-    def _gather(self, view: ShardView, rows: Sequence[int]) -> list:
-        """Materialise worker-returned survivor positions from *view*.
-
-        The process backend ships only the program and receives only
-        positions; scoring and record materialisation happen here, on
-        the coordinator's identically-ordered view, so the result is
-        record-for-record what :meth:`_kernel` would have produced.
-        """
         raise NotImplementedError
 
     def _merge(self, base: SocialContentGraph,
@@ -383,24 +349,6 @@ class _ScatterScanOp(PhysicalOp):
         """One part's cardinality for its per-shard EXPLAIN row."""
         raise NotImplementedError
 
-    def ship_program(self) -> ScanProgram | None:
-        """The picklable scan descriptor, or ``None`` when not shippable.
-
-        Covered scans never ship (the bucket gather is O(answer) locally
-        and the columns never run); conditions whose residual closes
-        over unpicklable state (lambdas with local captures) stay
-        in-process — shippability is decided once per condition and
-        cached on the :class:`VectorCondition`.
-        """
-        if getattr(self, "covered", False):
-            return None
-        if not self.vector_condition.shippable():
-            return None
-        return ScanProgram(
-            self._program_kind,
-            self.logical.condition,  # type: ignore[attr-defined]
-        )
-
     # -- shared scatter protocol -----------------------------------------------
 
     def _shard_views(
@@ -410,54 +358,17 @@ class _ScatterScanOp(PhysicalOp):
             return None
         return ctx.shard_provider(inputs[0]) or None
 
-    def _ship(self, ctx: ExecContext) -> list | None:
-        """Scatter the program over the process backend, if one serves it.
-
-        Returns one ``(rows, ship_s, scan_s, pid)`` per shard, or
-        ``None`` when the shards run in-process.  Worker failure is
-        *contained*: the execution flips to ``process_degraded`` (every
-        shard of this and every later scatter op runs the in-process
-        kernel) and the scan proceeds — a poisoned worker costs latency,
-        never correctness.
-        """
-        backend = ctx.process_backend
-        if backend is None or ctx.process_degraded:
-            return None
-        program = self.ship_program()
-        if program is None:
-            return None
-        from repro.plan.parallel import ProcessPoolError
-
-        try:
-            return backend.scatter(program, ctx)
-        except ProcessPoolError:
-            ctx.process_degraded = True
-            return None
-
     def _scan_shard(
-        self, ctx: ExecContext, shard: int, view: ShardView,
-        served: tuple | None,
+        self, ctx: ExecContext, shard: int, view: ShardView
     ) -> list:
-        """One shard's part: gathered from *served*, else the kernel."""
+        """One shard's part: the kernel over *view*, profiled."""
         ctx.check_deadline(lambda: f"{self.describe()} [shard {shard}]")
         fault_point("physical.scan_shard", shard=shard)
         start = time.perf_counter()
-        if served is None:
-            part = self._kernel(view)
-            worker, ship_s, scan_s = None, 0.0, None
-            elapsed = time.perf_counter() - start
-        else:
-            rows, ship_s, scan_s, pid = served
-            part = self._gather(view, rows)
-            worker = f"pid:{pid}"
-            elapsed = ship_s + scan_s + (time.perf_counter() - start)
+        part = self._kernel(view)
+        elapsed = time.perf_counter() - start
         ctx.shard_actuals.setdefault(id(self), []).append(ShardProfile(
-            shard=shard,
-            actual=self._part_card(part),
-            elapsed_s=elapsed,
-            worker=worker,
-            ship_s=ship_s,
-            scan_s=scan_s,
+            shard=shard, actual=self._part_card(part), elapsed_s=elapsed,
         ))
         return part
 
@@ -468,9 +379,8 @@ class _ScatterScanOp(PhysicalOp):
         if views is None:
             ctx.degraded.add(id(self))
             return self.logical._compute(inputs)
-        served = self._ship(ctx) or [None] * len(views)
         parts = [
-            self._scan_shard(ctx, shard, view, served[shard])
+            self._scan_shard(ctx, shard, view)
             for shard, view in enumerate(views)
         ]
         return self._merge(inputs[0], parts)
@@ -520,11 +430,6 @@ class ShardedScanOp(_ScatterScanOp):
             view, self.logical.scorer,  # type: ignore[attr-defined]
         )
 
-    def _gather(self, view: ShardView, rows: Sequence[int]) -> list:
-        return self.vector_condition.gather_nodes(
-            view, rows, self.logical.scorer,  # type: ignore[attr-defined]
-        )
-
     def _merge(self, base: SocialContentGraph,
                parts: Sequence[list]) -> SocialContentGraph:
         return union_null_graph(base, parts)
@@ -554,17 +459,10 @@ class ShardedLinkScanOp(_ScatterScanOp):
             f"[sharded-links×{self.num_shards}{prune}]"
         )
 
-    _program_kind = "links"
-
     def _kernel(self, view: ShardView) -> list:
         return self.vector_condition.select_links(
             view, self.logical.scorer,  # type: ignore[attr-defined]
             prune_type=self.prune_type,
-        )
-
-    def _gather(self, view: ShardView, rows: Sequence[int]) -> list:
-        return self.vector_condition.gather_links(
-            view, rows, self.logical.scorer,  # type: ignore[attr-defined]
         )
 
     def _merge(self, base: SocialContentGraph,
@@ -806,8 +704,6 @@ class OperatorProfile:
     actual: Card | None
     elapsed_s: float
     access_path: str | None = None
-    #: ``pid:<n>`` on shard sub-rows a worker process served
-    worker: str | None = None
     #: shard index, on the per-shard sub-rows of a scattered operator
     shard: int | None = None
 
@@ -817,11 +713,10 @@ class OperatorProfile:
             if self.actual is not None
             else "act -"
         )
-        worker = f"  @{self.worker}" if self.worker else ""
         return (
             f"{'  ' * self.depth}{self.op}  "
             f"[est {self.estimated!r}  {actual}  "
-            f"{self.elapsed_s * 1e3:.2f}ms{worker}]"
+            f"{self.elapsed_s * 1e3:.2f}ms]"
         )
 
 
@@ -841,8 +736,6 @@ class PlanExecution:
     cache_hit: bool = False
     #: operators that abandoned their planned access path at runtime
     degraded_ops: int = 0
-    #: how the plan ran: "sequential" or "processes(<n>)+sequential"
-    executor: str = "sequential"
     #: result bound pushed into the ranking stage (None = full ranking)
     topk: int | None = None
     _profiles_cache: tuple[OperatorProfile, ...] | None = field(
@@ -904,15 +797,6 @@ class PlanExecution:
         return self.plan.uses_index
 
     @property
-    def process_served(self) -> bool:
-        """True when a worker process scanned at least one shard."""
-        return any(
-            row.scan_s is not None
-            for rows in self.ctx.shard_actuals.values()
-            for row in rows
-        )
-
-    @property
     def resilience(self) -> tuple[str, ...]:
         """Degradation-ladder transitions this execution took, in order."""
         return tuple(self.ctx.resilience_events)
@@ -922,8 +806,7 @@ class PlanExecution:
         topk = f"  top-k={self.topk}" if self.topk is not None else ""
         header = [
             f"access={self.plan.access_path}  "
-            f"cache={'hit' if self.cache_hit else 'miss'}  "
-            f"executor={self.executor}{topk}"
+            f"cache={'hit' if self.cache_hit else 'miss'}{topk}"
         ]
         if self.plan.rewrites.applied:
             header.append(f"rewrites: {', '.join(self.plan.rewrites.applied)}")
@@ -996,26 +879,6 @@ class PhysicalPlan:
         )
 
     @property
-    def process_shippable(self) -> bool:
-        """True when the scatter work of this plan can leave the process.
-
-        At least one scattered scan ships its program whole, and no
-        scattered scan is pinned in-process by an unpicklable residual —
-        covered scans (which never ship, by choice) don't disqualify.  A
-        half-shippable plan stays in-process: paying slab shipping to
-        parallelise only part of the scatter loses on both sides.
-        """
-        ships = 0
-        for op in self._walk(self.root, set()):
-            if not isinstance(op, _ScatterScanOp):
-                continue
-            if op.ship_program() is not None:
-                ships += 1
-            elif not getattr(op, "covered", False):
-                return False
-        return ships > 0
-
-    @property
     def access_path(self) -> str:
         """Dominant access path tag for response metadata."""
         return INDEX if self.uses_index else SCAN
@@ -1044,18 +907,9 @@ class PhysicalPlan:
             [SocialContentGraph, str, Any], "list | None"
         ] | None = None,
         topk: int | None = None,
-        process_backend: Any | None = None,
         deadline: float | None = None,
-        resilience_notes: Sequence[str] = (),
     ) -> PlanExecution:
         """Run the plan; the result never aliases an input/literal graph.
-
-        *process_backend* (a :class:`repro.plan.parallel.ProcessBackend`
-        bound to the planner's current shard views, or ``None``) routes
-        shippable scatter scans to resident worker processes — everything
-        else, and every plan without one, runs by the sequential
-        recursion.  Any worker failure degrades the rest of the execution
-        to the in-process kernels, annotated in the executor string.
 
         *topk* is an execution parameter, not part of the plan shape (so
         cached plans serve any k): ranking operators bound their sorted
@@ -1067,33 +921,21 @@ class PhysicalPlan:
         cooperative checks between operators and between per-shard
         scans raise :class:`~repro.errors.DeadlineError` once it has
         passed, unwinding the execution promptly instead of finishing
-        doomed work.  *resilience_notes* seeds the execution's
-        resilience-event trail (the planner passes the ladder steps that
-        led to this attempt, e.g. a process-backed run that was retried
-        in-process).
+        doomed work.
         """
         ctx = ExecContext(env, index_provider, network_provider,
                           shard_provider, attr_provider)
         ctx.result_cache = result_cache
         ctx.topk = topk
-        ctx.process_backend = process_backend
         if deadline is not None:
             ctx.deadline = deadline
             ctx.deadline_anchor = time.monotonic()
-        ctx.resilience_events.extend(resilience_notes)
         result = self.root.execute(ctx)
-        executor = "sequential"
-        if process_backend is not None:
-            executor = f"processes({process_backend.workers})+sequential"
-            if ctx.process_degraded:
-                executor += " (degraded→sequential)"
-                ctx.resilience_events.append("pool:processes→sequential")
         if id(result) in ctx.borrowed:
             result = result.copy()
         return PlanExecution(
             plan=self, result=result, ctx=ctx,
             degraded_ops=len(ctx.degraded),
-            executor=executor,
             topk=topk,
         )
 
@@ -1122,22 +964,13 @@ class PhysicalPlan:
                 estimated.links / len(shard_rows),
             )
             for row in sorted(shard_rows, key=lambda r: r.shard):
-                label = f"shard[{row.shard}]"
-                if row.scan_s is not None:
-                    # process-served: show the ship/scan split (the
-                    # remainder of elapsed_s is the coordinator gather)
-                    label += (
-                        f" ship={row.ship_s * 1e3:.2f}ms"
-                        f" scan={row.scan_s * 1e3:.2f}ms"
-                    )
                 yield OperatorProfile(
-                    op=label,
+                    op=f"shard[{row.shard}]",
                     depth=depth + 1,
                     estimated=per_shard_estimate,
                     actual=row.actual,
                     elapsed_s=row.elapsed_s,
                     access_path=None,
-                    worker=row.worker,
                     shard=row.shard,
                 )
         for child in op.children:

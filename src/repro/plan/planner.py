@@ -18,12 +18,10 @@ compilation needs and serving must keep coherent:
   once;
 * **the index binding** — where the semantic inverted index lives and
   which population it covers, attached by the session;
-* **partitions and the process backend** — when the backing store is
-  sharded the session attaches the shard count; the planner then
-  partitions its live graph into per-shard views (lazily, per
-  generation) for :class:`~repro.plan.physical.ShardedScanOp`, and hands
-  large shippable scans to its process workers
-  (:mod:`repro.plan.parallel`).
+* **partitions** — when the backing store is sharded the session
+  attaches the shard count; the planner then partitions its live graph
+  into per-shard views (lazily, per generation) for
+  :class:`~repro.plan.physical.ShardedScanOp`.
 
 ``semantic_candidates`` is the serving entry point: it builds the σN plan
 for a parsed query's scope condition and runs it through the compiler,
@@ -49,11 +47,9 @@ from repro.core.graph import SocialContentGraph
 from repro.core.resilience import CircuitBreaker
 from repro.core.stats import CardinalityFeedback, GraphStats
 from repro.core.partition import shard_of
-from repro.errors import DeadlineError, QueryError
 from repro.plan.cache import PlanCache, ResultMemo, shared_plan_cache
 from repro.plan.columnar import cut_columnar_views
 from repro.plan.compiler import CostModel, IndexBinding, compile_plan
-from repro.plan.parallel import ProcessBackend, ProcessShardPool
 from repro.plan.physical import (
     AttrIndexScanOp,
     FusedSocialCombineOp,
@@ -65,23 +61,13 @@ from repro.plan.physical import (
 #: Name under which the planner binds its live graph in plan environments.
 BASE_GRAPH = "G"
 
-#: Execution-parallelism modes a planner can be pinned to.  Every plan
-#: runs by the sequential recursion; the mode only decides whether
-#: shippable scatter scans leave the process.  ``"auto"`` hands them to
-#: the process backend past the cost model's row floor, ``"processes"``
-#: always does (degrading per execution if workers fail), ``"never"``
-#: keeps everything in-process.
-PARALLEL_MODES = ("auto", "never", "processes")
-
 
 class QueryPlanner:
     """Compiles logical plans against a live graph, with a plan cache.
 
     *cache* defaults to the process-wide shared cache; pass a private
     :class:`PlanCache` to opt a planner out of cross-session sharing.
-    *shards* > 1 enables partition-scattered scans; *parallelism* is one
-    of :data:`PARALLEL_MODES` (``"auto"`` lets the cost model's row floor
-    decide per plan).
+    *shards* > 1 enables partition-scattered scans.
     """
 
     def __init__(
@@ -90,14 +76,12 @@ class QueryPlanner:
         cost_model: CostModel | None = None,
         cache: PlanCache | None = None,
         shards: int = 1,
-        parallelism: str = "auto",
         feedback: CardinalityFeedback | None = None,
     ):
         self.graph = graph
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.cache = cache if cache is not None else shared_plan_cache()
         self.shards = max(1, shards)
-        self.parallelism = parallelism
         #: execution-observed correction factors, surviving refreshes so
         #: repeated queries keep sharpening the cost model
         self.feedback = (
@@ -126,10 +110,6 @@ class QueryPlanner:
         #: re-deriving them; bounded by entries *and* estimated bytes
         self._subplan_results = ResultMemo()
         self._subplan_generation = -1
-        #: lazily spawned process backend (``parallelism="processes"`` /
-        #: big-scatter ``"auto"`` executions); planner-owned so the slab
-        #: version token is this planner's ``(generation, epoch)`` stamp
-        self._process_pool: "ProcessShardPool | None" = None
         #: the attr-index→columnar-scan step: posting-path faults trip
         #: it and the provider degrades to ``None`` (the op falls back
         #: to the scan compute) until a probe succeeds
@@ -203,73 +183,6 @@ class QueryPlanner:
     @property
     def index_binding(self) -> IndexBinding | None:
         return self._index
-
-    @property
-    def parallelism(self) -> str:
-        """The pinned executor mode (one of :data:`PARALLEL_MODES`)."""
-        return self._parallelism
-
-    @parallelism.setter
-    def parallelism(self, mode: str) -> None:
-        if mode not in PARALLEL_MODES:
-            raise QueryError(
-                f"unknown parallelism {mode!r}; have {PARALLEL_MODES}"
-            )
-        self._parallelism = mode
-
-    @property
-    def process_pool(self) -> ProcessShardPool:
-        """The planner's process-worker pool (spawned lazily on first use)."""
-        with self._lock:
-            if self._process_pool is None:
-                self._process_pool = ProcessShardPool()
-            return self._process_pool
-
-    def close(self) -> None:
-        """Release planner-owned executor resources (process workers)."""
-        with self._lock:
-            pool, self._process_pool = self._process_pool, None
-        if pool is not None:
-            pool.shutdown()
-
-    def _process_backend(
-        self, plan: PhysicalPlan,
-        env: Mapping[str, SocialContentGraph] | None,
-    ) -> ProcessBackend | None:
-        """The process backend for one execution, or ``None`` (in-process).
-
-        Eligibility: the mode asks for processes (explicitly, or
-        ``"auto"`` with the estimated scatter population over the cost
-        model's ``process_min_rows`` floor), the plan scatters at least
-        one scan whose program ships whole (residual-free or
-        residual-picklable — covered scans don't disqualify), the
-        environment binds the planner's own graph, and the pool is not
-        broken.  The backend carries this planner's current
-        ``(generation, mutation_epoch)`` token, so a mutated graph
-        re-ships fresh slabs before any worker scans.
-        """
-        mode = self.parallelism
-        if mode == "never":
-            return None
-        if env is not None:  # foreign graphs never reach worker residency
-            return None
-        if not plan.uses_sharded_scan or not plan.process_shippable:
-            return None
-        if mode == "auto":
-            stats = self.stats
-            if (stats.num_nodes * self.shards
-                    < self.cost_model.process_min_rows):
-                return None
-        pool = self.process_pool
-        # the breaker decides: closed → go, open → in-process, half-open →
-        # this execution is the recovery probe (dead workers respawn on
-        # the re-ship; success re-closes the circuit)
-        if not pool.breaker.allow():
-            return None
-        views = self.shard_views(self.graph)
-        if views is None:
-            return None
-        return ProcessBackend(pool, self._derived_token(), views)
 
     def _derived_token(self) -> tuple:
         """Validity stamp for every planner-local derived structure.
@@ -451,16 +364,6 @@ class QueryPlanner:
         *topk* bounds the ranking stage's sorted output (an execution
         parameter — cached plans serve any k).  *deadline* is an absolute
         monotonic timestamp the execution's cooperative checks enforce.
-
-        Process-backend faults walk the degradation ladder, never fail
-        the query: worker failures degrade the execution to the
-        in-process kernels mid-plan (the pool's breaker then skips the
-        backend until its recovery probe succeeds), and an execution
-        that *raises* with a backend attached is retried once in-process
-        (operators are side-effect-free, so the retry is safe).  An
-        in-process execution that raises propagates — there is no rung
-        below it.  Deadline expiry always propagates: retrying would
-        only burn more of a budget that is already gone.
         """
         plan, cache_hit = self.compile(expr, access)
         provider = self._index.provider if self._index is not None else None
@@ -468,34 +371,16 @@ class QueryPlanner:
         # env may bind G to a different graph than the memo was cut on
         run_env = env if env is not None else {BASE_GRAPH: self.graph}
         result_cache = self._subplan_cache() if env is None else None
-
-        def attempt(
-            backend: ProcessBackend | None, notes: tuple[str, ...] = ()
-        ) -> PlanExecution:
-            return plan.execute(
-                run_env,
-                index_provider=provider,
-                network_provider=self.network_index,
-                shard_provider=self.shard_views,
-                attr_provider=self.attr_posting_candidates,
-                process_backend=backend,
-                result_cache=result_cache,
-                topk=topk,
-                deadline=deadline,
-                resilience_notes=notes,
-            )
-
-        backend = self._process_backend(plan, env)
-        try:
-            execution = attempt(backend)
-        except DeadlineError:
-            raise
-        except Exception:
-            if backend is None:
-                raise
-            execution = attempt(None, ("pool:processes→sequential",))
-            # the in-process run answered: the backend was at fault
-            backend.pool.breaker.record_failure()
+        execution = plan.execute(
+            run_env,
+            index_provider=provider,
+            network_provider=self.network_index,
+            shard_provider=self.shard_views,
+            attr_provider=self.attr_posting_candidates,
+            result_cache=result_cache,
+            topk=topk,
+            deadline=deadline,
+        )
         execution.cache_hit = cache_hit
         if not plan.feedback_observed:
             # Feedback rides on fresh plans, not on every hot-path hit:

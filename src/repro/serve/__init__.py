@@ -29,7 +29,7 @@ from repro.serve.gateway import (
     ServeOutcome,
 )
 from repro.serve.metrics import latency_summary, peak_rss_mb, percentile
-from repro.serve.resilience import HedgeTracker, breaker_snapshot
+from repro.serve.resilience import HedgeTracker
 
 __all__ = [
     "TENANT_BUDGET",
@@ -49,5 +49,4 @@ __all__ = [
     "latency_summary",
     "peak_rss_mb",
     "HedgeTracker",
-    "breaker_snapshot",
 ]

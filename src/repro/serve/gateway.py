@@ -75,7 +75,7 @@ from repro.serve.admission import (
     DeadlineExceeded,
     Overloaded,
 )
-from repro.serve.resilience import HedgeTracker, breaker_snapshot
+from repro.serve.resilience import HedgeTracker
 
 #: What one submission resolves to.
 ServeOutcome = (
@@ -85,12 +85,7 @@ ServeOutcome = (
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Gateway tunables: execution width, admission, deadlines, hedging.
-
-    The plan-executor mode is the session's own
-    (``SessionConfig.parallelism``): the gateway serves the session its
-    caller built and re-pins nothing on it.
-    """
+    """Gateway tunables: execution width, admission, deadlines, hedging."""
 
     #: worker threads — requests executing concurrently
     max_workers: int = 4
@@ -126,7 +121,7 @@ class GatewayStats:
     deadline_expired: int = 0
     #: dispatches re-run on the hedge thread (slot exceeded the hedge cut)
     hedged_batches: int = 0
-    #: every breaker the serving session carries, by name
+    #: the session planner's attr-index breaker, by name
     breakers: Mapping[str, BreakerStats] = field(default_factory=dict)
 
     # Constants kept only for the frozen benchmarks/e2e/gateway.py reader
@@ -612,6 +607,7 @@ class ServeGateway:
 
     def stats(self) -> GatewayStats:
         """A snapshot of the serving counters (loop thread)."""
+        breaker = self.session.planner.attr_breaker
         return GatewayStats(
             submitted=self._submitted,
             completed=self._completed,
@@ -620,7 +616,7 @@ class ServeGateway:
             admission=self.admission.stats(),
             deadline_expired=self._deadline_expired,
             hedged_batches=self._hedged,
-            breakers=breaker_snapshot(self.session),
+            breakers={breaker.name: breaker.stats()},
         )
 
     def plan_cache_stats(self) -> dict[str, object]:

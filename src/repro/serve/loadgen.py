@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.api import PARALLEL_MODES, SearchRequest, Session, SessionConfig
+from repro.api import SearchRequest, Session, SessionConfig
 from repro.core import Id
 from repro.serve.admission import (
     AdmissionPolicy,
@@ -314,9 +314,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--concurrency", type=int, default=None,
                         help="concurrent in-flight clients")
     parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--parallelism", default="auto",
-                        choices=PARALLEL_MODES,
-                        help="the session's plan-executor mode")
     parser.add_argument("--shards", type=int, default=1,
                         help="partition the site graph into N shards "
                              "(enables scattered scans)")
@@ -343,9 +340,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.concurrency if args.concurrency is not None else 32
         )
     site = build_site(site_config)
-    session = Session.from_graph(site.graph, SessionConfig(
-        shards=args.shards, parallelism=args.parallelism,
-    ))
+    session = Session.from_graph(
+        site.graph, SessionConfig(shards=args.shards)
+    )
     mix = LoadMix.for_site(
         site.user_ids, site.categories, LoadMixConfig(seed=args.seed)
     )
@@ -353,10 +350,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     config = HarnessConfig(
         concurrency=concurrency, total_requests=total, gateway=gateway_config
     )
-    try:
-        report = run_closed_loop(session, mix, config)
-    finally:
-        session.close()  # shut process workers down, unlink slabs
+    report = run_closed_loop(session, mix, config)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:

@@ -1,10 +1,9 @@
-"""Gateway-side resilience: hedge pacing and breaker visibility.
+"""Gateway-side resilience: hedge pacing.
 
-The plan layer owns the degradation ladder's breakers
-(processes→sequential on the
-:class:`~repro.plan.parallel.ProcessShardPool`, attr-index→scan on the
-:class:`~repro.plan.planner.QueryPlanner`); this module holds the pieces
-the *gateway* adds on top:
+The plan layer owns the degradation ladder's one breaker (attr-index→scan
+on the :class:`~repro.plan.planner.QueryPlanner`, reported as-is by
+``ServeGateway.stats()``); this module holds the piece the *gateway*
+adds on top:
 
 * :class:`HedgeTracker` — an online latency profile of dispatches
   deciding when a worker slot has been held suspiciously long.  A
@@ -12,20 +11,11 @@ the *gateway* adds on top:
   multiplier) is re-run on a separate thread: execution is deterministic
   and read-only, so first-completion-wins is safe, and a wedged slot
   costs one duplicated request instead of a wedged one.
-* :func:`breaker_snapshot` — one mapping of every breaker the serving
-  session carries, for ``GatewayStats`` (state transitions are already
-  visible per-execution in EXPLAIN's ``resilience:`` header).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
-
-from repro.core.resilience import BreakerStats
 from repro.serve.metrics import percentile
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.api import Session
 
 
 class HedgeTracker:
@@ -71,21 +61,4 @@ class HedgeTracker:
         return max(cut * self.multiplier, self.min_delay_s)
 
 
-def breaker_snapshot(session: "Session") -> Mapping[str, BreakerStats]:
-    """Every breaker the serving session carries, by name.
-
-    Reads the planner's attr-index breaker and — only if one was ever
-    spawned — the process pool's; never *creates* a pool just to report
-    on it.
-    """
-    planner = session.planner
-    snapshot: dict[str, BreakerStats] = {
-        planner.attr_breaker.name: planner.attr_breaker.stats(),
-    }
-    process_pool = planner._process_pool
-    if process_pool is not None:
-        snapshot[process_pool.breaker.name] = process_pool.breaker.stats()
-    return snapshot
-
-
-__all__ = ["HedgeTracker", "breaker_snapshot"]
+__all__ = ["HedgeTracker"]

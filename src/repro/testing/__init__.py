@@ -15,7 +15,6 @@ from repro.testing.faults import (
     file_corruptor,
     raising,
     sleeping,
-    worker_killer,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "file_corruptor",
     "raising",
     "sleeping",
-    "worker_killer",
 ]

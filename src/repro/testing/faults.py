@@ -9,26 +9,20 @@ arm disjoint fault sets without clobbering each other.
 The canned handler factories cover the failure modes the resilience
 layer must survive:
 
-* :func:`raising` — the site's natural exception (pickle failure, WAL
+* :func:`raising` — the site's natural exception (a shard-scan error, WAL
   fsync ``OSError``, …);
 * :func:`sleeping` — slow shards, hung executor slots;
-* :func:`worker_killer` — SIGKILLs the process-pool worker behind a
-  pipe request, forcing the reply-timeout path;
 * :func:`file_corruptor` — flips bytes in a just-written snapshot so
   the read-side CRC verify fails honestly.
 
 Registered fault-point names (the contract with production modules):
 
 ======================  ====================================================
-``parallel.worker_request``  before a coordinator→worker pipe request
-                             (``worker=`` the ``_ProcessWorker``)
-``parallel.ship_slabs``      before pickling/shipping columnar slabs
-``physical.scan_shard``      before each per-shard scan subtask
-                             (``shard=`` index)
-``wal.fsync``                before a WAL file fsync (``path=``)
-``persist.snapshot``         after an atomic snapshot write (``path=``)
-``serve.batch``              inside a gateway worker slot, before the
-                             request runs
+``physical.scan_shard``  before each per-shard scan (``shard=`` index)
+``wal.fsync``            before a WAL file fsync (``path=``)
+``persist.snapshot``     after an atomic snapshot write (``path=``)
+``serve.batch``          inside a gateway worker slot, before the
+                         request runs
 ======================  ====================================================
 """
 
@@ -48,8 +42,6 @@ from repro.core.faults import FaultHandler
 #: Every name production code is allowed to pass to ``fault_point`` —
 #: tests assert arming an unknown name is a typo, not a silent no-op.
 KNOWN_FAULT_POINTS = (
-    "parallel.worker_request",
-    "parallel.ship_slabs",
     "physical.scan_shard",
     "wal.fsync",
     "persist.snapshot",
@@ -135,25 +127,6 @@ def sleeping(seconds: float, times: int | None = None) -> FaultHandler:
 
     def action(name: str, **info: Any) -> None:
         time.sleep(seconds)
-
-    return _budgeted(action, times)
-
-
-def worker_killer(times: int | None = None) -> FaultHandler:
-    """SIGKILL the pool worker about to be asked for work.
-
-    The ``parallel.worker_request`` site passes ``worker=`` (the
-    coordinator-side ``_ProcessWorker``); killing its process right
-    before the pipe send forces the reply-timeout / EOF path that a
-    crashed worker produces in production.
-    """
-
-    def action(name: str, **info: Any) -> None:
-        worker = info.get("worker")
-        process = getattr(worker, "process", None)
-        if process is not None and process.is_alive():
-            process.kill()
-            process.join(timeout=5.0)
 
     return _budgeted(action, times)
 

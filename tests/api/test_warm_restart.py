@@ -203,7 +203,10 @@ class TestWarmRestart:
         session = durable_session(tmp_path)
         session.save(tmp_path)
         restored = Session.restore(
-            tmp_path, config=SessionConfig(parallelism="never")
+            tmp_path, config=SessionConfig(auto_analyses=("item_similarity",))
         )
-        assert restored.config.parallelism == "never"
+        assert restored.config.auto_analyses == ("item_similarity",)
+        assert [e.name for e in restored.analyzer.run_log] == [
+            "item_similarity"
+        ]
         assert restored.run(_request()).ok

@@ -40,6 +40,7 @@ def fixture_config() -> Config:
         determinism_strict=("plan",),
         rng_allowlist={},
         purity_modules=("plan.columnar",),
+        restricted_imports={"multiprocessing": "plan.parallel"},
     )
 
 
@@ -83,6 +84,22 @@ class TestRestrictedImports:
             f.rule == "L004" and f.path.endswith("parallel.py")
             for f in findings
         )
+
+    def test_ownerless_prefix_is_banned_everywhere(self):
+        """The repo's own setting: no module may import multiprocessing."""
+        from tools.archcheck.config import DEFAULT_RESTRICTED_IMPORTS
+
+        assert DEFAULT_RESTRICTED_IMPORTS == {"multiprocessing": ""}
+        config = fixture_config()
+        config.restricted_imports = dict(DEFAULT_RESTRICTED_IMPORTS)
+        root = FIXTURES / "restricted"
+        modules = collect_modules(root, root, layer_root="app")
+        l004 = [f for f in run_rules(modules, config, ("layering",))
+                if f.rule == "L004"]
+        assert {f.symbol for f in l004} == {
+            "core->multiprocessing", "plan.parallel->multiprocessing",
+        }
+        assert all("banned" in f.message for f in l004)
 
     def test_submodules_of_the_prefix_are_covered(self):
         import ast

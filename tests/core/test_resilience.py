@@ -1,7 +1,7 @@
 """CircuitBreaker: state machine, probes, and the 8-thread lockset storm.
 
 The breaker is the shared substrate of the degradation ladder
-(processes→threads→sequential, attr-index→scan), so its transitions are
+(attr-index→scan), so its transitions are
 pinned here with a hand-driven clock — no sleeps, no flakiness — and its
 locking discipline is checked by the dynamic lockset detector under a
 genuine trip/probe/recover thread storm.

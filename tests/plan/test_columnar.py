@@ -20,8 +20,12 @@ from hypothesis import given, settings, strategies as st
 import factories
 from repro.api import SearchRequest, Session, SessionConfig
 from repro.core import Condition, Link, Node, SocialContentGraph, input_graph
-from repro.core.conditions import Lambda, Or, HasType
-from repro.core.selection import select_links, select_nodes
+from repro.core.conditions import AttrCompare, HasAttr, HasType, Lambda, Or
+from repro.core.selection import (
+    select_links,
+    select_matching_links,
+    select_nodes,
+)
 from repro.core.stats import CardinalityFeedback, GraphStats
 from repro.discovery import InformationDiscoverer, parse_query
 from repro.management import DataManager
@@ -45,13 +49,12 @@ TOL = 1e-9
 VOCAB = ("topic0", "topic1", "thing", "offkey")
 
 
-def columnar_planner(graph, shards=1, parallelism="never",
-                     min_nodes=0.0, **model_kw) -> QueryPlanner:
+def columnar_planner(graph, shards=1, min_nodes=0.0,
+                     **model_kw) -> QueryPlanner:
     planner = QueryPlanner(
         graph,
         cost_model=CostModel(shard_scan_min_nodes=min_nodes,
                              shard_link_min_links=min_nodes, **model_kw),
-        parallelism=parallelism,
     )
     if shards > 1:
         planner.attach_shards(shards)
@@ -60,8 +63,7 @@ def columnar_planner(graph, shards=1, parallelism="never",
 
 def legacy_planner(graph) -> QueryPlanner:
     """The PR 4 row-at-a-time reference executor."""
-    return QueryPlanner(graph, cost_model=CostModel(columnar=False),
-                        parallelism="never")
+    return QueryPlanner(graph, cost_model=CostModel(columnar=False))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +337,35 @@ class TestAttrIndexPath:
         assert execution.degraded_ops == 1
         assert {n.id for n in execution.result.nodes()} == {0, 200}
 
+    def test_faulting_postings_degrade_to_the_scan_and_say_so(
+        self, monkeypatch
+    ):
+        """The ladder's one rung: attr-index → scan, visible in EXPLAIN."""
+        graph = attr_graph()
+        planner = columnar_planner(graph)
+        planner.attach_attribute_index(("category",))
+        expr = input_graph("G").select_nodes(
+            {"type": "item", "category": "rare"}
+        )
+        env = {"G": graph}  # bypass the sub-plan memo: every run executes
+        healthy = planner.execute(expr, env=env)
+        assert healthy.resilience == ()
+
+        def corrupt(view, att, value):
+            raise RuntimeError("postings corrupt")
+
+        monkeypatch.setattr(ColumnarShardView, "attr_posting_nodes", corrupt)
+        for _ in range(2):  # the breaker's failure threshold
+            degraded = planner.execute(expr, env=env)
+            assert degraded.result.same_as(healthy.result)
+            assert degraded.resilience == ("attr-index:category→scan",)
+            assert "resilience: attr-index:category→scan" in degraded.render()
+        # tripped: the provider now declines without touching the postings
+        assert planner.attr_breaker.stats().state == "open"
+        skipped = planner.execute(expr, env=env)
+        assert skipped.resilience == () and skipped.degraded_ops == 1
+        assert skipped.result.same_as(healthy.result)
+
     def test_observed_actuals_feed_the_attr_correction(self):
         graph = attr_graph()
         planner = columnar_planner(graph)
@@ -431,6 +462,63 @@ class TestShardedLinkScan:
         assert execution.result.same_as(
             legacy_planner(other).execute(expr).result
         )
+
+
+# ---------------------------------------------------------------------------
+# σL residual vectorization: parity against the row-wise kernel
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def link_scan_workloads(draw):
+    """A random site plus a σL condition mixing every predicate regime."""
+    graph = factories.social_site_graph(
+        num_users=draw(st.integers(min_value=1, max_value=6)),
+        num_items=draw(st.integers(min_value=1, max_value=9)),
+        friends_per_user=draw(st.integers(min_value=0, max_value=3)),
+        acts_per_user=draw(st.integers(min_value=0, max_value=4)),
+        with_sim_links=draw(st.booleans()),
+    )
+    structural = {}
+    if draw(st.booleans()):
+        structural["type"] = draw(
+            st.sampled_from(["act", "friend", "sim_item", "nosuch"])
+        )
+    if draw(st.booleans()):
+        # columnar comparison over the (often absent) sim attribute
+        structural["sim__ge"] = draw(
+            st.floats(min_value=0.0, max_value=0.6, allow_nan=False)
+        )
+    predicates = []
+    if draw(st.booleans()):
+        # an Or never vectorizes: forces the residual row-test path
+        predicates.append(Or(AttrCompare("sim", ">", 0.3), HasAttr("ts")))
+    return graph, Condition(structural, predicates=predicates)
+
+
+class TestLinkResidualVectorization:
+    @settings(max_examples=40, deadline=None)
+    @given(link_scan_workloads(), st.sampled_from([1, 3]))
+    def test_select_links_matches_row_wise_matches(self, workload, shards):
+        graph, cond = workload
+        vector = VectorCondition(cond)
+        for view in cut_columnar_views(graph, shards, shard_of):
+            expected = select_matching_links(list(view.links), cond)
+            got = vector.select_links(view)
+            assert [l.id for l in got] == [l.id for l in expected]
+            for a, b in zip(got, expected):
+                if b.score is not None:
+                    assert a.score == pytest.approx(b.score, abs=TOL)
+
+    @settings(max_examples=25, deadline=None)
+    @given(link_scan_workloads())
+    def test_survivor_positions_match_predicate_matches(self, workload):
+        graph, cond = workload
+        (view,) = cut_columnar_views(graph, 1, shard_of)
+        survivors = VectorCondition(cond).select_links(view)
+        expected = [link.id for link in view.links
+                    if cond.satisfied_by(link)]
+        assert [link.id for link in survivors] == expected
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,12 @@ DEFAULT_PURITY_MUTATORS: tuple[str, ...] = (
 )
 
 #: Stdlib/third-party import prefix → the one module prefix (post
-#: layer-root stripping) allowed to import it.  ``multiprocessing`` is
-#: confined to the process-backend module so worker lifecycle, pipe
-#: protocol and shared-memory ownership stay in one reviewable place —
-#: a second spawner would have its own fork/cleanup bugs.
+#: layer-root stripping) allowed to import it; an empty owner bans the
+#: import everywhere.  ``multiprocessing`` has no owner: a scan runs on
+#: the calling thread, and a spawner would bring worker lifecycle, pipe
+#: protocol and shared-memory ownership back with it.
 DEFAULT_RESTRICTED_IMPORTS: dict[str, str] = {
-    "multiprocessing": "plan.parallel",
+    "multiprocessing": "",
 }
 
 #: Packages only tests/benches may import (rule T001): production code

@@ -9,10 +9,10 @@
 * **L003** — an import targets a package the DAG has no entry for
   (usually a new package nobody declared a layer for).
 * **L004** — a *restricted* external import (``config.restricted_imports``)
-  appears outside its one owning module.  ``multiprocessing`` is the
-  motivating case: process lifecycle, pipe protocol and shared-memory
-  ownership are confined to ``plan.parallel`` so a second spawner cannot
-  grow its own fork/cleanup bugs.
+  appears outside its one owning module, or anywhere at all when it has
+  no owner.  ``multiprocessing`` is the motivating case: nothing under
+  ``src/`` may import it, so process lifecycle, pipe protocol and
+  shared-memory ownership cannot grow back unreviewed.
 * **T001** — production code imports a *test-only* package
   (``config.test_only_packages``, by default ``repro.testing``).  The
   fault-injection handlers live there; a production module importing
@@ -148,7 +148,11 @@ def _check_test_only_imports(
 def _check_restricted_imports(
     modules: list[Module], config: Config
 ) -> list[Finding]:
-    """L004: restricted external imports outside their owning module."""
+    """L004: restricted external imports outside their owning module.
+
+    An empty owner matches no module, so every import of the prefix is
+    a finding.
+    """
     findings: list[Finding] = []
     if not config.restricted_imports:
         return findings
@@ -167,6 +171,9 @@ def _check_restricted_imports(
                     message=(
                         f"import of {target!r} is restricted to "
                         f"{owner!r}; route through its API instead"
+                        if owner else
+                        f"import of {target!r} is banned: no module "
+                        f"owns {prefix!r}"
                     ),
                     detail=target,
                 ))
