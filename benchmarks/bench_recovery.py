@@ -9,7 +9,7 @@ checkpointed, and then "killed".  Two restarts compete:
   request pays plan compilation and cost-model bootstrap.
 * **warm** (default): the persisted recipe manifest replays through the
   planner during ``Session.restore``, so the first request is served
-  from the shared plan cache at learned cost.
+  from the restored session's plan cache at learned cost.
 
 Measured, best-of-N to shave scheduler noise:
 

@@ -136,24 +136,6 @@ def test_index_vs_scan_discovery(session, report, benchmark, quick):
         assert stage_index < stage_scan
 
 
-def test_batch_throughput(session, report, benchmark):
-    batch = QUERY_MIX * 4
-
-    def run_batch():
-        session.run_many(batch)
-
-    benchmark(run_batch)
-    report(
-        "",
-        f"=== Batch execution: run_many over {len(batch)} requests "
-        "(shared warm state) ===",
-        f"  session totals: {session.stats.queries} queries, "
-        f"{session.stats.batches} batches, "
-        f"{session.stats.index_queries} index-backed, "
-        f"{session.stats.scan_queries} scan",
-    )
-
-
 @pytest.mark.parametrize("page_size", [5, 10])
 def test_pagination_latency(session, benchmark, page_size):
     """Later pages re-rank but reuse all warm per-session state."""

@@ -112,18 +112,6 @@ if page1.page_info.next_cursor:
              .cursor(page1.page_info.next_cursor).run())
     print(f"page 2 of 'denver': {list(page2.items)}")
 
-# Batch execution reuses the warm state across many requests at once
-# (pass executor=ThreadPoolExecutor(...) to fan out).
-from repro.api import SearchRequest
-
-batch = session.run_many([
-    SearchRequest(user_id=1, text="denver baseball"),
-    SearchRequest(user_id=1),                  # empty query: recommendation
-    SearchRequest(user_id=2, text="museum", strategy="friends"),
-])
-print(f"\nbatch of 3 requests -> {[len(r.items) for r in batch]} results;"
-      f" tf-idf built {session.stats.tfidf_builds}x")
-
 # ---------------------------------------------------------------------------
 # 4. EXPLAIN: every query is compiled into an optimizable physical plan.
 # ---------------------------------------------------------------------------
@@ -175,6 +163,8 @@ print(f"  plan compiles: {session.stats.plan_compiles},"
 # Strategy selection itself is cost-based when left open: strategy="auto"
 # lets the compiler pick from the connection-degree statistics, and the
 # decision (with its reason) rides on the plan.
+from repro.api import SearchRequest
+
 auto = session.run(SearchRequest(user_id=1, strategy="auto", explain=True))
 pick = auto.plan.strategy_decision
 print(f"  auto strategy pick: {pick.chosen} ({pick.reason})")
@@ -228,30 +218,6 @@ for op in recommendation.plan.operators:
     if op.shard is not None or "sharded" in op.op:
         print(f"  {'  ' * op.depth}{op.op}: {op.actual.nodes:.0f} nodes")
 
-# Compiled plans now live in a process-wide SharedPlanCache: a second
-# session over the same Data Manager — same graph, same cost model, same
-# shard layout — reuses the first one's hot plans (entries are
-# generation-stamped and anchored to the graph object, so any write
-# still invalidates instantly).
-twin = Session(sharded.data_manager, SessionConfig(shards=4))
-twin.planner.cost_model = CostModel(shard_scan_min_nodes=64.0)
-twin.run(SearchRequest(user_id="u0", k=5))
-print(f"  twin session plan compiles: {twin.stats.plan_compiles},"
-      f" shared-cache hits: {twin.stats.plan_cache_hits}")
-assert twin.stats.plan_cache_hits == 1  # compiled once, site-wide
-
-# The shared cache is a site-wide resource, so its counters are a
-# *management* endpoint on the Data Manager — hits, compiles paid,
-# evictions (entry-count or byte-budget), and TinyLFU admission
-# rejections across every session in the process:
-site_cache = sharded.data_manager.plan_cache_stats()
-print(f"  site-wide plan cache: hits={site_cache['hits']},"
-      f" compiles={site_cache['compiles']},"
-      f" evictions={site_cache['evictions']},"
-      f" admission_rejections={site_cache['admission_rejections']},"
-      f" ~{site_cache['bytes'] / 1024:.0f} KiB resident")
-assert site_cache["hits"] >= 1
-
 # ---------------------------------------------------------------------------
 # 6. Serve many tenants at once: the asyncio gateway.
 # ---------------------------------------------------------------------------
@@ -260,7 +226,7 @@ assert site_cache["hits"] >= 1
 # control sheds past-budget traffic with a typed Overloaded *value* (not
 # an exception), and each admitted request runs on a bounded worker pool
 # over the shared warm state — same-shape requests compile once in the
-# shared plan cache.
+# session's plan cache.
 import asyncio
 
 from repro.serve import (
@@ -288,8 +254,12 @@ assert all(o.ok for o in outcomes)
 assert outcomes[0].items[:3] == outcomes[1].items
 print(f"\ngateway: {serve_stats.completed} served,"
       f" {serve_stats.shed} shed, {serve_stats.failed} failed")
-print(f"  site-wide plan cache through the gateway:"
-      f" hits={serve_cache['hits']} compiles={serve_cache['compiles']}")
+# the gateway's management endpoint reports the served session's plan
+# cache: hits, compiles paid, LRU evictions, resident plans
+print(f"  plan cache through the gateway:"
+      f" hits={serve_cache['hits']} compiles={serve_cache['compiles']}"
+      f" evictions={serve_cache['evictions']} size={serve_cache['size']}")
+assert serve_cache["hits"] >= 1
 
 # Admission control: a tenant with an exhausted budget is shed, others
 # are untouched.  Overloaded is an outcome, not an exception.

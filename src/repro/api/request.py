@@ -69,10 +69,34 @@ class SearchRequest:
     def __post_init__(self) -> None:
         if self.user_id is None:
             raise QueryError("a search request needs a requesting user")
+        try:
+            hash(self.user_id)
+        except TypeError:
+            raise QueryError(
+                f"user_id must be hashable, got {self.user_id!r}"
+            ) from None
+        if not isinstance(self.text, str):
+            raise QueryError(f"text must be a str, got {self.text!r}")
         if isinstance(self.structural, Mapping):
             object.__setattr__(self, "structural", as_condition(self.structural))
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise QueryError(f"alpha must be in [0, 1], got {self.alpha!r}")
+        for name in ("strategy", "grouping", "cursor"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise QueryError(f"{name} must be a str or None, got {value!r}")
+        # a truthy non-bool ("no") would silently force the index
+        if self.use_index is not None and not isinstance(self.use_index, bool):
+            raise QueryError(
+                f"use_index must be a bool or None, got {self.use_index!r}"
+            )
+        if not isinstance(self.explain, bool):
+            raise QueryError(f"explain must be a bool, got {self.explain!r}")
+        if self.alpha is not None and not (
+            (_is_int(self.alpha) or isinstance(self.alpha, float))
+            and 0.0 <= self.alpha <= 1.0
+        ):
+            raise QueryError(
+                f"alpha must be a number in [0, 1], got {self.alpha!r}"
+            )
         # window fields slice the ranking: a float (or a bool, which
         # *is* an int) must be refused here, not after the plan has run
         if self.k is not None and not (_is_int(self.k) and self.k > 0):
@@ -152,7 +176,7 @@ class SearchResponse:
 
     @property
     def ok(self) -> bool:
-        """True — the batch-outcome discriminator (see RequestFailure)."""
+        """True — the outcome discriminator (see RequestFailure)."""
         return True
 
     @property
@@ -163,12 +187,12 @@ class SearchResponse:
 
 @dataclass(frozen=True)
 class RequestFailure:
-    """One request's failure inside an error-isolating batch.
+    """One request's failure, as a value instead of a raised exception.
 
-    ``Session.run_many(..., isolate_errors=True)`` returns one of these in
-    place of the :class:`SearchResponse` whose evaluation raised, so a
-    single malformed request (stale cursor, unknown strategy) cannot abort
-    a batch it shares with unrelated tenants.  ``kind``/``message`` are
+    The gateway resolves a request's future to one of these in place of
+    the :class:`SearchResponse` whose evaluation raised, so a single
+    malformed request (stale cursor, unknown strategy) cannot take down
+    a dispatcher it shares with unrelated tenants.  ``kind``/``message`` are
     the stable, serialisable identity of the failure; the original
     exception rides along for callers that re-raise (excluded from
     equality — two failures match when the same request failed the same
@@ -183,7 +207,7 @@ class RequestFailure:
 
     @property
     def ok(self) -> bool:
-        """False — the batch-outcome discriminator (responses are truthy)."""
+        """False — the outcome discriminator (responses are truthy)."""
         return False
 
     def raise_(self) -> None:
@@ -235,8 +259,8 @@ def decode_cursor(cursor: str,
         boot = payload.get("b", 0)
     except Exception as exc:
         raise QueryError(f"malformed cursor {cursor!r}") from exc
-    if not (isinstance(offset, int) and isinstance(size, int)
-            and isinstance(epoch, int) and isinstance(boot, int)) \
+    # a JSON ``true`` is an int to isinstance; it is not a window bound
+    if not all(map(_is_int, (offset, size, epoch, boot))) \
             or offset < 0 or size <= 0:
         raise QueryError(f"malformed cursor {cursor!r}")
     if expected_boot is not None and boot != expected_boot:

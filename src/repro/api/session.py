@@ -22,10 +22,7 @@ Information Organizer on top — and serves :class:`SearchRequest` after
   first-class EXPLAIN (``SearchRequest.explain=True`` →
   ``SearchResponse.plan``);
 * **deterministic pagination** — the full combined ranking is a total
-  order, so ``page``/``cursor`` windows never duplicate or drop items;
-* **batch execution** — :meth:`Session.run_many` evaluates many requests
-  against the shared warm state, sequentially or through a caller-supplied
-  executor (e.g. ``concurrent.futures.ThreadPoolExecutor``).
+  order, so ``page``/``cursor`` windows never duplicate or drop items.
 
 §6.2's network-aware structures plug in through :meth:`network_topk`,
 which lazily builds (and on graph change, discards) the per-session
@@ -36,7 +33,6 @@ variant.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
@@ -45,7 +41,6 @@ from repro.analysis import ContentAnalyzer
 from repro.api.builder import QueryBuilder
 from repro.api.request import (
     PageInfo,
-    RequestFailure,
     SearchRequest,
     SearchResponse,
     decode_cursor,
@@ -126,7 +121,6 @@ class SessionStats:
     """Work counters a warm session accumulates (thread-safe increments)."""
 
     queries: int = 0
-    batches: int = 0
     refreshes: int = 0
     #: corpus passes for tf-idf (mirrors SemanticRelevance.builds)
     tfidf_builds: int = 0
@@ -326,11 +320,10 @@ class Session:
     ) -> None:
         """Compile persisted plan shapes through this session's planner.
 
-        The shared plan cache anchors entries to the serving graph
-        *object*, which did not survive the restart — warming therefore
-        re-evaluates each recorded shape here, recompiling it into the
-        cache under this session's namespace (with the feedback table
-        already loaded, so the plans carry learned costs).  Best-effort:
+        Compiled plans are not persisted — warming re-evaluates each
+        recorded shape here, compiling it into this session's plan cache
+        (with the feedback table already loaded, so the plans carry
+        learned costs).  Best-effort:
         a recipe that no longer evaluates (user deleted mid-WAL, say) is
         skipped, never fatal.
         """
@@ -505,67 +498,71 @@ class Session:
         concurrent requests.
         """
         self._ensure_fresh()
-        return self._run_prepared(request, deadline=deadline)
-
-    def run_many(
-        self,
-        requests: Iterable[SearchRequest],
-        # anything with `.map(fn, *iterables)`, e.g. a ThreadPoolExecutor
-        executor: Executor | None = None,
-        isolate_errors: bool = False,
-    ) -> list[SearchResponse | RequestFailure]:
-        """Evaluate a batch against the shared warm session state.
-
-        The per-session tf-idf corpus, connection state and (when any
-        request routes through it) the semantic index are primed *once*
-        before execution, so a thread-pool *executor* — anything with an
-        ``executor.map(fn, iterable)`` — sees only read-only shared state.
-        Responses come back in request order.
-
-        With ``isolate_errors=True`` a request whose evaluation raises
-        yields a :class:`RequestFailure` in its slot instead of aborting
-        the whole batch, so a stale cursor from one caller does not
-        poison the others.  The default (``False``) keeps the historic
-        fail-fast behavior.
-        """
-        batch = list(requests)
-        self._ensure_fresh()
-        if batch:
-            # Prime lazy shared state while still single-threaded: the
-            # tf-idf corpus, the planner's statistics, and — when any
-            # request may take the index path (a cheap over-approximation
-            # of the compiler's eligibility check) — the semantic index.
-            _ = self.discoverer.semantic.scorer
-            _ = self.planner.stats
-            if any(
-                r.use_index is not False and r.text and r.structural is None
-                for r in batch
-            ):
-                _ = self.semantic_index
+        ev = self._evaluate(request, deadline=deadline)
+        query, window, offset, size, total = (
+            ev.query, ev.window, ev.offset, ev.size, ev.total,
+        )
+        ranking = ev.ranking
+        index_used = ev.execution.used_index if ev.execution else False
+        msg = assemble_msg(
+            self.graph, query, window, ranking.social,
+            ranking.used_expert_fallback,
+        )
+        # When the caller named a window size (k or page_size), the flat
+        # list covers the whole window; otherwise the configured flat_k
+        # cap applies (the historical facade behavior).
+        explicit = request.k is not None or request.page_size is not None
+        page = self.organizer.organize(
+            msg,
+            dimension=request.grouping,
+            flat_k=size if explicit else None,
+        )
+        end = offset + len(window)
+        next_cursor = (
+            encode_cursor(end, size, self.epoch, boot=self.boot)
+            if end < total else None
+        )
+        info = PageInfo(
+            page=offset // size + 1,
+            page_size=size,
+            offset=offset,
+            returned=len(window),
+            total_items=total,
+            next_cursor=next_cursor,
+        )
         with self._lock:
-            self.stats.batches += 1
-        runner = self._run_isolated if isolate_errors else self._run_prepared
-        if executor is None:
-            responses: list[SearchResponse | RequestFailure] = [
-                runner(r) for r in batch
-            ]
-        else:
-            responses = list(executor.map(runner, batch))
-        return responses
-
-    def _run_isolated(
-        self, request: SearchRequest
-    ) -> SearchResponse | RequestFailure:
-        """One request under per-request error isolation (see run_many)."""
-        try:
-            return self._run_prepared(request)
-        except Exception as exc:
-            return RequestFailure(
-                request=request,
-                kind=type(exc).__name__,
-                message=str(exc),
-                error=exc,
-            )
+            self._record_recipe_locked(request)
+            self.stats.queries += 1
+            if index_used:
+                self.stats.index_queries += 1
+            else:
+                self.stats.scan_queries += 1
+            if ev.execution is not None:
+                if ev.execution.cache_hit:
+                    self.stats.plan_cache_hits += 1
+                else:
+                    self.stats.plan_compiles += 1
+                if ev.execution.used_network_index:
+                    self.stats.social_index_queries += 1
+            self.stats.tfidf_builds = self.discoverer.semantic.builds
+        return SearchResponse(
+            request=request,
+            page=page,
+            page_info=info,
+            items=tuple(s.item_id for s in window),
+            index_used=index_used,
+            resolved={
+                "strategy": request.strategy or self.config.discovery.strategy,
+                "social_strategy": ranking.social.strategy,
+                "alpha": (request.alpha if request.alpha is not None
+                          else self.config.discovery.alpha),
+                "offset": offset,
+                "size": size,
+                "epoch": self.epoch,
+            },
+            plan=(explain_execution(ev.execution)
+                  if request.explain and ev.execution is not None else None),
+        )
 
     # ---------------------------------------------------------------- internals
     @staticmethod
@@ -659,75 +656,6 @@ class Session:
             size=size,
             total=len(ranked),
             execution=ranking.execution,
-        )
-
-    def _run_prepared(
-        self, request: SearchRequest, deadline: float | None = None
-    ) -> SearchResponse:
-        ev = self._evaluate(request, deadline=deadline)
-        query, window, offset, size, total = (
-            ev.query, ev.window, ev.offset, ev.size, ev.total,
-        )
-        ranking = ev.ranking
-        index_used = ev.execution.used_index if ev.execution else False
-        msg = assemble_msg(
-            self.graph, query, window, ranking.social,
-            ranking.used_expert_fallback,
-        )
-        # When the caller named a window size (k or page_size), the flat
-        # list covers the whole window; otherwise the configured flat_k
-        # cap applies (the historical facade behavior).
-        explicit = request.k is not None or request.page_size is not None
-        page = self.organizer.organize(
-            msg,
-            dimension=request.grouping,
-            flat_k=size if explicit else None,
-        )
-        end = offset + len(window)
-        next_cursor = (
-            encode_cursor(end, size, self.epoch, boot=self.boot)
-            if end < total else None
-        )
-        info = PageInfo(
-            page=offset // size + 1,
-            page_size=size,
-            offset=offset,
-            returned=len(window),
-            total_items=total,
-            next_cursor=next_cursor,
-        )
-        with self._lock:
-            self._record_recipe_locked(request)
-            self.stats.queries += 1
-            if index_used:
-                self.stats.index_queries += 1
-            else:
-                self.stats.scan_queries += 1
-            if ev.execution is not None:
-                if ev.execution.cache_hit:
-                    self.stats.plan_cache_hits += 1
-                else:
-                    self.stats.plan_compiles += 1
-                if ev.execution.used_network_index:
-                    self.stats.social_index_queries += 1
-            self.stats.tfidf_builds = self.discoverer.semantic.builds
-        return SearchResponse(
-            request=request,
-            page=page,
-            page_info=info,
-            items=tuple(s.item_id for s in window),
-            index_used=index_used,
-            resolved={
-                "strategy": request.strategy or self.config.discovery.strategy,
-                "social_strategy": ranking.social.strategy,
-                "alpha": (request.alpha if request.alpha is not None
-                          else self.config.discovery.alpha),
-                "offset": offset,
-                "size": size,
-                "epoch": self.epoch,
-            },
-            plan=(explain_execution(ev.execution)
-                  if request.explain and ev.execution is not None else None),
         )
 
     # ---------------------------------------------------- discovery passthrough

@@ -350,10 +350,7 @@ class SocialContentGraph:
     (workload generators, the Data Manager) and for incremental maintenance.
     """
 
-    # __weakref__ lets the shared plan cache anchor entries to the graph
-    # object they were compiled against without keeping it alive.
-    __slots__ = ("_nodes", "_links", "_out", "_in", "_mutations", "catalog",
-                 "__weakref__")
+    __slots__ = ("_nodes", "_links", "_out", "_in", "_mutations", "catalog")
 
     def __init__(
         self,
@@ -376,11 +373,10 @@ class SocialContentGraph:
     def mutation_epoch(self) -> int:
         """Monotone write counter — bumps on every mutating call.
 
-        The *shared* clock derived state hangs off: anything stamped with
-        ``(graph identity, mutation_epoch)`` — compiled plans in the
-        process-wide cache, most importantly — is valid exactly until the
-        graph object changes content, and every consumer of the same
-        graph object agrees on the stamp (planner-local counters do not).
+        The clock derived state hangs off: anything stamped with the
+        epoch of the graph object it was derived from — a planner's
+        compiled plans, statistics and shard views — is valid exactly
+        until that object changes content.
         """
         return self._mutations
 

@@ -4,10 +4,8 @@ The one routing function both the physical store
 (:class:`repro.management.storage.PartitionedGraphStore`) and the plan
 layer's columnar scatter views (:func:`repro.plan.columnar.cut_columnar_views`)
 agree on.  It lives in ``repro.core`` because both sides need it and the
-layering DAG (see ``docs/ARCHITECTURE.md``) forbids the plan layer from
-importing the management layer: the store sits *above* the compiler (it
-manages plan caches), so a ``plan → management`` import would close a
-package cycle.
+layering DAG (see ``docs/ARCHITECTURE.md``) lets neither the plan layer
+nor the management layer import the other.
 """
 
 from __future__ import annotations

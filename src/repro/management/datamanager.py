@@ -225,30 +225,6 @@ class DataManager:
         """Attributes the physical store keeps value indexes for."""
         return self.store.indexed_attributes
 
-    def plan_cache_stats(self) -> dict[str, object]:
-        """Site-wide shared plan-cache counters (a management endpoint).
-
-        Every planner in the process defaults to the shared
-        :class:`~repro.plan.cache.SharedPlanCache`, so these numbers
-        describe the whole serving site, not one session: queries served
-        from already-compiled plans (``hits``), compilations paid
-        (``compiles`` — each miss triggers one), LRU/byte-budget
-        ``evictions``, inserts the TinyLFU doorkeeper turned away
-        (``admission_rejections``), and the resident footprint.
-        """
-        from repro.plan.cache import shared_plan_cache
-
-        stats = shared_plan_cache().stats
-        return {
-            "hits": stats.hits,
-            "compiles": stats.misses,
-            "evictions": stats.evictions,
-            "admission_rejections": stats.rejects,
-            "size": stats.size,
-            "bytes": stats.bytes,
-            "hit_rate": stats.hit_rate,
-        }
-
     def provenance_summary(self) -> dict[str, tuple[int, int]]:
         """origin -> (nodes, links) counts: local / derived / per-site."""
         origins: dict[str, tuple[int, int]] = {}

@@ -14,8 +14,8 @@ foundation carries weight.  Every serving query — ``Session.run``,
   :class:`CostModel` fed by :class:`~repro.core.stats.GraphStats`;
 * :mod:`repro.plan.physical` — the executable operators, self-profiling
   with per-operator actual cardinalities;
-* :mod:`repro.plan.cache` — a generation-stamped LRU of compiled plans,
-  invalidated wholesale by any graph change;
+* :mod:`repro.plan.cache` — the planner's token-stamped LRU of compiled
+  plans, invalidated wholesale by any graph change;
 * :mod:`repro.plan.planner` — the per-session service tying the three
   together;
 * :mod:`repro.plan.explain` — the frozen EXPLAIN view responses carry.
@@ -29,7 +29,6 @@ from repro.plan.cache import (
     CacheStats,
     PlanCache,
     ResultMemo,
-    SharedPlanCache,
     shared_plan_cache,
 )
 from repro.plan.columnar import ColumnarShardView, VectorCondition
@@ -102,7 +101,6 @@ __all__ = [
     "SHARDED",
     "ScanOp",
     "SemiJoinProbeOp",
-    "SharedPlanCache",
     "ShardProfile",
     "ShardView",
     "ShardedLinkScanOp",

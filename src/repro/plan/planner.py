@@ -9,13 +9,12 @@ compilation needs and serving must keep coherent:
   histogram, collected lazily once per graph generation, carrying the
   planner's :class:`~repro.core.stats.CardinalityFeedback` so executed
   queries sharpen future estimates;
-* **the plan cache** — by default the *process-wide*
-  :class:`~repro.plan.cache.SharedPlanCache`: compiled plans are keyed by
-  (planner scope, structural key, access), stamped with the generation,
-  and anchored to the live graph object, so sessions serving the same
-  graph amortize compilation across each other while any graph change
-  (Data-Manager write, analysis, remote attach) still invalidates at
-  once;
+* **the plan cache** — one :class:`~repro.plan.cache.PlanCache` per
+  planner: compiled plans are keyed by (structural key, access, cost
+  model) and stamped with the derived-state token, so any graph change
+  (Data-Manager write, analysis, remote attach) or attach stales every
+  resident plan at once and the next request of a shape recompiles it
+  under the same key;
 * **the index binding** — where the semantic inverted index lives and
   which population it covers, attached by the session;
 * **partitions** — when the backing store is sharded the session
@@ -47,7 +46,7 @@ from repro.core.graph import SocialContentGraph
 from repro.core.resilience import CircuitBreaker
 from repro.core.stats import CardinalityFeedback, GraphStats
 from repro.core.partition import shard_of
-from repro.plan.cache import PlanCache, ResultMemo, shared_plan_cache
+from repro.plan.cache import PlanCache, ResultMemo
 from repro.plan.columnar import cut_columnar_views
 from repro.plan.compiler import CostModel, IndexBinding, compile_plan
 from repro.plan.physical import (
@@ -65,8 +64,7 @@ BASE_GRAPH = "G"
 class QueryPlanner:
     """Compiles logical plans against a live graph, with a plan cache.
 
-    *cache* defaults to the process-wide shared cache; pass a private
-    :class:`PlanCache` to opt a planner out of cross-session sharing.
+    *cache* defaults to a fresh :class:`PlanCache` of the planner's own.
     *shards* > 1 enables partition-scattered scans.
     """
 
@@ -80,7 +78,7 @@ class QueryPlanner:
     ):
         self.graph = graph
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.cache = cache if cache is not None else shared_plan_cache()
+        self.cache = cache if cache is not None else PlanCache()
         self.shards = max(1, shards)
         #: execution-observed correction factors, surviving refreshes so
         #: repeated queries keep sharpening the cost model
@@ -187,13 +185,12 @@ class QueryPlanner:
     def _derived_token(self) -> tuple:
         """Validity stamp for every planner-local derived structure.
 
-        Statistics, shard views, network indexes and the sub-plan result
-        memo are all functions of the live graph's *content*: they must
-        die both on :meth:`refresh`/attach (the generation) and on any
-        in-place mutation of the graph object (the mutation epoch) — the
-        plan cache already validates against the epoch, and a recompiled
-        plan reading a pre-write memo or shard view would silently serve
-        stale records.
+        Compiled plans, statistics, shard views, network indexes and the
+        sub-plan result memo are all functions of the live graph's
+        *content*: they must die both on :meth:`refresh`/attach (the
+        generation) and on any in-place mutation of the graph object
+        (the mutation epoch) — a recompiled plan reading a pre-write
+        memo or shard view would silently serve stale records.
         """
         return (self.generation, self.graph.mutation_epoch)
 
@@ -301,39 +298,17 @@ class QueryPlanner:
 
     # -- compilation ----------------------------------------------------------
 
-    def _cache_scope(self) -> tuple:
-        """The shared-cache namespace everything this planner compiles in.
-
-        Everything a compiled plan depends on beyond the structural key
-        and the generation: the graph identity (also enforced as the weak
-        anchor), the frozen cost model, the index binding's coverage, and
-        the shard count.  Two planners with equal scopes compile
-        byte-equivalent plans for equal keys — which is exactly when
-        sharing is safe.
-        """
-        return (
-            id(self.graph),
-            self.cost_model,
-            self._index.item_type if self._index is not None else None,
-            self.shards,
-            self.indexed_attrs,
-        )
-
     def compile(self, expr: Expr, access: str = "auto") -> tuple[PhysicalPlan, bool]:
         """The compiled plan for *expr*, and whether the cache served it.
 
-        Cache entries are stamped with the *graph's* mutation epoch, not
-        this planner's generation counter: every planner serving the same
-        graph object agrees on the epoch, so sessions share hot plans
-        even when their private refresh histories diverge — while any
-        in-place graph write still invalidates instantly.  (The planner
-        generation keeps governing the planner-local derived state:
-        statistics, shard views, network indexes, the sub-plan memo.)
+        The (frozen) cost model rides in the key: ``cost_model`` is a
+        plain attribute callers reassign, and a plan costed under another
+        model must not be served.
         """
         structural_key = plan_key(expr)
-        key = (self._cache_scope(), structural_key, access)
-        epoch = self.graph.mutation_epoch
-        cached = self.cache.get(key, epoch, anchor=self.graph)
+        key = (structural_key, access, self.cost_model)
+        token = self._derived_token()
+        cached = self.cache.get(key, token)
         if cached is not None:
             return cached, True
         plan = compile_plan(
@@ -346,7 +321,7 @@ class QueryPlanner:
             shards=self.shards,
             indexed_attrs=self.indexed_attrs,
         )
-        self.cache.put(key, epoch, plan, anchor=self.graph)
+        self.cache.put(key, token, plan)
         return plan, False
 
     # -- execution ------------------------------------------------------------

@@ -620,8 +620,20 @@ class ServeGateway:
         )
 
     def plan_cache_stats(self) -> dict[str, object]:
-        """The site-wide shared plan-cache counters (management endpoint)."""
-        return self.session.data_manager.plan_cache_stats()
+        """The served session's plan-cache counters (management endpoint).
+
+        Queries served from already-compiled plans (``hits``),
+        compilations paid (``compiles`` — each miss triggers one), LRU
+        ``evictions`` and the resident entry count.
+        """
+        stats = self.session.planner.cache.stats
+        return {
+            "hits": stats.hits,
+            "compiles": stats.misses,
+            "evictions": stats.evictions,
+            "size": stats.size,
+            "hit_rate": stats.hit_rate,
+        }
 
 
 __all__ = [

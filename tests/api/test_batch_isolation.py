@@ -1,116 +1,41 @@
-"""Per-request failure isolation in ``Session.run_many``.
+"""``RequestFailure`` — one request's failure as a typed value.
 
-A serving batch mixes unrelated tenants: one member's stale cursor (or
-any per-request evaluation error) must come back as a typed
-:class:`~repro.api.RequestFailure` *value* for that member only — never
-abort its batch-mates.  The deterministic failure used throughout is a
-cursor minted at a bogus refresh epoch, which ``Session._window`` rejects
-with ``QueryError: stale cursor``.
+The gateway resolves a request whose evaluation raised to a
+:class:`~repro.api.RequestFailure` instead of letting the exception take
+down the dispatcher (``tests/serve/test_gateway.py`` drives that path).
+The deterministic failure used here is a cursor minted at a bogus refresh
+epoch, which ``Session._window`` rejects with ``QueryError: stale cursor``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
-from repro.api import (
-    RequestFailure,
-    SearchRequest,
-    SearchResponse,
-    Session,
-    encode_cursor,
-)
+from repro.api import RequestFailure, SearchRequest, Session, encode_cursor
 from repro.errors import QueryError
-from repro.workloads import ALEXIA, JOHN, TravelSiteConfig, build_travel_site
+from repro.workloads import JOHN, TravelSiteConfig, build_travel_site
 
 
 @pytest.fixture(scope="module")
-def travel():
-    return build_travel_site(TravelSiteConfig(seed=42))
+def session():
+    return Session.from_graph(build_travel_site(TravelSiteConfig(seed=42)).graph)
 
 
-@pytest.fixture()
-def session(travel):
-    return Session.from_graph(travel.graph)
-
-
-def stale_request() -> SearchRequest:
-    """A request whose evaluation deterministically raises QueryError."""
-    return SearchRequest(
-        user_id=JOHN,
-        text="denver",
-        cursor=encode_cursor(0, 5, epoch=999),
+def caught_failure(session: Session) -> RequestFailure:
+    """A failure built the way the gateway builds one: from a caught error."""
+    request = SearchRequest(
+        user_id=JOHN, text="denver", cursor=encode_cursor(0, 5, epoch=999)
     )
-
-
-def mixed_requests() -> list[SearchRequest]:
-    return [
-        SearchRequest(user_id=JOHN, text="Denver attractions", k=5),
-        stale_request(),
-        SearchRequest(user_id=ALEXIA, text="history"),
-    ]
-
-
-class TestIsolation:
-    def test_bad_request_fails_alone(self, session):
-        outcomes = session.run_many(mixed_requests(), isolate_errors=True)
-        assert [type(o) for o in outcomes] == [
-            SearchResponse, RequestFailure, SearchResponse,
-        ]
-        assert [o.ok for o in outcomes] == [True, False, True]
-
-    def test_failure_carries_cause_and_request(self, session):
-        requests = mixed_requests()
-        failure = session.run_many(requests, isolate_errors=True)[1]
-        assert failure.request == requests[1]
-        assert failure.kind == "QueryError"
-        assert "stale cursor" in failure.message
-        with pytest.raises(QueryError, match="stale cursor"):
-            failure.raise_()
-
-    def test_good_members_match_solo_runs(self, session):
-        requests = mixed_requests()
-        outcomes = session.run_many(requests, isolate_errors=True)
-        solo_first = session.run(requests[0])
-        solo_last = session.run(requests[2])
-        assert outcomes[0].items == solo_first.items
-        assert outcomes[2].items == solo_last.items
-
-    def test_order_preserved_with_many_failures(self, session):
-        requests = [
-            stale_request(),
-            SearchRequest(user_id=JOHN, text="museum"),
-            stale_request(),
-            SearchRequest(user_id=ALEXIA),  # recommendation
-            stale_request(),
-        ]
-        outcomes = session.run_many(requests, isolate_errors=True)
-        assert [o.ok for o in outcomes] == [False, True, False, True, False]
-        for request, outcome in zip(requests, outcomes):
-            if isinstance(outcome, RequestFailure):
-                assert outcome.request == request
-
-    def test_executor_path_isolates_too(self, session):
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            outcomes = session.run_many(
-                mixed_requests(), executor=pool, isolate_errors=True
-            )
-        assert [o.ok for o in outcomes] == [True, False, True]
-        assert isinstance(outcomes[1], RequestFailure)
-        assert outcomes[1].kind == "QueryError"
-
-    def test_default_still_raises(self, session):
-        """Without opting in, run_many keeps its fail-fast contract."""
-        with pytest.raises(QueryError, match="stale cursor"):
-            session.run_many(mixed_requests())
-
-    def test_all_failures_batch(self, session):
-        outcomes = session.run_many(
-            [stale_request(), stale_request()], isolate_errors=True
+    try:
+        session.run(request)
+    except QueryError as exc:
+        return RequestFailure(
+            request=request,
+            kind=type(exc).__name__,
+            message=str(exc),
+            error=exc,
         )
-        assert all(isinstance(o, RequestFailure) for o in outcomes)
-        assert session.stats.batches >= 1
+    raise AssertionError("a stale cursor must be rejected")
 
 
 class TestRequestFailureValue:
@@ -124,8 +49,10 @@ class TestRequestFailureValue:
             failure.raise_()
 
     def test_cause_excluded_from_equality(self, session):
-        request = stale_request()
-        a = session.run_many([request], isolate_errors=True)[0]
-        b = session.run_many([request], isolate_errors=True)[0]
-        assert isinstance(a, RequestFailure) and isinstance(b, RequestFailure)
+        a = caught_failure(session)
+        b = caught_failure(session)
+        assert a.error is not b.error
         assert a == b  # `error` is compare=False: equality is semantic
+        assert (a.ok, a.kind) == (False, "QueryError")
+        with pytest.raises(QueryError, match="stale cursor"):
+            a.raise_()

@@ -278,28 +278,26 @@ class TestServingPlanCache:
         session.run(SearchRequest(user_id=JOHN, text="baseball"))
         assert session.stats.plan_compiles == before + 1
 
-    def test_invalidate_revalidates_against_the_graph_epoch(self, session):
-        # Cache entries are stamped with the graph's mutation epoch, not
-        # a planner-local counter: a pure invalidate() with no actual
-        # change revalidates the cached plan (it is still correct).  The
-        # scorer-free recommendation shape shows it — keyword plans key
-        # on the tf-idf scorer's identity, which a refresh rebuilds.
+    def test_refresh_and_in_place_write_recompile_once(self, session):
+        # Entries carry the planner's (generation, mutation_epoch) token:
+        # a refresh bumps the first, an in-place graph write the second,
+        # and either way the shape recompiles once and then hits again.
         request = SearchRequest(user_id=JOHN)
         session.run(request)
         session.run(request)
-        hits_before = session.stats.plan_cache_hits
         compiles_before = session.stats.plan_compiles
         session.invalidate()
         session.run(request)
-        assert session.stats.plan_compiles == compiles_before
-        assert session.stats.plan_cache_hits == hits_before + 1
-        # an in-place graph mutation, by contrast, kills the entry even
-        # though the graph object (and so the anchor) is unchanged
+        assert session.stats.plan_compiles == compiles_before + 1
         session.graph.add_node(Node("x:epoch", type="item, destination",
                                     name="Epoch Spot", keywords="denver"))
-        session.invalidate()
+        session.run(request)  # no invalidate(): the epoch alone stales it
+        assert session.stats.plan_compiles == compiles_before + 2
+        hits_before = session.stats.plan_cache_hits
         session.run(request)
-        assert session.stats.plan_compiles == compiles_before + 1
+        assert session.stats.plan_compiles == compiles_before + 2
+        assert session.stats.plan_cache_hits == hits_before + 1
+        assert len(session.planner.cache) == 1
 
     def test_datamanager_resync_invalidates_plans(self, session):
         request = SearchRequest(user_id=JOHN, text="special")

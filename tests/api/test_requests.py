@@ -60,6 +60,19 @@ class TestValidation:
         dict(user_id=1, page=None),
         dict(user_id=1, page_size=2.0),
         dict(user_id=1, page_size=True),
+        # mistyped fields: each leaked an untyped error, or was silently
+        # accepted (use_index="no" forced the index), before validation
+        dict(user_id=1, alpha="0.5"),
+        dict(user_id=1, alpha=True),
+        dict(user_id=1, text=None),
+        dict(user_id=1, text=5),
+        dict(user_id=1, use_index="no"),
+        dict(user_id=1, use_index=0),
+        dict(user_id=1, explain="yes"),
+        dict(user_id=1, strategy=7),
+        dict(user_id=1, grouping=("social",)),
+        dict(user_id=1, cursor=12),
+        dict(user_id=["u", 1]),
     ])
     def test_bad_requests_rejected(self, bad):
         with pytest.raises(QueryError):
@@ -90,7 +103,12 @@ class TestCursors:
         import json
 
         for payload in ({"o": -1, "s": 10, "e": 0}, {"o": 0, "s": 0, "e": 0},
-                        {"o": "x", "s": 10, "e": 0}):
+                        {"o": "x", "s": 10, "e": 0},
+                        # JSON booleans are ints to isinstance
+                        {"o": True, "s": 10, "e": 0},
+                        {"o": 0, "s": True, "e": 0},
+                        {"o": 0, "s": 10, "e": False},
+                        {"o": 0, "s": 10, "e": 0, "b": True}):
             token = base64.urlsafe_b64encode(
                 json.dumps(payload).encode()
             ).decode().rstrip("=")

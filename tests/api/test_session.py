@@ -190,7 +190,7 @@ class TestIndexVsScanParity:
         assert response.page.flat
 
 
-class TestBatchExecution:
+class TestConcurrentRun:
     def requests(self):
         return [
             SearchRequest(user_id=JOHN, text="Denver attractions", k=5),
@@ -199,28 +199,14 @@ class TestBatchExecution:
             SearchRequest(user_id=JOHN, text="museum", alpha=1.0),
         ]
 
-    def test_run_many_matches_sequential_run(self, session):
-        sequential = [session.run(r) for r in self.requests()]
-        batched = session.run_many(self.requests())
-        assert [r.items for r in batched] == [r.items for r in sequential]
-        for b, s in zip(batched, sequential):
-            assert pages_equal(b.page, s.page)
-
-    def test_run_many_with_thread_executor(self, session):
+    def test_concurrent_run_matches_sequential_run(self, session):
+        # concurrent Session.run on one warm session is what the gateway does
         sequential = [session.run(r) for r in self.requests()]
         with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = session.run_many(self.requests(), executor=pool)
+            threaded = list(pool.map(session.run, self.requests()))
         assert [r.items for r in threaded] == [r.items for r in sequential]
-
-    def test_batch_keeps_state_warm(self, session):
-        session.run_many(self.requests())
-        session.run_many(self.requests())
-        assert session.stats.batches == 2
-        assert session.stats.tfidf_builds == 1
-        assert session.stats.index_builds == 1
-
-    def test_empty_batch(self, session):
-        assert session.run_many([]) == []
+        for t, s in zip(threaded, sequential):
+            assert pages_equal(t.page, s.page)
 
 
 class TestNetworkTopk:

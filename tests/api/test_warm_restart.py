@@ -170,10 +170,13 @@ class TestWarmRestart:
         session.save(tmp_path)
 
         restored = Session.restore(tmp_path)
+        warmed = restored.planner.cache.stats
+        assert warmed.size >= 1  # the replay compiled into *this* cache
         response = restored.run(_request())
         assert response.ok
         assert restored.stats.plan_cache_hits >= 1
         assert restored.stats.plan_compiles == 0
+        assert restored.planner.cache.stats.misses == warmed.misses
 
     def test_cold_restore_compiles(self, tmp_path):
         # warm=False is the control: same data, no recipes replayed

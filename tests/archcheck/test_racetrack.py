@@ -1,7 +1,7 @@
 """Dynamic lockset race detection over the real plan-cache thread storm.
 
 Two directions, both required: the detector must stay silent on the
-correctly locked ``SharedPlanCache`` under genuine thread pressure, and
+correctly locked ``PlanCache`` under genuine thread pressure, and
 it must fire on a deliberately unlocked shared counter even when the
 interleaving happens to be benign — that is the entire point of lockset
 analysis over crash-hoping stress tests.
@@ -14,9 +14,8 @@ import threading
 
 import pytest
 
-import factories
 import repro.plan.cache as cache_module
-from repro.plan import SharedPlanCache
+from repro.plan import PlanCache
 from tools.archcheck.racetrack import RaceError, RaceTracker, TracedLock
 
 THIS_MODULE = sys.modules[__name__]
@@ -82,9 +81,14 @@ class TestDetectorStaysSilent:
             box = Guarded()
             assert isinstance(box._lock, TracedLock)  # shim took effect
             tracker.monitor(box)
+            # all four alive at once: a thread that finished before the
+            # next started would hand it its ident, and the detector
+            # would see one writer
+            together = threading.Barrier(4)
             threads = [
                 threading.Thread(
-                    target=lambda: [box.bump() for _ in range(200)]
+                    target=lambda: [together.wait()]
+                    + [box.bump() for _ in range(200)]
                 )
                 for _ in range(4)
             ]
@@ -101,24 +105,24 @@ class TestDetectorStaysSilent:
 
     @pytest.mark.usefixtures("deadlock_watchdog")
     def test_shared_plan_cache_storm_is_race_free(self):
-        graph = factories.social_site_graph()
         tracker = RaceTracker()
         with tracker.trace(cache_module):
-            cache = SharedPlanCache(maxsize=32, admit_after=2)
+            cache = PlanCache(maxsize=32)
             assert isinstance(cache._lock, TracedLock)
             tracker.monitor(cache)
             errors: list[BaseException] = []
+            together = threading.Barrier(8)  # distinct live idents, as above
 
             def worker(seed: int) -> None:
                 try:
+                    together.wait()
                     for i in range(200):
                         key = ("k", (seed * 7 + i) % 48)
-                        generation = i % 3
-                        got = cache.get(key, generation, anchor=graph)
+                        stamp = i % 3
+                        got = cache.get(key, stamp)
                         if got is None:
                             cache.put(
-                                key, generation, f"plan-{key}",
-                                anchor=graph,  # type: ignore[arg-type]
+                                key, stamp, f"plan-{key}",  # type: ignore[arg-type]
                             )
                 except BaseException as error:  # pragma: no cover
                     errors.append(error)

@@ -29,22 +29,6 @@ def deadlock_watchdog():
     faulthandler.cancel_dump_traceback_later()
 
 
-@pytest.fixture(autouse=True)
-def _isolated_shared_plan_cache():
-    """Reset the process-wide plan cache around every test.
-
-    Planners default to the shared cache; without the reset, entries and
-    hit/miss counters would leak across tests (and across hypothesis
-    examples' garbage-collected graphs).  Tests that exercise the
-    *sharing* behavior do so explicitly on their own cache instances.
-    """
-    from repro.plan import shared_plan_cache
-
-    shared_plan_cache().reset()
-    yield
-    shared_plan_cache().reset()
-
-
 # ---------------------------------------------------------------------------
 # Hand-built fixture graphs (builders shared via tests/factories.py)
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ must return graphs the caller owns outright.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from factories import item_graph, social_site_graph
@@ -50,6 +52,68 @@ class TestPlanCache:
         planner.refresh(item_graph())
         _, hit2 = planner.compile(expr)
         assert hit2 is False  # generation bumped: recompiled
+
+    def test_post_write_shapes_compile_once_however_many_writes(self):
+        # every write hands the planner a fresh graph object; a plan
+        # keyed to the object it was compiled on would strand one entry
+        # per write until the cache filled with unreachable plans
+        cache = PlanCache(maxsize=4)
+        planner = QueryPlanner(item_graph(), cache=cache)
+        shapes = [
+            input_graph("G").select_nodes({"type": "item"}),
+            input_graph("G").select_nodes({"type": "user"}),
+        ]
+        for _ in range(3 * cache.maxsize):
+            planner.refresh(item_graph())
+            for expr in shapes:
+                planner.compile(expr)
+            assert len(cache) <= len(shapes)
+        planner.refresh(item_graph())
+        hits = [planner.compile(shapes[0])[1] for _ in range(3)]
+        assert hits == [False, True, True]
+        assert len(cache) == 1  # the unasked shape's stale plan is gone too
+        assert cache.stats.evictions == 0
+
+    def test_insert_drops_older_stamps_from_the_cold_end(self):
+        # a keyword shape's key embeds its scorer by identity and a write
+        # rebuilds the scorer: the old entry is never asked again, and
+        # must not pin its plan (and scorer) until maxsize newer arrive
+        cache = PlanCache(maxsize=8)
+        for write in range(3 * cache.maxsize):
+            stamp = (write, 0)
+            cache.put(("keyword", write), stamp, "plan")  # type: ignore[arg-type]
+            cache.put("recommend", stamp, "plan")  # type: ignore[arg-type]
+            assert len(cache) == 2
+        assert cache.get("recommend", stamp) == "plan"
+        assert cache.stats.evictions == 0
+
+    def test_reassigning_the_cost_model_recompiles(self):
+        planner = QueryPlanner(item_graph())
+        expr = input_graph("G").select_nodes({"type": "item"})
+        default_plan, _ = planner.compile(expr)
+        planner.cost_model = replace(
+            planner.cost_model, shard_scan_min_nodes=0.0
+        )
+        plan, hit = planner.compile(expr)
+        assert hit is False and plan is not default_plan
+        assert planner.compile(expr) == (plan, True)
+
+    @pytest.mark.parametrize("attach", [
+        lambda planner: planner.attach_index("item", lambda: None),
+        lambda planner: planner.attach_shards(2),
+        lambda planner: planner.attach_attribute_index(["type"]),
+    ], ids=["attach_index", "attach_shards", "attach_attribute_index"])
+    def test_attach_stales_every_resident_plan(self, attach):
+        planner = QueryPlanner(item_graph())
+        shapes = [
+            input_graph("G").select_nodes({"type": "item"}),
+            input_graph("G").select_nodes({"type": "user"}),
+        ]
+        for expr in shapes:
+            planner.compile(expr)
+        attach(planner)
+        assert [planner.compile(expr)[1] for expr in shapes] == [False, False]
+        assert len(planner.cache) == len(shapes)
 
     def test_cached_plan_object_is_reused(self):
         planner = QueryPlanner(item_graph())

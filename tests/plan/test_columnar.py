@@ -8,8 +8,7 @@ site factory across shard counts {1, 2, 7} and all three social
 strategies (1e-9 on scores).  Plus structural tests for the new access
 paths (attribute postings, sharded link scans), top-k pushdown, the
 ``(generation, mutation_epoch)`` invalidation of columnar views, the
-byte-bounded memo/cache accounting, and the site-wide cache stats
-endpoint.
+byte-bounded memo accounting, and the plan-cache stats endpoint.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.plan import (
     CostModel,
     QueryPlanner,
     ResultMemo,
-    SharedPlanCache,
     ShardedLinkScanOp,
     ShardedScanOp,
     VectorCondition,
@@ -552,7 +550,7 @@ class TestTopKPushdown:
 
 
 # ---------------------------------------------------------------------------
-# Memory accounting: ResultMemo and SharedPlanCache byte budgets
+# Memory accounting: the ResultMemo byte budget
 # ---------------------------------------------------------------------------
 
 
@@ -580,48 +578,28 @@ class TestMemoryAccounting:
         memo["c"] = factories.item_graph(2)
         assert "a" in memo and "c" in memo and "b" not in memo
 
-    def test_shared_cache_byte_budget_evicts_plans(self):
-        graph = factories.item_graph(4)
-        planner_cache = SharedPlanCache(maxsize=1024, admit_after=1,
-                                        max_bytes=1)  # one plan max
-        planner = QueryPlanner(graph, cache=planner_cache)
-        planner.execute(input_graph("G").select_nodes({"type": "item"}))
-        planner.execute(input_graph("G").select_nodes({"type": "user"}))
-        stats = planner_cache.stats
-        assert stats.size == 1  # the budget keeps exactly one resident
-        assert stats.evictions >= 1
-        assert stats.bytes > 0
-
-    def test_plan_cache_stats_report_bytes(self):
-        graph = factories.item_graph(4)
-        cache = SharedPlanCache()
-        planner = QueryPlanner(graph, cache=cache)
-        planner.execute(input_graph("G").select_nodes({"type": "item"}))
-        assert cache.stats.bytes > 0
-
 
 # ---------------------------------------------------------------------------
-# The site-wide cache-stats management endpoint
+# The plan-cache-stats management endpoint
 # ---------------------------------------------------------------------------
 
 
 class TestPlanCacheEndpoint:
-    def test_datamanager_surfaces_shared_cache_counters(self):
-        from repro.plan import shared_plan_cache
+    def test_gateway_surfaces_cache_counters(self):
+        from repro.serve import ServeGateway
 
-        shared_plan_cache().reset()
         dm = DataManager()
         dm.load_graph(factories.social_site_graph())
         session = Session(dm)
+        bystander = Session(dm)  # same site, its own planner and cache
+        bystander.run(SearchRequest(user_id="u1", text="topic1"))
         session.run(SearchRequest(user_id="u0", text="topic0"))
         session.run(SearchRequest(user_id="u0", text="topic0"))
-        stats = dm.plan_cache_stats()
-        assert stats["compiles"] >= 1
-        assert stats["hits"] >= 1
-        assert stats["size"] >= 1
-        assert stats["bytes"] > 0
-        assert 0.0 <= stats["hit_rate"] <= 1.0
-        assert {"evictions", "admission_rejections"} <= stats.keys()
+        stats = ServeGateway(session).plan_cache_stats()
+        assert stats == {
+            "hits": 1, "compiles": 1, "evictions": 0, "size": 1,
+            "hit_rate": 0.5,
+        }
 
 
 # ---------------------------------------------------------------------------

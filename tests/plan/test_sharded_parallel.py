@@ -341,7 +341,6 @@ class TestSessionWiring:
 
     def test_failing_in_process_scan_is_a_typed_failure_not_a_retry(self):
         """No rung below the in-process path: the error reaches the caller."""
-        from repro.api import RequestFailure
         from repro.testing import armed_faults, raising
 
         session = Session.from_graph(
@@ -352,11 +351,9 @@ class TestSessionWiring:
         with armed_faults({"physical.scan_shard": raising(
             lambda: RuntimeError("shard scan blew up"), times=1
         )}):
-            (failed,) = session.run_many([request], isolate_errors=True)
-        assert isinstance(failed, RequestFailure)
-        assert failed.kind == "RuntimeError"
-        (served,) = session.run_many([request], isolate_errors=True)
-        assert served.items == Session.from_graph(
+            with pytest.raises(RuntimeError, match="shard scan blew up"):
+                session.run(request)
+        assert session.run(request).items == Session.from_graph(
             factories.social_site_graph()
         ).run(request).items
 

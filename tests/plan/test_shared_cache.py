@@ -1,11 +1,9 @@
-"""The process-wide shared plan cache: sharing, safety, admission, threads.
+"""One plan cache under many threads, and sessions served side by side.
 
-Three safety layers are pinned here: generation stamping (stale plans die
-on lookup), weak graph anchoring (two planners can never exchange plans
-across different graph objects even when keys and generations collide),
-and the frequency doorkeeper (a full cache only evicts for keys that
-repeat).  The stress tests drive one cache — and whole sessions sharing
-it — from many threads at once.
+A planner's :class:`~repro.plan.PlanCache` is shared by every gateway
+worker thread running ``Session.run`` on that session; the stress tests
+drive one cache — and whole sessions over one Data Manager, each with its
+own cache — from many threads at once.
 """
 
 from __future__ import annotations
@@ -17,155 +15,26 @@ import pytest
 
 import factories
 from repro.api import SearchRequest, Session
-from repro.core import input_graph
 from repro.management import DataManager
-from repro.plan import (
-    QueryPlanner,
-    SharedPlanCache,
-    shared_plan_cache,
-)
-
-
-class TestAnchoringAndSharing:
-    def test_planners_on_the_same_graph_share_compiled_plans(self):
-        graph = factories.social_site_graph()
-        cache = SharedPlanCache()
-        first = QueryPlanner(graph, cache=cache)
-        second = QueryPlanner(graph, cache=cache)
-        expr = input_graph("G").select_nodes({"type": "item"})
-        plan_a, hit_a = first.compile(expr)
-        plan_b, hit_b = second.compile(expr)
-        assert (hit_a, hit_b) == (False, True)
-        assert plan_a is plan_b
-
-    def test_different_graph_objects_never_share(self):
-        cache = SharedPlanCache()
-        expr = input_graph("G").select_nodes({"type": "item"})
-        g1 = factories.social_site_graph()
-        g2 = factories.social_site_graph()  # identical content, new object
-        _, hit1 = QueryPlanner(g1, cache=cache).compile(expr)
-        _, hit2 = QueryPlanner(g2, cache=cache).compile(expr)
-        assert (hit1, hit2) == (False, False)
-
-    def test_dead_anchor_is_a_miss(self):
-        cache = SharedPlanCache()
-        graph = factories.social_site_graph()
-        planner = QueryPlanner(graph, cache=cache)
-        expr = input_graph("G").select_nodes({"type": "item"})
-        planner.compile(expr)
-        key = (planner._cache_scope(), "k", "auto")
-        cache.put(key, 0, "plan", anchor=graph)  # type: ignore[arg-type]
-        assert cache.get(key, 0, anchor=graph) == "plan"
-        del graph, planner
-        import gc
-
-        gc.collect()
-        assert cache.get(key, 0, anchor=None) is None
-
-    def test_generation_mismatch_is_a_miss(self):
-        cache = SharedPlanCache()
-        graph = factories.social_site_graph()
-        cache.put("k", 3, "plan", anchor=graph)  # type: ignore[arg-type]
-        assert cache.get("k", 4, anchor=graph) is None
-        assert cache.get("k", 3, anchor=graph) is None  # dropped as stale
-
-
-class TestAdmissionPolicy:
-    def test_cold_keys_cannot_evict_a_full_cache(self):
-        cache = SharedPlanCache(maxsize=2, admit_after=2)
-        cache.put("hot-a", 0, "A")  # type: ignore[arg-type]
-        cache.put("hot-b", 0, "B")  # type: ignore[arg-type]
-        # one-off key: first sighting, cache full -> rejected
-        assert cache.get("cold", 0) is None
-        cache.put("cold", 0, "C")  # type: ignore[arg-type]
-        assert cache.get("hot-a", 0) == "A"
-        assert cache.get("hot-b", 0) == "B"
-        assert cache.stats.rejects == 1
-
-    def test_repeating_keys_earn_admission(self):
-        cache = SharedPlanCache(maxsize=2, admit_after=2)
-        cache.put("hot-a", 0, "A")  # type: ignore[arg-type]
-        cache.put("hot-b", 0, "B")  # type: ignore[arg-type]
-        for _ in range(2):  # two misses = proven reuse
-            assert cache.get("riser", 0) is None
-        cache.put("riser", 0, "R")  # type: ignore[arg-type]
-        assert cache.get("riser", 0) == "R"
-        assert len(cache) == 2  # one resident was evicted for it
-
-    def test_resident_keys_always_refresh(self):
-        cache = SharedPlanCache(maxsize=1, admit_after=5)
-        cache.put("k", 0, "v1")  # type: ignore[arg-type]
-        cache.put("k", 1, "v2")  # type: ignore[arg-type]
-        assert cache.get("k", 1) == "v2"
-
-    def test_spare_capacity_admits_immediately(self):
-        cache = SharedPlanCache(maxsize=8, admit_after=3)
-        cache.put("fresh", 0, "v")  # type: ignore[arg-type]
-        assert cache.get("fresh", 0) == "v"
-        assert cache.stats.rejects == 0
-
-    def test_rejects_validation(self):
-        with pytest.raises(ValueError):
-            SharedPlanCache(admit_after=0)
-
-
-class TestProcessWideDefault:
-    def test_planners_default_to_the_shared_singleton(self):
-        planner = QueryPlanner(factories.social_site_graph())
-        assert planner.cache is shared_plan_cache()
-
-    def test_sessions_share_hot_plans_across_each_other(self):
-        dm = DataManager()
-        dm.load_graph(factories.social_site_graph())
-        first = Session(dm)
-        second = Session(dm)
-        request = SearchRequest(user_id="u0")  # scorer-free: shareable shape
-        first.run(request)
-        assert first.stats.plan_compiles == 1
-        second.run(request)
-        assert second.stats.plan_compiles == 0
-        assert second.stats.plan_cache_hits == 1
-
-    def test_sessions_with_diverged_refresh_histories_still_share(self):
-        # Entries are stamped with the *graph's* mutation epoch, not the
-        # planner-local generation counter — so a veteran session (many
-        # refreshes behind it) and a freshly created one agree on entry
-        # validity instead of perpetually evicting each other's plans.
-        from repro.core import Node
-
-        dm = DataManager()
-        dm.load_graph(factories.social_site_graph())
-        veteran = Session(dm)
-        request = SearchRequest(user_id="u0")
-        veteran.run(request)
-        dm.add_node(Node("i-x", type="item", name="newcomer"))
-        veteran.run(request)  # resync: new snapshot, recompile
-        assert veteran.stats.plan_compiles == 2
-        newcomer = Session(dm)
-        newcomer.run(request)
-        assert newcomer.stats.plan_compiles == 0
-        assert newcomer.stats.plan_cache_hits == 1
-        # and the veteran keeps hitting too: no eviction ping-pong
-        veteran.run(request)
-        assert veteran.stats.plan_compiles == 2
+from repro.plan import PlanCache
 
 
 @pytest.mark.usefixtures("deadlock_watchdog")
 class TestConcurrency:
     def test_raw_cache_survives_a_thread_storm(self):
-        cache = SharedPlanCache(maxsize=32, admit_after=2)
-        graph = factories.social_site_graph()
+        cache = PlanCache(maxsize=32)
         errors: list[BaseException] = []
 
         def worker(seed: int) -> None:
             try:
                 for i in range(300):
                     key = ("k", (seed * 7 + i) % 48)
-                    generation = i % 3
-                    got = cache.get(key, generation, anchor=graph)
+                    stamp = i % 3
+                    got = cache.get(key, stamp)
                     if got is None:
-                        cache.put(key, generation, f"plan-{key}",
-                                  anchor=graph)  # type: ignore[arg-type]
+                        cache.put(key, stamp, f"plan-{key}")  # type: ignore[arg-type]
+                    else:
+                        assert got == f"plan-{key}"
             except BaseException as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -180,11 +49,12 @@ class TestConcurrency:
         stats = cache.stats
         assert stats.hits + stats.misses == 8 * 300
 
-    def test_concurrent_sessions_agree_through_the_shared_cache(self):
+    def test_concurrent_sessions_agree_with_their_own_caches(self):
         graph = factories.social_site_graph(num_users=6, num_items=8)
         dm = DataManager()
         dm.load_graph(graph)
         sessions = [Session(dm) for _ in range(4)]
+        assert len({id(s.planner.cache) for s in sessions}) == 4
         requests = [
             SearchRequest(user_id=f"u{i % 6}", text=("topic0" if i % 2 else ""))
             for i in range(12)

@@ -343,8 +343,12 @@ class TestLifecycle:
                 return gateway.plan_cache_stats()
 
         stats = asyncio.run(_run())
-        assert stats == session.data_manager.plan_cache_stats()
-        assert stats["compiles"] >= 1
+        cache = session.planner.cache.stats
+        assert stats["compiles"] == cache.misses >= 1
+        assert (stats["hits"], stats["size"]) == (cache.hits, cache.size)
+        assert stats.keys() == {
+            "hits", "compiles", "evictions", "size", "hit_rate",
+        }
 
 
 class TestStorms:

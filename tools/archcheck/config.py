@@ -16,10 +16,9 @@ from pathlib import Path
 #: inside your own package is always allowed.  The split mirrors the
 #: paper's three serving layers (content management → discovery →
 #: presentation, §3) threaded onto the engine stack
-#: (core ← indexing ← plan ← api).  ``management`` sits *above* ``plan``
-#: because the Data Manager owns plan-cache administration; the plan
-#: layer must never import back up (that cycle is what moved ``shard_of``
-#: into ``repro.core.partition``).
+#: (core ← indexing ← plan ← api).  ``management`` and ``plan`` never
+#: import each other (which is what moved ``shard_of`` into
+#: ``repro.core.partition``).
 DEFAULT_LAYERS: dict[str, tuple[str, ...]] = {
     "errors": (),
     "core": ("errors",),
@@ -27,7 +26,7 @@ DEFAULT_LAYERS: dict[str, tuple[str, ...]] = {
     "analysis": ("core", "errors"),
     "indexing": ("core", "analysis", "errors"),
     "plan": ("core", "indexing", "errors"),
-    "management": ("core", "plan", "errors"),
+    "management": ("core", "errors"),
     "discovery": ("core", "plan", "workloads", "errors"),
     "presentation": ("core", "analysis", "discovery", "errors"),
     "api": (

@@ -1,9 +1,9 @@
 """Rule family D: determinism of the compiled-plan kernels.
 
-Plan keys, cache scopes, and operator results must be pure functions of
-the query and the graph *content* — never of wall-clock time, RNG draws,
-or CPython object identity.  The shared plan cache and the differential
-parity harness both assume it.
+Plan keys and operator results must be pure functions of the query and
+the graph *content* — never of wall-clock time, RNG draws, or CPython
+object identity.  The plan cache and the differential parity harness
+both assume it.
 
 * **D001** — wall-clock read inside a strict module: ``time.time``,
   ``time.localtime``, ``datetime.now``/``utcnow``/``today``.

@@ -16,8 +16,8 @@ regardless of whether this particular interleaving corrupted anything.
 Usage (see ``tests/archcheck/test_racetrack.py``)::
 
     tracker = RaceTracker()
-    with tracker.trace(repro.plan.cache, repro.plan.planner):
-        cache = SharedPlanCache(budget=8)   # gets TracedLock transparently
+    with tracker.trace(repro.plan.cache):
+        cache = PlanCache(maxsize=8)        # gets TracedLock transparently
         tracker.monitor(cache)
         ...spawn the thread storm...
     tracker.assert_race_free()
