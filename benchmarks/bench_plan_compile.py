@@ -1,13 +1,10 @@
 """Experiment P1 — the plan compiler: compile cost, cache, access paths.
 
-Three questions the plan-compilation redesign answers quantitatively:
+Two questions the plan-compilation redesign answers quantitatively:
 
 1. what does compiling a query cost, and what does the plan cache save
    (cold compile vs. cache hit)?
-2. what does the compiled serving path cost next to PR 1's hand-written
-   eager pipeline (``SemanticRelevance.candidates``), at identical
-   results?
-3. where does the cost model's scan-vs-index crossover sit as keyword
+2. where does the cost model's scan-vs-index crossover sit as keyword
    selectivity varies — and does the chosen path actually win?
 
 Tables print via the ``report`` fixture; a machine-readable summary lands
@@ -25,11 +22,9 @@ from pathlib import Path
 import pytest
 
 from repro.core import Condition, Node, SocialContentGraph, input_graph
-from repro.discovery import parse_query
-from repro.discovery.relevance import SemanticRelevance
 from repro.indexing import SemanticItemIndex
 from repro.plan import QueryPlanner
-from repro.workloads import JOHN, TravelSiteConfig, build_travel_site
+from repro.workloads import TravelSiteConfig, build_travel_site
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_plan.json"
 
@@ -105,51 +100,6 @@ def test_cold_compile_vs_cache_hit(planner, report, benchmark, quick):
         assert warm < cold
 
 
-def test_compiled_path_vs_handwritten(site, planner, report, quick):
-    """PR 1's eager semantic stage vs. the compiled plan path, same scores."""
-    semantic = SemanticRelevance(site.graph,
-                                 scorer=planner._bench_index.scorer)
-    queries = [parse_query(JOHN, t) for t in
-               ("Denver attractions", "museum history", "baseball",
-                "family trip", "art galleries")]
-    # parity first: identical score maps on every query
-    for query in queries:
-        compiled = planner.semantic_candidates(
-            query, scorer=planner._bench_index.scorer
-        )
-        assert compiled.scores() == semantic.candidates(query).scores
-
-    rounds = 2 if quick else 30
-
-    start = time.perf_counter()
-    for _ in range(rounds):
-        for query in queries:
-            semantic.candidates(query)
-    handwritten = (time.perf_counter() - start) / rounds
-
-    start = time.perf_counter()
-    for _ in range(rounds):
-        for query in queries:
-            planner.semantic_candidates(
-                query, scorer=planner._bench_index.scorer
-            )
-    compiled_time = (time.perf_counter() - start) / rounds
-
-    ratio = handwritten / compiled_time if compiled_time > 0 else float("inf")
-    RESULTS["serving"] = {
-        "handwritten_ms": handwritten * 1e3,
-        "compiled_ms": compiled_time * 1e3,
-        "handwritten_over_compiled": ratio,
-    }
-    report(
-        "",
-        "=== Semantic stage: hand-written eager vs compiled plan (5-query mix) ===",
-        f"  hand-written scan pipeline:  {handwritten * 1e3:8.2f} ms",
-        f"  compiled (cost-chosen path): {compiled_time * 1e3:8.2f} ms",
-        f"  hand-written / compiled:     {ratio:8.2f}x",
-    )
-
-
 def selectivity_site(num_items: int, match_fraction: float) -> SocialContentGraph:
     """Items where ``needle`` appears in a controlled fraction of texts."""
     g = SocialContentGraph()
@@ -216,75 +166,6 @@ def test_scan_vs_index_crossover(report, quick):
         for point in sweep:
             if point["chosen"] == "index" and point["match_fraction"] <= 0.05:
                 assert point["index_ms"] < point["scan_ms"]
-
-
-def test_social_stage_compiled_vs_legacy(site, report, quick):
-    """The compiled social stage vs. the hand-executed strategies.
-
-    Parity first (the differential harness's contract, asserted here on
-    the realistic site too), then wall-clock for the three strategies over
-    a keyword query and a recommendation query.
-    """
-    from repro.discovery import InformationDiscoverer, parse_query
-
-    discoverer = InformationDiscoverer(site.graph)
-    queries = [parse_query(JOHN, text)
-               for text in ("Denver attractions", "")]
-    strategies = ("friends", "similar_users", "item_based")
-    rounds = 2 if quick else 15
-    repeats = 1 if quick else 3
-
-    def best_of(fn) -> float:
-        """Min over repeats: shields against GC pauses/scheduler noise."""
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(rounds):
-                for query in queries:
-                    fn(query)
-            best = min(best, (time.perf_counter() - start) / rounds)
-        return best
-
-    rows = []
-    for strategy in strategies:
-        for query in queries:
-            compiled = discoverer.rank(query, strategy=strategy)
-            legacy = discoverer._rank_legacy(query, strategy, None, None)
-            assert [s.item_id for s in compiled.items] == \
-                [s.item_id for s in legacy.items]
-
-        legacy_time = best_of(
-            lambda q, s=strategy: discoverer._rank_legacy(q, s, None, None)
-        )
-        compiled_time = best_of(
-            lambda q, s=strategy: discoverer.rank(q, strategy=s)
-        )
-        rows.append({
-            "strategy": strategy,
-            "legacy_ms": legacy_time * 1e3,
-            "compiled_ms": compiled_time * 1e3,
-        })
-
-    RESULTS["social_stage"] = {"strategies": rows}
-    lines = [
-        "",
-        "=== Social stage: compiled pipeline vs legacy strategies ===",
-        "  strategy          legacy ms   compiled ms",
-    ]
-    for row in rows:
-        lines.append(
-            f"  {row['strategy']:<15} {row['legacy_ms']:10.2f}"
-            f"  {row['compiled_ms']:12.2f}"
-        )
-    lines.append("  (identical rankings on both paths — asserted)")
-    report(*lines)
-
-    if not quick:
-        # The fusion + sub-plan-memo work closed the old regression: the
-        # compiled friends pipeline must not lose to the hand-executed
-        # reference again (small tolerance for shared-runner jitter).
-        friends = next(r for r in rows if r["strategy"] == "friends")
-        assert friends["compiled_ms"] <= friends["legacy_ms"] * 1.05
 
 
 def sharded_workload(num_users: int, num_items: int) -> SocialContentGraph:
@@ -538,5 +419,5 @@ def test_emit_bench_json(report, quick):
     OUTPUT.write_text(json.dumps(RESULTS, indent=2) + "\n")
     report("", f"BENCH_plan.json written: {OUTPUT}")
     assert OUTPUT.exists()
-    assert {"compile", "serving", "selectivity_sweep", "social_stage",
-            "social_access_sweep", "shard_sweep", "attr_index_sweep"} <= RESULTS.keys()
+    assert {"compile", "selectivity_sweep", "social_access_sweep",
+            "shard_sweep", "attr_index_sweep"} <= RESULTS.keys()

@@ -97,17 +97,25 @@ def test_index_vs_scan_discovery(session, report, benchmark, quick):
     run_indexed()
     index_time = time.perf_counter() - start
 
-    # Isolate the candidate stage itself (the part the index replaces).
+    # Isolate the candidate stage itself (the part the index replaces):
+    # the query's one-node σN plan forced onto the scan path.  The
+    # explicit env bypasses the planner's sub-plan result memo.
+    from repro.core import input_graph
     from repro.discovery import parse_query
 
     queries = [parse_query(r.user_id, r.text) for r in keyword_queries]
-    semantic = session.discoverer.semantic
+    scorer = session.discoverer.semantic.scorer
+    scans = [
+        input_graph("G").select_nodes(query.scope_condition(), scorer)
+        for query in queries
+    ]
+    env = {"G": session.graph}
     index = session.semantic_index
     rounds = 20
     start = time.perf_counter()
     for _ in range(rounds):
-        for query in queries:
-            semantic.candidates(query)
+        for expr in scans:
+            session.planner.execute(expr, env=env, access="scan")
     stage_scan = time.perf_counter() - start
     start = time.perf_counter()
     for _ in range(rounds):

@@ -2,9 +2,8 @@
 """Bench regression gate: fresh BENCH_plan.json vs. committed baselines.
 
 Wall-clock milliseconds do not transfer between machines, so the gate
-mostly tracks *ratios* — columnar scan over the legacy row scan, compiled
-serving over the hand-written pipeline, compiled social strategies over
-their legacy references.
+mostly tracks *ratios* — columnar scan over the legacy row scan, warm
+first request over cold after recovery.
 The serve bench additionally gates its latency percentiles (p95/p99) and
 peak RSS directly: regime-matched baselines plus the multiplicative
 budget absorb runner variance there.  Each tracked metric must not
@@ -69,18 +68,6 @@ def tracked_metrics(results: dict) -> dict[str, float]:
         metrics["scan.columnar_sharded_over_legacy"] = (
             min(p["scan_ms"] for p in sharded) / legacy["scan_ms"]
         )
-
-    if "serving" in results:
-        serving = results["serving"]
-        metrics["serving.compiled_over_handwritten"] = (
-            serving["compiled_ms"] / serving["handwritten_ms"]
-        )
-
-    if "social_stage" in results:
-        for row in results["social_stage"]["strategies"]:
-            metrics[f"social.{row['strategy']}_compiled_over_legacy"] = (
-                row["compiled_ms"] / row["legacy_ms"]
-            )
 
     if "serve" in results:
         serve = results["serve"]

@@ -21,7 +21,7 @@ The library implements the paper's three-layer architecture end to end:
 * :mod:`repro.api` — the session-based query API: structured
   :class:`~repro.api.SearchRequest`/:class:`~repro.api.SearchResponse`
   values, the fluent :class:`~repro.api.QueryBuilder`, and the warm
-  :class:`~repro.api.Session` engine (pagination, batching, index-backed
+  :class:`~repro.api.Session` engine (pagination, index-backed
   discovery);
 * :mod:`repro.serve` — the concurrent serving front: the asyncio
   :class:`~repro.serve.ServeGateway` with per-tenant admission control

@@ -149,7 +149,7 @@ class _Evaluation(NamedTuple):
     offset: int
     size: int
     total: int
-    execution: PlanExecution | None
+    execution: PlanExecution
 
 
 class Session:
@@ -503,7 +503,7 @@ class Session:
             ev.query, ev.window, ev.offset, ev.size, ev.total,
         )
         ranking = ev.ranking
-        index_used = ev.execution.used_index if ev.execution else False
+        index_used = ev.execution.used_index
         msg = assemble_msg(
             self.graph, query, window, ranking.social,
             ranking.used_expert_fallback,
@@ -537,13 +537,12 @@ class Session:
                 self.stats.index_queries += 1
             else:
                 self.stats.scan_queries += 1
-            if ev.execution is not None:
-                if ev.execution.cache_hit:
-                    self.stats.plan_cache_hits += 1
-                else:
-                    self.stats.plan_compiles += 1
-                if ev.execution.used_network_index:
-                    self.stats.social_index_queries += 1
+            if ev.execution.cache_hit:
+                self.stats.plan_cache_hits += 1
+            else:
+                self.stats.plan_compiles += 1
+            if ev.execution.used_network_index:
+                self.stats.social_index_queries += 1
             self.stats.tfidf_builds = self.discoverer.semantic.builds
         return SearchResponse(
             request=request,
@@ -560,8 +559,7 @@ class Session:
                 "size": size,
                 "epoch": self.epoch,
             },
-            plan=(explain_execution(ev.execution)
-                  if request.explain and ev.execution is not None else None),
+            plan=explain_execution(ev.execution) if request.explain else None,
         )
 
     # ---------------------------------------------------------------- internals

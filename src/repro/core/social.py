@@ -9,8 +9,8 @@ nodes of :mod:`repro.core.expr` (``ConnectionBasisE``, ``SocialScoreE``,
 back, so the whole discovery pipeline can run as one physical plan with
 per-operator profiling.
 
-The functions deliberately mirror the reference implementations in
-:mod:`repro.discovery.connections` and :mod:`repro.discovery.strategies`
+The functions deliberately mirror the hand-executed reference
+implementations in ``tests/oracle`` (``connections``, ``strategies``)
 step for step — the differential parity suite
 (``tests/plan/test_social_parity.py``) holds the two sides equal within
 1e-9 on randomized workloads, which is the correctness net that lets the
@@ -69,7 +69,7 @@ SUPPORT_TYPE = "support"
 COMPILED_STRATEGIES = ("friends", "similar_users", "item_based")
 
 #: Expert-list size used by the score-time fallback rerun (mirrors the
-#: default limit of :func:`repro.discovery.connections.find_experts`).
+#: default limit of the reference expert search in ``tests/oracle``).
 FALLBACK_EXPERT_LIMIT = 10
 
 

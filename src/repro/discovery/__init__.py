@@ -13,11 +13,6 @@ from repro.discovery.classify import (
     SPECIFIC,
     UNCLASSIFIED,
 )
-from repro.discovery.connections import (
-    ConnectionSelection,
-    ConnectionSelector,
-    find_experts,
-)
 from repro.discovery.discoverer import (
     DiscoveryConfig,
     InformationDiscoverer,
@@ -25,7 +20,7 @@ from repro.discovery.discoverer import (
 )
 from repro.discovery.msg import MeaningfulSocialGraph, ScoredItem, assemble_msg
 from repro.discovery.query import Query, parse_query
-from repro.discovery.relevance import SemanticRelevance, SemanticResult
+from repro.discovery.relevance import SemanticRelevance
 from repro.discovery.strategies import (
     DEFAULT_STRATEGIES,
     FriendBasedStrategy,
@@ -38,8 +33,7 @@ __all__ = [
     "Query", "parse_query",
     "QueryClassifier", "ClassifiedQuery",
     "GENERAL", "CATEGORICAL", "SPECIFIC", "UNCLASSIFIED",
-    "SemanticRelevance", "SemanticResult",
-    "ConnectionSelector", "ConnectionSelection", "find_experts",
+    "SemanticRelevance",
     "FriendBasedStrategy", "SimilarUserStrategy", "ItemBasedStrategy",
     "SocialScores", "DEFAULT_STRATEGIES",
     "MeaningfulSocialGraph", "ScoredItem", "assemble_msg",

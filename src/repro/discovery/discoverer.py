@@ -21,42 +21,40 @@ Pipeline per query:
    compiled once per shape into the generation-stamped plan cache;
 3. assemble the MSG.
 
-Custom strategy objects (anything outside the three built-in classes)
-and injected semantic score maps still run the hand-executed reference
-path (:meth:`InformationDiscoverer._rank_legacy`), which the parity
-suite holds equal to the compiled one.
+There is one ranking path: every strategy name resolves to a parameter
+record (:mod:`repro.discovery.strategies`) that selects a stage of that
+plan, so every request gets EXPLAIN rows, the plan cache, top-k pushdown
+and the cooperative deadline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 from repro.core import Id, SocialContentGraph
 from repro.core.social import decode_social_result
 from repro.discovery.classify import QueryClassifier
-from repro.discovery.connections import ConnectionSelector
 from repro.discovery.msg import MeaningfulSocialGraph, ScoredItem, assemble_msg
 from repro.discovery.query import Query, parse_query
-from repro.discovery.relevance import SemanticRelevance, SemanticResult
+from repro.discovery.relevance import SemanticRelevance
 from repro.discovery.strategies import (
     DEFAULT_STRATEGIES,
-    FriendBasedStrategy,
-    ItemBasedStrategy,
     SimilarUserStrategy,
     SocialScores,
-    SocialStrategy,
+    StrategyRecord,
+    plan_strategy_name,
 )
-from repro.errors import DiscoveryError
+from repro.errors import DiscoveryError, QueryError
 from repro.plan import PlanExecution, QueryPlanner
 
-#: Strategy classes the physical compiler knows how to lower, mapped to
-#: their canonical plan names.  Custom strategy objects fall back to the
-#: hand-executed scoring path.
-_COMPILED_STRATEGY_TYPES = {
-    FriendBasedStrategy: "friends",
-    SimilarUserStrategy: "similar_users",
-    ItemBasedStrategy: "item_based",
-}
+#: Strategy name the compiler resolves from statistics; accepted beside
+#: the registry's names.
+AUTO = "auto"
+
+#: CF parameters a plan carries when its strategy record has none of its
+#: own (they only matter if "auto" resolves to similar_users).
+_DEFAULT_CF = SimilarUserStrategy()
 
 
 @dataclass
@@ -71,6 +69,21 @@ class DiscoveryConfig:
     strategy: str = "friends"
     #: drop items with a combined score of zero
     drop_zero: bool = True
+
+    def __post_init__(self) -> None:
+        alpha = self.alpha
+        if isinstance(alpha, bool) or not isinstance(alpha, Real) \
+                or not 0 <= alpha <= 1:
+            raise QueryError(f"alpha must be a number in [0, 1], got {alpha!r}")
+        limit = self.max_results
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+            raise QueryError(f"max_results must be an int >= 1, got {limit!r}")
+        if not isinstance(self.strategy, str):
+            raise QueryError(
+                f"strategy must be a strategy name, got {self.strategy!r}"
+            )
+        if not isinstance(self.drop_zero, bool):
+            raise QueryError(f"drop_zero must be a bool, got {self.drop_zero!r}")
 
 
 @dataclass
@@ -87,9 +100,7 @@ class RankedDiscovery:
     social: SocialScores
     used_expert_fallback: bool
     #: the end-to-end physical-plan execution that produced this ranking
-    #: (None only when a custom strategy forced the hand-executed path
-    #: *and* the caller injected precomputed semantic scores)
-    execution: PlanExecution | None = field(default=None, compare=False)
+    execution: PlanExecution = field(compare=False)
 
     @property
     def total(self) -> int:
@@ -104,41 +115,45 @@ class InformationDiscoverer:
         self,
         graph: SocialContentGraph,
         config: DiscoveryConfig | None = None,
-        strategies: dict[str, SocialStrategy] | None = None,
+        strategies: dict[str, StrategyRecord] | None = None,
         item_type: str = "item",
     ):
         self.graph = graph
         self.config = config or DiscoveryConfig()
         self.strategies = dict(strategies or DEFAULT_STRATEGIES)
+        # fail at construction, not at the first query: every registered
+        # value is a record and the configured default names one
+        for record in self.strategies.values():
+            plan_strategy_name(record)
+        self._plan_strategy(self.config.strategy)
         self.classifier = QueryClassifier()
         self.semantic = SemanticRelevance(graph, item_type=item_type)
-        self.connections = ConnectionSelector(graph)
-        #: compiles every query's scoping plan; sessions attach their
-        #: semantic index here so the cost model can choose it
+        #: compiles every query's plan; sessions attach their semantic
+        #: index here so the cost model can choose it
         self.planner = QueryPlanner(graph)
 
     def refresh(self, graph: SocialContentGraph) -> None:
         """Point the pipeline at a (possibly new) graph in place.
 
         The incremental alternative to reconstructing the discoverer:
-        stateless helpers are retargeted, the semantic layer's cached
-        corpus state is invalidated rather than eagerly rebuilt, and the
-        planner bumps its generation (stale compiled plans die on lookup).
+        the semantic layer's cached corpus state is invalidated rather
+        than eagerly rebuilt, and the planner bumps its generation (stale
+        compiled plans die on lookup).
         """
         self.graph = graph
         self.semantic.invalidate(graph)
-        self.connections.graph = graph
         self.planner.refresh(graph)
 
-    def strategy(self, name: str | None = None) -> SocialStrategy:
-        """Resolve a strategy by name (configured default when None)."""
+    def strategy(self, name: str | None = None) -> StrategyRecord:
+        """Resolve a strategy record by name (configured default when None)."""
         key = name or self.config.strategy
-        strategy = self.strategies.get(key)
-        if strategy is None:
+        record = self.strategies.get(key)
+        if record is None:
             raise DiscoveryError(
-                f"unknown social strategy {key!r}; have {sorted(self.strategies)}"
+                f"unknown social strategy {key!r}; "
+                f"have {sorted([AUTO, *self.strategies])}"
             )
-        return strategy
+        return record
 
     # ------------------------------------------------------------------ main
     def discover(
@@ -158,76 +173,36 @@ class InformationDiscoverer:
         query: Query,
         strategy: str | None = None,
         k: int | None = None,
-        alpha: float | None = None,
-        semantic: SemanticResult | None = None,
-        offset: int = 0,
-        access: str = "auto",
     ) -> MeaningfulSocialGraph:
-        """Evaluate an already-parsed query into a (windowed) MSG.
-
-        Request-aware entry point: *strategy*/*alpha* override the config
-        per call, *semantic* injects a precomputed candidate score map
-        (e.g. from an index-backed stage), and *offset* cuts a later
-        pagination window out of the full ranking.
-        """
+        """Evaluate an already-parsed query into an MSG of the best *k*."""
         limit = k if k is not None else self.config.max_results
-        ranking = self.rank(
-            query, strategy=strategy, alpha=alpha, semantic=semantic,
-            access=access, limit=offset + limit,
-        )
-        window = ranking.items[offset : offset + limit]
+        ranking = self.rank(query, strategy=strategy, limit=limit)
         return assemble_msg(
-            self.graph, query, window, ranking.social,
+            self.graph, query, ranking.items[:limit], ranking.social,
             ranking.used_expert_fallback,
         )
 
-    def semantic_candidates(
-        self, query: Query, access: str = "auto"
-    ) -> PlanExecution:
-        """Execute the query's σN scoping plan through the compiler.
+    def _plan_strategy(self, name: str) -> tuple[str, SimilarUserStrategy]:
+        """(plan strategy name, the CF parameters it scores with).
 
-        *access* constrains the physical choice (``"auto"``/``"index"``/
-        ``"scan"``); eligibility — keyword-only scope over the indexed
-        population, shared scorer — is enforced by the compiler, so a
-        forced ``"index"`` on an ineligible query still scans.
+        Unknown names raise.  ``"auto"`` may resolve to similar_users at
+        compile time: it carries the registered record's parameters so
+        the auto-resolved scoring matches an explicit request exactly.
         """
-        scorer = self.semantic.scorer if query.keywords else None
-        return self.planner.semantic_candidates(
-            query,
-            item_type=self.semantic.item_type,
-            scorer=scorer,
-            access=access,
-        )
-
-    def _compiled_form(self, name: str) -> tuple[str, float, str] | None:
-        """(canonical strategy, sim_threshold, act_type) or None.
-
-        ``None`` means the resolved strategy is a custom object the
-        compiler cannot lower — the hand-executed scoring path serves it.
-        Unknown names raise, exactly as the registry lookup always has.
-        """
-        if name == "auto":
-            # Auto may resolve to similar_users at compile time: carry the
-            # registered instance's parameters so the auto-resolved scoring
-            # matches an explicit request exactly.
-            configured = self.strategies.get("similar_users")
-            if isinstance(configured, SimilarUserStrategy):
-                return ("auto", configured.sim_threshold, configured.act_type)
-            return ("auto", 0.1, "visit")
-        instance = self.strategy(name)
-        canonical = _COMPILED_STRATEGY_TYPES.get(type(instance))
-        if canonical is None:
-            return None
-        if isinstance(instance, SimilarUserStrategy):
-            return (canonical, instance.sim_threshold, instance.act_type)
-        return (canonical, 0.1, "visit")
+        if name == AUTO:
+            canonical, record = AUTO, self.strategies.get("similar_users")
+        else:
+            record = self.strategy(name)
+            canonical = plan_strategy_name(record)
+        if not isinstance(record, SimilarUserStrategy):
+            record = _DEFAULT_CF
+        return canonical, record
 
     def rank(
         self,
         query: Query,
         strategy: str | None = None,
         alpha: float | None = None,
-        semantic: SemanticResult | None = None,
         access: str = "auto",
         limit: int | None = None,
         deadline: float | None = None,
@@ -238,12 +213,9 @@ class InformationDiscoverer:
         basis, strategy scoring, α-combination — runs as one compiled
         physical plan (Example 4/5's semi-join + aggregation reading), so
         EXPLAIN covers every stage and the plan cache covers the full
-        query.  Two callers opt out of compilation: an injected *semantic*
-        score map (precomputed candidates cannot enter a compiled plan)
-        and a custom strategy object the compiler cannot lower.  Per-item
-        combined scores are independent of any result limit (normalisation
-        runs over the full candidate set), so callers may window the
-        returned list freely without reordering artifacts.
+        query.  Per-item combined scores are independent of any result
+        limit (normalisation runs over the full candidate set), so callers
+        may window the returned list freely without reordering artifacts.
 
         *limit* pushes a result budget into the ranking stage (top-k
         selection instead of a full sort): the returned ``items`` carry
@@ -252,10 +224,7 @@ class InformationDiscoverer:
         surviving item.  ``None`` keeps the full ranking (the pagination
         paths that may walk arbitrarily deep pass ``None``).
         """
-        name = strategy or self.config.strategy
-        form = None if semantic is not None else self._compiled_form(name)
-        if form is None:
-            return self._rank_legacy(query, name, alpha, semantic, access)
+        plan_strategy, cf = self._plan_strategy(strategy or self.config.strategy)
         weight = 0.0 if query.is_empty else (
             self.config.alpha if alpha is None else alpha
         )
@@ -263,14 +232,11 @@ class InformationDiscoverer:
             query,
             item_type=self.semantic.item_type,
             scorer=self.semantic.scorer if query.keywords else None,
-            strategy=form[0],
-            sim_threshold=form[1],
-            act_type=form[2],
+            strategy=plan_strategy,
+            sim_threshold=cf.sim_threshold,
+            act_type=cf.act_type,
             alpha=weight,
             drop_zero=self.config.drop_zero,
-            min_fit=self.connections.min_fit,
-            min_qualified=self.connections.min_qualified,
-            max_experts=self.connections.max_experts,
             access=access,
             limit=limit,
             deadline=deadline,
@@ -295,73 +261,5 @@ class InformationDiscoverer:
             items=items,
             social=social,
             used_expert_fallback=decoded.used_expert_fallback,
-            execution=execution,
-        )
-
-    def _rank_legacy(
-        self,
-        query: Query,
-        name: str,
-        alpha: float | None,
-        semantic: SemanticResult | None,
-        access: str = "auto",
-    ) -> RankedDiscovery:
-        """The hand-executed scoring pipeline (reference implementation).
-
-        Kept for custom strategy objects and injected semantic scores;
-        the differential parity suite holds the compiled path equal to
-        this one on the built-in strategies.
-        """
-        execution = None
-        if semantic is None:
-            execution = self.semantic_candidates(query, access=access)
-            semantic_result = SemanticResult(scores=execution.scores())
-        else:
-            semantic_result = semantic
-        candidates = set(semantic_result.scores)
-
-        selection = self.connections.select(query.user_id, query.keywords)
-        chosen = self.strategy(name)
-        social = chosen.score(self.graph, query.user_id, candidates, selection)
-        # Selma fallback: if the friend basis produced nothing (or experts
-        # were already chosen), friend strategies rerun over experts.
-        if (
-            not social.scores
-            and isinstance(chosen, FriendBasedStrategy)
-            and not selection.used_expert_fallback
-        ):
-            from repro.discovery.connections import find_experts
-
-            selection.used_expert_fallback = True
-            selection.experts = find_experts(
-                self.graph, set(query.keywords), exclude={query.user_id}
-            )
-            social = chosen.score(
-                self.graph, query.user_id, candidates, selection
-            )
-
-        semantic_norm = semantic_result.normalized()
-        social_norm = social.normalized()
-        if query.is_empty:
-            weight = 0.0
-        else:
-            weight = self.config.alpha if alpha is None else alpha
-
-        combined: list[ScoredItem] = []
-        for item in candidates:
-            sem = semantic_norm.get(item, 0.0)
-            soc = social_norm.get(item, 0.0)
-            score = weight * sem + (1 - weight) * soc
-            if self.config.drop_zero and score <= 0.0:
-                continue
-            combined.append(
-                ScoredItem(item_id=item, semantic=sem, social=soc, combined=score)
-            )
-        combined.sort(key=lambda s: (-s.combined, repr(s.item_id)))
-        return RankedDiscovery(
-            query=query,
-            items=combined,
-            social=social,
-            used_expert_fallback=selection.used_expert_fallback,
             execution=execution,
         )

@@ -1,45 +1,25 @@
-"""Semantic relevance: scoping + scoring candidates for a query.
+"""Semantic relevance: the scoring function S of a query's σN⟨C,S⟩ stage.
 
 The first half of the paper's two-relevance vision: "The former [semantic
 relevance] scopes the discovery to information relevant to John's current
-needs as expressed by him" (§2.1).  Scoping and scoring are expressed with
-the algebra's Node Selection over the item sub-population, using the
-tf-idf scorer by default (the alternative to "no ranking mechanism (e.g.,
-tf-idf measure) based on pure semantic relevance can differentiate them" is
-precisely that the scores barely differentiate — which is what the social
-side then breaks).
+needs as expressed by him" (§2.1).  Scoping and scoring run inside the
+compiled plan (the candidate node of
+:meth:`repro.plan.planner.QueryPlanner.discovery_pipeline`);
+:class:`SemanticRelevance` owns what that node scores with — the
+corpus-aware tf-idf scorer, built once and kept until the graph changes
+(the alternative to "no ranking mechanism (e.g., tf-idf measure) based on
+pure semantic relevance can differentiate them" is precisely that the
+scores barely differentiate — which is what the social side then breaks).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core import Id, SocialContentGraph, TfIdfScorer, select_nodes
+from repro.core import SocialContentGraph, TfIdfScorer
 from repro.core.scoring import ScoringFunction
-from repro.discovery.query import Query
-
-
-@dataclass
-class SemanticResult:
-    """Scored semantic candidates for one query."""
-
-    scores: dict[Id, float]
-
-    @property
-    def max_score(self) -> float:
-        """Largest raw score (0 when no candidates)."""
-        return max(self.scores.values(), default=0.0)
-
-    def normalized(self) -> dict[Id, float]:
-        """Scores scaled into [0, 1] (max-normalised)."""
-        top = self.max_score
-        if top <= 0:
-            return {i: 0.0 for i in self.scores}
-        return {i: s / top for i, s in self.scores.items()}
 
 
 class SemanticRelevance:
-    """Computes the semantically relevant candidate set of a query."""
+    """Owns the semantic scoring function of the item population."""
 
     def __init__(
         self,
@@ -79,19 +59,3 @@ class SemanticRelevance:
             self.graph = graph
         if self._custom_scorer is None:
             self._scorer = None
-
-    def candidates(self, query: Query) -> SemanticResult:
-        """Scope + score: σN⟨C,S⟩ over the items.
-
-        Empty queries (recommendation mode) return every item with a
-        neutral score of 0 — social relevance then decides alone (§4).
-        """
-        if query.is_empty:
-            return SemanticResult(
-                scores={n.id: 0.0 for n in self.graph.nodes_of_type(self.item_type)}
-            )
-        condition = query.scope_condition(default_type=self.item_type)
-        selected = select_nodes(self.graph, condition, scorer=self.scorer)
-        return SemanticResult(
-            scores={n.id: (n.score or 0.0) for n in selected.nodes()}
-        )

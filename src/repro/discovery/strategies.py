@@ -4,27 +4,31 @@
     of two major paradigms: semantic relevance with respect to a query and
     social relevance in the spirit of recommendations." (§2.1)
 
-Every strategy maps (graph, user, candidate items) to per-item social
-scores **with provenance** — the endorsing users behind each score — since
-§7.2's explanations need exactly that.  Strategies:
+A strategy is a *parameter record*: it names which social-scoring stage
+the compiled plan runs (:class:`~repro.core.expr.SocialScoreE`, kernel in
+:mod:`repro.core.social`) and carries that stage's parameters.  The
+scoring itself has one implementation — the plan — so the records hold
+no code:
 
 * :class:`FriendBasedStrategy` — endorsement counts over a chosen
   connection basis (friends, or experts after the Selma fallback);
-* :class:`SimilarUserStrategy` — Example 5's collaborative filtering, run
-  through the *algebra recipe* (the paper's point: discovery tasks are
-  algebra expressions, not ad-hoc code);
+* :class:`SimilarUserStrategy` — Example 5's collaborative filtering
+  (the paper's point: discovery tasks are algebra expressions, not
+  ad-hoc code);
 * :class:`ItemBasedStrategy` — content-based: items similar (derived
   ``sim_item`` links) to what the user already acted on.
+
+Every strategy yields per-item social scores **with provenance**
+(:class:`SocialScores`) — the endorsing users behind each score — since
+§7.2's explanations need exactly that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
-from repro.core import Id, SocialContentGraph
-from repro.core.recipes import example5_collaborative_filtering, recommendations_from
-from repro.discovery.connections import ConnectionSelection
+from repro.core import Id
+from repro.errors import DiscoveryError
 
 
 @dataclass
@@ -38,29 +42,6 @@ class SocialScores:
     #: item -> supporting items (for content-based) with their weight
     supporting_items: dict[Id, dict[Id, float]] = field(default_factory=dict)
 
-    def normalized(self) -> dict[Id, float]:
-        """Scores scaled into [0, 1] (max-normalised)."""
-        top = max(self.scores.values(), default=0.0)
-        if top <= 0:
-            return {i: 0.0 for i in self.scores}
-        return {i: s / top for i, s in self.scores.items()}
-
-
-class SocialStrategy(Protocol):
-    """Protocol all social relevance strategies implement."""
-
-    name: str
-
-    def score(
-        self,
-        graph: SocialContentGraph,
-        user_id: Id,
-        candidates: set[Id],
-        basis: ConnectionSelection | None = None,
-    ) -> SocialScores:
-        """Social scores for the candidate items."""
-        ...
-
 
 class FriendBasedStrategy:
     """Count endorsements (activities) by the selected connection basis.
@@ -72,36 +53,13 @@ class FriendBasedStrategy:
 
     name = "friends"
 
-    def score(
-        self,
-        graph: SocialContentGraph,
-        user_id: Id,
-        candidates: set[Id],
-        basis: ConnectionSelection | None = None,
-    ) -> SocialScores:
-        result = SocialScores(strategy=self.name)
-        members = basis.basis if basis is not None else []
-        weights = {
-            m: (basis.fit.get(m, 1.0) if basis and not basis.used_expert_fallback
-                else 1.0)
-            for m in members
-        }
-        for member in members:
-            weight = max(weights.get(member, 1.0), 0.1)
-            for link in graph.out_links(member):
-                if not link.has_type("act") or link.tgt not in candidates:
-                    continue
-                result.scores[link.tgt] = result.scores.get(link.tgt, 0.0) + weight
-                result.endorsers.setdefault(link.tgt, {})[member] = weight
-        return result
-
 
 class SimilarUserStrategy:
-    """Example 5's collaborative filtering as the scoring engine.
+    """Example 5's collaborative filtering as the scoring stage.
 
-    Runs the nine-step algebra recipe over the activity graph; the ``score``
-    attribute on the resulting ``recommend`` links is the social relevance;
-    similar users who visited the item are the provenance.
+    The ``score`` attribute on the recipe's ``recommend`` links is the
+    social relevance; users whose *act_type* overlap with the requester
+    exceeds *sim_threshold* and who acted on the item are the provenance.
     """
 
     name = "similar_users"
@@ -109,46 +67,6 @@ class SimilarUserStrategy:
     def __init__(self, sim_threshold: float = 0.1, act_type: str = "visit"):
         self.sim_threshold = sim_threshold
         self.act_type = act_type
-
-    def score(
-        self,
-        graph: SocialContentGraph,
-        user_id: Id,
-        candidates: set[Id],
-        basis: ConnectionSelection | None = None,
-    ) -> SocialScores:
-        result = SocialScores(strategy=self.name)
-        # The recipe needs a 'destination'-typed target; we accept any item
-        # by parameterising dest_type with the item type.
-        cf = example5_collaborative_filtering(
-            graph,
-            user_id,
-            visit_type=self.act_type,
-            dest_type="item",
-            sim_threshold=self.sim_threshold,
-        )
-        for item, score in recommendations_from(cf, user_id):
-            if item not in candidates:
-                continue
-            result.scores[item] = score
-        # Provenance: similar users (weight = their similarity) who acted.
-        my_items = {
-            l.tgt for l in graph.out_links(user_id) if l.has_type(self.act_type)
-        }
-        user_items: dict[Id, set] = {}
-        for link in graph.links():
-            if link.has_type(self.act_type):
-                user_items.setdefault(link.src, set()).add(link.tgt)
-        for other, items in user_items.items():
-            if other == user_id or not my_items:
-                continue
-            union_size = len(my_items | items)
-            sim = len(my_items & items) / union_size if union_size else 0.0
-            if sim <= self.sim_threshold:
-                continue
-            for item in items & set(result.scores):
-                result.endorsers.setdefault(item, {})[other] = sim
-        return result
 
 
 class ItemBasedStrategy:
@@ -161,31 +79,32 @@ class ItemBasedStrategy:
 
     name = "item_based"
 
-    def score(
-        self,
-        graph: SocialContentGraph,
-        user_id: Id,
-        candidates: set[Id],
-        basis: ConnectionSelection | None = None,
-    ) -> SocialScores:
-        result = SocialScores(strategy=self.name)
-        mine = {l.tgt for l in graph.out_links(user_id) if l.has_type("act")}
-        for past_item in mine:
-            for link in graph.out_links(past_item):
-                if not link.has_type("sim_item"):
-                    continue
-                other = link.tgt
-                if other not in candidates or other in mine:
-                    continue
-                sim = float(link.value("sim", 0.0))
-                result.scores[other] = result.scores.get(other, 0.0) + sim
-                result.supporting_items.setdefault(other, {})[past_item] = sim
-        return result
+
+#: The record classes, in resolution order; a subclass resolves to its
+#: base's plan stage.
+STRATEGY_RECORDS = (FriendBasedStrategy, SimilarUserStrategy, ItemBasedStrategy)
+
+StrategyRecord = FriendBasedStrategy | SimilarUserStrategy | ItemBasedStrategy
+
+
+def plan_strategy_name(record: object) -> str:
+    """The plan stage a strategy record selects.
+
+    Anything that is not one of the record classes is rejected: a
+    strategy cannot bring its own scoring code.
+    """
+    for cls in STRATEGY_RECORDS:
+        if isinstance(record, cls):
+            return cls.name
+    raise DiscoveryError(
+        f"{record!r} is not a strategy record; use one of "
+        f"{[cls.__name__ for cls in STRATEGY_RECORDS]}"
+    )
 
 
 #: Registry used by the Information Discoverer.  "cf" is the query-API
 #: alias for Example 5's collaborative filtering.
-DEFAULT_STRATEGIES: dict[str, SocialStrategy] = {
+DEFAULT_STRATEGIES: dict[str, StrategyRecord] = {
     "friends": FriendBasedStrategy(),
     "similar_users": SimilarUserStrategy(),
     "item_based": ItemBasedStrategy(),

@@ -22,10 +22,11 @@ compilation needs and serving must keep coherent:
   into per-shard views (lazily, per generation) for
   :class:`~repro.plan.physical.ShardedScanOp`.
 
-``semantic_candidates`` is the serving entry point: it builds the σN plan
-for a parsed query's scope condition and runs it through the compiler,
-which is how both ``Session.run`` and
-``InformationDiscoverer.discover_query`` execute every query.
+``discovery_pipeline`` is the serving entry point: it builds the whole
+plan of a parsed query — σN candidates, connection basis, social scoring,
+α-combination — and runs it through the compiler, which is how both
+``Session.run`` and ``InformationDiscoverer.discover_query`` execute
+every query.
 """
 
 from __future__ import annotations
@@ -453,30 +454,10 @@ class QueryPlanner:
                         estimated, actual.nodes,
                     )
 
-    def semantic_candidates(
+    def discovery_pipeline(
         self,
         # a parsed discovery query; typed loosely because the plan layer
         # must not import repro.discovery (layer DAG)
-        query: Any,
-        item_type: str = "item",
-        scorer: Any = None,
-        access: str = "auto",
-    ) -> PlanExecution:
-        """Execute the σN⟨C,S⟩ scoping plan of a parsed query.
-
-        This is the compiled replacement for the hand-written
-        ``SemanticRelevance.candidates`` pipeline: the same condition, the
-        same scorer, but routed through optimize → lower → (cost-chosen)
-        scan or index → profiled execution.
-        """
-        condition = query.scope_condition(default_type=item_type)
-        expr = input_graph(BASE_GRAPH).select_nodes(
-            condition, scorer if condition.has_keywords else None
-        )
-        return self.execute(expr, access=access)
-
-    def discovery_pipeline(
-        self,
         query: Any,
         item_type: str = "item",
         scorer: Any = None,
@@ -485,9 +466,6 @@ class QueryPlanner:
         act_type: str = "visit",
         alpha: float = 0.5,
         drop_zero: bool = True,
-        min_fit: float = 0.15,
-        min_qualified: int = 2,
-        max_experts: int = 10,
         access: str = "auto",
         limit: int | None = None,
         deadline: float | None = None,
@@ -512,9 +490,6 @@ class QueryPlanner:
             G,
             user_id=query.user_id,
             keywords=tuple(query.keywords),
-            min_fit=min_fit,
-            min_qualified=min_qualified,
-            max_experts=max_experts,
         )
         social = SocialScoreE(
             G,

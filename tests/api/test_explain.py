@@ -237,29 +237,32 @@ class TestGoldenPlanShapes:
         assert response.items == scanned.items
 
     def test_custom_strategy_still_honors_use_index(self, travel):
-        # Custom strategies route through the hand-executed reference
-        # path; the request's access preference must still reach the
-        # semantic stage there.
-        class Constant:
-            name = "constant"
-
-            def score(self, graph, user_id, candidates, basis=None):
-                from repro.discovery import SocialScores
-
-                return SocialScores(strategy=self.name,
-                                    scores={c: 1.0 for c in candidates})
+        # A record registered under a custom name runs the compiled plan
+        # like any other: the request's access preference reaches the
+        # semantic stage, and both paths rank alike.
+        from repro.discovery import SimilarUserStrategy
+        from repro.errors import DiscoveryError
 
         session = Session.from_graph(travel.graph)
-        session.discoverer.strategies["constant"] = Constant()
+        session.discoverer.strategies["tuned"] = SimilarUserStrategy(
+            sim_threshold=0.3
+        )
         indexed = session.run(SearchRequest(
-            user_id=JOHN, text="denver", strategy="constant",
+            user_id=JOHN, text="denver", strategy="tuned", use_index=True,
         ))
         scanned = session.run(SearchRequest(
-            user_id=JOHN, text="denver", strategy="constant",
+            user_id=JOHN, text="denver", strategy="tuned",
             use_index=False,
         ))
+        assert indexed.index_used is True
         assert scanned.index_used is False
         assert indexed.items == scanned.items
+        # scoring code slipped into the live registry is refused, typed
+        session.discoverer.strategies["constant"] = object()
+        with pytest.raises(DiscoveryError, match="not a strategy record"):
+            session.run(SearchRequest(
+                user_id=JOHN, text="denver", strategy="constant",
+            ))
 
 
 class TestServingPlanCache:

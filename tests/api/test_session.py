@@ -10,7 +10,7 @@ import pytest
 from repro.api import SearchRequest, Session, SessionConfig
 from repro.core import Link, Node
 from repro.discovery import DiscoveryConfig
-from repro.errors import PresentationError
+from repro.errors import DiscoveryError, PresentationError, QueryError
 from repro.workloads import ALEXIA, JOHN, TravelSiteConfig, build_travel_site
 
 
@@ -161,6 +161,25 @@ class TestRequestOverrides:
         response = session.run(SearchRequest(user_id=JOHN, text="denver"))
         assert response.resolved["alpha"] == 0.9
         assert response.page_info.page_size == 7
+
+    @pytest.mark.parametrize("overrides", [
+        {"max_results": 0}, {"max_results": -3}, {"max_results": True},
+        {"max_results": 2.5},
+        {"alpha": 1.5}, {"alpha": -1}, {"alpha": "x"}, {"alpha": True},
+        {"strategy": 7}, {"strategy": "tarot"},
+        {"drop_zero": "no"},
+    ], ids=lambda o: "{}={!r}".format(*next(iter(o.items()))))
+    def test_invalid_discovery_config_fails_at_construction(self, travel,
+                                                            overrides):
+        # Typed and before the first query — not a ZeroDivisionError from
+        # the page arithmetic, a negative slice or a score above 1 later.
+        # An unknown strategy *name* is the discoverer's to judge: it owns
+        # the registry.
+        with pytest.raises((QueryError, DiscoveryError)):
+            Session.from_graph(
+                travel.graph,
+                SessionConfig(discovery=DiscoveryConfig(**overrides)),
+            )
 
 
 class TestIndexVsScanParity:

@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+import oracle
 from repro.discovery import (
-    ConnectionSelector,
-    DiscoveryConfig,
-    FriendBasedStrategy,
+    DEFAULT_STRATEGIES,
     InformationDiscoverer,
-    ItemBasedStrategy,
-    SemanticRelevance,
     SimilarUserStrategy,
-    find_experts,
     parse_query,
 )
-from repro.errors import DiscoveryError
+from repro.errors import DeadlineError, DiscoveryError
+from repro.plan import PlanExecution
 from repro.workloads import (
     ALEXIA,
     JOHN,
@@ -37,23 +36,24 @@ def discoverer(travel):
 
 class TestSemanticRelevance:
     def test_scoping_by_keywords(self, travel):
-        semantic = SemanticRelevance(travel.graph)
-        result = semantic.candidates(parse_query(JOHN, "Denver baseball"))
+        result = oracle.semantic_candidates(
+            travel.graph, parse_query(JOHN, "Denver baseball")
+        )
         assert result.scores
         for item in result.scores:
             text = travel.graph.node(item).text().lower()
             assert "denver" in text or "baseball" in text
 
     def test_normalisation(self, travel):
-        semantic = SemanticRelevance(travel.graph)
-        result = semantic.candidates(parse_query(JOHN, "Denver"))
+        result = oracle.semantic_candidates(
+            travel.graph, parse_query(JOHN, "Denver")
+        )
         normalized = result.normalized()
         assert max(normalized.values()) == pytest.approx(1.0)
         assert all(0 <= v <= 1 for v in normalized.values())
 
     def test_empty_query_returns_all_items_unscored(self, travel):
-        semantic = SemanticRelevance(travel.graph)
-        result = semantic.candidates(parse_query(JOHN, ""))
+        result = oracle.semantic_candidates(travel.graph, parse_query(JOHN, ""))
         assert set(result.scores) == {
             n.id for n in travel.graph.nodes_of_type("item")
         }
@@ -62,8 +62,9 @@ class TestSemanticRelevance:
 
 class TestConnectionSelector:
     def test_john_baseball_friends_qualify(self, travel):
-        selector = ConnectionSelector(travel.graph)
-        selection = selector.select(JOHN, ("baseball",))
+        selection = oracle.select_connections(
+            travel.graph, JOHN, ("baseball",)
+        )
         assert not selection.used_expert_fallback
         assert selection.friends
 
@@ -71,14 +72,15 @@ class TestConnectionSelector:
         # Most of Selma's friends are musicians; with a strict fit cut the
         # parent friends remain or experts kick in — either way the family
         # signal must come from family-active users.
-        selector = ConnectionSelector(travel.graph, min_fit=0.6,
-                                      min_qualified=8)
-        selection = selector.select(SELMA, ("family", "babies"))
+        selection = oracle.select_connections(
+            travel.graph, SELMA, ("family", "babies"),
+            min_fit=0.6, min_qualified=8,
+        )
         assert selection.used_expert_fallback
         assert selection.experts
 
     def test_experts_act_on_matching_items(self, travel):
-        experts = find_experts(travel.graph, {"family"}, limit=5)
+        experts = oracle.find_experts(travel.graph, {"family"}, limit=5)
         assert experts
         for expert in experts:
             acted = [
@@ -89,18 +91,17 @@ class TestConnectionSelector:
             assert "family" in acted
 
     def test_no_keywords_keeps_all_friends(self, travel):
-        selector = ConnectionSelector(travel.graph)
-        selection = selector.select(JOHN, ())
-        assert selection.friends == selector.friends_of(JOHN)
+        selection = oracle.select_connections(travel.graph, JOHN, ())
+        assert selection.friends == oracle.friends_of(travel.graph, JOHN)
 
 
 class TestStrategies:
     def test_friend_strategy_scores_endorsed_items(self, travel):
-        selector = ConnectionSelector(travel.graph)
-        selection = selector.select(JOHN, ("baseball",))
-        strategy = FriendBasedStrategy()
+        selection = oracle.select_connections(
+            travel.graph, JOHN, ("baseball",)
+        )
         candidates = {n.id for n in travel.graph.nodes_of_type("item")}
-        scores = strategy.score(travel.graph, JOHN, candidates, selection)
+        scores = oracle.score_friends(travel.graph, JOHN, candidates, selection)
         assert scores.scores
         # provenance is recorded for every scored item
         for item in scores.scores:
@@ -112,9 +113,10 @@ class TestStrategies:
             recommendations_from,
         )
 
-        strategy = SimilarUserStrategy(sim_threshold=0.1)
         candidates = {n.id for n in travel.graph.nodes_of_type("item")}
-        scores = strategy.score(travel.graph, JOHN, candidates, None)
+        scores = oracle.score_similar_users(
+            travel.graph, JOHN, candidates, None, sim_threshold=0.1
+        )
         recipe = dict(
             recommendations_from(
                 example5_collaborative_filtering(
@@ -129,14 +131,13 @@ class TestStrategies:
         from repro.analysis import item_similarity_links
         from repro.core import union
 
-        strategy = ItemBasedStrategy()
         candidates = {n.id for n in travel.graph.nodes_of_type("item")}
-        bare = strategy.score(travel.graph, JOHN, candidates, None)
+        bare = oracle.score_item_based(travel.graph, JOHN, candidates, None)
         assert bare.scores == {}
         enriched = union(
             travel.graph, item_similarity_links(travel.graph, threshold=0.15)
         )
-        derived = strategy.score(enriched, JOHN, candidates, None)
+        derived = oracle.score_item_based(enriched, JOHN, candidates, None)
         assert derived.scores
         for item in derived.scores:
             assert derived.supporting_items.get(item)
@@ -178,8 +179,42 @@ class TestDiscoverer:
         assert combined == sorted(combined, reverse=True)
 
     def test_unknown_strategy_raises(self, discoverer):
-        with pytest.raises(DiscoveryError):
+        # the error names everything rank() accepts, "auto" included
+        with pytest.raises(DiscoveryError, match="'auto', 'cf', 'friends'"):
             discoverer.discover(JOHN, "x", strategy="tarot")
+
+    def test_non_record_strategy_is_rejected_at_construction(self, travel):
+        class Constant:
+            name = "constant"
+
+            def score(self, graph, user_id, candidates, basis=None):
+                raise AssertionError("a strategy cannot bring scoring code")
+
+        with pytest.raises(DiscoveryError, match="not a strategy record"):
+            InformationDiscoverer(
+                travel.graph,
+                strategies={**DEFAULT_STRATEGIES, "constant": Constant()},
+            )
+
+    def test_every_strategy_name_runs_the_compiled_plan(self, travel):
+        # One engine whatever the name: a subclassed record under a custom
+        # name, the "cf" alias and "auto" all get a PlanExecution, top-k
+        # pushdown and the cooperative deadline.
+        class Tuned(SimilarUserStrategy):
+            pass
+
+        discoverer = InformationDiscoverer(
+            travel.graph,
+            strategies={**DEFAULT_STRATEGIES, "tuned": Tuned(sim_threshold=0.5)},
+        )
+        query = parse_query(JOHN, "Denver attractions")
+        for name in [*discoverer.strategies, "auto"]:
+            ranking = discoverer.rank(query, strategy=name, limit=3)
+            assert len(ranking.items) == 3, name
+            assert isinstance(ranking.execution, PlanExecution), name
+            with pytest.raises(DeadlineError):
+                discoverer.rank(query, strategy=name,
+                                deadline=time.monotonic() - 1.0)
 
     def test_selma_family_results_via_experts_or_parents(self, discoverer,
                                                          travel):

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import oracle
 from repro.core import Condition, select_nodes
-from repro.discovery import SemanticRelevance, parse_query
+from repro.discovery import parse_query
 from repro.indexing import SemanticItemIndex
 from repro.workloads import JOHN, TravelSiteConfig, build_travel_site
 
@@ -33,9 +34,8 @@ class TestScanParity:
     @pytest.mark.parametrize("text", QUERIES)
     def test_candidates_equal_scan_scores_exactly(self, travel, index, text):
         """Same candidate set, bit-identical scores as σN⟨keywords, tf-idf⟩."""
-        semantic = SemanticRelevance(travel.graph)
         query = parse_query(JOHN, text)
-        scanned = semantic.candidates(query).scores
+        scanned = oracle.semantic_candidates(travel.graph, query).scores
         indexed = index.candidates(query.keywords)
         assert indexed == scanned  # exact float equality, by construction
 

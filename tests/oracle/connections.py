@@ -1,4 +1,4 @@
-"""Selecting the *right* social connections for a query (Selma's problem).
+"""Reference connection selection (Selma's problem), hand-executed.
 
     "Selma's example illustrates the importance of analyzing the social
     connections of users and choosing the right subset of the connections
@@ -6,11 +6,12 @@
     Selma does not have any friend with young babies, Y!Travel should
     still be able identify a group of 'experts' on the topic."
 
-:class:`ConnectionSelector` scores each friend's *topical fit* to the query
+:func:`select_connections` scores each friend's *topical fit* to the query
 (overlap between the friend's activity vocabulary and the query terms) and
-returns the qualified subset; when too few friends qualify, it signals the
-expert fallback, and :func:`find_experts` supplies topic experts from the
-whole user population.
+returns the qualified subset; when too few friends qualify, it switches to
+the expert fallback, and :func:`find_experts` supplies topic experts from
+the whole user population.  The compiled twin is
+``repro.core.social.connection_basis``.
 """
 
 from __future__ import annotations
@@ -53,56 +54,50 @@ class ConnectionSelection:
         return self.experts if self.used_expert_fallback else self.friends
 
 
-class ConnectionSelector:
-    """Chooses the friend subset (or experts) relevant to a query."""
+def friends_of(graph: SocialContentGraph, user: Id) -> list[Id]:
+    """Direct connections of a user."""
+    return sorted(
+        {l.tgt for l in graph.out_links(user) if l.has_type("connect")},
+        key=repr,
+    )
 
-    def __init__(
-        self,
-        graph: SocialContentGraph,
-        min_fit: float = 0.15,
-        min_qualified: int = 2,
-        max_experts: int = 10,
-    ):
-        self.graph = graph
-        self.min_fit = min_fit
-        self.min_qualified = min_qualified
-        self.max_experts = max_experts
 
-    def friends_of(self, user: Id) -> list[Id]:
-        """Direct connections of a user."""
-        return sorted(
-            {l.tgt for l in self.graph.out_links(user) if l.has_type("connect")},
-            key=repr,
-        )
+def topical_fit(graph: SocialContentGraph, user: Id, query_terms: set[str]) -> float:
+    """Fraction of query terms present in the user's activity vocabulary."""
+    if not query_terms:
+        return 1.0
+    vocabulary = _activity_vocabulary(graph, user)
+    return len(query_terms & vocabulary) / len(query_terms)
 
-    def topical_fit(self, user: Id, query_terms: set[str]) -> float:
-        """Fraction of query terms present in the user's activity vocabulary."""
-        if not query_terms:
-            return 1.0
-        vocabulary = _activity_vocabulary(self.graph, user)
-        return len(query_terms & vocabulary) / len(query_terms)
 
-    def select(self, user: Id, keywords: tuple[str, ...]) -> ConnectionSelection:
-        """Pick the friend subset fit for the query, or fall back to experts.
+def select_connections(
+    graph: SocialContentGraph,
+    user: Id,
+    keywords: tuple[str, ...],
+    min_fit: float = 0.15,
+    min_qualified: int = 2,
+    max_experts: int = 10,
+) -> ConnectionSelection:
+    """Pick the friend subset fit for the query, or fall back to experts.
 
-        A friend qualifies when its topical fit ≥ ``min_fit``.  If fewer
-        than ``min_qualified`` friends qualify, the selection switches to
-        topic experts (Example 2's requirement).
-        """
-        query_terms = set(keywords)
-        friends = self.friends_of(user)
-        fit = {f: self.topical_fit(f, query_terms) for f in friends}
-        qualified = [f for f in friends if fit[f] >= self.min_fit]
-        if len(qualified) >= self.min_qualified or not query_terms:
-            return ConnectionSelection(friends=qualified or friends, fit=fit)
-        experts = find_experts(self.graph, query_terms, exclude={user},
-                               limit=self.max_experts)
-        return ConnectionSelection(
-            friends=qualified,
-            fit=fit,
-            used_expert_fallback=True,
-            experts=experts,
-        )
+    A friend qualifies when its topical fit ≥ ``min_fit``.  If fewer
+    than ``min_qualified`` friends qualify, the selection switches to
+    topic experts (Example 2's requirement).
+    """
+    query_terms = set(keywords)
+    friends = friends_of(graph, user)
+    fit = {f: topical_fit(graph, f, query_terms) for f in friends}
+    qualified = [f for f in friends if fit[f] >= min_fit]
+    if len(qualified) >= min_qualified or not query_terms:
+        return ConnectionSelection(friends=qualified or friends, fit=fit)
+    experts = find_experts(graph, query_terms, exclude={user},
+                           limit=max_experts)
+    return ConnectionSelection(
+        friends=qualified,
+        fit=fit,
+        used_expert_fallback=True,
+        experts=experts,
+    )
 
 
 def find_experts(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import oracle
 from factories import selectivity_graph
 from repro.core import Condition, input_graph
 from repro.core.stats import GraphStats
@@ -147,20 +148,20 @@ class TestIndexScanParity:
         assert execution.result.same_as(scanned.result)
 
     def test_discoverer_semantic_stage_parity(self, bound_planner):
-        # The serving entry point: semantic_candidates through the planner
-        # equals the hand-written SemanticRelevance scan, on every path.
-        from repro.discovery.relevance import SemanticRelevance
-
+        # The query's one-node σN scoping plan through the planner equals
+        # the hand-written reference scan, on every path.
         planner, index = bound_planner
-        semantic = SemanticRelevance(planner.graph, scorer=index.scorer)
         for text in ("rare", "common", ""):
             query = parse_query(1, text)
-            reference = semantic.candidates(query).scores
+            reference = oracle.semantic_candidates(
+                planner.graph, query, scorer=index.scorer
+            ).scores
+            expr = input_graph("G").select_nodes(
+                query.scope_condition(),
+                index.scorer if query.keywords else None,
+            )
             for access in ("auto", "index", "scan"):
-                execution = planner.semantic_candidates(
-                    query, scorer=index.scorer if query.keywords else None,
-                    access=access,
-                )
+                execution = planner.execute(expr, access=access)
                 assert execution.scores() == reference
 
 

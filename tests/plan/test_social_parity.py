@@ -4,10 +4,9 @@ The correctness net under the social-stage compiler: hypothesis-driven
 property tests hold the compiled plans (logical evaluation, the lowered
 physical forms, and the §6.2 network-index access paths) equal — within
 1e-9 — to the hand-executed reference implementations in
-``repro.discovery.strategies`` / ``repro.discovery.connections`` across
-randomized workload graphs, all three strategies, and the degenerate
-regimes (empty neighborhoods, null graphs, absent users) where relevance
-reproductions drift silently.
+``tests/oracle`` across randomized workload graphs, all three
+strategies, and the degenerate regimes (empty neighborhoods, null
+graphs, absent users) where relevance reproductions drift silently.
 """
 
 from __future__ import annotations
@@ -15,19 +14,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
 from factories import social_site_graph
 from repro.core import Link, Node, SocialContentGraph, input_graph
 from repro.core.expr import ConnectionBasisE, SocialScoreE
 from repro.core.social import decode_social_result
-from repro.discovery import (
-    DEFAULT_STRATEGIES,
-    FriendBasedStrategy,
-    InformationDiscoverer,
-    find_experts,
-    parse_query,
-)
-from repro.discovery.connections import ConnectionSelector
-from repro.plan import CostModel, QueryPlanner
+from repro.discovery import InformationDiscoverer, parse_query
+from repro.plan import CostModel, QueryPlanner, explain_execution
 
 TOL = 1e-9
 
@@ -99,21 +92,23 @@ def social_workloads(draw):
 
 
 def legacy_social(graph, user, keywords, strategy_name):
-    """Reference scores: ConnectionSelector + strategy + Selma fallback."""
-    selection = ConnectionSelector(graph).select(user, keywords)
-    strategy = DEFAULT_STRATEGIES[strategy_name]
+    """Reference scores: connection selection + scorer + Selma fallback."""
+    selection = oracle.select_connections(graph, user, keywords)
+    score = oracle.SCORERS[strategy_name]
     candidates = {n.id for n in graph.nodes_of_type("item")}
-    social = strategy.score(graph, user, candidates, selection)
+    social = score(graph, user, candidates, selection)
     fallback = selection.used_expert_fallback
     if (
         not social.scores
-        and isinstance(strategy, FriendBasedStrategy)
+        and score is oracle.score_friends
         and not fallback
     ):
         fallback = True
         selection.used_expert_fallback = True
-        selection.experts = find_experts(graph, set(keywords), exclude={user})
-        social = strategy.score(graph, user, candidates, selection)
+        selection.experts = oracle.find_experts(
+            graph, set(keywords), exclude={user}
+        )
+        social = score(graph, user, candidates, selection)
     return social, fallback
 
 
@@ -220,7 +215,7 @@ class TestPhysicalPathParity:
         discoverer = InformationDiscoverer(graph)
         query = parse_query(user, " ".join(keywords))
         compiled = discoverer.rank(query, strategy=strategy)
-        legacy = discoverer._rank_legacy(query, strategy, None, None)
+        legacy = oracle.rank_reference(graph, query, strategy)
         assert [s.item_id for s in compiled.items] == [
             s.item_id for s in legacy.items
         ]
@@ -280,9 +275,13 @@ class TestDegenerateRegimes:
 
     def test_auto_resolution_uses_the_configured_cf_parameters(self):
         # A connect-free graph resolves "auto" to similar_users; the
-        # compiled stage must score with the *registered* instance's
-        # parameters, not library defaults.
+        # compiled stage must score with the *registered* record's
+        # parameters, not library defaults — and a subclassed record gets
+        # the same one engine, asked by name or resolved by "auto".
         from repro.discovery import DEFAULT_STRATEGIES, SimilarUserStrategy
+
+        class Tuned(SimilarUserStrategy):
+            pass
 
         g = SocialContentGraph()
         for u in ("u0", "u1", "u2"):
@@ -293,18 +292,23 @@ class TestDegenerateRegimes:
                 ("u1", "i2"), ("u2", "i0"), ("u2", "i3")]
         for n, (u, i) in enumerate(acts):
             g.add_link(Link(f"a{n}", u, i, type="act, visit"))
-        strategies = dict(DEFAULT_STRATEGIES)
-        strategies["similar_users"] = SimilarUserStrategy(sim_threshold=0.5)
-        discoverer = InformationDiscoverer(g, strategies=strategies)
         query = parse_query("u0", "")
-        explicit = discoverer.rank(query, strategy="similar_users")
-        auto = discoverer.rank(query, strategy="auto")
-        assert auto.social.strategy == "similar_users"
-        assert [s.item_id for s in auto.items] == [
-            s.item_id for s in explicit.items
-        ]
-        assert auto.social.scores == pytest.approx(explicit.social.scores,
-                                                   abs=TOL)
+        for record in (SimilarUserStrategy, Tuned):
+            strategies = dict(DEFAULT_STRATEGIES)
+            strategies["similar_users"] = record(sim_threshold=0.5)
+            discoverer = InformationDiscoverer(g, strategies=strategies)
+            explicit = discoverer.rank(query, strategy="similar_users")
+            auto = discoverer.rank(query, strategy="auto")
+            assert auto.social.strategy == "similar_users"
+            assert [s.item_id for s in auto.items] == [
+                s.item_id for s in explicit.items
+            ]
+            assert auto.social.scores == pytest.approx(
+                explicit.social.scores, abs=TOL
+            )
+            for ranking in (explicit, auto):
+                explained = explain_execution(ranking.execution)
+                assert explained.resolved_strategy == "similar_users"
 
     def test_multi_activity_pairs_degrade_the_index_path_safely(self):
         # Two act links (u1 -> i0): per-link probe weights diverge from
