@@ -12,6 +12,7 @@ import pytest
 
 from repro.discovery import InformationDiscoverer
 from repro.presentation import (
+    ActivityProjection,
     InformationOrganizer,
     endorser_group_grouping,
     explain_collaborative,
@@ -79,7 +80,16 @@ def test_full_page_assembly(travel_site, msgs, benchmark):
     benchmark(organizer.organize, msgs["john"])
 
 
-def test_explanation_latency(travel_site, msgs, benchmark):
+@pytest.mark.parametrize("population", ["friends", "everyone"])
+@pytest.mark.parametrize("source", ["graph", "projection"])
+def test_explanation_latency(travel_site, msgs, benchmark, population,
+                             source):
+    """One CF explanation: from the bare graph (a one-off projection per
+    call, what a script pays) and from a kept projection (what a request
+    pays through the organizer)."""
     msg = msgs["john"]
     item = msg.item_ids[0]
-    benchmark(explain_collaborative, travel_site.graph, JOHN, item, True)
+    base = (travel_site.graph if source == "graph"
+            else ActivityProjection(travel_site.graph))
+    benchmark(explain_collaborative, base, JOHN, item,
+              population == "friends")

@@ -27,7 +27,8 @@ def jaccard(a: set, b: set) -> float:
     """|a ∩ b| / |a ∪ b| (0 when both empty)."""
     if not a and not b:
         return 0.0
-    return len(a & b) / len(a | b)
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)  # |a ∪ b|, without building it
 
 
 def cosine(a: dict, b: dict) -> float:

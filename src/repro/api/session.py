@@ -33,6 +33,8 @@ variant.
 from __future__ import annotations
 
 import threading
+import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
@@ -57,7 +59,7 @@ from repro.discovery import (
 )
 from repro.discovery.discoverer import RankedDiscovery
 from repro.discovery.query import Query
-from repro.errors import QueryError
+from repro.errors import DeadlineError, QueryError
 from repro.indexing import (
     ClusteredIndex,
     ExactUserIndex,
@@ -140,6 +142,17 @@ class SessionStats:
     plan_cache_hits: int = 0
 
 
+def _check_deadline(
+    deadline: float | None, started: float, stage: str
+) -> None:
+    """Raise the plan executor's typed error when *deadline* has passed."""
+    if deadline is None:
+        return
+    now = time.monotonic()
+    if now >= deadline:
+        raise DeadlineError(stage, now - started)
+
+
 class _Evaluation(NamedTuple):
     """One request's evaluated state, shared by run/discover/explain."""
 
@@ -187,11 +200,16 @@ class Session:
         )
         # Declare the session's semantic index to the compiler: provider
         # and scorer stay lazy (nothing builds until a plan takes the
-        # index path), but the cost model now has the choice.
+        # index path), but the cost model now has the choice.  Neither
+        # closure holds the session strongly: session → planner → closure
+        # → session would make every dropped session (a replaced or
+        # restored one, with its graphs and indexes) wait for the cycle
+        # collector instead of being freed when its last reference goes.
+        this = weakref.ref(self)
         self.discoverer.planner.attach_index(
             self.discoverer.semantic.item_type,
-            provider=lambda: self.semantic_index,
-            scorer_provider=lambda: self.discoverer.semantic.scorer,
+            provider=lambda: this().semantic_index,
+            scorer_provider=lambda: this().discoverer.semantic.scorer,
         )
         # Mirror the store's registered attribute indexes into the
         # planner: equality selections on them may lower to the
@@ -492,11 +510,14 @@ class Session:
         """Evaluate one structured request into an organized response.
 
         *deadline* is the request's absolute monotonic deadline — the
-        gateway's end-to-end budget — carried into plan execution, where
-        running past it raises :class:`~repro.errors.DeadlineError`.  It
-        is per call, never session state: one session serves several
-        concurrent requests.
+        gateway's end-to-end budget — carried into plan execution and
+        checked again before the MSG is cut and before the page is
+        organized; running past it raises
+        :class:`~repro.errors.DeadlineError`, so no stage starts for a
+        caller that has gone.  It is per call, never session state: one
+        session serves several concurrent requests.
         """
+        started = time.monotonic() if deadline is not None else 0.0
         self._ensure_fresh()
         ev = self._evaluate(request, deadline=deadline)
         query, window, offset, size, total = (
@@ -504,10 +525,12 @@ class Session:
         )
         ranking = ev.ranking
         index_used = ev.execution.used_index
+        _check_deadline(deadline, started, "assemble_msg")
         msg = assemble_msg(
             self.graph, query, window, ranking.social,
             ranking.used_expert_fallback,
         )
+        _check_deadline(deadline, started, "organize")
         # When the caller named a window size (k or page_size), the flat
         # list covers the whole window; otherwise the configured flat_k
         # cap applies (the historical facade behavior).

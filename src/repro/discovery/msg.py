@@ -45,12 +45,16 @@ class MeaningfulSocialGraph:
         """Result item ids, best first."""
         return [s.item_id for s in self.items]
 
+    def __post_init__(self) -> None:
+        # read per item by ranking and §7.1 meaningfulness; the first
+        # record of an id wins, as a scan of ``items`` would find it
+        self._scores: dict[Id, float] = {}
+        for scored in self.items:
+            self._scores.setdefault(scored.item_id, scored.combined)
+
     def score_of(self, item_id: Id) -> float:
         """Combined score of one result item (0 when absent)."""
-        for scored in self.items:
-            if scored.item_id == item_id:
-                return scored.combined
-        return 0.0
+        return self._scores.get(item_id, 0.0)
 
     def endorsers_of(self, item_id: Id) -> dict[Id, float]:
         """Social provenance: endorsing users and their weights."""
@@ -79,12 +83,13 @@ def assemble_msg(
     Included: the user, every result item (annotated with scores), every
     endorsing user, the user's connect links to endorsers, endorsers'
     activity links onto result items, and items' ``belong`` links (topics,
-    cities) so structural grouping has material to work with.
+    cities) so structural grouping has material to work with.  Every link
+    is found from the adjacency of a node already in the MSG — the cut
+    costs the window's neighbourhood, not the site.
     """
     msg = SocialContentGraph(catalog=base.catalog)
     if base.has_node(query.user_id):
         msg.add_node(base.node(query.user_id))
-    item_set = {s.item_id for s in scored_items}
     for scored in scored_items:
         node = base.node(scored.item_id).with_attrs(
             semantic_score=round(scored.semantic, 6),
@@ -98,19 +103,20 @@ def assemble_msg(
     for endorser in endorser_set:
         if base.has_node(endorser) and not msg.has_node(endorser):
             msg.add_node(base.node(endorser))
-    for link in base.links():
-        if link.has_type("act") and link.src in endorser_set and link.tgt in item_set:
+    # a link that qualifies twice (typed both ``act`` and ``belong``
+    # between two result items) consolidates with itself: same record
+    for link in base.out_links(query.user_id):
+        if link.has_type("connect") and link.tgt in endorser_set:
             msg.add_link(link)
-        elif (
-            link.has_type("connect")
-            and link.src == query.user_id
-            and link.tgt in endorser_set
-        ):
-            msg.add_link(link)
-        elif link.has_type("belong") and link.src in item_set:
-            if not msg.has_node(link.tgt):
-                msg.add_node(base.node(link.tgt))
-            msg.add_link(link)
+    for scored in scored_items:
+        for link in base.in_links(scored.item_id):
+            if link.has_type("act") and link.src in endorser_set:
+                msg.add_link(link)
+        for link in base.out_links(scored.item_id):
+            if link.has_type("belong"):
+                if not msg.has_node(link.tgt):
+                    msg.add_node(base.node(link.tgt))
+                msg.add_link(link)
     return MeaningfulSocialGraph(
         graph=msg,
         query=query,

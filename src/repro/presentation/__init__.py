@@ -2,7 +2,9 @@
 
 Grouping (social / topical / structural / endorser-group), group
 meaningfulness and dimension choice, hierarchical zoom, ranking within and
-across groups, and item/group explanations.
+across groups, and item/group explanations — all reading the base graph
+through the organizer's per-epoch :class:`ActivityProjection`, never by a
+pass over the whole site.
 """
 
 from repro.presentation.diversify import (
@@ -49,6 +51,7 @@ from repro.presentation.organizer import (
     ResultGroup,
     ResultPage,
 )
+from repro.presentation.projection import ActivityProjection
 from repro.presentation.ranking import RankedGroup, ResultSelector
 
 __all__ = [
@@ -62,7 +65,7 @@ __all__ = [
     "Explanation", "GroupExplanation", "explain_content_based",
     "explain_collaborative", "explain_group", "item_similarity",
     "user_similarity", "CONTENT_BASED", "COLLABORATIVE",
-    "InformationOrganizer", "OrganizerConfig",
+    "InformationOrganizer", "OrganizerConfig", "ActivityProjection",
     "ResultPage", "ResultGroup", "ResultEntry",
     "mmr_diversify", "coverage_diversify", "intra_list_similarity",
 ]

@@ -13,6 +13,14 @@ Collaborative filtering:
 plus the aggregate renderings the paper suggests ("60% of your friends
 endorsed this item", "This item is similar to 75% of items you visited
 before") and group-level explanations aggregated from item explanations.
+
+§7.2's definition makes every non-endorser contribute 0, so the CF
+explanation walks the *item's* endorsers (its ``act`` in-links) and keeps
+those in the population — never the population itself.  Every graph read
+goes through an :class:`~repro.presentation.projection.ActivityProjection`;
+each function takes the base graph or a projection the caller keeps
+(the organizer's, shared by all requests of one epoch).  The
+population-walking reference is ``tests/oracle/explanations.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +29,11 @@ from dataclasses import dataclass, field
 
 from repro.analysis.similarity import jaccard
 from repro.core import Id, SocialContentGraph
+from repro.presentation.projection import (
+    ActivityProjection,
+    GraphSource,
+    OutView,
+)
 
 CONTENT_BASED = "content"
 COLLABORATIVE = "cf"
@@ -48,63 +61,50 @@ class Explanation:
         return ranked[:k]
 
 
-def _items_of(graph: SocialContentGraph, user: Id) -> set[Id]:
-    return {l.tgt for l in graph.out_links(user) if l.has_type("act")}
-
-
-def _rating(graph: SocialContentGraph, user: Id, item: Id) -> float:
-    """rating(u, i): stored rating if present, 1.0 if acted, else 0."""
-    best = 0.0
-    for link in graph.out_links(user):
-        if link.tgt != item or not link.has_type("act"):
-            continue
-        value = link.value("rating")
-        if value is not None:
-            best = max(best, float(value))
-        else:
-            best = max(best, 1.0)
-    return best
-
-
-def item_similarity(graph: SocialContentGraph, a: Id, b: Id) -> float:
+def item_similarity(graph: GraphSource, a: Id, b: Id) -> float:
     """ItemSim(i, i′): derived ``sim_item`` link weight when present,
     tagger-set Jaccard otherwise."""
-    for link in graph.out_links(a):
-        if link.tgt == b and link.has_type("sim_item"):
-            return float(link.value("sim", 0.0))
-    taggers_a = {l.src for l in graph.in_links(a) if l.has_type("act")}
-    taggers_b = {l.src for l in graph.in_links(b) if l.has_type("act")}
-    return jaccard(taggers_a, taggers_b)
+    proj = ActivityProjection.of(graph)
+    sim = proj.out(a).sim_item.get(b)
+    if sim is not None:
+        return sim
+    return jaccard(proj.endorsers(a).keys(), proj.endorsers(b).keys())
 
 
-def user_similarity(graph: SocialContentGraph, a: Id, b: Id) -> float:
+def user_similarity(graph: GraphSource, a: Id, b: Id) -> float:
     """UserSim(u, u′): derived ``sim_user`` link weight when present,
     item-set Jaccard otherwise (0 when unrelated, as §7.2 requires)."""
-    for link in graph.out_links(a):
-        if link.tgt == b and link.has_type("sim_user"):
-            return float(link.value("sim", 0.0))
-    return jaccard(_items_of(graph, a), _items_of(graph, b))
+    proj = ActivityProjection.of(graph)
+    return _user_similarity(proj, proj.out(a), b)
+
+
+def _user_similarity(proj: ActivityProjection, mine: OutView, b: Id) -> float:
+    sim = mine.sim_user.get(b)
+    if sim is not None:
+        return sim
+    return jaccard(mine.acted.keys(), proj.out(b).acted.keys())
 
 
 def explain_content_based(
-    graph: SocialContentGraph, user: Id, item: Id
+    graph: GraphSource, user: Id, item: Id
 ) -> Explanation:
     """§7.2 content-based explanation with ItemSim × rating weights."""
+    proj = ActivityProjection.of(graph)
     explanation = Explanation(item_id=item, kind=CONTENT_BASED)
-    past = _items_of(graph, user)
-    for past_item in sorted(past, key=repr):
+    past = proj.out(user).acted
+    similar = 0
+    for past_item, rating in past.items():
         if past_item == item:
             continue
-        sim = item_similarity(graph, item, past_item)
+        sim = item_similarity(proj, item, past_item)
         if sim <= 0:
             continue
-        weight = sim * _rating(graph, user, past_item)
+        similar += 1
+        weight = sim * rating
         if weight > 0:
             explanation.supporters[past_item] = round(weight, 6)
     if past:
-        similar = sum(
-            1 for p in past if p != item and item_similarity(graph, item, p) > 0
-        )
+        # the item itself, when already visited, stays in the denominator
         pct = round(100 * similar / len(past))
         explanation.aggregate_text = (
             f"This item is similar to {pct}% of items you visited before"
@@ -113,7 +113,7 @@ def explain_content_based(
 
 
 def explain_collaborative(
-    graph: SocialContentGraph,
+    graph: GraphSource,
     user: Id,
     item: Id,
     friends_only: bool = False,
@@ -123,34 +123,63 @@ def explain_collaborative(
     ``friends_only`` restricts U to the user's direct connections, which
     also powers the "% of your friends endorsed this item" aggregate.
     """
+    return _collaborative(
+        ActivityProjection.of(graph), user, item, friends_only, {}
+    )
+
+
+def collaborative_pair(
+    graph: GraphSource, user: Id, item: Id, sims: dict[Id, float]
+) -> tuple[Explanation, Explanation]:
+    """One item's friends-only and everyone CF explanations.
+
+    *sims* memoises UserSim(user, ·): the two populations share it, and a
+    caller explaining several items to one user passes the same dict.
+    """
+    proj = ActivityProjection.of(graph)
+    return (
+        _collaborative(proj, user, item, True, sims),
+        _collaborative(proj, user, item, False, sims),
+    )
+
+
+def _collaborative(
+    proj: ActivityProjection,
+    user: Id,
+    item: Id,
+    friends_only: bool,
+    sims: dict[Id, float],
+) -> Explanation:
+    """Walk the item's endorsers, keeping those in the population: the
+    user's ``connect`` targets (of any node type, the user included), or
+    every ``user``-typed node but the user."""
     explanation = Explanation(item_id=item, kind=COLLABORATIVE)
-    if friends_only:
-        population = {
-            l.tgt for l in graph.out_links(user) if l.has_type("connect")
-        }
-    else:
-        population = {
-            n.id for n in graph.nodes_of_type("user") if n.id != user
-        }
-    endorsing = set()
-    for other in sorted(population, key=repr):
-        if item not in _items_of(graph, other):
+    mine = proj.out(user)
+    friends = mine.friends
+    endorsing = 0
+    for other, rating in proj.endorsers(item).items():
+        if friends_only:
+            if other not in friends:
+                continue
+        elif other == user or not proj.is_user(other):
             continue
-        endorsing.add(other)
-        sim = user_similarity(graph, user, other)
+        endorsing += 1
+        sim = sims.get(other)
+        if sim is None:
+            sim = sims[other] = _user_similarity(proj, mine, other)
         if sim <= 0:
             continue
-        weight = sim * _rating(graph, other, item)
+        weight = sim * rating
         if weight > 0:
             explanation.supporters[other] = round(weight, 6)
-    if friends_only and population:
-        pct = round(100 * len(endorsing) / len(population))
+    if friends_only and friends:
+        pct = round(100 * endorsing / len(friends))
         explanation.aggregate_text = (
             f"{pct}% of your friends endorsed this item"
         )
-    elif endorsing:
+    elif endorsing and not friends_only:
         explanation.aggregate_text = (
-            f"{len(endorsing)} travelers like you endorsed this item"
+            f"{endorsing} travelers like you endorsed this item"
         )
     return explanation
 
@@ -166,7 +195,7 @@ class GroupExplanation:
 
 
 def explain_group(
-    graph: SocialContentGraph,
+    graph: GraphSource,
     user: Id,
     label: str,
     items: list[Id],
@@ -178,19 +207,29 @@ def explain_group(
     dominant supporter and explanation coverage — "converting individual
     explanations ... into a concise explanation at a group level".
     """
+    proj = ActivityProjection.of(graph)
+    explain = (
+        explain_collaborative if kind == COLLABORATIVE
+        else explain_content_based
+    )
+    return aggregate_group(
+        proj.graph, label, [explain(proj, user, item) for item in items]
+    )
+
+
+def aggregate_group(
+    graph: SocialContentGraph, label: str, explanations: list[Explanation]
+) -> GroupExplanation:
+    """The group explanation of already-explained items, in group order."""
     totals: dict[Id, float] = {}
     covered = 0
-    for item in items:
-        if kind == COLLABORATIVE:
-            explanation = explain_collaborative(graph, user, item)
-        else:
-            explanation = explain_content_based(graph, user, item)
+    for explanation in explanations:
         if not explanation.is_empty:
             covered += 1
         for supporter, weight in explanation.supporters.items():
             totals[supporter] = totals.get(supporter, 0.0) + weight
     ranked = sorted(totals.items(), key=lambda kv: (-kv[1], repr(kv[0])))
-    coverage = covered / len(items) if items else 0.0
+    coverage = covered / len(explanations) if explanations else 0.0
     if ranked:
         leader = ranked[0][0]
         name = (

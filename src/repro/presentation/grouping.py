@@ -23,6 +23,7 @@ from typing import Sequence
 from repro.analysis.similarity import jaccard
 from repro.core import Id, SocialContentGraph
 from repro.discovery.msg import MeaningfulSocialGraph
+from repro.presentation.projection import ActivityProjection, GraphSource
 
 
 @dataclass
@@ -172,26 +173,23 @@ def structural_grouping(
 
 def endorser_group_grouping(
     msg: MeaningfulSocialGraph,
-    base: SocialContentGraph,
+    base: GraphSource,
 ) -> GroupingResult:
     """Alexia's grouping: by which user-group endorsed each item.
 
     An item lands in the group (e.g. 'history class') whose members
     produced most of its endorsements; items with no group-affiliated
     endorsers fall into 'other travelers'.  Requires ``belong, member``
-    links from users to ``group`` nodes in the *base* graph.
+    links from users to ``group`` nodes in the *base* graph — read per
+    endorser from their own out-links, never by scanning the site.
     """
-    membership: dict[Id, set[Id]] = {}
-    for link in base.links():
-        if link.has_type("member") and base.has_node(link.tgt):
-            if base.node(link.tgt).has_type("group"):
-                membership.setdefault(link.src, set()).add(link.tgt)
+    proj = ActivityProjection.of(base)
     by_group: dict[Id, list[Id]] = {}
     other: list[Id] = []
     for item in msg.item_ids:
         votes: dict[Id, int] = {}
         for user in msg.taggers_of(item) | set(msg.endorsers_of(item)):
-            for group_id in membership.get(user, ()):
+            for group_id in proj.out(user).groups:
                 votes[group_id] = votes.get(group_id, 0) + 1
         if not votes:
             other.append(item)
@@ -200,7 +198,7 @@ def endorser_group_grouping(
         by_group.setdefault(winner, []).append(item)
     groups = []
     for group_id, items in sorted(by_group.items(), key=lambda kv: repr(kv[0])):
-        name = base.node(group_id).value("name", str(group_id))
+        name = proj.graph.node(group_id).value("name", str(group_id))
         groups.append(
             Group(label=f"endorsed by your {name}", dimension="endorser",
                   items=items)

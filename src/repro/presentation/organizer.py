@@ -14,7 +14,9 @@ answer object.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core import Id, SocialContentGraph
 from repro.discovery.msg import MeaningfulSocialGraph
@@ -23,9 +25,9 @@ from repro.presentation.explanations import (
     COLLABORATIVE,
     Explanation,
     GroupExplanation,
-    explain_collaborative,
+    aggregate_group,
+    collaborative_pair,
     explain_content_based,
-    explain_group,
 )
 from repro.presentation.grouping import (
     GroupingResult,
@@ -36,7 +38,12 @@ from repro.presentation.grouping import (
 )
 from repro.presentation.hierarchy import GroupingFactory, HierarchicalPresenter
 from repro.presentation.meaningful import MeaningfulnessWeights, choose_grouping
+from repro.presentation.projection import ActivityProjection
 from repro.presentation.ranking import RankedGroup, ResultSelector
+
+#: A grouping dimension as the organizer holds it: it groups an MSG
+#: against the projection of the request being served.
+Grouper = Callable[[MeaningfulSocialGraph, ActivityProjection], GroupingResult]
 
 
 @dataclass
@@ -90,36 +97,80 @@ class OrganizerConfig:
 
 
 class InformationOrganizer:
-    """Builds result pages (and zoomable hierarchies) from MSGs."""
+    """Builds result pages (and zoomable hierarchies) from MSGs.
+
+    Every read of the base graph goes through one
+    :class:`~repro.presentation.projection.ActivityProjection` of
+    ``(base_graph, base_graph.mutation_epoch)``: kept across requests,
+    replaced when the graph is written to in place, dropped the moment
+    :attr:`base_graph` is reassigned (so a replaced graph is never pinned).
+    A request takes the projection once and reads only it, so one page
+    never mixes two states of the site.  Assign :attr:`config` to change
+    the configuration; the grouping dimensions are built from it once.
+    """
 
     def __init__(
         self,
         base_graph: SocialContentGraph,
         config: OrganizerConfig | None = None,
     ):
-        self.base_graph = base_graph
+        # guards the two fields request threads swap: the graph and its
+        # projection (the projection's own fills need no lock, see there)
+        self._lock = threading.Lock()
+        self._base_graph = base_graph
+        self._projection: ActivityProjection | None = None
         self.config = config or OrganizerConfig()
         self.selector = ResultSelector()
 
+    @property
+    def base_graph(self) -> SocialContentGraph:
+        """The site graph pages are organized against."""
+        with self._lock:
+            return self._base_graph
+
+    @base_graph.setter
+    def base_graph(self, graph: SocialContentGraph) -> None:
+        with self._lock:
+            self._base_graph = graph
+            self._projection = None
+
+    @property
+    def projection(self) -> ActivityProjection:
+        """The projection of the base graph as it is now."""
+        with self._lock:
+            projection = self._projection
+            if projection is None or not projection.fresh:
+                projection = ActivityProjection(self._base_graph)
+                self._projection = projection
+            return projection
+
+    @property
+    def config(self) -> OrganizerConfig:
+        """Knobs for page assembly."""
+        return self._config
+
+    @config.setter
+    def config(self, config: OrganizerConfig) -> None:
+        groupers: dict[str, Grouper] = {
+            "social": lambda msg, _: social_grouping(msg, config.social_theta),
+            "topical": lambda msg, _: topical_grouping(msg),
+            "endorser": endorser_group_grouping,
+        }
+        for facet in config.structural_facets:
+            groupers[f"structural:{facet}"] = (
+                lambda msg, _, f=facet: structural_grouping(msg, f)
+            )
+        self._config = config
+        self._groupers = dict(sorted(groupers.items()))
+
     # ---------------------------------------------------------------- groups
     def grouping_factories(self) -> dict[str, GroupingFactory]:
-        """All grouping dimensions available on this site."""
-        factories: dict[str, GroupingFactory] = {
-            "social": lambda msg: social_grouping(msg, self.config.social_theta),
-            "topical": topical_grouping,
-            "endorser": lambda msg: endorser_group_grouping(msg, self.base_graph),
+        """All grouping dimensions available on this site, each reading
+        the projection current when it is called."""
+        return {
+            name: (lambda msg, g=grouper: g(msg, self.projection))
+            for name, grouper in self._groupers.items()
         }
-        for facet in self.config.structural_facets:
-            factories[f"structural:{facet}"] = (
-                lambda msg, f=facet: structural_grouping(msg, f)
-            )
-        return factories
-
-    def candidate_groupings(
-        self, msg: MeaningfulSocialGraph
-    ) -> list[GroupingResult]:
-        """Evaluate every dimension on the MSG."""
-        return [f(msg) for _, f in sorted(self.grouping_factories().items())]
 
     # ------------------------------------------------------------------ page
     def organize(
@@ -134,15 +185,15 @@ class InformationOrganizer:
         dimension instead of the §7.1 meaningfulness choice, and *flat_k*
         overrides the configured flat-list length for this page only.
         """
-        factory = None
+        grouper = None
         if dimension is not None:
             # Validate before the empty-result early return: a typo'd
             # dimension must fail loudly even when no items matched.
-            factory = self.grouping_factories().get(dimension)
-            if factory is None:
+            grouper = self._groupers.get(dimension)
+            if grouper is None:
                 raise PresentationError(
                     f"unknown grouping dimension {dimension!r}; have "
-                    f"{sorted(self.grouping_factories())}"
+                    f"{list(self._groupers)}"
                 )
         page = ResultPage(
             query_text=msg.query.raw_text,
@@ -151,11 +202,12 @@ class InformationOrganizer:
         )
         if not msg.items:
             return page
-        if factory is not None:
-            winner = factory(msg)
+        projection = self.projection
+        if grouper is not None:
+            winner = grouper(msg, projection)
             scores = {dimension: 1.0}
         else:
-            candidates = self.candidate_groupings(msg)
+            candidates = [g(msg, projection) for g in self._groupers.values()]
             winner, scores = choose_grouping(
                 candidates, msg, self.config.weights
             )
@@ -163,8 +215,11 @@ class InformationOrganizer:
         page.dimension_scores = scores
 
         ranked_groups = self.selector.rank_groups(winner, msg)
+        sims: dict[Id, float] = {}  # UserSim(user, ·), shared by the page
         for ranked in ranked_groups:
-            page.groups.append(self._render_group(ranked, msg))
+            page.groups.append(
+                self._render_group(ranked, msg, projection, sims)
+            )
         # The flat list is the classic single ranked list (global combined
         # score order); interleaved across-group selection remains available
         # via ResultSelector.interleave for diversity-first surfaces.
@@ -175,41 +230,54 @@ class InformationOrganizer:
         return page
 
     def _render_group(
-        self, ranked: RankedGroup, msg: MeaningfulSocialGraph
+        self,
+        ranked: RankedGroup,
+        msg: MeaningfulSocialGraph,
+        projection: ActivityProjection,
+        sims: dict[Id, float],
     ) -> ResultGroup:
+        graph = projection.graph
         entries = []
+        counted = []
         for item, score in ranked.items:
+            shown, for_group = self._explain(msg, item, projection, sims)
+            counted.append(for_group)
             entries.append(
                 ResultEntry(
                     item_id=item,
-                    name=str(self.base_graph.node(item).value("name", item))
-                    if self.base_graph.has_node(item)
+                    name=str(graph.node(item).value("name", item))
+                    if graph.has_node(item)
                     else str(item),
                     score=score,
-                    explanation=self._explain(msg, item),
+                    explanation=shown,
                 )
             )
-        group_explanation = explain_group(
-            self.base_graph,
-            msg.query.user_id,
-            ranked.label,
-            [i for i, _ in ranked.items],
-            kind=self.config.explanation_kind,
-        )
         return ResultGroup(
             label=ranked.label,
             dimension=ranked.dimension,
             entries=entries,
             group_score=ranked.group_score,
-            explanation=group_explanation,
+            explanation=aggregate_group(graph, ranked.label, counted),
         )
 
-    def _explain(self, msg: MeaningfulSocialGraph, item: Id) -> Explanation:
+    def _explain(
+        self,
+        msg: MeaningfulSocialGraph,
+        item: Id,
+        projection: ActivityProjection,
+        sims: dict[Id, float],
+    ) -> tuple[Explanation, Explanation]:
+        """One item explained once: (what its entry shows, what its
+        group's aggregate counts) — the friends-only and the everyone CF
+        explanation, or the one content-based explanation twice."""
         if self.config.explanation_kind == COLLABORATIVE:
-            return explain_collaborative(
-                self.base_graph, msg.query.user_id, item, friends_only=True
+            return collaborative_pair(
+                projection, msg.query.user_id, item, sims
             )
-        return explain_content_based(self.base_graph, msg.query.user_id, item)
+        explanation = explain_content_based(
+            projection, msg.query.user_id, item
+        )
+        return explanation, explanation
 
     # ------------------------------------------------------------- hierarchy
     def hierarchy(self, msg: MeaningfulSocialGraph) -> HierarchicalPresenter:

@@ -3,6 +3,8 @@ and index-backed vs. scan-based candidate parity."""
 
 from __future__ import annotations
 
+import gc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -50,6 +52,27 @@ class TestWarmReuse:
         first = session.semantic_index
         session.run(SearchRequest(user_id=JOHN, text="museum"))
         assert session.semantic_index is first
+
+
+    def test_a_dropped_session_is_freed_without_the_cycle_collector(
+        self, travel
+    ):
+        """The planner's index providers must not hold their session: a
+        replaced or restored session — graphs, indexes and all — goes when
+        its last reference goes, not at the next full collection."""
+        gc.collect()
+        gc.disable()
+        try:
+            session = Session.from_graph(travel.graph)
+            session.run(SearchRequest(user_id=JOHN, text="museum",
+                                      use_index=True))
+            session.run(SearchRequest(user_id=JOHN, text="museum",
+                                      use_index=False))
+            gone = weakref.ref(session)
+            del session
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 class TestIncrementalRefresh:

@@ -40,6 +40,7 @@ def fixture_config() -> Config:
         determinism_strict=("plan",),
         rng_allowlist={},
         purity_modules=("plan.columnar",),
+        site_scan_modules=("presentation", "discovery.msg"),
         restricted_imports={"multiprocessing": "plan.parallel"},
     )
 
@@ -193,6 +194,40 @@ class TestPurity:
     def test_fresh_local_graph_is_silent(self):
         findings = run_on("purity", "purity")
         assert not any(f.symbol == "materialize" for f in findings)
+
+
+class TestSiteScans:
+    def test_whole_site_iteration_above_the_plan_fires(self):
+        findings = run_on("sitescan", "purity")
+        assert rules_of(findings) == {"P002"}
+        assert {(f.symbol, f.detail) for f in findings} == {
+            ("membership", "links"),
+            ("population", "nodes_of_type"),
+            ("cut", "links_of_type"),
+            ("links_of_type", "nodes"),
+        }
+        assert all("whole site" in f.message for f in findings)
+
+    def test_adjacency_reads_and_out_of_scope_modules_are_silent(self):
+        findings = run_on("sitescan", "purity")
+        assert not any(f.symbol == "taggers" for f in findings)
+        assert not any(f.path.endswith("query.py") for f in findings)
+
+    def test_repo_scope_is_presentation_and_the_msg_cut(self):
+        """The repo's own setting, with nothing grandfathered."""
+        config = load_config(REPO_ROOT / "pyproject.toml")
+        assert config.site_scan_modules == ("presentation", "discovery.msg")
+        modules = collect_modules(
+            REPO_ROOT / "src", REPO_ROOT, layer_root=config.layer_root
+        )
+        in_scope = [m for m in modules if config.module_in(
+            m.name, config.site_scan_modules
+        )]
+        assert {m.name for m in in_scope} >= {
+            "presentation.explanations", "presentation.grouping",
+            "presentation.organizer", "discovery.msg",
+        }
+        assert run_rules(in_scope, config, ("purity",)) == []
 
 
 class TestCleanFixture:

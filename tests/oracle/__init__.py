@@ -1,11 +1,13 @@
 """Reference implementations the differential suites compare against.
 
-The hand-executed discovery code the compiled plan pipeline superseded:
-kept here, verbatim in behaviour, because the parity suites hold the
-engine equal to it at 1e-9.  It goes through the eager algebra and plain
-graph walks only — never ``repro.plan`` — and nothing under ``src/``
-imports it (``tests/`` is on ``pythonpath``, so suites ``import oracle``
-the way they ``import factories``).
+The hand-executed discovery code the compiled plan pipeline superseded,
+and the whole-site presentation loops (population-walking explanations,
+the ``links()`` cut of the MSG, the membership scan) the adjacency reads
+superseded: kept here, verbatim in behaviour, because the parity suites
+hold the engine equal to them at 1e-9.  They go through the eager algebra
+and plain graph walks only — never ``repro.plan`` — and nothing under
+``src/`` imports them (``tests/`` is on ``pythonpath``, so suites
+``import oracle`` the way they ``import factories``).
 """
 
 from oracle.connections import (
@@ -14,6 +16,15 @@ from oracle.connections import (
     friends_of,
     select_connections,
 )
+from oracle.explanations import (
+    explain_collaborative,
+    explain_content_based,
+    explain_group,
+    item_similarity,
+    user_similarity,
+)
+from oracle.msg import assemble_msg, endorser_group_grouping
+from oracle.page import organize_reference
 from oracle.ranking import (
     ReferenceRanking,
     SemanticResult,
@@ -33,4 +44,7 @@ __all__ = [
     "SCORERS", "score_friends", "score_similar_users", "score_item_based",
     "SemanticResult", "semantic_candidates",
     "ReferenceRanking", "rank_reference",
+    "explain_collaborative", "explain_content_based", "explain_group",
+    "item_similarity", "user_similarity",
+    "assemble_msg", "endorser_group_grouping", "organize_reference",
 ]

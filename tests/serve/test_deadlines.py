@@ -186,6 +186,100 @@ class TestPlanSideDeadline:
 
 
 @pytest.mark.usefixtures("deadlock_watchdog")
+class TestDeadlineAboveThePlan:
+    """The budget bounds the work done, not only the plan: a request
+    whose deadline passes after ranking cuts no MSG and organizes no
+    page."""
+
+    @staticmethod
+    def _slow(function, seconds, entered=None):
+        def slowed(*args, **kwargs):
+            if entered is not None:
+                entered.append(function.__name__)
+            result = function(*args, **kwargs)
+            time.sleep(seconds)
+            return result
+        return slowed
+
+    def test_rank_outlasting_the_budget_stops_before_the_msg(
+        self, session, monkeypatch
+    ):
+        import repro.api.session as session_module
+
+        entered: list[str] = []
+        rank = session.discoverer.rank
+        # the plan itself finishes in time (no cooperative check fires);
+        # the clock runs out between ranking and the MSG cut
+        monkeypatch.setattr(
+            session.discoverer, "rank",
+            lambda *a, **kw: self._slow(rank, 0.1)(
+                *a, **{**kw, "deadline": None}
+            ),
+        )
+        monkeypatch.setattr(
+            session_module, "assemble_msg",
+            self._slow(session_module.assemble_msg, 0.0, entered),
+        )
+        monkeypatch.setattr(
+            session.organizer, "organize",
+            self._slow(session.organizer.organize, 0.0, entered),
+        )
+        with pytest.raises(DeadlineError) as raised:
+            session.run(REQUEST, deadline=time.monotonic() + 0.05)
+        assert raised.value.stage == "assemble_msg"
+        assert raised.value.elapsed_s >= 0.05
+        assert entered == []
+
+    def test_msg_cut_outlasting_the_budget_stops_before_organize(
+        self, session, monkeypatch
+    ):
+        import repro.api.session as session_module
+
+        entered: list[str] = []
+        monkeypatch.setattr(
+            session_module, "assemble_msg",
+            self._slow(session_module.assemble_msg, 0.1),
+        )
+        monkeypatch.setattr(
+            session.organizer, "organize",
+            self._slow(session.organizer.organize, 0.0, entered),
+        )
+        session.run(REQUEST)  # warm: the budget below is the cut's alone
+        entered.clear()
+        with pytest.raises(DeadlineError) as raised:
+            session.run(REQUEST, deadline=time.monotonic() + 0.05)
+        assert raised.value.stage == "organize"
+        assert entered == []
+
+    def test_gateway_outcome_is_typed_and_organize_never_runs(
+        self, session, monkeypatch
+    ):
+        entered: list[str] = []
+        rank = session.discoverer.rank
+        monkeypatch.setattr(
+            session.discoverer, "rank", self._slow(rank, 0.15)
+        )
+        monkeypatch.setattr(
+            session.organizer, "organize",
+            self._slow(session.organizer.organize, 0.0, entered),
+        )
+        config = GatewayConfig(
+            max_workers=1, default_deadline_s=0.05,
+            admission=OPEN_ADMISSION,
+        )
+
+        async def _run():
+            # leaving the block drains the worker, so ``entered`` is final
+            async with ServeGateway(session, config) as gateway:
+                return await gateway.submit("tenant", REQUEST)
+
+        outcome = asyncio.run(_run())
+        assert isinstance(outcome, DeadlineExceeded)
+        assert outcome.deadline_s == 0.05
+        assert entered == []
+
+
+@pytest.mark.usefixtures("deadlock_watchdog")
 class TestBoundedShutdown:
     def test_stop_fails_wedged_requests_typed(self, session):
         config = GatewayConfig(

@@ -88,6 +88,11 @@ DEFAULT_PURITY_MUTATORS: tuple[str, ...] = (
     "remove_links",
 )
 
+#: Modules that run per request *above* the plan: everything between the
+#: ranked window and the rendered page.  They may not iterate the whole
+#: site (rule P002).
+DEFAULT_SITE_SCAN_MODULES: tuple[str, ...] = ("presentation", "discovery.msg")
+
 #: Stdlib/third-party import prefix → the one module prefix (post
 #: layer-root stripping) allowed to import it; an empty owner bans the
 #: import everywhere.  ``multiprocessing`` has no owner: a scan runs on
@@ -120,6 +125,7 @@ class Config:
     key_function_patterns: tuple[str, ...] = DEFAULT_KEY_FUNCTION_PATTERNS
     purity_modules: tuple[str, ...] = DEFAULT_PURITY_MODULES
     purity_mutators: tuple[str, ...] = DEFAULT_PURITY_MUTATORS
+    site_scan_modules: tuple[str, ...] = DEFAULT_SITE_SCAN_MODULES
     restricted_imports: dict[str, str] = field(
         default_factory=lambda: dict(DEFAULT_RESTRICTED_IMPORTS)
     )
@@ -171,6 +177,8 @@ def load_config(pyproject: Path | None = None) -> Config:
         config.purity_modules = tuple(table["purity_modules"])
     if "purity_mutators" in table:
         config.purity_mutators = tuple(table["purity_mutators"])
+    if "site_scan_modules" in table:
+        config.site_scan_modules = tuple(table["site_scan_modules"])
     if "restricted_imports" in table:
         config.restricted_imports = dict(table["restricted_imports"])
     if "test_only_packages" in table:

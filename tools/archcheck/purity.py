@@ -1,4 +1,4 @@
-"""Rule family P: the columnar/physical execute paths never mutate inputs.
+"""Rule family P: what request paths may do with their input graphs.
 
 * **P001** — a configured purity module calls a graph-mutating method
   (``add_node``, ``add_link``, ``remove_*``) on an object it did not
@@ -16,6 +16,16 @@ attributes, comprehension results, returns of helper functions — is
 treated as shared input.  This under-approximates "fresh" on purpose:
 a helper that returns a new graph still gets flagged until the
 construction is made visible, which keeps the audit trail honest.
+
+* **P002** — a module above the plan (``repro.presentation``,
+  ``repro.discovery.msg``) calls ``.links()``, ``.nodes()``,
+  ``nodes_of_type(`` or ``links_of_type(``: a pass over the *whole site*
+  on a path that runs per request.  Everything between the ranked window
+  and the rendered page must cost the window's neighbourhood — read a
+  node's own ``in_links`` / ``out_links`` (or the organizer's activity
+  projection) instead.  The rule is syntactic on purpose: it does not
+  try to prove the receiver is a graph, and the modules in scope have no
+  other use for these names.
 """
 
 from __future__ import annotations
@@ -26,6 +36,9 @@ from tools.archcheck.config import Config
 from tools.archcheck.findings import Finding, Module
 
 FRESH_SOURCES = {"copy", "deepcopy"}
+
+#: the whole-site iterators of ``SocialContentGraph`` P002 watches for
+SITE_SCANS = {"links", "nodes", "nodes_of_type", "links_of_type"}
 
 
 def _fresh_locals(fn: ast.AST) -> set[str]:
@@ -55,7 +68,7 @@ def _fresh_locals(fn: ast.AST) -> set[str]:
 
 
 def check_purity(modules: list[Module], config: Config) -> list[Finding]:
-    findings: list[Finding] = []
+    findings: list[Finding] = _check_site_scans(modules, config)
     mutators = set(config.purity_mutators)
     for module in modules:
         if not config.module_in(module.name, config.purity_modules):
@@ -89,6 +102,40 @@ def check_purity(modules: list[Module], config: Config) -> list[Finding]:
                         f"read-only snapshots"
                     ),
                     detail=f"{receiver_src}.{func.attr}",
+                ))
+    return findings
+
+
+def _check_site_scans(modules: list[Module], config: Config) -> list[Finding]:
+    findings: list[Finding] = []
+    for module in modules:
+        if not config.module_in(module.name, config.site_scan_modules):
+            continue
+        for qualname, fn in _functions(module.tree):
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute):
+                    name = func.attr
+                elif isinstance(func, ast.Name):
+                    name = func.id
+                else:
+                    continue
+                if name not in SITE_SCANS:
+                    continue
+                findings.append(Finding(
+                    rule="P002",
+                    path=module.rel_path,
+                    line=node.lineno,
+                    symbol=qualname,
+                    message=(
+                        f"{ast.unparse(func)}() walks the whole site on a "
+                        f"per-request path — {module.name!r} must read a "
+                        f"node's own in_links/out_links (or the activity "
+                        f"projection), never every link or node"
+                    ),
+                    detail=name,
                 ))
     return findings
 
