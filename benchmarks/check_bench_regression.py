@@ -2,8 +2,9 @@
 """Bench regression gate: fresh BENCH_plan.json vs. committed baselines.
 
 Wall-clock milliseconds do not transfer between machines, so the gate
-mostly tracks *ratios* — columnar scan over the legacy row scan, warm
-first request over cold after recovery.
+mostly tracks *ratios* — columnar scan over the legacy row scan, the
+CF kernel over the Example 5 recipe, warm first request over cold after
+recovery.
 The serve bench additionally gates its latency percentiles (p95/p99) and
 peak RSS directly: regime-matched baselines plus the multiplicative
 budget absorb runner variance there.  Each tracked metric must not
@@ -68,6 +69,12 @@ def tracked_metrics(results: dict) -> dict[str, float]:
         metrics["scan.columnar_sharded_over_legacy"] = (
             min(p["scan_ms"] for p in sharded) / legacy["scan_ms"]
         )
+
+    if "cf" in results:
+        # the plan's similar_users kernel / the Example 5 recipe it is
+        # held equal to: ~0.02 while the stage probes the requester's
+        # neighbourhood, ~1 if it is routed back through the interpreter
+        metrics["cf.kernel_over_recipe"] = results["cf"]["kernel_over_recipe"]
 
     if "serve" in results:
         serve = results["serve"]

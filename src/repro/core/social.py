@@ -9,12 +9,21 @@ nodes of :mod:`repro.core.expr` (``ConnectionBasisE``, ``SocialScoreE``,
 back, so the whole discovery pipeline can run as one physical plan with
 per-operator profiling.
 
-The functions deliberately mirror the hand-executed reference
+The friend and item-based kernels mirror the hand-executed reference
 implementations in ``tests/oracle`` (``connections``, ``strategies``)
-step for step — the differential parity suite
+step for step; the collaborative filter does not — its reference runs
+the paper's nine-step Example 5 recipe over the whole graph, the kernel
+here probes the requester's neighbourhood (acted targets → co-actors →
+Jaccard → the co-actors' items).  The differential parity suite
 (``tests/plan/test_social_parity.py``) holds the two sides equal within
 1e-9 on randomized workloads, which is the correctness net that lets the
 compiler rearrange the physical form underneath.
+
+Per request, every kernel reads adjacency (``out_links`` / ``in_links``)
+of nodes it was led to.  Two helpers still walk ``graph.links()``:
+``expert_candidates``, whose inversion needs link-tag postings no derived
+structure holds yet, and ``resolve_auto_strategy``, which compiled plans
+never reach (the compiler resolves "auto" from statistics).
 
 Encoding conventions (shared with the physical operators):
 
@@ -109,14 +118,19 @@ def expert_candidates(
 ) -> list[Id]:
     """Users with the most activity on items matching the query terms."""
     counts: dict[Id, int] = {}
+    item_matches: dict[Id, bool] = {}  # one tokenisation per acted item
     for link in graph.links():
         if not link.has_type("act") or link.src in exclude:
             continue
-        item = graph.node(link.tgt)
-        item_terms = set(tokenize(item.text()))
-        for value in link.values("tags"):
-            item_terms.update(tokenize(str(value)))
-        if query_terms & item_terms:
+        matches = item_matches.get(link.tgt)
+        if matches is None:
+            matches = item_matches[link.tgt] = not query_terms.isdisjoint(
+                tokenize(graph.node(link.tgt).text())
+            )
+        if matches or any(
+            not query_terms.isdisjoint(tokenize(str(value)))
+            for value in link.values("tags")
+        ):
             counts[link.src] = counts.get(link.src, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], repr(kv[0])))
     return [user for user, _ in ranked[:limit]]
@@ -255,41 +269,42 @@ def _similar_user_scores(
     sim_threshold: float,
     act_type: str,
 ) -> tuple[dict, dict]:
-    """Example 5 CF through the algebra recipe, plus endorser provenance."""
-    from repro.core.recipes import (
-        example5_collaborative_filtering,
-        recommendations_from,
-    )
+    """Example 5's CF as a neighbourhood probe, with endorser provenance.
 
-    cf = example5_collaborative_filtering(
-        graph,
-        user_id,
-        visit_type=act_type,
-        dest_type="item",
-        sim_threshold=sim_threshold,
-    )
-    scores: dict[Id, float] = {}
-    for item, score in recommendations_from(cf, user_id):
-        if item in candidates:
-            scores[item] = score
-    endorsers: dict[Id, dict[Id, float]] = {}
-    my_items = {
-        l.tgt for l in graph.out_links(user_id) if l.has_type(act_type)
+    The answer of the paper's nine-step recipe
+    (``example5_collaborative_filtering``, the reference the parity suite
+    holds this to) reached from adjacency alone: the requester's acted
+    targets → their co-actors, of any node type → Jaccard of the two
+    acted sets → threshold → the kept co-actors' act links onto
+    item-typed candidates.  The average runs per *link*, as step 8
+    composes one link per activity; co-actors are visited in repr order
+    so neither the sums nor the endorser dicts depend on set iteration.
+    Cost: |mine| × item popularity + Σ co-actor degree.
+    """
+    mine = {l.tgt for l in graph.out_links(user_id) if l.has_type(act_type)}
+    co_actors = {
+        link.src
+        for target in mine
+        for link in graph.in_links(target)
+        if link.src != user_id and link.has_type(act_type)
     }
-    user_items: dict[Id, set] = {}
-    for link in graph.links():
-        if link.has_type(act_type):
-            user_items.setdefault(link.src, set()).add(link.tgt)
-    for other, items in user_items.items():
-        if other == user_id or not my_items:
-            continue
-        union_size = len(my_items | items)
-        sim = len(my_items & items) / union_size if union_size else 0.0
+    sums: dict[Id, float] = {}
+    counts: dict[Id, int] = {}
+    endorsers: dict[Id, dict[Id, float]] = {}
+    for other in sorted(co_actors, key=repr):
+        acted = [l.tgt for l in graph.out_links(other) if l.has_type(act_type)]
+        theirs = set(acted)
+        shared = len(mine & theirs)
+        sim = shared / (len(mine) + len(theirs) - shared)
         if sim <= sim_threshold:
             continue
-        for item in items & set(scores):
+        for item in acted:
+            if item not in candidates or not graph.node(item).has_type("item"):
+                continue
+            sums[item] = sums.get(item, 0.0) + sim
+            counts[item] = counts.get(item, 0) + 1
             endorsers.setdefault(item, {})[other] = sim
-    return scores, endorsers
+    return {item: sums[item] / counts[item] for item in sums}, endorsers
 
 
 def _item_based_scores(

@@ -25,10 +25,12 @@ Every strategy yields per-item social scores **with provenance**
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 from repro.core import Id
-from repro.errors import DiscoveryError
+from repro.errors import DiscoveryError, QueryError
 
 
 @dataclass
@@ -57,14 +59,27 @@ class FriendBasedStrategy:
 class SimilarUserStrategy:
     """Example 5's collaborative filtering as the scoring stage.
 
-    The ``score`` attribute on the recipe's ``recommend`` links is the
-    social relevance; users whose *act_type* overlap with the requester
-    exceeds *sim_threshold* and who acted on the item are the provenance.
+    An item's social relevance is the average similarity of the users who
+    acted on it (the recipe's ``recommend`` score); users whose *act_type*
+    overlap with the requester exceeds *sim_threshold* and who acted on
+    the item are the provenance.  Only co-actors can be similar, so the
+    threshold is a Jaccard bound: a number in [0, 1) in practice, and
+    never negative.
     """
 
     name = "similar_users"
 
     def __init__(self, sim_threshold: float = 0.1, act_type: str = "visit"):
+        if isinstance(sim_threshold, bool) \
+                or not isinstance(sim_threshold, Real) \
+                or math.isnan(sim_threshold) or sim_threshold < 0:
+            raise QueryError(
+                f"sim_threshold must be a number >= 0, got {sim_threshold!r}"
+            )
+        if not isinstance(act_type, str) or not act_type:
+            raise QueryError(
+                f"act_type must be a link type name, got {act_type!r}"
+            )
         self.sim_threshold = sim_threshold
         self.act_type = act_type
 

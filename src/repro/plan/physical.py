@@ -623,10 +623,12 @@ class SemiJoinProbeOp(_SocialStageOp):
 class GroupedAggregationOp(_SocialStageOp):
     """Similarity-driven strategies as one grouped aggregation pass.
 
-    Serves ``similar_users`` (Example 5's collaborative filter: group
-    activities per user, Jaccard against the querying user, merge
-    weighted endorsements) and ``item_based`` (group ``sim_item`` support
-    per candidate).
+    Serves ``similar_users`` (Example 5's collaborative filter as a probe
+    of the querying user's neighbourhood: their acted targets' co-actors,
+    Jaccard against each, similarity averaged per candidate item over the
+    kept co-actors' activities) and ``item_based`` (group ``sim_item``
+    support per candidate).  Neither reads beyond the adjacency of nodes
+    the user led to.
     """
 
     form = "group-agg"

@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import SearchRequest, Session, SessionConfig
 from repro.core import Link, Node
-from repro.discovery import DiscoveryConfig
+from repro.discovery import DiscoveryConfig, SimilarUserStrategy
 from repro.errors import DiscoveryError, PresentationError, QueryError
 from repro.workloads import ALEXIA, JOHN, TravelSiteConfig, build_travel_site
 
@@ -203,6 +203,24 @@ class TestRequestOverrides:
                 travel.graph,
                 SessionConfig(discovery=DiscoveryConfig(**overrides)),
             )
+
+    @pytest.mark.parametrize("params", [
+        {"sim_threshold": -0.1}, {"sim_threshold": float("nan")},
+        {"sim_threshold": "0.1"}, {"sim_threshold": None},
+        {"sim_threshold": True},
+        {"act_type": ""}, {"act_type": None}, {"act_type": 7},
+    ], ids=lambda p: "{}={!r}".format(*next(iter(p.items()))))
+    def test_invalid_cf_parameters_fail_at_construction(self, params):
+        # Only co-actors can be similar, so a negative threshold has no
+        # meaning; NaN compares false against every similarity; an empty
+        # act_type matches every link in the recipe's conditions.
+        with pytest.raises(QueryError):
+            SimilarUserStrategy(**params)
+
+    def test_cf_parameters_are_kept_as_given(self):
+        record = SimilarUserStrategy(sim_threshold=0, act_type="act")
+        assert (record.sim_threshold, record.act_type) == (0, "act")
+        assert SimilarUserStrategy(sim_threshold=1.0).sim_threshold == 1.0
 
 
 class TestIndexVsScanParity:

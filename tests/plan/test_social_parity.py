@@ -11,22 +11,50 @@ graphs, absent users) where relevance reproductions drift silently.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
+import repro.core.social
 from factories import social_site_graph
+from repro.api import SearchRequest, Session
 from repro.core import Link, Node, SocialContentGraph, input_graph
-from repro.core.expr import ConnectionBasisE, SocialScoreE
-from repro.core.social import decode_social_result
+from repro.core.expr import CombineScoresE, ConnectionBasisE, SocialScoreE
+from repro.core.social import _similar_user_scores, decode_social_result
 from repro.discovery import InformationDiscoverer, parse_query
-from repro.plan import CostModel, QueryPlanner, explain_execution
+from repro.plan import (
+    CostModel,
+    FusedSocialCombineOp,
+    GroupedAggregationOp,
+    QueryPlanner,
+    explain_execution,
+)
 
 TOL = 1e-9
 
 USER_POOL = [f"u{i}" for i in range(7)]
 ITEM_POOL = [f"i{i}" for i in range(8)]
 VOCAB = ("topic0", "topic1", "topic2", "offkey")
+
+#: An actor that is not ``user``-typed and an act target that is not
+#: ``item``-typed: Example 5's step 3 admits any node as a co-actor and
+#: its Jaccard sets hold any target, but only ``item`` nodes are scored.
+BOT, PLACE = "b0", "p0"
+#: A requester id with no node in the graph.
+GHOST = "ghost"
+#: Activity link typings: both names, either alone, and a third beside.
+ACT_TYPINGS = ("act, visit", "act, visit", "act", "visit", "act, tag")
+#: Candidate selections: every item, or a slice that leaves out items the
+#: co-actors acted on.
+CANDIDATE_CONDITIONS = (
+    {"type": "item"},
+    {"type": "item", "category": "topic0"},
+)
+
+CF_THRESHOLDS = (0.0, 0.1, 0.5, 1.0)
+CF_ACT_TYPES = ("visit", "act")
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +68,11 @@ def social_workloads(draw):
 
     Regimes covered by construction: users without friends, friends
     without activities, missing ``sim_item`` feeds, empty keyword sets,
-    keywords matching nothing, and (occasionally) a querying user with no
-    node at all beyond its links.
+    keywords matching nothing, a requester who never acted, a requester
+    id absent from the graph, items only the requester acted on, parallel
+    activity links from one actor onto one target, an actor that is not
+    ``user``-typed, an activity target that is not ``item``-typed, and
+    activity links typed ``act``, ``visit`` or both.
     """
     g = SocialContentGraph()
     n_users = draw(st.integers(min_value=1, max_value=len(USER_POOL)))
@@ -61,15 +92,29 @@ def social_workloads(draw):
         src, tgt = draw(st.sampled_from(users)), draw(st.sampled_from(users))
         g.add_link(Link(f"c{link_id}", src, tgt, type="connect, friend"))
         link_id += 1
-    if items:
-        for _ in range(draw(st.integers(min_value=0, max_value=14))):
-            src = draw(st.sampled_from(users))
-            tgt = draw(st.sampled_from(items))
-            attrs = {"type": "act, visit"}
+    actors, targets = list(users), list(items)
+    if draw(st.booleans()):
+        g.add_node(Node(BOT, type="bot", name="a crawler"))
+        actors.append(BOT)
+    if draw(st.booleans()):
+        g.add_node(Node(PLACE, type="place", name="a place",
+                        keywords="topic0"))
+        targets.append(PLACE)
+    if targets:
+        acts: list[tuple[str, str]] = []
+        for _ in range(draw(st.integers(min_value=0, max_value=20))):
+            if acts and draw(st.integers(min_value=0, max_value=4)) == 0:
+                src, tgt = draw(st.sampled_from(acts))  # a parallel link
+            else:
+                src = draw(st.sampled_from(actors))
+                tgt = draw(st.sampled_from(targets))
+            acts.append((src, tgt))
+            attrs = {"type": draw(st.sampled_from(ACT_TYPINGS))}
             if draw(st.booleans()):
                 attrs["tags"] = draw(st.sampled_from(VOCAB))
             g.add_link(Link(f"a{link_id}", src, tgt, **attrs))
             link_id += 1
+    if items:
         for _ in range(draw(st.integers(min_value=0, max_value=6))):
             src = draw(st.sampled_from(items))
             tgt = draw(st.sampled_from(items))
@@ -81,7 +126,7 @@ def social_workloads(draw):
                                    allow_nan=False)),
             ))
             link_id += 1
-    user = draw(st.sampled_from(users))
+    user = draw(st.sampled_from(users * 3 + [GHOST]))
     keywords = tuple(draw(st.lists(st.sampled_from(VOCAB), max_size=2)))
     return g, user, keywords
 
@@ -91,12 +136,20 @@ def social_workloads(draw):
 # ---------------------------------------------------------------------------
 
 
-def legacy_social(graph, user, keywords, strategy_name):
-    """Reference scores: connection selection + scorer + Selma fallback."""
+def legacy_social(graph, user, keywords, strategy_name,
+                  candidates=CANDIDATE_CONDITIONS[0], **params):
+    """Reference scores: connection selection + scorer + Selma fallback.
+
+    *params* are the scorer's own (``sim_threshold`` / ``act_type`` of
+    ``score_similar_users``); its defaults are the compiled stage's.
+    """
     selection = oracle.select_connections(graph, user, keywords)
     score = oracle.SCORERS[strategy_name]
-    candidates = {n.id for n in graph.nodes_of_type("item")}
-    social = score(graph, user, candidates, selection)
+    candidates = {
+        n.id for n in input_graph("G").select_nodes(candidates)
+        .evaluate({"G": graph}).nodes()
+    }
+    social = score(graph, user, candidates, selection, **params)
     fallback = selection.used_expert_fallback
     if (
         not social.scores
@@ -112,21 +165,33 @@ def legacy_social(graph, user, keywords, strategy_name):
     return social, fallback
 
 
-def compiled_social(graph, user, keywords, strategy_name, planner=None,
-                    access="auto"):
-    """Compiled scores: the SocialScoreE stage, logical or physical."""
+def social_stage(user, keywords, strategy_name,
+                 candidates=CANDIDATE_CONDITIONS[0],
+                 sim_threshold=0.1, act_type="visit", fused=False):
+    """The SocialScoreE stage alone, or under the α-combination that the
+    compiler fuses it into (``drop_zero`` off, so every scored item and
+    its provenance survive to be compared)."""
     G = input_graph("G")
-    candidates = G.select_nodes({"type": "item"})
+    selected = G.select_nodes(candidates)
     basis = ConnectionBasisE(G, user_id=user, keywords=keywords)
     social = SocialScoreE(
-        G, candidates, basis,
+        G, selected, basis,
         strategy=strategy_name, user_id=user, keywords=keywords,
-        sim_threshold=0.1, act_type="visit",
+        sim_threshold=sim_threshold, act_type=act_type,
     )
+    if fused:
+        return CombineScoresE(selected, social, alpha=0.5, drop_zero=False)
+    return social
+
+
+def compiled_social(graph, user, keywords, strategy_name, planner=None,
+                    access="auto", **stage):
+    """Compiled scores: the SocialScoreE stage, logical or physical."""
+    expr = social_stage(user, keywords, strategy_name, **stage)
     if planner is None:
-        result = social.evaluate({"G": graph})
+        result = expr.evaluate({"G": graph})
     else:
-        result = planner.execute(social, access=access).result
+        result = planner.execute(expr, access=access).result
     return decode_social_result(result)
 
 
@@ -326,3 +391,249 @@ class TestDegenerateRegimes:
             g, "u0", (), "friends", planner=QueryPlanner(g), access="index"
         )
         assert_scores_match(reference, fallback, decoded)
+
+
+# ---------------------------------------------------------------------------
+# The similar_users kernel: a neighbourhood probe held to Example 5's recipe
+# ---------------------------------------------------------------------------
+
+
+def cf_planner(graph, shards):
+    planner = QueryPlanner(
+        graph, cost_model=CostModel(shard_scan_min_nodes=0.0)
+    )
+    if shards > 1:
+        planner.attach_shards(shards)
+    return planner
+
+
+def cf_corner_graph():
+    """u0 asks; u1 (a user) and b0 (a bot) share targets with u0.
+
+    mine = {i0, i1, p0}; u1 acted on {i0 (twice), i2, p0} → 2/4 = 0.5;
+    b0 acted on {i0, i3} → 1/4 = 0.25; u2 acted on {i4} only → no overlap.
+    """
+    g = SocialContentGraph()
+    for u in ("u0", "u1", "u2"):
+        g.add_node(Node(u, type="user"))
+    g.add_node(Node(BOT, type="bot"))
+    g.add_node(Node(PLACE, type="place"))
+    for index in range(5):
+        g.add_node(Node(f"i{index}", type="item",
+                        category="topic0" if index != 2 else "topic1"))
+    acts = [
+        ("u0", "i0", "act, visit"), ("u0", "i1", "act, visit"),
+        ("u0", PLACE, "act, visit"),
+        ("u1", "i0", "act, visit"), ("u1", "i0", "visit"),
+        ("u1", "i2", "act, visit"), ("u1", PLACE, "act, visit"),
+        (BOT, "i0", "act, visit"), (BOT, "i3", "visit"),
+        ("u2", "i4", "act, visit"),
+    ]
+    for n, (src, tgt, types) in enumerate(acts):
+        g.add_link(Link(f"a{n}", src, tgt, type=types))
+    return g
+
+
+class TestSimilarUsersKernel:
+    """``_similar_user_scores`` walks the requester's neighbourhood;
+    ``oracle.score_similar_users`` interprets the nine-step recipe over
+    the whole graph.  Scores, endorser sets and weights agree at 1e-9
+    whatever the parameters and whichever physical form runs the kernel.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(social_workloads(), st.sampled_from(CANDIDATE_CONDITIONS))
+    def test_matches_the_recipe_in_every_form(self, workload, candidates):
+        graph, user, keywords = workload
+        planners = {shards: cf_planner(graph, shards) for shards in (1, 2)}
+        for threshold in CF_THRESHOLDS:
+            for act_type in CF_ACT_TYPES:
+                stage = dict(candidates=candidates, sim_threshold=threshold,
+                             act_type=act_type)
+                reference, fallback = legacy_social(
+                    graph, user, keywords, "similar_users", **stage
+                )
+                for shards, planner in planners.items():
+                    for fused in (False, True):
+                        execution = planner.execute(social_stage(
+                            user, keywords, "similar_users", fused=fused,
+                            **stage,
+                        ))
+                        assert type(execution.plan.root) is (
+                            FusedSocialCombineOp if fused
+                            else GroupedAggregationOp
+                        )
+                        assert shards == 1 or execution.plan.uses_sharded_scan
+                        assert_scores_match(
+                            reference, fallback,
+                            decode_social_result(execution.result),
+                        )
+
+    def test_hand_computed_corners(self):
+        g = cf_corner_graph()
+        everything = {n.id for n in g.nodes()}
+        scores, endorsers = _similar_user_scores(
+            g, everything, "u0", 0.1, "visit"
+        )
+        # i0: u1's two parallel links and b0's one weigh the average per
+        # link; i1 (only the requester acted on it) and p0 (not an item,
+        # though it sits in both Jaccard sets) are never scored; the
+        # requester's own i0 is
+        assert scores == pytest.approx(
+            {"i0": (0.5 + 0.5 + 0.25) / 3, "i2": 0.5, "i3": 0.25}, abs=TOL
+        )
+        # ...and u1 endorses i0 once; the bot is an endorser like any node
+        assert endorsers == {"i0": {BOT: 0.25, "u1": 0.5}, "i2": {"u1": 0.5},
+                             "i3": {BOT: 0.25}}
+        # a link typed only ``visit`` is no ``act`` activity: b0 -> i3 and
+        # u1's second i0 link drop out, and b0's set shrinks to {i0}
+        scores, endorsers = _similar_user_scores(
+            g, everything, "u0", 0.1, "act"
+        )
+        assert scores == pytest.approx(
+            {"i0": (0.5 + 1 / 3) / 2, "i2": 0.5}, abs=TOL
+        )
+        # the threshold is strict, and candidates bound what is scored
+        assert _similar_user_scores(g, everything, "u0", 0.5, "visit") \
+            == ({}, {})
+        scores, endorsers = _similar_user_scores(
+            g, {"i0", "i3"}, "u0", 0.25, "visit"
+        )
+        assert scores == pytest.approx({"i0": 0.5}, abs=TOL)
+        assert endorsers == {"i0": {"u1": 0.5}}
+        # no activity, and no node at all: nothing, and no error
+        assert _similar_user_scores(g, everything, "u2", 0.0, "tag") \
+            == ({}, {})
+        assert _similar_user_scores(g, everything, GHOST, 0.0, "visit") \
+            == ({}, {})
+        for threshold in CF_THRESHOLDS:
+            for act_type in CF_ACT_TYPES:
+                reference = oracle.score_similar_users(
+                    g, "u0", everything, None, threshold, act_type
+                )
+                scores, endorsers = _similar_user_scores(
+                    g, everything, "u0", threshold, act_type
+                )
+                assert scores == pytest.approx(reference.scores, abs=TOL)
+                assert endorsers.keys() == reference.endorsers.keys()
+                for item, per_user in reference.endorsers.items():
+                    assert endorsers[item] == pytest.approx(per_user, abs=TOL)
+
+    def test_endorser_order_is_repr_order(self):
+        """Who reads the endorser dicts' *insertion* order: nobody whose
+        output a caller sees.  ``assemble_msg`` and
+        ``endorser_group_grouping`` pour them into sets, explanations
+        take supporters from ``ActivityProjection`` (repr order), the
+        e2e canonical form sorts weights, and ``fused_social_combine`` /
+        ``encode_social_result`` only copy the order into the result
+        graph's ``endorse`` links.  The old order followed
+        ``graph.links()``; adjacency is a set of link ids, so the kernel
+        visits co-actors in repr order instead — the float sums and the
+        dicts are then the same in every process.  Pinned here.
+        """
+        g = social_site_graph(num_users=12, num_items=6, acts_per_user=4)
+        everything = {n.id for n in g.nodes()}
+        scores, endorsers = _similar_user_scores(
+            g, everything, "u3", 0.0, "visit"
+        )
+        assert len(max(endorsers.values(), key=len)) > 2
+        for per_user in endorsers.values():
+            assert list(per_user) == sorted(per_user, key=repr)
+
+
+# ---------------------------------------------------------------------------
+# The stage's cost follows the requester's neighbourhood, not the site
+# ---------------------------------------------------------------------------
+
+SITE_PASSES = ("links", "nodes", "nodes_of_type", "links_of_type")
+ADJACENCY_READS = ("out_links", "in_links")
+
+#: A deep page, a keyword + structural scan and a recommendation — the
+#: three request kinds of the e2e ``catalog_deep`` stream.
+CF_REQUESTS = (
+    SearchRequest(user_id="u1", text="topic0", strategy="similar_users",
+                  page_size=2, page=2),
+    SearchRequest(user_id="u1", text="topic1", strategy="similar_users",
+                  k=10, structural={"type": "item", "category": "topic1"}),
+    SearchRequest(user_id="u1", text="", strategy="similar_users", k=10),
+)
+
+
+def cf_site(crowd=0):
+    """Six users over twelve items, plus *crowd* users who act only on
+    *crowd* items of their own — site the requester never touches."""
+    g = SocialContentGraph()
+    for u in range(6):
+        g.add_node(Node(f"u{u}", type="user", name=f"user {u}"))
+    for i in range(12):
+        g.add_node(Node(f"i{i}", type="item", name=f"item {i}",
+                        category=f"topic{i % 3}", keywords=f"topic{i % 3}"))
+    for c in range(crowd):
+        g.add_node(Node(f"c{c}", type="user", name=f"crowd {c}"))
+        g.add_node(Node(f"x{c}", type="item", name=f"far {c}",
+                        category="far", keywords="far away"))
+    acts = [(f"u{u}", f"i{(u + step) % 12}")
+            for u in range(6) for step in range(4)]
+    acts += [(f"c{c}", f"x{(c + step) % crowd}")
+             for c in range(crowd) for step in range(3)]
+    for n, (src, tgt) in enumerate(acts):
+        g.add_link(Link(f"a{n}", src, tgt, type="act, visit"))
+    return g
+
+
+class KernelProbe:
+    """Counts the graph reads made while ``_similar_user_scores`` runs,
+    on any graph, and keeps what it returned."""
+
+    def __init__(self, monkeypatch):
+        self.reads: Counter = Counter()
+        self.results: list = []
+        self._inside = False
+        kernel = repro.core.social._similar_user_scores
+
+        def probed_kernel(*args):
+            self._inside = True
+            try:
+                self.results.append(kernel(*args))
+            finally:
+                self._inside = False
+            return self.results[-1]
+
+        monkeypatch.setattr(
+            repro.core.social, "_similar_user_scores", probed_kernel
+        )
+        for name in SITE_PASSES + ADJACENCY_READS:
+            monkeypatch.setattr(
+                SocialContentGraph, name,
+                self._counting(name, getattr(SocialContentGraph, name)),
+            )
+
+    def _counting(self, name, method):
+        def read(graph, *args):
+            if self._inside:
+                self.reads[name] += 1
+            return method(graph, *args)
+        return read
+
+
+class TestCfStageFollowsTheNeighbourhood:
+    def test_no_site_pass_and_a_crowd_changes_nothing(self, monkeypatch):
+        probe = KernelProbe(monkeypatch)
+        measured = {}
+        for crowd in (0, 60):  # 10x the users, on items of their own
+            session = Session.from_graph(cf_site(crowd))
+            for request in CF_REQUESTS:
+                session.run(request)
+            probe.reads.clear()
+            probe.results.clear()
+            for request in CF_REQUESTS:  # warm: every request once before
+                session.run(request)
+            assert len(probe.results) == len(CF_REQUESTS)
+            assert all(scores for scores, _ in probe.results)
+            assert not any(probe.reads[name] for name in SITE_PASSES)
+            measured[crowd] = (
+                list(probe.results),
+                [probe.reads[name] for name in ADJACENCY_READS],
+            )
+        assert all(measured[0][1])
+        assert measured[60] == measured[0]
