@@ -7,18 +7,32 @@ Two questions the api_redesign answers quantitatively:
 2. what does index-backed candidate generation save over the full-scan
    semantic stage, at identical results?
 
+A third number guards the write path: a read right after one vote over
+the warm read of the same request.  It is machine independent, lands in
+``BENCH_plan.json`` under ``"refresh"`` and is gated by
+``check_bench_regression.py``: a vote advances the session by its delta
+(ratio ≈ 3), and a change that routes it back through the full resync
+(ratio ≈ 14) fails the gate.
+
 Tables print via the ``report`` fixture, timings via pytest-benchmark.
 """
 
 from __future__ import annotations
 
+import json
+import random
+import statistics
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.api import SearchRequest, Session
+from repro.core import Link
 from repro.socialscope import SocialScope
 from repro.workloads import ALEXIA, JOHN, SELMA
+
+OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_plan.json"
 
 QUERY_MIX = [
     SearchRequest(user_id=JOHN, text="Denver attractions"),
@@ -153,3 +167,51 @@ def test_pagination_latency(session, benchmark, page_size):
              .page_size(page_size).pages(max_pages=3))
 
     benchmark(walk_pages)
+
+
+def test_read_after_write_over_warm(travel_site, report, quick):
+    """One ``add_link(act, visit)``, then the same request twice: the
+    first run pays the refresh, the second is the warm read."""
+    session = Session.from_graph(travel_site.graph)  # written to: its own
+    users = sorted(n.id for n in travel_site.graph.nodes_of_type("user"))
+    items = sorted(n.id for n in travel_site.graph.nodes_of_type("item"))
+    rng = random.Random(17)
+    _run_mix_warm(session)
+    after, warm = [], []
+    for vote in range((4 if quick else 40) * len(QUERY_MIX)):
+        request = QUERY_MIX[vote % len(QUERY_MIX)]
+        session.data_manager.add_link(Link(
+            f"bench:vote:{vote}", rng.choice(users), rng.choice(items),
+            type="act, visit",
+        ))
+        t0 = time.perf_counter()
+        session.run(request)
+        t1 = time.perf_counter()
+        session.run(request)
+        t2 = time.perf_counter()
+        after.append(t1 - t0)
+        warm.append(t2 - t1)
+    after_ms = statistics.median(after) * 1e3
+    warm_ms = statistics.median(warm) * 1e3
+    ratio = after_ms / warm_ms
+    stats = session.stats
+    report(
+        "",
+        "=== Write path: read after one vote vs warm read "
+        f"({len(after)} votes over the {len(QUERY_MIX)}-query mix) ===",
+        f"  read after write (median):   {after_ms:8.2f} ms",
+        f"  warm read (median):          {warm_ms:8.2f} ms",
+        f"  ratio:                       {ratio:8.2f}x   "
+        f"(refreshes: {stats.refreshes}, of which patched: "
+        f"{stats.delta_refreshes}; plan compiles: {stats.plan_compiles})",
+    )
+    merged = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else {}
+    merged["quick"] = bool(quick)
+    merged["refresh"] = {
+        "read_after_write_over_warm": ratio,
+        "read_after_write_ms": after_ms,
+        "warm_read_ms": warm_ms,
+    }
+    OUTPUT.write_text(json.dumps(merged, indent=2) + "\n")
+    if not quick:
+        assert stats.delta_refreshes == stats.refreshes == len(after)

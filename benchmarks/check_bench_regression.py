@@ -3,8 +3,8 @@
 
 Wall-clock milliseconds do not transfer between machines, so the gate
 mostly tracks *ratios* — columnar scan over the legacy row scan, the
-CF kernel over the Example 5 recipe, warm first request over cold after
-recovery.
+CF kernel over the Example 5 recipe, a read right after a write over a
+warm read, warm first request over cold after recovery.
 The serve bench additionally gates its latency percentiles (p95/p99) and
 peak RSS directly: regime-matched baselines plus the multiplicative
 budget absorb runner variance there.  Each tracked metric must not
@@ -75,6 +75,14 @@ def tracked_metrics(results: dict) -> dict[str, float]:
         # held equal to: ~0.02 while the stage probes the requester's
         # neighbourhood, ~1 if it is routed back through the interpreter
         metrics["cf.kernel_over_recipe"] = results["cf"]["kernel_over_recipe"]
+
+    if "refresh" in results:
+        # a read right after one vote / the warm read of the same
+        # request: ~3 while a vote advances the session by its delta,
+        # ~14 if it is routed back through the full resync
+        metrics["refresh.read_after_write_over_warm"] = (
+            results["refresh"]["read_after_write_over_warm"]
+        )
 
     if "serve" in results:
         serve = results["serve"]

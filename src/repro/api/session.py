@@ -8,7 +8,16 @@ Information Organizer on top — and serves :class:`SearchRequest` after
 * **incremental refresh** — graph changes (analyses, remote attachment,
   direct Data Manager writes) set a dirty flag; the next query retargets
   the existing components and invalidates only the per-graph caches
-  (tf-idf corpus, search indexes) instead of reconstructing the layers;
+  (tf-idf corpus, search indexes) instead of reconstructing the layers.
+  A Data Manager write is less than that: the manager cuts the next
+  graph from the one it served by copy-and-patch, and when its change
+  feed describes the whole step the session hands it down, so that each
+  derived structure keeps what those records cannot have changed — for
+  a vote (links only): the tf-idf corpus, the semantic index, the node
+  side of the scan columns, compiled plans (see
+  :meth:`repro.plan.QueryPlanner.refresh`).  ``stats.delta_refreshes``
+  counts the refreshes that went that way; the full resync is the one
+  fallback;
 * **compiled serving** — every request's *whole* pipeline (semantic
   σN⟨C,S⟩ scoping, connection selection, social strategy scoring,
   α-combination) is built as one algebra plan and executed through the
@@ -124,6 +133,8 @@ class SessionStats:
 
     queries: int = 0
     refreshes: int = 0
+    #: of those, the ones patched from the Data Manager's change feed
+    delta_refreshes: int = 0
     #: corpus passes for tf-idf (mirrors SemanticRelevance.builds)
     tfidf_builds: int = 0
     #: semantic index constructions
@@ -408,23 +419,38 @@ class Session:
         self._dirty = True
 
     def _ensure_fresh(self) -> None:
-        """Incremental refresh: retarget components, drop per-graph caches."""
-        if self.data_manager.version != self._dm_version:
+        """Incremental refresh: retarget components, drop per-graph caches.
+
+        Direct Data Manager writes are followed by their record changes
+        when those describe the whole step: nothing else is pending, no
+        analysis has derived links into the working graph (they are
+        functions of the data and re-derive in full), and the working
+        graph is the one the manager served, unwritten.
+        """
+        manager = self.data_manager
+        delta = None
+        if manager.version != self._dm_version:
             # Direct Data Manager writes happened behind the analyzer's
             # back: resync the working graph, re-deriving analyses.
+            if not self._dirty and not self.analyzer.run_log \
+                    and manager.serves(self.graph, self._dm_version):
+                delta = manager.changes_since(self._dm_version)
             self._resync_from_store()
             self._dirty = True
         if not self._dirty:
             return
         graph = self.analyzer.graph
-        self.discoverer.refresh(graph)
-        self.organizer.base_graph = graph
-        self._semantic_index = None
+        self.discoverer.refresh(graph, delta)
+        self.organizer.refresh(graph, delta)
+        if delta is None or not delta.links_only:
+            # a function of the item records, like the tf-idf corpus
+            self._semantic_index = None
         self._tagging_data = None
         self._network_indexes.clear()
         self.epoch += 1
         with self._lock:
             self.stats.refreshes += 1
+            self.stats.delta_refreshes += delta is not None
         self._dirty = False
 
     # ---------------------------------------------------------------- planning

@@ -27,7 +27,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.attrs import (
     SCORE_ATTR,
@@ -47,6 +47,9 @@ from repro.errors import (
     UnknownLinkError,
     UnknownNodeError,
 )
+
+if TYPE_CHECKING:  # repro.core.delta imports the records defined here
+    from repro.core.delta import GraphDelta
 
 Id = int | str
 
@@ -629,6 +632,44 @@ class SocialContentGraph:
         out._links = dict(self._links)
         out._out = {k: set(v) for k, v in self._out.items()}
         out._in = {k: set(v) for k, v in self._in.items()}
+        return out
+
+    def patched(self, delta: "GraphDelta") -> "SocialContentGraph":
+        """This graph advanced by *delta*, as a new object; ``self`` is
+        left as it was.
+
+        The records are applied in feed order with the *store's*
+        semantics, not the algebra's: an upsert **replaces** the record
+        (:meth:`add_node` / :meth:`add_link` would consolidate attribute
+        values), a replaced record keeps its iteration position and a new
+        one goes last — so the result iterates exactly as
+        ``GraphStore.snapshot()`` of the written store does.  The write
+        counter continues from this graph's.
+        """
+        from repro.core.delta import NODE
+
+        out = self.copy()
+        nodes, links = out._nodes, out._links
+        out_adj, in_adj = out._out, out._in
+        for kind, old, new in delta:
+            if kind == NODE:
+                if new is None:
+                    del nodes[old.id]
+                    out_adj.pop(old.id, None)
+                    in_adj.pop(old.id, None)
+                else:
+                    nodes[new.id] = new
+                    out_adj.setdefault(new.id, set())
+                    in_adj.setdefault(new.id, set())
+            elif new is None:
+                del links[old.id]
+                out_adj[old.src].discard(old.id)
+                in_adj[old.tgt].discard(old.id)
+            else:
+                links[new.id] = new
+                out_adj.setdefault(new.src, set()).add(new.id)
+                in_adj.setdefault(new.tgt, set()).add(new.id)
+        out._mutations = self._mutations + len(delta)
         return out
 
     def null_graph(self, nodes: Iterable[Node]) -> "SocialContentGraph":

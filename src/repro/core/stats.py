@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 from repro.core.conditions import AttrCompare, AttrEquals, Condition, HasType
-from repro.core.graph import SocialContentGraph
+from repro.core.delta import NODE, GraphDelta
+from repro.core.graph import Id, SocialContentGraph
 from repro.core.text import term_variants, tokenize
 
 #: Selectivity assumed for a structural predicate we know nothing about.
@@ -175,6 +176,15 @@ class CardinalityFeedback:
         return ("social", "endorse")
 
 
+def _bump(counter: Counter, key: Hashable, step: int) -> None:
+    """``counter[key] += step``, keeping no zero entry (``of`` has none)."""
+    count = counter[key] + step
+    if count:
+        counter[key] = count
+    else:
+        del counter[key]
+
+
 @dataclass
 class GraphStats:
     """Summary statistics over one social content graph."""
@@ -239,6 +249,66 @@ class GraphStats:
             stats.connect_degree_hist[degree] += 1
         for degree in act_out.values():
             stats.act_degree_hist[degree] += 1
+        return stats
+
+    def patched(self, delta: GraphDelta, old: SocialContentGraph,
+                new: SocialContentGraph) -> "GraphStats":
+        """The statistics of *new* = *old* advanced by *delta*, from these
+        statistics of *old*: equal to ``of(new, ...)``, at the price of the
+        records the step touched.  ``self`` is left as it was; histograms
+        no change reaches are shared with it.
+        """
+        stats = GraphStats(
+            num_nodes=new.num_nodes,
+            num_links=new.num_links,
+            node_types=self.node_types,
+            link_types=Counter(self.link_types),
+            term_doc_freq=self.term_doc_freq,
+            term_population=self.term_population,
+            connect_degree_hist=Counter(self.connect_degree_hist),
+            act_degree_hist=Counter(self.act_degree_hist),
+            attr_value_counts=self.attr_value_counts,
+            feedback=self.feedback,
+        )
+        # the term histogram is collected over every node or not at all
+        with_terms = self.term_population == old.num_nodes
+        if not delta.links_only:
+            stats.node_types = Counter(self.node_types)
+            stats.attr_value_counts = {
+                att: Counter(counts)
+                for att, counts in self.attr_value_counts.items()
+            }
+            if with_terms:
+                stats.term_doc_freq = Counter(self.term_doc_freq)
+                stats.term_population = new.num_nodes
+        sources: set[Id] = set()
+        for kind, before, after in delta:
+            for record, step in ((before, -1), (after, 1)):
+                if record is None:
+                    continue
+                if kind != NODE:
+                    sources.add(record.src)
+                    for t in record.types:
+                        _bump(stats.link_types, t, step)
+                    continue
+                for t in record.types:
+                    _bump(stats.node_types, t, step)
+                for att, counts in stats.attr_value_counts.items():
+                    for value in record.values(att):
+                        _bump(counts, value, step)
+                if with_terms:
+                    for token in set(tokenize(record.text())):
+                        _bump(stats.term_doc_freq, token, step)
+        for source in sources:
+            for graph, step in ((old, -1), (new, 1)):
+                connect = act = 0
+                for link in graph.out_links(source):
+                    connect += "connect" in link.types
+                    act += "act" in link.types
+                if connect:
+                    _bump(stats.connect_degree_hist, connect, step)
+                if act:
+                    _bump(stats.act_degree_hist, act, step)
         return stats
 
     # -- social-stage expectations -------------------------------------------

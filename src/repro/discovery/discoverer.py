@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from numbers import Real
 
 from repro.core import Id, SocialContentGraph
+from repro.core.delta import GraphDelta
 from repro.core.social import decode_social_result
 from repro.discovery.classify import QueryClassifier
 from repro.discovery.msg import MeaningfulSocialGraph, ScoredItem, assemble_msg
@@ -132,17 +133,23 @@ class InformationDiscoverer:
         #: index here so the cost model can choose it
         self.planner = QueryPlanner(graph)
 
-    def refresh(self, graph: SocialContentGraph) -> None:
+    def refresh(
+        self, graph: SocialContentGraph, delta: GraphDelta | None = None
+    ) -> None:
         """Point the pipeline at a (possibly new) graph in place.
 
         The incremental alternative to reconstructing the discoverer:
         the semantic layer's cached corpus state is invalidated rather
         than eagerly rebuilt, and the planner bumps its generation (stale
-        compiled plans die on lookup).
+        compiled plans die on lookup).  *delta* — the record changes that
+        separate the current graph from *graph* — lets both keep what the
+        step cannot have changed: see :meth:`QueryPlanner.refresh`.
         """
         self.graph = graph
-        self.semantic.invalidate(graph)
-        self.planner.refresh(graph)
+        self.semantic.invalidate(
+            graph, keep_corpus=delta is not None and delta.links_only
+        )
+        self.planner.refresh(graph, delta)
 
     def strategy(self, name: str | None = None) -> StrategyRecord:
         """Resolve a strategy record by name (configured default when None)."""

@@ -49,13 +49,20 @@ class SemanticRelevance:
             self.builds += 1
         return self._scorer
 
-    def invalidate(self, graph: SocialContentGraph | None = None) -> None:
+    def invalidate(
+        self, graph: SocialContentGraph | None = None,
+        keep_corpus: bool = False,
+    ) -> None:
         """Point at a (possibly new) graph and drop the cached corpus state.
 
         A caller-supplied scorer is kept — its corpus is the caller's
-        responsibility; only the default tf-idf is corpus-derived.
+        responsibility; only the default tf-idf is corpus-derived.  So is
+        the default one under *keep_corpus*: the caller knows the item
+        records of *graph* are the ones the scorer was built on (a step
+        that touched only links), and plans keyed on the scorer object
+        keep hitting.
         """
         if graph is not None:
             self.graph = graph
-        if self._custom_scorer is None:
+        if self._custom_scorer is None and not keep_corpus:
             self._scorer = None

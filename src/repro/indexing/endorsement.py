@@ -21,9 +21,11 @@ this class maintains both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 
 from repro.core import Id, SocialContentGraph
+from repro.core.delta import LINK, GraphDelta
 from repro.indexing.clustered import ClusteredIndex
 from repro.indexing.clustering import Clustering, network_clustering
 from repro.indexing.inverted import ExactUserIndex
@@ -101,6 +103,69 @@ class EndorsementData(TaggingData):
 def exact_endorsement_index(graph: SocialContentGraph) -> ExactUserIndex:
     """Per-(pseudo-tag, user) exact endorsement lists over *graph*."""
     return ExactUserIndex(EndorsementData.from_graph(graph))
+
+
+def patched_exact_index(
+    index: ExactUserIndex, delta: GraphDelta
+) -> ExactUserIndex | None:
+    """:func:`exact_endorsement_index` of the graph *index* was built on,
+    advanced by *delta* — or ``None`` when only a rebuild can say.
+
+    Patched are the steps a vote stream is made of: *added* ``act`` and
+    ``connect`` links between users the index already lists.  A new
+    endorsement changes one entry in the list of each of the actor's
+    followers, a new connection the connecting user's list; those lists
+    are recomputed from the patched accessors, every other list and set
+    is shared with *index*, which is left as it was.  Anything else — a
+    removed or replaced link, a node change, an endpoint the index has
+    not seen — answers ``None``.
+    """
+    data = index.data
+    users = set(data.users)
+    fresh = replace(
+        data, basis=dict(data.basis), network=dict(data.network),
+        items=dict(data.items), taggers=dict(data.taggers),
+        items_with_tag=dict(data.items_with_tag),
+    )
+    relist: set[Id] = set()
+    for kind, old, link in delta:
+        if kind != LINK or old is not None:
+            return None
+        connects, acts = link.has_type("connect"), link.has_type("act")
+        src, tgt = link.src, link.tgt
+        if (connects or acts) and src not in users \
+                or connects and tgt not in users:
+            return None
+        if connects and tgt not in fresh.basis.get(src, ()):
+            fresh.basis[src] = fresh.basis.get(src, set()) | {tgt}
+            fresh.network[tgt] = fresh.network.get(tgt, set()) | {src}
+            relist.add(src)
+        if acts and tgt in fresh.items.get(src, ()):
+            fresh.has_multi_act = True
+        elif acts:
+            key = (tgt, ACT_TAG)
+            fresh.items[src] = fresh.items.get(src, set()) | {tgt}
+            fresh.taggers[key] = fresh.taggers.get(key, set()) | {src}
+            if tgt not in fresh.items_with_tag.get(ACT_TAG, ()):
+                fresh.items_with_tag[ACT_TAG] = (
+                    fresh.items_with_tag.get(ACT_TAG, set()) | {tgt}
+                )
+            fresh.tag_vocab = [ACT_TAG]
+            relist.update(fresh.network.get(src, ()))
+    patched = copy.copy(index)
+    patched.data = fresh
+    patched.lists = dict(index.lists)
+    for user in relist:
+        reached: dict[Id, set] = {}
+        for friend in fresh.basis.get(user, ()):
+            for item in fresh.items.get(friend, ()):
+                reached.setdefault(item, set()).add(friend)
+        if reached:
+            patched.lists[(ACT_TAG, user)] = sorted(
+                ((item, index.f(friends)) for item, friends in reached.items()),
+                key=lambda kv: (-kv[1], repr(kv[0])),
+            )
+    return patched
 
 
 def clustered_endorsement_index(

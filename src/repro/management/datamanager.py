@@ -13,11 +13,15 @@ activity manager + scheduler) for externally-integrated data.
 
 from __future__ import annotations
 
+import weakref
+from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
 from repro.core import Id, Link, Node, SocialContentGraph
+from repro.core.delta import LINK, NODE, Change, GraphDelta
 from repro.core.serialize import link_to_dict, node_to_dict
 from repro.management.activity import ActivityManager, UserActivityProfile
 from repro.management.integrator import ContentIntegrator, IntegrationReport
@@ -37,6 +41,10 @@ from repro.management.wal import (
     WalWriter,
 )
 from repro.core.stats import GraphStats
+
+#: Record changes the in-memory feed holds; a reader further behind than
+#: this resyncs in full.
+CHANGE_LOG_BOUND = 1024
 
 
 class DataManager:
@@ -61,10 +69,27 @@ class DataManager:
             )
         else:
             self.store = GraphStore(indexed_attributes=indexed_attributes)
-        self.integrator = ContentIntegrator(self.store, client_name=site_name)
+        # Every import that wrote is a (bulk) change of this manager's.
+        # The hook holds the manager weakly: manager → integrator → hook
+        # → manager would leave a dropped manager, store and all, to the
+        # cycle collector.
+        this = weakref.ref(self)
+        self.integrator = ContentIntegrator(
+            self.store, client_name=site_name,
+            on_import=lambda: this()._mark_changed(),
+        )
         self.activity_manager = ActivityManager()
-        self._snapshot_cache: SocialContentGraph | None = None
+        #: the last logical graph served, the version it reflects and its
+        #: write counter when it was cut (a later in-place write by a
+        #: holder makes it useless as a base for the next one)
+        self._served: SocialContentGraph | None = None
+        self._served_version = 0
+        self._served_epoch = 0
         self._version = 0
+        #: the change feed: ``(version after the write, change)``, oldest
+        #: first, complete for every version above ``_changes_floor``
+        self._changes: deque[tuple[int, Change]] = deque()
+        self._changes_floor = 0
         #: optional write-ahead log; once attached, every logical write
         #: (loads, upserts, deletes) appends an activity record before
         #: the call returns — recovery replays these past the snapshot
@@ -87,9 +112,59 @@ class DataManager:
         """
         return self._version
 
-    def _mark_changed(self) -> None:
-        self._snapshot_cache = None
+    def _mark_changed(self, *changes: Change) -> None:
+        """One accepted write: move the version and feed the change log.
+
+        Called with the records the write touched, or with none for a
+        *bulk* change (a load, an integration pull, a recovery) that the
+        feed does not itemise — readers behind it resync in full.
+        """
         self._version += 1
+        if not changes:
+            self._changes.clear()
+            self._changes_floor = self._version
+            return
+        version = self._version
+        self._changes.extend((version, change) for change in changes)
+        while len(self._changes) > CHANGE_LOG_BOUND:
+            self._changes_floor = self._changes.popleft()[0]
+
+    def changes_since(self, version: int) -> GraphDelta | None:
+        """The record changes that took the site from *version* to now.
+
+        ``None`` when the feed cannot itemise the step: a bulk load, an
+        integration pull or a recovery lies in between, *version* is
+        further back than the log reaches (or not one of this manager's),
+        or — on the partitioned store, whose snapshot iterates shard by
+        shard — the step inserted a record, which a patched graph would
+        iterate in another place than ``store.snapshot()`` does.
+        """
+        if not self._changes_floor <= version <= self._version:
+            return None
+        recent: list[Change] = []
+        for at, change in reversed(self._changes):
+            if at <= version:
+                break
+            recent.append(change)
+        if self.num_shards > 1 and any(c.old is None for c in recent):
+            return None
+        recent.reverse()
+        return GraphDelta(recent)
+
+    def _continue_from(
+        self, version: int, applied_seq: int, mutation_epoch: int
+    ) -> None:
+        """Recovery continuity: no counter moves backwards across a crash.
+
+        The jump is a bulk change — nothing that read the dead process's
+        versions may take the feed for an account of what happened since.
+        """
+        self._mark_changed()
+        self._version = self._changes_floor = max(self._version, version)
+        self._applied_seq = applied_seq
+        graph = self.graph()
+        graph.advance_mutation_epoch(mutation_epoch)
+        self._served_epoch = graph.mutation_epoch
 
     # ------------------------------------------------------------ durability
     @property
@@ -181,29 +256,43 @@ class DataManager:
 
     def add_node(self, node: Node, origin: str = LOCAL) -> Node:
         """Insert/update one node."""
-        self._mark_changed()
-        stored = self.store.upsert_node(node, origin=origin)
+        store = self.store
+        old = store.node(node.id) if store.has_node(node.id) else None
+        stored = store.upsert_node(node, origin=origin)
         self._log(OP_NODE, {**node_to_dict(stored), "origin": origin})
+        self._mark_changed(Change(NODE, old, stored))
         return stored
 
     def add_link(self, link: Link, origin: str = LOCAL) -> Link:
         """Insert/update one link."""
-        self._mark_changed()
-        stored = self.store.upsert_link(link, origin=origin)
+        store = self.store
+        old = store.link(link.id) if store.has_link(link.id) else None
+        stored = store.upsert_link(link, origin=origin)
         self._log(OP_LINK, {**link_to_dict(stored), "origin": origin})
+        self._mark_changed(Change(LINK, old, stored))
         return stored
 
     def delete_node(self, node_id: Id) -> None:
         """Remove a node (incident links cascade, exactly as on replay)."""
-        self.store.delete_node(node_id)
+        store = self.store
+        old = store.node(node_id)
+        cascaded = {
+            link.id: link for link in
+            chain(store.out_links(node_id), store.in_links(node_id))
+        }
+        store.delete_node(node_id)
         self._log(OP_DEL_NODE, {"id": node_id})
-        self._mark_changed()
+        self._mark_changed(
+            *(Change(LINK, link, None) for link in cascaded.values()),
+            Change(NODE, old, None),
+        )
 
     def delete_link(self, link_id: Id) -> None:
         """Remove one link."""
+        old = self.store.link(link_id)
         self.store.delete_link(link_id)
         self._log(OP_DEL_LINK, {"id": link_id})
-        self._mark_changed()
+        self._mark_changed(Change(LINK, old, None))
 
     def merge_derived(self, derived: SocialContentGraph) -> None:
         """Union a Content Analyzer derivation into the store."""
@@ -211,10 +300,41 @@ class DataManager:
 
     # ------------------------------------------------------------------ read
     def graph(self) -> SocialContentGraph:
-        """The logical social content graph (cached until the next write)."""
-        if self._snapshot_cache is None:
-            self._snapshot_cache = self.store.snapshot()
-        return self._snapshot_cache
+        """The logical social content graph as of the last write.
+
+        Served again until the next write, and then *replaced*, never
+        written to: the next graph is cut from this one by
+        ``patched(changes_since(...))`` — a copy with the step's records
+        applied — so whoever still holds the old object keeps one whole
+        state of the site.  When the feed cannot itemise the step, or a
+        holder wrote to the served object in place, the graph is
+        re-snapshotted from the store; either way it iterates as
+        ``store.snapshot()`` does.
+        """
+        served = self._served
+        if served is None or self._served_version != self._version:
+            delta = None
+            if served is not None and \
+                    served.mutation_epoch == self._served_epoch:
+                delta = self.changes_since(self._served_version)
+            served = (
+                served.patched(delta) if delta is not None
+                else self.store.snapshot()
+            )
+            self._served = served
+            self._served_version = self._version
+            self._served_epoch = served.mutation_epoch
+        return served
+
+    def serves(self, graph: SocialContentGraph, version: int) -> bool:
+        """True while *graph* is the object served at *version*, unwritten
+        — i.e. ``changes_since(version)`` describes what separates it
+        from :meth:`graph`."""
+        return (
+            graph is self._served
+            and version == self._served_version
+            and graph.mutation_epoch == self._served_epoch
+        )
 
     def statistics(self) -> GraphStats:
         """Cardinality statistics for the optimizer."""
@@ -241,9 +361,9 @@ class DataManager:
         self, site: RemoteSocialSite, with_activities: bool = False
     ) -> IntegrationReport:
         """Import a remote site's users/connections (Open Cartel pull)."""
-        report = self.integrator.import_all(site, with_activities=with_activities)
-        self._mark_changed()
-        return report
+        return self.integrator.import_all(
+            site, with_activities=with_activities
+        )
 
     def build_scheduler(self, site: RemoteSocialSite) -> SyncScheduler:
         """Create an activity-driven refresh scheduler for *site*.

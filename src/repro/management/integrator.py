@@ -15,6 +15,7 @@ write-back path that distinguishes the Open Cartel model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core import Id, Link, Node
 from repro.errors import PermissionDeniedError
@@ -36,9 +37,14 @@ class IntegrationReport:
 class ContentIntegrator:
     """Imports remote social data into a local :class:`GraphStore`."""
 
-    def __init__(self, store: GraphStore, client_name: str):
+    def __init__(self, store: GraphStore, client_name: str,
+                 on_import: Callable[[], None] | None = None):
         self.store = store
         self.client_name = client_name
+        #: called after every import that wrote to the store: the owning
+        #: Data Manager's version must move, or its readers keep serving
+        #: the graph from before the pull
+        self.on_import = on_import
         #: per-(site, user) high-water mark of imported activity sequence
         self._sync_marks: dict[tuple[str, Id], int] = {}
 
@@ -120,6 +126,8 @@ class ContentIntegrator:
                     self._sync_marks.get((site.name, user_id), 0),
                     activity.sequence,
                 )
+        if self.on_import is not None:
+            self.on_import()
         return report
 
     def import_all(

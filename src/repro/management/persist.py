@@ -327,12 +327,11 @@ def recover_data_manager(
         report.replayed += 1
 
     # Phase 3: continuity — counters never move backwards across a crash.
-    dm._mark_changed()
-    dm._version = max(
-        dm.version, int(manifest["dm_version"]) + report.replayed
+    dm._continue_from(
+        version=int(manifest["dm_version"]) + report.replayed,
+        applied_seq=applied,
+        mutation_epoch=int(manifest["mutation_epoch"]),
     )
-    dm._applied_seq = applied
-    dm.graph().advance_mutation_epoch(int(manifest["mutation_epoch"]))
     if resume_wal:
         dm.attach_wal(
             walmod.WalWriter(wal_dir, next_seq=applied + 1)

@@ -3,11 +3,13 @@
 Keys are structural (:func:`repro.core.expr.plan_key` plus the access
 preference and the cost model), so a repeated request — same condition,
 same scorer, same shape — skips the optimizer and lowering entirely.  Every
-entry is stamped with the planner's derived-state token
-(``(generation, mutation_epoch)``) it was compiled under; a lookup under
-any other token misses and drops the entry, so Data-Manager writes and
-session refreshes invalidate stale plans without eagerly walking the
-cache, and the recompiled plan replaces the stale one under the same key.
+entry is stamped with the planner's *plan stamp* it was compiled under
+(``QueryPlanner._plan_stamp``: the plan generation and the in-place
+writes to the live graph — not the data token, because a plan holds no
+data); a lookup under any other stamp misses and drops the entry, so
+whatever stales plans (an attach, a full refresh, a node write, drifted
+statistics) does so without eagerly walking the cache, and the
+recompiled plan replaces the stale one under the same key.
 
 Entries hold *plans*, never results: a cached plan re-executes against the
 live graph, and :meth:`PhysicalPlan.execute` guarantees its result aliases
@@ -97,7 +99,9 @@ class PlanCache:
         warm end — so entries of an older stamp, which no lookup can hit
         again, sit together at the cold end and are dropped here (not
         counted as evictions) instead of pinning their plans, and the
-        scorers those hold, until *maxsize* newer ones arrive.
+        scorers those hold, until *maxsize* newer ones arrive.  (A stamp
+        moves with the plan generation: after a node write every keyword
+        shape comes back under a new key, its scorer being a new object.)
         """
         with self._lock:
             self._entries[key] = (stamp, plan)
@@ -185,6 +189,22 @@ class ResultMemo:
                 evicted, _ = self._entries.popitem(last=False)
                 self._bytes -= self._sizes.pop(evicted, 0)
                 self.evictions += 1
+
+    def carried(self, kind: str) -> "ResultMemo":
+        """A new memo holding this one's entries of one *kind* (the first
+        element of their keys), in LRU order.
+
+        A new object, as every invalidation makes one: an execution in
+        flight still writes its results into the memo it started with.
+        """
+        memo = ResultMemo(self.max_entries, self.max_bytes)
+        with self._lock:
+            for key, graph in self._entries.items():
+                if key[0] == kind:
+                    memo._entries[key] = graph
+                    memo._sizes[key] = self._sizes[key]
+                    memo._bytes += self._sizes[key]
+        return memo
 
     def __len__(self) -> int:
         with self._lock:

@@ -173,6 +173,24 @@ class ColumnarShardView:
         self._link_columns: dict[str, AttrColumn] = {}
         self._link_term_postings: dict[str, Any] | None = None
 
+    def relinked(self) -> "ColumnarShardView":
+        """A view of the same node rows over an (empty, to be filled)
+        link population.
+
+        The node side — rows, type buckets, attribute columns, term and
+        value postings — is a function of the node records alone, so a
+        step that touched only links keeps it: the new view holds the
+        *same* row list and lazily-filled caches, and only the link side
+        starts over.
+        """
+        view = ColumnarShardView(self.nodes)
+        view._type_buckets = self._type_buckets
+        view._type_node_lists = self._type_node_lists
+        view._columns = self._columns
+        view._term_postings = self._term_postings
+        view._attr_postings = self._attr_postings
+        return view
+
     # -- node-side columns ----------------------------------------------------
 
     def type_buckets(self) -> dict[Any, Any]:
@@ -339,22 +357,30 @@ def cut_columnar_views(
     graph: SocialContentGraph,
     num_shards: int,
     shard_of: Callable[[Any, int], int],
+    node_side: Sequence[ColumnarShardView] | None = None,
 ) -> tuple[ColumnarShardView, ...]:
     """Partition a graph's nodes and links into columnar scatter views.
 
     Nodes hash by id through *shard_of*; links ride with their source
     node (the same placement the partitioned store uses, so outgoing
     adjacency stays view-local).  One pass per graph generation pays for
-    every columnar scan of that generation.
+    every columnar scan of that generation.  *node_side* — the views of a
+    graph with the same node records in the same order, cut for the same
+    shard count — spares the node half of that pass and keeps the
+    columns already built over it.
     """
-    views = tuple(ColumnarShardView() for _ in range(num_shards))
+    if node_side is not None:
+        views = tuple(view.relinked() for view in node_side)
+    else:
+        views = tuple(ColumnarShardView() for _ in range(num_shards))
+        if num_shards == 1:
+            views[0].nodes.extend(graph.nodes())
+        else:
+            for node in graph.nodes():
+                views[shard_of(node.id, num_shards)].nodes.append(node)
     if num_shards == 1:
-        view = views[0]
-        view.nodes.extend(graph.nodes())
-        view.links.extend(graph.links())
+        views[0].links.extend(graph.links())
         return views
-    for node in graph.nodes():
-        views[shard_of(node.id, num_shards)].nodes.append(node)
     for link in graph.links():
         views[shard_of(link.src, num_shards)].links.append(link)
     return views

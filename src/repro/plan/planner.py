@@ -11,10 +11,12 @@ compilation needs and serving must keep coherent:
   queries sharpen future estimates;
 * **the plan cache** — one :class:`~repro.plan.cache.PlanCache` per
   planner: compiled plans are keyed by (structural key, access, cost
-  model) and stamped with the derived-state token, so any graph change
-  (Data-Manager write, analysis, remote attach) or attach stales every
-  resident plan at once and the next request of a shape recompiles it
-  under the same key;
+  model) and stamped with the *plan stamp*, which is not the data token:
+  a plan holds no data, so a write that touched only links and left the
+  statistics where no plan could tell (:meth:`QueryPlanner.refresh`)
+  keeps every resident plan; an attach, a full refresh, a node write or
+  an in-place write stales them all at once and the next request of a
+  shape recompiles it under the same key;
 * **the index binding** — where the semantic inverted index lives and
   which population it covers, attached by the session;
 * **partitions** — when the backing store is sharded the session
@@ -43,6 +45,7 @@ from repro.core.expr import (
     input_graph,
     plan_key,
 )
+from repro.core.delta import GraphDelta
 from repro.core.graph import SocialContentGraph
 from repro.core.resilience import CircuitBreaker
 from repro.core.stats import CardinalityFeedback, GraphStats
@@ -60,6 +63,34 @@ from repro.plan.physical import (
 
 #: Name under which the planner binds its live graph in plan environments.
 BASE_GRAPH = "G"
+
+#: Compiled plans outlive a patched refresh until the node or the link
+#: count has drifted by more than this share of what they were costed on.
+PLAN_DRIFT = 1 / 8
+#: Link changes an exact endorsement index may fall behind before it is
+#: rebuilt rather than patched when next asked for.
+NETWORK_BEHIND_BOUND = 256
+
+
+def _plan_basis(stats: GraphStats) -> tuple:
+    """What resident plans were costed on: the two counts access paths are
+    priced by, and the three signals ``strategy="auto"`` resolves from —
+    the one statistic a plan's *result* depends on."""
+    return (
+        stats.num_nodes,
+        stats.num_links,
+        (
+            stats.users_with_connections() > 0,
+            stats.link_types.get("act", 0) > 0,
+            stats.link_types.get("sim_item", 0) > 0,
+        ),
+    )
+
+
+def _drifted(costed: tuple, now: tuple) -> bool:
+    return costed[2] != now[2] or any(
+        abs(a - b) > PLAN_DRIFT * a for a, b in zip(costed[:2], now[:2])
+    )
 
 
 class QueryPlanner:
@@ -86,8 +117,18 @@ class QueryPlanner:
         self.feedback = (
             feedback if feedback is not None else CardinalityFeedback()
         )
-        #: bumped on every refresh/attach — the cache's generation stamp
+        #: bumped on every refresh/attach — the data token's generation
         self.generation = 0
+        #: bumped when resident plans must go: an attach, a full refresh,
+        #: a node-touching step, drifted statistics (see :meth:`refresh`)
+        self._plan_generation = 0
+        #: :func:`_plan_basis` of the statistics the resident plans were
+        #: costed on (``None`` until the first statistics of a plan
+        #: generation are collected)
+        self._plan_basis: tuple | None = None
+        #: the live graph's write counter when it became the live graph:
+        #: a difference is an in-place write behind the session
+        self._adopted_epoch = graph.mutation_epoch
         self._stats: GraphStats | None = None
         self._stats_token: tuple | None = None
         self._index: IndexBinding | None = None
@@ -104,6 +145,9 @@ class QueryPlanner:
         #: stamped with the generation they were built under
         self._network_indexes: dict[str, Any] = {}
         self._network_generation = -1
+        #: an exact index of an earlier state and the link changes since,
+        #: for :meth:`network_index` to patch if it is asked
+        self._network_behind: tuple[Any, GraphDelta] | None = None
         #: generation-stamped memo of deterministic sub-plan results
         #: (connection bases, σN selections): repeated queries skip
         #: re-deriving them; bounded by entries *and* estimated bytes
@@ -119,19 +163,74 @@ class QueryPlanner:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def refresh(self, graph: SocialContentGraph) -> None:
-        """Point at a (possibly new) graph; drops stats and stales all plans.
+    def refresh(
+        self, graph: SocialContentGraph, delta: GraphDelta | None = None
+    ) -> None:
+        """Point at a (possibly new) graph and move the data token.
 
-        Nothing is recomputed here — statistics rebuild lazily on the next
-        compile, shard views re-cut on the next sharded execution, and
-        stale cache entries die on lookup, so back-to-back refreshes cost
-        nothing (the session's dirty-flag discipline).
+        Without *delta* everything derived is dropped: statistics rebuild
+        lazily on the next compile, shard views re-cut on the next
+        sharded execution, stale cache entries die on lookup — so
+        back-to-back refreshes cost nothing (the session's dirty-flag
+        discipline).
+
+        With *delta* — the record changes that turn the current live
+        graph into *graph*, nothing else having touched either — each
+        structure keeps what the step cannot have changed, as a new
+        object (the old ones may be serving a request).  The statistics
+        are patched.  When the step touched only links, the views keep
+        their node side, the sub-plan memo its ``"select"`` entries, the
+        exact endorsement index waits for :meth:`network_index` to patch
+        it; ``"basis"`` entries and the views' link side go.  Compiled
+        plans hold no data, so they stay through a link-only step unless
+        the statistics moved where a plan could tell: a count beyond
+        :data:`PLAN_DRIFT`, or a signal ``strategy="auto"`` resolves
+        from.  A step that touched a node keeps the statistics only (the
+        scorer plans embed is replaced with the corpus).
         """
         with self._lock:
+            before = self._derived_token()
+            old = self.graph
+            untouched = old.mutation_epoch == self._adopted_epoch
+            stats = self._stats if self._stats_token == before else None
+            views = self._shard_views \
+                if self._shard_generation == before else None
+            memo = self._subplan_results \
+                if self._subplan_generation == before else None
+            behind = self._network_behind
+            if self._network_generation == before \
+                    and "exact" in self._network_indexes:
+                behind = (self._network_indexes["exact"], GraphDelta())
             self.graph = graph
-            self._stats = None
-            self._shard_views = None
             self.generation += 1
+            self._adopted_epoch = graph.mutation_epoch
+            self._stats = self._shard_views = self._network_behind = None
+            after = self._derived_token()
+            if delta is not None and stats is not None:
+                self._stats = stats.patched(delta, old, graph)
+                self._stats_token = after
+            if delta is not None and delta.links_only and untouched:
+                if views is not None:
+                    self._shard_views = cut_columnar_views(
+                        graph, self.shards, shard_of, node_side=views
+                    )
+                    self._shard_generation = after
+                if memo is not None:
+                    self._subplan_results = memo.carried("select")
+                    self._subplan_generation = after
+                if behind is not None and \
+                        len(behind[1]) + len(delta) <= NETWORK_BEHIND_BOUND:
+                    self._network_behind = (
+                        behind[0], GraphDelta([*behind[1], *delta])
+                    )
+                if self._stats is not None and not _drifted(
+                    self._plan_basis, _plan_basis(self._stats)
+                ):
+                    return
+            self._plan_generation += 1
+            self._plan_basis = (
+                _plan_basis(self._stats) if self._stats is not None else None
+            )
 
     def attach_index(
         self,
@@ -153,6 +252,7 @@ class QueryPlanner:
                 scorer_provider=scorer_provider,
             )
             self.generation += 1
+            self._plan_generation += 1
 
     def attach_shards(self, num_shards: int) -> None:
         """Declare that the base graph partitions into *num_shards* views.
@@ -164,6 +264,7 @@ class QueryPlanner:
             self.shards = max(1, num_shards)
             self._shard_views = None
             self.generation += 1
+            self._plan_generation += 1
 
     def attach_attribute_index(self, attributes: Iterable[str]) -> None:
         """Declare attribute-value postings over the named attributes.
@@ -178,22 +279,35 @@ class QueryPlanner:
         with self._lock:
             self.indexed_attrs = frozenset(attributes)
             self.generation += 1
+            self._plan_generation += 1
 
     @property
     def index_binding(self) -> IndexBinding | None:
         return self._index
 
     def _derived_token(self) -> tuple:
-        """Validity stamp for every planner-local derived structure.
+        """Validity stamp for every planner-local structure holding *data*.
 
-        Compiled plans, statistics, shard views, network indexes and the
-        sub-plan result memo are all functions of the live graph's
-        *content*: they must die both on :meth:`refresh`/attach (the
-        generation) and on any in-place mutation of the graph object
-        (the mutation epoch) — a recompiled plan reading a pre-write
-        memo or shard view would silently serve stale records.
+        Statistics, shard views, network indexes and the sub-plan result
+        memo are functions of the live graph's *content*: they must die
+        both on :meth:`refresh`/attach (the generation) and on any
+        in-place mutation of the graph object (the mutation epoch) — a
+        plan reading a pre-write memo or shard view would silently serve
+        stale records.  (A patched refresh re-stamps what it carries.)
         """
         return (self.generation, self.graph.mutation_epoch)
+
+    def _plan_stamp(self) -> tuple:
+        """Validity stamp for compiled plans, which hold no data.
+
+        Moves with the plan generation (see :meth:`refresh`) and with any
+        in-place write to the live graph since it was adopted — not with
+        a patched refresh, whose new graph starts at zero writes again.
+        """
+        return (
+            self._plan_generation,
+            self.graph.mutation_epoch - self._adopted_epoch,
+        )
 
     # -- partitioned views ----------------------------------------------------
 
@@ -261,7 +375,10 @@ class QueryPlanner:
         ``variant`` is ``"exact"`` (per-user lists) or ``"clustered"``
         (per-cluster upper-bound lists).  Indexes rebuild lazily after any
         generation bump, so a cached physical plan re-executing after a
-        refresh can never read stale postings.
+        refresh can never read stale postings.  The exact index is patched
+        instead, here and only when asked for, if all that separates it
+        from the live graph are link-only steps it can follow
+        (:func:`~repro.indexing.endorsement.patched_exact_index`).
         """
         with self._lock:
             if self._network_generation != self._derived_token():
@@ -272,12 +389,18 @@ class QueryPlanner:
                 from repro.indexing.endorsement import (
                     clustered_endorsement_index,
                     exact_endorsement_index,
+                    patched_exact_index,
                 )
 
                 if variant == "clustered":
                     index = clustered_endorsement_index(self.graph)
                 else:
-                    index = exact_endorsement_index(self.graph)
+                    behind, self._network_behind = self._network_behind, None
+                    if behind is not None and \
+                            self.graph.mutation_epoch == self._adopted_epoch:
+                        index = patched_exact_index(*behind)
+                    if index is None:
+                        index = exact_endorsement_index(self.graph)
                 self._network_indexes[variant] = index
         return index
 
@@ -295,6 +418,8 @@ class QueryPlanner:
                     stats.feedback = self.feedback
                     self._stats = stats
                     self._stats_token = token
+                    if self._plan_basis is None:
+                        self._plan_basis = _plan_basis(stats)
         return self._stats
 
     # -- compilation ----------------------------------------------------------
@@ -308,7 +433,7 @@ class QueryPlanner:
         """
         structural_key = plan_key(expr)
         key = (structural_key, access, self.cost_model)
-        token = self._derived_token()
+        token = self._plan_stamp()
         cached = self.cache.get(key, token)
         if cached is not None:
             return cached, True

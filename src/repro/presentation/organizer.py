@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core import Id, SocialContentGraph
+from repro.core.delta import GraphDelta
 from repro.discovery.msg import MeaningfulSocialGraph
 from repro.errors import PresentationError
 from repro.presentation.explanations import (
@@ -130,9 +131,26 @@ class InformationOrganizer:
 
     @base_graph.setter
     def base_graph(self, graph: SocialContentGraph) -> None:
+        self.refresh(graph)
+
+    def refresh(
+        self, graph: SocialContentGraph, delta: GraphDelta | None = None
+    ) -> None:
+        """Organize against *graph* from now on.
+
+        The projection of the old graph is dropped — unless *delta* says
+        that only links separate the two graphs, and which: then the next
+        request starts from the reads those links cannot have changed.
+        """
         with self._lock:
+            projection = self._projection
             self._base_graph = graph
-            self._projection = None
+            self._projection = (
+                projection.carried(graph, delta)
+                if projection is not None and projection.fresh
+                and delta is not None and delta.links_only
+                else None
+            )
 
     @property
     def projection(self) -> ActivityProjection:

@@ -11,7 +11,9 @@ the plan) iterates the graph's whole link or node population.
 A projection describes one graph object at one ``mutation_epoch`` — the
 stamp the planner's derived state uses — and is never updated: the owner
 (:class:`~repro.presentation.organizer.InformationOrganizer`) replaces it
-when the epoch moves and drops it when the graph is reassigned.  It lives
+when the epoch moves and when the graph is reassigned — by nothing, or,
+when it knows which links separate the two graphs, by one that
+:meth:`~ActivityProjection.carried` the untouched reads over.  It lives
 in ``repro.presentation`` because the layer DAG forbids
 ``presentation → plan``; the plan's columnar buckets are out of reach.
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 from typing import Mapping, Union
 
 from repro.core import Id, SocialContentGraph
+from repro.core.delta import GraphDelta
 
 
 class OutView:
@@ -79,6 +82,24 @@ class ActivityProjection:
     def of(cls, source: "GraphSource") -> "ActivityProjection":
         """*source* itself when it is a projection, else a fresh one."""
         return source if isinstance(source, cls) else cls(source)
+
+    def carried(
+        self, graph: SocialContentGraph, delta: GraphDelta
+    ) -> "ActivityProjection":
+        """The projection of *graph* — this one's graph advanced by the
+        link-only *delta* — starting from every read the step left true:
+        all but ``out`` of a changed link's source and ``endorsers`` of
+        its target.  ``self`` keeps serving whoever holds it.
+        """
+        carried = ActivityProjection(graph)
+        # dict() is one atomic copy; a reader may be filling the original
+        carried._out = dict(self._out)
+        carried._endorsers = dict(self._endorsers)
+        carried._users = dict(self._users)
+        for link in delta.touched_links():
+            carried._out.pop(link.src, None)
+            carried._endorsers.pop(link.tgt, None)
+        return carried
 
     @property
     def fresh(self) -> bool:

@@ -1,0 +1,543 @@
+"""Histories, not single queries: a session under writes answers as a
+fresh one does.
+
+A write through the Data Manager reaches the session as a *delta*: the
+manager cuts the next graph from the one it served by copy-and-patch and
+every derived structure keeps what the changed records cannot have
+touched (``docs/ARCHITECTURE.md``, "Writes: a delta, not a flush").  What
+that must never change is an answer.  The state machine below interleaves
+the system's write verbs — through the manager and behind its back, ones
+the feed can itemise and ones it cannot, accepted and rejected — with
+reads, and after **every** step holds the live session against a session
+built from scratch on the same site:
+
+* the canonical whole response of a probe set (keyword, empty-text,
+  structural, ``strategy="auto"``) and of the last drawn request, at 1e-9;
+* the working graph: equal records *and* equal node / link iteration
+  order;
+* the planner's statistics against ``GraphStats.of``;
+* the served exact endorsement index against a rebuild, field by field;
+* every carried ``OutView`` / endorser map against a fresh projection's;
+* what ``strategy="auto"`` resolved to.
+
+Beside it: a vote makes no pass over the site (counting spies, and the
+same with ten times the site around it), a reader keeps the state it
+holds, and the change feed says ``None`` wherever it cannot itemise.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import shutil
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from benchmarks.e2e.harness import canonical_response, first_difference
+from repro.api import SearchRequest, Session, SessionConfig
+from repro.core import Link, Node, SocialContentGraph
+from repro.core.delta import LINK, NODE, Change, GraphDelta
+from repro.core.stats import GraphStats
+from repro.errors import DanglingLinkError
+from repro.indexing.endorsement import exact_endorsement_index
+from repro.management import DataManager, RemoteSocialSite
+from repro.management import datamanager as datamanager_module
+from repro.management.storage import GraphStore
+from repro.presentation.projection import ActivityProjection, OutView
+from repro.workloads import WorkloadConfig, build_site
+
+SITE = WorkloadConfig(
+    num_users=10, num_items=16, mean_degree=4, activity_rate=4.0, seed=5
+)
+WORDS = ("museum", "park", "food", "nightlife", "outdoors", "harbour")
+LINK_TYPES = ("act, visit", "connect, friend", "act, tag")
+STRATEGIES = ("friends", "similar_users", "item_based", "auto")
+
+indexes = st.integers(min_value=0, max_value=10_000)
+
+
+def pick(population: list, index: int):
+    return population[index % len(population)]
+
+
+def users_of(store: GraphStore) -> list:
+    return [n.id for n in store.nodes_of_type("user")]
+
+
+def items_of(store: GraphStore) -> list:
+    return [n.id for n in store.nodes_of_type("item")]
+
+
+def links_of(store: GraphStore) -> list[Link]:
+    return sorted(store.snapshot().links(), key=lambda l: repr(l.id))
+
+
+def probe_for(user) -> list[SearchRequest]:
+    return [
+        SearchRequest(user_id=user, text="museum park", k=8),
+        SearchRequest(user_id=user, text="", k=8),
+        SearchRequest(user_id=user, text="food",
+                      structural={"type": "item"}, k=8),
+        SearchRequest(user_id=user, text="", strategy="auto", k=8),
+    ]
+
+
+def assert_same_index(served, rebuilt) -> None:
+    assert served.lists == rebuilt.lists
+    for name in ("basis", "network", "items", "taggers", "has_multi_act",
+                 "users", "item_ids", "tag_vocab", "items_with_tag"):
+        assert getattr(served.data, name) == getattr(rebuilt.data, name), name
+
+
+def assert_same_projection(projection: ActivityProjection) -> None:
+    graph = projection.graph
+    for node, view in projection._out.items():
+        fresh = OutView(graph, node)
+        for name in OutView.__slots__:
+            assert getattr(view, name) == getattr(fresh, name), (node, name)
+        assert list(view.acted) == list(fresh.acted), node
+    rebuilt = ActivityProjection(graph)
+    for item, endorsers in projection._endorsers.items():
+        assert list(endorsers.items()) == \
+            list(rebuilt.endorsers(item).items()), item
+    for node, found in projection._users.items():
+        assert found == rebuilt.is_user(node), node
+
+
+class WriteHistories(RuleBasedStateMachine):
+    def __init__(self) -> None:
+        super().__init__()
+        self.directory = tempfile.mkdtemp(prefix="write-histories-")
+        self.serial = 0
+        #: links written on ``session.graph`` behind the manager's back:
+        #: served until the next resync from the store drops them
+        self.in_place: list[Link] = []
+        self.request: SearchRequest | None = None
+
+    def teardown(self) -> None:
+        wal = self.session.data_manager.wal
+        if wal is not None:
+            wal.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    @initialize(shards=st.sampled_from([1, 2]))
+    def open_site(self, shards: int) -> None:
+        self.config = SessionConfig(shards=shards)
+        self.session = Session.from_graph(build_site(SITE).graph, self.config)
+
+    # ------------------------------------------------------------- helpers
+    @property
+    def manager(self) -> DataManager:
+        return self.session.data_manager
+
+    def fresh_id(self, prefix: str) -> str:
+        self.serial += 1
+        return f"{prefix}:{self.serial}"
+
+    def accepted(self) -> None:
+        """A write the manager took: the next resync forgets what was
+        written behind its back."""
+        self.in_place.clear()
+
+    # --------------------------------------------------- writes, itemised
+    @rule(src=indexes, tgt=indexes, kind=st.sampled_from(LINK_TYPES))
+    def add_link(self, src: int, tgt: int, kind: str) -> None:
+        store = self.manager.store
+        user = pick(users_of(store), src)
+        onto = users_of(store) if kind.startswith("connect") \
+            else items_of(store)
+        attrs = {"tags": ["museum", "fun"]} if kind == "act, tag" else {}
+        self.manager.add_link(Link(
+            self.fresh_id("w"), user, pick(onto, tgt), type=kind, **attrs
+        ))
+        self.accepted()
+
+    @rule(which=indexes, rating=st.integers(min_value=1, max_value=5))
+    def replace_link(self, which: int, rating: int) -> None:
+        """Upsert an existing id: the record is *replaced* — attributes the
+        new one lacks are gone, where ``add_link`` would consolidate."""
+        old = pick(links_of(self.manager.store), which)
+        self.manager.add_link(Link(
+            old.id, old.src, old.tgt, type=old.types, rating=rating
+        ))
+        stored = self.manager.store.link(old.id)
+        assert set(stored.attrs) == {"type", "rating"}
+        self.accepted()
+
+    @rule(which=indexes)
+    def parallel_act(self, which: int) -> None:
+        """A second ``act`` link on one (user, item) pair."""
+        acts = [l for l in links_of(self.manager.store) if l.has_type("act")]
+        old = pick(acts, which)
+        self.manager.add_link(Link(
+            self.fresh_id("w"), old.src, old.tgt, type="act, visit"
+        ))
+        self.accepted()
+
+    @rule(words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
+    def add_item(self, words: list[str]) -> None:
+        item = self.fresh_id("item")
+        self.manager.add_node(Node(
+            item, type="item", name=item, category=words[0],
+            keywords=" ".join(words),
+        ))
+        self.accepted()
+
+    @rule(which=indexes,
+          words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
+    def retext_item(self, which: int, words: list[str]) -> None:
+        """An item's text changes: every idf moves."""
+        item = pick(items_of(self.manager.store), which)
+        self.manager.add_node(Node(
+            item, type="item", name=str(item), category=words[0],
+            keywords=" ".join(words),
+        ))
+        self.accepted()
+
+    @rule(which=indexes)
+    def delete_link(self, which: int) -> None:
+        self.manager.delete_link(pick(links_of(self.manager.store), which).id)
+        self.accepted()
+
+    @precondition(lambda self: len(users_of(self.manager.store)) > 3
+                  and len(items_of(self.manager.store)) > 3)
+    @rule(which=indexes, user=st.booleans())
+    def delete_node(self, which: int, user: bool) -> None:
+        store = self.manager.store
+        self.manager.delete_node(
+            pick(users_of(store) if user else items_of(store), which)
+        )
+        self.accepted()
+
+    # ------------------------------------------- writes, not itemised / not
+    @rule(tgt=indexes)
+    def rejected_write(self, tgt: int) -> None:
+        """A dangling link is refused and nobody pays for it."""
+        version, epoch = self.manager.version, self.session.epoch
+        refreshes = self.session.stats.refreshes
+        with pytest.raises(DanglingLinkError):
+            self.manager.add_link(Link(
+                self.fresh_id("w"), "nobody",
+                pick(items_of(self.manager.store), tgt), type="act, visit",
+            ))
+        self.session.run(probe_for(users_of(self.manager.store)[0])[0])
+        assert self.manager.version == version
+        assert self.session.epoch == epoch
+        assert self.session.stats.refreshes == refreshes
+
+    @rule(src=indexes, tgt=indexes)
+    def write_in_place(self, src: int, tgt: int) -> None:
+        store = self.manager.store
+        graph = self.session.graph
+        link = Link(self.fresh_id("p"), pick(users_of(store), src),
+                    pick(items_of(store), tgt), type="act, visit")
+        if graph.has_node(link.src) and graph.has_node(link.tgt):
+            graph.add_link(link)
+            self.in_place.append(link)
+
+    @precondition(lambda self: not self.in_place)
+    @rule()
+    def analyze(self) -> None:
+        """Derived links are functions of the data *as it was*: an
+        analysis run over links written behind the session's back bakes
+        them in, so the twin below could not be built the same way."""
+        self.session.analyze("user_similarity")
+
+    @rule()
+    def save_and_restore(self) -> None:
+        self.session.save(self.directory)
+        wal = self.manager.wal
+        if wal is not None:
+            wal.close()
+        self.session = Session.restore(self.directory, self.config)
+        self.in_place.clear()
+
+    # ---------------------------------------------------------------- reads
+    @rule(user=indexes, text=st.sampled_from(("", "museum", "park food")),
+          structural=st.booleans(), strategy=st.sampled_from(STRATEGIES),
+          use_index=st.sampled_from((None, True, False)))
+    def run(self, user: int, text: str, structural: bool, strategy: str,
+            use_index: bool | None) -> None:
+        self.request = SearchRequest(
+            user_id=pick(users_of(self.manager.store), user), text=text,
+            structural={"type": "item"} if structural else None,
+            strategy=strategy, use_index=use_index, k=8,
+        )
+
+    # ------------------------------------------------------------ the gate
+    def reference(self) -> Session:
+        """The same site, built from scratch (and then written to behind
+        its back as the live one was)."""
+        session = Session.from_graph(
+            self.manager.store.snapshot(), self.config
+        )
+        for name in dict.fromkeys(
+            entry.name for entry in self.session.analyzer.run_log
+        ):
+            session.analyze(name)
+        for link in self.in_place:
+            session.graph.add_link(link)
+        return session
+
+    @invariant()
+    def answers_as_a_fresh_session_does(self) -> None:
+        live, fresh = self.session, self.reference()
+        requests = probe_for(users_of(self.manager.store)[0])
+        if self.request is not None \
+                and self.manager.store.has_node(self.request.user_id):
+            requests.append(self.request)
+        for request in requests:
+            got, want = live.run(request), fresh.run(request)
+            assert first_difference(
+                canonical_response(got), canonical_response(want)
+            ) is None, request
+            assert got.resolved["social_strategy"] == \
+                want.resolved["social_strategy"], request
+
+        graph = live.graph
+        assert graph.same_as(fresh.graph)
+        assert [n.id for n in graph.nodes()] == \
+            [n.id for n in fresh.graph.nodes()]
+        if not live.analyzer.run_log:
+            # derived links are re-derived in an order of their own
+            assert [l.id for l in graph.links()] == \
+                [l.id for l in fresh.graph.links()]
+            if not self.in_place:
+                assert graph.same_as(self.manager.store.snapshot())
+
+        planner = live.planner
+        assert dataclasses.replace(planner.stats, feedback=None) == \
+            GraphStats.of(graph, with_terms=True,
+                          indexed_attrs=sorted(planner.indexed_attrs))
+        assert_same_index(
+            planner.network_index("exact"), exact_endorsement_index(graph)
+        )
+        assert_same_projection(live.organizer.projection)
+
+
+TestWriteHistories = WriteHistories.TestCase
+TestWriteHistories.settings = settings(
+    max_examples=30, stateful_step_count=20, deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+
+
+# ---------------------------------------------------------------------------
+# A vote no longer looks at the site
+# ---------------------------------------------------------------------------
+
+
+class Spy:
+    """Counts calls of a function or constructions of a class."""
+
+    def __init__(self, monkeypatch, owner, name: str):
+        self.calls = 0
+        original = getattr(owner, name)
+        spy = self
+
+        if isinstance(original, type):
+            init = original.__init__
+
+            def counted_init(instance, *args, **kwargs):
+                spy.calls += 1
+                init(instance, *args, **kwargs)
+
+            monkeypatch.setattr(original, "__init__", counted_init)
+        else:
+            def counted(*args, **kwargs):
+                spy.calls += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+
+def crowd(graph: SocialContentGraph, factor: int) -> SocialContentGraph:
+    """*graph* with ``factor - 1`` unrelated copies of itself around it."""
+    grown = graph.copy()
+    for copy in range(1, factor):
+        for node in graph.nodes():
+            grown.add_node(Node(f"c{copy}:{node.id}", node.attrs))
+        for link in graph.links():
+            grown.add_link(Link(
+                f"c{copy}:{link.id}", f"c{copy}:{link.src}",
+                f"c{copy}:{link.tgt}", link.attrs,
+            ))
+    return grown
+
+
+@pytest.mark.parametrize("factor", [1, 10])
+def test_a_vote_makes_no_pass_over_the_site(monkeypatch, factor):
+    import repro.core.scoring as scoring
+    import repro.indexing.endorsement as endorsement
+    import repro.indexing.semantic as semantic
+
+    site = build_site(SITE)
+    session = Session.from_graph(crowd(site.graph, factor))
+    user, friend = site.user_ids[0], site.user_ids[1]
+    requests = probe_for(user)
+    for request in requests:
+        session.run(request)
+
+    spies = {
+        "GraphStore.snapshot": Spy(monkeypatch, GraphStore, "snapshot"),
+        "GraphStats.of": Spy(monkeypatch, GraphStats, "of"),
+        "TfIdfScorer": Spy(monkeypatch, scoring, "TfIdfScorer"),
+        "SemanticItemIndex": Spy(monkeypatch, semantic, "SemanticItemIndex"),
+        "exact_endorsement_index": Spy(
+            monkeypatch, endorsement, "exact_endorsement_index"
+        ),
+    }
+    before = dataclasses.replace(session.stats)
+    for vote, request in enumerate(requests):
+        session.data_manager.add_link(Link(
+            f"vote:{vote}", friend, site.item_ids[vote], type="act, visit"
+        ))
+        session.run(request)
+
+    assert {name: spy.calls for name, spy in spies.items()} == \
+        dict.fromkeys(spies, 0)
+    assert session.stats.plan_compiles == before.plan_compiles
+    assert session.stats.delta_refreshes == \
+        before.delta_refreshes + len(requests)
+    assert session.stats.refreshes == before.refreshes + len(requests)
+
+
+# ---------------------------------------------------------------------------
+# A reader keeps its state
+# ---------------------------------------------------------------------------
+
+
+def test_patching_publishes_a_new_graph_and_leaves_the_old_one_whole():
+    graph = build_site(SITE).graph
+    before = graph.copy()
+    epoch = graph.mutation_epoch
+    user, item = 1, "i1"
+    doomed = next(iter(graph.out_links(user)))
+    child = graph.patched(GraphDelta([
+        Change(LINK, None, Link("new", user, item, type="act, visit")),
+        Change(LINK, doomed, None),
+        Change(NODE, graph.node(item),
+               Node(item, type="item", name="renamed")),
+    ]))
+    assert graph.same_as(before) and graph.mutation_epoch == epoch
+    assert child.has_link("new") and not child.has_link(doomed.id)
+    assert child.node(item).value("name") == "renamed"
+    assert child.mutation_epoch == epoch + 3
+
+    # and the two share no adjacency: an in-place write on the child
+    # stays on the child
+    child.add_link(Link("behind", user, item, type="act, visit"))
+    child.remove_node(2)
+    assert graph.same_as(before)
+    assert {l.id for l in graph.out_links(user)} == \
+        {l.id for l in before.out_links(user)}
+
+
+def test_the_manager_never_writes_to_a_graph_it_served():
+    manager = DataManager()
+    manager.load_graph(build_site(SITE).graph)
+    held = manager.graph()
+    frozen, epoch = held.copy(), held.mutation_epoch
+    manager.add_link(Link("vote", 1, "i1", type="act, visit"))
+    manager.delete_node(2)
+    served = manager.graph()
+    assert served is not held and served.has_link("vote")
+    assert held.same_as(frozen) and held.mutation_epoch == epoch
+    assert served.same_as(manager.store.snapshot())
+
+
+# ---------------------------------------------------------------------------
+# The change feed says None wherever it cannot itemise
+# ---------------------------------------------------------------------------
+
+
+class TestChangeFeed:
+    @pytest.fixture()
+    def manager(self):
+        manager = DataManager()
+        manager.load_graph(build_site(SITE).graph)
+        return manager
+
+    def test_itemised_steps_in_feed_order(self, manager):
+        version = manager.version
+        manager.add_link(Link("vote", 1, "i1", type="act, visit"))
+        manager.add_link(Link("vote", 1, "i1", type="act, rate", rating=4))
+        incident = {l.id for l in manager.store.out_links(2)} | \
+            {l.id for l in manager.store.in_links(2)}
+        manager.delete_node(2)
+        delta = manager.changes_since(version)
+        kinds = [(c.kind, c.old is None, c.new is None) for c in delta]
+        assert kinds[:2] == [(LINK, True, False), (LINK, False, False)]
+        # the cascade enters the feed before the node
+        assert kinds[2:-1] == [(LINK, False, True)] * len(incident)
+        assert kinds[-1] == (NODE, False, True)
+        assert not delta.links_only
+        assert len(manager.changes_since(manager.version)) == 0
+        assert manager.changes_since(manager.version + 1) is None
+
+    def test_a_bulk_load_is_not_itemised(self, manager):
+        version = manager.version
+        manager.add_link(Link("vote", 1, "i1", type="act, visit"))
+        manager.load_graph(SocialContentGraph([Node("x", type="item")]))
+        assert manager.changes_since(version) is None
+        assert len(manager.changes_since(manager.version)) == 0
+
+    def test_an_integration_pull_is_not_itemised(self, manager):
+        version = manager.version
+        site = RemoteSocialSite("elsewhere")
+        site.register_user("far", name="Far")
+        site.grant("far", manager.site_name, {"profile", "connections"})
+        manager.attach_remote(site)
+        assert manager.version > version
+        assert manager.changes_since(version) is None
+
+    def test_a_recovery_is_not_itemised(self, manager, tmp_path):
+        manager.enable_wal(tmp_path / "wal")
+        manager.checkpoint(tmp_path)
+        manager.add_link(Link("vote", 1, "i1", type="act, visit"))
+        manager.wal.close()
+        recovered, _ = DataManager.recover(tmp_path)
+        try:
+            # the version jumped: an empty delta here would tell a reader
+            # of the dead process that nothing happened
+            for version in range(recovered.version):
+                assert recovered.changes_since(version) is None
+            assert len(recovered.changes_since(recovered.version)) == 0
+        finally:
+            recovered.wal.close()
+
+    def test_further_back_than_the_log_holds(self, manager, monkeypatch):
+        monkeypatch.setattr(datamanager_module, "CHANGE_LOG_BOUND", 4)
+        version = manager.version
+        for vote in range(6):
+            manager.add_link(Link(f"v{vote}", 1, "i1", type="act, visit"))
+        assert manager.changes_since(version) is None
+        assert manager.changes_since(version + 1) is None
+        assert len(manager.changes_since(version + 2)) == 4
+        # and the reader that far behind still gets the right graph
+        assert manager.graph().same_as(manager.store.snapshot())
+
+    def test_the_partitioned_store_itemises_only_what_keeps_its_order(self):
+        manager = DataManager(shards=2)
+        manager.load_graph(build_site(SITE).graph)
+        held, version = manager.graph(), manager.version
+        some = next(iter(held.links()))
+        manager.add_link(Link(some.id, some.src, some.tgt, type="act, rate"))
+        manager.delete_link(next(l.id for l in held.links() if l is not some))
+        assert len(manager.changes_since(version)) == 2
+        patched = manager.graph()
+        manager.add_link(Link("vote", 1, "i1", type="act, visit"))
+        assert manager.changes_since(version) is None
+        for graph in (patched, manager.graph()):
+            assert graph is not held
+        snapshot = manager.store.snapshot()
+        assert [l.id for l in manager.graph().links()] == \
+            [l.id for l in snapshot.links()]

@@ -103,6 +103,54 @@ class TestDataManager:
         assert g3 is not g1
         assert g3.has_node(999)
 
+    def test_a_rejected_write_changes_nothing(self, tiny_travel_graph):
+        """A write the store refuses did not happen: the version stays,
+        the served graph stays, and a session over the manager neither
+        refreshes nor kills its open cursors."""
+        from repro.api import Session
+
+        dm = DataManager()
+        dm.load_graph(tiny_travel_graph)
+        session = Session(dm)
+        first = session.query(101).page_size(1).run()
+        served, version, epoch = dm.graph(), dm.version, session.epoch
+        with pytest.raises(DanglingLinkError):
+            dm.add_link(Link("ghost", "nobody", "d1", type="act, visit"))
+        with pytest.raises(ManagementError):  # endpoints are fixed on upsert
+            dm.add_link(Link("v0", 101, "d2", type="act, visit"))
+        assert dm.version == version and dm.graph() is served
+        assert len(dm.changes_since(version)) == 0
+        second = session.query(101).cursor(first.page_info.next_cursor).run()
+        assert second.items and second.items != first.items
+        assert session.epoch == epoch and session.stats.refreshes == 0
+
+    def test_a_scheduled_sync_reaches_every_reader(self):
+        """The integrator writes below the facade; what a sync tick
+        imports must still move the version (examples/federation.py's
+        shape, read back through a session)."""
+        from repro.api import SearchRequest, Session
+        from repro.management import ALL_SCOPES, RemoteSocialSite
+
+        social = RemoteSocialSite("facebook-sim")
+        for uid in (1, 2):
+            social.register_user(uid, f"user{uid}")
+            social.grant(uid, "travel-site", set(ALL_SCOPES))
+        social.connect(1, 2)
+        dm = DataManager(site_name="travel-site")
+        dm.attach_remote(social)
+        session = Session(dm)
+        request = SearchRequest(user_id=1, text="", strategy="friends")
+        assert session.run(request).items == ()
+
+        social.record_activity(2, "visit", "harbour-walk")
+        version = dm.version
+        assert dm.build_scheduler(social).run_tick(0) == 2
+        assert dm.version > version
+        assert dm.changes_since(version) is None  # bulk: resync in full
+        assert dm.graph().same_as(dm.store.snapshot())
+        assert session.run(request).items == ("harbour-walk",)
+        assert session.graph.same_as(dm.store.snapshot())
+
     def test_merge_derived_provenance(self, tiny_travel_graph):
         from repro.analysis import user_similarity_links
 
