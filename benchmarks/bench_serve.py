@@ -100,8 +100,7 @@ def test_deadline_overhead(serve_site, report, quick):
     """What do deadlines cost when nothing expires?
 
     Two closed-loop runs over the *same* seeded request stream on the
-    same warm session: one with deadlines disabled (the pre-resilience
-    gateway), one with a generous 30s default deadline every request
+    same warm session: one with deadlines disabled, one with a generous 30s default deadline every request
     carries end to end (timer armed, absolute deadline threaded into the
     plan executor's cooperative checks — the full machinery, zero
     expiries).  The duration ratio is the no-fault deadline tax; the

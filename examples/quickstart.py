@@ -300,9 +300,7 @@ expired, dstats = asyncio.run(deadline_demo())
 assert isinstance(expired, DeadlineExceeded) and not expired.ok
 print(f"  deadline: shed at stage={expired.stage!r} after"
       f" {expired.elapsed_s * 1e3:.1f}ms (budget"
-      f" {expired.deadline_s * 1e3:.1f}ms); breakers: "
-      + ", ".join(f"{name}={snap.state}"
-                  for name, snap in sorted(dstats.breakers.items())))
+      f" {expired.deadline_s * 1e3:.1f}ms)")
 assert dstats.deadline_expired == 1
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,9 @@ Information Organizer on top — and serves :class:`SearchRequest` after
 * **deterministic pagination** — the full combined ranking is a total
   order, so ``page``/``cursor`` windows never duplicate or drop items.
 
-§6.2's network-aware structures plug in through :meth:`network_topk`,
-which lazily builds (and on graph change, discards) the per-session
-:class:`~repro.indexing.inverted.ExactUserIndex` or a cluster-compressed
-variant.
+A request's one bound is the *deadline* :meth:`Session.run` takes; an
+execution that raises reaches its caller as that exception (the serving
+gateway turns it into a typed :class:`~repro.api.RequestFailure`).
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from repro.analysis import ContentAnalyzer
 from repro.api.builder import QueryBuilder
@@ -69,14 +68,7 @@ from repro.discovery import (
 from repro.discovery.discoverer import RankedDiscovery
 from repro.discovery.query import Query
 from repro.errors import DeadlineError, QueryError
-from repro.indexing import (
-    ClusteredIndex,
-    ExactUserIndex,
-    STRATEGIES as CLUSTERING_STRATEGIES,
-    SemanticItemIndex,
-    TaggingData,
-)
-from repro.indexing.topk import QueryStats
+from repro.indexing import SemanticItemIndex
 from repro.management import DataManager, RemoteSocialSite
 from repro.plan import (
     INDEX,
@@ -139,8 +131,6 @@ class SessionStats:
     tfidf_builds: int = 0
     #: semantic index constructions
     index_builds: int = 0
-    #: network-aware (§6.2) index constructions
-    network_index_builds: int = 0
     #: queries whose candidates came from the semantic index
     index_queries: int = 0
     #: queries that fell back to the scan path
@@ -204,8 +194,6 @@ class Session:
         self._dm_version = data_manager.version
         self._dirty = False
         self._semantic_index: SemanticItemIndex | None = None
-        self._tagging_data: TaggingData | None = None
-        self._network_indexes: dict[str, object] = {}
         self.discoverer = InformationDiscoverer(
             self.analyzer.graph, config=self.config.discovery
         )
@@ -445,8 +433,6 @@ class Session:
         if delta is None or not delta.links_only:
             # a function of the item records, like the tf-idf corpus
             self._semantic_index = None
-        self._tagging_data = None
-        self._network_indexes.clear()
         self.epoch += 1
         with self._lock:
             self.stats.refreshes += 1
@@ -482,48 +468,6 @@ class Session:
             with self._lock:
                 self.stats.index_builds += 1
         return self._semantic_index
-
-    @property
-    def tagging_data(self) -> TaggingData:
-        """Materialised §6.2 tagging accessors for the current graph."""
-        if self._tagging_data is None:
-            self._tagging_data = TaggingData.from_graph(self.graph)
-        return self._tagging_data
-
-    def network_topk(
-        self,
-        user_id: Id,
-        keywords: Sequence[str],
-        k: int = 10,
-        clustering: str | None = None,
-        theta: float = 0.3,
-    ) -> tuple[list[tuple[Id, float]], QueryStats]:
-        """Network-aware tag search through the §6.2 index structures.
-
-        ``clustering=None`` uses the exact per-(tag, user) index; a name
-        from :data:`repro.indexing.STRATEGIES` uses the corresponding
-        cluster-compressed index.  Indexes build lazily per session and
-        are discarded on graph change.
-        """
-        self._ensure_fresh()
-        key = clustering or "exact"
-        index = self._network_indexes.get(key)
-        if index is None:
-            data = self.tagging_data
-            if clustering is None:
-                index = ExactUserIndex(data)
-            else:
-                strategy = CLUSTERING_STRATEGIES.get(clustering)
-                if strategy is None:
-                    raise QueryError(
-                        f"unknown clustering {clustering!r}; have "
-                        f"{sorted(CLUSTERING_STRATEGIES)}"
-                    )
-                index = ClusteredIndex(data, strategy(data, theta))
-            self._network_indexes[key] = index
-            with self._lock:
-                self.stats.network_index_builds += 1
-        return index.query(user_id, list(keywords), k)
 
     # ---------------------------------------------------------------- serving
     def query(self, user_id: Id) -> QueryBuilder:

@@ -125,9 +125,6 @@ class ExecContext:
         #: monotonic stamp when execution began (set by ``execute`` when
         #: a deadline is in force; gives ``DeadlineError.elapsed_s``)
         self.deadline_anchor = 0.0
-        #: resilience transitions this execution took, in order (e.g.
-        #: ``"attr-index:category→scan"``) — surfaced in EXPLAIN
-        self.resilience_events: list[str] = []
 
     def check_deadline(self, stage: str | Callable[[], str]) -> None:
         """Cooperative deadline checkpoint — raise if the clock ran out.
@@ -504,19 +501,10 @@ class AttrIndexScanOp(PhysicalOp):
         from repro.core.selection import select_matching_nodes
 
         provider = ctx.attr_provider
-        try:
-            candidates = (
-                provider(inputs[0], self.att, self.value)
-                if provider is not None else None
-            )
-        except DeadlineError:
-            raise
-        except Exception:
-            # a faulting index path degrades to the scan compute — the
-            # planner-side breaker decides whether to keep trying the
-            # index on later executions
-            ctx.resilience_events.append(f"attr-index:{self.att}→scan")
-            candidates = None
+        candidates = (
+            provider(inputs[0], self.att, self.value)
+            if provider is not None else None
+        )
         if candidates is None:
             ctx.degraded.add(id(self))
             return self.logical._compute(inputs)
@@ -798,11 +786,6 @@ class PlanExecution:
     def used_index(self) -> bool:
         return self.plan.uses_index
 
-    @property
-    def resilience(self) -> tuple[str, ...]:
-        """Degradation-ladder transitions this execution took, in order."""
-        return tuple(self.ctx.resilience_events)
-
     def render(self) -> str:
         """EXPLAIN ANALYZE-style tree: every operator, est vs. actual."""
         topk = f"  top-k={self.topk}" if self.topk is not None else ""
@@ -812,10 +795,6 @@ class PlanExecution:
         ]
         if self.plan.rewrites.applied:
             header.append(f"rewrites: {', '.join(self.plan.rewrites.applied)}")
-        if self.ctx.resilience_events:
-            header.append(
-                "resilience: " + ", ".join(self.ctx.resilience_events)
-            )
         return "\n".join(header + [p.line() for p in self.profiles])
 
 

@@ -47,7 +47,6 @@ from repro.core.expr import (
 )
 from repro.core.delta import GraphDelta
 from repro.core.graph import SocialContentGraph
-from repro.core.resilience import CircuitBreaker
 from repro.core.stats import CardinalityFeedback, GraphStats
 from repro.core.partition import shard_of
 from repro.plan.cache import PlanCache, ResultMemo
@@ -153,12 +152,6 @@ class QueryPlanner:
         #: re-deriving them; bounded by entries *and* estimated bytes
         self._subplan_results = ResultMemo()
         self._subplan_generation = -1
-        #: the attr-index→columnar-scan step: posting-path faults trip
-        #: it and the provider degrades to ``None`` (the op falls back
-        #: to the scan compute) until a probe succeeds
-        self.attr_breaker = CircuitBreaker(
-            "attr_index", failure_threshold=2, cooldown_s=1.0
-        )
         self._lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------------
@@ -345,28 +338,18 @@ class QueryPlanner:
         The execution-time provider behind :class:`AttrIndexScanOp`:
         concatenates the per-shard sorted posting lists of the value.
         Returns ``None`` — degrading the operator to a scan — when the
-        graph is not the planner's live graph, the attribute was never
-        registered, or the attr-index breaker is open (repeated
-        posting-path faults demoted this access path to the columnar
-        scan until a recovery probe succeeds).  A posting-path fault
-        raises — the operator catches it, degrades *this* execution, and
-        the breaker decides about the next one.
+        graph is not the planner's live graph or the attribute was never
+        registered: a correctness boundary, not failure handling.  A
+        posting-path fault raises to the caller, as a faulting scan does.
         """
         if att not in self.indexed_attrs:
-            return None
-        if not self.attr_breaker.allow():
             return None
         views = self.shard_views(graph)
         if views is None:
             return None
         candidates: list = []
-        try:
-            for view in views:
-                candidates.extend(view.attr_posting_nodes(att, value))
-        except Exception:
-            self.attr_breaker.record_failure()
-            raise
-        self.attr_breaker.record_success()
+        for view in views:
+            candidates.extend(view.attr_posting_nodes(att, value))
         return candidates
 
     def network_index(self, variant: str) -> Any:

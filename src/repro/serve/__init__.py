@@ -4,9 +4,10 @@ The layers below (:mod:`repro.api` downwards) answer *one* query well;
 this package answers *many at once*: an asyncio gateway
 (:class:`ServeGateway`) that admission-controls per-tenant traffic
 (:mod:`repro.serve.admission`), queues admitted requests by tenant
-priority, and executes each on a bounded pool with per-request error
-isolation.  The closed-loop load harness (:mod:`repro.serve.loadgen`)
-replays the paper's power-law traffic shape against it.
+priority, and executes each once on a bounded pool — its deadline the
+one bound, a typed outcome the one answer to a failure.  The closed-loop
+load harness (:mod:`repro.serve.loadgen`) replays the paper's power-law
+traffic shape against it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.serve.gateway import (
     ServeOutcome,
 )
 from repro.serve.metrics import latency_summary, peak_rss_mb, percentile
-from repro.serve.resilience import HedgeTracker
 
 __all__ = [
     "TENANT_BUDGET",
@@ -48,5 +48,4 @@ __all__ = [
     "percentile",
     "latency_summary",
     "peak_rss_mb",
-    "HedgeTracker",
 ]

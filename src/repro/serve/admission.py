@@ -55,7 +55,7 @@ class TenantPolicy:
     priority: int = 10
     #: end-to-end deadline for this tenant's requests, seconds from
     #: submit; ``None`` falls back to the gateway's default (which may
-    #: itself be ``None`` — no deadline, the pre-resilience behavior)
+    #: itself be ``None`` — no deadline)
     deadline_s: float | None = None
 
 

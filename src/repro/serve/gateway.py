@@ -35,13 +35,14 @@ stops shard scans between operators so a doomed request stops burning
 pool time.  Requests already expired when their turn comes are skipped
 at dispatch.
 
-**Hedging.**  The gateway tracks execution latencies
-(:class:`~repro.serve.resilience.HedgeTracker`); a dispatch that
-exceeds the tracked quantile is re-run on a dedicated hedge thread and
-the first completion wins — execution is deterministic and read-only,
-so the duplicate is wasted heat, not a correctness hazard, and one
-wedged worker thread no longer wedges its request.  A request whose
-deadline already answered the caller is never hedged.
+The deadline is the one bound on a request, and a typed outcome the one
+answer to a failure: each admitted request executes exactly once, and
+an execution that raises — wherever in the stack — resolves its caller's
+future as a :class:`~repro.api.RequestFailure`.  Nothing re-runs a slow
+request (a second run would repeat the same CPU-bound ``Session.run``
+under the same interpreter lock) and nothing switches an access path
+off after faults (the in-memory paths below have no transient failure
+to wait out).
 
 Concurrency model: ``submit`` must be called from the event loop the
 gateway was started on (the load harness and the quickstart both drive it
@@ -61,11 +62,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any
 
 from repro.api import RequestFailure, SearchRequest, SearchResponse, Session
 from repro.core.faults import fault_point
-from repro.core.resilience import BreakerStats
 from repro.errors import DeadlineError, ServeError
 from repro.serve.admission import (
     AdmissionController,
@@ -75,7 +75,6 @@ from repro.serve.admission import (
     DeadlineExceeded,
     Overloaded,
 )
-from repro.serve.resilience import HedgeTracker
 
 #: What one submission resolves to.
 ServeOutcome = (
@@ -85,27 +84,18 @@ ServeOutcome = (
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Gateway tunables: execution width, admission, deadlines, hedging."""
+    """Gateway tunables: execution width, admission, deadlines, drain bound."""
 
-    #: worker threads — requests executing concurrently
+    #: worker threads — requests executing concurrently (an ``int`` >= 1)
     max_workers: int = 4
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     #: end-to-end deadline applied to tenants whose policy does not set
-    #: one; ``None`` (the default) keeps the pre-resilience behavior
+    #: one; ``None`` (the default) leaves such requests unbounded
     default_deadline_s: float | None = None
     #: how long ``stop()`` waits for in-flight work before failing the
     #: stragglers with a typed ``DeadlineExceeded(stage="shutdown")``;
-    #: also bounds the ``checkpoint()`` quiesce
+    #: also bounds the ``checkpoint()`` quiesce (finite and > 0)
     drain_timeout_s: float = 5.0
-    #: hedge dispatches whose execution exceeds the tracked latency
-    #: quantile (False disables the hedge thread entirely)
-    hedge: bool = True
-    #: latency quantile (0..1) that arms a hedge
-    hedge_quantile: float = 0.95
-    #: hedge fires at quantile × multiplier
-    hedge_multiplier: float = 2.0
-    #: executions observed before hedging activates
-    hedge_min_samples: int = 16
 
 
 @dataclass(frozen=True)
@@ -119,16 +109,16 @@ class GatewayStats:
     admission: AdmissionStats
     #: requests resolved with a typed ``DeadlineExceeded`` (any stage)
     deadline_expired: int = 0
-    #: dispatches re-run on the hedge thread (slot exceeded the hedge cut)
-    hedged_batches: int = 0
-    #: the session planner's attr-index breaker, by name
-    breakers: Mapping[str, BreakerStats] = field(default_factory=dict)
 
     # Constants kept only for the frozen benchmarks/e2e/gateway.py reader
-    # (one request per dispatch); they go with its next revision.
+    # (one execution per request); they go with its next revision.
     @property
     def mean_batch_size(self) -> float:
         return 1.0
+
+    @property
+    def hedged_batches(self) -> int:
+        return 0
 
     def hot_keys(self, n: int = 5) -> list[Any]:
         return []
@@ -194,13 +184,18 @@ class ServeGateway:
         self.session = session
         config = config if config is not None else GatewayConfig()
         self.config = config
-        if config.max_workers < 1:
+        workers = config.max_workers
+        if isinstance(workers, bool) or not isinstance(workers, int) \
+                or workers < 1:
             raise ServeError(
-                f"max_workers must be >= 1, got {config.max_workers!r}"
+                f"max_workers must be an int >= 1, got {workers!r}"
             )
-        if config.drain_timeout_s <= 0.0:
+        if not (
+            math.isfinite(config.drain_timeout_s)
+            and config.drain_timeout_s > 0.0
+        ):
             raise ServeError(
-                "drain_timeout_s must be positive, got "
+                "drain_timeout_s must be finite and > 0, got "
                 f"{config.drain_timeout_s!r}"
             )
         policy = config.admission
@@ -216,30 +211,9 @@ class ServeGateway:
                     "a deadline must be finite and > 0 (or None), got "
                     f"{deadline_s!r}"
                 )
-        if not 0.0 < config.hedge_quantile <= 1.0:
-            raise ServeError(
-                "hedge_quantile must be in (0, 1], got "
-                f"{config.hedge_quantile!r}"
-            )
-        if not config.hedge_multiplier > 0.0:
-            raise ServeError(
-                "hedge_multiplier must be > 0, got "
-                f"{config.hedge_multiplier!r}"
-            )
-        if config.hedge_min_samples < 1:
-            raise ServeError(
-                "hedge_min_samples must be >= 1, got "
-                f"{config.hedge_min_samples!r}"
-            )
         self.admission = AdmissionController(config.admission)
-        self._hedge = HedgeTracker(
-            quantile=config.hedge_quantile,
-            multiplier=config.hedge_multiplier,
-            min_samples=config.hedge_min_samples,
-        )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._hedge_executor: ThreadPoolExecutor | None = None
         self._dispatcher: asyncio.Task[None] | None = None
         self._ready: list[_Entry] = []
         self._ready_event: asyncio.Event | None = None
@@ -255,7 +229,6 @@ class ServeGateway:
         self._failed = 0
         self._shed = 0
         self._deadline_expired = 0
-        self._hedged = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -268,13 +241,6 @@ class ServeGateway:
             max_workers=self.config.max_workers,
             thread_name_prefix="serve-worker",
         )
-        if self.config.hedge:
-            # one spare thread, deliberately outside the slot-bounded
-            # pool: a hedge exists to route around a wedged pool thread,
-            # so it must not queue behind the very threads it rescues
-            self._hedge_executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="serve-hedge"
-            )
         self._ready_event = asyncio.Event()
         self._slots = asyncio.Semaphore(self.config.max_workers)
         self._drained = asyncio.Event()
@@ -339,11 +305,6 @@ class ServeGateway:
                 wait=drain_clean, cancel_futures=not drain_clean
             )
             self._executor = None
-        if self._hedge_executor is not None:
-            self._hedge_executor.shutdown(
-                wait=drain_clean, cancel_futures=not drain_clean
-            )
-            self._hedge_executor = None
 
     async def __aenter__(self) -> "ServeGateway":
         await self.start()
@@ -525,16 +486,15 @@ class ServeGateway:
 
     async def _run_entry(self, entry: _Entry) -> None:
         """Execute one entry on a worker; resolve its future."""
-        assert self._slots is not None
+        assert self._slots is not None and self._loop is not None
 
         def work() -> SearchResponse:
             fault_point("serve.batch")
             return self.session.run(entry.request, deadline=entry.deadline)
 
-        started = time.monotonic()
         outcome: ServeOutcome
         try:
-            outcome = await self._execute_hedged(entry, work)
+            outcome = await self._loop.run_in_executor(self._executor, work)
         except DeadlineError as exc:
             # the plan executor's cooperative stop surfaces as the same
             # typed outcome the loop-side timer produces
@@ -558,56 +518,12 @@ class ServeGateway:
             )
         finally:
             self._slots.release()
-        self._hedge.observe(time.monotonic() - started)
         self._resolve(entry, outcome)
-
-    async def _execute_hedged(
-        self, entry: _Entry, work: Callable[[], SearchResponse]
-    ) -> SearchResponse:
-        """Run *work* on the pool; hedge it if it outlives the quantile.
-
-        The hedge re-runs the same closure on the dedicated hedge thread
-        and the first completion wins.  Execution is deterministic and
-        side-effect-free over warm state, so the loser's result (or
-        exception) is simply discarded.
-        """
-        assert self._loop is not None
-        primary = self._loop.run_in_executor(self._executor, work)
-        delay = (
-            self._hedge.hedge_delay()
-            if self._hedge_executor is not None
-            else None
-        )
-        if delay is None:
-            return await primary
-        done, _ = await asyncio.wait({primary}, timeout=delay)
-        if done:
-            return primary.result()
-        if entry.future.done():
-            # the deadline already answered the caller: a second run
-            # would be duplicate work for nobody
-            return await primary
-        self._hedged += 1
-        secondary = self._loop.run_in_executor(self._hedge_executor, work)
-        done, pending = await asyncio.wait(
-            {primary, secondary}, return_when=asyncio.FIRST_COMPLETED
-        )
-        for loser in pending:
-            # keep the loser from logging "exception never retrieved"
-            loser.add_done_callback(lambda f: f.exception())
-        for winner in done:
-            if winner.exception() is None:
-                return winner.result()
-        if pending:
-            # every finished attempt raised; the straggler may still win
-            return await next(iter(pending))
-        return done.pop().result()  # re-raises the (only) exception
 
     # -- introspection --------------------------------------------------------
 
     def stats(self) -> GatewayStats:
         """A snapshot of the serving counters (loop thread)."""
-        breaker = self.session.planner.attr_breaker
         return GatewayStats(
             submitted=self._submitted,
             completed=self._completed,
@@ -615,8 +531,6 @@ class ServeGateway:
             shed=self._shed,
             admission=self.admission.stats(),
             deadline_expired=self._deadline_expired,
-            hedged_batches=self._hedged,
-            breakers={breaker.name: breaker.stats()},
         )
 
     def plan_cache_stats(self) -> dict[str, object]:

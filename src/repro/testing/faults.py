@@ -6,8 +6,8 @@ keeps its own registry and mirrors it into the core hook, so arming and
 disarming compose: two tests (or two phases of a chaos schedule) can
 arm disjoint fault sets without clobbering each other.
 
-The canned handler factories cover the failure modes the resilience
-layer must survive:
+The canned handler factories cover the failure modes the deadlines and
+typed outcomes must answer:
 
 * :func:`raising` — the site's natural exception (a shard-scan error, WAL
   fsync ``OSError``, …);

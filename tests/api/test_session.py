@@ -267,30 +267,3 @@ class TestConcurrentRun:
         assert [r.items for r in threaded] == [r.items for r in sequential]
         for t, s in zip(threaded, sequential):
             assert pages_equal(t.page, s.page)
-
-
-class TestNetworkTopk:
-    def test_exact_index_matches_brute_force(self, travel):
-        from repro.workloads import TaggingSiteConfig, build_tagging_site
-        from repro.indexing import TaggingData
-
-        site = build_tagging_site(TaggingSiteConfig(
-            num_users=60, num_items=120, num_tags=15, seed=7,
-        ))
-        session = Session.from_graph(site.graph)
-        data = TaggingData.from_graph(session.graph)
-        user = data.users[0]
-        keywords = data.tag_vocab[:2]
-        expected = data.brute_force_topk(user, keywords, k=5)
-        results, stats = session.network_topk(user, keywords, k=5)
-        assert results == expected
-        assert stats.sorted_accesses >= 0
-        # warm second query reuses the built index
-        session.network_topk(user, keywords, k=5)
-        assert session.stats.network_index_builds == 1
-
-    def test_unknown_clustering_rejected(self, session):
-        from repro.errors import QueryError
-
-        with pytest.raises(QueryError):
-            session.network_topk(JOHN, ["denver"], clustering="nope")

@@ -13,11 +13,19 @@ byte-bounded memo accounting, and the plan-cache stats endpoint.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import factories
-from repro.api import SearchRequest, Session, SessionConfig
+from repro.api import (
+    RequestFailure,
+    SearchRequest,
+    SearchResponse,
+    Session,
+    SessionConfig,
+)
 from repro.core import Condition, Link, Node, SocialContentGraph, input_graph
 from repro.core.conditions import AttrCompare, HasAttr, HasType, Lambda, Or
 from repro.core.selection import (
@@ -41,6 +49,7 @@ from repro.plan import (
 )
 from repro.plan.columnar import cut_columnar_views
 from repro.core.partition import shard_of
+from repro.serve import ServeGateway
 
 TOL = 1e-9
 
@@ -335,10 +344,12 @@ class TestAttrIndexPath:
         assert execution.degraded_ops == 1
         assert {n.id for n in execution.result.nodes()} == {0, 200}
 
-    def test_faulting_postings_degrade_to_the_scan_and_say_so(
+    def test_faulting_postings_fail_like_a_scan_fault(
         self, monkeypatch
     ):
-        """The ladder's one rung: attr-index → scan, visible in EXPLAIN."""
+        """A posting fault is not degraded around: it reaches the caller
+        (a typed ``RequestFailure`` through the gateway), and the next
+        healthy execution takes the posting path again at once."""
         graph = attr_graph()
         planner = columnar_planner(graph)
         planner.attach_attribute_index(("category",))
@@ -347,22 +358,40 @@ class TestAttrIndexPath:
         )
         env = {"G": graph}  # bypass the sub-plan memo: every run executes
         healthy = planner.execute(expr, env=env)
-        assert healthy.resilience == ()
+
+        site = attr_graph()
+        site.add_node(Node("u", type="user", name="u"))
+        manager = DataManager(indexed_attributes=("category",))
+        manager.load_graph(site)
+        session = Session(manager)
+        posting_request = SearchRequest(
+            user_id="u", structural={"type": "item", "category": "rare"}
+        )
+        other_request = SearchRequest(user_id="u", text="spot")
 
         def corrupt(view, att, value):
             raise RuntimeError("postings corrupt")
 
+        async def serve(*requests):
+            async with ServeGateway(session) as gateway:
+                return [await gateway.submit("t", r) for r in requests]
+
         monkeypatch.setattr(ColumnarShardView, "attr_posting_nodes", corrupt)
-        for _ in range(2):  # the breaker's failure threshold
-            degraded = planner.execute(expr, env=env)
-            assert degraded.result.same_as(healthy.result)
-            assert degraded.resilience == ("attr-index:category→scan",)
-            assert "resilience: attr-index:category→scan" in degraded.render()
-        # tripped: the provider now declines without touching the postings
-        assert planner.attr_breaker.stats().state == "open"
-        skipped = planner.execute(expr, env=env)
-        assert skipped.resilience == () and skipped.degraded_ops == 1
-        assert skipped.result.same_as(healthy.result)
+        with pytest.raises(RuntimeError, match="postings corrupt"):
+            planner.execute(expr, env=env)
+        failed, served = asyncio.run(serve(posting_request, other_request))
+        assert isinstance(failed, RequestFailure)
+        assert failed.kind == "RuntimeError"
+        assert "postings corrupt" in failed.message
+        assert isinstance(served, SearchResponse)
+
+        monkeypatch.undo()
+        recovered = planner.execute(expr, env=env)
+        assert recovered.degraded_ops == 0
+        assert recovered.ctx.attr_postings_gathered  # the posting path
+        assert recovered.result.same_as(healthy.result)
+        (answered,) = asyncio.run(serve(posting_request))
+        assert isinstance(answered, SearchResponse)
 
     def test_observed_actuals_feed_the_attr_correction(self):
         graph = attr_graph()

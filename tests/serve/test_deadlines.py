@@ -1,11 +1,10 @@
-"""End-to-end deadlines, bounded shutdown, and hedged re-dispatch.
+"""End-to-end deadlines, bounded shutdown, and one execution per request.
 
-The resilience contract under test: a submission NEVER wedges.  Its
-future resolves with a typed outcome whether the deadline fires while
-queued, mid-execution (cooperative plan-side checks), or because a
-bounded shutdown drain gave up on a hung executor slot — and a slot held
-past the hedge quantile gets its request re-dispatched instead of holding
-it hostage.
+The contract under test: a submission NEVER wedges.  Its future resolves
+with a typed outcome whether the deadline fires while queued,
+mid-execution (cooperative plan-side checks), or because a bounded
+shutdown drain gave up on a hung executor slot — and a slow slot never
+makes its request run twice: the deadline is the one bound.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.serve import (
     AdmissionPolicy,
     DeadlineExceeded,
     GatewayConfig,
-    HedgeTracker,
     Overloaded,
     ServeGateway,
     TenantPolicy,
@@ -283,10 +281,7 @@ class TestDeadlineAboveThePlan:
 class TestBoundedShutdown:
     def test_stop_fails_wedged_requests_typed(self, session):
         config = GatewayConfig(
-            drain_timeout_s=0.3,
-            hedge=False,  # the hedge would rescue the request — this test
-            # wants the wedge to survive until the drain gives up
-            admission=OPEN_ADMISSION,
+            drain_timeout_s=0.3, admission=OPEN_ADMISSION
         )
 
         async def _run():
@@ -324,9 +319,7 @@ class TestBoundedShutdown:
 
     def test_checkpoint_quiesce_is_bounded(self, session, tmp_path):
         config = GatewayConfig(
-            drain_timeout_s=0.2,
-            hedge=False,
-            admission=OPEN_ADMISSION,
+            drain_timeout_s=0.2, admission=OPEN_ADMISSION
         )
 
         async def _run():
@@ -344,113 +337,54 @@ class TestBoundedShutdown:
         asyncio.run(_run())
 
 
-class TestHedging:
-    def test_tracker_needs_samples_before_hedging(self):
-        tracker = HedgeTracker(min_samples=4)
-        assert tracker.hedge_delay() is None
-        for _ in range(4):
-            tracker.observe(0.002)
-        assert tracker.hedge_delay() is not None
-
-    def test_delay_is_floored_for_micro_batches(self):
-        tracker = HedgeTracker(min_samples=2, min_delay_s=0.010)
-        tracker.observe(0.0001)
-        tracker.observe(0.0001)
-        assert tracker.hedge_delay() == 0.010
-
-    def test_delay_tracks_the_quantile(self):
-        tracker = HedgeTracker(
-            quantile=0.5, multiplier=2.0, min_samples=2, min_delay_s=0.0
-        )
-        for _ in range(10):
-            tracker.observe(0.1)
-        assert tracker.hedge_delay() == pytest.approx(0.2)
-
-    def test_ring_buffer_forgets_old_samples(self):
-        tracker = HedgeTracker(
-            quantile=0.5, multiplier=1.0, min_samples=2,
-            max_samples=4, min_delay_s=0.0,
-        )
-        for _ in range(4):
-            tracker.observe(10.0)
-        for _ in range(4):
-            tracker.observe(0.1)
-        assert tracker.hedge_delay() == pytest.approx(0.1)
-
-    @pytest.mark.usefixtures("deadlock_watchdog")
-    def test_wedged_slot_is_hedged_around(self, session):
+@pytest.mark.usefixtures("deadlock_watchdog")
+class TestOneExecution:
+    def test_wedged_slot_runs_its_request_once(self, session):
         reference = session.run(REQUEST)
-        config = GatewayConfig(
-            hedge=True,
-            hedge_min_samples=4,
-            admission=OPEN_ADMISSION,
-        )
+        config = GatewayConfig(admission=OPEN_ADMISSION)
 
         async def _run():
             async with ServeGateway(session, config) as gateway:
-                # prime the latency profile so the hedge is armed
-                for _ in range(4):
-                    gateway._hedge.observe(0.001)
+                # a warm latency history first: a slot far slower than
+                # every earlier one must still execute its request once
+                for _ in range(16):
+                    await gateway.submit("tenant", REQUEST)
+                before = session.stats.queries
+                with armed_faults(
+                    {"serve.batch": sleeping(0.5, times=1)}
+                ):
+                    outcome = await gateway.submit("tenant", REQUEST)
+            # leaving the block joined the worker: every execution counted
+            return outcome, session.stats.queries - before
+
+        outcome, executions = asyncio.run(_run())
+        assert isinstance(outcome, SearchResponse)
+        assert executions == 1
+        assert outcome.items == reference.items
+        for a, b in zip(outcome.page.flat, reference.page.flat):
+            assert abs(a.score - b.score) <= 1e-9
+
+    def test_wedged_slot_is_answered_by_the_deadline(self, session):
+        config = GatewayConfig(default_deadline_s=0.05)
+
+        async def _run():
+            async with ServeGateway(session, config) as gateway:
                 with armed_faults(
                     {"serve.batch": sleeping(3.0, times=1)}
                 ):
                     t0 = time.monotonic()
                     outcome = await gateway.submit("tenant", REQUEST)
                     elapsed = time.monotonic() - t0
-                return outcome, elapsed, gateway.stats()
+                return outcome, elapsed
 
-        outcome, elapsed, stats = asyncio.run(_run())
-        # the hedge ran the request on the spare thread while the
-        # primary slot slept out the injected 3s hang
-        assert isinstance(outcome, SearchResponse)
-        assert elapsed < 2.0
-        assert stats.hedged_batches >= 1
-        for a, b in zip(outcome.page.flat, reference.page.flat):
-            assert abs(a.score - b.score) <= 1e-9
-
-    @pytest.mark.usefixtures("deadlock_watchdog")
-    def test_no_hedge_for_a_request_nobody_waits_for(self, session):
-        config = GatewayConfig(
-            default_deadline_s=0.05,
-            hedge=True,
-            hedge_min_samples=4,
-            admission=OPEN_ADMISSION,
-        )
-
-        async def _run():
-            async with ServeGateway(session, config) as gateway:
-                # armed hedge whose cut (0.1 s x 2) lands after the
-                # deadline and before the injected hang ends
-                for _ in range(4):
-                    gateway._hedge.observe(0.1)
-                with armed_faults(
-                    {"serve.batch": sleeping(0.6, times=1)}
-                ):
-                    outcome = await gateway.submit("tenant", REQUEST)
-                    await asyncio.sleep(0.4)  # past the hedge cut
-                    return outcome, gateway.stats()
-
-        outcome, stats = asyncio.run(_run())
+        outcome, elapsed = asyncio.run(_run())
         assert isinstance(outcome, DeadlineExceeded)
         assert outcome.stage == "executing"
-        assert stats.hedged_batches == 0
+        assert outcome.deadline_s == 0.05
+        assert elapsed < 0.05 + 0.5  # the timer, not the 3 s wedge
 
 
 class TestStatsSurface:
-    def test_breakers_visible_in_gateway_stats(self, session):
-        config = GatewayConfig(admission=OPEN_ADMISSION)
-
-        async def _run():
-            async with ServeGateway(session, config) as gateway:
-                await gateway.submit("tenant", REQUEST)
-                return gateway.stats()
-
-        stats = asyncio.run(_run())
-        # the planner's own breaker is always listed; the process
-        # pool's joins only once a pool was spawned (never here)
-        assert set(stats.breakers) == {"attr_index"}
-        assert stats.breakers["attr_index"].state == "closed"
-
     def test_overloaded_requires_positive_retry_hint(self):
         with pytest.raises(ValueError, match="positive"):
             Overloaded(tenant="t", reason="tenant_budget")

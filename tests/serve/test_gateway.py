@@ -222,7 +222,10 @@ class TestLifecycle:
                 tenants={"t": TenantPolicy(deadline_s=deadline_s)}
             )
 
-        rejected = [("max_workers", GatewayConfig(max_workers=0))]
+        rejected = [
+            ("max_workers", GatewayConfig(max_workers=bad))
+            for bad in (0, -1, 2.5, True, "4")
+        ]
         for bad in (-1.0, 0.0, float("nan"), float("inf")):
             rejected += [
                 ("deadline", GatewayConfig(default_deadline_s=bad)),
@@ -230,14 +233,8 @@ class TestLifecycle:
                 ("deadline", GatewayConfig(admission=AdmissionPolicy(
                     default=TenantPolicy(deadline_s=bad)
                 ))),
+                ("drain_timeout_s", GatewayConfig(drain_timeout_s=bad)),
             ]
-        rejected += [
-            ("hedge_quantile", GatewayConfig(hedge_quantile=7.0)),
-            ("hedge_quantile", GatewayConfig(hedge_quantile=0.0)),
-            ("hedge_multiplier", GatewayConfig(hedge_multiplier=0.0)),
-            ("hedge_multiplier", GatewayConfig(hedge_multiplier=-2.0)),
-            ("hedge_min_samples", GatewayConfig(hedge_min_samples=0)),
-        ]
         for match, config in rejected:
             with pytest.raises(ServeError, match=match):
                 ServeGateway(session, config)
