@@ -475,6 +475,50 @@ def test_cf_kernel_over_recipe(site, report, quick):
         assert ratio < 0.5
 
 
+def test_deep_page_ranks_only_its_window(site, report, quick):
+    """Window pushdown: a deep page ranks the rows up to its window's end.
+
+    Page 4 × 10 without ``k`` against the same query under ``k = 40``,
+    the row that page ends on.  Each is ranked with the limit the session
+    pushed into ``discoverer.rank`` for it (the executed plan's top-k), and
+    the rows ranked are counted.  The ratio reads 1 while the session
+    pushes the window down, and matched / 40 if deep pages go back to
+    ranking the whole result — the regression the gate watches for.
+    """
+    from repro.api import SearchRequest, Session
+    from repro.discovery import parse_query
+    from repro.workloads import JOHN
+
+    session = Session.from_graph(site.graph)
+    text = "Denver attractions"
+    query = parse_query(JOHN, text)
+    rows = {}
+    for name, window in (("deep_page", {"page": 4, "page_size": 10}),
+                         ("topk", {"k": 40})):
+        request = SearchRequest(user_id=JOHN, text=text, explain=True,
+                                **window)
+        topk = session.run(request).plan.topk
+        rows[name] = session.discoverer.rank(query, limit=topk).total
+    matched = session.discoverer.rank(query).total
+    ratio = rows["deep_page"] / rows["topk"]
+    RESULTS["rank"] = {
+        "matched": matched,
+        "deep_page_rows": rows["deep_page"],
+        "topk_rows": rows["topk"],
+        "deep_page_over_topk": ratio,
+    }
+    report(
+        "",
+        "=== Window pushdown: rows ranked for page 4 x 10 (no k) ===",
+        f"  matched items:                    {matched:8d}",
+        f"  ranked for page 4 x 10:           {rows['deep_page']:8d}",
+        f"  ranked for k = 40:                {rows['topk']:8d}",
+        f"  deep page / top-k:                {ratio:8.4f}",
+    )
+    assert matched > 40  # the query reaches past the deep page
+    assert ratio == 1.0
+
+
 def test_emit_bench_json(report, quick):
     """Write the machine-readable summary (runs last in file order)."""
     RESULTS["quick"] = bool(quick)
@@ -482,4 +526,4 @@ def test_emit_bench_json(report, quick):
     report("", f"BENCH_plan.json written: {OUTPUT}")
     assert OUTPUT.exists()
     assert {"compile", "selectivity_sweep", "social_access_sweep",
-            "shard_sweep", "attr_index_sweep", "cf"} <= RESULTS.keys()
+            "shard_sweep", "attr_index_sweep", "cf", "rank"} <= RESULTS.keys()

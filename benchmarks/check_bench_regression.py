@@ -3,8 +3,9 @@
 
 Wall-clock milliseconds do not transfer between machines, so the gate
 mostly tracks *ratios* — columnar scan over the legacy row scan, the
-CF kernel over the Example 5 recipe, a read right after a write over a
-warm read, warm first request over cold after recovery.
+CF kernel over the Example 5 recipe, the rows a deep page ranks over the
+rows its window needs, a read right after a write over a warm read, warm
+first request over cold after recovery.
 The serve bench additionally gates its latency percentiles (p95/p99) and
 peak RSS directly: regime-matched baselines plus the multiplicative
 budget absorb runner variance there.  Each tracked metric must not
@@ -75,6 +76,15 @@ def tracked_metrics(results: dict) -> dict[str, float]:
         # held equal to: ~0.02 while the stage probes the requester's
         # neighbourhood, ~1 if it is routed back through the interpreter
         metrics["cf.kernel_over_recipe"] = results["cf"]["kernel_over_recipe"]
+
+    if "rank" in results:
+        # rows ranked for a deep page without k / rows ranked for the k
+        # that ends on the same row: 1 while the session pushes the
+        # window into the ranking, matched / 40 if deep pages go back to
+        # ranking every survivor
+        metrics["rank.deep_page_over_topk"] = (
+            results["rank"]["deep_page_over_topk"]
+        )
 
     if "refresh" in results:
         # a read right after one vote / the warm read of the same

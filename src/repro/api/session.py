@@ -158,8 +158,8 @@ class _Evaluation(NamedTuple):
     """One request's evaluated state, shared by run/discover/explain."""
 
     query: Query
-    ranking: object
-    window: list
+    ranking: RankedDiscovery
+    window: list[ScoredItem]
     offset: int
     size: int
     total: int
@@ -598,19 +598,6 @@ class Session:
             return offset, cursor_size
         return (request.page - 1) * size, size
 
-    def _budgeted(
-        self, ranking: RankedDiscovery, request: SearchRequest
-    ) -> list[ScoredItem]:
-        """Apply the request's k as a hard budget on the ranked list.
-
-        ``k`` caps the ranking even when ``page_size`` drives the window,
-        so ``.limit(4).page_size(2)`` means two pages, then exhaustion.
-        """
-        items = ranking.items
-        if request.k is not None:
-            items = items[: request.k]
-        return items
-
     def _evaluate(
         self, request: SearchRequest, deadline: float | None = None
     ) -> "_Evaluation":
@@ -625,27 +612,31 @@ class Session:
         """
         query = self._parse(request)
         offset, size = self._window(request)
-        # Top-k pushdown: an explicit k is a hard result budget, so the
-        # ranking stage can stop sorting candidates past it.  Page- and
-        # cursor-driven windows without a k may walk arbitrarily deep and
-        # keep the full ranking.
+        # Window pushdown: the ranking stage orders only the rows up to
+        # the window's end.  ``k`` caps the ranking even when page_size
+        # drives the window, so ``.limit(4).page_size(2)`` means two
+        # pages, then exhaustion.
+        limit = offset + size
+        if request.k is not None:
+            limit = min(limit, request.k)
         ranking = self.discoverer.rank(
             query,
             strategy=request.strategy,
             alpha=request.alpha,
             access=self._access_mode(request),
-            limit=request.k,
+            limit=limit,
             deadline=deadline,
         )
-        ranked = self._budgeted(ranking, request)
-        window = ranked[offset : offset + size]
+        total = ranking.matched
+        if request.k is not None:
+            total = min(total, request.k)
         return _Evaluation(
             query=query,
             ranking=ranking,
-            window=window,
+            window=ranking.items[offset : offset + size],
             offset=offset,
             size=size,
-            total=len(ranked),
+            total=total,
             execution=ranking.execution,
         )
 

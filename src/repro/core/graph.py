@@ -453,18 +453,6 @@ class SocialContentGraph:
         self._in.setdefault(link.tgt, set()).add(link.id)
         return link
 
-    def _adopt_fresh_node(self, node: Node) -> None:
-        """Hot-path :meth:`add_node` for an id the caller knows is absent.
-
-        Skips the consolidation lookup; callers (operator result emitters
-        iterating a deduplicated population) guarantee uniqueness, or the
-        graph's node map silently drops the earlier record.  Adjacency
-        slots are allocated lazily by the link writers, so a null-graph
-        result pays one dict insert per node and nothing else.
-        """
-        self._mutations += 1
-        self._nodes[node.id] = node
-
     def _adopt_fresh_link(self, link: Link) -> None:
         """Hot-path :meth:`add_link`: unique id, endpoints known present."""
         self._mutations += 1

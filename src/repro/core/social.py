@@ -1,13 +1,16 @@
-"""Graph-encoded social-stage computations for the compiled pipeline.
+"""Social-stage computations for the compiled pipeline.
 
 The paper frames the social scoring stage — connection selection, friend /
 expert endorsement, the Example 5 collaborative filter, content-based
 support — as semi-joins and aggregations over the candidate null graph
 σN⟨C,S⟩.  This module is the *compute kernel* behind the logical plan
 nodes of :mod:`repro.core.expr` (``ConnectionBasisE``, ``SocialScoreE``,
-``CombineScoresE``): every function takes graphs in and hands a graph
-back, so the whole discovery pipeline can run as one physical plan with
-per-operator profiling.
+``CombineScoresE``).  ``Expr.evaluate`` of those nodes is graph in, graph
+out (the algebra stays closed, so plans can be rewritten); the physical
+root every discovery pipeline ends in, :func:`fused_social_combine`,
+computes the same scores and provenance as plain dicts and hands over a
+:class:`DecodedSocialResult` ranked to the caller's window — no record of
+the combined graph is ever built per request.
 
 The friend and item-based kernels mirror the hand-executed reference
 implementations in ``tests/oracle`` (``connections``, ``strategies``)
@@ -25,7 +28,8 @@ of nodes it was led to.  Two helpers still walk ``graph.links()``:
 structure holds yet, and ``resolve_auto_strategy``, which compiled plans
 never reach (the compiler resolves "auto" from statistics).
 
-Encoding conventions (shared with the physical operators):
+Encoding conventions of the graph-valued side (``Expr.evaluate`` and the
+standalone social-stage operators; the fused root encodes nothing):
 
 * a **basis graph** is a null graph of the selected connection members,
   each carrying its topical ``fit``, plus a ``social_meta`` marker node
@@ -43,8 +47,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Callable, Container
 
-from repro.core.attrs import TYPE_ATTR
+from repro.core.attrs import SCORE_ATTR
 from repro.core.graph import Id, Link, Node, SocialContentGraph
 from repro.core.text import tokenize
 
@@ -117,6 +122,8 @@ def expert_candidates(
     limit: int = FALLBACK_EXPERT_LIMIT,
 ) -> list[Id]:
     """Users with the most activity on items matching the query terms."""
+    if not query_terms:
+        return []  # every match test below is a non-empty intersection
     counts: dict[Id, int] = {}
     item_matches: dict[Id, bool] = {}  # one tokenisation per acted item
     for link in graph.links():
@@ -212,7 +219,7 @@ def choose_strategy(has_connect: bool, has_act: bool, has_sim: bool) -> str:
 def friend_probe(
     graph: SocialContentGraph,
     members: list[tuple[Id, float]],
-    candidates: set[Id],
+    candidates: Container[Id],
 ) -> tuple[dict[Id, float], dict[Id, dict[Id, float]]]:
     """Semi-join probe: each basis member's activities into the candidates.
 
@@ -233,7 +240,7 @@ def friend_probe(
 
 def _friends_scores(
     graph: SocialContentGraph,
-    candidates: set[Id],
+    candidates: Container[Id],
     basis: SocialContentGraph,
     user_id: Id,
     keywords: tuple[str, ...],
@@ -264,7 +271,7 @@ def _friends_scores(
 
 def _similar_user_scores(
     graph: SocialContentGraph,
-    candidates: set[Id],
+    candidates: Container[Id],
     user_id: Id,
     sim_threshold: float,
     act_type: str,
@@ -309,7 +316,7 @@ def _similar_user_scores(
 
 def _item_based_scores(
     graph: SocialContentGraph,
-    candidates: set[Id],
+    candidates: Container[Id],
     user_id: Id,
 ) -> tuple[dict, dict]:
     """Content-based support over derived ``sim_item`` links."""
@@ -346,8 +353,8 @@ def social_scores_graph(
     from statistics before lowering instead).
     """
     strategy, scores, endorsers, supporting, fallback = _strategy_scores(
-        graph, candidates, basis, strategy, user_id, keywords,
-        sim_threshold, act_type,
+        graph, {n.id for n in candidates.nodes()}, basis, strategy, user_id,
+        keywords, sim_threshold, act_type,
     )
     return encode_social_result(
         graph, candidates, scores, endorsers, supporting, strategy, fallback
@@ -356,7 +363,7 @@ def social_scores_graph(
 
 def _strategy_scores(
     graph: SocialContentGraph,
-    candidates: SocialContentGraph,
+    candidate_ids: Container[Id],
     basis: SocialContentGraph,
     strategy: str,
     user_id: Id,
@@ -376,7 +383,6 @@ def _strategy_scores(
             f"unknown compiled social strategy {strategy!r}; "
             f"have {COMPILED_STRATEGIES}"
         )
-    candidate_ids = {n.id for n in candidates.nodes()}
     supporting: dict[Id, dict[Id, float]] = {}
     endorsers: dict[Id, dict[Id, float]] = {}
     fallback = False
@@ -508,104 +514,102 @@ def fused_social_combine(
     act_type: str = "visit",
     drop_zero: bool = True,
     limit: int | None = None,
-) -> tuple[SocialContentGraph, "DecodedSocialResult"]:
-    """Social scoring and α-combination in one pass (operator fusion).
+    endorsements: Callable[
+        [Container[Id]], "tuple[dict, dict, bool] | None"
+    ] | None = None,
+) -> "DecodedSocialResult":
+    """Social scoring and α-combination in one pass, ranked to a window.
 
-    *limit* bounds the decoded ranking list to the top *limit* rows
-    (top-k pushdown); scores, provenance and the result graph still
-    cover every surviving item.
+    The values of ``decode_social_result(combine_scores_graph(candidates,
+    social_scores_graph(...)))`` — asserted by the differential parity
+    suite — computed without building either graph: one pass over the
+    candidates reads their semantic scores (whose keys are the candidate
+    set the strategy kernels probe into), scores and provenance stay
+    plain dicts, and only the best *limit* rows are ordered (top-k
+    pushdown; ``None`` ranks every survivor).  Score and provenance maps
+    still cover every surviving item, and ``matched`` counts them.
 
-    The result graph is record-for-record identical to
-    ``combine_scores_graph(candidates, social_scores_graph(...))`` —
-    asserted by the differential parity suite — but the intermediate
-    social-score graph is never materialised: scores stay plain dicts
-    until the single output graph is built, and provenance
-    (endorse/support links) is only ever encoded for items that survive
-    the combination.  The :class:`DecodedSocialResult` the discovery
-    layer would otherwise re-extract from the graph falls out for free
-    and is returned alongside.  This is the compute kernel behind
-    :class:`repro.plan.physical.FusedSocialCombineOp`, which exists
-    because the two-step pipeline spent more time re-encoding graphs
-    than computing scores.
+    *endorsements*, when given, replaces friend scoring with a §6.2
+    index read over the candidate set, returning ``(scores, endorsers,
+    fallback)``; a ``None`` answer falls back to the probe.  This is the
+    compute kernel behind :class:`repro.plan.physical.FusedSocialCombineOp`.
     """
-    strategy, scores, endorsers, supporting, fallback = _strategy_scores(
-        graph, candidates, basis, strategy, user_id, keywords,
-        sim_threshold, act_type,
-    )
-    semantic = {n.id: (n.score or 0.0) for n in candidates.nodes()}
-    semantic_norm = _max_normalized(semantic)
-    social_norm = _max_normalized(scores)
-    decoded = DecodedSocialResult(strategy=strategy,
-                                  used_expert_fallback=fallback)
-    out = SocialContentGraph(catalog=candidates.catalog)
-    adopt_node = out._adopt_fresh_node
-    adopt_link = out._adopt_fresh_link
-    surviving = out._nodes
-    new_node = Node.__new__
-    set_field = object.__setattr__
-    beta = 1 - alpha
+    semantic: dict[Id, float] = {}
     for node in candidates.nodes():
-        item = node.id
-        sem = semantic_norm.get(item, 0.0)
-        soc = social_norm.get(item, 0.0)
+        value = node.attrs.get(SCORE_ATTR)
+        semantic[node.id] = value[0] if value else 0.0
+    read = endorsements(semantic) if endorsements is not None else None
+    if read is None:
+        strategy, scores, endorsers, supporting, fallback = _strategy_scores(
+            graph, semantic, basis, strategy, user_id, keywords,
+            sim_threshold, act_type,
+        )
+    else:
+        (scores, endorsers, fallback), supporting = read, {}
+    # max-normalisation as combine_scores_graph does it, inlined
+    sem_top = max(semantic.values(), default=0.0)
+    soc_top = max(scores.values(), default=0.0)
+    beta = 1 - alpha
+    rows = []
+    kept: dict[Id, float] = {}
+    for item, sem in semantic.items():
+        sem = sem / sem_top if sem_top > 0 else 0.0
+        raw = scores.get(item)
+        soc = raw / soc_top if raw is not None and soc_top > 0 else 0.0
         combined = alpha * sem + beta * soc
         if drop_zero and combined <= 0.0:
             continue
-        # inlined Node._with_normalized: this loop builds one record per
-        # surviving candidate on every query, and the call overhead shows
-        attrs = dict(node.attrs)
-        attrs["semantic_norm"] = (sem,)
-        attrs["social_norm"] = (soc,)
-        attrs["combined"] = (combined,)
-        raw = scores.get(item)
+        rows.append((item, sem, soc, combined))
         if raw is not None:
-            decoded.scores[item] = raw
-            attrs["social_raw"] = (raw,)
-        record = new_node(Node)
-        set_field(record, "id", item)
-        set_field(record, "attrs", attrs)
-        adopt_node(record)
-        decoded.items.append((item, sem, soc, combined))
-    for item, per_user in endorsers.items():
-        if item not in surviving:
-            continue  # provenance of a dropped item
-        decoded.endorsers[item] = per_user
-        for user, weight in per_user.items():
-            if user not in surviving:
-                adopt_node(graph.node(user) if graph.has_node(user)
-                           else Node(user, type="user"))
-            adopt_link(Link._from_normalized(
-                f"endorse:{user}->{item}", user, item,
-                {"type": (ENDORSE_TYPE,), "weight": (weight,)},
-            ))
-    for item, per_item in supporting.items():
-        if item not in surviving:
-            continue
-        decoded.supporting_items[item] = per_item
-        for supporter, weight in per_item.items():
-            if supporter not in surviving:
-                adopt_node(graph.node(supporter) if graph.has_node(supporter)
-                           else Node(supporter, type="item"))
-            adopt_link(Link._from_normalized(
-                f"support:{supporter}->{item}", supporter, item,
-                {"type": (SUPPORT_TYPE,), "weight": (weight,)},
-            ))
-    out.add_node(Node(META_ID, type=META_TYPE, strategy=strategy,
-                      expert_fallback=int(fallback)))
-    decoded.items = _rank_items(decoded.items, limit)
-    return out, decoded
+            kept[item] = raw
+    # provenance exists only for scored items, so "scored and kept" is
+    # "survived" for every key of the two maps
+    endorsers = {i: e for i, e in endorsers.items() if i in kept}
+    supporting = {i: s for i, s in supporting.items() if i in kept}
+    return DecodedSocialResult(
+        items=_rank_items(rows, limit),
+        scores=kept,
+        endorsers=endorsers,
+        supporting_items=supporting,
+        strategy=strategy,
+        used_expert_fallback=fallback,
+        matched=len(rows),
+        encoded_size=_encoded_size(rows, semantic, endorsers, supporting),
+    )
 
 
-# ---------------------------------------------------------------------------
-# Decoding a pipeline result back into discovery-layer values
-# ---------------------------------------------------------------------------
+def _encoded_size(
+    rows: list,
+    candidates: Container[Id],
+    endorsers: dict[Id, dict[Id, float]],
+    supporting: dict[Id, dict[Id, float]],
+) -> tuple[int, int]:
+    """(nodes, links) of the combined graph ``Expr.evaluate`` builds.
+
+    Its nodes are the survivors, the endorsers and supporters of
+    survivors that are not survivors themselves, and the marker node; its
+    links are one ``endorse`` / ``support`` edge per provenance pair.
+    """
+    providers: set = set()
+    links = 0
+    for provenance in (endorsers, supporting):
+        for per in provenance.values():
+            providers.update(per)
+            links += len(per)
+    outside = len(providers)
+    among = [p for p in providers if p in candidates]
+    if among:
+        survivors = {row[0] for row in rows}
+        outside -= sum(1 for p in among if p in survivors)
+    return len(rows) + outside + 1, links
 
 
 @dataclass
 class DecodedSocialResult:
-    """A combined-pipeline result graph, read back into plain values."""
+    """A discovery pipeline's answer as plain values (the root's payload)."""
 
-    #: (item, semantic_norm, social_norm, combined), best first
+    #: (item, semantic_norm, social_norm, combined), best first — cut to
+    #: the requested window when a limit was pushed down
     items: list[tuple[Id, float, float, float]] = field(default_factory=list)
     #: raw social scores of the surviving items
     scores: dict[Id, float] = field(default_factory=dict)
@@ -613,54 +617,8 @@ class DecodedSocialResult:
     supporting_items: dict[Id, dict[Id, float]] = field(default_factory=dict)
     strategy: str = "friends"
     used_expert_fallback: bool = False
-
-
-def decode_social_result(
-    result: SocialContentGraph, limit: int | None = None
-) -> DecodedSocialResult:
-    """Read a combined-pipeline result graph (deterministic item order).
-
-    Reads the records' normalised attribute tuples directly — this runs
-    once per query on every result node and link, and the accessor
-    indirection was measurable.  *limit* bounds the decoded ranking list
-    (top-k pushdown for the unfused physical forms); score and
-    provenance maps still cover every item in the graph.
-    """
-    decoded = DecodedSocialResult()
-    for node in result.nodes():
-        attrs = node.attrs
-        if META_TYPE in attrs[TYPE_ATTR]:
-            decoded.strategy = str(node.value("strategy", decoded.strategy))
-            decoded.used_expert_fallback = bool(
-                node.value("expert_fallback", 0)
-            )
-            continue
-        raw = attrs.get("social_raw")
-        if raw:
-            decoded.scores[node.id] = float(raw[0])
-        combined = attrs.get("combined")
-        if not combined:
-            continue  # social-stage-only node, endorser, or supporter
-        semantic = attrs.get("semantic_norm")
-        social = attrs.get("social_norm")
-        decoded.items.append((
-            node.id,
-            float(semantic[0]) if semantic else 0.0,
-            float(social[0]) if social else 0.0,
-            float(combined[0]),
-        ))
-    for link in result.links():
-        attrs = link.attrs
-        types = attrs[TYPE_ATTR]
-        if ENDORSE_TYPE in types:
-            weight = attrs.get("weight")
-            decoded.endorsers.setdefault(link.tgt, {})[link.src] = (
-                float(weight[0]) if weight else 0.0
-            )
-        elif SUPPORT_TYPE in types:
-            weight = attrs.get("weight")
-            decoded.supporting_items.setdefault(link.tgt, {})[link.src] = (
-                float(weight[0]) if weight else 0.0
-            )
-    decoded.items = _rank_items(decoded.items, limit)
-    return decoded
+    #: surviving items before the window cut (``len(items)`` without one)
+    matched: int = 0
+    #: (nodes, links) the combined result graph would have — the root
+    #: operator's EXPLAIN actual and cardinality feedback
+    encoded_size: tuple[int, int] = (0, 0)

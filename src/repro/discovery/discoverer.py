@@ -34,7 +34,6 @@ from numbers import Real
 
 from repro.core import Id, SocialContentGraph
 from repro.core.delta import GraphDelta
-from repro.core.social import decode_social_result
 from repro.discovery.classify import QueryClassifier
 from repro.discovery.msg import MeaningfulSocialGraph, ScoredItem, assemble_msg
 from repro.discovery.query import Query, parse_query
@@ -89,23 +88,26 @@ class DiscoveryConfig:
 
 @dataclass
 class RankedDiscovery:
-    """One query's *full* combined ranking, before any window is cut.
+    """One query's combined ranking, cut to the limit it was asked for.
 
     The items list is totally ordered (score desc, item-id repr asc), so
-    any ``[offset : offset+limit]`` window is deterministic — the property
-    the session API's pagination rests on.
+    any ``[offset : offset+size]`` window of it is the same window of the
+    full ranking — the property the session API's pagination rests on.
+    Without a limit it is the full ranking.
     """
 
     query: Query
     items: list[ScoredItem]
     social: SocialScores
     used_expert_fallback: bool
+    #: surviving (non-dropped) items before the limit cut
+    matched: int
     #: the end-to-end physical-plan execution that produced this ranking
     execution: PlanExecution = field(compare=False)
 
     @property
     def total(self) -> int:
-        """Number of ranked (non-dropped) items."""
+        """Number of rows ranked: ``len(items)``, at most the limit."""
         return len(self.items)
 
 
@@ -227,9 +229,10 @@ class InformationDiscoverer:
         *limit* pushes a result budget into the ranking stage (top-k
         selection instead of a full sort): the returned ``items`` carry
         only the best *limit* rows — identical to the full ranking's
-        prefix — while score and provenance maps still cover every
-        surviving item.  ``None`` keeps the full ranking (the pagination
-        paths that may walk arbitrarily deep pass ``None``).
+        prefix — while ``matched`` counts every surviving item and the
+        score and provenance maps still cover them all.  ``None`` keeps
+        the full ranking.  A session passes the end of the requested
+        window (``offset + size``, capped by ``k``).
         """
         plan_strategy, cf = self._plan_strategy(strategy or self.config.strategy)
         weight = 0.0 if query.is_empty else (
@@ -248,11 +251,8 @@ class InformationDiscoverer:
             limit=limit,
             deadline=deadline,
         )
-        # A fused root hands the decoded ranking over directly; unfused
-        # plans (e.g. the endorsement-merge forms) decode the graph.
+        # the social root hands the ranking over as plain values
         decoded = execution.payload
-        if decoded is None:
-            decoded = decode_social_result(execution.result, limit=limit)
         social = SocialScores(
             strategy=decoded.strategy,
             scores=decoded.scores,
@@ -268,5 +268,6 @@ class InformationDiscoverer:
             items=items,
             social=social,
             used_expert_fallback=decoded.used_expert_fallback,
+            matched=decoded.matched,
             execution=execution,
         )

@@ -506,14 +506,14 @@ def compile_plan(
         return physical
 
     def _lower_combine(node: CombineScoresE) -> PhysicalOp:
-        """Fuse social scoring into the combination when it is safe.
+        """Lower the combination to the social root when it is safe.
 
         Safe means: the social stage is a compiled :class:`SocialScoreE`,
-        the combination is its only consumer, both read the *same*
-        candidate sub-plan, and the chosen social form is not an
-        endorsement merge (whose network-index machinery stays a
-        standalone operator).  Anything else lowers to the plain
-        two-operator pipeline.
+        the combination is its only consumer, and both read the *same*
+        candidate sub-plan — the shape every discovery pipeline has.
+        Whatever social form the cost model picks, probe, grouped
+        aggregation or a §6.2 endorsement index, runs inside the root.
+        Anything else lowers to the plain two-operator pipeline.
         """
         social = node.right
         fusable = (
@@ -527,13 +527,13 @@ def compile_plan(
                 social, social_children, stats, access, model, decisions,
                 strategy_state,
             )
-            if not isinstance(social_phys, EndorsementMergeOp):
-                return FusedSocialCombineOp(
-                    node, social, social_children,
-                    strategy=social_phys.strategy, form=social_phys.form,
-                )
-            memo[id(social)] = social_phys
-            return ScanOp(node, (lower(node.left), social_phys))
+            return FusedSocialCombineOp(
+                node, social, social_children,
+                strategy=social_phys.strategy, form=social_phys.form,
+                variant=(social_phys.variant
+                         if isinstance(social_phys, EndorsementMergeOp)
+                         else None),
+            )
         return ScanOp(node, tuple(lower(child) for child in node.children()))
 
     root = lower(optimized)

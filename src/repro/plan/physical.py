@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.expr import Expr, LiteralE, iter_plan_nodes
@@ -88,8 +89,8 @@ class ExecContext:
         #: attribute-index op then degrades to the scan compute
         self.attr_provider = attr_provider
         #: result-size bound pushed down from the caller (``None`` = no
-        #: bound): ranking operators cut their sorted output to the top k
-        #: instead of ordering the full candidate set
+        #: bound): the social root orders only the top k rows instead of
+        #: the full candidate set
         self.topk: int | None = None
         #: per-operator results, keyed by physical node identity (the DAG
         #: dedup — shared sub-plans execute once, as in Expr.evaluate)
@@ -103,8 +104,8 @@ class ExecContext:
         self.degraded: set[int] = set()
         #: operator id → per-shard profiles (scattered operators only)
         self.shard_actuals: dict[int, list[ShardProfile]] = {}
-        #: operator id → decoded side output (fused operators hand their
-        #: plain-value results to consumers without a graph decode)
+        #: operator id → plain-value output (the social root's ranking,
+        #: handed to consumers instead of a graph)
         self.payloads: dict[int, Any] = {}
         #: operator id → posting-list length an attribute-index op
         #: gathered (the quantity `attr_value_count` estimates — fed back
@@ -518,18 +519,24 @@ class AttrIndexScanOp(PhysicalOp):
 
 
 class FusedSocialCombineOp(PhysicalOp):
-    """Social scoring and α-combination fused into one physical operator.
+    """The social root: scoring, α-combination and ranking in one operator.
 
-    The two-step pipeline (social stage → combine stage) spent more time
-    encoding and re-copying intermediate graphs than computing scores —
-    the compiled ``friends`` path benchmarked *slower* than the legacy
-    hand-executed one.  When the social stage's result feeds only the
-    combination (the overwhelmingly common shape) the compiler fuses the
-    pair: scores stay plain dicts until the single output graph is built
-    and provenance is encoded once, for surviving items only
-    (:func:`repro.core.social.fused_social_combine`).  The endorsement
-    -merge (§6.2 network index) forms stay unfused — their access paths
-    carry their own runtime-degrade machinery.
+    Every discovery pipeline ends here.  When the social stage's result
+    feeds only the combination (the shape ``discovery_pipeline`` builds)
+    the compiler fuses the pair whatever the social form — adjacency
+    probe, grouped aggregation, or the §6.2 endorsement index — and the
+    kernel (:func:`repro.core.social.fused_social_combine`) computes
+    scores and provenance as plain dicts, ranks only the caller's window
+    (``ctx.topk``) and hands over the
+    :class:`~repro.core.social.DecodedSocialResult` as the execution's
+    payload.  No record is built: the operator's result graph is empty,
+    and its EXPLAIN actual is the size the combined graph would have
+    (``encoded_size``), so cardinality feedback reads the same numbers.
+
+    With a *variant* (``"exact"`` / ``"clustered"``) friend scoring is
+    read from that endorsement index; if the provider is missing or the
+    data regime diverges the read degrades to the probe, marked in
+    ``ctx.degraded`` like the standalone :class:`EndorsementMergeOp`.
 
     Children are ``(graph, candidates, basis)`` — the social stage's
     inputs; the combination's candidate input is the same sub-plan, DAG
@@ -537,12 +544,18 @@ class FusedSocialCombineOp(PhysicalOp):
     """
 
     def __init__(self, logical: Expr, social: Expr,
-                 children: Sequence[PhysicalOp], strategy: str, form: str):
+                 children: Sequence[PhysicalOp], strategy: str, form: str,
+                 variant: str | None = None):
         super().__init__(logical, children)
         self.social = social
         self.strategy = strategy
-        #: physical form of the fused social half ("probe" / "group-agg")
+        #: physical form of the fused social half ("probe" / "group-agg"
+        #: / "endorse-merge:<variant>")
         self.form = form
+        #: endorsement-index variant the social half reads (None = none)
+        self.variant = variant
+        if variant is not None:
+            self.access_path = _network_path(variant)
 
     def describe(self) -> str:
         return f"combine+social⟨{self.strategy}⟩ [fused-{self.form}]"
@@ -553,7 +566,7 @@ class FusedSocialCombineOp(PhysicalOp):
         from repro.core.social import fused_social_combine
 
         graph, candidates, basis = inputs
-        result, decoded = fused_social_combine(
+        ctx.payloads[id(self)] = fused_social_combine(
             graph,
             candidates,
             basis,
@@ -565,11 +578,64 @@ class FusedSocialCombineOp(PhysicalOp):
             act_type=self.social.act_type,  # type: ignore[attr-defined]
             drop_zero=self.logical.drop_zero,  # type: ignore[attr-defined]
             limit=ctx.topk,
+            endorsements=None if self.variant is None else partial(
+                endorsement_read, ctx, self, self.variant,
+                self.social.user_id,  # type: ignore[attr-defined]
+            ),
         )
-        # the decoded ranking falls out of the fusion for free: hand it to
-        # consumers so they can skip re-decoding the result graph
-        ctx.payloads[id(self)] = decoded
-        return result
+        return SocialContentGraph(catalog=candidates.catalog)
+
+    def _record(
+        self, ctx: ExecContext, result: SocialContentGraph, elapsed: float
+    ) -> None:
+        super()._record(ctx, result, elapsed)
+        size = ctx.payloads[id(self)].encoded_size
+        ctx.actuals[id(self)] = (Card(*size), elapsed)
+
+
+def _network_path(variant: str) -> str:
+    return NETWORK_CLUSTERED if variant == "clustered" else NETWORK_EXACT
+
+
+def endorsement_read(
+    ctx: ExecContext,
+    op: PhysicalOp,
+    variant: str,
+    user: Any,
+    candidate_ids: Any,
+) -> tuple[dict, dict, bool] | None:
+    """Friend endorsement of the candidates, read from a §6.2 index.
+
+    ``(scores, endorsers, fallback)`` exactly as the probe computes them
+    in the uniform-weight regime (empty-keyword queries, every fit 1.0),
+    where the probe's score is ``count(friends(u) ∩ actors(i))`` — the
+    stored ``IL^u_k`` score with one pseudo-tag.  ``None`` when the
+    provider is missing or the index cannot answer exactly (multi
+    -activity pairs): *op* is marked degraded and falls back to the
+    probe.  Shared by :class:`EndorsementMergeOp` and the social root.
+    """
+    from repro.indexing.endorsement import ACT_TAG, endorsement_entries
+
+    provider = ctx.network_provider
+    index = provider(variant) if provider is not None else None
+    entries = endorsement_entries(index, user) if index is not None else None
+    if entries is None:
+        ctx.degraded.add(id(op))
+        return None
+    basis_members = index.data.basis.get(user, set())
+    scores: dict = {}
+    endorsers: dict = {}
+    for item, score in entries:
+        if item not in candidate_ids:
+            continue
+        scores[item] = float(score)
+        members = index.data.taggers.get((item, ACT_TAG), set())
+        endorsers[item] = {m: 1.0 for m in sorted(members & basis_members,
+                                                  key=repr)}
+    # Uniform-weight Selma fallback: an empty endorsement set under an
+    # empty query marks the expert fallback (whose expert search over
+    # zero query terms yields nothing), exactly as the probe path does.
+    return scores, endorsers, not scores
 
 
 class _SocialStageOp(PhysicalOp):
@@ -625,23 +691,22 @@ class GroupedAggregationOp(_SocialStageOp):
 class EndorsementMergeOp(_SocialStageOp):
     """Friend endorsement served from §6.2 network-aware posting lists.
 
+    The standalone social-stage form, lowered where a ``SocialScoreE``
+    is compiled without a fusable combination; under one, the index read
+    (:func:`endorsement_read`) runs inside :class:`FusedSocialCombineOp`.
     Lowered only in the uniform-weight regime (empty-keyword queries,
-    every fit 1.0), where the probe's score is exactly
-    ``count(friends(u) ∩ actors(i))`` — the stored ``IL^u_k`` score with
-    one pseudo-tag.  The exact variant reads the user's list; the
+    every fit 1.0).  The exact variant reads the user's list; the
     clustered variant reads the cluster's upper-bound list and rescores
     exactly (the paper's Eq 1 overhead).  If the provider is missing or
-    the data regime diverges (multi-activity pairs), the operator degrades
-    to the probe compute rather than risking drift.
+    the data regime diverges (multi-activity pairs), the operator
+    degrades to the probe compute rather than risking drift.
     """
 
     def __init__(self, logical: Expr, children: Sequence[PhysicalOp],
                  strategy: str, variant: str):
         super().__init__(logical, children, strategy)
         self.variant = variant
-        self.access_path = (
-            NETWORK_CLUSTERED if variant == "clustered" else NETWORK_EXACT
-        )
+        self.access_path = _network_path(variant)
 
     @property
     def form(self) -> str:  # type: ignore[override]
@@ -651,36 +716,18 @@ class EndorsementMergeOp(_SocialStageOp):
         self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
     ) -> SocialContentGraph:
         from repro.core.social import encode_social_result
-        from repro.indexing.endorsement import ACT_TAG, endorsement_entries
 
-        provider = ctx.network_provider
-        index = provider(self.variant) if provider is not None else None
-        if index is None:
-            ctx.degraded.add(id(self))
-            return super()._run(ctx, inputs)
-        user = self.logical.user_id  # type: ignore[attr-defined]
-        entries = endorsement_entries(index, user)
-        if entries is None:  # regime the index cannot serve exactly
-            ctx.degraded.add(id(self))
-            return super()._run(ctx, inputs)
         graph, candidates, _basis = inputs
-        candidate_ids = {n.id for n in candidates.nodes()}
-        basis_members = index.data.basis.get(user, set())
-        scores: dict = {}
-        endorsers: dict = {}
-        for item, score in entries:
-            if item not in candidate_ids:
-                continue
-            scores[item] = score
-            members = index.data.taggers.get((item, ACT_TAG), set())
-            endorsers[item] = {m: 1.0 for m in sorted(members & basis_members,
-                                                      key=repr)}
-        # Uniform-weight Selma fallback: an empty endorsement set under an
-        # empty query marks the expert fallback (whose expert search over
-        # zero query terms yields nothing), exactly as the probe path does.
+        read = endorsement_read(
+            ctx, self, self.variant,
+            self.logical.user_id,  # type: ignore[attr-defined]
+            {n.id for n in candidates.nodes()},
+        )
+        if read is None:
+            return super()._run(ctx, inputs)
+        scores, endorsers, fallback = read
         return encode_social_result(
-            graph, candidates, scores, endorsers, {}, self.strategy,
-            fallback=not scores,
+            graph, candidates, scores, endorsers, {}, self.strategy, fallback
         )
 
 
@@ -712,7 +759,7 @@ class OperatorProfile:
 
 @dataclass
 class PlanExecution:
-    """One execution of a physical plan: result graph + operator profiles.
+    """One execution of a physical plan: its answer + operator profiles.
 
     Operator profiles are *lazy*: rendering EXPLAIN rows re-estimates
     every operator against the statistics, which serving paths that never
@@ -721,6 +768,10 @@ class PlanExecution:
     """
 
     plan: "PhysicalPlan"
+    #: the root's result graph.  For a discovery pipeline (root
+    #: :class:`FusedSocialCombineOp`) it is an empty graph — the answer is
+    #: :attr:`payload`; ``Expr.evaluate`` of the same plan builds the
+    #: combined graph the payload decodes.
     result: SocialContentGraph
     ctx: ExecContext
     cache_hit: bool = False
@@ -755,12 +806,13 @@ class PlanExecution:
 
     @property
     def payload(self) -> Any:
-        """The root operator's decoded side output, if it produced one.
+        """The root's plain-value answer, if it has one.
 
-        Fused operators compute plain-value results (score maps, decoded
-        rankings) *before* encoding them into the result graph; consumers
-        that want the values — not the graph — read them here and skip
-        the decode round-trip.
+        For a discovery pipeline this is the social root's
+        :class:`~repro.core.social.DecodedSocialResult`: the ranking cut
+        to ``topk``, the survivor count ``matched``, and scores and
+        provenance of every survivor.  ``None`` for plans whose root
+        answers with its result graph.
         """
         return self.ctx.payloads.get(id(self.plan.root))
 
@@ -893,10 +945,10 @@ class PhysicalPlan:
         """Run the plan; the result never aliases an input/literal graph.
 
         *topk* is an execution parameter, not part of the plan shape (so
-        cached plans serve any k): ranking operators bound their sorted
-        output to the top *k* rows instead of ordering the full
-        candidate set.  Scores, provenance and the result graph are
-        unaffected — only the decoded ranking list is cut.
+        cached plans serve any k): the social root bounds its ranking to
+        the top *k* rows instead of ordering the full candidate set.
+        Scores and provenance are unaffected — only the ranking list is
+        cut.
 
         *deadline* is an absolute monotonic timestamp (``None`` = none):
         cooperative checks between operators and between per-shard

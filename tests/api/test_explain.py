@@ -187,10 +187,29 @@ class TestGoldenPlanShapes:
             SearchRequest(user_id="u0", use_index=True, explain=True)
         )
         assert forced.items == plain.items
-        social_ops = [p.op for p in forced.plan.operators
-                      if p.op.startswith("social")]
-        assert social_ops and all("endorse-merge" in op for op in social_ops)
+        # the index read runs inside the social root: the pipeline keeps
+        # the shape of every other recommendation
+        assert op_kinds(forced.plan) == [
+            "combine+social",
+            "input",
+            "σN", "input",
+            "basis", "input",
+        ]
+        root = forced.plan.operators[0]
+        assert "[fused-endorse-merge:" in root.op
+        assert "(degraded" not in root.op
+        assert root.access_path in ("network-exact", "network-clustered")
         assert fixed_session.stats.social_index_queries >= 1
+        # and the payload it hands over is the probe's, value for value
+        from repro.discovery import parse_query
+
+        query = parse_query("u0", "")
+        rank = fixed_session.discoverer.rank
+        via_index = rank(query, access="index").execution
+        via_probe = rank(query, access="scan").execution
+        assert via_index.used_network_index
+        assert not via_probe.plan.uses_network_index
+        assert via_index.payload == via_probe.payload
 
     def test_strategy_auto_records_a_cost_based_decision(self, fixed_session):
         response = fixed_session.run(

@@ -3,7 +3,8 @@
 The hand-executed discovery code the compiled plan pipeline superseded,
 and the whole-site presentation loops (population-walking explanations,
 the ``links()`` cut of the MSG, the membership scan) the adjacency reads
-superseded: kept here, verbatim in behaviour, because the parity suites
+superseded, and the decoder of graph-encoded social results the serving
+root no longer needs: kept here, verbatim in behaviour, because the parity suites
 hold the engine equal to them at 1e-9.  They go through the eager algebra
 and plain graph walks only — never ``repro.plan`` — and nothing under
 ``src/`` imports them (``tests/`` is on ``pythonpath``, so suites
@@ -31,6 +32,7 @@ from oracle.ranking import (
     rank_reference,
     semantic_candidates,
 )
+from oracle.social import decode_social_result
 from oracle.strategies import (
     SCORERS,
     score_friends,
@@ -47,4 +49,5 @@ __all__ = [
     "explain_collaborative", "explain_content_based", "explain_group",
     "item_similarity", "user_similarity",
     "assemble_msg", "endorser_group_grouping", "organize_reference",
+    "decode_social_result",
 ]

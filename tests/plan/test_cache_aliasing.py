@@ -190,14 +190,20 @@ class TestSocialPlanGenerations:
         planner = QueryPlanner(graph)
         before = self._pipeline(planner, access="index")
         assert before.plan.uses_network_index
+        assert "i-new" not in before.payload.scores
         grown = graph.copy()
         grown.add_node(Node("i-new", type="item", name="brand new"))
         grown.add_link(id="a-new", src="u1", tgt="i-new", type="act, visit")
         planner.refresh(grown)
         after = self._pipeline(planner, access="index")
         assert after.cache_hit is False
-        # the rebuilt index sees u1's new endorsement (u0 follows u1)
-        assert "i-new" in after.scores()
+        assert after.used_network_index
+        # the rebuilt index sees u1's new endorsement (u0 follows u1)...
+        assert "i-new" in after.payload.scores
+        assert after.payload.endorsers["i-new"] == {"u1": 1.0}
+        # ...and answers what an index built fresh on the grown site does
+        fresh = self._pipeline(QueryPlanner(grown), access="index")
+        assert after.payload == fresh.payload
 
     def test_datamanager_resync_cannot_serve_a_stale_social_plan(self):
         from repro.api import SearchRequest, Session

@@ -14,6 +14,7 @@ byte-bounded memo accounting, and the plan-cache stats endpoint.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -563,12 +564,27 @@ class TestTopKPushdown:
         assert "top-k=3" in response.plan.text
 
     def test_page_windows_without_k_keep_the_full_ranking(self):
-        session = Session.from_graph(factories.social_site_graph())
-        response = session.run(
-            SearchRequest(user_id="u0", text="topic0", page_size=2,
-                          explain=True)
+        # a page without k ranks up to its window's end, no further, and
+        # still reports how many items the full ranking holds
+        session = Session.from_graph(factories.social_site_graph(
+            num_users=6, num_items=12,
+        ))
+        request = SearchRequest(user_id="u0", text="thing", page_size=2,
+                                explain=True)
+        first = session.run(request)
+        assert first.plan.topk == 2
+        second = session.run(dataclasses.replace(
+            request, cursor=first.page_info.next_cursor,
+        ))
+        assert second.plan.topk == 4  # offset 2 + size 2
+        third = session.run(dataclasses.replace(request, page=3))
+        assert third.plan.topk == 6
+        full = session.run(SearchRequest(user_id="u0", text="thing"))
+        assert full.plan is None
+        assert first.page_info.total_items == len(full.items) > 6
+        assert list(first.items + second.items + third.items) == list(
+            full.items[:6]
         )
-        assert response.plan.topk is None
 
     def test_bounded_pages_equal_unbounded_pages(self):
         graph = factories.social_site_graph(num_users=7, num_items=9)

@@ -232,11 +232,18 @@ class TestInPlaceWriteInvalidation:
 
         query = parse_query("u0", "")
         before = planner.discovery_pipeline(query, alpha=0.0, access="index")
-        assert not before.result.has_node("i-live")
+        assert before.used_network_index
+        assert "i-live" not in before.payload.scores
         graph.add_node(Node("i-live", type="item", name="in-place"))
         graph.add_link(Link("a-live", "u1", "i-live", type="act, visit"))
         after = planner.discovery_pipeline(query, alpha=0.0, access="index")
-        assert after.result.has_node("i-live")  # u0 follows u1
+        assert after.used_network_index
+        assert "i-live" in after.payload.scores  # u0 follows u1
+        assert "i-live" in [row[0] for row in after.payload.items]
+        fresh = QueryPlanner(graph.copy()).discovery_pipeline(
+            query, alpha=0.0, access="index"
+        )
+        assert after.payload == fresh.payload
 
 
 class TestRuntimeDegrade:
@@ -426,7 +433,7 @@ class TestShardedEndorsementMerge:
                         )
 
     def test_sharded_posting_merge_matches_monolithic(self):
-        from repro.core.social import decode_social_result
+        from oracle import decode_social_result
 
         graph = factories.social_site_graph()
         expr = _friends_social_expr()

@@ -19,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 import oracle
 import repro.core.social
 from factories import social_site_graph
+from oracle import decode_social_result
 from repro.api import SearchRequest, Session
 from repro.core import Link, Node, SocialContentGraph, input_graph
 from repro.core.expr import CombineScoresE, ConnectionBasisE, SocialScoreE
-from repro.core.social import _similar_user_scores, decode_social_result
+from repro.core.social import COMPILED_STRATEGIES, _similar_user_scores
 from repro.discovery import InformationDiscoverer, parse_query
 from repro.plan import (
     CostModel,
@@ -464,9 +465,13 @@ class TestSimilarUsersKernel:
                             else GroupedAggregationOp
                         )
                         assert shards == 1 or execution.plan.uses_sharded_scan
+                        # the root hands its values over; the standalone
+                        # stage answers with the graph encoding them
+                        assert (execution.payload is None) is not fused
                         assert_scores_match(
                             reference, fallback,
-                            decode_social_result(execution.result),
+                            execution.payload if fused
+                            else decode_social_result(execution.result),
                         )
 
     def test_hand_computed_corners(self):
@@ -637,3 +642,275 @@ class TestCfStageFollowsTheNeighbourhood:
             )
         assert all(measured[0][1])
         assert measured[60] == measured[0]
+
+
+# ---------------------------------------------------------------------------
+# The social root: its payload is the decoded combined graph, windowed
+# ---------------------------------------------------------------------------
+
+#: Window limits: none, empty, one row, a few, and past every survivor.
+ROOT_LIMITS = (None, 0, 1, 3, 10_000)
+
+#: (strategy, physical form of the root's social half, access mode); the
+#: index forms serve only the empty-keyword regime.
+ROOT_FORMS = (
+    ("friends", "probe", "scan"),
+    ("friends", "endorse-merge:exact", "index"),
+    ("friends", "endorse-merge:clustered", "index"),
+    ("friends", "degraded-to-probe", "index"),
+    ("similar_users", "group-agg", "auto"),
+    ("item_based", "group-agg", "auto"),
+)
+
+
+def root_discoverer(graph, shards, form):
+    """A discoverer whose planner lowers the root's social half to *form*."""
+    discoverer = InformationDiscoverer(graph)
+    planner = discoverer.planner
+    planner.cost_model = CostModel(
+        shard_scan_min_nodes=0.0,
+        network_entry_budget=0.0 if form.endswith("clustered") else 1e9,
+    )
+    if shards > 1:
+        planner.attach_shards(shards)
+    if form == "degraded-to-probe":
+        planner.network_index = lambda variant: None  # provider gone
+    return discoverer
+
+
+def assert_rows_match(got, want):
+    assert [row[0] for row in got] == [row[0] for row in want]
+    for got_row, want_row in zip(got, want):
+        assert got_row[1:] == pytest.approx(want_row[1:], abs=TOL)
+
+
+class TestRootPayloadParity:
+    """``execution.payload`` equals the decoded ``Expr.evaluate`` of the
+    same plan: every strategy, shard count, social form and window."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(social_workloads())
+    def test_payload_is_the_decoded_combined_graph(self, workload):
+        graph, user, keywords = workload
+        for strategy, form, access in ROOT_FORMS:
+            terms = () if access == "index" else keywords
+            query = parse_query(user, " ".join(terms))
+            for shards in (1, 2):
+                discoverer = root_discoverer(graph, shards, form)
+                full = None
+                for limit in ROOT_LIMITS:
+                    execution = discoverer.rank(
+                        query, strategy=strategy, access=access, limit=limit,
+                    ).execution
+                    root = execution.plan.root
+                    assert type(root) is FusedSocialCombineOp
+                    degraded = id(root) in execution.ctx.degraded
+                    if access == "index":
+                        # clustered lists need connected users to size;
+                        # multi-activity pairs degrade any index read
+                        assert root.form.startswith("endorse-merge:")
+                        assert degraded or form != "degraded-to-probe"
+                    else:
+                        assert root.form == form and not degraded
+                    assert execution.result.is_empty()
+                    if full is None:
+                        full = decode_social_result(
+                            execution.plan.source.evaluate({"G": graph})
+                        )
+                    got = execution.payload
+                    assert_scores_match(full, full.used_expert_fallback, got)
+                    assert got.strategy == full.strategy == strategy
+                    assert_rows_match(got.items, full.items[:limit])
+                    assert got.matched == full.matched == len(full.items)
+                    # the root's EXPLAIN actual is the old graph's size
+                    actual, _elapsed = execution.op_actuals[root]
+                    assert (actual.nodes, actual.links) == full.encoded_size
+                    assert got.encoded_size == full.encoded_size
+
+    @pytest.mark.parametrize("variant", ["exact", "clustered"])
+    def test_the_standalone_merge_and_the_root_read_the_index_alike(
+        self, variant
+    ):
+        graph = social_site_graph()
+        expr = social_stage("u0", (), "friends")
+        combined = CombineScoresE(expr.children()[1], expr, alpha=0.0)
+        planner = QueryPlanner(graph, cost_model=CostModel(
+            network_entry_budget=0.0 if variant == "clustered" else 1e9,
+        ))
+        merge = planner.execute(expr, access="index")
+        root = planner.execute(combined, access="index")
+        assert merge.plan.root.variant == root.plan.root.variant == variant
+        assert merge.used_network_index and root.used_network_index
+        standalone = decode_social_result(merge.result)
+        assert standalone.scores and not standalone.used_expert_fallback
+        assert root.payload.scores == standalone.scores
+        assert root.payload.endorsers == standalone.endorsers
+        reference = decode_social_result(combined.evaluate({"G": graph}))
+        assert root.payload == reference
+
+
+# ---------------------------------------------------------------------------
+# Serving builds no record and ranks only the requested window
+# ---------------------------------------------------------------------------
+
+#: The record constructors and graph writers the root must not reach.
+RECORD_BUILDERS = (
+    (SocialContentGraph, "add_node"),
+    (SocialContentGraph, "add_link"),
+    (SocialContentGraph, "_adopt_fresh_link"),
+    (Link, "_from_normalized"),
+    (Node, "with_attrs"),
+)
+
+
+def window_site():
+    """Twelve users over forty items; every item matches "thing"."""
+    return social_site_graph(num_users=12, num_items=40, friends_per_user=3,
+                             acts_per_user=6)
+
+
+def window_requests(strategy):
+    """Deep page 4, a keyword + structural scan and recommendations (the
+    last forced onto the endorsement index)."""
+    return (
+        SearchRequest(user_id="u0", text="thing", strategy=strategy,
+                      page_size=3, page=4),
+        SearchRequest(user_id="u0", text="topic1", strategy=strategy,
+                      k=5, structural={"type": "item"}),
+        SearchRequest(user_id="u0", text="", strategy=strategy, k=10),
+        SearchRequest(user_id="u0", text="", strategy=strategy, k=10,
+                      use_index=True),
+    )
+
+
+class RootProbe:
+    """Counts record-building calls made while the social root runs, and
+    keeps every ranking the discoverer hands back."""
+
+    def __init__(self, monkeypatch):
+        self.calls: Counter = Counter()
+        self.rankings: list = []
+        self._inside = False
+        run = FusedSocialCombineOp._run
+
+        def probed_run(op, ctx, inputs):
+            self._inside = True
+            try:
+                return run(op, ctx, inputs)
+            finally:
+                self._inside = False
+
+        monkeypatch.setattr(FusedSocialCombineOp, "_run", probed_run)
+        for owner, name in RECORD_BUILDERS:
+            method = getattr(owner, name)
+            counted = self._counting(name, method)
+            if isinstance(owner.__dict__[name], classmethod):
+                counted = staticmethod(counted)
+            monkeypatch.setattr(owner, name, counted)
+        rank = InformationDiscoverer.rank
+
+        def kept_rank(discoverer, *args, **kwargs):
+            self.rankings.append(rank(discoverer, *args, **kwargs))
+            return self.rankings[-1]
+
+        monkeypatch.setattr(InformationDiscoverer, "rank", kept_rank)
+
+    def _counting(self, name, method):
+        def call(*args, **kwargs):
+            if self._inside:
+                self.calls[name] += 1
+            return method(*args, **kwargs)
+        return call
+
+
+class TestRootBuildsNothing:
+    def test_warm_requests_build_no_record_and_rank_the_window(
+        self, monkeypatch
+    ):
+        session = Session.from_graph(window_site())
+        requests = [r for strategy in COMPILED_STRATEGIES
+                    for r in window_requests(strategy)]
+        for request in requests:  # cold: compile, build the indexes
+            session.run(request)
+        probe = RootProbe(monkeypatch)
+        window_ends = []
+        for request in requests:
+            response = session.run(request)
+            assert response.items
+            info = response.page_info
+            window_ends.append(info.offset + info.page_size)
+        assert session.stats.social_index_queries > 0
+        assert probe.calls == Counter()
+        ranked = [len(ranking.items) for ranking in probe.rankings]
+        assert len(ranked) == len(requests)
+        assert all(n <= end for n, end in zip(ranked, window_ends))
+
+    @pytest.mark.parametrize("strategy", COMPILED_STRATEGIES)
+    def test_cursor_walk_concatenates_to_the_unbounded_ranking(
+        self, strategy
+    ):
+        session = Session.from_graph(window_site())
+        for text, k in (("thing", None), ("thing", 8), ("", None)):
+            query = parse_query("u0", text)
+            full = [s.item_id for s in session.discoverer.rank(
+                query, strategy=strategy,
+            ).items][:k]
+            request = SearchRequest(user_id="u0", text=text, k=k,
+                                    strategy=strategy, page_size=3)
+            walked: list = []
+            while True:
+                response = session.run(request)
+                info = response.page_info
+                walked.extend(response.items)
+                assert info.total_items == len(full)
+                assert info.has_next == (len(walked) < len(full))
+                assert (info.next_cursor is not None) == info.has_next
+                if not info.has_next:
+                    break
+                request = SearchRequest(
+                    user_id="u0", text=text, k=k, strategy=strategy,
+                    page_size=3, cursor=info.next_cursor,
+                )
+            assert walked == full
+            assert len(full) > 3 or strategy == "item_based" and not text
+
+
+class TestExpertCandidates:
+    def test_no_query_terms_returns_before_walking_the_links(
+        self, monkeypatch
+    ):
+        # u0's only friend never acts: the friend probe of an empty
+        # -keyword recommendation finds nothing and falls back to experts
+        g = SocialContentGraph()
+        for u in ("u0", "u1", "u2"):
+            g.add_node(Node(u, type="user"))
+        g.add_node(Node("i0", type="item", keywords="topic0"))
+        g.add_link(Link("c0", "u0", "u1", type="connect, friend"))
+        g.add_link(Link("a0", "u2", "i0", type="act, visit"))
+        session = Session.from_graph(g)
+        request = SearchRequest(user_id="u0", use_index=False)
+        session.run(request)
+        walks: Counter = Counter()
+        asked: list = []
+        links = SocialContentGraph.links
+        experts = repro.core.social.expert_candidates
+
+        def counted_links(graph, *args):
+            walks["links"] += 1
+            return links(graph, *args)
+
+        def kept_experts(graph, query_terms, *args, **kwargs):
+            asked.append(set(query_terms))
+            return experts(graph, query_terms, *args, **kwargs)
+
+        monkeypatch.setattr(SocialContentGraph, "links", counted_links)
+        monkeypatch.setattr(repro.core.social, "expert_candidates",
+                            kept_experts)
+        response = session.run(request)
+        assert asked == [set()]
+        assert walks["links"] == 0
+        assert response.items == ()
+        assert experts(g, set()) == []
+        assert walks["links"] == 0
+        assert experts(g, {"topic0"}, exclude={"u0"}) == ["u2"]
+        assert walks["links"] == 1
