@@ -88,7 +88,7 @@ def tracked_metrics(results: dict) -> dict[str, float]:
 
     if "refresh" in results:
         # a read right after one vote / the warm read of the same
-        # request: ~3 while a vote advances the session by its delta,
+        # request: ~2.2 while a vote advances the session by its delta,
         # ~14 if it is routed back through the full resync
         metrics["refresh.read_after_write_over_warm"] = (
             results["refresh"]["read_after_write_over_warm"]

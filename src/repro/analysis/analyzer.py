@@ -110,14 +110,14 @@ class ContentAnalyzer:
         return sorted(self._analyses)
 
     def run(self, name: str) -> AnalysisRun:
-        """Run one analysis and union its derivations into the graph."""
+        """Run one analysis; its union with the graph, frozen, is the graph."""
         analysis = self._analyses.get(name)
         if analysis is None:
             raise DiscoveryError(
                 f"unknown analysis {name!r}; available: {self.available}"
             )
         derived = analysis(self.graph)
-        self.graph = union(self.graph, derived)
+        self.graph = union(self.graph, derived).freeze()
         entry = AnalysisRun(
             name=name,
             derived_nodes=derived.num_nodes,

@@ -413,7 +413,7 @@ class Session:
         when those describe the whole step: nothing else is pending, no
         analysis has derived links into the working graph (they are
         functions of the data and re-derive in full), and the working
-        graph is the one the manager served, unwritten.
+        graph is the one the manager served.
         """
         manager = self.data_manager
         delta = None

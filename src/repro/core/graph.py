@@ -23,6 +23,11 @@ Design notes
   implementation".  The physical layer lives in
   :mod:`repro.management.storage`; this class is the in-memory logical view
   the algebra operates on.
+* A graph is mutable while it is built and frozen once it is served (by
+  the Data Manager, an analysis publishing its union, a planner or
+  organizer adopting it): every mutator then raises
+  :class:`~repro.errors.FrozenGraphError`, so what was derived from it
+  stays true as long as it lives, and :meth:`patched` shares adjacency.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from repro.core.catalog import DEFAULT_CATALOG, TypeCatalog
 from repro.errors import (
     DanglingLinkError,
     DuplicateIdError,
+    FrozenGraphError,
     GraphError,
     UnknownLinkError,
     UnknownNodeError,
@@ -349,11 +355,13 @@ class SocialContentGraph:
 
     Instances behave like immutable values from the algebra's point of view:
     operators construct new graphs rather than mutating inputs.  Mutating
-    methods (:meth:`add_node`, :meth:`add_link`, ...) exist for *construction*
-    (workload generators, the Data Manager) and for incremental maintenance.
+    methods (:meth:`add_node`, :meth:`add_link`, ...) exist for
+    *construction* and work until :meth:`freeze`; a served graph is frozen
+    and replaced, never written (the Data Manager cuts the next one with
+    :meth:`patched`).
     """
 
-    __slots__ = ("_nodes", "_links", "_out", "_in", "_mutations", "catalog")
+    __slots__ = ("_nodes", "_links", "_out", "_in", "_frozen", "catalog")
 
     def __init__(
         self,
@@ -365,40 +373,18 @@ class SocialContentGraph:
         self._links: dict[Id, Link] = {}
         self._out: dict[Id, set[Id]] = {}
         self._in: dict[Id, set[Id]] = {}
-        self._mutations = 0
+        self._frozen = False
         self.catalog = catalog if catalog is not None else DEFAULT_CATALOG
         for node in nodes:
             self.add_node(node)
         for link in links:
             self.add_link(link)
 
-    @property
-    def mutation_epoch(self) -> int:
-        """Monotone write counter — bumps on every mutating call.
-
-        The clock derived state hangs off: anything stamped with the
-        epoch of the graph object it was derived from — a planner's
-        compiled plans, statistics and shard views — is valid exactly
-        until that object changes content.
-        """
-        return self._mutations
-
-    def advance_mutation_epoch(self, floor: int) -> None:
-        """Fast-forward the write counter to at least *floor*.
-
-        Recovery continuity: a graph rebuilt from a snapshot starts its
-        counter at the number of records replayed into it, which can fall
-        *below* the pre-crash value — any derived state stamped with
-        ``(generation, mutation_epoch)`` that outlived the process (or a
-        recovered peer's) could then alias a fresh epoch.  The recovery
-        path fast-forwards past the persisted pre-crash epoch so stamps
-        stay monotone across restarts.  The counter never moves backwards.
-        """
-        if floor < 0:
-            raise GraphError(
-                f"mutation epoch floor must be non-negative, got {floor!r}"
-            )
-        self._mutations = max(self._mutations, floor)
+    def freeze(self) -> "SocialContentGraph":
+        """Refuse every mutator from now on (one-way); returns the graph.
+        :meth:`copy` gives a mutable graph with the same content."""
+        self._frozen = True
+        return self
 
     # ------------------------------------------------------------------
     # Construction / mutation
@@ -417,7 +403,8 @@ class SocialContentGraph:
             node = Node(kw.pop("id"), kw)
         elif kw:
             raise GraphError("pass either a Node or keyword attributes, not both")
-        self._mutations += 1
+        if self._frozen:
+            raise FrozenGraphError("add_node")
         existing = self._nodes.get(node.id)
         if existing is not None:
             node = existing.merged_with(node)
@@ -439,10 +426,11 @@ class SocialContentGraph:
             link = Link(kw.pop("id"), kw.pop("src"), kw.pop("tgt"), kw)
         elif kw:
             raise GraphError("pass either a Link or keyword attributes, not both")
+        if self._frozen:
+            raise FrozenGraphError("add_link")
         for endpoint in (link.src, link.tgt):
             if endpoint not in self._nodes:
                 raise DanglingLinkError(link.id, endpoint)
-        self._mutations += 1
         existing = self._links.get(link.id)
         if existing is not None:
             link = existing.merged_with(link)
@@ -455,17 +443,19 @@ class SocialContentGraph:
 
     def _adopt_fresh_link(self, link: Link) -> None:
         """Hot-path :meth:`add_link`: unique id, endpoints known present."""
-        self._mutations += 1
+        if self._frozen:
+            raise FrozenGraphError("_adopt_fresh_link")
         self._links[link.id] = link
         self._out.setdefault(link.src, set()).add(link.id)
         self._in.setdefault(link.tgt, set()).add(link.id)
 
     def remove_link(self, link_id: Id) -> Link:
         """Remove and return a link."""
+        if self._frozen:
+            raise FrozenGraphError("remove_link")
         link = self._links.pop(link_id, None)
         if link is None:
             raise UnknownLinkError(link_id)
-        self._mutations += 1
         out = self._out.get(link.src)
         if out is not None:
             out.discard(link_id)
@@ -476,10 +466,11 @@ class SocialContentGraph:
 
     def remove_node(self, node_id: Id) -> Node:
         """Remove a node and all incident links; returns the node."""
+        if self._frozen:
+            raise FrozenGraphError("remove_node")
         node = self._nodes.pop(node_id, None)
         if node is None:
             raise UnknownNodeError(node_id)
-        self._mutations += 1
         incident = set(self._out.get(node_id, ())) | set(self._in.get(node_id, ()))
         for link_id in incident:
             if link_id in self._links:
@@ -490,19 +481,21 @@ class SocialContentGraph:
 
     def replace_node(self, node: Node) -> None:
         """Swap in a new record for an existing node id (adjacency kept)."""
+        if self._frozen:
+            raise FrozenGraphError("replace_node")
         if node.id not in self._nodes:
             raise UnknownNodeError(node.id)
-        self._mutations += 1
         self._nodes[node.id] = node
 
     def replace_link(self, link: Link) -> None:
         """Swap in a new record for an existing link id (endpoints fixed)."""
+        if self._frozen:
+            raise FrozenGraphError("replace_link")
         old = self._links.get(link.id)
         if old is None:
             raise UnknownLinkError(link.id)
         if (old.src, old.tgt) != (link.src, link.tgt):
             raise GraphError("replace_link cannot change endpoints")
-        self._mutations += 1
         self._links[link.id] = link
 
     # ------------------------------------------------------------------
@@ -614,7 +607,7 @@ class SocialContentGraph:
     # ------------------------------------------------------------------
 
     def copy(self) -> "SocialContentGraph":
-        """Shallow copy sharing immutable node/link records."""
+        """A mutable shallow copy sharing the immutable node/link records."""
         out = SocialContentGraph(catalog=self.catalog)
         out._nodes = dict(self._nodes)
         out._links = dict(self._links)
@@ -623,22 +616,35 @@ class SocialContentGraph:
         return out
 
     def patched(self, delta: "GraphDelta") -> "SocialContentGraph":
-        """This graph advanced by *delta*, as a new object; ``self`` is
-        left as it was.
+        """This graph advanced by *delta*, as a new frozen object; ``self``
+        keeps its content.
 
         The records are applied in feed order with the *store's*
         semantics, not the algebra's: an upsert **replaces** the record
         (:meth:`add_node` / :meth:`add_link` would consolidate attribute
         values), a replaced record keeps its iteration position and a new
         one goes last — so the result iterates exactly as
-        ``GraphStore.snapshot()`` of the written store does.  The write
-        counter continues from this graph's.
+        ``GraphStore.snapshot()`` of the written store does.  The maps are
+        copied, every adjacency set is shared until the delta first
+        touches its node in its direction; sharing sets, ``self`` is
+        frozen too.
         """
         from repro.core.delta import NODE
 
-        out = self.copy()
-        nodes, links = out._nodes, out._links
-        out_adj, in_adj = out._out, out._in
+        self._frozen = True
+        out = SocialContentGraph(catalog=self.catalog)
+        nodes = out._nodes = dict(self._nodes)
+        links = out._links = dict(self._links)
+        out_adj = out._out = dict(self._out)
+        in_adj = out._in = dict(self._in)
+
+        def own(adj: dict[Id, set[Id]], base: dict[Id, set[Id]],
+                node: Id) -> set[Id]:
+            ids = adj.get(node)
+            if ids is None or ids is base.get(node):  # still self's set
+                ids = adj[node] = set(ids or ())
+            return ids
+
         for kind, old, new in delta:
             if kind == NODE:
                 if new is None:
@@ -647,17 +653,19 @@ class SocialContentGraph:
                     in_adj.pop(old.id, None)
                 else:
                     nodes[new.id] = new
-                    out_adj.setdefault(new.id, set())
-                    in_adj.setdefault(new.id, set())
+                    if old is None:
+                        own(out_adj, self._out, new.id)
+                        own(in_adj, self._in, new.id)
             elif new is None:
                 del links[old.id]
-                out_adj[old.src].discard(old.id)
-                in_adj[old.tgt].discard(old.id)
+                own(out_adj, self._out, old.src).discard(old.id)
+                own(in_adj, self._in, old.tgt).discard(old.id)
             else:
                 links[new.id] = new
-                out_adj.setdefault(new.src, set()).add(new.id)
-                in_adj.setdefault(new.tgt, set()).add(new.id)
-        out._mutations = self._mutations + len(delta)
+                if old is None:  # a replaced link keeps its endpoints
+                    own(out_adj, self._out, new.src).add(new.id)
+                    own(in_adj, self._in, new.tgt).add(new.id)
+        out._frozen = True
         return out
 
     def null_graph(self, nodes: Iterable[Node]) -> "SocialContentGraph":
@@ -679,7 +687,6 @@ class SocialContentGraph:
         """
         out = SocialContentGraph(catalog=self.catalog)
         out._nodes = {node.id: node for node in nodes}
-        out._mutations = len(out._nodes)
         return out
 
     def subgraph_from_links(self, links: Iterable[Link]) -> "SocialContentGraph":

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Container
 
 from repro.core.attrs import SCORE_ATTR
+from repro.core.delta import GraphDelta
 from repro.core.graph import Id, Link, Node, SocialContentGraph
 from repro.core.text import tokenize
 
@@ -178,6 +179,39 @@ def connection_basis(
     out.add_node(Node(META_ID, type=META_TYPE, basis_kind="experts",
                       expert_fallback=1))
     return out
+
+
+def basis_keeper(
+    graph: SocialContentGraph, delta: GraphDelta
+) -> Callable[[Id, SocialContentGraph], bool]:
+    """``keep(user, basis)``: is a :func:`connection_basis` result still
+    true after the links-only *delta* that led to *graph*?
+
+    A basis reads node records (a links-only step changes none), the
+    user's ``connect`` targets and their ``act`` out-links — and, after
+    the expert fallback, every ``act`` link.  So a friends-kind basis holds
+    unless the user or a ``connect`` target of the user is the source of a
+    changed link; an experts-kind one only if no ``act`` link changed and
+    the user is no source.
+    """
+    sources: set[Id] = set()
+    acts_changed = False
+    for link in delta.touched_links():
+        sources.add(link.src)
+        acts_changed = acts_changed or link.has_type("act")
+    # a non-source's out-links did not change: the new in-links tell who
+    # has a source among its connect targets
+    near_sources = sources | {
+        link.src for source in sources for link in graph.in_links(source)
+        if link.has_type("connect")
+    }
+
+    def keep(user: Id, basis: SocialContentGraph) -> bool:
+        if basis.node(META_ID).value("basis_kind") == "experts":
+            return not acts_changed and user not in sources
+        return user not in near_sources
+
+    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,16 @@ class DanglingLinkError(GraphError):
         self.node_id = node_id
 
 
+class FrozenGraphError(GraphError):
+    """A served graph was written to in place; write through the Data
+    Manager instead, and the next graph it serves carries the change."""
+
+    def __init__(self, operation: str) -> None:
+        super().__init__(f"{operation}() on a frozen graph; write through "
+                         f"the Data Manager instead")
+        self.operation = operation
+
+
 class ConditionError(SocialScopeError):
     """A selection/aggregation condition is malformed."""
 

@@ -79,12 +79,10 @@ class DataManager:
             on_import=lambda: this()._mark_changed(),
         )
         self.activity_manager = ActivityManager()
-        #: the last logical graph served, the version it reflects and its
-        #: write counter when it was cut (a later in-place write by a
-        #: holder makes it useless as a base for the next one)
+        #: the last logical graph served (frozen) and the version it
+        #: reflects (-1: none yet, which no change feed reaches back to)
         self._served: SocialContentGraph | None = None
-        self._served_version = 0
-        self._served_epoch = 0
+        self._served_version = -1
         self._version = 0
         #: the change feed: ``(version after the write, change)``, oldest
         #: first, complete for every version above ``_changes_floor``
@@ -151,9 +149,7 @@ class DataManager:
         recent.reverse()
         return GraphDelta(recent)
 
-    def _continue_from(
-        self, version: int, applied_seq: int, mutation_epoch: int
-    ) -> None:
+    def _continue_from(self, version: int, applied_seq: int) -> None:
         """Recovery continuity: no counter moves backwards across a crash.
 
         The jump is a bulk change — nothing that read the dead process's
@@ -162,9 +158,6 @@ class DataManager:
         self._mark_changed()
         self._version = self._changes_floor = max(self._version, version)
         self._applied_seq = applied_seq
-        graph = self.graph()
-        graph.advance_mutation_epoch(mutation_epoch)
-        self._served_epoch = graph.mutation_epoch
 
     # ------------------------------------------------------------ durability
     @property
@@ -302,39 +295,28 @@ class DataManager:
     def graph(self) -> SocialContentGraph:
         """The logical social content graph as of the last write.
 
-        Served again until the next write, and then *replaced*, never
-        written to: the next graph is cut from this one by
-        ``patched(changes_since(...))`` — a copy with the step's records
-        applied — so whoever still holds the old object keeps one whole
-        state of the site.  When the feed cannot itemise the step, or a
-        holder wrote to the served object in place, the graph is
-        re-snapshotted from the store; either way it iterates as
-        ``store.snapshot()`` does.
+        The graph is frozen: served again until the next write, and then
+        *replaced*, never written to.  The next graph is cut from this one
+        by ``patched(changes_since(...))``, which shares every adjacency
+        set the step did not touch, so whoever still holds the old object
+        keeps one whole state of the site.  When the feed cannot itemise
+        the step the graph is re-snapshotted from the store; either way it
+        iterates as ``store.snapshot()`` does.
         """
-        served = self._served
-        if served is None or self._served_version != self._version:
-            delta = None
-            if served is not None and \
-                    served.mutation_epoch == self._served_epoch:
-                delta = self.changes_since(self._served_version)
-            served = (
-                served.patched(delta) if delta is not None
-                else self.store.snapshot()
+        if self._served_version != self._version:
+            delta = self.changes_since(self._served_version)
+            self._served = (
+                self._served.patched(delta) if delta is not None
+                else self.store.snapshot().freeze()
             )
-            self._served = served
             self._served_version = self._version
-            self._served_epoch = served.mutation_epoch
-        return served
+        return self._served
 
     def serves(self, graph: SocialContentGraph, version: int) -> bool:
-        """True while *graph* is the object served at *version*, unwritten
-        — i.e. ``changes_since(version)`` describes what separates it
-        from :meth:`graph`."""
-        return (
-            graph is self._served
-            and version == self._served_version
-            and graph.mutation_epoch == self._served_epoch
-        )
+        """True while *graph* is the object served at *version* — i.e.
+        ``changes_since(version)`` describes what separates it from
+        :meth:`graph`."""
+        return graph is self._served and version == self._served_version
 
     def statistics(self) -> GraphStats:
         """Cardinality statistics for the optimizer."""

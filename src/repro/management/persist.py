@@ -21,9 +21,11 @@ recover rather than serving silently wrong rankings.
 at or below the manifest's ``applied_seq`` watermark are skipped (replay
 idempotency), a torn final record truncates cleanly
 (:func:`repro.management.wal.read_wal`), and the recovered
-:class:`~repro.management.DataManager` continues the persisted version /
-mutation-epoch counters so nothing stamped by the pre-crash process can
-alias fresh state.
+:class:`~repro.management.DataManager` continues the persisted version
+counter so nothing stamped by the pre-crash process can alias fresh
+state.  (Version-1 manifests also carry the served graph's write
+counter: recovery ignores it, and a build that reads only version 1
+refuses a version-2 snapshot with the typed version error.)
 
 Upper layers ride along in the manifest's ``extra`` mapping: the session
 engine persists its refresh epoch, boot token, analysis log and
@@ -67,7 +69,7 @@ from repro.management.storage import (
 )
 
 SNAPSHOT_FORMAT = "socialscope-site"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2  # 1 also carried a graph write counter: still read
 MANIFEST_NAME = "MANIFEST.json"
 WAL_DIRNAME = "wal"
 
@@ -167,7 +169,6 @@ def write_snapshot(
     store = data_manager.store
     shards = _shard_stores(store)
     shard_entries = []
-    graph = data_manager.graph()
     for index, shard in enumerate(shards):
         file_name = f"shard-{index:04d}.jsonl"
         crc = _write_atomic(
@@ -186,7 +187,6 @@ def write_snapshot(
         "num_shards": len(shards),
         "indexed_attributes": list(data_manager.indexed_attributes),
         "dm_version": data_manager.version,
-        "mutation_epoch": graph.mutation_epoch,
         "applied_seq": data_manager.applied_seq,
         "shards": shard_entries,
         "extra": dict(extra or {}),
@@ -215,10 +215,10 @@ def read_manifest(directory: str | Path) -> dict[str, Any]:
             f"{path}: not a {SNAPSHOT_FORMAT} manifest "
             f"(format={manifest.get('format')!r})"
         )
-    if manifest.get("version") != SNAPSHOT_VERSION:
+    if manifest.get("version") not in (1, SNAPSHOT_VERSION):
         raise PersistenceError(
             f"{path}: unsupported snapshot version "
-            f"{manifest.get('version')!r} (this build reads "
+            f"{manifest.get('version')!r} (this build reads 1 to "
             f"{SNAPSHOT_VERSION})"
         )
     return manifest
@@ -270,11 +270,10 @@ def recover_data_manager(
 ) -> tuple[Any, RecoveredSite]:
     """Rebuild a :class:`DataManager` from a site snapshot + WAL tail.
 
-    The recovered manager continues the persisted epoch counters
-    (``version`` and the serving graph's mutation epoch move monotonically
-    across the restart) and — under ``resume_wal`` — carries a fresh WAL
-    writer positioned after the last replayed record, so the site keeps
-    journaling from the moment it is back.
+    The recovered manager continues the persisted ``version`` (it moves
+    monotonically across the restart) and — under ``resume_wal`` — carries
+    a fresh WAL writer positioned after the last replayed record, so the
+    site keeps journaling from the moment it is back.
     """
     from repro.management.datamanager import DataManager
 
@@ -330,7 +329,6 @@ def recover_data_manager(
     dm._continue_from(
         version=int(manifest["dm_version"]) + report.replayed,
         applied_seq=applied,
-        mutation_epoch=int(manifest["mutation_epoch"]),
     )
     if resume_wal:
         dm.attach_wal(

@@ -3,10 +3,9 @@
 Keys are structural (:func:`repro.core.expr.plan_key` plus the access
 preference and the cost model), so a repeated request — same condition,
 same scorer, same shape — skips the optimizer and lowering entirely.  Every
-entry is stamped with the planner's *plan stamp* it was compiled under
-(``QueryPlanner._plan_stamp``: the plan generation and the in-place
-writes to the live graph — not the data token, because a plan holds no
-data); a lookup under any other stamp misses and drops the entry, so
+entry is stamped with the planner's *plan generation* it was compiled
+under — not the data generation, because a plan holds no data; a lookup
+under any other stamp misses and drops the entry, so
 whatever stales plans (an attach, a full refresh, a node write, drifted
 statistics) does so without eagerly walking the cache, and the
 recompiled plan replaces the stale one under the same key.
@@ -26,7 +25,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 from repro.plan.physical import PhysicalPlan
 
@@ -155,19 +154,20 @@ class ResultMemo:
             raise ValueError(f"max_bytes must be positive, got {max_bytes!r}")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._sizes: dict[Hashable, int] = {}
+        #: key → (result graph, its estimated bytes), least recently used
+        #: first (a plain dict: a hit moves its entry to the end)
+        self._entries: dict[Hashable, tuple[Any, int]] = {}
         self._bytes = 0
         self._lock = threading.Lock()
         self.evictions = 0
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.pop(key, None)
             if entry is None:
                 return default
-            self._entries.move_to_end(key)
-            return entry
+            self._entries[key] = entry
+            return entry[0]
 
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
@@ -176,34 +176,33 @@ class ResultMemo:
     def __setitem__(self, key: Hashable, graph: Any) -> None:
         nbytes = estimate_graph_bytes(graph)
         with self._lock:
-            if key in self._entries:
-                self._bytes -= self._sizes.get(key, 0)
-            self._entries[key] = graph
-            self._entries.move_to_end(key)
-            self._sizes[key] = nbytes
+            replaced = self._entries.pop(key, None)
+            if replaced is not None:
+                self._bytes -= replaced[1]
+            self._entries[key] = (graph, nbytes)
             self._bytes += nbytes
             while len(self._entries) > 1 and (
                 len(self._entries) > self.max_entries
                 or self._bytes > self.max_bytes
             ):
-                evicted, _ = self._entries.popitem(last=False)
-                self._bytes -= self._sizes.pop(evicted, 0)
+                self._bytes -= self._entries.pop(next(iter(self._entries)))[1]
                 self.evictions += 1
 
-    def carried(self, kind: str) -> "ResultMemo":
-        """A new memo holding this one's entries of one *kind* (the first
-        element of their keys), in LRU order.
+    def carried(self, keep: Callable[[Hashable, Any], bool]) -> "ResultMemo":
+        """A new memo holding this one's entries for which
+        ``keep(key, result)`` holds, in LRU order.
 
         A new object, as every invalidation makes one: an execution in
         flight still writes its results into the memo it started with.
         """
         memo = ResultMemo(self.max_entries, self.max_bytes)
         with self._lock:
-            for key, graph in self._entries.items():
-                if key[0] == kind:
-                    memo._entries[key] = graph
-                    memo._sizes[key] = self._sizes[key]
-                    memo._bytes += self._sizes[key]
+            memo._entries = entries = self._entries.copy()
+            memo._bytes = self._bytes
+        for key, (graph, nbytes) in list(entries.items()):
+            if not keep(key, graph):
+                del entries[key]
+                memo._bytes -= nbytes
         return memo
 
     def __len__(self) -> int:
@@ -219,7 +218,6 @@ class ResultMemo:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._sizes.clear()
             self._bytes = 0
 
 

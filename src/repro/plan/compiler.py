@@ -231,7 +231,8 @@ def _mark_memoisable(node: Expr, physical: PhysicalOp) -> None:
     if not isinstance(node.child, InputE):  # type: ignore[attr-defined]
         return
     if isinstance(node, ConnectionBasisE):
-        physical.memo_key = ("basis", plan_key(node))
+        # keyed by user too: a write keeps the bases it left true
+        physical.memo_key = ("basis", node.user_id, plan_key(node))
     else:
         physical.memo_key = (
             "select", physical.access_path or SCAN, plan_key(node)

@@ -11,12 +11,12 @@ compilation needs and serving must keep coherent:
   queries sharpen future estimates;
 * **the plan cache** — one :class:`~repro.plan.cache.PlanCache` per
   planner: compiled plans are keyed by (structural key, access, cost
-  model) and stamped with the *plan stamp*, which is not the data token:
-  a plan holds no data, so a write that touched only links and left the
-  statistics where no plan could tell (:meth:`QueryPlanner.refresh`)
-  keeps every resident plan; an attach, a full refresh, a node write or
-  an in-place write stales them all at once and the next request of a
-  shape recompiles it under the same key;
+  model) and stamped with the *plan generation*, which is not the data
+  generation: a plan holds no data, so a write that touched only links
+  and left the statistics where no plan could tell
+  (:meth:`QueryPlanner.refresh`) keeps every resident plan; an attach, a
+  full refresh or a node write stales them all at once and the next
+  request of a shape recompiles it under the same key;
 * **the index binding** — where the semantic inverted index lives and
   which population it covers, attached by the session;
 * **partitions** — when the backing store is sharded the session
@@ -47,6 +47,7 @@ from repro.core.expr import (
 )
 from repro.core.delta import GraphDelta
 from repro.core.graph import SocialContentGraph
+from repro.core.social import basis_keeper
 from repro.core.stats import CardinalityFeedback, GraphStats
 from repro.core.partition import shard_of
 from repro.plan.cache import PlanCache, ResultMemo
@@ -96,7 +97,9 @@ class QueryPlanner:
     """Compiles logical plans against a live graph, with a plan cache.
 
     *cache* defaults to a fresh :class:`PlanCache` of the planner's own.
-    *shards* > 1 enables partition-scattered scans.
+    *shards* > 1 enables partition-scattered scans.  The live graph is
+    frozen on adoption, so :attr:`generation` alone stamps what is
+    derived from it.
     """
 
     def __init__(
@@ -107,7 +110,7 @@ class QueryPlanner:
         shards: int = 1,
         feedback: CardinalityFeedback | None = None,
     ):
-        self.graph = graph
+        self.graph = graph.freeze()
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.cache = cache if cache is not None else PlanCache()
         self.shards = max(1, shards)
@@ -116,7 +119,7 @@ class QueryPlanner:
         self.feedback = (
             feedback if feedback is not None else CardinalityFeedback()
         )
-        #: bumped on every refresh/attach — the data token's generation
+        #: bumped on every refresh/attach — stamps every derived structure
         self.generation = 0
         #: bumped when resident plans must go: an attach, a full refresh,
         #: a node-touching step, drifted statistics (see :meth:`refresh`)
@@ -125,11 +128,8 @@ class QueryPlanner:
         #: costed on (``None`` until the first statistics of a plan
         #: generation are collected)
         self._plan_basis: tuple | None = None
-        #: the live graph's write counter when it became the live graph:
-        #: a difference is an in-place write behind the session
-        self._adopted_epoch = graph.mutation_epoch
         self._stats: GraphStats | None = None
-        self._stats_token: tuple | None = None
+        self._stats_generation = -1
         self._index: IndexBinding | None = None
         #: attributes the planner keeps per-shard value postings for (the
         #: Data Manager's registered attribute indexes, attached by the
@@ -159,7 +159,7 @@ class QueryPlanner:
     def refresh(
         self, graph: SocialContentGraph, delta: GraphDelta | None = None
     ) -> None:
-        """Point at a (possibly new) graph and move the data token.
+        """Point at a (possibly new) graph and move the generation.
 
         Without *delta* everything derived is dropped: statistics rebuild
         lazily on the next compile, shard views re-cut on the next
@@ -172,20 +172,21 @@ class QueryPlanner:
         structure keeps what the step cannot have changed, as a new
         object (the old ones may be serving a request).  The statistics
         are patched.  When the step touched only links, the views keep
-        their node side, the sub-plan memo its ``"select"`` entries, the
-        exact endorsement index waits for :meth:`network_index` to patch
-        it; ``"basis"`` entries and the views' link side go.  Compiled
-        plans hold no data, so they stay through a link-only step unless
-        the statistics moved where a plan could tell: a count beyond
-        :data:`PLAN_DRIFT`, or a signal ``strategy="auto"`` resolves
-        from.  A step that touched a node keeps the statistics only (the
-        scorer plans embed is replaced with the corpus).
+        their node side, the sub-plan memo its ``"select"`` entries and
+        every ``"basis"`` entry the step left true
+        (:func:`~repro.core.social.basis_keeper`), the exact endorsement
+        index waits for :meth:`network_index` to patch it; the views'
+        link side goes.  Compiled plans hold no data, so they stay
+        through a link-only step unless the statistics moved where a plan
+        could tell: a count beyond :data:`PLAN_DRIFT`, or a signal
+        ``strategy="auto"`` resolves from.  A step that touched a node
+        keeps the statistics only (the scorer plans embed is replaced
+        with the corpus).
         """
         with self._lock:
-            before = self._derived_token()
+            before = self.generation
             old = self.graph
-            untouched = old.mutation_epoch == self._adopted_epoch
-            stats = self._stats if self._stats_token == before else None
+            stats = self._stats if self._stats_generation == before else None
             views = self._shard_views \
                 if self._shard_generation == before else None
             memo = self._subplan_results \
@@ -194,22 +195,25 @@ class QueryPlanner:
             if self._network_generation == before \
                     and "exact" in self._network_indexes:
                 behind = (self._network_indexes["exact"], GraphDelta())
-            self.graph = graph
+            self.graph = graph.freeze()
             self.generation += 1
-            self._adopted_epoch = graph.mutation_epoch
             self._stats = self._shard_views = self._network_behind = None
-            after = self._derived_token()
+            after = self.generation
             if delta is not None and stats is not None:
                 self._stats = stats.patched(delta, old, graph)
-                self._stats_token = after
-            if delta is not None and delta.links_only and untouched:
+                self._stats_generation = after
+            if delta is not None and delta.links_only:
                 if views is not None:
                     self._shard_views = cut_columnar_views(
                         graph, self.shards, shard_of, node_side=views
                     )
                     self._shard_generation = after
                 if memo is not None:
-                    self._subplan_results = memo.carried("select")
+                    keeps_basis = basis_keeper(graph, delta)
+                    self._subplan_results = memo.carried(
+                        lambda key, result: key[0] == "select"
+                        or keeps_basis(key[1], result)
+                    )
                     self._subplan_generation = after
                 if behind is not None and \
                         len(behind[1]) + len(delta) <= NETWORK_BEHIND_BOUND:
@@ -265,9 +269,8 @@ class QueryPlanner:
         The attributes come from the Data Manager's registered attribute
         indexes; the *postings themselves* are cut per shard view from
         the planner's live graph (so analysis-derived nodes participate
-        and in-place writes invalidate through the usual
-        ``(generation, mutation_epoch)`` stamp).  Attaching changes what
-        plans compile to, so it bumps the generation.
+        and every refresh re-cuts them).  Attaching changes what plans
+        compile to, so it bumps the generation.
         """
         with self._lock:
             self.indexed_attrs = frozenset(attributes)
@@ -277,30 +280,6 @@ class QueryPlanner:
     @property
     def index_binding(self) -> IndexBinding | None:
         return self._index
-
-    def _derived_token(self) -> tuple:
-        """Validity stamp for every planner-local structure holding *data*.
-
-        Statistics, shard views, network indexes and the sub-plan result
-        memo are functions of the live graph's *content*: they must die
-        both on :meth:`refresh`/attach (the generation) and on any
-        in-place mutation of the graph object (the mutation epoch) — a
-        plan reading a pre-write memo or shard view would silently serve
-        stale records.  (A patched refresh re-stamps what it carries.)
-        """
-        return (self.generation, self.graph.mutation_epoch)
-
-    def _plan_stamp(self) -> tuple:
-        """Validity stamp for compiled plans, which hold no data.
-
-        Moves with the plan generation (see :meth:`refresh`) and with any
-        in-place write to the live graph since it was adopted — not with
-        a patched refresh, whose new graph starts at zero writes again.
-        """
-        return (
-            self._plan_generation,
-            self.graph.mutation_epoch - self._adopted_epoch,
-        )
 
     # -- partitioned views ----------------------------------------------------
 
@@ -322,12 +301,12 @@ class QueryPlanner:
         if graph is not self.graph:
             return None
         with self._lock:
-            if self._shard_generation != self._derived_token() or \
+            if self._shard_generation != self.generation or \
                     self._shard_views is None:
                 self._shard_views = cut_columnar_views(
                     graph, self.shards, shard_of
                 )
-                self._shard_generation = self._derived_token()
+                self._shard_generation = self.generation
             return self._shard_views
 
     def attr_posting_candidates(
@@ -364,9 +343,9 @@ class QueryPlanner:
         (:func:`~repro.indexing.endorsement.patched_exact_index`).
         """
         with self._lock:
-            if self._network_generation != self._derived_token():
+            if self._network_generation != self.generation:
                 self._network_indexes.clear()
-                self._network_generation = self._derived_token()
+                self._network_generation = self.generation
             index = self._network_indexes.get(variant)
             if index is None:
                 from repro.indexing.endorsement import (
@@ -379,8 +358,7 @@ class QueryPlanner:
                     index = clustered_endorsement_index(self.graph)
                 else:
                     behind, self._network_behind = self._network_behind, None
-                    if behind is not None and \
-                            self.graph.mutation_epoch == self._adopted_epoch:
+                    if behind is not None:
                         index = patched_exact_index(*behind)
                     if index is None:
                         index = exact_endorsement_index(self.graph)
@@ -389,18 +367,18 @@ class QueryPlanner:
 
     @property
     def stats(self) -> GraphStats:
-        """Term-aware statistics of the current graph (lazy, per token)."""
-        token = self._derived_token()
-        if self._stats is None or self._stats_token != token:
+        """Term-aware statistics of the live graph (lazy, per generation)."""
+        now = self.generation
+        if self._stats is None or self._stats_generation != now:
             with self._lock:
-                if self._stats is None or self._stats_token != token:
+                if self._stats is None or self._stats_generation != now:
                     stats = GraphStats.of(
                         self.graph, with_terms=True,
                         indexed_attrs=sorted(self.indexed_attrs),
                     )
                     stats.feedback = self.feedback
                     self._stats = stats
-                    self._stats_token = token
+                    self._stats_generation = now
                     if self._plan_basis is None:
                         self._plan_basis = _plan_basis(stats)
         return self._stats
@@ -416,8 +394,8 @@ class QueryPlanner:
         """
         structural_key = plan_key(expr)
         key = (structural_key, access, self.cost_model)
-        token = self._plan_stamp()
-        cached = self.cache.get(key, token)
+        stamp = self._plan_generation
+        cached = self.cache.get(key, stamp)
         if cached is not None:
             return cached, True
         plan = compile_plan(
@@ -430,7 +408,7 @@ class QueryPlanner:
             shards=self.shards,
             indexed_attrs=self.indexed_attrs,
         )
-        self.cache.put(key, token, plan)
+        self.cache.put(key, stamp, plan)
         return plan, False
 
     # -- execution ------------------------------------------------------------
@@ -478,18 +456,18 @@ class QueryPlanner:
         return execution
 
     def _subplan_cache(self) -> ResultMemo:
-        """The token-stamped sub-plan result memo (entry- and byte-bound).
+        """The generation-stamped sub-plan result memo (entry- and byte-bound).
 
         The memo's own LRU handles the running budget; a stale generation
-        (refresh, in-place write) *rebinds* a fresh memo rather than
+        (a refresh, an attach) *rebinds* a fresh memo rather than
         clearing in place — an in-flight execution still holds the old
         object and may write pre-invalidation results into it, which must
         land in the orphan, never in the memo new-generation queries read.
         """
         with self._lock:
-            if self._subplan_generation != self._derived_token():
+            if self._subplan_generation != self.generation:
                 self._subplan_results = ResultMemo()
-                self._subplan_generation = self._derived_token()
+                self._subplan_generation = self.generation
             return self._subplan_results
 
     # -- cardinality feedback -------------------------------------------------

@@ -3,7 +3,7 @@
 Grouping (social / topical / structural / endorser-group), group
 meaningfulness and dimension choice, hierarchical zoom, ranking within and
 across groups, and item/group explanations — all reading the base graph
-through the organizer's per-epoch :class:`ActivityProjection`, never by a
+through the organizer's per-graph :class:`ActivityProjection`, never by a
 pass over the whole site.
 """
 

@@ -19,7 +19,7 @@ explanation walks the *item's* endorsers (its ``act`` in-links) and keeps
 those in the population — never the population itself.  Every graph read
 goes through an :class:`~repro.presentation.projection.ActivityProjection`;
 each function takes the base graph or a projection the caller keeps
-(the organizer's, shared by all requests of one epoch).  The
+(the organizer's, shared by all requests on one graph).  The
 population-walking reference is ``tests/oracle/explanations.py``.
 """
 

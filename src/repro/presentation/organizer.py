@@ -102,9 +102,9 @@ class InformationOrganizer:
 
     Every read of the base graph goes through one
     :class:`~repro.presentation.projection.ActivityProjection` of
-    ``(base_graph, base_graph.mutation_epoch)``: kept across requests,
-    replaced when the graph is written to in place, dropped the moment
-    :attr:`base_graph` is reassigned (so a replaced graph is never pinned).
+    :attr:`base_graph`, which is frozen on adoption: the projection is
+    kept across requests and dropped the moment :attr:`base_graph` is
+    reassigned (so a replaced graph is never pinned).
     A request takes the projection once and reads only it, so one page
     never mixes two states of the site.  Assign :attr:`config` to change
     the configuration; the grouping dimensions are built from it once.
@@ -118,7 +118,7 @@ class InformationOrganizer:
         # guards the two fields request threads swap: the graph and its
         # projection (the projection's own fills need no lock, see there)
         self._lock = threading.Lock()
-        self._base_graph = base_graph
+        self._base_graph = base_graph.freeze()
         self._projection: ActivityProjection | None = None
         self.config = config or OrganizerConfig()
         self.selector = ResultSelector()
@@ -144,10 +144,10 @@ class InformationOrganizer:
         """
         with self._lock:
             projection = self._projection
-            self._base_graph = graph
+            self._base_graph = graph.freeze()
             self._projection = (
                 projection.carried(graph, delta)
-                if projection is not None and projection.fresh
+                if projection is not None
                 and delta is not None and delta.links_only
                 else None
             )
@@ -156,11 +156,9 @@ class InformationOrganizer:
     def projection(self) -> ActivityProjection:
         """The projection of the base graph as it is now."""
         with self._lock:
-            projection = self._projection
-            if projection is None or not projection.fresh:
-                projection = ActivityProjection(self._base_graph)
-                self._projection = projection
-            return projection
+            if self._projection is None:
+                self._projection = ActivityProjection(self._base_graph)
+            return self._projection
 
     @property
     def config(self) -> OrganizerConfig:

@@ -8,18 +8,18 @@ this item.  :class:`ActivityProjection` answers each from the node's own
 adjacency, once, and remembers the answer: nothing here (or anywhere above
 the plan) iterates the graph's whole link or node population.
 
-A projection describes one graph object at one ``mutation_epoch`` — the
-stamp the planner's derived state uses — and is never updated: the owner
-(:class:`~repro.presentation.organizer.InformationOrganizer`) replaces it
-when the epoch moves and when the graph is reassigned — by nothing, or,
-when it knows which links separate the two graphs, by one that
-:meth:`~ActivityProjection.carried` the untouched reads over.  It lives
-in ``repro.presentation`` because the layer DAG forbids
-``presentation → plan``; the plan's columnar buckets are out of reach.
+A projection describes one graph object, which its owner
+(:class:`~repro.presentation.organizer.InformationOrganizer`) froze on
+adoption, and is never updated: the owner replaces it when the graph is
+reassigned — by nothing, or, when it knows which links separate the two
+graphs, by one that :meth:`~ActivityProjection.carried` the untouched
+reads over.  It lives in ``repro.presentation`` because the layer DAG
+forbids ``presentation → plan``; the plan's columnar buckets are out of
+reach.
 
 Thread-safety: one projection is shared by every request thread of a
 session and takes no lock.  Each fill builds its value completely from the
-(in practice immutable) graph and *then* publishes it with one dict store;
+frozen graph and *then* publishes it with one dict store;
 two threads racing on a key compute equal values and either store wins; a
 published value is never mutated.  Readers therefore see a key as absent
 or complete, never partial.
@@ -69,11 +69,10 @@ class OutView:
 
 
 class ActivityProjection:
-    """Lazily filled per-node reads of one graph at one mutation epoch."""
+    """Lazily filled per-node reads of one graph."""
 
     def __init__(self, graph: SocialContentGraph):
         self.graph = graph
-        self.epoch = graph.mutation_epoch
         self._out: dict[Id, OutView] = {}
         self._endorsers: dict[Id, dict[Id, float]] = {}
         self._users: dict[Id, bool] = {}
@@ -100,11 +99,6 @@ class ActivityProjection:
             carried._out.pop(link.src, None)
             carried._endorsers.pop(link.tgt, None)
         return carried
-
-    @property
-    def fresh(self) -> bool:
-        """True until the graph is written to in place."""
-        return self.graph.mutation_epoch == self.epoch
 
     def out(self, node: Id) -> OutView:
         """What leaves *node*: acted items, friends, similarities, groups."""

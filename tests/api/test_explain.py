@@ -14,6 +14,7 @@ import pytest
 import factories
 from repro.api import SearchRequest, Session
 from repro.core import Node
+from repro.errors import FrozenGraphError
 from repro.plan import PlanExplain
 from repro.workloads import JOHN, TravelSiteConfig, build_travel_site
 
@@ -301,9 +302,10 @@ class TestServingPlanCache:
         assert session.stats.plan_compiles == before + 1
 
     def test_refresh_and_in_place_write_recompile_once(self, session):
-        # Entries carry the planner's (generation, mutation_epoch) token:
-        # a refresh bumps the first, an in-place graph write the second,
-        # and either way the shape recompiles once and then hits again.
+        # Entries carry the planner's plan generation: a full refresh
+        # moves it, and so does a node write through the Data Manager;
+        # either way the shape recompiles once and then hits again.  The
+        # served graph itself refuses the write.
         request = SearchRequest(user_id=JOHN)
         session.run(request)
         session.run(request)
@@ -311,9 +313,12 @@ class TestServingPlanCache:
         session.invalidate()
         session.run(request)
         assert session.stats.plan_compiles == compiles_before + 1
-        session.graph.add_node(Node("x:epoch", type="item, destination",
-                                    name="Epoch Spot", keywords="denver"))
-        session.run(request)  # no invalidate(): the epoch alone stales it
+        spot = Node("x:epoch", type="item, destination",
+                    name="Epoch Spot", keywords="denver")
+        with pytest.raises(FrozenGraphError):
+            session.graph.add_node(spot)
+        session.data_manager.add_node(spot)
+        session.run(request)  # no invalidate(): the node write stales it
         assert session.stats.plan_compiles == compiles_before + 2
         hits_before = session.stats.plan_cache_hits
         session.run(request)

@@ -1,9 +1,10 @@
 """Fixture: a clean plan module exercising every rule's *negative* path.
 
 Downward import (layering OK), ``perf_counter`` profiling in a strict
-module (determinism OK), and a correctly disciplined lock: guarded
-writes under ``with self._lock``, the ``*_locked`` helper called only
-with the lock held (concurrency OK).
+module (determinism OK), a correctly disciplined lock: guarded writes
+under ``with self._lock``, the ``*_locked`` helper called only with the
+lock held (concurrency OK), and every def fully annotated (annotations
+OK).
 """
 
 import threading
@@ -12,7 +13,7 @@ import time
 from app.core import fold
 
 
-def profile(values):
+def profile(values: list[int]) -> tuple[int, float]:
     start = time.perf_counter()
     total = fold(values)
     return total, time.perf_counter() - start
@@ -23,14 +24,14 @@ class Tally:
         self._lock = threading.Lock()
         self.count = 0
 
-    def _note_locked(self):
+    def _note_locked(self) -> None:
         self.count += 1
 
-    def bump(self):
+    def bump(self) -> None:
         with self._lock:
             self._note_locked()
 
-    def bump_twice(self):
+    def bump_twice(self) -> None:
         with self._lock:
             self._note_locked()
             self._note_locked()

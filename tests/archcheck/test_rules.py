@@ -20,7 +20,7 @@ from tools.archcheck.baseline import (
     apply_baseline,
     load_baseline,
 )
-from tools.archcheck.config import Config, load_config
+from tools.archcheck.config import ANNOTATED_MODULES, Config, load_config
 from tools.archcheck.findings import collect_modules
 from tools.archcheck.runner import RULE_FAMILIES, run_rules
 
@@ -228,6 +228,35 @@ class TestSiteScans:
             "presentation.organizer", "discovery.msg",
         }
         assert run_rules(in_scope, config, ("purity",)) == []
+
+
+class TestAnnotations:
+    def test_unannotated_signatures_fire(self):
+        findings = run_on("annotations", "annotations")
+        assert rules_of(findings) == {"A001"}
+        assert {(f.symbol, f.detail) for f in findings} == {
+            ("scale", "factor"),
+            ("total", "return"),
+            ("gather", "*parts,**named"),
+            ("outer.inner", "y,return"),
+        }
+
+    def test_exemptions_and_out_of_scope_modules_are_silent(self):
+        findings = run_on("annotations", "annotations")
+        assert not any(f.symbol.startswith("Box") for f in findings)
+        assert not any(f.path.endswith("core.py") for f in findings)
+
+    def test_repo_scope_has_nothing_grandfathered(self):
+        """The repo's scope: the packages other layers call into."""
+        assert ANNOTATED_MODULES == (
+            "plan", "api", "presentation", "serve", "indexing", "workloads",
+        )
+        config = load_config(REPO_ROOT / "pyproject.toml")
+        modules = collect_modules(
+            REPO_ROOT / "src", REPO_ROOT, layer_root=config.layer_root
+        )
+        findings = run_rules(modules, config, ("annotations",))
+        assert findings == [], [f.render() for f in findings]
 
 
 class TestCleanFixture:

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import Link, Node, SocialContentGraph, graph_from_edges
 from repro.errors import (
     DanglingLinkError,
+    FrozenGraphError,
     GraphError,
     UnknownLinkError,
     UnknownNodeError,
 )
+from repro.management import DataManager
+from repro.workloads import WorkloadConfig, build_site
 
 
 class TestNode:
@@ -241,3 +246,123 @@ class TestSocialContentGraph:
         assert len(list(g.nodes_of_type("user"))) == 4
         assert len(list(g.nodes_of_type("destination"))) == 4
         assert len(list(g.links_of_type("friend"))) == 3
+
+
+# ---------------------------------------------------------------------------
+# Frozen graphs and patching by sharing
+# ---------------------------------------------------------------------------
+
+#: every mutator, as a call that would succeed on the tiny travel graph
+MUTATORS = {
+    "add_node": lambda g: g.add_node(Node("new", type="item")),
+    "add_link": lambda g: g.add_link(Link("new", 101, "d4", type="act")),
+    "_adopt_fresh_link": lambda g: g._adopt_fresh_link(
+        Link("new", 101, "d4", type="act")
+    ),
+    "remove_node": lambda g: g.remove_node("d4"),
+    "remove_link": lambda g: g.remove_link("v0"),
+    "replace_node": lambda g: g.replace_node(Node("d4", type="item")),
+    "replace_link": lambda g: g.replace_link(Link("v0", 101, "d1",
+                                                  type="act")),
+}
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("name", sorted(MUTATORS))
+    def test_every_mutator_refuses_on_a_frozen_graph(
+        self, tiny_travel_graph, name
+    ):
+        graph = tiny_travel_graph.freeze()
+        before = graph.copy()
+        with pytest.raises(FrozenGraphError) as refused:
+            MUTATORS[name](graph)
+        assert refused.value.operation == name
+        assert graph.same_as(before)
+        # the copy is mutable, and the same call goes through there
+        MUTATORS[name](before)
+
+    def test_building_graphs_stay_mutable(self, tiny_travel_graph):
+        graph = tiny_travel_graph.copy().freeze().copy()
+        graph.add_node(Node("new", type="item"))
+        assert graph.has_node("new")
+
+
+def adjacency_ids(graph: SocialContentGraph) -> set[int]:
+    return {id(s) for s in graph._out.values()} | \
+        {id(s) for s in graph._in.values()}
+
+
+class TestPatchedShares:
+    def test_a_chain_of_patches_shares_what_it_does_not_touch(self):
+        """50 steps of random writes (votes, friendships, deletes, new
+        items, deleted users), each applied by ``patched`` to the graph
+        before it: the child equals the store, shares every adjacency set
+        the step did not touch, owns at most one new set per direction
+        per changed link or new node, and leaves every earlier graph as it
+        was."""
+        rng = random.Random(7)
+        manager = DataManager()
+        manager.load_graph(build_site(WorkloadConfig(
+            num_users=12, num_items=20, mean_degree=3, activity_rate=3.0,
+            seed=7,
+        )).graph)
+        graph = manager.graph()
+        held: list[tuple[SocialContentGraph, SocialContentGraph]] = []
+        serial = 0
+        for _ in range(50):
+            users = [n.id for n in manager.store.nodes_of_type("user")]
+            items = [n.id for n in manager.store.nodes_of_type("item")]
+            links = sorted(l.id for l in manager.store.snapshot().links())
+            version = manager.version
+            for _ in range(rng.randint(1, 4)):
+                serial += 1
+                roll = rng.random()
+                if roll < 0.4:
+                    manager.add_link(Link(f"w{serial}", rng.choice(users),
+                                          rng.choice(items), type="act"))
+                elif roll < 0.55:
+                    manager.add_link(Link(f"w{serial}", rng.choice(users),
+                                          rng.choice(users), type="connect"))
+                elif roll < 0.8 and links:
+                    manager.delete_link(links.pop(rng.randrange(len(links))))
+                elif roll < 0.9:
+                    manager.add_node(Node(f"n{serial}", type="item"))
+                elif len(users) > 4:
+                    manager.delete_node(users.pop(rng.randrange(len(users))))
+            delta = manager.changes_since(version)
+            held.append((graph, graph.copy()))
+            child = graph.patched(delta)
+            assert child.same_as(manager.store.snapshot())
+
+            touched_out: set = set()
+            touched_in: set = set()
+            changed_links = fresh_nodes = 0
+            for change in delta:
+                if change.kind == "link":
+                    changed_links += 1
+                    for link in (change.old, change.new):
+                        if link is not None:
+                            touched_out.add(link.src)
+                            touched_in.add(link.tgt)
+                elif change.old is None:
+                    fresh_nodes += 1
+                    touched_out.add(change.new.id)
+                    touched_in.add(change.new.id)
+            for node, links_out in child._out.items():
+                if node not in touched_out:
+                    assert links_out is graph._out[node], node
+            for node, links_in in child._in.items():
+                if node not in touched_in:
+                    assert links_in is graph._in[node], node
+            new_sets = adjacency_ids(child) - adjacency_ids(graph)
+            assert len(new_sets) <= 2 * (changed_links + fresh_nodes)
+            graph = child
+
+        for parent, before in held:
+            assert parent.same_as(before)
+            for node, links_out in before._out.items():
+                assert parent._out[node] == links_out
+            with pytest.raises(FrozenGraphError):
+                parent.add_node(Node("late", type="item"))
+        with pytest.raises(FrozenGraphError):
+            graph.remove_link(next(iter(graph.links())).id)

@@ -5,13 +5,20 @@ setups live here once: the smoke-test travel graph, plain item
 populations for plan/cache tests, the controlled-selectivity corpus the
 access-path tests sweep, and a small social site with every signal the
 social-stage strategies read (connections, activities, derived
-similarity).  Test modules import them directly (``tests`` is on the
-pytest ``pythonpath``); the root conftest re-exports the fixtures.
+similarity) — plus :func:`served` and :func:`write_through`, the way a
+test writes to a graph once something serves it.  Test modules import
+them directly (``tests`` is on the pytest ``pythonpath``); the root
+conftest re-exports the fixtures.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.core import Link, Node, SocialContentGraph
+from repro.management import DataManager
+from repro.plan import QueryPlanner
+from repro.presentation import InformationOrganizer
 
 
 def tiny_travel_graph() -> SocialContentGraph:
@@ -119,3 +126,25 @@ def social_site_graph(
                 sim=round(0.2 + 0.1 * (i % 5), 3), derived_by="factory",
             ))
     return g
+
+
+def served(graph: SocialContentGraph) -> tuple[DataManager, SocialContentGraph]:
+    """*graph* loaded into a fresh Data Manager, and the (frozen) graph the
+    manager serves — the only way a served graph changes is through it."""
+    manager = DataManager()
+    manager.load_graph(graph)
+    return manager, manager.graph()
+
+
+def write_through(
+    manager: DataManager,
+    holder: QueryPlanner | InformationOrganizer,
+    write: Callable[[DataManager], object],
+) -> SocialContentGraph:
+    """Apply *write* through *manager* and move *holder* to the graph the
+    manager serves next, by the step's delta; returns that graph."""
+    version = manager.version
+    write(manager)
+    graph = manager.graph()
+    holder.refresh(graph, manager.changes_since(version))
+    return graph

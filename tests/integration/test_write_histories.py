@@ -2,14 +2,16 @@
 fresh one does.
 
 A write through the Data Manager reaches the session as a *delta*: the
-manager cuts the next graph from the one it served by copy-and-patch and
-every derived structure keeps what the changed records cannot have
-touched (``docs/ARCHITECTURE.md``, "Writes: a delta, not a flush").  What
-that must never change is an answer.  The state machine below interleaves
-the system's write verbs — through the manager and behind its back, ones
-the feed can itemise and ones it cannot, accepted and rejected — with
-reads, and after **every** step holds the live session against a session
-built from scratch on the same site:
+manager cuts the next graph from the one it served by patching it, sharing
+every adjacency set the step did not touch, and every derived structure
+keeps what the changed records cannot have touched
+(``docs/ARCHITECTURE.md``, "Writes: a delta, not a flush" and "Served
+graphs are values").  What that must never change is an answer.  The
+state machine below interleaves the system's write verbs — ones the feed
+can itemise and ones it cannot, accepted and rejected, and writes to the
+served graph itself, which are refused — with reads, and after **every**
+step holds the live session against a session built from scratch on the
+same site:
 
 * the canonical whole response of a probe set (keyword, empty-text,
   structural, ``strategy="auto"``) and of the last drawn request, at 1e-9;
@@ -22,7 +24,9 @@ built from scratch on the same site:
 
 Beside it: a vote makes no pass over the site (counting spies, and the
 same with ten times the site around it), a reader keeps the state it
-holds, and the change feed says ``None`` wherever it cannot itemise.
+holds, a write to a served graph is refused while the same write through
+the manager outlives later writes and a restart, and the change feed says
+``None`` wherever it cannot itemise.
 """
 
 from __future__ import annotations
@@ -42,15 +46,18 @@ from hypothesis.stateful import (
 )
 
 from benchmarks.e2e.harness import canonical_response, first_difference
+from repro.analysis import ContentAnalyzer
 from repro.api import SearchRequest, Session, SessionConfig
 from repro.core import Link, Node, SocialContentGraph
 from repro.core.delta import LINK, NODE, Change, GraphDelta
 from repro.core.stats import GraphStats
-from repro.errors import DanglingLinkError
+from repro.errors import DanglingLinkError, FrozenGraphError
 from repro.indexing.endorsement import exact_endorsement_index
 from repro.management import DataManager, RemoteSocialSite
 from repro.management import datamanager as datamanager_module
 from repro.management.storage import GraphStore
+from repro.plan import QueryPlanner
+from repro.presentation import InformationOrganizer
 from repro.presentation.projection import ActivityProjection, OutView
 from repro.workloads import WorkloadConfig, build_site
 
@@ -117,9 +124,6 @@ class WriteHistories(RuleBasedStateMachine):
         super().__init__()
         self.directory = tempfile.mkdtemp(prefix="write-histories-")
         self.serial = 0
-        #: links written on ``session.graph`` behind the manager's back:
-        #: served until the next resync from the store drops them
-        self.in_place: list[Link] = []
         self.request: SearchRequest | None = None
 
     def teardown(self) -> None:
@@ -142,11 +146,6 @@ class WriteHistories(RuleBasedStateMachine):
         self.serial += 1
         return f"{prefix}:{self.serial}"
 
-    def accepted(self) -> None:
-        """A write the manager took: the next resync forgets what was
-        written behind its back."""
-        self.in_place.clear()
-
     # --------------------------------------------------- writes, itemised
     @rule(src=indexes, tgt=indexes, kind=st.sampled_from(LINK_TYPES))
     def add_link(self, src: int, tgt: int, kind: str) -> None:
@@ -158,7 +157,6 @@ class WriteHistories(RuleBasedStateMachine):
         self.manager.add_link(Link(
             self.fresh_id("w"), user, pick(onto, tgt), type=kind, **attrs
         ))
-        self.accepted()
 
     @rule(which=indexes, rating=st.integers(min_value=1, max_value=5))
     def replace_link(self, which: int, rating: int) -> None:
@@ -170,7 +168,6 @@ class WriteHistories(RuleBasedStateMachine):
         ))
         stored = self.manager.store.link(old.id)
         assert set(stored.attrs) == {"type", "rating"}
-        self.accepted()
 
     @rule(which=indexes)
     def parallel_act(self, which: int) -> None:
@@ -180,7 +177,6 @@ class WriteHistories(RuleBasedStateMachine):
         self.manager.add_link(Link(
             self.fresh_id("w"), old.src, old.tgt, type="act, visit"
         ))
-        self.accepted()
 
     @rule(words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
     def add_item(self, words: list[str]) -> None:
@@ -189,7 +185,6 @@ class WriteHistories(RuleBasedStateMachine):
             item, type="item", name=item, category=words[0],
             keywords=" ".join(words),
         ))
-        self.accepted()
 
     @rule(which=indexes,
           words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
@@ -200,12 +195,10 @@ class WriteHistories(RuleBasedStateMachine):
             item, type="item", name=str(item), category=words[0],
             keywords=" ".join(words),
         ))
-        self.accepted()
 
     @rule(which=indexes)
     def delete_link(self, which: int) -> None:
         self.manager.delete_link(pick(links_of(self.manager.store), which).id)
-        self.accepted()
 
     @precondition(lambda self: len(users_of(self.manager.store)) > 3
                   and len(items_of(self.manager.store)) > 3)
@@ -215,7 +208,6 @@ class WriteHistories(RuleBasedStateMachine):
         self.manager.delete_node(
             pick(users_of(store) if user else items_of(store), which)
         )
-        self.accepted()
 
     # ------------------------------------------- writes, not itemised / not
     @rule(tgt=indexes)
@@ -235,20 +227,16 @@ class WriteHistories(RuleBasedStateMachine):
 
     @rule(src=indexes, tgt=indexes)
     def write_in_place(self, src: int, tgt: int) -> None:
+        """The served graph refuses the write; the manager takes it."""
         store = self.manager.store
-        graph = self.session.graph
         link = Link(self.fresh_id("p"), pick(users_of(store), src),
                     pick(items_of(store), tgt), type="act, visit")
-        if graph.has_node(link.src) and graph.has_node(link.tgt):
-            graph.add_link(link)
-            self.in_place.append(link)
+        with pytest.raises(FrozenGraphError):
+            self.session.graph.add_link(link)
+        self.manager.add_link(link)
 
-    @precondition(lambda self: not self.in_place)
     @rule()
     def analyze(self) -> None:
-        """Derived links are functions of the data *as it was*: an
-        analysis run over links written behind the session's back bakes
-        them in, so the twin below could not be built the same way."""
         self.session.analyze("user_similarity")
 
     @rule()
@@ -258,7 +246,6 @@ class WriteHistories(RuleBasedStateMachine):
         if wal is not None:
             wal.close()
         self.session = Session.restore(self.directory, self.config)
-        self.in_place.clear()
 
     # ---------------------------------------------------------------- reads
     @rule(user=indexes, text=st.sampled_from(("", "museum", "park food")),
@@ -274,8 +261,7 @@ class WriteHistories(RuleBasedStateMachine):
 
     # ------------------------------------------------------------ the gate
     def reference(self) -> Session:
-        """The same site, built from scratch (and then written to behind
-        its back as the live one was)."""
+        """The same site, built from scratch."""
         session = Session.from_graph(
             self.manager.store.snapshot(), self.config
         )
@@ -283,8 +269,6 @@ class WriteHistories(RuleBasedStateMachine):
             entry.name for entry in self.session.analyzer.run_log
         ):
             session.analyze(name)
-        for link in self.in_place:
-            session.graph.add_link(link)
         return session
 
     @invariant()
@@ -310,8 +294,7 @@ class WriteHistories(RuleBasedStateMachine):
             # derived links are re-derived in an order of their own
             assert [l.id for l in graph.links()] == \
                 [l.id for l in fresh.graph.links()]
-            if not self.in_place:
-                assert graph.same_as(self.manager.store.snapshot())
+            assert graph.same_as(self.manager.store.snapshot())
 
         planner = live.planner
         assert dataclasses.replace(planner.stats, feedback=None) == \
@@ -418,7 +401,6 @@ def test_a_vote_makes_no_pass_over_the_site(monkeypatch, factor):
 def test_patching_publishes_a_new_graph_and_leaves_the_old_one_whole():
     graph = build_site(SITE).graph
     before = graph.copy()
-    epoch = graph.mutation_epoch
     user, item = 1, "i1"
     doomed = next(iter(graph.out_links(user)))
     child = graph.patched(GraphDelta([
@@ -427,15 +409,17 @@ def test_patching_publishes_a_new_graph_and_leaves_the_old_one_whole():
         Change(NODE, graph.node(item),
                Node(item, type="item", name="renamed")),
     ]))
-    assert graph.same_as(before) and graph.mutation_epoch == epoch
+    assert graph.same_as(before)
     assert child.has_link("new") and not child.has_link(doomed.id)
     assert child.node(item).value("name") == "renamed"
-    assert child.mutation_epoch == epoch + 3
 
-    # and the two share no adjacency: an in-place write on the child
-    # stays on the child
-    child.add_link(Link("behind", user, item, type="act, visit"))
-    child.remove_node(2)
+    # the two share every adjacency set the step did not touch, so both
+    # are frozen: an in-place write to one cannot reach the other
+    for held in (graph, child):
+        with pytest.raises(FrozenGraphError):
+            held.add_link(Link("behind", user, item, type="act, visit"))
+        with pytest.raises(FrozenGraphError):
+            held.remove_node(2)
     assert graph.same_as(before)
     assert {l.id for l in graph.out_links(user)} == \
         {l.id for l in before.out_links(user)}
@@ -445,13 +429,73 @@ def test_the_manager_never_writes_to_a_graph_it_served():
     manager = DataManager()
     manager.load_graph(build_site(SITE).graph)
     held = manager.graph()
-    frozen, epoch = held.copy(), held.mutation_epoch
+    before = held.copy()
     manager.add_link(Link("vote", 1, "i1", type="act, visit"))
     manager.delete_node(2)
     served = manager.graph()
     assert served is not held and served.has_link("vote")
-    assert held.same_as(frozen) and held.mutation_epoch == epoch
+    assert held.same_as(before)
     assert served.same_as(manager.store.snapshot())
+    for graph in (held, served):
+        with pytest.raises(FrozenGraphError):
+            graph.add_link(Link("behind", 1, "i1", type="act, visit"))
+
+
+def test_whoever_serves_or_adopts_a_graph_freezes_it():
+    """The snapshot the manager serves, an analysis's published union, and
+    the graph a planner or an organizer adopts — at construction and at
+    refresh — all refuse in-place writes; what is only built does not."""
+    vote = Link("behind", 1, "i1", type="act, visit")
+
+    def frozen(graph: SocialContentGraph) -> bool:
+        try:
+            graph.copy().add_link(vote)  # a copy always takes the write
+            graph.add_link(vote)
+        except FrozenGraphError:
+            return True
+        return False
+
+    manager = DataManager()
+    manager.load_graph(build_site(SITE).graph)
+    assert frozen(manager.graph())
+    analyzer = ContentAnalyzer(manager.graph())
+    analyzer.run("user_similarity")
+    assert frozen(analyzer.graph)
+    for adopt in (QueryPlanner, InformationOrganizer):
+        built = build_site(SITE).graph
+        assert not frozen(built.copy())
+        holder = adopt(built)
+        assert frozen(built)
+        again = build_site(SITE).graph
+        holder.refresh(again)
+        assert frozen(again)
+
+
+def test_a_write_to_the_served_graph_is_refused_not_lost(tmp_path):
+    """The served graph used to take an in-place write, serve it until
+    the manager's next write, and then drop it: it was in neither the
+    store nor the WAL.  Now the write is refused, and the same link
+    written through the manager outlives a later write and a restart."""
+    session = Session.from_graph(build_site(SITE).graph)
+    session.data_manager.enable_wal(tmp_path / "wal")
+    vote = Link("kept", 1, "i1", type="act, visit")
+    with pytest.raises(FrozenGraphError):
+        session.graph.add_link(vote)
+    assert not session.graph.has_link("kept")
+
+    session.data_manager.add_link(vote)
+    session.data_manager.add_link(Link("later", 2, "i1", type="act, visit"))
+    session.run(probe_for(1)[0])
+    assert session.graph.has_link("kept") and session.graph.has_link("later")
+
+    session.save(tmp_path)
+    session.data_manager.wal.close()
+    restored = Session.restore(tmp_path)
+    try:
+        assert restored.graph.link("kept") == vote
+        assert restored.graph.same_as(session.graph)
+    finally:
+        restored.data_manager.wal.close()
 
 
 # ---------------------------------------------------------------------------

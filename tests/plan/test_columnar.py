@@ -6,8 +6,8 @@ exactly what the legacy row-at-a-time path produces — verified with a
 hypothesis differential harness over random conditions and the shared
 site factory across shard counts {1, 2, 7} and all three social
 strategies (1e-9 on scores).  Plus structural tests for the new access
-paths (attribute postings, sharded link scans), top-k pushdown, the
-``(generation, mutation_epoch)`` invalidation of columnar views, the
+paths (attribute postings, sharded link scans), top-k pushdown, writes
+reaching the columnar views through the Data Manager, the
 byte-bounded memo accounting, and the plan-cache stats endpoint.
 """
 
@@ -36,6 +36,7 @@ from repro.core.selection import (
 )
 from repro.core.stats import CardinalityFeedback, GraphStats
 from repro.discovery import InformationDiscoverer, parse_query
+from repro.errors import FrozenGraphError
 from repro.management import DataManager
 from repro.plan import (
     ATTR_INDEX,
@@ -215,55 +216,78 @@ class TestColumnarRankingParity:
 
 
 # ---------------------------------------------------------------------------
-# In-place write invalidation of columnar views
+# Writes reach the columnar views through the Data Manager
 # ---------------------------------------------------------------------------
 
 
 class TestColumnarInvalidation:
-    """Columnar views must die on ``(generation, mutation_epoch)`` moves.
+    """A served graph refuses in-place writes; the same write through the
+    Data Manager reaches the columnar views.
 
     The regression this guards: attribute columns and postings are cut
-    per generation — an in-place attribute write (replace_node) bumps
-    only the mutation epoch, and a stale column would keep serving the
-    pre-write value forever.
+    per generation, and a stale column would keep serving the pre-write
+    value forever.  Only a refresh moves the generation, so the one way
+    to write must be one that refreshes: the planner's live graph is
+    frozen, and the write goes through the manager.
     """
 
     def test_in_place_attribute_write_invalidates_columns(self):
-        graph = factories.social_site_graph(num_items=6)
+        manager, graph = factories.served(
+            factories.social_site_graph(num_items=6)
+        )
         planner = columnar_planner(graph)
         expr = input_graph("G").select_nodes({"type": "item",
                                               "name": "item 1"})
-        env = {"G": graph}  # memo bypassed: exercises the views directly
-        before = planner.execute(expr, env=env)
+        # an explicit env bypasses the memo: exercises the views directly
+        before = planner.execute(expr, env={"G": graph})
         assert [n.id for n in before.result.nodes()] == ["i1"]
-        graph.replace_node(graph.node("i1").with_attrs(name="renamed"))
-        after = planner.execute(expr, env=env)
-        assert after.result.is_empty()
-        renamed = planner.execute(
-            input_graph("G").select_nodes({"name": "renamed"}), env=env
+        renamed = graph.node("i1").with_attrs(name="renamed")
+        with pytest.raises(FrozenGraphError):
+            graph.replace_node(renamed)
+        live = factories.write_through(
+            manager, planner, lambda dm: dm.add_node(renamed)
         )
-        assert [n.id for n in renamed.result.nodes()] == ["i1"]
+        assert planner.execute(expr, env={"G": live}).result.is_empty()
+        renamed_scan = planner.execute(
+            input_graph("G").select_nodes({"name": "renamed"}),
+            env={"G": live},
+        )
+        assert [n.id for n in renamed_scan.result.nodes()] == ["i1"]
 
     def test_in_place_writes_invalidate_attr_postings(self):
-        graph = factories.social_site_graph(num_items=6)
+        manager, graph = factories.served(
+            factories.social_site_graph(num_items=6)
+        )
         planner = columnar_planner(graph)
         planner.attach_attribute_index(("name",))
         expr = input_graph("G").select_nodes({"type": "item",
                                               "name": "fresh"})
-        env = {"G": graph}
-        assert planner.execute(expr, env=env).result.is_empty()
-        graph.add_node(Node("i-live", type="item", name="fresh"))
-        after = planner.execute(expr, env=env)
+        assert planner.execute(expr, env={"G": graph}).result.is_empty()
+        item = Node("i-live", type="item", name="fresh")
+        with pytest.raises(FrozenGraphError):
+            graph.add_node(item)
+        live = factories.write_through(
+            manager, planner, lambda dm: dm.add_node(item)
+        )
+        after = planner.execute(expr, env={"G": live})
         assert [n.id for n in after.result.nodes()] == ["i-live"]
 
     def test_in_place_link_writes_invalidate_link_buckets(self):
-        graph = factories.social_site_graph(num_users=4, num_items=4)
+        manager, graph = factories.served(
+            factories.social_site_graph(num_users=4, num_items=4)
+        )
         planner = columnar_planner(graph, shards=3)
         expr = input_graph("G").select_links({"type": "sim_item"})
-        env = {"G": graph}
-        before = planner.execute(expr, env=env)
-        graph.add_link(Link("s-live", "i3", "i0", type="sim_item", sim=0.9))
-        after = planner.execute(expr, env=env)
+        before = planner.execute(expr, env={"G": graph})
+        link = Link("s-live", "i3", "i0", type="sim_item", sim=0.9)
+        with pytest.raises(FrozenGraphError):
+            graph.add_link(link)
+        # a links-only step: the views keep their node side and re-cut
+        # the link side
+        live = factories.write_through(
+            manager, planner, lambda dm: dm.add_link(link)
+        )
+        after = planner.execute(expr, env={"G": live})
         assert after.result.has_link("s-live")
         assert after.result.num_links == before.result.num_links + 1
 

@@ -19,7 +19,7 @@ from benchmarks.e2e.harness import canonical_response, first_difference
 from repro.api import SearchRequest, Session, SessionConfig
 from repro.core import Condition, Link, Node, input_graph
 from repro.discovery import InformationDiscoverer, parse_query
-from repro.errors import QueryError
+from repro.errors import FrozenGraphError, QueryError
 from repro.plan import (
     CostModel,
     QueryPlanner,
@@ -179,25 +179,31 @@ class TestLowering:
 
 
 class TestInPlaceWriteInvalidation:
-    """Derived planner caches must die on in-place graph mutations.
+    """Derived planner caches never serve a pre-write graph.
 
-    The plan cache validates against the graph's mutation epoch; the
-    planner-local result-bearing caches (sub-plan memo, shard views)
-    must use the same clock, or a recompiled plan silently serves
-    pre-write records.
+    The planner's live graph is frozen, so an in-place write is refused;
+    the same write through the Data Manager refreshes the planner, and
+    the result-bearing caches (sub-plan memo, shard views, endorsement
+    index) must follow it, or a cached plan silently serves pre-write
+    records.
     """
 
     def test_subplan_memo_sees_in_place_writes(self):
-        graph = factories.social_site_graph(num_items=5)
+        manager, graph = factories.served(
+            factories.social_site_graph(num_items=5)
+        )
         planner = sharded_planner(graph, 3)
         expr = input_graph("G").select_nodes({"type": "item"})
         before = planner.execute(expr)
         assert before.result.num_nodes == 5
-        # same epoch: the repeat is served from the memo, no shard scans
+        # same generation: the repeat is served from the memo, no shard scans
         repeat = planner.execute(expr)
         assert "(memo)" in repeat.render()
         assert not any(p.shard is not None for p in repeat.profiles)
-        graph.add_node(Node("i-live", type="item", name="in-place"))
+        item = Node("i-live", type="item", name="in-place")
+        with pytest.raises(FrozenGraphError):
+            graph.add_node(item)
+        factories.write_through(manager, planner, lambda dm: dm.add_node(item))
         after = planner.execute(expr)
         assert "(memo)" not in after.render()
         assert after.result.has_node("i-live")
@@ -205,28 +211,40 @@ class TestInPlaceWriteInvalidation:
 
     def test_shard_views_see_in_place_writes(self):
         # a covered scan reads the type buckets, a keyword scan the term
-        # postings: both are cut per view and must die with the epoch
+        # postings: both are cut per view and must follow every write
         for condition in (Condition({"type": "item"}),
                           Condition({"type": "item"}, keywords="thing")):
-            graph = factories.social_site_graph(num_items=5)
+            manager, graph = factories.served(
+                factories.social_site_graph(num_items=5)
+            )
             planner = sharded_planner(graph, 3)
             expr = input_graph("G").select_nodes(condition)
-            env = {"G": graph}  # memo bypassed: exercises the views directly
-            before = planner.execute(expr, env=env)
+            # an explicit env bypasses the memo: exercises the views
+            before = planner.execute(expr, env={"G": graph})
             assert before.result.num_nodes == 5
-            graph.add_node(Node("i-live", type="item", name="in-place",
-                                keywords="topic0 thing"))
-            after = planner.execute(expr, env=env)
+            item = Node("i-live", type="item", name="in-place",
+                        keywords="topic0 thing")
+            with pytest.raises(FrozenGraphError):
+                graph.add_node(item)
+            live = factories.write_through(
+                manager, planner, lambda dm: dm.add_node(item)
+            )
+            after = planner.execute(expr, env={"G": live})
             assert after.result.has_node("i-live")
             assert after.result.num_nodes == 6
-            graph.remove_node("i-live")
-            assert not planner.execute(expr, env=env).result.has_node(
+            with pytest.raises(FrozenGraphError):
+                live.remove_node("i-live")
+            live = factories.write_through(
+                manager, planner, lambda dm: dm.delete_node("i-live")
+            )
+            assert not planner.execute(expr, env={"G": live}).result.has_node(
                 "i-live"
             )
 
     def test_network_index_sees_in_place_writes(self):
-        graph = factories.social_site_graph(num_users=4, num_items=4,
-                                            with_sim_links=False)
+        manager, graph = factories.served(factories.social_site_graph(
+            num_users=4, num_items=4, with_sim_links=False,
+        ))
         planner = QueryPlanner(graph)
         from repro.discovery import parse_query
 
@@ -234,13 +252,21 @@ class TestInPlaceWriteInvalidation:
         before = planner.discovery_pipeline(query, alpha=0.0, access="index")
         assert before.used_network_index
         assert "i-live" not in before.payload.scores
-        graph.add_node(Node("i-live", type="item", name="in-place"))
-        graph.add_link(Link("a-live", "u1", "i-live", type="act, visit"))
+        item = Node("i-live", type="item", name="in-place")
+        act = Link("a-live", "u1", "i-live", type="act, visit")
+        with pytest.raises(FrozenGraphError):
+            graph.add_node(item)
+
+        def write(dm):
+            dm.add_node(item)
+            dm.add_link(act)
+
+        live = factories.write_through(manager, planner, write)
         after = planner.discovery_pipeline(query, alpha=0.0, access="index")
         assert after.used_network_index
         assert "i-live" in after.payload.scores  # u0 follows u1
         assert "i-live" in [row[0] for row in after.payload.items]
-        fresh = QueryPlanner(graph.copy()).discovery_pipeline(
+        fresh = QueryPlanner(live.copy()).discovery_pipeline(
             query, alpha=0.0, access="index"
         )
         assert after.payload == fresh.payload

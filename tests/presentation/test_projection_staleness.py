@@ -2,10 +2,10 @@
 
 The projection memoises per-node reads of the base graph across requests,
 so every way the site can change must be seen by the next page: a write
-through the Data Manager, an analysis, an in-place write behind the
-session's back (``mutation_epoch`` moves), a reassigned ``base_graph`` —
-and request threads sharing one organizer while a writer is at work must
-each get a page of *one* state of the site.
+through the Data Manager, an analysis, a reassigned ``base_graph`` — and
+request threads sharing one organizer while a writer is at work must each
+get a page of *one* state of the site.  An in-place write to the graph the
+organizer reads is not a way: the organizer freezes it, and it refuses.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from benchmarks.e2e.harness import canonical_response, digest
 from repro.api import SearchRequest, Session
 from repro.core import Link, Node, SocialContentGraph
 from repro.discovery import InformationDiscoverer
+from repro.errors import FrozenGraphError
 from repro.presentation import InformationOrganizer
 from tools.archcheck.racetrack import RaceTracker, TracedLock
 
@@ -83,21 +84,28 @@ class TestBehindTheSessionsBack:
         return InformationDiscoverer(graph).discover(JOHN, "", k=10)
 
     def test_in_place_writes_move_the_epoch_and_the_page(self, graph, msg):
-        organizer = InformationOrganizer(graph)
+        manager, served = factories.served(graph)
+        organizer = InformationOrganizer(served)
         first = organizer.projection
         assert entry_of(organizer.organize(msg), "d4") \
             .explanation.aggregate_text.startswith("50%")
         assert organizer.projection is first  # kept across requests
 
-        organizer.base_graph.add_link(
-            Link("v-new", ANN, "d4", type="act, visit")
-        )
-        assert not first.fresh
+        vote = Link("v-new", ANN, "d4", type="act, visit")
+        with pytest.raises(FrozenGraphError):
+            organizer.base_graph.add_link(vote)
+
+        factories.write_through(manager, organizer,
+                                lambda dm: dm.add_link(vote))
+        assert organizer.projection is not first
         explanation = entry_of(organizer.organize(msg), "d4").explanation
         assert explanation.aggregate_text.startswith("100%")
         assert set(explanation.supporters) == {ANN, BOB}
 
-        organizer.base_graph.remove_link("v-new")
+        with pytest.raises(FrozenGraphError):
+            organizer.base_graph.remove_link("v-new")
+        factories.write_through(manager, organizer,
+                                lambda dm: dm.delete_link("v-new"))
         explanation = entry_of(organizer.organize(msg), "d4").explanation
         assert explanation.aggregate_text.startswith("50%")
         assert set(explanation.supporters) == {BOB}
@@ -107,15 +115,15 @@ class TestBehindTheSessionsBack:
     ):
         organizer = InformationOrganizer(graph)
         organizer.organize(msg)
-        # a different site at the *same* mutation epoch: the stamp's
-        # epoch half alone could not tell them apart
+        # a different site of the same shape: only the object tells them
+        # apart
         other = graph.copy()
         other.add_link(Link("v-new", ANN, "d4", type="act, visit"))
-        other.advance_mutation_epoch(graph.mutation_epoch)
-        assert other.mutation_epoch == graph.mutation_epoch
 
         organizer.base_graph = other
         assert organizer._projection is None  # dropped now, not lazily
+        with pytest.raises(FrozenGraphError):  # adopted, so frozen
+            other.remove_link("v-new")
         assert entry_of(organizer.organize(msg), "d4") \
             .explanation.aggregate_text.startswith("100%")
         assert organizer.projection.graph is other

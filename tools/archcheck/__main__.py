@@ -17,7 +17,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.archcheck",
         description="Architecture linter: layering, lock discipline, "
-                    "determinism, and input purity.",
+                    "determinism, input purity and annotations.",
     )
     parser.add_argument(
         "paths", nargs="+",

@@ -88,6 +88,13 @@ DEFAULT_PURITY_MUTATORS: tuple[str, ...] = (
     "remove_links",
 )
 
+#: Packages whose every ``def`` must be fully annotated (rule A001): the
+#: ones other layers call into, checked with the stdlib AST so the gate
+#: runs wherever the tests do.  A fixed scope, not a setting.
+ANNOTATED_MODULES: tuple[str, ...] = (
+    "plan", "api", "presentation", "serve", "indexing", "workloads",
+)
+
 #: Modules that run per request *above* the plan: everything between the
 #: ranked window and the rendered page.  They may not iterate the whole
 #: site (rule P002).

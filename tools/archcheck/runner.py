@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from tools.archcheck.annotations import check_annotations
 from tools.archcheck.baseline import (
     BaselineEntry,
     apply_baseline,
@@ -28,6 +29,7 @@ RULE_FAMILIES = {
     "concurrency": check_concurrency,
     "determinism": check_determinism,
     "purity": check_purity,
+    "annotations": check_annotations,
 }
 
 
