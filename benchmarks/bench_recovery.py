@@ -70,7 +70,7 @@ def durable_site(tmp_path_factory, quick):
         for uid in generated.user_ids[:4]
         for category, strategy in zip(generated.categories, STRATEGIES)
     ]
-    for request in probes:  # trains feedback + fills the plan cache
+    for request in probes:  # fills the plan cache and its recipes
         session.run(request)
     session.save(site)
     return site, probes

@@ -2,8 +2,7 @@
 """Bench regression gate: fresh BENCH_plan.json vs. committed baselines.
 
 Wall-clock milliseconds do not transfer between machines, so the gate
-mostly tracks *ratios* — columnar scan over the legacy row scan, the
-CF kernel over the Example 5 recipe, the rows a deep page ranks over the
+mostly tracks *ratios* — the CF kernel over the Example 5 recipe, the rows a deep page ranks over the
 rows its window needs, a read right after a write over a warm read, warm
 first request over cold after recovery.
 The serve bench additionally gates its latency percentiles (p95/p99) and
@@ -54,22 +53,6 @@ def tracked_metrics(results: dict) -> dict[str, float]:
     silently missing from a full run cannot slip through.
     """
     metrics: dict[str, float] = {}
-
-    if "shard_sweep" in results:
-        points = results["shard_sweep"]["points"]
-        legacy = next(p for p in points if not p.get("columnar", True))
-        mono = next(
-            p for p in points if p.get("columnar") and p["shards"] == 1
-        )
-        sharded = [
-            p for p in points if p.get("columnar") and p["shards"] > 1
-        ]
-        metrics["scan.columnar_mono_over_legacy"] = (
-            mono["scan_ms"] / legacy["scan_ms"]
-        )
-        metrics["scan.columnar_sharded_over_legacy"] = (
-            min(p["scan_ms"] for p in sharded) / legacy["scan_ms"]
-        )
 
     if "cf" in results:
         # the plan's similar_users kernel / the Example 5 recipe it is

@@ -136,8 +136,8 @@ print("  " + plan.text.replace("\n", "\n  "))
 assert "combine" in plan.text and "social" in plan.text
 print(f"  social strategy in the plan: {plan.resolved_strategy}")
 
-# Per-operator estimated vs. actual cardinalities — the feedback a
-# learning cost model would consume:
+# Per-operator estimated vs. actual cardinalities.  Estimates come from
+# the live graph's statistics alone, so they read the same every run:
 for op in plan.operators:
     actual = f"{op.actual.nodes:.0f} nodes" if op.actual else "-"
     print(f"  {'  ' * op.depth}{op.op}: estimated ~{op.estimated.nodes:.0f}"
@@ -335,9 +335,8 @@ sharded.data_manager.wal.sync()
 del sharded
 
 # Recovery = snapshot + WAL tail.  The restore is *warm*: the manifest
-# carries the learned cardinality corrections and a plan-warming recipe
-# list, replayed through the planner — so the very first request is a
-# plan-cache hit, no compile, at learned cost.
+# carries a plan-warming recipe list, replayed through the planner — so
+# the very first request is a plan-cache hit, no compile.
 revived = Session.restore(site_dir)
 after = revived.run(SearchRequest(user_id="u0", text="denver", k=5,
                                   page_size=3))

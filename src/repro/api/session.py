@@ -210,13 +210,6 @@ class Session:
             provider=lambda: this().semantic_index,
             scorer_provider=lambda: this().discoverer.semantic.scorer,
         )
-        # Mirror the store's registered attribute indexes into the
-        # planner: equality selections on them may lower to the
-        # attribute-posting access path (postings are cut per shard view
-        # from the live graph, so derived nodes participate too).
-        indexed = getattr(data_manager.store, "indexed_attributes", ())
-        if indexed:
-            self.discoverer.planner.attach_attribute_index(indexed)
         # Physical-layer wiring: the store's partitioning (or an explicit
         # config request) enables sharded scans.
         shards = max(data_manager.num_shards, self.config.shards)
@@ -253,8 +246,9 @@ class Session:
         own state rides along in the manifest's ``extra`` mapping — the
         refresh epoch and boot token (cursor continuity), the analysis
         log (derivations are cheap and re-derivable, so they are re-run
-        on restore rather than snapshotted), the planner's learned
-        cardinality corrections, and the plan-cache warming recipes.
+        on restore rather than snapshotted) and the plan-cache warming
+        recipes.  Nothing the planner prices plans from is persisted: the
+        statistics are re-collected from the recovered graph.
         """
         self._ensure_fresh()
         with self._lock:
@@ -268,7 +262,6 @@ class Session:
                 "boot": self.boot,
                 "analyses": analyses,
                 "warm_recipes": recipes,
-                "feedback": self.planner.feedback.export_state(),
             }
         }
         return self.data_manager.checkpoint(directory, extra=extra)
@@ -286,10 +279,11 @@ class Session:
         continuity: persisted analyses re-run over the recovered graph,
         the refresh epoch fast-forwards (never backwards), the boot token
         bumps so cursors minted by the dead incarnation are rejected with
-        a typed :class:`~repro.errors.RestartCursorError`, the learned
-        cardinality-feedback table reloads, and — under ``warm`` — the
-        persisted plan shapes recompile through this session's planner so
-        the first real request is served at learned-cost speed.
+        a typed :class:`~repro.errors.RestartCursorError`, and — under
+        ``warm`` — the persisted plan shapes recompile through this
+        session's planner so the first real request hits the plan cache.
+        Keys of ``extra`` this build does not read (such as an older
+        build's ``"feedback"`` table) are ignored.
         """
         dm, report = DataManager.recover(directory)
         session = cls(dm, config)
@@ -299,9 +293,6 @@ class Session:
         session._ensure_fresh()
         session.epoch = max(session.epoch, int(state.get("epoch", 0)))
         session.boot = int(state.get("boot", 0)) + 1
-        feedback = state.get("feedback")
-        if feedback:
-            session.planner.feedback.load_state(feedback)
         if warm:
             session._replay_recipes(state.get("warm_recipes", ()))
         return session
@@ -339,8 +330,7 @@ class Session:
 
         Compiled plans are not persisted — warming re-evaluates each
         recorded shape here, compiling it into this session's plan cache
-        (with the feedback table already loaded, so the plans carry
-        learned costs).  Best-effort:
+        against the recovered graph's statistics.  Best-effort:
         a recipe that no longer evaluates (user deleted mid-WAL, say) is
         skipped, never fatal.
         """

@@ -654,5 +654,5 @@ class DecodedSocialResult:
     #: surviving items before the window cut (``len(items)`` without one)
     matched: int = 0
     #: (nodes, links) the combined result graph would have — the root
-    #: operator's EXPLAIN actual and cardinality feedback
+    #: operator's EXPLAIN actual
     encoded_size: tuple[int, int] = (0, 0)

@@ -14,7 +14,6 @@ show where the model is wrong.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -31,149 +30,6 @@ DEFAULT_PREDICATE_SELECTIVITY = 0.5
 KEYWORD_SELECTIVITY = 0.3
 #: Fraction of probe-side links expected to survive a semi-join.
 SEMIJOIN_SELECTIVITY = 0.5
-
-
-class CardinalityFeedback:
-    """Execution-observed correction factors for the cost model.
-
-    EXPLAIN already measures estimated vs. actual cardinality per
-    operator; this is the loop that closes it: the planner reports each
-    selection's (estimate, actual) after execution, keyed per keyword term
-    and per type predicate, and future estimates multiply in the learned
-    factor.  Corrections are exponentially smoothed (so one anomalous
-    query cannot wreck the model) and hard-capped at *max_correction* in
-    both directions (so the model can be wrong, but never unboundedly).
-
-    Thread-safe: sessions observe from whatever thread executed the plan.
-    """
-
-    def __init__(self, max_correction: float = 8.0, smoothing: float = 0.5):
-        if max_correction < 1.0:
-            raise ValueError(
-                f"max_correction must be >= 1, got {max_correction!r}"
-            )
-        if not 0.0 < smoothing <= 1.0:
-            raise ValueError(f"smoothing must be in (0, 1], got {smoothing!r}")
-        self.max_correction = max_correction
-        self.smoothing = smoothing
-        self._factors: dict[Hashable, float] = {}
-        self._observations = 0
-        self._lock = threading.Lock()
-
-    def _clamp(self, factor: float) -> float:
-        return max(1.0 / self.max_correction, min(self.max_correction, factor))
-
-    def observe(self, key: Hashable, estimated: float, actual: float) -> None:
-        """Record one estimated-vs-actual pair for *key*.
-
-        The implied correction is ``actual / estimated`` relative to the
-        factor already applied (the estimate the planner produced had the
-        old factor baked in), smoothed into the stored factor.
-        """
-        if estimated <= 0.0 and actual <= 0.0:
-            return  # nothing measurable on either side
-        with self._lock:
-            old = self._factors.get(key, 1.0)
-            implied = self._clamp(
-                old * (max(actual, 0.5) / max(estimated, 0.5))
-            )
-            blended = old + self.smoothing * (implied - old)
-            self._factors[key] = self._clamp(blended)
-            self._observations += 1
-
-    def factor(self, key: Hashable) -> float:
-        """The multiplicative correction learned for *key* (1.0 = none)."""
-        return self._factors.get(key, 1.0)
-
-    @property
-    def observations(self) -> int:
-        """Number of (estimate, actual) pairs fed back so far."""
-        return self._observations
-
-    def snapshot(self) -> dict[Hashable, float]:
-        """Copy of the current correction table (diagnostics, tests)."""
-        with self._lock:
-            return dict(self._factors)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._factors.clear()
-
-    # -- persistence --------------------------------------------------------
-
-    def export_state(self) -> dict:
-        """The learned corrections as a JSON-ready document.
-
-        Keys are flat tuples of JSON scalars (``("term", t)``,
-        ``("type", name, of_links)``, …), encoded as lists; a key holding
-        a non-JSON value (possible for exotic ``attr_key`` values) is
-        skipped rather than failing the whole export — losing one learned
-        factor costs a few cold estimates, losing the snapshot costs the
-        site.  The inverse is :meth:`load_state`.
-        """
-        with self._lock:
-            factors = dict(self._factors)
-            observations = self._observations
-        entries = []
-        for key, factor in sorted(factors.items(), key=repr):
-            if isinstance(key, tuple) and all(
-                isinstance(part, (str, int, float, bool)) for part in key
-            ):
-                entries.append([list(key), factor])
-        return {
-            "max_correction": self.max_correction,
-            "smoothing": self.smoothing,
-            "observations": observations,
-            "factors": entries,
-        }
-
-    def load_state(self, state: dict) -> int:
-        """Restore a table exported by :meth:`export_state`.
-
-        Factors are re-clamped under *this* instance's ``max_correction``
-        (the persisted table may come from a laxer configuration) and
-        replace any current entries key by key.  Returns the number of
-        factors restored; the observation count carries over so a
-        restarted site reports how much evidence its model rests on.
-        """
-        loaded = 0
-        with self._lock:
-            for entry in state.get("factors", ()):
-                key_parts, factor = entry
-                self._factors[tuple(key_parts)] = self._clamp(float(factor))
-                loaded += 1
-            self._observations += int(state.get("observations", 0))
-        return loaded
-
-    @staticmethod
-    def term_key(term: str) -> tuple:
-        """Correction key for one keyword term's selectivity."""
-        return ("term", term)
-
-    @staticmethod
-    def type_key(type_name: str, of_links: bool) -> tuple:
-        """Correction key for one type predicate's selectivity."""
-        return ("type", type_name, bool(of_links))
-
-    @staticmethod
-    def attr_key(att: str, value: Hashable) -> tuple:
-        """Correction key for one attribute-value posting estimate."""
-        return ("attr", att, value)
-
-    @staticmethod
-    def basis_key() -> tuple:
-        """Correction key for the expected connection-basis size.
-
-        Feeds the social *strategy* picker and the probe-vs-endorsement
-        access choice: both read the raw connection-degree histograms,
-        and this correction folds observed basis sizes back in.
-        """
-        return ("social", "basis")
-
-    @staticmethod
-    def endorse_key() -> tuple:
-        """Correction key for the expected endorsement reach."""
-        return ("social", "endorse")
 
 
 def _bump(counter: Counter, key: Hashable, step: int) -> None:
@@ -207,33 +63,18 @@ class GraphStats:
     #: reach off these.
     connect_degree_hist: Counter = field(default_factory=Counter)
     act_degree_hist: Counter = field(default_factory=Counter)
-    #: per-value counts of the *indexed* attributes (``attr → value →
-    #: nodes carrying it``), collected only for the attributes named in
-    #: ``of(..., indexed_attrs=...)`` — the attribute-index access path's
-    #: posting-size estimate.
-    attr_value_counts: dict = field(default_factory=dict)
-    #: execution-observed correction factors (attached by the planner;
-    #: ``None`` keeps estimates purely histogram-driven)
-    feedback: CardinalityFeedback | None = None
 
     @classmethod
-    def of(cls, graph: SocialContentGraph, with_terms: bool = False,
-           indexed_attrs: Sequence[str] = ()) -> "GraphStats":
+    def of(cls, graph: SocialContentGraph,
+           with_terms: bool = False) -> "GraphStats":
         """Collect statistics from a graph in one pass."""
         stats = cls(num_nodes=graph.num_nodes, num_links=graph.num_links)
-        attr_counts: dict[str, Counter] = {
-            att: Counter() for att in indexed_attrs
-        }
         for node in graph.nodes():
             for t in node.types:
                 stats.node_types[t] += 1
-            for att, counter in attr_counts.items():
-                for value in node.values(att):
-                    counter[value] += 1
             if with_terms:
                 for token in set(tokenize(node.text())):
                     stats.term_doc_freq[token] += 1
-        stats.attr_value_counts = attr_counts
         if with_terms:
             stats.term_population = graph.num_nodes
         connect_out: Counter = Counter()
@@ -267,17 +108,11 @@ class GraphStats:
             term_population=self.term_population,
             connect_degree_hist=Counter(self.connect_degree_hist),
             act_degree_hist=Counter(self.act_degree_hist),
-            attr_value_counts=self.attr_value_counts,
-            feedback=self.feedback,
         )
         # the term histogram is collected over every node or not at all
         with_terms = self.term_population == old.num_nodes
         if not delta.links_only:
             stats.node_types = Counter(self.node_types)
-            stats.attr_value_counts = {
-                att: Counter(counts)
-                for att, counts in self.attr_value_counts.items()
-            }
             if with_terms:
                 stats.term_doc_freq = Counter(self.term_doc_freq)
                 stats.term_population = new.num_nodes
@@ -293,9 +128,6 @@ class GraphStats:
                     continue
                 for t in record.types:
                     _bump(stats.node_types, t, step)
-                for att, counts in stats.attr_value_counts.items():
-                    for value in record.values(att):
-                        _bump(counts, value, step)
                 if with_terms:
                     for token in set(tokenize(record.text())):
                         _bump(stats.term_doc_freq, token, step)
@@ -327,19 +159,13 @@ class GraphStats:
         Total outgoing ``connect`` links over the user population (falling
         back to the connected population when the graph types no users) —
         the mean of the connection-degree histogram including its implicit
-        zero bucket.  Execution-observed basis sizes fold back in through
-        the :meth:`CardinalityFeedback.basis_key` correction, so the
-        strategy picker and the social access-path choice sharpen with
-        every served query instead of reading raw histograms forever.
+        zero bucket.
         """
         total = sum(d * c for d, c in self.connect_degree_hist.items())
         population = max(
             self.node_types.get("user", 0), self.users_with_connections(), 1
         )
-        expected = total / population
-        if self.feedback is not None:
-            expected *= self.feedback.factor(CardinalityFeedback.basis_key())
-        return expected
+        return total / population
 
     def avg_act_degree(self) -> float:
         """Mean activity out-degree of an *active* user.
@@ -357,33 +183,9 @@ class GraphStats:
 
         An upper bound on the distinct items a friend basis endorses (the
         posting count of a network-index list); callers cap it by the
-        candidate population.  Carries the observed-reach correction
-        (:meth:`CardinalityFeedback.endorse_key`) the planner feeds back
-        from executed social stages.
+        candidate population.
         """
-        reach = self.expected_basis_size() * self.avg_act_degree()
-        if self.feedback is not None:
-            reach *= self.feedback.factor(CardinalityFeedback.endorse_key())
-        return reach
-
-    def attr_value_count(self, att: str, value: Hashable) -> float:
-        """Estimated posting size of one indexed attribute value.
-
-        Reads the per-value histogram collected for registered
-        attributes, corrected by any execution-observed factor for the
-        pair; unknown attributes estimate half the population (nothing is
-        known — the scan should win).
-        """
-        counter = self.attr_value_counts.get(att)
-        if counter is None:
-            estimate = self.num_nodes * DEFAULT_PREDICATE_SELECTIVITY
-        else:
-            estimate = float(counter.get(value, 0))
-        if self.feedback is not None:
-            estimate *= self.feedback.factor(
-                CardinalityFeedback.attr_key(att, value)
-            )
-        return estimate
+        return self.expected_basis_size() * self.avg_act_degree()
 
     # -- selectivity ---------------------------------------------------------
 
@@ -392,12 +194,7 @@ class GraphStats:
         total = self.num_links if of_links else self.num_nodes
         if total == 0:
             return 0.0
-        fraction = histogram.get(type_name, 0) / total
-        if self.feedback is not None:
-            fraction *= self.feedback.factor(
-                CardinalityFeedback.type_key(type_name, of_links)
-            )
-        return min(1.0, fraction)
+        return min(1.0, histogram.get(type_name, 0) / total)
 
     def keyword_match_fraction(self, keywords: Sequence[str]) -> float:
         """Estimated fraction of nodes matching ≥ 1 keyword (variant-aware).
@@ -411,13 +208,7 @@ class GraphStats:
         if not keywords:
             return 1.0
         if not self.term_doc_freq or self.term_population <= 0:
-            fraction = KEYWORD_SELECTIVITY
-            if self.feedback is not None:
-                for term in keywords:
-                    fraction *= self.feedback.factor(
-                        CardinalityFeedback.term_key(term)
-                    )
-            return max(0.0, min(1.0, fraction))
+            return KEYWORD_SELECTIVITY
         population = self.term_population
         miss = 1.0
         for term in keywords:
@@ -425,14 +216,7 @@ class GraphStats:
                 self.term_doc_freq.get(variant, 0)
                 for variant in dict.fromkeys(term_variants(term))
             )
-            df_fraction = min(df, population) / population
-            if self.feedback is not None:
-                df_fraction = min(
-                    1.0,
-                    df_fraction
-                    * self.feedback.factor(CardinalityFeedback.term_key(term)),
-                )
-            miss *= 1.0 - df_fraction
+            miss *= 1.0 - min(df, population) / population
         return max(0.0, min(1.0, 1.0 - miss))
 
     def condition_selectivity(self, condition: Condition, of_links: bool) -> float:

@@ -1,7 +1,7 @@
 """Durable sites: per-shard snapshots + WAL recovery (the paper's §5 tier).
 
-The content-management tier assumes the site's graph, indexes and learned
-statistics outlive any single process; this module is where that promise
+The content-management tier assumes the site's graph and indexes outlive
+any single process; this module is where that promise
 is kept.  A **site snapshot** is a directory::
 
     <site>/
@@ -29,10 +29,8 @@ refuses a version-2 snapshot with the typed version error.)
 
 Upper layers ride along in the manifest's ``extra`` mapping: the session
 engine persists its refresh epoch, boot token, analysis log and
-plan-cache warming recipes; the planner's learned
-:class:`~repro.core.stats.CardinalityFeedback` corrections travel as a
-JSON table.  This module treats all of it as opaque — management does not
-import the api layer.
+plan-cache warming recipes.  This module treats all of it as opaque —
+management does not import the api layer.
 
 Write protocol: every file lands under a temporary name, is fsynced,
 then atomically renamed; the manifest is written last and the directory
@@ -161,7 +159,7 @@ def write_snapshot(
     """Snapshot *data_manager*'s store into *directory*; returns the manifest.
 
     ``extra`` is persisted verbatim under the manifest's ``"extra"`` key —
-    the upper layers' state (session epochs, feedback tables, warming
+    the upper layers' state (session epochs, analysis logs, warming
     recipes) rides along without management knowing its shape.
     """
     directory = Path(directory)

@@ -42,13 +42,11 @@ from repro.plan.compiler import (
 )
 from repro.plan.explain import PlanExplain, explain_execution
 from repro.plan.physical import (
-    ATTR_INDEX,
     INDEX,
     NETWORK_CLUSTERED,
     NETWORK_EXACT,
     SCAN,
     SHARDED,
-    AttrIndexScanOp,
     EndorsementMergeOp,
     ExecContext,
     FusedSocialCombineOp,
@@ -71,9 +69,7 @@ from repro.plan.planner import BASE_GRAPH, QueryPlanner
 
 __all__ = [
     "ACCESS_MODES",
-    "ATTR_INDEX",
     "AccessDecision",
-    "AttrIndexScanOp",
     "BASE_GRAPH",
     "CacheStats",
     "ColumnarShardView",

@@ -12,11 +12,9 @@ underneath the plan layer's scan family:
   columns: a row-ordered node array, partition-local **type buckets**
   (contiguous position ranges where the population permits, plain sorted
   position arrays otherwise), lazily built **dictionary-encoded attribute
-  columns** (rows → interned value-tuple codes), lazily built **term
-  postings** (token → positions, the keyword-scope pruning set), and
-  lazily built **attribute-value postings** (scalar value → positions,
-  the physical form behind the attribute-index access path).  Everything
-  derived is cut once per graph generation and shared by every plan that
+  columns** (rows → interned value-tuple codes) and lazily built **term
+  postings** (token → positions, the keyword-scope pruning set).
+  Everything derived is cut once per graph generation and shared by every plan that
   executes against it.
 * :class:`VectorCondition` — a selection condition compiled once per
   physical operator into a vectorized evaluator: bucket intersections for
@@ -148,14 +146,14 @@ class ColumnarShardView:
 
     ``nodes`` (and ``links``) are the row stores in graph iteration
     order; all derived structures — type buckets, attribute columns,
-    term/value postings — build lazily on first use and live as long as
+    term postings — build lazily on first use and live as long as
     the view (one graph generation).
     """
 
     __slots__ = (
         "nodes", "links",
         "_type_buckets", "_type_node_lists", "_link_type_lists",
-        "_columns", "_term_postings", "_attr_postings",
+        "_columns", "_term_postings",
         "_link_type_buckets", "_link_columns", "_link_term_postings",
     )
 
@@ -168,7 +166,6 @@ class ColumnarShardView:
         self._link_type_lists: dict[Any, list[Link]] | None = None
         self._columns: dict[str, AttrColumn] = {}
         self._term_postings: dict[str, Any] | None = None
-        self._attr_postings: dict[str, dict[Any, Any]] = {}
         self._link_type_buckets: dict[Any, Any] | None = None
         self._link_columns: dict[str, AttrColumn] = {}
         self._link_term_postings: dict[str, Any] | None = None
@@ -177,8 +174,8 @@ class ColumnarShardView:
         """A view of the same node rows over an (empty, to be filled)
         link population.
 
-        The node side — rows, type buckets, attribute columns, term and
-        value postings — is a function of the node records alone, so a
+        The node side — rows, type buckets, attribute columns, term
+        postings — is a function of the node records alone, so a
         step that touched only links keeps it: the new view holds the
         *same* row list and lazily-filled caches, and only the link side
         starts over.
@@ -188,7 +185,6 @@ class ColumnarShardView:
         view._type_node_lists = self._type_node_lists
         view._columns = self._columns
         view._term_postings = self._term_postings
-        view._attr_postings = self._attr_postings
         return view
 
     # -- node-side columns ----------------------------------------------------
@@ -252,35 +248,6 @@ class ColumnarShardView:
                 for token, rows in postings.items()
             }
         return self._term_postings
-
-    def attr_postings(self, att: str) -> dict[Any, Any]:
-        """scalar value → row positions whose *att* values contain it.
-
-        The per-shard sorted postings behind the attribute-index access
-        path: the same shape the
-        :class:`~repro.management.storage.GraphStore` maintains for its
-        registered attributes, cut from the live view so derived nodes
-        participate too.
-        """
-        postings = self._attr_postings.get(att)
-        if postings is None:
-            raw: dict[Any, list[int]] = {}
-            for row, node in enumerate(self.nodes):
-                for value in node.attrs.get(att, ()):
-                    raw.setdefault(value, []).append(row)
-            postings = {
-                value: _positions_array(rows) for value, rows in raw.items()
-            }
-            self._attr_postings[att] = postings
-        return postings
-
-    def attr_posting_nodes(self, att: str, value: Any) -> list[Node]:
-        """Records whose *att* values contain *value* (row order)."""
-        bucket = self.attr_postings(att).get(value)
-        if bucket is None:
-            return []
-        nodes = self.nodes
-        return [nodes[row] for row in bucket]
 
     # -- link-side columns ----------------------------------------------------
 

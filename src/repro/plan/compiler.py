@@ -40,16 +40,14 @@ from repro.core.expr import (
 from repro.core.expr import SelectLinksE
 from repro.core.optimizer import DEFAULT_RULES, Rule, optimize
 from repro.core.social import COMPILED_STRATEGIES, choose_strategy
-from repro.core.stats import CardinalityFeedback, GraphStats
+from repro.core.stats import GraphStats
 from repro.errors import QueryError
 from repro.plan.physical import (
-    ATTR_INDEX,
     INDEX,
     NETWORK_CLUSTERED,
     NETWORK_EXACT,
     SCAN,
     SHARDED,
-    AttrIndexScanOp,
     EndorsementMergeOp,
     FusedSocialCombineOp,
     GroupedAggregationOp,
@@ -102,31 +100,12 @@ class CostModel:
     #: minimum estimated base-graph link population before σL lowers to
     #: the scattered (columnar) link scan
     shard_link_min_links: float = 512.0
-    #: price of testing one attribute-posting candidate (hash gathers
-    #: plus the residual row test) — pricier per element than the
-    #: sequential scan's predicate test, so postings win exactly when
-    #: the indexed value is selective
-    attr_posting_cost: float = 1.5
-    #: price of one row under the *vectorized* columnar mask, relative
-    #: to ``scan_cost_per_node``: evaluating a predicate once per
-    #: distinct value and broadcasting over the codes is an order of
-    #: magnitude cheaper than a per-row test, so the attribute-posting
-    #: path must be far more selective than the old scan crossover to
-    #: beat a columnar scan
-    columnar_row_cost: float = 0.05
-    #: master switch for the columnar scan family (benchmarks pin it off
-    #: to measure the legacy row-at-a-time executor)
-    columnar: bool = True
 
     def scan_cost(self, input_nodes: float) -> float:
         return input_nodes * self.scan_cost_per_node
 
     def index_cost(self, expected_matches: float) -> float:
         return expected_matches * self.index_cost_per_posting
-
-    def attr_index_cost(self, expected_postings: float) -> float:
-        """Work of testing one attribute-value posting list's candidates."""
-        return expected_postings * self.attr_posting_cost
 
     def social_probe_cost(self, basis_size: float, act_degree: float) -> float:
         """Work of the adjacency probe: every act link of every member."""
@@ -239,30 +218,6 @@ def _mark_memoisable(node: Expr, physical: PhysicalOp) -> None:
         )
 
 
-def _indexed_attr_candidates(
-    condition: Condition, indexed_attrs: frozenset[str]
-) -> list[tuple[str, Any]]:
-    """(attribute, value) pairs the condition pins on indexed attributes.
-
-    Eligible pairs come from conjunctive equality predicates over
-    attributes the planner keeps postings for: the posting list of any
-    required value is a superset of the satisfying set (the paper's
-    superset-equality semantics), so the selection can be served by
-    residual-testing just those candidates.  ``type`` is excluded — the
-    partition-local type buckets already cover it — and ``id`` reads
-    element identity, not an attribute column.
-    """
-    pairs: list[tuple[str, Any]] = []
-    for predicate in condition.predicates:
-        if not isinstance(predicate, AttrEquals):
-            continue
-        if predicate.att in ("type", "id") or predicate.att not in indexed_attrs:
-            continue
-        for value in predicate.required:
-            pairs.append((predicate.att, value))
-    return pairs
-
-
 def _pruning_type(condition: Condition) -> tuple[Any | None, bool]:
     """(type value the condition's conjuncts pin, predicate-exact?).
 
@@ -315,7 +270,6 @@ def compile_plan(
     rules: tuple[Rule, ...] = DEFAULT_RULES,
     key: Any = None,
     shards: int = 1,
-    indexed_attrs: frozenset[str] = frozenset(),
 ) -> PhysicalPlan:
     """Compile a logical plan into an executable :class:`PhysicalPlan`.
 
@@ -334,11 +288,6 @@ def compile_plan(
     :class:`ShardedLinkScanOp`) — ``shards == 1`` still lowers to the
     monolithic columnar scan, which evaluates the condition over one
     view's columns instead of row records.
-
-    *indexed_attrs* names the attributes the planner keeps value postings
-    for (the Data Manager's registered attribute indexes): conjunctive
-    equality selections on them may lower to :class:`AttrIndexScanOp`
-    when the cost model expects the posting list to beat the scan.
     """
     if access not in ACCESS_MODES:
         raise QueryError(f"unknown access mode {access!r}; have {ACCESS_MODES}")
@@ -349,51 +298,9 @@ def compile_plan(
     memo: dict[int, PhysicalOp] = {}
     parents = _parent_counts(optimized)
 
-    def attr_index_form(
-        node: SelectNodesE, children: tuple[PhysicalOp, ...],
-        input_nodes: float, fallback_cost: float,
-    ) -> PhysicalOp | None:
-        """The attribute-posting form, when eligible and expected to win.
-
-        *fallback_cost* is the price of the best scan-family alternative
-        (full, pruned or covered); the posting path must beat it — or be
-        forced by ``access="index"`` — to be chosen.
-        """
-        if access == SCAN or not indexed_attrs:
-            return None
-        pairs = _indexed_attr_candidates(node.condition, indexed_attrs)
-        if not pairs:
-            return None
-        att, value, postings = min(
-            (
-                (att, value, stats.attr_value_count(att, value))
-                for att, value in pairs
-            ),
-            key=lambda triple: triple[2],
-        )
-        attr_cost = model.attr_index_cost(postings)
-        if access != INDEX and attr_cost >= fallback_cost:
-            return None
-        decisions.append(AccessDecision(
-            op=node.describe(),
-            chosen=ATTR_INDEX,
-            scan_cost=fallback_cost,
-            index_cost=attr_cost,
-            reason=(
-                "forced by request" if access == INDEX else
-                f"~{postings:.0f} {att}={value!r} postings cheaper than "
-                f"{fallback_cost:.0f}-unit scan"
-            ),
-        ))
-        return AttrIndexScanOp(node, children, att, value)
-
     def scan_form(node: Expr, children: tuple[PhysicalOp, ...]) -> PhysicalOp:
-        """The scan-family physical form: columnar/posting when it pays."""
-        if (
-            model.columnar
-            and isinstance(node, SelectNodesE)
-            and isinstance(node.child, InputE)
-        ):
+        """The scan-family physical form: columnar when it pays."""
+        if isinstance(node, SelectNodesE) and isinstance(node.child, InputE):
             input_nodes = node.child.estimate(stats).nodes
             if input_nodes >= model.shard_scan_min_nodes:
                 prune_type, exact = _pruning_type(node.condition)
@@ -403,25 +310,6 @@ def compile_plan(
                     and not node.condition.has_keywords
                     and node.scorer is None
                 )
-                # price of the best scan-family plan: the population the
-                # columns cannot exclude up front, at the vectorized
-                # per-row price
-                if prune_type is not None:
-                    bucket = min(
-                        stats.node_types.get(str(prune_type), input_nodes),
-                        input_nodes,
-                    )
-                else:
-                    bucket = input_nodes
-                columnar_cost = (
-                    model.scan_cost(bucket) * model.columnar_row_cost
-                )
-                if not covered:
-                    attr_form = attr_index_form(
-                        node, children, input_nodes, columnar_cost
-                    )
-                    if attr_form is not None:
-                        return attr_form
                 pruned = (
                     f", covered by type {prune_type!r} buckets" if covered
                     else f", pruned to type {prune_type!r} buckets"
@@ -443,16 +331,7 @@ def compile_plan(
                 ))
                 return ShardedScanOp(node, children, shards, prune_type,
                                      covered)
-            attr_form = attr_index_form(
-                node, children, input_nodes, model.scan_cost(input_nodes)
-            )
-            if attr_form is not None:
-                return attr_form
-        if (
-            model.columnar
-            and isinstance(node, SelectLinksE)
-            and isinstance(node.child, InputE)
-        ):
+        if isinstance(node, SelectLinksE) and isinstance(node.child, InputE):
             input_links = node.child.estimate(stats).links
             if input_links >= model.shard_link_min_links:
                 prune_type, _exact = _pruning_type(node.condition)

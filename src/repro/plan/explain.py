@@ -43,8 +43,9 @@ class PlanExplain:
     def estimation_error(self) -> float:
         """Largest |estimated − actual| / max(actual, 1) over node counts.
 
-        A quick scalar for "how wrong was the cost model on this query" —
-        the feedback loop a learning optimizer would consume.
+        A quick scalar for "how wrong was the cost model on this query".
+        Estimates are read from the statistics the plan was compiled
+        against, so the number depends only on the plan and this run.
         """
         worst = 0.0
         for profile in self.operators:

@@ -45,8 +45,6 @@ NETWORK_EXACT = "network-exact"
 NETWORK_CLUSTERED = "network-clustered"
 #: Physical-form tag of the partition-scattered (columnar) scan.
 SHARDED = "sharded-scan"
-#: Physical-form tag of the attribute-value posting access path.
-ATTR_INDEX = "attr-index"
 
 #: The scatter view type (columnar since PR 5); the old name stays the
 #: public alias because planners and providers exchange these.
@@ -73,9 +71,6 @@ class ExecContext:
         shard_provider: Callable[
             [SocialContentGraph], "Sequence[ShardView] | None"
         ] | None = None,
-        attr_provider: Callable[
-            [SocialContentGraph, str, Any], "list | None"
-        ] | None = None,
     ):
         self.env = env
         self.index_provider = index_provider
@@ -84,10 +79,6 @@ class ExecContext:
         #: base graph → its partitioned node views (None when the graph is
         #: not the one the provider partitions — the op degrades to a scan)
         self.shard_provider = shard_provider
-        #: (graph, att, value) → attribute-posting candidate records, or
-        #: None when the provider cannot serve the graph — the
-        #: attribute-index op then degrades to the scan compute
-        self.attr_provider = attr_provider
         #: result-size bound pushed down from the caller (``None`` = no
         #: bound): the social root orders only the top k rows instead of
         #: the full candidate set
@@ -107,10 +98,6 @@ class ExecContext:
         #: operator id → plain-value output (the social root's ranking,
         #: handed to consumers instead of a graph)
         self.payloads: dict[int, Any] = {}
-        #: operator id → posting-list length an attribute-index op
-        #: gathered (the quantity `attr_value_count` estimates — fed back
-        #: as the posting-size correction, NOT the post-residual result)
-        self.attr_postings_gathered: dict[int, int] = {}
         #: generation-stamped sub-plan result memo (planner-owned): ops
         #: carrying a ``memo_key`` — deterministic base-graph stages like
         #: the connection basis — reuse results across executions within
@@ -471,53 +458,6 @@ class ShardedLinkScanOp(_ScatterScanOp):
         return Card(0, len(part))
 
 
-class AttrIndexScanOp(PhysicalOp):
-    """σN served from the registered attribute-value postings.
-
-    Lowered when the selection conjoins an equality on an attribute the
-    planner keeps postings for (the Data Manager's registered attribute
-    indexes, materialised per shard view) and the estimated posting list
-    is cheaper than scanning the population.  The posting set is a
-    *superset* of the answer for that one predicate — every other
-    conjunct, the keyword scope and the scoring function run row-wise
-    over just those candidates, so the result is record-for-record the
-    scan's.  Degrades to the scan compute when the provider is missing
-    or serves a different graph.
-    """
-
-    access_path = ATTR_INDEX
-
-    def __init__(self, logical: Expr, children: Sequence[PhysicalOp],
-                 att: str, value: Any):
-        super().__init__(logical, children)
-        self.att = att
-        self.value = value
-
-    def describe(self) -> str:
-        return f"{self.logical.describe()} [attr:{self.att}={self.value!r}]"
-
-    def _run(
-        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
-    ) -> SocialContentGraph:
-        from repro.core.selection import select_matching_nodes
-
-        provider = ctx.attr_provider
-        candidates = (
-            provider(inputs[0], self.att, self.value)
-            if provider is not None else None
-        )
-        if candidates is None:
-            ctx.degraded.add(id(self))
-            return self.logical._compute(inputs)
-        ctx.attr_postings_gathered[id(self)] = len(candidates)
-        part = select_matching_nodes(
-            candidates,
-            self.logical.condition,  # type: ignore[attr-defined]
-            self.logical.scorer,  # type: ignore[attr-defined]
-        )
-        return inputs[0].null_graph_unique(part)
-
-
 class FusedSocialCombineOp(PhysicalOp):
     """The social root: scoring, α-combination and ranking in one operator.
 
@@ -531,7 +471,7 @@ class FusedSocialCombineOp(PhysicalOp):
     :class:`~repro.core.social.DecodedSocialResult` as the execution's
     payload.  No record is built: the operator's result graph is empty,
     and its EXPLAIN actual is the size the combined graph would have
-    (``encoded_size``), so cardinality feedback reads the same numbers.
+    (``encoded_size``), so EXPLAIN reads the same numbers.
 
     With a *variant* (``"exact"`` / ``"clustered"``) friend scoring is
     read from that endorsement index; if the provider is missing or the
@@ -794,8 +734,8 @@ class PlanExecution:
     def op_actuals(self) -> dict:
         """Physical op → (actual cardinality, elapsed seconds).
 
-        The raw profile map cardinality feedback consumes — op identity,
-        not render strings.
+        The raw profile map, keyed by op identity rather than render
+        strings.
         """
         actuals = self.ctx.actuals
         return {
@@ -885,9 +825,6 @@ class PhysicalPlan:
         #: concrete social strategy the lowered plan runs (None when the
         #: plan has no social stage)
         self.resolved_strategy = resolved_strategy
-        #: set by the planner once this plan's first execution has fed
-        #: its actual cardinalities back to the cost model
-        self.feedback_observed = False
 
     @property
     def uses_index(self) -> bool:
@@ -936,9 +873,6 @@ class PhysicalPlan:
             [SocialContentGraph], "Sequence[ShardView] | None"
         ] | None = None,
         result_cache: dict | None = None,
-        attr_provider: Callable[
-            [SocialContentGraph, str, Any], "list | None"
-        ] | None = None,
         topk: int | None = None,
         deadline: float | None = None,
     ) -> PlanExecution:
@@ -957,7 +891,7 @@ class PhysicalPlan:
         doomed work.
         """
         ctx = ExecContext(env, index_provider, network_provider,
-                          shard_provider, attr_provider)
+                          shard_provider)
         ctx.result_cache = result_cache
         ctx.topk = topk
         if deadline is not None:

@@ -6,9 +6,8 @@ by each :class:`~repro.api.session.Session`).  It holds the pieces
 compilation needs and serving must keep coherent:
 
 * **statistics** — :class:`~repro.core.stats.GraphStats` with the term
-  histogram, collected lazily once per graph generation, carrying the
-  planner's :class:`~repro.core.stats.CardinalityFeedback` so executed
-  queries sharpen future estimates;
+  histogram, collected lazily once per graph generation and patched on
+  every delta step: the only numbers plans are priced from;
 * **the plan cache** — one :class:`~repro.plan.cache.PlanCache` per
   planner: compiled plans are keyed by (structural key, access, cost
   model) and stamped with the *plan generation*, which is not the data
@@ -34,13 +33,12 @@ every query.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.core.expr import (
     CombineScoresE,
     ConnectionBasisE,
     Expr,
-    SelectNodesE,
     SocialScoreE,
     input_graph,
     plan_key,
@@ -48,18 +46,12 @@ from repro.core.expr import (
 from repro.core.delta import GraphDelta
 from repro.core.graph import SocialContentGraph
 from repro.core.social import basis_keeper
-from repro.core.stats import CardinalityFeedback, GraphStats
+from repro.core.stats import GraphStats
 from repro.core.partition import shard_of
 from repro.plan.cache import PlanCache, ResultMemo
 from repro.plan.columnar import cut_columnar_views
 from repro.plan.compiler import CostModel, IndexBinding, compile_plan
-from repro.plan.physical import (
-    AttrIndexScanOp,
-    FusedSocialCombineOp,
-    PhysicalPlan,
-    PlanExecution,
-    ShardView,
-)
+from repro.plan.physical import PhysicalPlan, PlanExecution, ShardView
 
 #: Name under which the planner binds its live graph in plan environments.
 BASE_GRAPH = "G"
@@ -108,17 +100,11 @@ class QueryPlanner:
         cost_model: CostModel | None = None,
         cache: PlanCache | None = None,
         shards: int = 1,
-        feedback: CardinalityFeedback | None = None,
     ):
         self.graph = graph.freeze()
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.cache = cache if cache is not None else PlanCache()
         self.shards = max(1, shards)
-        #: execution-observed correction factors, surviving refreshes so
-        #: repeated queries keep sharpening the cost model
-        self.feedback = (
-            feedback if feedback is not None else CardinalityFeedback()
-        )
         #: bumped on every refresh/attach — stamps every derived structure
         self.generation = 0
         #: bumped when resident plans must go: an attach, a full refresh,
@@ -131,10 +117,6 @@ class QueryPlanner:
         self._stats: GraphStats | None = None
         self._stats_generation = -1
         self._index: IndexBinding | None = None
-        #: attributes the planner keeps per-shard value postings for (the
-        #: Data Manager's registered attribute indexes, attached by the
-        #: session) — the compiler's attribute-index eligibility set
-        self.indexed_attrs: frozenset[str] = frozenset()
         #: lazily built per-shard *columnar* views of the live graph
         #: (node rows + link rows + lazy columns/buckets/postings),
         #: stamped with the generation they were cut under
@@ -263,20 +245,6 @@ class QueryPlanner:
             self.generation += 1
             self._plan_generation += 1
 
-    def attach_attribute_index(self, attributes: Iterable[str]) -> None:
-        """Declare attribute-value postings over the named attributes.
-
-        The attributes come from the Data Manager's registered attribute
-        indexes; the *postings themselves* are cut per shard view from
-        the planner's live graph (so analysis-derived nodes participate
-        and every refresh re-cuts them).  Attaching changes what plans
-        compile to, so it bumps the generation.
-        """
-        with self._lock:
-            self.indexed_attrs = frozenset(attributes)
-            self.generation += 1
-            self._plan_generation += 1
-
     @property
     def index_binding(self) -> IndexBinding | None:
         return self._index
@@ -294,7 +262,7 @@ class QueryPlanner:
         scan rather than scanning the wrong population.  One pass per
         graph generation pays for every columnar scan of that generation;
         the views' derived columns — type buckets, attribute columns,
-        term and value postings — build lazily inside the views and live
+        term postings — build lazily inside the views and live
         just as long.  With ``shards == 1`` this is the single monolithic
         columnar view.
         """
@@ -308,28 +276,6 @@ class QueryPlanner:
                 )
                 self._shard_generation = self.generation
             return self._shard_views
-
-    def attr_posting_candidates(
-        self, graph: SocialContentGraph, att: str, value: Any
-    ) -> list | None:
-        """Candidate records for ``att = value`` from the shard postings.
-
-        The execution-time provider behind :class:`AttrIndexScanOp`:
-        concatenates the per-shard sorted posting lists of the value.
-        Returns ``None`` — degrading the operator to a scan — when the
-        graph is not the planner's live graph or the attribute was never
-        registered: a correctness boundary, not failure handling.  A
-        posting-path fault raises to the caller, as a faulting scan does.
-        """
-        if att not in self.indexed_attrs:
-            return None
-        views = self.shard_views(graph)
-        if views is None:
-            return None
-        candidates: list = []
-        for view in views:
-            candidates.extend(view.attr_posting_nodes(att, value))
-        return candidates
 
     def network_index(self, variant: str) -> Any:
         """The §6.2 endorsement index of the live graph (lazy, cached).
@@ -372,11 +318,7 @@ class QueryPlanner:
         if self._stats is None or self._stats_generation != now:
             with self._lock:
                 if self._stats is None or self._stats_generation != now:
-                    stats = GraphStats.of(
-                        self.graph, with_terms=True,
-                        indexed_attrs=sorted(self.indexed_attrs),
-                    )
-                    stats.feedback = self.feedback
+                    stats = GraphStats.of(self.graph, with_terms=True)
                     self._stats = stats
                     self._stats_generation = now
                     if self._plan_basis is None:
@@ -406,7 +348,6 @@ class QueryPlanner:
             cost_model=self.cost_model,
             key=structural_key,
             shards=self.shards,
-            indexed_attrs=self.indexed_attrs,
         )
         self.cache.put(key, stamp, plan)
         return plan, False
@@ -438,21 +379,11 @@ class QueryPlanner:
             index_provider=provider,
             network_provider=self.network_index,
             shard_provider=self.shard_views,
-            attr_provider=self.attr_posting_candidates,
             result_cache=result_cache,
             topk=topk,
             deadline=deadline,
         )
         execution.cache_hit = cache_hit
-        if not plan.feedback_observed:
-            # Feedback rides on fresh plans, not on every hot-path hit:
-            # each compiled plan's first execution reports its actuals,
-            # and the correction reaches the cost model at the next
-            # (re)compile.  The marker lives on the plan object itself —
-            # an id()-keyed set would confuse a recycled address for an
-            # already-observed plan.
-            plan.feedback_observed = True
-            self._observe(plan, execution)
         return execution
 
     def _subplan_cache(self) -> ResultMemo:
@@ -469,76 +400,6 @@ class QueryPlanner:
                 self._subplan_results = ResultMemo()
                 self._subplan_generation = self.generation
             return self._subplan_results
-
-    # -- cardinality feedback -------------------------------------------------
-
-    def _observe(self, plan: PhysicalPlan, execution: PlanExecution) -> None:
-        """Feed per-operator actuals back into the correction table.
-
-        Base-graph node selections attribute their error to the
-        condition's terms (keyword scopes), its type predicates
-        (structural scopes), or — on the attribute-index path — the
-        posting pair the access choice rested on.  Connection-basis and
-        social-stage operators feed the *social* corrections
-        (:meth:`CardinalityFeedback.basis_key` /
-        :meth:`~CardinalityFeedback.endorse_key`), which is how the
-        cost-based strategy picker stops reading raw degree histograms.
-        Derived-input selections stay unobserved — they would smear
-        upstream errors into the wrong keys.
-        """
-        from repro.core.expr import InputE
-
-        for op, (actual, _elapsed) in execution.op_actuals.items():
-            logical = op.logical
-            if isinstance(logical, ConnectionBasisE):
-                # minus the meta marker node the basis graph carries
-                self.feedback.observe(
-                    CardinalityFeedback.basis_key(),
-                    max(self.stats.expected_basis_size(), 0.0),
-                    max(actual.nodes - 1, 0.0),
-                )
-                continue
-            if isinstance(logical, SocialScoreE) or isinstance(
-                op, FusedSocialCombineOp
-            ):
-                # the stage's links are its endorsement/support edges —
-                # the reach the probe-vs-postings choice is priced on
-                self.feedback.observe(
-                    CardinalityFeedback.endorse_key(),
-                    self.stats.expected_endorsements(),
-                    actual.links,
-                )
-                continue
-            if not isinstance(logical, SelectNodesE):
-                continue
-            if not isinstance(logical.child, InputE):
-                continue
-            estimated = op.estimate(self.stats).nodes
-            condition = logical.condition
-            if isinstance(op, AttrIndexScanOp):
-                # feed back the posting-list length the op gathered — the
-                # quantity attr_value_count estimates.  The final result
-                # cardinality would misattribute every *other* conjunct's
-                # selectivity to the posting estimate and ratchet it down.
-                gathered = execution.ctx.attr_postings_gathered.get(id(op))
-                if gathered is not None:
-                    self.feedback.observe(
-                        CardinalityFeedback.attr_key(op.att, op.value),
-                        self.stats.attr_value_count(op.att, op.value),
-                        gathered,
-                    )
-            if condition.has_keywords:
-                for term in condition.keywords:
-                    self.feedback.observe(
-                        CardinalityFeedback.term_key(term),
-                        estimated, actual.nodes,
-                    )
-            else:
-                for type_name in _condition_type_names(condition):
-                    self.feedback.observe(
-                        CardinalityFeedback.type_key(type_name, False),
-                        estimated, actual.nodes,
-                    )
 
     def discovery_pipeline(
         self,
@@ -592,15 +453,3 @@ class QueryPlanner:
         return self.execute(root, access=access, topk=limit,
                             deadline=deadline)
 
-
-def _condition_type_names(condition: Any) -> list[str]:
-    """Type names a structural condition pins (feedback attribution)."""
-    from repro.core.conditions import AttrEquals, HasType
-
-    names: list[str] = []
-    for predicate in condition.predicates:
-        if isinstance(predicate, HasType):
-            names.append(predicate.type_name)
-        elif isinstance(predicate, AttrEquals) and predicate.att == "type":
-            names.extend(str(required) for required in predicate.required)
-    return names

@@ -14,9 +14,16 @@ import pytest
 import factories
 from repro.api import SearchRequest, Session
 from repro.core import Node
+from repro.discovery import parse_query
 from repro.errors import FrozenGraphError
 from repro.plan import PlanExplain
-from repro.workloads import JOHN, TravelSiteConfig, build_travel_site
+from repro.workloads import (
+    JOHN,
+    TravelSiteConfig,
+    WorkloadConfig,
+    build_site,
+    build_travel_site,
+)
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +332,33 @@ class TestServingPlanCache:
         assert session.stats.plan_compiles == compiles_before + 2
         assert session.stats.plan_cache_hits == hits_before + 1
         assert len(session.planner.cache) == 1
+
+    def test_a_cached_plan_explains_the_same_after_other_requests(self):
+        # EXPLAIN is a function of the plan: the statistics a plan was
+        # costed on are the live graph's, and serving requests does not
+        # move them.  180 requests of other shapes run between the two
+        # renders of one cached plan.
+        site = build_site(WorkloadConfig(num_users=200, num_items=400,
+                                         seed=17))
+        session = Session.from_graph(site.graph)
+        user = site.user_ids[0]
+        request = SearchRequest(user_id=user, text="", k=10, explain=True)
+        first = session.run(request)
+        ranked = session.discoverer.rank(parse_query(user, ""), limit=10)
+        assert ranked.execution.cache_hit
+        plan = ranked.execution.plan
+        rendered = plan.render()
+        for other in site.user_ids[1:16]:
+            for category in site.categories[:6]:
+                for text in (str(category), ""):
+                    session.run(SearchRequest(user_id=other, text=text,
+                                              k=10))
+        again = session.discoverer.rank(parse_query(user, ""), limit=10)
+        assert again.execution.cache_hit and again.execution.plan is plan
+        assert plan.render() == rendered
+        root = session.run(request).plan.operators[0]
+        assert root.op == first.plan.operators[0].op
+        assert root.estimated == first.plan.operators[0].estimated
 
     def test_datamanager_resync_invalidates_plans(self, session):
         request = SearchRequest(user_id=JOHN, text="special")

@@ -1,12 +1,15 @@
 """Warm restart of the session engine: save → recover → serve identically.
 
 The restart-correctness bugs this PR fixes live here: epoch counters must
-not restart at zero (pre-crash cursors would alias fresh rankings), the
-learned cardinality-feedback table must survive, and a restored site must
-reach learned-cost serving — plan-cache hits — on its *first* request.
+not restart at zero (pre-crash cursors would alias fresh rankings), a
+snapshot written by an older build restores whatever extra session state
+it carries, and a restored site must reach plan-cache hits on its *first*
+request.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.api.session import SessionConfig
 from repro.core import Link, Node
 from repro.errors import QueryError, RestartCursorError
 from repro.management import DataManager
+from repro.management.persist import MANIFEST_NAME, SNAPSHOT_VERSION
 
 from tests.factories import social_site_graph
 
@@ -145,24 +149,45 @@ class TestWarmRestart:
         assert third.boot == restored.boot + 1  # monotone per restore
 
     def test_feedback_corrections_survive(self, tmp_path):
+        """An older build persisted a learned cardinality-correction table
+        under the session's ``"feedback"`` key.  Such a snapshot still
+        restores and serves the same pages; this build writes no such key,
+        and the snapshot format version did not move for it."""
         session = durable_session(tmp_path)
-        for _ in range(4):  # observed cardinalities train the corrections
-            session.run(_request())
-        trained = session.planner.feedback.export_state()
-        assert trained["factors"], "expected learned corrections"
+        requests = [_request(), _request(page=2), _request(text="", k=5)]
+        before = [session.run(r) for r in requests]
         session.save(tmp_path)
 
-        # cold restore loads the table verbatim (warming would keep
-        # training it, which is normal operation, not state loss)
-        cold = Session.restore(tmp_path, warm=False)
-        assert (cold.planner.feedback.export_state()["factors"]
-                == trained["factors"])
+        manifest_path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["version"] == SNAPSHOT_VERSION == 2
+        assert "feedback" not in manifest["extra"]["session"]
+        manifest["extra"]["session"]["feedback"] = {
+            "max_correction": 8.0,
+            "smoothing": 0.5,
+            "observations": 12,
+            "factors": [
+                [["term", "topic1"], 0.25],
+                [["type", "item", False], 4.0],
+                [["social", "basis"], 8.0],
+                [["social", "endorse"], 0.125],
+            ],
+        }
+        manifest_path.write_text(json.dumps(manifest, indent=1))
 
-        warm = Session.restore(tmp_path)
-        warmed = warm.planner.feedback.export_state()
-        trained_keys = {repr(k) for k, _ in trained["factors"]}
-        warmed_keys = {repr(k) for k, _ in warmed["factors"]}
-        assert trained_keys <= warmed_keys
+        for warm in (False, True):
+            restored = Session.restore(tmp_path, warm=warm)
+            after = [restored.run(r) for r in requests]
+            for old, new in zip(before, after):
+                assert list(new.items) == list(old.items)
+                assert new.page_info.total_items == \
+                    old.page_info.total_items
+
+        again = tmp_path / "again"
+        restored.save(again)
+        rewritten = json.loads((again / MANIFEST_NAME).read_text())
+        assert rewritten["version"] == SNAPSHOT_VERSION
+        assert "feedback" not in rewritten["extra"]["session"]
 
     def test_first_request_hits_plan_cache(self, tmp_path):
         session = durable_session(tmp_path)

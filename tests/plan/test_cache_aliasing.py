@@ -101,7 +101,10 @@ class TestPlanCache:
     @pytest.mark.parametrize("attach", [
         lambda planner: planner.attach_index("item", lambda: None),
         lambda planner: planner.attach_shards(2),
-        lambda planner: planner.attach_attribute_index(["type"]),
+        # re-binding the semantic index to another population
+        lambda planner: planner.attach_index(
+            "user", lambda: None, scorer_provider=lambda: None
+        ),
     ], ids=["attach_index", "attach_shards", "attach_attribute_index"])
     def test_attach_stales_every_resident_plan(self, attach):
         planner = QueryPlanner(item_graph())

@@ -2,12 +2,12 @@
 
 The acceptance contract of the columnar substrate: for any condition,
 scorer, shard count and strategy, the columnar execution path produces
-exactly what the legacy row-at-a-time path produces — verified with a
+exactly what the row-at-a-time :class:`ScanOp` produces — verified with a
 hypothesis differential harness over random conditions and the shared
 site factory across shard counts {1, 2, 7} and all three social
-strategies (1e-9 on scores).  Plus structural tests for the new access
-paths (attribute postings, sharded link scans), top-k pushdown, writes
-reaching the columnar views through the Data Manager, the
+strategies (1e-9 on scores).  Plus structural tests for attribute
+equalities on the columnar scan, sharded link scans, top-k pushdown,
+writes reaching the columnar views through the Data Manager, the
 byte-bounded memo accounting, and the plan-cache stats endpoint.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,17 +35,17 @@ from repro.core.selection import (
     select_matching_links,
     select_nodes,
 )
-from repro.core.stats import CardinalityFeedback, GraphStats
+from repro.core.stats import GraphStats
 from repro.discovery import InformationDiscoverer, parse_query
 from repro.errors import FrozenGraphError
 from repro.management import DataManager
 from repro.plan import (
-    ATTR_INDEX,
-    AttrIndexScanOp,
+    SHARDED,
     ColumnarShardView,
     CostModel,
     QueryPlanner,
     ResultMemo,
+    ScanOp,
     ShardedLinkScanOp,
     ShardedScanOp,
     VectorCondition,
@@ -70,9 +71,15 @@ def columnar_planner(graph, shards=1, min_nodes=0.0,
     return planner
 
 
-def legacy_planner(graph) -> QueryPlanner:
-    """The PR 4 row-at-a-time reference executor."""
-    return QueryPlanner(graph, cost_model=CostModel(columnar=False))
+#: A cost model whose thresholds no population reaches: every base-graph
+#: selection stays on the row-at-a-time :class:`ScanOp`.
+ROW_MODEL = CostModel(shard_scan_min_nodes=math.inf,
+                      shard_link_min_links=math.inf)
+
+
+def row_planner(graph) -> QueryPlanner:
+    """The row-at-a-time reference executor."""
+    return QueryPlanner(graph, cost_model=ROW_MODEL)
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +151,13 @@ class TestVectorConditionParity:
     def test_sharded_union_matches_monolithic(self, graph, condition,
                                               shards):
         expr = input_graph("G").select_nodes(condition)
-        mono = legacy_planner(graph).execute(expr)
+        mono = row_planner(graph).execute(expr)
         got = columnar_planner(graph, shards).execute(expr)
         assert got.result.same_as(mono.result)
 
 
 # ---------------------------------------------------------------------------
-# End-to-end differential parity: columnar vs legacy ranking
+# End-to-end differential parity: columnar vs row-at-a-time ranking
 # ---------------------------------------------------------------------------
 
 
@@ -171,14 +178,14 @@ def site_queries(draw):
 
 
 class TestColumnarRankingParity:
-    """legacy row executor vs columnar × {1, 2, 7} shards — one ranking."""
+    """row executor vs columnar × {1, 2, 7} shards — one ranking."""
 
     @settings(max_examples=25, deadline=None)
     @given(site_queries())
     def test_every_shard_count_ranks_identically(self, workload):
         graph, user, text, strategy = workload
         reference_discoverer = InformationDiscoverer(graph)
-        reference_discoverer.planner.cost_model = CostModel(columnar=False)
+        reference_discoverer.planner.cost_model = ROW_MODEL
         reference = reference_discoverer.rank(
             parse_query(user, text), strategy=strategy
         )
@@ -255,11 +262,12 @@ class TestColumnarInvalidation:
         assert [n.id for n in renamed_scan.result.nodes()] == ["i1"]
 
     def test_in_place_writes_invalidate_attr_postings(self):
+        # a ``name`` equality is served by the columnar scan, whose
+        # attribute columns are cut per generation
         manager, graph = factories.served(
             factories.social_site_graph(num_items=6)
         )
         planner = columnar_planner(graph)
-        planner.attach_attribute_index(("name",))
         expr = input_graph("G").select_nodes({"type": "item",
                                               "name": "fresh"})
         assert planner.execute(expr, env={"G": graph}).result.is_empty()
@@ -270,6 +278,7 @@ class TestColumnarInvalidation:
             manager, planner, lambda dm: dm.add_node(item)
         )
         after = planner.execute(expr, env={"G": live})
+        assert after.plan.uses_sharded_scan and after.degraded_ops == 0
         assert [n.id for n in after.result.nodes()] == ["i-live"]
 
     def test_in_place_link_writes_invalidate_link_buckets(self):
@@ -293,13 +302,12 @@ class TestColumnarInvalidation:
 
 
 # ---------------------------------------------------------------------------
-# Attribute-index access path
+# Attribute equalities ride the columnar scan
 # ---------------------------------------------------------------------------
 
 
 def attr_graph(num_items: int = 400) -> SocialContentGraph:
-    """Items where ``category="rare"`` is selective enough (2 of 400)
-    that postings beat even the vectorized columnar scan."""
+    """Items where ``category="rare"`` is selective (2 of 400)."""
     g = SocialContentGraph()
     for i in range(num_items):
         g.add_node(Node(i, type="item", name=f"spot {i}",
@@ -307,50 +315,73 @@ def attr_graph(num_items: int = 400) -> SocialContentGraph:
     return g
 
 
+def lowered_scans(plan) -> list:
+    return [op for op in plan._walk(plan.root, set())
+            if isinstance(op, (ScanOp, ShardedScanOp))]
+
+
 class TestAttrIndexPath:
+    """There is one access path for an attribute equality, whatever the
+    value's selectivity and whatever the store indexes: the columnar scan
+    above the population threshold, the row scan below it.  (The class
+    keeps its name for its ids; an attribute-posting path once served
+    selective values of the store's registered attributes.)"""
+
     def test_selective_values_lower_to_postings(self):
         planner = columnar_planner(attr_graph())
-        planner.attach_attribute_index(("category",))
         plan, _ = planner.compile(
             input_graph("G").select_nodes({"type": "item",
                                            "category": "rare"})
         )
-        ops = [op for op in plan._walk(plan.root, set())
-               if isinstance(op, AttrIndexScanOp)]
-        assert ops and ops[0].att == "category" and ops[0].value == "rare"
-        (decision,) = [d for d in plan.decisions if d.chosen == ATTR_INDEX]
-        assert "postings" in decision.reason
+        (op,) = lowered_scans(plan)
+        assert isinstance(op, ShardedScanOp) and op.prune_type == "item"
+        (decision,) = plan.decisions
+        assert decision.chosen == SHARDED
+        assert "columnar view" in decision.reason
 
     def test_common_values_stay_on_the_columnar_scan(self):
         planner = columnar_planner(attr_graph())
-        planner.attach_attribute_index(("category",))
-        plan, _ = planner.compile(
-            input_graph("G").select_nodes({"type": "item",
-                                           "category": "common"})
-        )
-        assert not any(isinstance(op, AttrIndexScanOp)
-                       for op in plan._walk(plan.root, set()))
+        plans = [
+            planner.compile(input_graph("G").select_nodes(
+                {"type": "item", "category": value}
+            ))[0]
+            for value in ("common", "rare", "absent")
+        ]
+        assert [type(op) for plan in plans
+                for op in lowered_scans(plan)] == [ShardedScanOp] * 3
 
     def test_posting_path_matches_the_scan_exactly(self):
         graph = attr_graph()
-        planner = columnar_planner(graph)
-        planner.attach_attribute_index(("category",))
         expr = input_graph("G").select_nodes(
             Condition({"type": "item", "category": "rare"},
                       keywords="spot")
         )
-        via_postings = planner.execute(expr)
-        assert via_postings.plan.decisions[0].chosen == ATTR_INDEX
-        via_scan = planner.execute(expr, access="scan")
-        assert via_postings.result.same_as(via_scan.result)
+        columnar = columnar_planner(graph).execute(expr)
+        assert columnar.plan.uses_sharded_scan
+        rows = row_planner(graph).execute(expr)
+        assert not rows.plan.uses_sharded_scan
+        assert columnar.result.same_as(rows.result)
+        assert {n.id for n in columnar.result.nodes()} == {0, 200}
 
     def test_unregistered_attributes_never_take_the_path(self):
-        planner = columnar_planner(attr_graph())
-        plan, _ = planner.compile(
-            input_graph("G").select_nodes({"category": "rare"})
+        # registering an attribute with the store changes no plan
+        site = attr_graph(600)
+        site.add_node(Node("u", type="user", name="u"))
+        request = SearchRequest(
+            user_id="u", structural={"type": "item", "category": "rare"},
+            explain=True,
         )
-        assert not any(isinstance(op, AttrIndexScanOp)
-                       for op in plan._walk(plan.root, set()))
+        rows = []
+        for indexed in ((), ("category", "name")):
+            manager = DataManager(indexed_attributes=indexed)
+            manager.load_graph(site)
+            response = Session(manager).run(request)
+            assert "[columnar:item]" in response.plan.text
+            rows.append([
+                (p.op, p.estimated, p.actual)
+                for p in response.plan.operators
+            ])
+        assert rows[0] == rows[1]
 
     def test_missing_provider_degrades_to_scan(self):
         from repro.plan import compile_plan
@@ -359,98 +390,112 @@ class TestAttrIndexPath:
         plan = compile_plan(
             input_graph("G").select_nodes({"type": "item",
                                            "category": "rare"}),
-            GraphStats.of(graph, indexed_attrs=("category",)),
+            GraphStats.of(graph),
             cost_model=CostModel(shard_scan_min_nodes=0.0),
-            indexed_attrs=frozenset({"category"}),
         )
-        assert any(isinstance(op, AttrIndexScanOp)
-                   for op in plan._walk(plan.root, set()))
-        execution = plan.execute({"G": graph})  # no attr provider
+        assert plan.uses_sharded_scan
+        execution = plan.execute({"G": graph})  # no shard provider
         assert execution.degraded_ops == 1
         assert {n.id for n in execution.result.nodes()} == {0, 200}
 
     def test_faulting_postings_fail_like_a_scan_fault(
         self, monkeypatch
     ):
-        """A posting fault is not degraded around: it reaches the caller
-        (a typed ``RequestFailure`` through the gateway), and the next
-        healthy execution takes the posting path again at once."""
+        """A fault reading an attribute column is not degraded around: it
+        reaches the caller (a typed ``RequestFailure`` through the
+        gateway), and the next healthy execution scans the columns again
+        at once."""
         graph = attr_graph()
         planner = columnar_planner(graph)
-        planner.attach_attribute_index(("category",))
         expr = input_graph("G").select_nodes(
             {"type": "item", "category": "rare"}
         )
         env = {"G": graph}  # bypass the sub-plan memo: every run executes
         healthy = planner.execute(expr, env=env)
 
-        site = attr_graph()
+        site = attr_graph(600)
         site.add_node(Node("u", type="user", name="u"))
         manager = DataManager(indexed_attributes=("category",))
         manager.load_graph(site)
         session = Session(manager)
-        posting_request = SearchRequest(
+        column_request = SearchRequest(
             user_id="u", structural={"type": "item", "category": "rare"}
         )
-        other_request = SearchRequest(user_id="u", text="spot")
+        # served from the semantic index: no attribute column is read
+        other_request = SearchRequest(user_id="u", text="spot",
+                                      use_index=True)
 
-        def corrupt(view, att, value):
-            raise RuntimeError("postings corrupt")
+        def corrupt(view, att):
+            raise RuntimeError("column corrupt")
 
         async def serve(*requests):
             async with ServeGateway(session) as gateway:
                 return [await gateway.submit("t", r) for r in requests]
 
-        monkeypatch.setattr(ColumnarShardView, "attr_posting_nodes", corrupt)
-        with pytest.raises(RuntimeError, match="postings corrupt"):
+        monkeypatch.setattr(ColumnarShardView, "column", corrupt)
+        with pytest.raises(RuntimeError, match="column corrupt"):
             planner.execute(expr, env=env)
-        failed, served = asyncio.run(serve(posting_request, other_request))
+        failed, served = asyncio.run(serve(column_request, other_request))
         assert isinstance(failed, RequestFailure)
         assert failed.kind == "RuntimeError"
-        assert "postings corrupt" in failed.message
+        assert "column corrupt" in failed.message
         assert isinstance(served, SearchResponse)
 
         monkeypatch.undo()
         recovered = planner.execute(expr, env=env)
         assert recovered.degraded_ops == 0
-        assert recovered.ctx.attr_postings_gathered  # the posting path
+        assert recovered.plan.uses_sharded_scan
         assert recovered.result.same_as(healthy.result)
-        (answered,) = asyncio.run(serve(posting_request))
+        (answered,) = asyncio.run(serve(column_request))
         assert isinstance(answered, SearchResponse)
 
     def test_observed_actuals_feed_the_attr_correction(self):
-        graph = attr_graph()
-        planner = columnar_planner(graph)
-        planner.attach_attribute_index(("category",))
-        planner.execute(input_graph("G").select_nodes(
+        # executing an equality leaves its estimate where the statistics
+        # put it: the type share times the default predicate selectivity
+        planner = columnar_planner(attr_graph())
+        expr = input_graph("G").select_nodes(
             {"type": "item", "category": "rare"}
-        ))
-        key = CardinalityFeedback.attr_key("category", "rare")
-        assert key in planner.feedback.snapshot()
+        )
+        plan, _ = planner.compile(expr)
+        estimate = plan.root.estimate(planner.stats).nodes
+        assert estimate == pytest.approx(400 * 0.5)
+        assert planner.execute(expr).result.num_nodes == 2
+        planner.cache.clear()
+        plan, _ = planner.compile(expr)
+        assert plan.root.estimate(planner.stats).nodes == estimate
 
     def test_attr_correction_observes_postings_not_residual_output(self):
-        # a residual conjunct keeps almost nothing: the posting estimate
-        # must NOT be ratcheted down by the other predicates' selectivity
-        graph = attr_graph()
-        planner = columnar_planner(graph)
-        planner.attach_attribute_index(("category",))
+        # conjuncts multiply in under independence, unchanged by any
+        # number of executions and refreshes
+        planner = columnar_planner(attr_graph())
         expr = input_graph("G").select_nodes(
             {"type": "item", "category": "rare", "name": "spot 0"}
         )
+        estimates = []
         for _ in range(4):
             execution = planner.execute(expr)
-            assert execution.result.num_nodes == 1  # residual kept one
-            planner.refresh(planner.graph)  # recompile → re-observe
-        key = CardinalityFeedback.attr_key("category", "rare")
-        # postings gathered == postings estimated (2), so the correction
-        # stays at (or returns to) neutral instead of hitting the floor
-        assert planner.feedback.factor(key) == pytest.approx(1.0, abs=0.01)
+            assert execution.result.num_nodes == 1
+            estimates.append(
+                execution.plan.root.estimate(planner.stats).nodes
+            )
+            planner.refresh(planner.graph)  # recompile
+        assert estimates == [pytest.approx(400 * 0.5 * 0.5)] * 4
 
     def test_session_mirrors_the_stores_registered_attributes(self):
+        # the store keeps its attribute indexes (management-layer API);
+        # the session's planner answers the same equality by scanning
         dm = DataManager(indexed_attributes=("name", "category"))
         dm.load_graph(factories.social_site_graph())
-        session = Session(dm)
-        assert session.planner.indexed_attrs == {"name", "category"}
+        assert dm.store.indexed_attributes == ("category", "name")
+        assert {n.id for n in dm.store.find_nodes("name", "item 1")} == \
+            {"i1"}
+        planner = Session(dm).planner
+        planner.cost_model = CostModel(shard_scan_min_nodes=0.0)
+        execution = planner.execute(
+            input_graph("G").select_nodes({"name": "item 1"})
+        )
+        assert execution.plan.uses_sharded_scan
+        assert [n.id for n in execution.result.nodes()] == ["i1"]
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +546,8 @@ class TestShardedLinkScan:
             input_graph("G").select_nodes({"id": "u0"}), ("src", "src")
         )
         sharded = columnar_planner(graph, 3).execute(expr)
-        legacy = legacy_planner(graph).execute(expr)
-        assert sharded.result.same_as(legacy.result)
+        rows = row_planner(graph).execute(expr)
+        assert sharded.result.same_as(rows.result)
 
     def test_foreign_environment_degrades(self):
         graph = factories.social_site_graph()
@@ -512,7 +557,7 @@ class TestShardedLinkScan:
         execution = planner.execute(expr, env={"G": other})
         assert execution.degraded_ops == 1
         assert execution.result.same_as(
-            legacy_planner(other).execute(expr).result
+            row_planner(other).execute(expr).result
         )
 
 
@@ -672,44 +717,55 @@ class TestPlanCacheEndpoint:
 
 
 # ---------------------------------------------------------------------------
-# Cardinality feedback reaches the strategy picker's inputs
+# The strategy picker and the social access path read the live statistics
 # ---------------------------------------------------------------------------
 
 
 class TestSocialFeedback:
+    """Served requests never move the social stage's expectations: the
+    strategy pick and the probe-vs-index choice are priced from the
+    connection and activity histograms alone.  (The class keeps its name
+    for its ids; execution actuals once corrected these numbers.)"""
+
     def test_basis_actuals_correct_the_expected_basis_size(self):
-        # a site whose served bases are far smaller than the histogram
-        # mean suggests: every factory user carries 5 connections, but
-        # the actual querying user is a loner — observed bases are empty
+        # every factory user carries 5 connections, but the querying user
+        # is a loner: the served bases are empty, and the expectation
+        # stays the histogram mean — so the lowered form stays put
         graph = factories.social_site_graph(num_users=8, num_items=8,
                                             friends_per_user=5)
         graph.add_node(Node("lone", type="user", name="loner"))
         discoverer = InformationDiscoverer(graph)
         planner = discoverer.planner
         raw = planner.stats.expected_basis_size()
-        assert raw > 2.0  # the histogram mean the picker used to trust
+        assert raw > 2.0
+        forms = set()
         for _ in range(6):
-            discoverer.rank(parse_query("lone", ""), strategy="friends")
-            planner.refresh(planner.graph)  # force recompiles → re-observe
-        key = CardinalityFeedback.basis_key()
-        assert planner.feedback.factor(key) < 1.0
-        assert planner.stats.expected_basis_size() < raw
+            ranked = discoverer.rank(parse_query("lone", ""),
+                                     strategy="friends")
+            forms.add(ranked.execution.plan.root.describe())
+            planner.refresh(planner.graph)  # force recompiles
+        assert planner.stats.expected_basis_size() == raw
+        assert len(forms) == 1
 
     def test_endorsement_actuals_feed_the_reach_correction(self):
         graph = factories.social_site_graph(num_users=5, num_items=6)
         discoverer = InformationDiscoverer(graph)
+        stats = discoverer.planner.stats
+        reach = stats.expected_basis_size() * stats.avg_act_degree()
+        assert stats.expected_endorsements() == pytest.approx(reach)
         discoverer.rank(parse_query("u0", ""), strategy="friends")
-        key = CardinalityFeedback.endorse_key()
-        assert key in discoverer.planner.feedback.snapshot()
+        assert discoverer.planner.stats.expected_endorsements() == \
+            pytest.approx(reach)
 
     def test_strategy_decision_reads_corrected_numbers(self):
         graph = factories.social_site_graph(num_users=6, num_items=6)
         planner = InformationDiscoverer(graph).planner
-        planner.feedback.observe(CardinalityFeedback.basis_key(), 8.0, 1.0)
-        corrected = planner.stats.expected_basis_size()
+        expected = GraphStats.of(graph).expected_basis_size()
         query = parse_query("u0", "")
-        execution = planner.discovery_pipeline(query, strategy="auto",
-                                               alpha=0.0)
-        decision = execution.plan.strategy_decision
-        assert decision is not None
-        assert f"{corrected:.1f}" in decision.reason
+        for _ in range(3):
+            planner.cache.clear()
+            execution = planner.discovery_pipeline(query, strategy="auto",
+                                                   alpha=0.0)
+            decision = execution.plan.strategy_decision
+            assert decision is not None
+            assert f"avg connection degree {expected:.1f}" in decision.reason
