@@ -168,69 +168,6 @@ def test_scan_vs_index_crossover(report, quick):
                 assert point["index_ms"] < point["scan_ms"]
 
 
-def sharded_workload(num_users: int, num_items: int) -> SocialContentGraph:
-    """A mixed population: type-pinned scans must skip the user half."""
-    g = SocialContentGraph()
-    for u in range(num_users):
-        g.add_node(Node(f"u{u}", type="user", name=f"user {u}"))
-    for i in range(num_items):
-        text = "needle gem" if i % 50 == 0 else "filler words everywhere"
-        g.add_node(Node(i, type="item", name=f"spot {i}", keywords=text))
-    return g
-
-
-def test_shard_and_worker_sweep(report, quick):
-    """Sweep the columnar scan over shard counts.
-
-    Every configuration must select the same records; the table shows
-    what scattering a covered type scan across partitions costs against
-    the monolithic columnar view.  The explicit environment bypasses the
-    planner's sub-plan memo: this measures the executors, not the memo.
-    """
-    from repro.plan import CostModel, QueryPlanner
-
-    num_users, num_items = (400, 600) if quick else (8_000, 12_000)
-    rounds = 2 if quick else 8
-    graph = sharded_workload(num_users, num_items)
-    expr = input_graph("G").select_nodes({"type": "item"})
-    env = {"G": graph}
-    sweep = []
-    reference = None
-    for shards in (1, 2, 4):  # 1 = the monolithic columnar view
-        planner = QueryPlanner(
-            graph, cost_model=CostModel(shard_scan_min_nodes=64.0),
-        )
-        if shards > 1:
-            planner.attach_shards(shards)
-        execution = planner.execute(expr, env=env)  # prime plan + views
-        ids = sorted(n.id for n in execution.result.nodes())
-        if reference is None:
-            reference = ids
-        assert ids == reference  # parity across every configuration
-        elapsed = float("inf")
-        for _ in range(1 if quick else 3):  # min-of-3 damps runner noise
-            start = time.perf_counter()
-            for _ in range(rounds):
-                execution = planner.execute(expr, env=env)
-            elapsed = min(elapsed, (time.perf_counter() - start) / rounds)
-        sweep.append({"shards": shards, "scan_ms": elapsed * 1e3})
-
-    RESULTS["shard_sweep"] = {
-        "num_users": num_users,
-        "num_items": num_items,
-        "points": sweep,
-    }
-    lines = [
-        "",
-        f"=== Columnar scan sweep ({num_users} users + {num_items} items, "
-        "σN type=item) ===",
-        "  shards   scan ms",
-    ]
-    for point in sweep:
-        lines.append(f"  {point['shards']:6d}  {point['scan_ms']:8.2f}")
-    report(*lines)
-
-
 def test_social_index_vs_scan_crossover(report, quick):
     """Sweep endorsement density; record the social access-path choice.
 
@@ -410,4 +347,4 @@ def test_emit_bench_json(report, quick):
     report("", f"BENCH_plan.json written: {OUTPUT}")
     assert OUTPUT.exists()
     assert {"compile", "selectivity_sweep", "social_access_sweep",
-            "shard_sweep", "cf", "rank"} <= RESULTS.keys()
+            "cf", "rank"} <= RESULTS.keys()

@@ -55,7 +55,7 @@ def durable_site(tmp_path_factory, quick):
     )
     site = tmp_path_factory.mktemp("durable_site")
 
-    dm = DataManager(shards=4)
+    dm = DataManager()
     dm.load_graph(generated.graph)
     dm.enable_wal(site / "wal")
     session = Session(dm)

@@ -8,8 +8,8 @@ deterministic :class:`~repro.testing.faults.FaultSchedule` — keyed on
 the submitted-request index, so a seeded run arms the same faults at
 the same requests every time — injects, mid-run:
 
-* **slow shards** (``physical.scan_shard`` sleeps) — latency, not error;
-* **failing shard scans** (``physical.scan_shard`` raises) — an
+* **slow scans** (``physical.scan`` sleeps) — latency, not error;
+* **failing scans** (``physical.scan`` raises) — an
   in-process execution has no rung below it, so each injected failure
   surfaces as one typed ``RequestFailure`` and poisons nothing else;
 * **hung executor slots** (``serve.batch`` sleeps 3 s, three times,
@@ -17,6 +17,12 @@ the same requests every time — injects, mid-run:
   request with a typed ``DeadlineExceeded``;
 * **a corrupted checkpoint** (``persist.snapshot`` bit-flip) — the
   read-side CRC refuses it loudly.
+
+Every base-graph scan runs columnar (the population floor is zeroed, so
+the quick site's 240 nodes qualify too), the scan phases' requests take
+the scan path (``use_index=False``), and those phases run cache-cold —
+before each of their submissions the planner drops its sub-plan memo
+and columnar view — so the phases' requests really scan.
 
 What must hold (assertion, not vibes):
 
@@ -30,6 +36,8 @@ What must hold (assertion, not vibes):
    pre-chaos sequential reference to 1e-9, faults or no faults.
 5. **Clean recovery** — after the schedule finishes, a clean wave
    serves 100%.
+6. **The scan faults fired** — the scan point fired in both the slow
+   and the failing phase; a phase it never reached tested nothing.
 
 ``python benchmarks/chaos_smoke.py --quick`` is the CI chaos-smoke
 entry point (exit 0/1).
@@ -39,14 +47,17 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import shutil
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.api import SearchRequest, SearchResponse, Session, SessionConfig
+from repro.api import SearchRequest, SearchResponse, Session
+from repro.core.faults import FaultHandler
 from repro.errors import PersistenceError
 from repro.management.persist import snapshot_graph
 from repro.serve import (
@@ -75,22 +86,39 @@ TOL = 1e-9
 HUNG_SLOTS = 3
 
 
-def build_schedule(total: int) -> FaultSchedule:
-    """The fault timeline, proportional to the drive length."""
+def counted(handler: FaultHandler, fired: dict[str, int],
+            phase: str) -> FaultHandler:
+    """*handler*, counting its calls under *phase* in *fired* (worker
+    threads fire it concurrently)."""
+    lock = threading.Lock()
+
+    def count(name: str, **info: object) -> None:
+        with lock:
+            fired[phase] += 1
+        handler(name, **info)
+
+    return count
+
+
+def build_schedule(total: int, fired: dict[str, int]) -> FaultSchedule:
+    """The fault timeline, proportional to the drive length.
+
+    The scan phases count into *fired* how often the scan point fired.
+    """
 
     def at(fraction: float) -> int:
         return int(total * fraction)
 
     return FaultSchedule([
-        # slow shards: latency injection, answers must not change
+        # slow scans: latency injection, answers must not change
         FaultPhase(start=at(0.20), stop=at(0.35), handlers={
-            "physical.scan_shard": sleeping(0.002),
+            "physical.scan": counted(sleeping(0.002), fired, "slow"),
         }),
-        # failing shard scans: typed RequestFailures, nothing wedged
+        # failing scans: typed RequestFailures, nothing wedged
         FaultPhase(start=at(0.40), stop=at(0.55), handlers={
-            "physical.scan_shard": raising(
-                lambda: RuntimeError("chaos: shard scan blew up"), times=4
-            ),
+            "physical.scan": counted(raising(
+                lambda: RuntimeError("chaos: scan blew up"), times=4
+            ), fired, "failing"),
         }),
         # hung executor slots: the deadline answers, never a stuck future
         FaultPhase(start=at(0.60), stop=at(0.75), handlers={
@@ -126,8 +154,10 @@ async def drive_chaos(
     stream: Sequence[tuple[str, SearchRequest]],
     schedule: FaultSchedule,
     concurrency: int,
+    at_index: Callable[[int], None] = lambda index: None,
 ) -> list[tuple[SearchRequest, object]]:
-    """Closed-loop drive; the schedule is polled per submitted index."""
+    """Closed-loop drive; the schedule is polled per submitted index, and
+    *at_index* called after it."""
     outcomes: list[tuple[SearchRequest, object]] = []
     position = 0
 
@@ -137,6 +167,7 @@ async def drive_chaos(
             index = position
             position += 1
             schedule.poll(index)
+            at_index(index)
             tenant, request = stream[index]
             outcome = await gateway.submit(tenant, request)
             outcomes.append((request, outcome))
@@ -166,12 +197,32 @@ def main(argv: Sequence[str] | None = None) -> int:
         budget_s = 300.0
 
     site = build_site(site_config)
-    # sharded, so per-shard scans (and their fault point) exist
-    session = Session.from_graph(site.graph, SessionConfig(shards=4))
+    session = Session.from_graph(site.graph)
+    # every base scan columnar, so the scan fault point is on the path
+    session.planner.cost_model = dataclasses.replace(
+        session.planner.cost_model, columnar_scan_min_nodes=0.0
+    )
     mix = LoadMix.for_site(
         site.user_ids, site.categories, LoadMixConfig(seed=args.seed)
     )
-    stream = mix.stream(total)
+    fired = {"slow": 0, "failing": 0}
+    schedule = build_schedule(total, fired)
+    scan_phases = [
+        phase for phase in schedule.phases
+        if "physical.scan" in phase.handlers
+    ]
+
+    def in_scan_phase(index: int) -> bool:
+        return any(phase.start <= index < phase.stop
+                   for phase in scan_phases)
+
+    # the scan phases' requests take the scan path: the index path reads
+    # no columnar view
+    stream = [
+        (tenant, request.replace(use_index=False) if in_scan_phase(index)
+         else request)
+        for index, (tenant, request) in enumerate(mix.stream(total))
+    ]
     clean_stream = mix.stream(clean_total)
     reference = reference_responses(session, stream + clean_stream)
 
@@ -183,13 +234,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             max_depth=512,
         ),
     )
-    schedule = build_schedule(total)
+
+    def cold_scan_phase(index: int) -> None:
+        # and they run cache-cold: the references warmed every memo
+        # entry, and a memo hit runs no scan
+        if in_scan_phase(index):
+            session.planner.refresh(session.planner.graph)
+
     failures: list[str] = []
 
     async def run(chaos_dir: Path) -> tuple[list, list, object, dict | None]:
         async with ServeGateway(session, config) as gateway:
             chaos_outcomes = await drive_chaos(
-                gateway, stream, schedule, concurrency
+                gateway, stream, schedule, concurrency, cold_scan_phase
             )
             schedule.finish()
             # a corrupted checkpoint must be refused at read time, typed
@@ -277,6 +334,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "corrupted checkpoint was NOT refused at read time"
         )
 
+    # 6. the scan phases reached a scan
+    for phase, count in fired.items():
+        if count == 0:
+            failures.append(f"the scan point never fired in the {phase} "
+                            "phase")
+
     print("=== chaos smoke ===")
     print(f"  drive:      {total} chaos + {clean_total} clean requests, "
           f"{concurrency} clients, {duration:.1f}s")
@@ -285,6 +348,8 @@ def main(argv: Sequence[str] | None = None) -> int:
           f"deadline {counts['deadline']}")
     print(f"  deadline:   {stats.deadline_expired} expiries (gateway-side; "
           f">= {HUNG_SLOTS} for the hung slots)")
+    print(f"  scan point: fired {fired['slow']}x slow, "
+          f"{fired['failing']}x failing")
     if corrupt_error is not None:
         print("  checkpoint: corrupted snapshot refused (CRC verify)")
     if failures:

@@ -78,7 +78,7 @@ def phase_seed(site: Path) -> None:
     from repro.core import Link, Node
     from repro.management.wal import list_segments
 
-    dm = DataManager(shards=4)
+    dm = DataManager()
     dm.load_graph(
         build_site(WorkloadConfig(num_users=30, num_items=60, seed=7)).graph
     )

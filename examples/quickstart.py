@@ -171,21 +171,13 @@ print(f"  auto strategy pick: {pick.chosen} ({pick.reason})")
 assert auto.resolved["social_strategy"] == pick.chosen
 
 # ---------------------------------------------------------------------------
-# 5. Scale out: partitioned storage and columnar scans.
+# 5. A bigger site: the window is pushed into the ranking.
 # ---------------------------------------------------------------------------
-# SessionConfig(shards=N) backs the Data Manager with a hash-partitioned
-# PartitionedGraphStore (same interface, N shards with per-shard stats),
-# and the planner then scatters large base-graph scans across per-shard
-# *columnar* views: each partition holds its nodes as columns (type
-# buckets, dictionary-encoded attributes, term postings), the selection
-# compiles into a vectorized evaluator over them, and real node records
-# only materialise for the survivors — at the single union that hands
-# the next operator its graph.  The plan itself always runs by one
-# sequential recursion over its operators; §9 shows the one other way a
-# *scan* can run.
-from repro.api import SessionConfig
-from repro.plan import CostModel
-
+# The site is stored in one partition.  Large base-graph scans run over
+# the planner's *columnar* view of it — type buckets, dictionary-encoded
+# attributes, term postings — and real node records only materialise
+# for the survivors; this small site stays on the row scan.  Either
+# way, the ranking stage orders only the requested window.
 big = SocialContentGraph()
 for u in range(80):
     big.add_node(Node(f"u{u}", type="user", name=f"traveler {u}"))
@@ -199,24 +191,16 @@ for u in range(80):
         big.add_link(Link(f"a{u}-{step}", f"u{u}", f"d{(u * 5 + step) % 400}",
                           type="act, visit"))
 
-sharded = Session.from_graph(big, SessionConfig(shards=4))
-# the demo graph is small, so lower the scatter threshold to see it work
-sharded.planner.cost_model = CostModel(shard_scan_min_nodes=64.0)
-
-flat = Session.from_graph(big)
-recommendation = sharded.query("u0").limit(5).explain().run()
-assert recommendation.items == flat.query("u0").limit(5).run().items
-print(f"\nsharded session: sharded={recommendation.plan.sharded}")
-# EXPLAIN shows the columnar access path — the σN row reads
-# "[sharded×4:…]" (partition-scattered, pruned/covered by the
-# partition-local type buckets) — broken down per shard; and the header
-# carries the top-k bound the .limit(5) budget pushed into the ranking stage (the sort is
-# a heap selection of 5, not a full ordering of every candidate):
+site = Session.from_graph(big)
+recommendation = site.query("u0").limit(5).explain().run()
+print(f"\nbigger site: {len(recommendation.items)} recommendations")
+# the EXPLAIN header carries the top-k bound the .limit(5) budget pushed
+# into the ranking stage (the sort is a heap selection of 5, not a full
+# ordering of every candidate):
 assert "top-k=5" in recommendation.plan.text
 assert recommendation.plan.topk == 5
 for op in recommendation.plan.operators:
-    if op.shard is not None or "sharded" in op.op:
-        print(f"  {'  ' * op.depth}{op.op}: {op.actual.nodes:.0f} nodes")
+    print(f"  {'  ' * op.depth}{op.op}: {op.actual.nodes:.0f} nodes")
 
 # ---------------------------------------------------------------------------
 # 6. Serve many tenants at once: the asyncio gateway.
@@ -237,7 +221,7 @@ hot = SearchRequest(user_id="u0", text="denver", k=5)
 
 
 async def serve_demo():
-    async with ServeGateway(sharded) as gateway:
+    async with ServeGateway(site) as gateway:
         outcomes = await asyncio.gather(
             gateway.submit("alice", hot),
             gateway.submit("bob", hot.replace(k=3)),
@@ -268,7 +252,7 @@ tight = GatewayConfig(admission=AdmissionPolicy(
 
 
 async def overload_demo():
-    async with ServeGateway(sharded, tight) as gateway:
+    async with ServeGateway(site, tight) as gateway:
         return await asyncio.gather(*(
             gateway.submit("greedy", hot) for _ in range(4)
         ))
@@ -292,7 +276,7 @@ impatient = GatewayConfig(default_deadline_s=1e-4)
 
 
 async def deadline_demo():
-    async with ServeGateway(sharded, impatient) as gateway:
+    async with ServeGateway(site, impatient) as gateway:
         return await gateway.submit("latency-bound", hot), gateway.stats()
 
 
@@ -306,8 +290,8 @@ assert dstats.deadline_expired == 1
 # ---------------------------------------------------------------------------
 # 7. Durability: save the site, kill the process, recover — warm.
 # ---------------------------------------------------------------------------
-# A site is one directory: per-shard snapshot files (CRC-verified JSON
-# lines), MANIFEST.json, and an append-only activity WAL.  Every
+# A site is one directory: a snapshot file (CRC-verified JSON lines),
+# MANIFEST.json, and an append-only activity WAL.  Every
 # add_node/add_link/delete after enable_wal() journals before it
 # acknowledges; Session.save() checkpoints atomically and rotates the
 # log, so recovery is "load snapshot + replay the short tail".  (The
@@ -319,20 +303,20 @@ from pathlib import Path
 from repro.errors import RestartCursorError
 
 site_dir = Path(tempfile.mkdtemp(prefix="socialscope-site-"))
-sharded.data_manager.enable_wal(site_dir / "wal")
+site.data_manager.enable_wal(site_dir / "wal")
 
-before = sharded.run(SearchRequest(user_id="u0", text="denver", k=5,
-                                   page_size=3))
+before = site.run(SearchRequest(user_id="u0", text="denver", k=5,
+                                page_size=3))
 stale_cursor = before.page_info.next_cursor
 assert stale_cursor is not None  # a second page exists to come back for
-sharded.save(site_dir)
+site.save(site_dir)
 
 # Post-checkpoint activity lands only in the WAL — exactly what a crash
 # would strand — and the "crash": the session object simply goes away.
-sharded.data_manager.add_node(Node("d-late", type="item, destination",
-                                   name="late spot", keywords="denver"))
-sharded.data_manager.wal.sync()
-del sharded
+site.data_manager.add_node(Node("d-late", type="item, destination",
+                                name="late spot", keywords="denver"))
+site.data_manager.wal.sync()
+del site
 
 # Recovery = snapshot + WAL tail.  The restore is *warm*: the manifest
 # carries a plan-warming recipe list, replayed through the planner — so

@@ -93,10 +93,9 @@ class SessionConfig:
     #: analyses to run automatically on construction (names from the
     #: ContentAnalyzer registry); empty = none.
     auto_analyses: tuple[str, ...] = ()
-    #: graph partitions: >1 backs :meth:`Session.from_graph` with a
-    #: :class:`~repro.management.PartitionedGraphStore` and lowers large
-    #: base scans to the scattered form.  A session over an existing
-    #: Data Manager inherits the manager's own shard count instead.
+    #: inert: the store is one partition.  The field stays only because
+    #: the frozen ``benchmarks/e2e/direct.py`` passes ``shards=``; it goes
+    #: in the next benchmark PR.
     shards: int = 1
     #: inert: every scan runs on the calling thread.  The field, its two
     #: accepted spellings and :meth:`Session.close` stay only because the
@@ -210,11 +209,6 @@ class Session:
             provider=lambda: this().semantic_index,
             scorer_provider=lambda: this().discoverer.semantic.scorer,
         )
-        # Physical-layer wiring: the store's partitioning (or an explicit
-        # config request) enables sharded scans.
-        shards = max(data_manager.num_shards, self.config.shards)
-        if shards > 1:
-            self.discoverer.planner.attach_shards(shards)
         self.organizer = InformationOrganizer(
             self.analyzer.graph, config=self.config.organizer
         )
@@ -232,8 +226,7 @@ class Session:
         config: SessionConfig | None = None,
     ) -> "Session":
         """Build a session around an existing logical graph."""
-        shards = config.shards if config is not None else 1
-        dm = DataManager(shards=shards)
+        dm = DataManager()
         dm.load_graph(graph)
         return cls(dm, config)
 
@@ -241,7 +234,7 @@ class Session:
     def save(self, directory: str | Path) -> dict[str, Any]:
         """Checkpoint the whole serving site into *directory*.
 
-        The data manager writes the per-shard snapshot + rotates its WAL
+        The data manager writes the site snapshot + rotates its WAL
         (:meth:`~repro.management.DataManager.checkpoint`); the session's
         own state rides along in the manifest's ``extra`` mapping — the
         refresh epoch and boot token (cursor continuity), the analysis

@@ -1,7 +1,7 @@
 """Named fault points: zero-cost no-ops unless a test harness arms them.
 
 Production modules call :func:`fault_point` at the places where real
-deployments fail — a shard scan, a WAL fsync, a snapshot write, a
+deployments fail — a columnar scan, a WAL fsync, a snapshot write, a
 gateway dispatch.  The call is a dict lookup
 guarded by a single ``is None`` check, so the unarmed serving path pays
 one branch per site and nothing else.
@@ -10,8 +10,8 @@ Arming lives in :mod:`repro.testing.faults` — a package production code
 is forbidden (archcheck rule T001) from importing, so the only way a
 fault can fire in a process is for test/bench code to have armed it
 explicitly.  This module deliberately knows nothing about *what* a
-handler does: it receives the site name plus keyword context (paths,
-shard ids) and may raise, sleep, or mutate state.
+handler does: it receives the site name plus keyword context (paths)
+and may raise, sleep, or mutate state.
 """
 
 from __future__ import annotations

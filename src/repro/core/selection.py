@@ -69,7 +69,7 @@ def select_matching_nodes(
     """The Node Selection kernel over an explicit node population.
 
     Shared by :func:`select_nodes` (whole-graph scan) and the plan
-    layer's sharded scan (per-partition populations): one body, so the
+    layer's columnar scan (a type bucket's population): one body, so the
     two access paths cannot drift on predicate or scoring semantics.
     """
     want_scores = scorer is not None or cond.has_keywords
@@ -92,8 +92,9 @@ def select_matching_links(
     """The Link Selection kernel over an explicit link population.
 
     Shared by :func:`select_links` (whole-graph scan) and the plan
-    layer's sharded link scan (per-partition populations): one body, so
-    the two access paths cannot drift on predicate or scoring semantics.
+    layer's columnar link scan (a link-type bucket's population): one
+    body, so the two access paths cannot drift on predicate or scoring
+    semantics.
     """
     want_scores = scorer is not None or cond.has_keywords
     scoring = resolve_scorer(scorer)

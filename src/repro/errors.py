@@ -142,8 +142,8 @@ class ServeError(SocialScopeError):
 class DeadlineError(SocialScopeError):
     """A cooperative deadline check fired inside plan execution.
 
-    Raised between physical operators and between per-shard subtasks
-    when the request's deadline has passed; the serving layer catches it
+    Raised between physical operators when the request's deadline has
+    passed; the serving layer catches it
     and converts to the typed ``DeadlineExceeded`` shed value (the
     *outcome* is a value, like ``Overloaded`` — the exception exists
     only to unwind the executing plan promptly).

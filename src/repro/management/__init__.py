@@ -39,14 +39,7 @@ from repro.management.remote import (
     SCOPE_PROFILE,
     SCOPE_WRITE,
 )
-from repro.management.storage import (
-    DERIVED,
-    GraphStore,
-    LOCAL,
-    PartitionedGraphStore,
-    StoreStats,
-    shard_of,
-)
+from repro.management.storage import DERIVED, GraphStore, LOCAL, StoreStats
 from repro.management.sync import SyncMetrics, SyncScheduler, uniform_profiles
 from repro.management.wal import (
     WalTail,
@@ -56,7 +49,7 @@ from repro.management.wal import (
 )
 
 __all__ = [
-    "GraphStore", "PartitionedGraphStore", "StoreStats", "shard_of",
+    "GraphStore", "StoreStats",
     "LOCAL", "DERIVED",
     "DataManager",
     "RemoteSocialSite", "Profile", "Activity", "CallLog",

@@ -26,12 +26,7 @@ from repro.core.serialize import link_to_dict, node_to_dict
 from repro.management.activity import ActivityManager, UserActivityProfile
 from repro.management.integrator import ContentIntegrator, IntegrationReport
 from repro.management.remote import RemoteSocialSite
-from repro.management.storage import (
-    DERIVED,
-    GraphStore,
-    LOCAL,
-    PartitionedGraphStore,
-)
+from repro.management.storage import DERIVED, GraphStore, LOCAL
 from repro.management.sync import SyncScheduler
 from repro.management.wal import (
     OP_DEL_LINK,
@@ -48,27 +43,12 @@ CHANGE_LOG_BOUND = 1024
 
 
 class DataManager:
-    """Facade over physical storage + integration + refresh policy.
-
-    *shards* > 1 backs the manager with a
-    :class:`~repro.management.storage.PartitionedGraphStore`; the logical
-    surface is unchanged (the partitioning is a physical choice, exactly
-    as §3 promises), but the plan layer can then scatter scans across the
-    shard populations.
-    """
+    """Facade over physical storage + integration + refresh policy."""
 
     def __init__(self, site_name: str = "socialscope",
-                 indexed_attributes: tuple[str, ...] = ("name",),
-                 shards: int = 1):
+                 indexed_attributes: tuple[str, ...] = ("name",)):
         self.site_name = site_name
-        if shards > 1:
-            self.store: GraphStore | PartitionedGraphStore = (
-                PartitionedGraphStore(
-                    indexed_attributes=indexed_attributes, num_shards=shards
-                )
-            )
-        else:
-            self.store = GraphStore(indexed_attributes=indexed_attributes)
+        self.store = GraphStore(indexed_attributes=indexed_attributes)
         # Every import that wrote is a (bulk) change of this manager's.
         # The hook holds the manager weakly: manager → integrator → hook
         # → manager would leave a dropped manager, store and all, to the
@@ -94,11 +74,6 @@ class DataManager:
         self._wal: WalWriter | None = None
         #: high watermark: the WAL seq of the last write reflected here
         self._applied_seq = 0
-
-    @property
-    def num_shards(self) -> int:
-        """Shard count of the backing store (1 for the monolithic store)."""
-        return getattr(self.store, "num_shards", 1)
 
     @property
     def version(self) -> int:
@@ -131,11 +106,8 @@ class DataManager:
         """The record changes that took the site from *version* to now.
 
         ``None`` when the feed cannot itemise the step: a bulk load, an
-        integration pull or a recovery lies in between, *version* is
-        further back than the log reaches (or not one of this manager's),
-        or — on the partitioned store, whose snapshot iterates shard by
-        shard — the step inserted a record, which a patched graph would
-        iterate in another place than ``store.snapshot()`` does.
+        integration pull or a recovery lies in between, or *version* is
+        further back than the log reaches (or not one of this manager's).
         """
         if not self._changes_floor <= version <= self._version:
             return None
@@ -144,8 +116,6 @@ class DataManager:
             if at <= version:
                 break
             recent.append(change)
-        if self.num_shards > 1 and any(c.old is None for c in recent):
-            return None
         recent.reverse()
         return GraphDelta(recent)
 

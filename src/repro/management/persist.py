@@ -1,4 +1,4 @@
-"""Durable sites: per-shard snapshots + WAL recovery (the paper's §5 tier).
+"""Durable sites: a site snapshot + WAL recovery (the paper's §5 tier).
 
 The content-management tier assumes the site's graph and indexes outlive
 any single process; this module is where that promise
@@ -6,13 +6,19 @@ is kept.  A **site snapshot** is a directory::
 
     <site>/
       MANIFEST.json          -- committed last; its presence = a snapshot
-      shard-0000.jsonl       -- one v2 JSON-lines file per physical shard
-      shard-0001.jsonl          (records carry provenance ``origin``)
+      shard-0000.jsonl       -- the v2 JSON-lines records file
+                                (records carry provenance ``origin``)
       wal/
         wal-000000000042.log -- CRC-framed activity tail (see wal.py)
 
-Shard files are the :mod:`repro.core.serialize` JSON-lines codec with the
-v2 extras: the header carries shard metadata, every record carries its
+A checkpoint writes one records file and a manifest saying
+``"num_shards": 1``.  Sites saved when the store could be hash-sharded
+list one ``shard-NNNN.jsonl`` per shard; recovery reads every file the
+manifest lists into the one store, nodes first, so such a site restores
+unchanged.
+
+Records files are the :mod:`repro.core.serialize` JSON-lines codec with
+the v2 extras: the header carries the file's counts, every record carries its
 ``origin`` so provenance survives the round trip, and each file's CRC32
 is recorded in the manifest — a snapshot that does not verify refuses to
 recover rather than serving silently wrong rankings.
@@ -60,11 +66,7 @@ from repro.core.serialize import (
 )
 from repro.errors import PersistenceError
 from repro.management import wal as walmod
-from repro.management.storage import (
-    GraphStore,
-    LOCAL,
-    PartitionedGraphStore,
-)
+from repro.management.storage import GraphStore, LOCAL
 
 SNAPSHOT_FORMAT = "socialscope-site"
 SNAPSHOT_VERSION = 2  # 1 also carried a graph write counter: still read
@@ -113,36 +115,26 @@ class RecoveredSite:
 # ---------------------------------------------------------------------------
 
 
-def _shard_stores(store: GraphStore | PartitionedGraphStore) -> list[GraphStore]:
-    if isinstance(store, PartitionedGraphStore):
-        return list(store.shards)
-    return [store]
-
-
-def _shard_lines(
-    store: GraphStore | PartitionedGraphStore,
-    shard: GraphStore,
-    index: int,
-) -> str:
-    """One shard's v2 JSON-lines document (deterministic record order)."""
+def _records_lines(store: GraphStore) -> str:
+    """The store's v2 JSON-lines document (deterministic record order)."""
     lines = [
         dumps_strict(
             jsonl_header(
                 meta={
-                    "shard": index,
-                    "nodes": shard.num_nodes,
-                    "links": shard.num_links,
+                    "shard": 0,
+                    "nodes": store.num_nodes,
+                    "links": store.num_links,
                 }
             )
         )
     ]
-    for node in sorted(shard._nodes.values(), key=lambda n: repr(n.id)):
+    for node in sorted(store._nodes.values(), key=lambda n: repr(n.id)):
         record = {"kind": "node", **node_to_dict(node)}
         origin = store.origin_of("node", node.id)
         if origin is not None:
             record["origin"] = origin
         lines.append(dumps_strict(record))
-    for link in sorted(shard._links.values(), key=lambda l: repr(l.id)):
+    for link in sorted(store._links.values(), key=lambda l: repr(l.id)):
         record = {"kind": "link", **link_to_dict(link)}
         origin = store.origin_of("link", link.id)
         if origin is not None:
@@ -165,28 +157,22 @@ def write_snapshot(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     store = data_manager.store
-    shards = _shard_stores(store)
-    shard_entries = []
-    for index, shard in enumerate(shards):
-        file_name = f"shard-{index:04d}.jsonl"
-        crc = _write_atomic(
-            directory / file_name, _shard_lines(store, shard, index)
-        )
-        shard_entries.append({
-            "file": file_name,
-            "nodes": shard.num_nodes,
-            "links": shard.num_links,
-            "crc32": crc,
-        })
+    file_name = "shard-0000.jsonl"
+    crc = _write_atomic(directory / file_name, _records_lines(store))
     manifest: dict[str, Any] = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
         "site_name": data_manager.site_name,
-        "num_shards": len(shards),
+        "num_shards": 1,
         "indexed_attributes": list(data_manager.indexed_attributes),
         "dm_version": data_manager.version,
         "applied_seq": data_manager.applied_seq,
-        "shards": shard_entries,
+        "shards": [{
+            "file": file_name,
+            "nodes": store.num_nodes,
+            "links": store.num_links,
+            "crc32": crc,
+        }],
         "extra": dict(extra or {}),
     }
     _write_atomic(directory / MANIFEST_NAME, dumps_strict(manifest, indent=1))
@@ -227,7 +213,7 @@ def _load_shard_records(
 ) -> list[dict[str, Any]]:
     path = directory / entry["file"]
     if not path.exists():
-        raise PersistenceError(f"snapshot shard file missing: {path}")
+        raise PersistenceError(f"snapshot records file missing: {path}")
     data = path.read_bytes()
     crc = zlib.crc32(data) & 0xFFFFFFFF
     if crc != entry["crc32"]:
@@ -282,9 +268,9 @@ def recover_data_manager(
     dm = DataManager(
         site_name=manifest["site_name"],
         indexed_attributes=tuple(manifest["indexed_attributes"]),
-        shards=manifest["num_shards"],
     )
-    # Phase 1: all nodes from every shard (links may cross shards).
+    # Phase 1: all nodes from every listed file, then all links (a site
+    # saved sharded stored a link apart from its target node).
     shard_records = [
         _load_shard_records(directory, entry) for entry in manifest["shards"]
     ]

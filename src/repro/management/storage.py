@@ -12,17 +12,6 @@ in-memory record store with
   external site, or a derivation),
 * maintained statistics for the optimizer (:class:`repro.core.stats.GraphStats`).
 
-:class:`PartitionedGraphStore` is the scale-out form of the same
-abstraction: records hash-partition across a configurable number of
-shards (nodes by node id; links ride with their source node so outgoing
-adjacency stays shard-local), each shard maintains its own
-:class:`StoreStats`, and the read surface is identical — ``snapshot``
-unions the shards, ``find_nodes`` scatters the lookup, ``graph_stats``
-merges the per-shard statistics.  Upper layers (the Data Manager, sync,
-the integrator) cannot tell the two apart; the plan layer *can* ask for
-per-shard views (:meth:`PartitionedGraphStore.shard_snapshot`) to scatter
-a scan.
-
 The logical layer (:class:`repro.core.graph.SocialContentGraph`) is
 produced on demand via :meth:`snapshot` / :meth:`view`; algebra operators
 never see the store.
@@ -35,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from repro.core import Id, Link, Node, SocialContentGraph
-from repro.core.partition import shard_of
 from repro.core.stats import GraphStats
 from repro.errors import (
     DanglingLinkError,
@@ -43,11 +31,6 @@ from repro.errors import (
     UnknownLinkError,
     UnknownNodeError,
 )
-
-# ``shard_of`` moved to :mod:`repro.core.partition` (the plan layer's
-# columnar scatter needs it and must not import management — see the
-# layering DAG in docs/ARCHITECTURE.md); re-imported above so existing
-# ``from repro.management.storage import shard_of`` callers keep working.
 
 #: Provenance values for the ``origin`` of records (paper §3: information
 #: may be locally owned, externally integrated, or derived).
@@ -72,17 +55,6 @@ class StoreStats:
             node_types=Counter(self.node_types),
             link_types=Counter(self.link_types),
         )
-
-    @classmethod
-    def merged(cls, parts: Iterable["StoreStats"]) -> "StoreStats":
-        """Aggregate per-shard statistics into one site-wide view."""
-        total = cls()
-        for part in parts:
-            total.node_types.update(part.node_types)
-            total.link_types.update(part.link_types)
-            total.writes += part.writes
-            total.deletes += part.deletes
-        return total
 
 
 class GraphStore:
@@ -192,12 +164,8 @@ class GraphStore:
     # ------------------------------------------------------------------ read
     @property
     def indexed_attributes(self) -> tuple[str, ...]:
-        """The attributes this store maintains value indexes for.
-
-        The planner mirrors this registration: selections that pin one of
-        these attributes may take the attribute-index access path
-        (per-shard value postings) instead of scanning the population.
-        """
+        """The attributes this store maintains value indexes for
+        (:meth:`find_nodes`)."""
         return tuple(sorted(self._attr_indexes))
 
     def node(self, node_id: Id) -> Node:
@@ -287,261 +255,4 @@ class GraphStore:
 
     def graph_stats(self) -> GraphStats:
         """Optimizer statistics reflecting the current contents."""
-        return self.stats.as_graph_stats(self.num_nodes, self.num_links)
-
-
-class PartitionedGraphStore:
-    """A hash-partitioned :class:`GraphStore`: same interface, N shards.
-
-    Nodes partition by :func:`shard_of` on their id; a link is stored in
-    its *source* node's shard (outgoing adjacency stays shard-local, the
-    common traversal), while the target's shard indexes the incoming side.
-    Each shard is a plain :class:`GraphStore` whose write internals are
-    driven from here — global invariants (endpoint existence, endpoint
-    immutability on upsert) are checked across shards before any shard
-    mutates, so a failed write never leaves partial state behind.
-
-    Reads merge the shards back: :meth:`snapshot` unions them,
-    :meth:`find_nodes` / :meth:`nodes_of_type` scatter the lookup and
-    re-sort so output order is identical to the monolithic store, and
-    :meth:`graph_stats` sums the per-shard :class:`StoreStats`.  The plan
-    layer's sharded scan reads :meth:`shard_snapshot` views instead of the
-    full snapshot.
-    """
-
-    def __init__(self, indexed_attributes: Iterable[str] = (),
-                 num_shards: int = 4):
-        if num_shards <= 0:
-            raise ManagementError(
-                f"num_shards must be positive, got {num_shards!r}"
-            )
-        self.num_shards = num_shards
-        self._shards = [
-            GraphStore(indexed_attributes=indexed_attributes)
-            for _ in range(num_shards)
-        ]
-        #: link id → index of the shard holding the record (its src shard)
-        self._link_home: dict[Id, int] = {}
-        self._origins: dict[tuple[str, Id], str] = {}
-
-    # ----------------------------------------------------------------- routing
-    def shard_index(self, node_id: Id) -> int:
-        """The shard a node id hashes to."""
-        return shard_of(node_id, self.num_shards)
-
-    def _node_shard(self, node_id: Id) -> GraphStore:
-        return self._shards[self.shard_index(node_id)]
-
-    @property
-    def shards(self) -> tuple[GraphStore, ...]:
-        """The underlying shard stores (read-only tour for stats/tests)."""
-        return tuple(self._shards)
-
-    def shard_stats(self) -> tuple[StoreStats, ...]:
-        """Per-shard running statistics, in shard order."""
-        return tuple(shard.stats for shard in self._shards)
-
-    @property
-    def stats(self) -> StoreStats:
-        """Merged site-wide statistics (the monolithic store's view)."""
-        return StoreStats.merged(shard.stats for shard in self._shards)
-
-    # ------------------------------------------------------------------ write
-    def upsert_node(self, node: Node, origin: str = LOCAL) -> Node:
-        """Insert or replace a node record in its hash shard.
-
-        Node writes are entirely shard-local, so this delegates to the
-        shard's own :meth:`GraphStore.upsert_node` (links cannot: their
-        invariants span shards).  The global origins map mirrors the
-        shard-level entry because provenance queries are site-wide.
-        """
-        shard = self._node_shard(node.id)
-        shard.upsert_node(node, origin=origin)
-        self._origins[("node", node.id)] = origin
-        return node
-
-    def upsert_link(self, link: Link, origin: str = LOCAL) -> Link:
-        """Insert or replace a link (endpoints may live in any shard)."""
-        for endpoint in (link.src, link.tgt):
-            if not self.has_node(endpoint):
-                raise DanglingLinkError(link.id, endpoint)
-        home = self._link_home.get(link.id)
-        if home is not None:
-            old = self._shards[home]._links[link.id]
-            if (old.src, old.tgt) != (link.src, link.tgt):
-                raise ManagementError(
-                    f"link {link.id!r} cannot change endpoints on upsert"
-                )
-            self._shards[home]._deindex_link(old)
-        src_shard_index = self.shard_index(link.src)
-        shard = self._shards[src_shard_index]
-        shard._links[link.id] = link
-        shard._out[link.src].add(link.id)
-        self._node_shard(link.tgt)._in[link.tgt].add(link.id)
-        shard._index_link(link)
-        self._link_home[link.id] = src_shard_index
-        self._origins[("link", link.id)] = origin
-        shard.stats.writes += 1
-        return link
-
-    def delete_link(self, link_id: Id) -> None:
-        """Remove a link from its home shard and the target's in-index."""
-        home = self._link_home.pop(link_id, None)
-        if home is None:
-            raise UnknownLinkError(link_id)
-        shard = self._shards[home]
-        link = shard._links.pop(link_id)
-        shard._deindex_link(link)
-        shard._out[link.src].discard(link_id)
-        self._node_shard(link.tgt)._in.get(link.tgt, set()).discard(link_id)
-        self._origins.pop(("link", link_id), None)
-        shard.stats.deletes += 1
-
-    def delete_node(self, node_id: Id) -> None:
-        """Remove a node and cascade to incident links (any shard)."""
-        shard = self._node_shard(node_id)
-        node = shard._nodes.get(node_id)
-        if node is None:
-            raise UnknownNodeError(node_id)
-        incident = set(shard._out.get(node_id, ())) | set(
-            shard._in.get(node_id, ())
-        )
-        for link_id in incident:
-            if link_id in self._link_home:
-                self.delete_link(link_id)
-        shard._deindex_node(node)
-        del shard._nodes[node_id]
-        shard._out.pop(node_id, None)
-        shard._in.pop(node_id, None)
-        shard._origins.pop(("node", node_id), None)
-        self._origins.pop(("node", node_id), None)
-        shard.stats.deletes += 1
-
-    # ------------------------------------------------------------------ read
-    @property
-    def indexed_attributes(self) -> tuple[str, ...]:
-        """The attributes every shard maintains value indexes for."""
-        return self._shards[0].indexed_attributes
-
-    def node(self, node_id: Id) -> Node:
-        """Primary-key node lookup (one hash, one shard probe)."""
-        node = self._node_shard(node_id)._nodes.get(node_id)
-        if node is None:
-            raise UnknownNodeError(node_id)
-        return node
-
-    def link(self, link_id: Id) -> Link:
-        """Primary-key link lookup via the link-home routing table."""
-        home = self._link_home.get(link_id)
-        if home is None:
-            raise UnknownLinkError(link_id)
-        return self._shards[home]._links[link_id]
-
-    def has_node(self, node_id: Id) -> bool:
-        """True if the node exists (in its hash shard)."""
-        return node_id in self._node_shard(node_id)._nodes
-
-    def has_link(self, link_id: Id) -> bool:
-        """True if the link exists."""
-        return link_id in self._link_home
-
-    @property
-    def num_nodes(self) -> int:
-        """Node count across all shards."""
-        return sum(shard.num_nodes for shard in self._shards)
-
-    @property
-    def num_links(self) -> int:
-        """Link count across all shards."""
-        return len(self._link_home)
-
-    def nodes_of_type(self, type_name: str) -> Iterator[Node]:
-        """Scatter the type lookup; merge in the monolithic sort order."""
-        hits = [
-            (node_id, shard)
-            for shard in self._shards
-            for node_id in shard._node_type_index.get(type_name, ())
-        ]
-        for node_id, shard in sorted(hits, key=lambda pair: repr(pair[0])):
-            yield shard._nodes[node_id]
-
-    def links_of_type(self, type_name: str) -> Iterator[Link]:
-        """Scatter the link-type lookup; merge in monolithic sort order."""
-        hits = [
-            (link_id, shard)
-            for shard in self._shards
-            for link_id in shard._link_type_index.get(type_name, ())
-        ]
-        for link_id, shard in sorted(hits, key=lambda pair: repr(pair[0])):
-            yield shard._links[link_id]
-
-    def find_nodes(self, att: str, value: Any) -> Iterator[Node]:
-        """Scatter an attribute-index lookup across every shard."""
-        hits: list[tuple[Id, GraphStore]] = []
-        for shard in self._shards:
-            index = shard._attr_indexes.get(att)
-            if index is None:
-                raise ManagementError(
-                    f"attribute {att!r} is not indexed; registered: "
-                    f"{sorted(shard._attr_indexes)}"
-                )
-            hits.extend((node_id, shard) for node_id in index.get(value, ()))
-        for node_id, shard in sorted(hits, key=lambda pair: repr(pair[0])):
-            yield shard._nodes[node_id]
-
-    def out_links(self, node_id: Id) -> Iterator[Link]:
-        """Adjacency scan: outgoing links (shard-local by construction)."""
-        shard = self._node_shard(node_id)
-        for link_id in shard._out.get(node_id, ()):
-            yield shard._links[link_id]
-
-    def in_links(self, node_id: Id) -> Iterator[Link]:
-        """Adjacency scan: incoming links (records resolve via routing)."""
-        for link_id in self._node_shard(node_id)._in.get(node_id, ()):
-            yield self._shards[self._link_home[link_id]]._links[link_id]
-
-    def origin_of(self, kind: str, record_id: Id) -> str | None:
-        """Provenance of a record ('local', 'derived', or a site name)."""
-        return self._origins.get((kind, record_id))
-
-    def records_from(self, origin: str) -> tuple[set[Id], set[Id]]:
-        """(node ids, link ids) owned by *origin*."""
-        nodes = {rid for (kind, rid), o in self._origins.items()
-                 if kind == "node" and o == origin}
-        links = {rid for (kind, rid), o in self._origins.items()
-                 if kind == "link" and o == origin}
-        return nodes, links
-
-    # -------------------------------------------------------------- snapshots
-    def snapshot(self) -> SocialContentGraph:
-        """A full logical graph: union of the shard populations.
-
-        Nodes land shard by shard, then links — a link's endpoints may
-        live in different shards, so all nodes must exist before any link
-        is attached.
-        """
-        graph = SocialContentGraph()
-        for shard in self._shards:
-            for node in shard._nodes.values():
-                graph.add_node(node)
-        for shard in self._shards:
-            for link in shard._links.values():
-                graph.add_link(link)
-        return graph
-
-    def shard_snapshot(self, index: int) -> SocialContentGraph:
-        """One shard's node population as a null graph (scan scatter view).
-
-        Links are deliberately omitted: the consumer is the plan layer's
-        sharded node scan, which evaluates per-node predicates and scoring
-        only — link-touching operators read the full snapshot.
-        """
-        shard = self._shards[index]
-        graph = SocialContentGraph()
-        for node in shard._nodes.values():
-            graph.add_node(node)
-        return graph
-
-    def graph_stats(self) -> GraphStats:
-        """Merged optimizer statistics across all shards."""
         return self.stats.as_graph_stats(self.num_nodes, self.num_links)

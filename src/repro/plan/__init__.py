@@ -20,7 +20,7 @@ foundation carries weight.  Every serving query — ``Session.run``,
   together;
 * :mod:`repro.plan.explain` — the frozen EXPLAIN view responses carry.
 
-New physical strategies (more indexes, sharded scans) slot in as new
+New physical strategies (more indexes, columnar scans) slot in as new
 :class:`PhysicalOp` subclasses plus a lowering rule — no serving-path
 rewrite required.
 """
@@ -31,7 +31,7 @@ from repro.plan.cache import (
     ResultMemo,
     shared_plan_cache,
 )
-from repro.plan.columnar import ColumnarShardView, VectorCondition
+from repro.plan.columnar import ColumnarView, VectorCondition
 from repro.plan.compiler import (
     ACCESS_MODES,
     AccessDecision,
@@ -42,11 +42,13 @@ from repro.plan.compiler import (
 )
 from repro.plan.explain import PlanExplain, explain_execution
 from repro.plan.physical import (
+    COLUMNAR,
     INDEX,
     NETWORK_CLUSTERED,
     NETWORK_EXACT,
     SCAN,
-    SHARDED,
+    ColumnarLinkScanOp,
+    ColumnarScanOp,
     EndorsementMergeOp,
     ExecContext,
     FusedSocialCombineOp,
@@ -60,10 +62,6 @@ from repro.plan.physical import (
     PlanExecution,
     ScanOp,
     SemiJoinProbeOp,
-    ShardProfile,
-    ShardView,
-    ShardedLinkScanOp,
-    ShardedScanOp,
 )
 from repro.plan.planner import BASE_GRAPH, QueryPlanner
 
@@ -71,8 +69,11 @@ __all__ = [
     "ACCESS_MODES",
     "AccessDecision",
     "BASE_GRAPH",
+    "COLUMNAR",
     "CacheStats",
-    "ColumnarShardView",
+    "ColumnarLinkScanOp",
+    "ColumnarScanOp",
+    "ColumnarView",
     "CostModel",
     "EndorsementMergeOp",
     "ExecContext",
@@ -94,13 +95,8 @@ __all__ = [
     "QueryPlanner",
     "ResultMemo",
     "SCAN",
-    "SHARDED",
     "ScanOp",
     "SemiJoinProbeOp",
-    "ShardProfile",
-    "ShardView",
-    "ShardedLinkScanOp",
-    "ShardedScanOp",
     "StrategyDecision",
     "VectorCondition",
     "compile_plan",

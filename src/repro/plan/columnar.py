@@ -1,15 +1,15 @@
-"""Columnar shard views and vectorized selection.
+"""The columnar view and vectorized selection.
 
 The row-at-a-time executor spends most of a large σN/σL testing nodes a
 columnar layout could rule out wholesale: every predicate test re-reads
-the same attribute dictionaries, every shard view re-materialises the
+the same attribute dictionaries, every scan re-materialises the
 same per-type node lists, and every operator boundary rebuilds a full
 :class:`~repro.core.graph.SocialContentGraph` of records the next
 operator immediately re-filters.  This module is the execution substrate
 underneath the plan layer's scan family:
 
-* :class:`ColumnarShardView` — one partition's population held as
-  columns: a row-ordered node array, partition-local **type buckets**
+* :class:`ColumnarView` — the graph's population held as
+  columns: a row-ordered node array, **type buckets**
   (contiguous position ranges where the population permits, plain sorted
   position arrays otherwise), lazily built **dictionary-encoded attribute
   columns** (rows → interned value-tuple codes) and lazily built **term
@@ -41,7 +41,7 @@ results.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 try:  # vectorized path; the row-wise fallback below needs nothing
     import numpy as _np
@@ -141,8 +141,8 @@ def _predicate_attribute(predicate: Predicate) -> str | None:
     return None
 
 
-class ColumnarShardView:
-    """One partition's scatter view, held column-wise.
+class ColumnarView:
+    """A graph's node and link populations, held column-wise.
 
     ``nodes`` (and ``links``) are the row stores in graph iteration
     order; all derived structures — type buckets, attribute columns,
@@ -170,7 +170,7 @@ class ColumnarShardView:
         self._link_columns: dict[str, AttrColumn] = {}
         self._link_term_postings: dict[str, Any] | None = None
 
-    def relinked(self) -> "ColumnarShardView":
+    def relinked(self) -> "ColumnarView":
         """A view of the same node rows over an (empty, to be filled)
         link population.
 
@@ -180,7 +180,7 @@ class ColumnarShardView:
         *same* row list and lazily-filled caches, and only the link side
         starts over.
         """
-        view = ColumnarShardView(self.nodes)
+        view = ColumnarView(self.nodes)
         view._type_buckets = self._type_buckets
         view._type_node_lists = self._type_node_lists
         view._columns = self._columns
@@ -190,7 +190,7 @@ class ColumnarShardView:
     # -- node-side columns ----------------------------------------------------
 
     def type_buckets(self) -> dict[Any, Any]:
-        """type value → sorted row positions (the partition-local index).
+        """type value → sorted row positions (the view's type index).
 
         Positions are contiguous ranges whenever the population arrives
         grouped by type (the common bulk-load layout) — they are stored
@@ -233,7 +233,7 @@ class ColumnarShardView:
     def term_postings(self) -> dict[str, Any]:
         """token → row positions whose text contains the token.
 
-        One tokenisation pass over the partition, paid only by the first
+        One tokenisation pass over the population, paid only by the first
         keyword-scoped plan of a generation; every later keyword scope
         prunes its candidate set from these postings instead of
         re-tokenising the population.
@@ -296,7 +296,7 @@ class ColumnarShardView:
     # -- link-side buckets ----------------------------------------------------
 
     def link_type_lists(self) -> dict[Any, list[Link]]:
-        """link type value → links of the partition carrying it."""
+        """link type value → links of the view carrying it."""
         if self._link_type_lists is None:
             lists: dict[Any, list[Link]] = {}
             for link in self.links:
@@ -320,37 +320,20 @@ class ColumnarShardView:
         return self.type_bucket_nodes(type_name)
 
 
-def cut_columnar_views(
-    graph: SocialContentGraph,
-    num_shards: int,
-    shard_of: Callable[[Any, int], int],
-    node_side: Sequence[ColumnarShardView] | None = None,
-) -> tuple[ColumnarShardView, ...]:
-    """Partition a graph's nodes and links into columnar scatter views.
+def cut_columnar_view(
+    graph: SocialContentGraph, node_side: ColumnarView | None = None
+) -> ColumnarView:
+    """The columnar view of *graph*'s nodes and links.
 
-    Nodes hash by id through *shard_of*; links ride with their source
-    node (the same placement the partitioned store uses, so outgoing
-    adjacency stays view-local).  One pass per graph generation pays for
-    every columnar scan of that generation.  *node_side* — the views of a
-    graph with the same node records in the same order, cut for the same
-    shard count — spares the node half of that pass and keeps the
-    columns already built over it.
+    One pass per graph generation pays for every columnar scan of that
+    generation.  *node_side* — the view of a graph with the same node
+    records in the same order — spares the node half of that pass and
+    keeps the columns already built over it.
     """
-    if node_side is not None:
-        views = tuple(view.relinked() for view in node_side)
-    else:
-        views = tuple(ColumnarShardView() for _ in range(num_shards))
-        if num_shards == 1:
-            views[0].nodes.extend(graph.nodes())
-        else:
-            for node in graph.nodes():
-                views[shard_of(node.id, num_shards)].nodes.append(node)
-    if num_shards == 1:
-        views[0].links.extend(graph.links())
-        return views
-    for link in graph.links():
-        views[shard_of(link.src, num_shards)].links.append(link)
-    return views
+    view = node_side.relinked() if node_side is not None \
+        else ColumnarView(list(graph.nodes()))
+    view.links.extend(graph.links())
+    return view
 
 
 class VectorCondition:
@@ -358,8 +341,8 @@ class VectorCondition:
 
     Splits the condition's conjuncts into three tiers:
 
-    * **bucket predicates** (type pins) — intersect the partition-local
-      type buckets;
+    * **bucket predicates** (type pins) — intersect the view's type
+      buckets;
     * **column predicates** (attribute equality/comparison/presence) —
       evaluate once per distinct interned value tuple, broadcast over the
       column codes;
@@ -369,8 +352,8 @@ class VectorCondition:
     Keyword scopes prune through the view's term postings (the exact
     token-membership semantics of ``Condition.keyword_ok``); scoring runs
     only over the final survivors.  Compiled once per physical operator
-    and reused across shards, executions and generations — the object is
-    a pure function of the condition.
+    and reused across executions and generations — the object is a pure
+    function of the condition.
     """
 
     __slots__ = ("cond", "bucket_types", "column_preds", "residual")
@@ -468,7 +451,7 @@ class VectorCondition:
             return _np.arange(size, dtype=_np.intp)
         return _np.nonzero(mask)[0]
 
-    def candidate_positions(self, view: ColumnarShardView) -> Any | None:
+    def candidate_positions(self, view: ColumnarView) -> Any | None:
         """Sorted node row positions surviving every vectorizable conjunct.
 
         ``None`` means the vectorized path is unavailable (no NumPy) and
@@ -483,7 +466,7 @@ class VectorCondition:
             view.term_postings,
         )
 
-    def candidate_link_positions(self, view: ColumnarShardView) -> Any | None:
+    def candidate_link_positions(self, view: ColumnarView) -> Any | None:
         """Sorted *link* row positions surviving the vectorizable conjuncts.
 
         The σL mirror of :meth:`candidate_positions`: type pins intersect
@@ -508,7 +491,7 @@ class VectorCondition:
             if all(p.matches(records[row]) for p in residual)
         ])
 
-    def gather_nodes(self, view: ColumnarShardView,
+    def gather_nodes(self, view: ColumnarView,
                      positions: Sequence[int],
                      scorer: Any = None) -> list[Node]:
         """Materialise (and score) surviving node rows, in row order."""
@@ -530,7 +513,7 @@ class VectorCondition:
             ))
         return selected
 
-    def gather_links(self, view: ColumnarShardView,
+    def gather_links(self, view: ColumnarView,
                      positions: Sequence[int],
                      scorer: Any = None) -> list[Link]:
         """Materialise (and score) surviving link rows, in row order."""
@@ -550,7 +533,7 @@ class VectorCondition:
             append(link.with_score(scoring(link, keywords)))
         return selected
 
-    def select(self, view: ColumnarShardView, scorer: Any = None) -> list[Node]:
+    def select(self, view: ColumnarView, scorer: Any = None) -> list[Node]:
         """σN over one view: the columnar twin of the row kernel.
 
         Returns exactly what
@@ -569,7 +552,7 @@ class VectorCondition:
             view, self._filter_residual(view.nodes, positions), scorer
         )
 
-    def select_links(self, view: ColumnarShardView, scorer: Any = None,
+    def select_links(self, view: ColumnarView, scorer: Any = None,
                      prune_type: Any | None = None) -> list[Link]:
         """σL over one view's link population, vectorized like σN.
 
@@ -590,40 +573,23 @@ class VectorCondition:
         )
 
 
-def union_null_graph(
-    base: SocialContentGraph, parts: Iterable[list[Node]]
+def link_subgraph(
+    base: SocialContentGraph, links: list[Link]
 ) -> SocialContentGraph:
-    """Merge per-shard selection results into one null graph.
+    """The subgraph a link selection induces: *links* plus their
+    endpoint records pulled from *base*.
 
-    The single point where a columnar pipeline materialises node records
-    into a graph — the bulk construction itself lives with the graph
-    (:meth:`SocialContentGraph.null_graph_unique`), and shard partitions
-    are disjoint by construction, so chaining the parts satisfies its
-    uniqueness contract.
-    """
-    from itertools import chain
-
-    return base.null_graph_unique(chain.from_iterable(parts))
-
-
-def union_link_subgraph(
-    base: SocialContentGraph, parts: Iterable[list[Link]]
-) -> SocialContentGraph:
-    """Merge per-shard link-selection results into one induced subgraph.
-
-    Mirrors :meth:`SocialContentGraph.subgraph_from_links`: the selected
-    links plus their endpoint records pulled from *base* — endpoints may
-    live in any shard, which is why the merge reads the base graph rather
-    than the views.
+    Builds what :meth:`SocialContentGraph.subgraph_from_links` builds
+    without its per-record consolidation probes: the links are *base*'s
+    own, so they are id-unique by construction.
     """
     out = SocialContentGraph(catalog=base.catalog)
     nodes = out._nodes
     base_node = base.node
     adopt_link = out._adopt_fresh_link
-    for part in parts:
-        for link in part:
-            for endpoint in (link.src, link.tgt):
-                if endpoint not in nodes:
-                    nodes[endpoint] = base_node(endpoint)
-            adopt_link(link)
+    for link in links:
+        for endpoint in (link.src, link.tgt):
+            if endpoint not in nodes:
+                nodes[endpoint] = base_node(endpoint)
+        adopt_link(link)
     return out

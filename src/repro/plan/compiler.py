@@ -43,11 +43,13 @@ from repro.core.social import COMPILED_STRATEGIES, choose_strategy
 from repro.core.stats import GraphStats
 from repro.errors import QueryError
 from repro.plan.physical import (
+    COLUMNAR,
     INDEX,
     NETWORK_CLUSTERED,
     NETWORK_EXACT,
     SCAN,
-    SHARDED,
+    ColumnarLinkScanOp,
+    ColumnarScanOp,
     EndorsementMergeOp,
     FusedSocialCombineOp,
     GroupedAggregationOp,
@@ -58,8 +60,6 @@ from repro.plan.physical import (
     PhysicalPlan,
     ScanOp,
     SemiJoinProbeOp,
-    ShardedLinkScanOp,
-    ShardedScanOp,
 )
 
 #: Valid access-path preferences for compilation.
@@ -91,15 +91,13 @@ class CostModel:
     #: exact-index entry budget: past this estimated size the compiler
     #: prefers the cluster-compressed lists (the paper's 1 TB concern)
     network_entry_budget: float = 100_000.0
-    #: minimum estimated input population before a base-graph scan is
-    #: worth scattering across store partitions (per-shard task setup and
-    #: the union pass are pure overhead below it); with partitions the
-    #: same threshold gates the monolithic *columnar* scan — cutting and
-    #: caching columns for a tiny population costs more than row tests
-    shard_scan_min_nodes: float = 512.0
+    #: minimum estimated input population before a base-graph σN lowers
+    #: to the columnar scan — cutting and caching columns for a tiny
+    #: population costs more than row tests
+    columnar_scan_min_nodes: float = 512.0
     #: minimum estimated base-graph link population before σL lowers to
-    #: the scattered (columnar) link scan
-    shard_link_min_links: float = 512.0
+    #: the columnar link scan
+    columnar_scan_min_links: float = 512.0
 
     def scan_cost(self, input_nodes: float) -> float:
         return input_nodes * self.scan_cost_per_node
@@ -226,7 +224,7 @@ def _pruning_type(condition: Condition) -> tuple[Any | None, bool]:
     paper's type-equality superset semantics require every listed value
     — so any single required value bounds the satisfying set.  *exact*
     is True when the matched predicate demands nothing beyond membership
-    of that one value — then a partition's type bucket doesn't just
+    of that one value — then the view's type bucket doesn't just
     bound the predicate, it *is* the predicate.  Nested disjunctions
     arrive as one opaque predicate object and never match here.
     """
@@ -269,7 +267,6 @@ def compile_plan(
     cost_model: CostModel | None = None,
     rules: tuple[Rule, ...] = DEFAULT_RULES,
     key: Any = None,
-    shards: int = 1,
 ) -> PhysicalPlan:
     """Compile a logical plan into an executable :class:`PhysicalPlan`.
 
@@ -282,12 +279,10 @@ def compile_plan(
     *key* lets a caller that already computed ``plan_key(expr)`` (the plan
     cache's lookup) pass it in instead of paying a second tree walk.
 
-    *shards* declares how many partitioned views the executing planner
-    serves of the base graph: sufficiently large base-graph node and link
-    scans lower to the columnar scatter forms (:class:`ShardedScanOp`,
-    :class:`ShardedLinkScanOp`) — ``shards == 1`` still lowers to the
-    monolithic columnar scan, which evaluates the condition over one
-    view's columns instead of row records.
+    Sufficiently large base-graph node and link scans lower to the
+    columnar forms (:class:`ColumnarScanOp`, :class:`ColumnarLinkScanOp`),
+    which evaluate the condition over the planner's columnar view
+    instead of row records.
     """
     if access not in ACCESS_MODES:
         raise QueryError(f"unknown access mode {access!r}; have {ACCESS_MODES}")
@@ -302,7 +297,7 @@ def compile_plan(
         """The scan-family physical form: columnar when it pays."""
         if isinstance(node, SelectNodesE) and isinstance(node.child, InputE):
             input_nodes = node.child.estimate(stats).nodes
-            if input_nodes >= model.shard_scan_min_nodes:
+            if input_nodes >= model.columnar_scan_min_nodes:
                 prune_type, exact = _pruning_type(node.condition)
                 covered = (
                     exact
@@ -315,45 +310,36 @@ def compile_plan(
                     else f", pruned to type {prune_type!r} buckets"
                     if prune_type is not None else ""
                 )
-                scattered = (
-                    f"scattered across {shards} partitions" if shards > 1
-                    else "over the monolithic columnar view"
-                )
                 decisions.append(AccessDecision(
                     op=node.describe(),
-                    chosen=SHARDED,
+                    chosen=COLUMNAR,
                     scan_cost=model.scan_cost(input_nodes),
                     index_cost=None,
                     reason=(
-                        f"{input_nodes:.0f}-node base scan {scattered}"
-                        f"{pruned}"
+                        f"{input_nodes:.0f}-node base scan over the "
+                        f"columnar view{pruned}"
                     ),
                 ))
-                return ShardedScanOp(node, children, shards, prune_type,
-                                     covered)
+                return ColumnarScanOp(node, children, prune_type, covered)
         if isinstance(node, SelectLinksE) and isinstance(node.child, InputE):
             input_links = node.child.estimate(stats).links
-            if input_links >= model.shard_link_min_links:
+            if input_links >= model.columnar_scan_min_links:
                 prune_type, _exact = _pruning_type(node.condition)
                 pruned = (
                     f", pruned to link-type {prune_type!r} buckets"
                     if prune_type is not None else ""
                 )
-                scattered = (
-                    f"scattered across {shards} partitions" if shards > 1
-                    else "over the monolithic columnar view"
-                )
                 decisions.append(AccessDecision(
                     op=node.describe(),
-                    chosen=SHARDED,
+                    chosen=COLUMNAR,
                     scan_cost=input_links * model.scan_cost_per_node,
                     index_cost=None,
                     reason=(
-                        f"{input_links:.0f}-link base scan {scattered}"
-                        f"{pruned}"
+                        f"{input_links:.0f}-link base scan over the "
+                        f"columnar view{pruned}"
                     ),
                 ))
-                return ShardedLinkScanOp(node, children, shards, prune_type)
+                return ColumnarLinkScanOp(node, children, prune_type)
         return ScanOp(node, children)
 
     def lower(node: Expr) -> PhysicalOp:
@@ -443,9 +429,9 @@ def _choose_select_path(
     """Cost the two physical forms of an eligible keyword selection.
 
     *scan_form* builds the scan-family operator when the scan side wins —
-    the compiler passes its shard-aware constructor, so a selection that
-    loses to neither index still scatters across partitions when the
-    planner has them.
+    the compiler passes its columnar-aware constructor, so a selection
+    the index does not win still scans columnar when its population is
+    large enough.
     """
     input_nodes = node.child.estimate(stats).nodes
     scan_cost = model.scan_cost(input_nodes)

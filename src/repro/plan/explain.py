@@ -35,8 +35,6 @@ class PlanExplain:
     strategy_decision: StrategyDecision | None = None
     #: concrete social strategy the plan ran (None: no social stage)
     resolved_strategy: str | None = None
-    #: True when any scan ran columnar over partition views
-    sharded: bool = False
     #: result bound pushed into the ranking stage (None = full ranking)
     topk: int | None = None
 
@@ -70,6 +68,5 @@ def explain_execution(execution: PlanExecution) -> PlanExplain:
         cache_hit=execution.cache_hit,
         strategy_decision=execution.plan.strategy_decision,
         resolved_strategy=execution.plan.resolved_strategy,
-        sharded=execution.plan.uses_sharded_scan,
         topk=execution.topk,
     )

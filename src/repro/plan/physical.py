@@ -30,12 +30,7 @@ from repro.core.optimizer import OptimizeReport
 from repro.core.graph import SocialContentGraph
 from repro.core.stats import Card, GraphStats
 from repro.errors import DeadlineError, ExpressionError
-from repro.plan.columnar import (
-    ColumnarShardView,
-    VectorCondition,
-    union_link_subgraph,
-    union_null_graph,
-)
+from repro.plan.columnar import ColumnarView, VectorCondition, link_subgraph
 
 #: Access-path tags used in plan rendering and response metadata.
 SCAN = "scan"
@@ -43,22 +38,8 @@ INDEX = "index"
 #: Network-aware (§6.2) access paths of the compiled social stage.
 NETWORK_EXACT = "network-exact"
 NETWORK_CLUSTERED = "network-clustered"
-#: Physical-form tag of the partition-scattered (columnar) scan.
-SHARDED = "sharded-scan"
-
-#: The scatter view type (columnar since PR 5); the old name stays the
-#: public alias because planners and providers exchange these.
-ShardView = ColumnarShardView
-
-
-@dataclass(frozen=True)
-class ShardProfile:
-    """One shard's slice of a scattered operator, for EXPLAIN."""
-
-    shard: int
-    actual: Card
-    elapsed_s: float
-
+#: Physical-form tag of the columnar scan.
+COLUMNAR = "columnar-scan"
 
 class ExecContext:
     """Mutable per-execution state: inputs, memo, and operator profiles."""
@@ -68,17 +49,17 @@ class ExecContext:
         env: Mapping[str, SocialContentGraph],
         index_provider: Callable[[], Any] | None = None,
         network_provider: Callable[[str], Any] | None = None,
-        shard_provider: Callable[
-            [SocialContentGraph], "Sequence[ShardView] | None"
+        view_provider: Callable[
+            [SocialContentGraph], ColumnarView | None
         ] | None = None,
     ):
         self.env = env
         self.index_provider = index_provider
         #: variant name ("exact"/"clustered") → §6.2 endorsement index
         self.network_provider = network_provider
-        #: base graph → its partitioned node views (None when the graph is
-        #: not the one the provider partitions — the op degrades to a scan)
-        self.shard_provider = shard_provider
+        #: base graph → its columnar view (None when the graph is not the
+        #: one the provider cut its view from — the op degrades to a scan)
+        self.view_provider = view_provider
         #: result-size bound pushed down from the caller (``None`` = no
         #: bound): the social root orders only the top k rows instead of
         #: the full candidate set
@@ -93,8 +74,6 @@ class ExecContext:
         #: id()s of operators that degraded from their planned access path
         #: at runtime (e.g. endorsement merge falling back to the probe)
         self.degraded: set[int] = set()
-        #: operator id → per-shard profiles (scattered operators only)
-        self.shard_actuals: dict[int, list[ShardProfile]] = {}
         #: operator id → plain-value output (the social root's ranking,
         #: handed to consumers instead of a graph)
         self.payloads: dict[int, Any] = {}
@@ -107,8 +86,8 @@ class ExecContext:
         self.subplan_hits: set[int] = set()
         #: absolute monotonic deadline for this execution (``None`` = no
         #: deadline — the check is then a single branch).  Cooperative:
-        #: checked between operators and between per-shard scans, so
-        #: one running kernel bounds the expiry lag
+        #: checked between operators, so one running kernel bounds the
+        #: expiry lag
         self.deadline: float | None = None
         #: monotonic stamp when execution began (set by ``execute`` when
         #: a deadline is in force; gives ``DeadlineError.elapsed_s``)
@@ -285,115 +264,41 @@ class IndexKeywordScanOp(PhysicalOp):
         )
 
 
-class _ScatterScanOp(PhysicalOp):
-    """Shared machinery of the partition-scattered (columnar) scans.
+class ColumnarScanOp(PhysicalOp):
+    """σN over the planner's columnar view of the base graph.
 
-    One implementation of the scatter protocol — shard-view fetch with
-    the degrade check, per-shard kernel timing and :class:`ShardProfile`
-    recording, and the shard loop — parameterised by three hooks:
-    :meth:`_kernel` (one partition's selection), :meth:`_merge` (parts →
-    result graph) and :meth:`_part_card` (a part's profile cardinality).
-    The node and link forms differ *only* in those hooks, so a fix to
-    the scatter or profile accounting cannot drift between them.
-
-    ``num_shards == 1`` is the monolithic columnar form: one view, same
-    machinery, no scatter overhead.  If the shard provider is missing at
-    execution time — or partitions a different graph than the one bound
-    in the environment — the operator degrades to the plain scan rather
-    than risking drift.
-    """
-
-    access_path = SHARDED
-
-    def __init__(self, logical: Expr, children: Sequence[PhysicalOp],
-                 num_shards: int, prune_type: Any | None = None):
-        super().__init__(logical, children)
-        self.num_shards = num_shards
-        #: type value the condition pins (conjunctive HasType /
-        #: type-equality), enabling partition-bucket pruning; None scans
-        #: every row of the shard
-        self.prune_type = prune_type
-        #: the condition compiled for columnar evaluation (pure function
-        #: of the condition — shared across shards and executions)
-        self.vector_condition = VectorCondition(
-            logical.condition  # type: ignore[attr-defined]
-        )
-
-    # -- hooks the node/link forms implement -----------------------------------
-
-    def _kernel(self, view: ShardView) -> list:
-        """Select one partition's matching records."""
-        raise NotImplementedError
-
-    def _merge(self, base: SocialContentGraph,
-               parts: Sequence[list]) -> SocialContentGraph:
-        """Combine per-shard parts into the result graph."""
-        raise NotImplementedError
-
-    def _part_card(self, part: list) -> Card:
-        """One part's cardinality for its per-shard EXPLAIN row."""
-        raise NotImplementedError
-
-    # -- shared scatter protocol -----------------------------------------------
-
-    def _shard_views(
-        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
-    ) -> Sequence[ShardView] | None:
-        if ctx.shard_provider is None:
-            return None
-        return ctx.shard_provider(inputs[0]) or None
-
-    def _scan_shard(
-        self, ctx: ExecContext, shard: int, view: ShardView
-    ) -> list:
-        """One shard's part: the kernel over *view*, profiled."""
-        ctx.check_deadline(lambda: f"{self.describe()} [shard {shard}]")
-        fault_point("physical.scan_shard", shard=shard)
-        start = time.perf_counter()
-        part = self._kernel(view)
-        elapsed = time.perf_counter() - start
-        ctx.shard_actuals.setdefault(id(self), []).append(ShardProfile(
-            shard=shard, actual=self._part_card(part), elapsed_s=elapsed,
-        ))
-        return part
-
-    def _run(
-        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
-    ) -> SocialContentGraph:
-        views = self._shard_views(ctx, inputs)
-        if views is None:
-            ctx.degraded.add(id(self))
-            return self.logical._compute(inputs)
-        parts = [
-            self._scan_shard(ctx, shard, view)
-            for shard, view in enumerate(views)
-        ]
-        return self._merge(inputs[0], parts)
-
-
-class ShardedScanOp(_ScatterScanOp):
-    """σN over columnar partition views, scattered and unioned back.
-
-    Lowered for node selections over a base input graph when the planner
-    has shard views attached and the population is large enough to pay
-    for columnar evaluation.  Each shard task runs the operator's
-    precompiled :class:`VectorCondition` over one partition's columns —
+    Lowered for node selections over a base input graph whose population
+    is large enough to pay for columnar evaluation.  The operator's
+    precompiled :class:`VectorCondition` runs over the view's columns —
     type buckets, dictionary-encoded attribute columns, term postings —
     exchanging compact position sets and gathering records only for the
-    survivors, so the union of per-shard results is record-for-record
-    the full scan (the parity contract, held by the columnar
-    differential suite) while the per-row predicate loop never runs on
-    rows the columns excluded.
+    survivors, so the result is record-for-record the row scan's (the
+    parity contract, held by the columnar differential suite) while the
+    per-row predicate loop never runs on rows the columns excluded.
+
+    If the view provider is missing at execution time — or cut its view
+    from a different graph than the one bound in the environment — the
+    operator degrades to the plain scan rather than risking drift.
     """
 
+    access_path = COLUMNAR
+
     def __init__(self, logical: Expr, children: Sequence[PhysicalOp],
-                 num_shards: int, prune_type: Any | None = None,
-                 covered: bool = False):
-        super().__init__(logical, children, num_shards, prune_type)
+                 prune_type: Any | None = None, covered: bool = False):
+        super().__init__(logical, children)
+        #: type value the condition pins (conjunctive HasType /
+        #: type-equality), enabling type-bucket pruning; None scans
+        #: every row of the view
+        self.prune_type = prune_type
         #: True when the compiler proved the condition ≡ the type pin
         #: alone (no keywords, no scorer, no further predicates): the
         #: bucket *is* the selection, no per-node test runs at all
         self.covered = covered
+        #: the condition compiled for columnar evaluation (pure function
+        #: of the condition — shared across executions)
+        self.vector_condition = VectorCondition(
+            logical.condition  # type: ignore[attr-defined]
+        )
 
     def describe(self) -> str:
         if self.covered:
@@ -402,60 +307,53 @@ class ShardedScanOp(_ScatterScanOp):
             prune = f":{self.prune_type}"
         else:
             prune = ""
-        if self.num_shards == 1:
-            return f"{self.logical.describe()} [columnar{prune}]"
-        return f"{self.logical.describe()} [sharded×{self.num_shards}{prune}]"
+        return f"{self.logical.describe()} [columnar{prune}]"
 
-    def _kernel(self, view: ShardView) -> list:
+    def _select(self, base: SocialContentGraph,
+                view: ColumnarView) -> SocialContentGraph:
         if self.covered:
             # the bucket is the selection, verbatim (and cached: repeats
             # of a covered scan re-serve the materialised list)
-            return view.type_bucket_nodes(self.prune_type)
-        return self.vector_condition.select(
-            view, self.logical.scorer,  # type: ignore[attr-defined]
-        )
+            nodes = view.type_bucket_nodes(self.prune_type)
+        else:
+            nodes = self.vector_condition.select(
+                view, self.logical.scorer,  # type: ignore[attr-defined]
+            )
+        return base.null_graph_unique(nodes)
 
-    def _merge(self, base: SocialContentGraph,
-               parts: Sequence[list]) -> SocialContentGraph:
-        return union_null_graph(base, parts)
+    def _run(
+        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
+    ) -> SocialContentGraph:
+        provider = ctx.view_provider
+        view = provider(inputs[0]) if provider is not None else None
+        if view is None:
+            ctx.degraded.add(id(self))
+            return self.logical._compute(inputs)
+        fault_point("physical.scan")
+        return self._select(inputs[0], view)
 
-    def _part_card(self, part: list) -> Card:
-        return Card(len(part), 0)
 
+class ColumnarLinkScanOp(ColumnarScanOp):
+    """σL over the columnar view's link population.
 
-class ShardedLinkScanOp(_ScatterScanOp):
-    """σL over the partition views' link populations, merged back.
-
-    The link twin of :class:`ShardedScanOp`: links ride with their source
-    node's partition (the store's own placement), each shard task tests
-    only its partition-local link-type bucket when the condition pins a
-    type, and the merge rebuilds the induced subgraph — selected links
-    plus endpoint records pulled from the base graph, since a target may
-    live in any shard.  This is the scatter form feeding semi-join
-    probes whose left side is a base-graph link selection.
+    The link twin of :class:`ColumnarScanOp`, with the same view fetch,
+    degrade and fault point: a condition pinning a type tests only that
+    link-type bucket, and the result is the induced subgraph — selected
+    links plus their endpoint records pulled from the base graph.  This
+    is the form feeding semi-join probes whose left side is a base-graph
+    link selection.
     """
 
     def describe(self) -> str:
         prune = f":{self.prune_type}" if self.prune_type is not None else ""
-        if self.num_shards == 1:
-            return f"{self.logical.describe()} [columnar-links{prune}]"
-        return (
-            f"{self.logical.describe()} "
-            f"[sharded-links×{self.num_shards}{prune}]"
-        )
+        return f"{self.logical.describe()} [columnar-links{prune}]"
 
-    def _kernel(self, view: ShardView) -> list:
-        return self.vector_condition.select_links(
+    def _select(self, base: SocialContentGraph,
+                view: ColumnarView) -> SocialContentGraph:
+        return link_subgraph(base, self.vector_condition.select_links(
             view, self.logical.scorer,  # type: ignore[attr-defined]
             prune_type=self.prune_type,
-        )
-
-    def _merge(self, base: SocialContentGraph,
-               parts: Sequence[list]) -> SocialContentGraph:
-        return union_link_subgraph(base, parts)
-
-    def _part_card(self, part: list) -> Card:
-        return Card(0, len(part))
+        ))
 
 
 class FusedSocialCombineOp(PhysicalOp):
@@ -681,8 +579,6 @@ class OperatorProfile:
     actual: Card | None
     elapsed_s: float
     access_path: str | None = None
-    #: shard index, on the per-shard sub-rows of a scattered operator
-    shard: int | None = None
 
     def line(self) -> str:
         actual = (
@@ -842,13 +738,6 @@ class PhysicalPlan:
         )
 
     @property
-    def uses_sharded_scan(self) -> bool:
-        """True when any scan scatters across store partitions."""
-        return any(
-            op.access_path == SHARDED for op in self._walk(self.root, set())
-        )
-
-    @property
     def access_path(self) -> str:
         """Dominant access path tag for response metadata."""
         return INDEX if self.uses_index else SCAN
@@ -869,8 +758,8 @@ class PhysicalPlan:
         env: Mapping[str, SocialContentGraph],
         index_provider: Callable[[], Any] | None = None,
         network_provider: Callable[[str], Any] | None = None,
-        shard_provider: Callable[
-            [SocialContentGraph], "Sequence[ShardView] | None"
+        view_provider: Callable[
+            [SocialContentGraph], ColumnarView | None
         ] | None = None,
         result_cache: dict | None = None,
         topk: int | None = None,
@@ -885,13 +774,12 @@ class PhysicalPlan:
         cut.
 
         *deadline* is an absolute monotonic timestamp (``None`` = none):
-        cooperative checks between operators and between per-shard
-        scans raise :class:`~repro.errors.DeadlineError` once it has
+        cooperative checks between operators raise :class:`~repro.errors.DeadlineError` once it has
         passed, unwinding the execution promptly instead of finishing
         doomed work.
         """
         ctx = ExecContext(env, index_provider, network_provider,
-                          shard_provider)
+                          view_provider)
         ctx.result_cache = result_cache
         ctx.topk = topk
         if deadline is not None:
@@ -915,31 +803,14 @@ class PhysicalPlan:
             description += " (degraded→probe)"
         if id(op) in ctx.subplan_hits:
             description += " (memo)"
-        estimated = op.estimate(self.stats)
         yield OperatorProfile(
             op=description,
             depth=depth,
-            estimated=estimated,
+            estimated=op.estimate(self.stats),
             actual=actual,
             elapsed_s=elapsed,
             access_path=op.access_path,
         )
-        shard_rows = ctx.shard_actuals.get(id(op))
-        if shard_rows:
-            per_shard_estimate = Card(
-                estimated.nodes / len(shard_rows),
-                estimated.links / len(shard_rows),
-            )
-            for row in sorted(shard_rows, key=lambda r: r.shard):
-                yield OperatorProfile(
-                    op=f"shard[{row.shard}]",
-                    depth=depth + 1,
-                    estimated=per_shard_estimate,
-                    actual=row.actual,
-                    elapsed_s=row.elapsed_s,
-                    access_path=None,
-                    shard=row.shard,
-                )
         for child in op.children:
             yield from self._profiles(ctx, child, depth + 1)
 

@@ -18,10 +18,9 @@ compilation needs and serving must keep coherent:
   request of a shape recompiles it under the same key;
 * **the index binding** — where the semantic inverted index lives and
   which population it covers, attached by the session;
-* **partitions** — when the backing store is sharded the session
-  attaches the shard count; the planner then partitions its live graph
-  into per-shard views (lazily, per generation) for
-  :class:`~repro.plan.physical.ShardedScanOp`.
+* **the columnar view** — the live graph's population held column-wise,
+  cut lazily once per generation for
+  :class:`~repro.plan.physical.ColumnarScanOp`.
 
 ``discovery_pipeline`` is the serving entry point: it builds the whole
 plan of a parsed query — σN candidates, connection basis, social scoring,
@@ -47,11 +46,10 @@ from repro.core.delta import GraphDelta
 from repro.core.graph import SocialContentGraph
 from repro.core.social import basis_keeper
 from repro.core.stats import GraphStats
-from repro.core.partition import shard_of
 from repro.plan.cache import PlanCache, ResultMemo
-from repro.plan.columnar import cut_columnar_views
+from repro.plan.columnar import ColumnarView, cut_columnar_view
 from repro.plan.compiler import CostModel, IndexBinding, compile_plan
-from repro.plan.physical import PhysicalPlan, PlanExecution, ShardView
+from repro.plan.physical import PhysicalPlan, PlanExecution
 
 #: Name under which the planner binds its live graph in plan environments.
 BASE_GRAPH = "G"
@@ -89,9 +87,8 @@ class QueryPlanner:
     """Compiles logical plans against a live graph, with a plan cache.
 
     *cache* defaults to a fresh :class:`PlanCache` of the planner's own.
-    *shards* > 1 enables partition-scattered scans.  The live graph is
-    frozen on adoption, so :attr:`generation` alone stamps what is
-    derived from it.
+    The live graph is frozen on adoption, so :attr:`generation` alone
+    stamps what is derived from it.
     """
 
     def __init__(
@@ -99,12 +96,10 @@ class QueryPlanner:
         graph: SocialContentGraph,
         cost_model: CostModel | None = None,
         cache: PlanCache | None = None,
-        shards: int = 1,
     ):
         self.graph = graph.freeze()
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.cache = cache if cache is not None else PlanCache()
-        self.shards = max(1, shards)
         #: bumped on every refresh/attach — stamps every derived structure
         self.generation = 0
         #: bumped when resident plans must go: an attach, a full refresh,
@@ -117,11 +112,11 @@ class QueryPlanner:
         self._stats: GraphStats | None = None
         self._stats_generation = -1
         self._index: IndexBinding | None = None
-        #: lazily built per-shard *columnar* views of the live graph
-        #: (node rows + link rows + lazy columns/buckets/postings),
-        #: stamped with the generation they were cut under
-        self._shard_views: tuple[ShardView, ...] | None = None
-        self._shard_generation = -1
+        #: lazily built *columnar* view of the live graph (node rows +
+        #: link rows + lazy columns/buckets/postings), stamped with the
+        #: generation it was cut under
+        self._view: ColumnarView | None = None
+        self._view_generation = -1
         #: lazily built §6.2 endorsement indexes, keyed by variant and
         #: stamped with the generation they were built under
         self._network_indexes: dict[str, Any] = {}
@@ -144,8 +139,8 @@ class QueryPlanner:
         """Point at a (possibly new) graph and move the generation.
 
         Without *delta* everything derived is dropped: statistics rebuild
-        lazily on the next compile, shard views re-cut on the next
-        sharded execution, stale cache entries die on lookup — so
+        lazily on the next compile, the columnar view re-cut on the next
+        columnar scan, stale cache entries die on lookup — so
         back-to-back refreshes cost nothing (the session's dirty-flag
         discipline).
 
@@ -153,11 +148,11 @@ class QueryPlanner:
         graph into *graph*, nothing else having touched either — each
         structure keeps what the step cannot have changed, as a new
         object (the old ones may be serving a request).  The statistics
-        are patched.  When the step touched only links, the views keep
-        their node side, the sub-plan memo its ``"select"`` entries and
+        are patched.  When the step touched only links, the view keeps
+        its node side, the sub-plan memo its ``"select"`` entries and
         every ``"basis"`` entry the step left true
         (:func:`~repro.core.social.basis_keeper`), the exact endorsement
-        index waits for :meth:`network_index` to patch it; the views'
+        index waits for :meth:`network_index` to patch it; the view's
         link side goes.  Compiled plans hold no data, so they stay
         through a link-only step unless the statistics moved where a plan
         could tell: a count beyond :data:`PLAN_DRIFT`, or a signal
@@ -169,8 +164,7 @@ class QueryPlanner:
             before = self.generation
             old = self.graph
             stats = self._stats if self._stats_generation == before else None
-            views = self._shard_views \
-                if self._shard_generation == before else None
+            view = self._view if self._view_generation == before else None
             memo = self._subplan_results \
                 if self._subplan_generation == before else None
             behind = self._network_behind
@@ -179,17 +173,15 @@ class QueryPlanner:
                 behind = (self._network_indexes["exact"], GraphDelta())
             self.graph = graph.freeze()
             self.generation += 1
-            self._stats = self._shard_views = self._network_behind = None
+            self._stats = self._view = self._network_behind = None
             after = self.generation
             if delta is not None and stats is not None:
                 self._stats = stats.patched(delta, old, graph)
                 self._stats_generation = after
             if delta is not None and delta.links_only:
-                if views is not None:
-                    self._shard_views = cut_columnar_views(
-                        graph, self.shards, shard_of, node_side=views
-                    )
-                    self._shard_generation = after
+                if view is not None:
+                    self._view = cut_columnar_view(graph, node_side=view)
+                    self._view_generation = after
                 if memo is not None:
                     keeps_basis = basis_keeper(graph, delta)
                     self._subplan_results = memo.carried(
@@ -233,49 +225,32 @@ class QueryPlanner:
             self.generation += 1
             self._plan_generation += 1
 
-    def attach_shards(self, num_shards: int) -> None:
-        """Declare that the base graph partitions into *num_shards* views.
-
-        Changes what plans compile to (large scans lower to the scattered
-        form), so it bumps the generation.
-        """
-        with self._lock:
-            self.shards = max(1, num_shards)
-            self._shard_views = None
-            self.generation += 1
-            self._plan_generation += 1
-
     @property
     def index_binding(self) -> IndexBinding | None:
         return self._index
 
-    # -- partitioned views ----------------------------------------------------
+    # -- the columnar view ----------------------------------------------------
 
-    def shard_views(
-        self, graph: SocialContentGraph
-    ) -> tuple[ShardView, ...] | None:
-        """Per-shard *columnar* scatter views of *graph*.
+    def columnar_view(self, graph: SocialContentGraph) -> ColumnarView | None:
+        """The *columnar* view of *graph*.
 
-        Views are cut from the *planner's* live graph (not the physical
-        store) so analysis-derived nodes partition too; requests for any
-        other graph return ``None`` and the operator degrades to a full
-        scan rather than scanning the wrong population.  One pass per
-        graph generation pays for every columnar scan of that generation;
-        the views' derived columns — type buckets, attribute columns,
-        term postings — build lazily inside the views and live
-        just as long.  With ``shards == 1`` this is the single monolithic
-        columnar view.
+        The view is cut from the *planner's* live graph (not the physical
+        store) so analysis-derived records are in it too; requests for
+        any other graph return ``None`` and the operator degrades to a
+        full scan rather than scanning the wrong population.  One pass
+        per graph generation pays for every columnar scan of that
+        generation; the view's derived columns — type buckets, attribute
+        columns, term postings — build lazily inside it and live just as
+        long.
         """
         if graph is not self.graph:
             return None
         with self._lock:
-            if self._shard_generation != self.generation or \
-                    self._shard_views is None:
-                self._shard_views = cut_columnar_views(
-                    graph, self.shards, shard_of
-                )
-                self._shard_generation = self.generation
-            return self._shard_views
+            if self._view_generation != self.generation or \
+                    self._view is None:
+                self._view = cut_columnar_view(graph)
+                self._view_generation = self.generation
+            return self._view
 
     def network_index(self, variant: str) -> Any:
         """The §6.2 endorsement index of the live graph (lazy, cached).
@@ -347,7 +322,6 @@ class QueryPlanner:
             access=access,
             cost_model=self.cost_model,
             key=structural_key,
-            shards=self.shards,
         )
         self.cache.put(key, stamp, plan)
         return plan, False
@@ -378,7 +352,7 @@ class QueryPlanner:
             run_env,
             index_provider=provider,
             network_provider=self.network_index,
-            shard_provider=self.shard_views,
+            view_provider=self.columnar_view,
             result_cache=result_cache,
             topk=topk,
             deadline=deadline,

@@ -126,7 +126,7 @@ class DeadlineExceeded:
 
     tenant: str
     #: where the deadline fired: ``queued`` | ``executing`` |
-    #: ``shutdown``, or the plan-side stage (operator / shard label)
+    #: ``shutdown``, or the plan-side stage (the operator's label)
     stage: str
     #: seconds from submit to expiry (>= the configured deadline for
     #: timer-driven expiry; can exceed it when a wedged slot was only

@@ -31,7 +31,7 @@ runs out (``stage="queued"`` or ``"executing"`` — a submission can
 absolute monotonic deadline rides into
 ``Session.run(request, deadline=...)`` where the plan executor's
 cooperative :meth:`~repro.plan.physical.ExecContext.check_deadline`
-stops shard scans between operators so a doomed request stops burning
+stops the plan between operators so a doomed request stops burning
 pool time.  Requests already expired when their turn comes are skipped
 at dispatch.
 

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.api import SearchRequest, Session, SessionConfig
+from repro.api import SearchRequest, Session
 from repro.core import Id
 from repro.serve.admission import (
     AdmissionPolicy,
@@ -314,9 +314,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--concurrency", type=int, default=None,
                         help="concurrent in-flight clients")
     parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--shards", type=int, default=1,
-                        help="partition the site graph into N shards "
-                             "(enables scattered scans)")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON instead of text")
     args = parser.parse_args(argv)
@@ -340,9 +337,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.concurrency if args.concurrency is not None else 32
         )
     site = build_site(site_config)
-    session = Session.from_graph(
-        site.graph, SessionConfig(shards=args.shards)
-    )
+    session = Session.from_graph(site.graph)
     mix = LoadMix.for_site(
         site.user_ids, site.categories, LoadMixConfig(seed=args.seed)
     )

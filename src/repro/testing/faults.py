@@ -9,16 +9,16 @@ arm disjoint fault sets without clobbering each other.
 The canned handler factories cover the failure modes the deadlines and
 typed outcomes must answer:
 
-* :func:`raising` — the site's natural exception (a shard-scan error, WAL
+* :func:`raising` — the site's natural exception (a scan error, WAL
   fsync ``OSError``, …);
-* :func:`sleeping` — slow shards, hung executor slots;
+* :func:`sleeping` — slow scans, hung executor slots;
 * :func:`file_corruptor` — flips bytes in a just-written snapshot so
   the read-side CRC verify fails honestly.
 
 Registered fault-point names (the contract with production modules):
 
 ======================  ====================================================
-``physical.scan_shard``  before each per-shard scan (``shard=`` index)
+``physical.scan``        before each columnar scan
 ``wal.fsync``            before a WAL file fsync (``path=``)
 ``persist.snapshot``     after an atomic snapshot write (``path=``)
 ``serve.batch``          inside a gateway worker slot, before the
@@ -42,7 +42,7 @@ from repro.core.faults import FaultHandler
 #: Every name production code is allowed to pass to ``fault_point`` —
 #: tests assert arming an unknown name is a typo, not a silent no-op.
 KNOWN_FAULT_POINTS = (
-    "physical.scan_shard",
+    "physical.scan",
     "wal.fsync",
     "persist.snapshot",
     "serve.batch",
@@ -123,7 +123,7 @@ def raising(
 
 
 def sleeping(seconds: float, times: int | None = None) -> FaultHandler:
-    """A handler that stalls the calling thread (slow shard, hung slot)."""
+    """A handler that stalls the calling thread (slow scan, hung slot)."""
 
     def action(name: str, **info: Any) -> None:
         time.sleep(seconds)

@@ -4,7 +4,7 @@
 ``tests/oracle``; this suite holds what a caller actually gets — the
 windowed item ids of ``Session.run`` and the three scores of every
 returned item — equal to ``oracle.rank_reference`` plus plain list
-slicing, across strategies × access preference × shard count × window
+slicing, across strategies × access preference × scan form × window
 shapes.  The oracle shares nothing with ``repro.plan``: a disagreement
 is a bug in the engine, the session's budgeting/windowing, or both.
 """
@@ -44,6 +44,8 @@ def travel():
 
 @pytest.fixture(scope="module", params=(1, 2), ids=("shards=1", "shards=2"))
 def session(request, travel):
+    """The default session (row scans), and one configured ``shards=2``
+    — an inert option — whose base scans all run columnar."""
     # item_similarity derives the sim_item links item_based scores over
     session = Session.from_graph(
         travel.graph,
@@ -51,9 +53,9 @@ def session(request, travel):
                       auto_analyses=("item_similarity",)),
     )
     if request.param > 1:
-        # the travel site sits under the sharding floor: lift it so the
-        # scan path really scatters
-        session.planner.cost_model = CostModel(shard_scan_min_nodes=0.0)
+        # the travel site sits under the columnar floor: lift it so the
+        # scan path really reads the columnar view
+        session.planner.cost_model = CostModel(columnar_scan_min_nodes=0.0)
     return session
 
 

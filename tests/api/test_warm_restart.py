@@ -26,8 +26,8 @@ from tests.factories import social_site_graph
 STRATEGIES = ("friends", "similar_users", "item_based")
 
 
-def durable_session(tmp_path, shards=2):
-    dm = DataManager(shards=shards)
+def durable_session(tmp_path):
+    dm = DataManager()
     dm.load_graph(social_site_graph(num_users=8, num_items=10))
     dm.enable_wal(tmp_path / "wal")
     return Session(dm)
@@ -103,7 +103,7 @@ class TestRestartCursors:
 
 class TestWarmRestart:
     def test_rankings_identical_across_restart(self, tmp_path):
-        session = durable_session(tmp_path, shards=2)
+        session = durable_session(tmp_path)
         live = {
             s: session.run(_request(strategy=s, page_size=50)).items
             for s in STRATEGIES

@@ -6,13 +6,18 @@ populations for plan/cache tests, the controlled-selectivity corpus the
 access-path tests sweep, and a small social site with every signal the
 social-stage strategies read (connections, activities, derived
 similarity) — plus :func:`served` and :func:`write_through`, the way a
-test writes to a graph once something serves it.  Test modules import
+test writes to a graph once something serves it, and
+:func:`split_snapshot`, which lays a site snapshot out as the
+multi-file snapshots a hash-sharded store used to write.  Test modules import
 them directly (``tests`` is on the pytest ``pythonpath``); the root
 conftest re-exports the fixtures.
 """
 
 from __future__ import annotations
 
+import json
+import zlib
+from pathlib import Path
 from typing import Callable
 
 from repro.core import Link, Node, SocialContentGraph
@@ -148,3 +153,47 @@ def write_through(
     graph = manager.graph()
     holder.refresh(graph, manager.changes_since(version))
     return graph
+
+
+def split_snapshot(directory: str | Path, files: int) -> dict:
+    """Rewrite the one-file site snapshot in *directory* as *files*
+    record files, the layout a hash-sharded store wrote; returns the new
+    manifest.
+
+    Nodes deal round-robin across the files and each link goes to the
+    file holding its source node, so links cross files exactly as they
+    crossed shards.  Every file gets its header and CRC, and the
+    manifest lists them all.
+    """
+    directory = Path(directory)
+    manifest_path = directory / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text())
+    (entry,) = manifest["shards"]
+    source = directory / entry["file"]
+    records = [json.loads(line) for line in source.read_text().splitlines()]
+    source.unlink()
+    nodes = [r for r in records if r["kind"] == "node"]
+    home = {r["id"]: i % files for i, r in enumerate(nodes)}
+    parts: list[list[dict]] = [[] for _ in range(files)]
+    for record in nodes:
+        parts[home[record["id"]]].append(record)
+    for record in records:
+        if record["kind"] == "link":
+            parts[home[record["src"]]].append(record)
+    entries = []
+    for index, part in enumerate(parts):
+        counts = {kind: sum(r["kind"] == kind for r in part)
+                  for kind in ("node", "link")}
+        header = {"kind": "header", "format": "socialscope-graph",
+                  "version": 2, "meta": {"shard": index,
+                                         "nodes": counts["node"],
+                                         "links": counts["link"]}}
+        data = "".join(json.dumps(r) + "\n" for r in [header, *part])
+        name = f"shard-{index:04d}.jsonl"
+        (directory / name).write_text(data)
+        entries.append({"file": name, "nodes": counts["node"],
+                        "links": counts["link"],
+                        "crc32": zlib.crc32(data.encode()) & 0xFFFFFFFF})
+    manifest.update(num_shards=files, shards=entries)
+    manifest_path.write_text(json.dumps(manifest, indent=1))
+    return manifest

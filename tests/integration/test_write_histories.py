@@ -132,9 +132,9 @@ class WriteHistories(RuleBasedStateMachine):
             wal.close()
         shutil.rmtree(self.directory, ignore_errors=True)
 
-    @initialize(shards=st.sampled_from([1, 2]))
-    def open_site(self, shards: int) -> None:
-        self.config = SessionConfig(shards=shards)
+    @initialize()
+    def open_site(self) -> None:
+        self.config = SessionConfig()
         self.session = Session.from_graph(build_site(SITE).graph, self.config)
 
     # ------------------------------------------------------------- helpers
@@ -568,18 +568,29 @@ class TestChangeFeed:
         assert manager.graph().same_as(manager.store.snapshot())
 
     def test_the_partitioned_store_itemises_only_what_keeps_its_order(self):
-        manager = DataManager(shards=2)
-        manager.load_graph(build_site(SITE).graph)
+        """An insert is itemised like any write, and a session configured
+        ``shards=2`` (the option is inert) follows a vote by delta."""
+        session = Session.from_graph(build_site(SITE).graph,
+                                     SessionConfig(shards=2))
+        manager = session.data_manager
+        request = SearchRequest(user_id=1, text="museum", k=8)
+        session.run(request)
         held, version = manager.graph(), manager.version
-        some = next(iter(held.links()))
-        manager.add_link(Link(some.id, some.src, some.tgt, type="act, rate"))
-        manager.delete_link(next(l.id for l in held.links() if l is not some))
-        assert len(manager.changes_since(version)) == 2
-        patched = manager.graph()
+        before = dataclasses.replace(session.stats)
         manager.add_link(Link("vote", 1, "i1", type="act, visit"))
-        assert manager.changes_since(version) is None
-        for graph in (patched, manager.graph()):
-            assert graph is not held
+        delta = manager.changes_since(version)
+        assert isinstance(delta, GraphDelta)
+        (change,) = delta
+        assert change.old is None and change.new.id == "vote"
+        got = session.run(request)
+        assert session.stats.delta_refreshes == before.delta_refreshes + 1
+        assert session.stats.refreshes == before.refreshes + 1
+        assert session.graph is not held and session.graph.has_link("vote")
+        # the patched graph iterates as the store's snapshot does
         snapshot = manager.store.snapshot()
-        assert [l.id for l in manager.graph().links()] == \
+        assert [l.id for l in session.graph.links()] == \
             [l.id for l in snapshot.links()]
+        fresh = Session.from_graph(snapshot).run(request)
+        assert first_difference(
+            canonical_response(got), canonical_response(fresh)
+        ) is None

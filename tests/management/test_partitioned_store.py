@@ -1,29 +1,29 @@
-"""PartitionedGraphStore ≡ GraphStore: differential parity + shard accounting.
+"""The one store: its read surface against the graph it was written, and
+its bookkeeping.
 
-The partitioned store must be indistinguishable from the monolithic one
-through the entire public read surface — that is what lets DataManager,
-sync, and the integrator run unchanged on top of either.  The parity
-tests drive both stores through identical write sequences (factory
-graphs plus randomized deletes) and compare every read path; the
-accounting tests pin the per-shard bookkeeping the plan layer reads.
+The site is stored in one :class:`GraphStore`.  The parity tests drive
+it through write sequences (factory graphs plus randomized deletes) and
+compare every read path against the logical graph the same writes
+produce; the accounting tests pin the store's own counts and invariants,
+which the optimizer statistics and the Data Manager read.
+
+(The module and its test ids are named for the hash-partitioned store
+this suite once held equal to the monolithic one; each test now pins the
+one-store behaviour that replaced it.)
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import factories
 from repro.core import Link, Node
+from repro.core.stats import GraphStats
 from repro.errors import DanglingLinkError, ManagementError, UnknownNodeError
-from repro.management import (
-    DataManager,
-    GraphStore,
-    PartitionedGraphStore,
-    shard_of,
-)
-
-SHARD_COUNTS = (1, 2, 7)
+from repro.management import DataManager, GraphStore
 
 
 def load(store, graph, origin="local"):
@@ -33,37 +33,37 @@ def load(store, graph, origin="local"):
         store.upsert_link(link, origin=origin)
 
 
-def assert_stores_equivalent(mono: GraphStore, part: PartitionedGraphStore):
-    assert part.num_nodes == mono.num_nodes
-    assert part.num_links == mono.num_links
-    assert part.snapshot().same_as(mono.snapshot())
-    # merged statistics equal the monolithic ones
-    assert part.graph_stats() == mono.graph_stats()
-    merged = part.stats
-    assert merged.node_types == mono.stats.node_types
-    assert merged.link_types == mono.stats.link_types
-    # type scans come back in the same order
-    for type_name in set(mono.stats.node_types) | {"missing-type"}:
-        assert [n.id for n in part.nodes_of_type(type_name)] == [
-            n.id for n in mono.nodes_of_type(type_name)
-        ]
-    for type_name in set(mono.stats.link_types):
-        assert [l.id for l in part.links_of_type(type_name)] == [
-            l.id for l in mono.links_of_type(type_name)
-        ]
+def assert_store_serves(store: GraphStore, graph, origin="local"):
+    """Every read path of *store* answers as *graph* says it should."""
+    assert store.num_nodes == graph.num_nodes
+    assert store.num_links == graph.num_links
+    assert store.snapshot().same_as(graph)
+    stats, expected = store.graph_stats(), GraphStats.of(graph)
+    assert (stats.num_nodes, stats.num_links) == \
+        (expected.num_nodes, expected.num_links)
+    assert +stats.node_types == +expected.node_types
+    assert +stats.link_types == +expected.link_types
+    # type scans come back in id-repr order
+    types = {str(t) for node in graph.nodes() for t in node.types}
+    for type_name in types | {"missing-type"}:
+        assert [n.id for n in store.nodes_of_type(type_name)] == sorted(
+            (n.id for n in graph.nodes_of_type(type_name)), key=repr
+        )
+    for type_name in {str(t) for link in graph.links() for t in link.types}:
+        assert [l.id for l in store.links_of_type(type_name)] == sorted(
+            (l.id for l in graph.links() if l.has_type(type_name)), key=repr
+        )
     # per-record reads agree everywhere
-    for node in mono.snapshot().nodes():
-        assert part.node(node.id) == mono.node(node.id)
-        assert part.has_node(node.id)
-        assert sorted(l.id for l in part.out_links(node.id)) == sorted(
-            l.id for l in mono.out_links(node.id)
+    for node in graph.nodes():
+        assert store.node(node.id) == node
+        assert store.has_node(node.id)
+        assert sorted(l.id for l in store.out_links(node.id)) == sorted(
+            l.id for l in graph.out_links(node.id)
         )
-        assert sorted(l.id for l in part.in_links(node.id)) == sorted(
-            l.id for l in mono.in_links(node.id)
+        assert sorted(l.id for l in store.in_links(node.id)) == sorted(
+            l.id for l in graph.in_links(node.id)
         )
-        assert part.origin_of("node", node.id) == mono.origin_of(
-            "node", node.id
-        )
+        assert store.origin_of("node", node.id) == origin
 
 
 @st.composite
@@ -87,105 +87,100 @@ def store_workloads(draw):
 
 class TestDifferentialParity:
     @settings(max_examples=40, deadline=None)
-    @given(store_workloads(), st.sampled_from(SHARD_COUNTS))
-    def test_write_read_delete_parity(self, workload, shards):
+    @given(store_workloads())
+    def test_write_read_delete_parity(self, workload):
         graph, drop_links, drop_nodes = workload
-        mono = GraphStore(indexed_attributes=("name",))
-        part = PartitionedGraphStore(indexed_attributes=("name",),
-                                     num_shards=shards)
-        load(mono, graph)
-        load(part, graph)
+        store = GraphStore(indexed_attributes=("name",))
+        load(store, graph)
+        expected = graph.copy()
         for link_id in drop_links:
-            if mono.has_link(link_id):
-                mono.delete_link(link_id)
-                part.delete_link(link_id)
+            store.delete_link(link_id)
+            expected.remove_link(link_id)
         for node_id in drop_nodes:
-            if mono.has_node(node_id):
-                mono.delete_node(node_id)
-                part.delete_node(node_id)
-        assert_stores_equivalent(mono, part)
+            store.delete_node(node_id)
+            expected.remove_node(node_id)  # cascades, as the store does
+        assert_store_serves(store, expected)
 
     @settings(max_examples=20, deadline=None)
-    @given(store_workloads(), st.sampled_from((2, 7)))
-    def test_attribute_index_scatter(self, workload, shards):
+    @given(store_workloads())
+    def test_attribute_index_scatter(self, workload):
+        # the value index answers a lookup with every match, in id order
         graph, _, _ = workload
-        mono = GraphStore(indexed_attributes=("name",))
-        part = PartitionedGraphStore(indexed_attributes=("name",),
-                                     num_shards=shards)
-        load(mono, graph)
-        load(part, graph)
-        names = {node.value("name") for node in graph.nodes()}
-        for name in names:
-            assert [n.id for n in part.find_nodes("name", name)] == [
-                n.id for n in mono.find_nodes("name", name)
-            ]
+        store = GraphStore(indexed_attributes=("name",))
+        load(store, graph)
+        for name in {node.value("name") for node in graph.nodes()}:
+            assert [n.id for n in store.find_nodes("name", name)] == sorted(
+                (n.id for n in graph.nodes() if n.value("name") == name),
+                key=repr,
+            )
+        with pytest.raises(ManagementError, match="not indexed"):
+            list(store.find_nodes("keywords", "topic0"))
 
     def test_datamanager_runs_unchanged_on_partitions(self):
+        # the manager serves what it was loaded with, from one store
         graph = factories.tiny_travel_graph()
-        flat = DataManager()
-        sharded = DataManager(shards=4)
-        flat.load_graph(graph)
-        sharded.load_graph(graph)
-        assert sharded.num_shards == 4 and flat.num_shards == 1
-        assert sharded.graph().same_as(flat.graph())
-        assert sharded.statistics() == flat.statistics()
-        assert sharded.provenance_summary() == flat.provenance_summary()
+        manager = DataManager()
+        manager.load_graph(graph)
+        assert type(manager.store) is GraphStore
+        assert manager.graph().same_as(graph)
+        assert manager.statistics() == manager.store.graph_stats()
+        assert +manager.statistics().node_types == \
+            +GraphStats.of(graph).node_types
+        assert manager.provenance_summary() == {
+            "local": (graph.num_nodes, graph.num_links)
+        }
+        with pytest.raises(TypeError):
+            DataManager(shards=4)  # the option is gone
 
 
 class TestShardAccounting:
     def test_nodes_route_by_stable_hash(self):
-        store = PartitionedGraphStore(num_shards=5)
+        # every record lives in the one store, indexed on both endpoints
+        store = GraphStore()
         graph = factories.social_site_graph()
         load(store, graph)
-        for index, shard in enumerate(store.shards):
-            for node_id in list(shard._nodes):
-                assert shard_of(node_id, 5) == index
-        # links live in their source node's shard
+        assert set(store._nodes) == graph.node_ids()
         for link in graph.links():
-            home = store._link_home[link.id]
-            assert home == store.shard_index(link.src)
+            assert link.id in store._out[link.src]
+            assert link.id in store._in[link.tgt]
 
     def test_per_shard_stats_sum_to_the_site_view(self):
-        store = PartitionedGraphStore(num_shards=3)
-        load(store, factories.social_site_graph())
-        per_shard = store.shard_stats()
-        assert len(per_shard) == 3
-        assert sum(s.writes for s in per_shard) == store.stats.writes
-        total = sum((+s.node_types for s in per_shard),
-                    start=type(per_shard[0].node_types)())
-        assert total == store.stats.node_types
+        store = GraphStore()
+        graph = factories.social_site_graph()
+        load(store, graph)
+        assert store.stats.writes == graph.num_nodes + graph.num_links
+        assert store.stats.deletes == 0
+        assert +store.stats.node_types == Counter(
+            str(t) for node in graph.nodes() for t in node.types
+        )
+        assert +store.stats.link_types == Counter(
+            str(t) for link in graph.links() for t in link.types
+        )
 
     def test_shard_snapshot_is_the_partition_population(self):
-        store = PartitionedGraphStore(num_shards=4)
-        load(store, factories.social_site_graph())
-        seen = set()
-        for index in range(4):
-            view = store.shard_snapshot(index)
-            assert view.is_null_graph()
-            for node_id in view.node_ids():
-                assert store.shard_index(node_id) == index
-            seen |= view.node_ids()
-        assert seen == store.snapshot().node_ids()
+        # a snapshot is the whole population, as a fresh graph of its own
+        store = GraphStore()
+        graph = factories.social_site_graph()
+        load(store, graph)
+        first, second = store.snapshot(), store.snapshot()
+        assert first.same_as(graph) and first is not second
+        first.remove_node(next(iter(graph.node_ids())))
+        assert store.snapshot().same_as(graph)
 
     def test_cross_shard_links_delete_cleanly(self):
-        store = PartitionedGraphStore(num_shards=2)
-        # find two ids hashing to different shards
-        a, b = None, None
-        for i in range(100):
-            if shard_of(f"n{i}", 2) == 0 and a is None:
-                a = f"n{i}"
-            if shard_of(f"n{i}", 2) == 1 and b is None:
-                b = f"n{i}"
-        store.upsert_node(Node(a, type="user"))
-        store.upsert_node(Node(b, type="item"))
-        store.upsert_link(Link("x", a, b, type="act"))
-        assert [l.id for l in store.in_links(b)] == ["x"]
-        store.delete_node(a)  # cascades across the shard boundary
+        store = GraphStore()
+        store.upsert_node(Node("a", type="user"))
+        store.upsert_node(Node("b", type="item"))
+        store.upsert_link(Link("x", "a", "b", type="act"))
+        assert [l.id for l in store.in_links("b")] == ["x"]
+        store.delete_node("a")  # cascades to the incident link
         assert not store.has_link("x")
-        assert list(store.in_links(b)) == []
+        assert list(store.in_links("b")) == []
+        assert store.stats.link_types["act"] == 0
+        assert store.stats.deletes == 2
 
     def test_invariants_enforced_across_shards(self):
-        store = PartitionedGraphStore(num_shards=3)
+        store = GraphStore()
         store.upsert_node(Node("u", type="user"))
         with pytest.raises(DanglingLinkError):
             store.upsert_link(Link("l", "u", "ghost", type="act"))
@@ -195,5 +190,3 @@ class TestShardAccounting:
             store.upsert_link(Link("l", "i", "u", type="act"))
         with pytest.raises(UnknownNodeError):
             store.delete_node("ghost")
-        with pytest.raises(ManagementError):
-            PartitionedGraphStore(num_shards=0)

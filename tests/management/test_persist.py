@@ -1,18 +1,30 @@
-"""Site snapshots: atomic write, CRC verification, recovery continuity."""
+"""Site snapshots: atomic write, CRC verification, recovery continuity.
+
+A checkpoint writes one records file.  A site saved when the store could
+be hash-sharded lists one file per shard, and still restores into the
+one store: :func:`factories.split_snapshot` lays fresh snapshots out that
+way, and ``fixtures/two_shard_site`` is such a site written by hand.
+"""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from repro.core import Link, Node
+from factories import split_snapshot
+from repro.core import Link, Node, SocialContentGraph
 from repro.errors import PersistenceError
 from repro.management import DataManager, read_manifest, write_snapshot
 from repro.management.persist import MANIFEST_NAME
 from repro.management.storage import DERIVED
 
+#: a two-shard version-2 site: cross-shard links, derived records
+TWO_SHARD_SITE = Path(__file__).parent / "fixtures" / "two_shard_site"
 
-def seeded_manager(shards=1, users=10):
-    dm = DataManager(shards=shards)
+
+def seeded_manager(users=10):
+    dm = DataManager()
     for i in range(users):
         dm.add_node(Node(f"u{i}", type="user", name=f"user {i}"))
     for i in range(users):
@@ -35,24 +47,34 @@ def same_graphs(a, b):
 
 
 class TestSnapshotRoundTrip:
-    @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_graph_survives_identically(self, tmp_path, shards):
-        dm = seeded_manager(shards=shards)
+    @pytest.mark.parametrize("files", [1, 2, 7])
+    def test_graph_survives_identically(self, tmp_path, files):
+        # the snapshot as this build writes it, and laid out as a
+        # 2- or 7-shard store wrote it: the same site comes back
+        dm = seeded_manager()
         write_snapshot(dm, tmp_path)
+        if files > 1:
+            split_snapshot(tmp_path, files)
         recovered, report = DataManager.recover(tmp_path)
         assert same_graphs(recovered, dm)
-        assert recovered.num_shards == shards
+        assert recovered.provenance_summary() == dm.provenance_summary()
         assert report.replayed == 0 and not report.tail_truncated
+        # and its next checkpoint is one file again
+        assert recovered.checkpoint(tmp_path / "again")["num_shards"] == 1
 
     def test_manifest_shape(self, tmp_path):
-        dm = seeded_manager(shards=2)
+        dm = seeded_manager()
         manifest = write_snapshot(dm, tmp_path, extra={"note": "hi"})
         assert manifest == read_manifest(tmp_path)
-        assert manifest["num_shards"] == 2
-        assert len(manifest["shards"]) == 2
+        assert manifest["num_shards"] == 1
+        (entry,) = manifest["shards"]
+        assert entry["file"] == "shard-0000.jsonl"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            MANIFEST_NAME, "shard-0000.jsonl"
+        ]
         assert manifest["extra"] == {"note": "hi"}
-        total_nodes = sum(entry["nodes"] for entry in manifest["shards"])
-        assert total_nodes == dm.graph().num_nodes
+        assert entry["nodes"] == dm.graph().num_nodes
+        assert entry["links"] == dm.graph().num_links
 
     def test_provenance_survives(self, tmp_path):
         dm = seeded_manager()
@@ -118,11 +140,12 @@ class TestRefusal:
             DataManager.recover(tmp_path)
 
     def test_missing_shard_file(self, tmp_path):
-        dm = seeded_manager(shards=2)
-        write_snapshot(dm, tmp_path)
-        (tmp_path / "shard-0001.jsonl").unlink()
+        # every file a multi-file manifest lists must be there
+        site = tmp_path / "site"
+        shutil.copytree(TWO_SHARD_SITE, site)
+        (site / "shard-0001.jsonl").unlink()
         with pytest.raises(PersistenceError, match="missing"):
-            DataManager.recover(tmp_path)
+            DataManager.recover(site, resume_wal=False)
 
 
 # -------------------------------------------------- checkpoint + WAL tail
@@ -130,7 +153,7 @@ class TestRefusal:
 
 class TestCheckpointAndTail:
     def test_tail_replays_past_snapshot(self, tmp_path):
-        dm = seeded_manager(shards=2)
+        dm = seeded_manager()
         dm.enable_wal(tmp_path / "wal")
         dm.checkpoint(tmp_path)
         dm.add_node(Node("u99", type="user", name="late arrival"))
@@ -172,7 +195,7 @@ class TestCheckpointAndTail:
         assert second.graph().node("after").attrs["name"] == ("post restart",)
 
     def test_double_recovery_is_idempotent(self, tmp_path):
-        dm = seeded_manager(shards=2)
+        dm = seeded_manager()
         dm.enable_wal(tmp_path / "wal")
         dm.checkpoint(tmp_path)
         dm.add_node(Node("u99", type="user", name="late"))
@@ -199,3 +222,65 @@ class TestCheckpointAndTail:
         again, report2 = DataManager.recover(tmp_path, resume_wal=False)
         assert not report2.tail_truncated
         assert same_graphs(again, recovered)
+
+
+# ------------------------------------------------ a site saved sharded
+
+
+def two_shard_records() -> SocialContentGraph:
+    """The fixture's records, read straight from its files."""
+    graph = SocialContentGraph()
+    records = [
+        json.loads(line)
+        for name in ("shard-0000.jsonl", "shard-0001.jsonl")
+        for line in (TWO_SHARD_SITE / name).read_text().splitlines()
+    ]
+    for record in records:
+        if record["kind"] == "node":
+            graph.add_node(Node(record["id"], record["attrs"]))
+    for record in records:
+        if record["kind"] == "link":
+            graph.add_link(Link(record["id"], record["src"], record["tgt"],
+                                record["attrs"]))
+    return graph
+
+
+class TestTwoShardSite:
+    def test_restores_into_one_store(self, tmp_path):
+        site = tmp_path / "site"
+        shutil.copytree(TWO_SHARD_SITE, site)
+        assert read_manifest(site)["num_shards"] == 2
+        recovered, report = DataManager.recover(site)
+        direct = DataManager()
+        direct.load_graph(two_shard_records())
+        assert recovered.graph().same_as(direct.graph())
+        assert recovered.graph().num_links == 5  # three cross the shards
+        assert recovered.provenance_summary() == {
+            "derived": (1, 1), "local": (5, 4),
+        }
+        assert recovered.site_name == "two-shard-site"
+        assert recovered.version >= 11 and recovered.applied_seq == 11
+        assert report.replayed == 0
+
+    def test_wal_tail_replays_on_top(self, tmp_path):
+        site = tmp_path / "site"
+        shutil.copytree(TWO_SHARD_SITE, site)
+        dm, _ = DataManager.recover(site)
+        dm.add_link(Link("v3", "u2", "d1", type="act, visit"))
+        dm.delete_link("f0")
+        dm.add_node(Node("u3", type="user", name="dev"))
+        dm.wal.sync()
+        dm.wal.close()
+        recovered, report = DataManager.recover(site, resume_wal=False)
+        assert report.replayed == 3
+        assert recovered.applied_seq == 14
+        expected = two_shard_records()
+        expected.add_link(Link("v3", "u2", "d1", type="act, visit"))
+        expected.remove_link("f0")
+        expected.add_node(Node("u3", type="user", name="dev"))
+        assert recovered.graph().same_as(expected)
+        # a checkpoint of the restored site is one file
+        manifest = recovered.checkpoint(tmp_path / "saved")
+        assert manifest["num_shards"] == 1
+        again, _ = DataManager.recover(tmp_path / "saved", resume_wal=False)
+        assert again.graph().same_as(expected)

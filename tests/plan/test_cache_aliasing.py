@@ -92,7 +92,7 @@ class TestPlanCache:
         expr = input_graph("G").select_nodes({"type": "item"})
         default_plan, _ = planner.compile(expr)
         planner.cost_model = replace(
-            planner.cost_model, shard_scan_min_nodes=0.0
+            planner.cost_model, columnar_scan_min_nodes=0.0
         )
         plan, hit = planner.compile(expr)
         assert hit is False and plan is not default_plan
@@ -100,7 +100,9 @@ class TestPlanCache:
 
     @pytest.mark.parametrize("attach", [
         lambda planner: planner.attach_index("item", lambda: None),
-        lambda planner: planner.attach_shards(2),
+        # the id names the retired partition attach; a full refresh is
+        # the other step that stales every resident plan at once
+        lambda planner: planner.refresh(planner.graph),
         # re-binding the semantic index to another population
         lambda planner: planner.attach_index(
             "user", lambda: None, scorer_provider=lambda: None

@@ -1,12 +1,12 @@
-"""Columnar shard views and vectorized selection: parity, lowering, caches.
+"""The columnar view and vectorized selection: parity, lowering, caches.
 
 The acceptance contract of the columnar substrate: for any condition,
-scorer, shard count and strategy, the columnar execution path produces
-exactly what the row-at-a-time :class:`ScanOp` produces — verified with a
-hypothesis differential harness over random conditions and the shared
-site factory across shard counts {1, 2, 7} and all three social
-strategies (1e-9 on scores).  Plus structural tests for attribute
-equalities on the columnar scan, sharded link scans, top-k pushdown,
+scorer and strategy, the columnar execution path produces exactly what
+the row-at-a-time :class:`ScanOp` produces — verified with a hypothesis
+differential harness over random conditions and the shared site factory
+across all three social strategies (1e-9 on scores).  Plus structural
+tests for attribute equalities on the columnar scan, columnar link
+scans, top-k pushdown,
 writes reaching the columnar views through the Data Manager, the
 byte-bounded memo accounting, and the plan-cache stats endpoint.
 """
@@ -40,18 +40,17 @@ from repro.discovery import InformationDiscoverer, parse_query
 from repro.errors import FrozenGraphError
 from repro.management import DataManager
 from repro.plan import (
-    SHARDED,
-    ColumnarShardView,
+    COLUMNAR,
+    ColumnarLinkScanOp,
+    ColumnarScanOp,
+    ColumnarView,
     CostModel,
     QueryPlanner,
     ResultMemo,
     ScanOp,
-    ShardedLinkScanOp,
-    ShardedScanOp,
     VectorCondition,
 )
-from repro.plan.columnar import cut_columnar_views
-from repro.core.partition import shard_of
+from repro.plan.columnar import cut_columnar_view
 from repro.serve import ServeGateway
 
 TOL = 1e-9
@@ -59,22 +58,23 @@ TOL = 1e-9
 VOCAB = ("topic0", "topic1", "thing", "offkey")
 
 
-def columnar_planner(graph, shards=1, min_nodes=0.0,
-                     **model_kw) -> QueryPlanner:
-    planner = QueryPlanner(
+def columnar_planner(graph, min_nodes=0.0, **model_kw) -> QueryPlanner:
+    return QueryPlanner(
         graph,
-        cost_model=CostModel(shard_scan_min_nodes=min_nodes,
-                             shard_link_min_links=min_nodes, **model_kw),
+        cost_model=CostModel(columnar_scan_min_nodes=min_nodes,
+                             columnar_scan_min_links=min_nodes, **model_kw),
     )
-    if shards > 1:
-        planner.attach_shards(shards)
-    return planner
+
+
+def uses_columnar(plan) -> bool:
+    return any(op.access_path == COLUMNAR
+               for op in plan._walk(plan.root, set()))
 
 
 #: A cost model whose thresholds no population reaches: every base-graph
 #: selection stays on the row-at-a-time :class:`ScanOp`.
-ROW_MODEL = CostModel(shard_scan_min_nodes=math.inf,
-                      shard_link_min_links=math.inf)
+ROW_MODEL = CostModel(columnar_scan_min_nodes=math.inf,
+                      columnar_scan_min_links=math.inf)
 
 
 def row_planner(graph) -> QueryPlanner:
@@ -140,20 +140,23 @@ class TestVectorConditionParity:
         scorer = (lambda e, kw: float(len(kw) + (e.id if isinstance(
             e.id, int) else 0))) if scored else None
         expected = select_nodes(graph, condition, scorer)
-        view = cut_columnar_views(graph, 1, shard_of)[0]
+        view = cut_columnar_view(graph)
         got = VectorCondition(condition).select(view, scorer)
         assert [n.id for n in got] == [n.id for n in expected.nodes()]
         for node in got:
             assert node == expected.node(node.id)
 
     @settings(max_examples=25, deadline=None)
-    @given(populations(), conditions(), st.sampled_from([2, 7]))
-    def test_sharded_union_matches_monolithic(self, graph, condition,
-                                              shards):
+    @given(populations(), conditions())
+    def test_sharded_union_matches_monolithic(self, graph, condition):
+        # the planner's columnar scan, end to end, against the row scan
         expr = input_graph("G").select_nodes(condition)
         mono = row_planner(graph).execute(expr)
-        got = columnar_planner(graph, shards).execute(expr)
+        got = columnar_planner(graph).execute(expr)
+        assert uses_columnar(got.plan) and got.degraded_ops == 0
         assert got.result.same_as(mono.result)
+        assert [n.id for n in got.result.nodes()] == \
+            [n.id for n in mono.result.nodes()]
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,7 @@ def site_queries(draw):
 
 
 class TestColumnarRankingParity:
-    """row executor vs columnar × {1, 2, 7} shards — one ranking."""
+    """row executor vs columnar executor — one ranking."""
 
     @settings(max_examples=25, deadline=None)
     @given(site_queries())
@@ -189,24 +192,19 @@ class TestColumnarRankingParity:
         reference = reference_discoverer.rank(
             parse_query(user, text), strategy=strategy
         )
-        for shards in (1, 2, 7):
-            discoverer = InformationDiscoverer(graph)
-            discoverer.planner.cost_model = CostModel(
-                shard_scan_min_nodes=0.0
-            )
-            if shards > 1:
-                discoverer.planner.attach_shards(shards)
-            got = discoverer.rank(parse_query(user, text), strategy=strategy)
-            assert [s.item_id for s in got.items] == [
-                s.item_id for s in reference.items
-            ]
-            for a, b in zip(got.items, reference.items):
-                assert a.combined == pytest.approx(b.combined, abs=TOL)
-                assert a.semantic == pytest.approx(b.semantic, abs=TOL)
-                assert a.social == pytest.approx(b.social, abs=TOL)
-            assert got.social.scores == pytest.approx(
-                reference.social.scores, abs=TOL
-            )
+        discoverer = InformationDiscoverer(graph)
+        discoverer.planner.cost_model = CostModel(columnar_scan_min_nodes=0.0)
+        got = discoverer.rank(parse_query(user, text), strategy=strategy)
+        assert [s.item_id for s in got.items] == [
+            s.item_id for s in reference.items
+        ]
+        for a, b in zip(got.items, reference.items):
+            assert a.combined == pytest.approx(b.combined, abs=TOL)
+            assert a.semantic == pytest.approx(b.semantic, abs=TOL)
+            assert a.social == pytest.approx(b.social, abs=TOL)
+        assert got.social.scores == pytest.approx(
+            reference.social.scores, abs=TOL
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(site_queries(), st.integers(min_value=1, max_value=4))
@@ -278,14 +276,14 @@ class TestColumnarInvalidation:
             manager, planner, lambda dm: dm.add_node(item)
         )
         after = planner.execute(expr, env={"G": live})
-        assert after.plan.uses_sharded_scan and after.degraded_ops == 0
+        assert uses_columnar(after.plan) and after.degraded_ops == 0
         assert [n.id for n in after.result.nodes()] == ["i-live"]
 
     def test_in_place_link_writes_invalidate_link_buckets(self):
         manager, graph = factories.served(
             factories.social_site_graph(num_users=4, num_items=4)
         )
-        planner = columnar_planner(graph, shards=3)
+        planner = columnar_planner(graph)
         expr = input_graph("G").select_links({"type": "sim_item"})
         before = planner.execute(expr, env={"G": graph})
         link = Link("s-live", "i3", "i0", type="sim_item", sim=0.9)
@@ -317,7 +315,7 @@ def attr_graph(num_items: int = 400) -> SocialContentGraph:
 
 def lowered_scans(plan) -> list:
     return [op for op in plan._walk(plan.root, set())
-            if isinstance(op, (ScanOp, ShardedScanOp))]
+            if isinstance(op, (ScanOp, ColumnarScanOp))]
 
 
 class TestAttrIndexPath:
@@ -334,9 +332,9 @@ class TestAttrIndexPath:
                                            "category": "rare"})
         )
         (op,) = lowered_scans(plan)
-        assert isinstance(op, ShardedScanOp) and op.prune_type == "item"
+        assert isinstance(op, ColumnarScanOp) and op.prune_type == "item"
         (decision,) = plan.decisions
-        assert decision.chosen == SHARDED
+        assert decision.chosen == COLUMNAR
         assert "columnar view" in decision.reason
 
     def test_common_values_stay_on_the_columnar_scan(self):
@@ -348,7 +346,7 @@ class TestAttrIndexPath:
             for value in ("common", "rare", "absent")
         ]
         assert [type(op) for plan in plans
-                for op in lowered_scans(plan)] == [ShardedScanOp] * 3
+                for op in lowered_scans(plan)] == [ColumnarScanOp] * 3
 
     def test_posting_path_matches_the_scan_exactly(self):
         graph = attr_graph()
@@ -357,9 +355,9 @@ class TestAttrIndexPath:
                       keywords="spot")
         )
         columnar = columnar_planner(graph).execute(expr)
-        assert columnar.plan.uses_sharded_scan
+        assert uses_columnar(columnar.plan)
         rows = row_planner(graph).execute(expr)
-        assert not rows.plan.uses_sharded_scan
+        assert not uses_columnar(rows.plan)
         assert columnar.result.same_as(rows.result)
         assert {n.id for n in columnar.result.nodes()} == {0, 200}
 
@@ -391,10 +389,10 @@ class TestAttrIndexPath:
             input_graph("G").select_nodes({"type": "item",
                                            "category": "rare"}),
             GraphStats.of(graph),
-            cost_model=CostModel(shard_scan_min_nodes=0.0),
+            cost_model=CostModel(columnar_scan_min_nodes=0.0),
         )
-        assert plan.uses_sharded_scan
-        execution = plan.execute({"G": graph})  # no shard provider
+        assert uses_columnar(plan)
+        execution = plan.execute({"G": graph})  # no view provider
         assert execution.degraded_ops == 1
         assert {n.id for n in execution.result.nodes()} == {0, 200}
 
@@ -432,7 +430,7 @@ class TestAttrIndexPath:
             async with ServeGateway(session) as gateway:
                 return [await gateway.submit("t", r) for r in requests]
 
-        monkeypatch.setattr(ColumnarShardView, "column", corrupt)
+        monkeypatch.setattr(ColumnarView, "column", corrupt)
         with pytest.raises(RuntimeError, match="column corrupt"):
             planner.execute(expr, env=env)
         failed, served = asyncio.run(serve(column_request, other_request))
@@ -444,7 +442,7 @@ class TestAttrIndexPath:
         monkeypatch.undo()
         recovered = planner.execute(expr, env=env)
         assert recovered.degraded_ops == 0
-        assert recovered.plan.uses_sharded_scan
+        assert uses_columnar(recovered.plan)
         assert recovered.result.same_as(healthy.result)
         (answered,) = asyncio.run(serve(column_request))
         assert isinstance(answered, SearchResponse)
@@ -490,23 +488,23 @@ class TestAttrIndexPath:
         assert {n.id for n in dm.store.find_nodes("name", "item 1")} == \
             {"i1"}
         planner = Session(dm).planner
-        planner.cost_model = CostModel(shard_scan_min_nodes=0.0)
+        planner.cost_model = CostModel(columnar_scan_min_nodes=0.0)
         execution = planner.execute(
             input_graph("G").select_nodes({"name": "item 1"})
         )
-        assert execution.plan.uses_sharded_scan
+        assert uses_columnar(execution.plan)
         assert [n.id for n in execution.result.nodes()] == ["i1"]
 
 
 # ---------------------------------------------------------------------------
-# Sharded link scans
+# Columnar link scans (the class keeps the name its ids were minted under)
 # ---------------------------------------------------------------------------
 
 
 class TestShardedLinkScan:
     @settings(max_examples=20, deadline=None)
-    @given(site_queries(), st.sampled_from([1, 2, 7]))
-    def test_link_selection_parity(self, workload, shards):
+    @given(site_queries())
+    def test_link_selection_parity(self, workload):
         graph, _user, _text, _strategy = workload
         for condition in (
             {"type": "act"}, {"type": "connect"},
@@ -516,43 +514,44 @@ class TestShardedLinkScan:
                 graph, condition if isinstance(condition, Condition)
                 else Condition(condition)
             )
-            planner = columnar_planner(graph, shards)
+            planner = columnar_planner(graph)
             got = planner.execute(input_graph("G").select_links(condition))
+            assert uses_columnar(got.plan)
             assert got.result.same_as(expected)
 
     def test_lowering_prunes_to_link_type_buckets(self):
         graph = factories.social_site_graph()
-        planner = columnar_planner(graph, 3)
+        planner = columnar_planner(graph)
         plan, _ = planner.compile(
             input_graph("G").select_links({"type": "act"})
         )
         ops = [op for op in plan._walk(plan.root, set())
-               if isinstance(op, ShardedLinkScanOp)]
+               if isinstance(op, ColumnarLinkScanOp)]
         assert ops and ops[0].prune_type == "act"
-        assert "sharded-links×3" in plan.render()
+        assert "[columnar-links:act]" in plan.render()
 
     def test_small_link_populations_stay_unsharded(self):
         graph = factories.social_site_graph()
-        planner = columnar_planner(graph, 3, min_nodes=10_000.0)
+        planner = columnar_planner(graph, min_nodes=10_000.0)
         plan, _ = planner.compile(
             input_graph("G").select_links({"type": "act"})
         )
-        assert not any(isinstance(op, ShardedLinkScanOp)
-                       for op in plan._walk(plan.root, set()))
+        assert not uses_columnar(plan)
 
     def test_link_scan_feeds_the_semi_join(self):
         graph = factories.social_site_graph()
         expr = input_graph("G").select_links({"type": "act"}).semi_join(
             input_graph("G").select_nodes({"id": "u0"}), ("src", "src")
         )
-        sharded = columnar_planner(graph, 3).execute(expr)
+        columnar = columnar_planner(graph).execute(expr)
+        assert uses_columnar(columnar.plan)
         rows = row_planner(graph).execute(expr)
-        assert sharded.result.same_as(rows.result)
+        assert columnar.result.same_as(rows.result)
 
     def test_foreign_environment_degrades(self):
         graph = factories.social_site_graph()
         other = factories.social_site_graph(num_items=3)
-        planner = columnar_planner(graph, 3)
+        planner = columnar_planner(graph)
         expr = input_graph("G").select_links({"type": "act"})
         execution = planner.execute(expr, env={"G": other})
         assert execution.degraded_ops == 1
@@ -595,23 +594,22 @@ def link_scan_workloads(draw):
 
 class TestLinkResidualVectorization:
     @settings(max_examples=40, deadline=None)
-    @given(link_scan_workloads(), st.sampled_from([1, 3]))
-    def test_select_links_matches_row_wise_matches(self, workload, shards):
+    @given(link_scan_workloads())
+    def test_select_links_matches_row_wise_matches(self, workload):
         graph, cond = workload
-        vector = VectorCondition(cond)
-        for view in cut_columnar_views(graph, shards, shard_of):
-            expected = select_matching_links(list(view.links), cond)
-            got = vector.select_links(view)
-            assert [l.id for l in got] == [l.id for l in expected]
-            for a, b in zip(got, expected):
-                if b.score is not None:
-                    assert a.score == pytest.approx(b.score, abs=TOL)
+        view = cut_columnar_view(graph)
+        expected = select_matching_links(list(view.links), cond)
+        got = VectorCondition(cond).select_links(view)
+        assert [l.id for l in got] == [l.id for l in expected]
+        for a, b in zip(got, expected):
+            if b.score is not None:
+                assert a.score == pytest.approx(b.score, abs=TOL)
 
     @settings(max_examples=25, deadline=None)
     @given(link_scan_workloads())
     def test_survivor_positions_match_predicate_matches(self, workload):
         graph, cond = workload
-        (view,) = cut_columnar_views(graph, 1, shard_of)
+        view = cut_columnar_view(graph)
         survivors = VectorCondition(cond).select_links(view)
         expected = [link.id for link in view.links
                     if cond.satisfied_by(link)]

@@ -1,15 +1,22 @@
-"""Sharded scans: parity, lowering, EXPLAIN.
+"""Columnar scans over one view: parity, lowering, EXPLAIN, wiring.
 
-The acceptance contract of the partitioned executor: every query
-produces identical results (1e-9 on scores) across {monolithic, 2-shard,
-7-shard} stores, verified here with the hypothesis workload factory;
-plus structural tests for the lowering rule (threshold, pruning,
-covering), the runtime degrade path, per-shard EXPLAIN rows, the
-endorsement merge over shard-concatenated candidates, and the
-session-level wiring.
+The store is one partition and the planner holds one columnar view of
+its live graph.  Every query answers identically (1e-9 on scores) on the
+row-at-a-time scan and on the columnar scan, verified here with the
+hypothesis workload factory; plus structural tests for the lowering rule
+(threshold, pruning, covering), the runtime degrade path, the one EXPLAIN
+row a columnar scan has, the endorsement merge over columnar candidates,
+and the session-level wiring — where ``SessionConfig.shards`` is accepted,
+validated and changes nothing.
+
+(The module and its test ids are named for the hash-sharded store this
+suite once covered; each test now pins the one-partition behaviour that
+replaced it.)
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,16 +27,24 @@ from repro.api import SearchRequest, Session, SessionConfig
 from repro.core import Condition, Link, Node, input_graph
 from repro.discovery import InformationDiscoverer, parse_query
 from repro.errors import FrozenGraphError, QueryError
+from repro.management import GraphStore
 from repro.plan import (
+    COLUMNAR,
+    ColumnarScanOp,
     CostModel,
     QueryPlanner,
-    SHARDED,
-    ShardedScanOp,
 )
+from repro.testing import armed_faults
 
 TOL = 1e-9
 
 VOCAB = ("topic0", "topic1", "thing", "offkey")
+
+#: Thresholds no population reaches: every base scan stays on the rows.
+ROW_MODEL = CostModel(columnar_scan_min_nodes=math.inf,
+                      columnar_scan_min_links=math.inf)
+#: Thresholds every population reaches: every base scan runs columnar.
+COLUMNAR_MODEL = CostModel(columnar_scan_min_nodes=0.0)
 
 
 #: σN conditions exercising cover, prune, postings and residual regimes.
@@ -42,13 +57,25 @@ NODE_CONDITIONS = (
 )
 
 
-def sharded_planner(graph, shards, min_nodes=0.0) -> QueryPlanner:
-    planner = QueryPlanner(
-        graph, cost_model=CostModel(shard_scan_min_nodes=min_nodes),
+def columnar_planner(graph, min_nodes=0.0) -> QueryPlanner:
+    return QueryPlanner(
+        graph, cost_model=CostModel(columnar_scan_min_nodes=min_nodes),
     )
-    if shards > 1:
-        planner.attach_shards(shards)
-    return planner
+
+
+def row_planner(graph) -> QueryPlanner:
+    return QueryPlanner(graph, cost_model=ROW_MODEL)
+
+
+def columnar_ops(plan) -> list:
+    return [op for op in plan._walk(plan.root, set())
+            if isinstance(op, ColumnarScanOp)]
+
+
+def scan_counter() -> tuple[list, dict]:
+    """A ``physical.scan`` handler that counts columnar scans."""
+    fired: list = []
+    return fired, {"physical.scan": lambda name, **info: fired.append(name)}
 
 
 @st.composite
@@ -68,22 +95,20 @@ def site_queries(draw):
 
 
 class TestDifferentialParity:
-    """{monolithic, 2, 7 shards} — one ranking."""
+    """{row scan, columnar scan, a ``shards=2`` session} — one ranking."""
 
     @settings(max_examples=25, deadline=None)
     @given(site_queries())
     def test_every_configuration_ranks_identically(self, workload):
         graph, user, text, strategy = workload
-        reference = InformationDiscoverer(graph).rank(
-            parse_query(user, text), strategy=strategy
-        )
-        for shards in (1, 2, 7):
-            discoverer = InformationDiscoverer(graph)
-            discoverer.planner.cost_model = CostModel(
-                shard_scan_min_nodes=0.0
-            )
-            if shards > 1:
-                discoverer.planner.attach_shards(shards)
+        rows = InformationDiscoverer(graph)
+        rows.planner.cost_model = ROW_MODEL
+        reference = rows.rank(parse_query(user, text), strategy=strategy)
+        columnar = InformationDiscoverer(graph)
+        columnar.planner.cost_model = COLUMNAR_MODEL
+        configured = Session.from_graph(graph, SessionConfig(shards=2))
+        configured.planner.cost_model = COLUMNAR_MODEL
+        for discoverer in (columnar, configured.discoverer):
             got = discoverer.rank(parse_query(user, text),
                                   strategy=strategy)
             assert [s.item_id for s in got.items] == [
@@ -98,67 +123,68 @@ class TestDifferentialParity:
             )
 
     @settings(max_examples=15, deadline=None)
-    @given(site_queries(), st.sampled_from([2, 7]))
-    def test_raw_sharded_scan_matches_monolithic(self, workload, shards):
+    @given(site_queries())
+    def test_raw_sharded_scan_matches_monolithic(self, workload):
         graph, _user, text, _strategy = workload
         # a covered scan (the bucket is the answer) and a keyword scan
         for condition in ({"type": "item"},
                           Condition({"type": "item"}, keywords=text)):
             expr = input_graph("G").select_nodes(condition)
-            mono = QueryPlanner(graph).execute(expr)
-            execution = sharded_planner(graph, shards).execute(expr)
-            assert execution.result.same_as(mono.result)
+            rows = row_planner(graph).execute(expr)
+            execution = columnar_planner(graph).execute(expr)
+            assert columnar_ops(execution.plan)
+            assert execution.result.same_as(rows.result)
 
     def test_scan_matrix_matches_monolithic(self):
         graph = factories.social_site_graph(num_users=10, num_items=16)
         exprs = [input_graph("G").select_nodes(c) for c in NODE_CONDITIONS]
-        mono = QueryPlanner(graph)
-        reference = [mono.execute(e).result for e in exprs]
-        for shards in (1, 2, 7):
-            planner = sharded_planner(graph, shards)
-            for expr, ref in zip(exprs, reference):
-                assert planner.execute(expr).result.same_as(ref), shards
+        rows = row_planner(graph)
+        reference = [rows.execute(e).result for e in exprs]
+        planner = columnar_planner(graph)
+        for expr, ref in zip(exprs, reference):
+            execution = planner.execute(expr)
+            assert columnar_ops(execution.plan), expr
+            assert execution.result.same_as(ref), expr
 
 
 class TestLowering:
     def test_small_scans_stay_unsharded(self):
         graph = factories.social_site_graph()
-        planner = sharded_planner(graph, 4, min_nodes=10_000.0)
+        planner = columnar_planner(graph, min_nodes=10_000.0)
         plan, _ = planner.compile(
             input_graph("G").select_nodes({"type": "item"})
         )
-        assert not plan.uses_sharded_scan
+        assert not columnar_ops(plan)
+        assert not [d for d in plan.decisions if d.chosen == COLUMNAR]
 
     def test_large_scans_shard_and_record_the_decision(self):
         graph = factories.social_site_graph()
-        planner = sharded_planner(graph, 4)
+        planner = columnar_planner(graph)
         plan, _ = planner.compile(
             input_graph("G").select_nodes({"type": "item"})
         )
-        assert plan.uses_sharded_scan
-        (decision,) = [d for d in plan.decisions if d.chosen == SHARDED]
-        assert "4 partitions" in decision.reason
+        assert columnar_ops(plan)
+        (decision,) = [d for d in plan.decisions if d.chosen == COLUMNAR]
+        assert "over the columnar view" in decision.reason
         assert "covered by type 'item'" in decision.reason
 
     def test_type_pinned_keyword_scan_prunes_but_is_not_covered(self):
         graph = factories.social_site_graph()
-        planner = sharded_planner(graph, 3)
+        planner = columnar_planner(graph)
         plan, _ = planner.compile(input_graph("G").select_nodes(
             Condition({"type": "item"}, keywords="topic0")
         ))
-        ops = [op for op in plan._walk(plan.root, set())
-               if isinstance(op, ShardedScanOp)]
+        ops = columnar_ops(plan)
         assert ops and ops[0].prune_type == "item"
         assert not ops[0].covered
 
     def test_unpinned_conditions_scan_whole_shards(self):
         graph = factories.social_site_graph()
-        planner = sharded_planner(graph, 3)
+        planner = columnar_planner(graph)
         plan, _ = planner.compile(
             input_graph("G").select_nodes({"name": "item 1"})
         )
-        ops = [op for op in plan._walk(plan.root, set())
-               if isinstance(op, ShardedScanOp)]
+        ops = columnar_ops(plan)
         assert ops and ops[0].prune_type is None
         execution = planner.execute(
             input_graph("G").select_nodes({"name": "item 1"})
@@ -167,15 +193,15 @@ class TestLowering:
 
     def test_derived_input_scans_never_shard(self):
         graph = factories.social_site_graph()
-        planner = sharded_planner(graph, 4)
+        planner = columnar_planner(graph)
         derived = input_graph("G").select_nodes({"type": "item"}) \
             .select_nodes({"type": "item"})
         plan, _ = planner.compile(derived)
-        sharded = [op for op in plan._walk(plan.root, set())
-                   if isinstance(op, ShardedScanOp)]
-        # only the base-graph selection scatters; the derived one scans
-        assert len(sharded) == 1
-        assert sharded[0].logical.child.op == "input"
+        columnar = columnar_ops(plan)
+        # only the base-graph selection scans columnar; the derived one
+        # scans the rows it was handed
+        assert len(columnar) == 1
+        assert columnar[0].logical.child.op == "input"
 
 
 class TestInPlaceWriteInvalidation:
@@ -183,43 +209,47 @@ class TestInPlaceWriteInvalidation:
 
     The planner's live graph is frozen, so an in-place write is refused;
     the same write through the Data Manager refreshes the planner, and
-    the result-bearing caches (sub-plan memo, shard views, endorsement
-    index) must follow it, or a cached plan silently serves pre-write
-    records.
+    the result-bearing caches (sub-plan memo, the columnar view,
+    endorsement index) must follow it, or a cached plan silently serves
+    pre-write records.
     """
 
     def test_subplan_memo_sees_in_place_writes(self):
         manager, graph = factories.served(
             factories.social_site_graph(num_items=5)
         )
-        planner = sharded_planner(graph, 3)
+        planner = columnar_planner(graph)
         expr = input_graph("G").select_nodes({"type": "item"})
         before = planner.execute(expr)
         assert before.result.num_nodes == 5
-        # same generation: the repeat is served from the memo, no shard scans
-        repeat = planner.execute(expr)
+        # same generation: the repeat is served from the memo, no scan
+        fired, counting = scan_counter()
+        with armed_faults(counting):
+            repeat = planner.execute(expr)
         assert "(memo)" in repeat.render()
-        assert not any(p.shard is not None for p in repeat.profiles)
+        assert fired == []
         item = Node("i-live", type="item", name="in-place")
         with pytest.raises(FrozenGraphError):
             graph.add_node(item)
         factories.write_through(manager, planner, lambda dm: dm.add_node(item))
-        after = planner.execute(expr)
+        with armed_faults(counting):
+            after = planner.execute(expr)
+        assert fired == ["physical.scan"]
         assert "(memo)" not in after.render()
         assert after.result.has_node("i-live")
         assert after.result.num_nodes == 6
 
     def test_shard_views_see_in_place_writes(self):
         # a covered scan reads the type buckets, a keyword scan the term
-        # postings: both are cut per view and must follow every write
+        # postings: both are cut with the view and must follow every write
         for condition in (Condition({"type": "item"}),
                           Condition({"type": "item"}, keywords="thing")):
             manager, graph = factories.served(
                 factories.social_site_graph(num_items=5)
             )
-            planner = sharded_planner(graph, 3)
+            planner = columnar_planner(graph)
             expr = input_graph("G").select_nodes(condition)
-            # an explicit env bypasses the memo: exercises the views
+            # an explicit env bypasses the memo: exercises the view
             before = planner.execute(expr, env={"G": graph})
             assert before.result.num_nodes == 5
             item = Node("i-live", type="item", name="in-place",
@@ -230,6 +260,7 @@ class TestInPlaceWriteInvalidation:
                 manager, planner, lambda dm: dm.add_node(item)
             )
             after = planner.execute(expr, env={"G": live})
+            assert after.degraded_ops == 0
             assert after.result.has_node("i-live")
             assert after.result.num_nodes == 6
             with pytest.raises(FrozenGraphError):
@@ -246,8 +277,6 @@ class TestInPlaceWriteInvalidation:
             num_users=4, num_items=4, with_sim_links=False,
         ))
         planner = QueryPlanner(graph)
-        from repro.discovery import parse_query
-
         query = parse_query("u0", "")
         before = planner.discovery_pipeline(query, alpha=0.0, access="index")
         assert before.used_network_index
@@ -276,15 +305,15 @@ class TestRuntimeDegrade:
     def test_foreign_environment_degrades_to_full_scan(self):
         graph = factories.social_site_graph()
         other = factories.social_site_graph(num_items=3)
-        planner = sharded_planner(graph, 4)
+        planner = columnar_planner(graph)
         expr = input_graph("G").select_nodes({"type": "item"})
         plan, _ = planner.compile(expr)
-        assert plan.uses_sharded_scan
+        assert columnar_ops(plan)
         execution = planner.execute(expr, env={"G": other})
-        # provider refuses to shard a graph it did not partition
+        # the provider refuses a graph it did not cut its view from
         assert execution.degraded_ops == 1
         assert execution.result.same_as(
-            QueryPlanner(other).execute(expr).result
+            row_planner(other).execute(expr).result
         )
 
     def test_bare_plan_without_provider_still_runs(self):
@@ -295,10 +324,9 @@ class TestRuntimeDegrade:
         plan = compile_plan(
             input_graph("G").select_nodes({"type": "item"}),
             GraphStats.of(graph),
-            cost_model=CostModel(shard_scan_min_nodes=0.0),
-            shards=4,
+            cost_model=COLUMNAR_MODEL,
         )
-        assert plan.uses_sharded_scan
+        assert columnar_ops(plan)
         execution = plan.execute({"G": graph})
         assert execution.degraded_ops == 1
         assert {n.id for n in execution.result.nodes()} == {
@@ -308,42 +336,47 @@ class TestRuntimeDegrade:
 
 class TestExplainAndProfiles:
     def test_per_shard_rows_with_sequential_executor(self):
+        # one EXPLAIN row per operator: a columnar scan has no sub-rows
         graph = factories.social_site_graph()
-        planner = sharded_planner(graph, 3)
+        planner = columnar_planner(graph)
         execution = planner.execute(
             input_graph("G").select_nodes({"type": "item"})
         )
-        shard_rows = [p for p in execution.profiles if p.shard is not None]
-        assert [p.shard for p in shard_rows] == [0, 1, 2]
-        assert sum(p.actual.nodes for p in shard_rows) == \
-            execution.result.num_nodes
+        ops = list(execution.plan._walk(execution.plan.root, set()))
+        assert len(execution.profiles) == len(ops)
+        (row,) = [p for p in execution.profiles if p.access_path == COLUMNAR]
+        assert row.actual.nodes == execution.result.num_nodes
         rendered = execution.render()
-        assert "[sharded×3:item*]" in rendered
-        assert rendered.count("shard[") == 3
+        assert "[columnar:item*]" in rendered
+        assert "shard" not in rendered
 
     def test_execution_errors_propagate(self):
         from repro.errors import ExpressionError
 
-        planner = sharded_planner(factories.social_site_graph(), 2)
+        planner = columnar_planner(factories.social_site_graph())
         with pytest.raises(ExpressionError):
             planner.execute(input_graph("MISSING").select_nodes({}))
 
 
 class TestSessionWiring:
     def test_config_shards_back_the_store_and_the_planner(self):
-        session = Session.from_graph(
-            factories.social_site_graph(),
-            SessionConfig(shards=3),
-        )
-        assert session.data_manager.num_shards == 3
-        assert session.planner.shards == 3
+        # the option is accepted and inert: one store, one view
+        graph = factories.social_site_graph()
+        session = Session.from_graph(graph, SessionConfig(shards=3))
+        assert type(session.data_manager.store) is GraphStore
+        assert not hasattr(session.data_manager, "num_shards")
+        assert not hasattr(session.planner, "shards")
+        request = SearchRequest(user_id="u0", text="topic0")
+        assert session.run(request).items == \
+            Session.from_graph(graph).run(request).items
 
     def test_sharded_parallel_session_serves_identical_pages(self):
-        """shards=4 answers like shards=1 on the *whole* response."""
+        """shards=4 answers like the default on the *whole* response, and
+        its columnar scan like the row scan."""
         graph = factories.social_site_graph(num_users=7, num_items=9)
         plain = Session.from_graph(graph)
         fancy = Session.from_graph(graph, SessionConfig(shards=4))
-        fancy.planner.cost_model = CostModel(shard_scan_min_nodes=0.0)
+        fancy.planner.cost_model = COLUMNAR_MODEL
         for request in (
             SearchRequest(user_id="u0", text="topic0"),
             SearchRequest(user_id="u1"),
@@ -351,12 +384,13 @@ class TestSessionWiring:
             SearchRequest(user_id="u3", text="topic1 thing", page_size=2,
                           grouping="social"),
         ):
-            # scan path: the index path never scatters a scan
+            # scan path: the index path reads no columnar view
             request = request.replace(use_index=False, explain=True)
-            sharded, single = fancy.run(request), plain.run(request)
-            assert sharded.plan.sharded
+            columnar, single = fancy.run(request), plain.run(request)
+            assert "[columnar" in columnar.plan.text
+            assert "[columnar" not in single.plan.text
             assert first_difference(
-                canonical_response(sharded), canonical_response(single),
+                canonical_response(columnar), canonical_response(single),
                 tol=TOL,
             ) is None
 
@@ -374,17 +408,17 @@ class TestSessionWiring:
 
     def test_failing_in_process_scan_is_a_typed_failure_not_a_retry(self):
         """No rung below the in-process path: the error reaches the caller."""
-        from repro.testing import armed_faults, raising
+        from repro.testing import raising
 
         session = Session.from_graph(
             factories.social_site_graph(), SessionConfig(shards=3),
         )
-        session.planner.cost_model = CostModel(shard_scan_min_nodes=0.0)
+        session.planner.cost_model = COLUMNAR_MODEL
         request = SearchRequest(user_id="u0", text="topic0", use_index=False)
-        with armed_faults({"physical.scan_shard": raising(
-            lambda: RuntimeError("shard scan blew up"), times=1
+        with armed_faults({"physical.scan": raising(
+            lambda: RuntimeError("columnar scan blew up"), times=1
         )}):
-            with pytest.raises(RuntimeError, match="shard scan blew up"):
+            with pytest.raises(RuntimeError, match="columnar scan blew up"):
                 session.run(request)
         assert session.run(request).items == Session.from_graph(
             factories.social_site_graph()
@@ -395,8 +429,9 @@ class TestSessionWiring:
             factories.social_site_graph(),
             SessionConfig(shards=3),
         )
-        session.planner.cost_model = CostModel(shard_scan_min_nodes=0.0)
+        session.planner.cost_model = COLUMNAR_MODEL
         before = session.run(SearchRequest(user_id="u0"))
+        deltas = session.stats.delta_refreshes
         session.data_manager.add_node(Node(
             "i-new", type="item", name="fresh", keywords="topic0 thing",
         ))
@@ -404,12 +439,13 @@ class TestSessionWiring:
             Link("a-new", "u1", "i-new", type="act, visit")
         )
         after = session.run(SearchRequest(user_id="u0"))
+        assert session.stats.delta_refreshes == deltas + 1
         assert "i-new" in after.items
         assert before.items != after.items
 
 
 # ---------------------------------------------------------------------------
-# Endorsement merges over sharded candidates
+# Endorsement merges over columnar candidates
 # ---------------------------------------------------------------------------
 
 
@@ -418,8 +454,8 @@ def _friends_social_expr(user: str = "u0"):
 
     The merge form exists only for the friends strategy on empty-keyword
     queries (the basis-weight correctness boundary), so that is the
-    regime the merge must hold parity in when its candidates arrive
-    shard-concatenated.
+    regime the merge must hold parity in when its candidates arrive from
+    the columnar scan.
     """
     from repro.core.expr import ConnectionBasisE, SocialScoreE
 
@@ -438,50 +474,36 @@ class TestShardedEndorsementMerge:
         for strategy in ("friends", "similar_users", "item_based"):
             for text in ("topic0", ""):
                 query = parse_query("u0", text)
-                reference = InformationDiscoverer(graph).rank(
-                    query, strategy=strategy
+                rows = InformationDiscoverer(graph)
+                rows.planner.cost_model = ROW_MODEL
+                reference = rows.rank(query, strategy=strategy)
+                discoverer = InformationDiscoverer(graph)
+                discoverer.planner.cost_model = COLUMNAR_MODEL
+                got = discoverer.rank(query, strategy=strategy)
+                assert [s.item_id for s in got.items] == [
+                    s.item_id for s in reference.items
+                ], (strategy, text)
+                assert got.social.scores == pytest.approx(
+                    reference.social.scores, abs=TOL
                 )
-                for shards in (2, 7):
-                    discoverer = InformationDiscoverer(graph)
-                    planner = discoverer.planner
-                    planner.cost_model = CostModel(shard_scan_min_nodes=0.0)
-                    planner.attach_shards(shards)
-                    got = discoverer.rank(query, strategy=strategy)
-                    assert [s.item_id for s in got.items] == [
-                        s.item_id for s in reference.items
-                    ], (strategy, shards, text)
-                    assert got.social.scores == pytest.approx(
-                        reference.social.scores, abs=TOL
+                for item, per_user in reference.social.endorsers.items():
+                    assert got.social.endorsers[item] == pytest.approx(
+                        per_user, abs=TOL
                     )
-                    for item, per_user in reference.social.endorsers.items():
-                        assert got.social.endorsers[item] == pytest.approx(
-                            per_user, abs=TOL
-                        )
 
     def test_sharded_posting_merge_matches_monolithic(self):
         from oracle import decode_social_result
 
         graph = factories.social_site_graph()
         expr = _friends_social_expr()
-        reference = decode_social_result(
-            QueryPlanner(graph).execute(expr, access="index").result
-        )
+        rows = row_planner(graph).execute(expr, access="index")
+        assert not columnar_ops(rows.plan)
+        reference = decode_social_result(rows.result)
         assert reference.scores  # the regime is non-degenerate
-        for shards in (2, 7):
-            planner = QueryPlanner(
-                graph, cost_model=CostModel(shard_scan_min_nodes=0.0)
-            )
-            planner.attach_shards(shards)
-            got = decode_social_result(
-                planner.execute(expr, access="index").result
-            )
-            # candidate order is shard-concatenated; scores compare as a
-            # mapping (the ranking-parity test pins the sorted order)
-            assert set(got.scores) == set(reference.scores), shards
-            for item, score in reference.scores.items():
-                assert got.scores[item] == pytest.approx(score, abs=TOL)
-            assert set(got.endorsers) == set(reference.endorsers)
-            for item, per_user in reference.endorsers.items():
-                assert got.endorsers[item] == pytest.approx(
-                    per_user, abs=TOL
-                )
+        execution = columnar_planner(graph).execute(expr, access="index")
+        assert columnar_ops(execution.plan)
+        got = decode_social_result(execution.result)
+        assert got.scores == pytest.approx(reference.scores, abs=TOL)
+        assert set(got.endorsers) == set(reference.endorsers)
+        for item, per_user in reference.endorsers.items():
+            assert got.endorsers[item] == pytest.approx(per_user, abs=TOL)

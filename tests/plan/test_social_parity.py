@@ -26,6 +26,7 @@ from repro.core.expr import CombineScoresE, ConnectionBasisE, SocialScoreE
 from repro.core.social import COMPILED_STRATEGIES, _similar_user_scores
 from repro.discovery import InformationDiscoverer, parse_query
 from repro.plan import (
+    COLUMNAR,
     CostModel,
     FusedSocialCombineOp,
     GroupedAggregationOp,
@@ -399,13 +400,15 @@ class TestDegenerateRegimes:
 # ---------------------------------------------------------------------------
 
 
-def cf_planner(graph, shards):
-    planner = QueryPlanner(
-        graph, cost_model=CostModel(shard_scan_min_nodes=0.0)
+#: the candidate scan's two physical forms: the row scan and the
+#: columnar scan, chosen by the population threshold
+SCAN_FORMS = {"rows": float("inf"), "columnar": 0.0}
+
+
+def cf_planner(graph, scan):
+    return QueryPlanner(
+        graph, cost_model=CostModel(columnar_scan_min_nodes=SCAN_FORMS[scan])
     )
-    if shards > 1:
-        planner.attach_shards(shards)
-    return planner
 
 
 def cf_corner_graph():
@@ -446,7 +449,7 @@ class TestSimilarUsersKernel:
     @given(social_workloads(), st.sampled_from(CANDIDATE_CONDITIONS))
     def test_matches_the_recipe_in_every_form(self, workload, candidates):
         graph, user, keywords = workload
-        planners = {shards: cf_planner(graph, shards) for shards in (1, 2)}
+        planners = {scan: cf_planner(graph, scan) for scan in SCAN_FORMS}
         for threshold in CF_THRESHOLDS:
             for act_type in CF_ACT_TYPES:
                 stage = dict(candidates=candidates, sim_threshold=threshold,
@@ -454,7 +457,7 @@ class TestSimilarUsersKernel:
                 reference, fallback = legacy_social(
                     graph, user, keywords, "similar_users", **stage
                 )
-                for shards, planner in planners.items():
+                for scan, planner in planners.items():
                     for fused in (False, True):
                         execution = planner.execute(social_stage(
                             user, keywords, "similar_users", fused=fused,
@@ -464,7 +467,10 @@ class TestSimilarUsersKernel:
                             FusedSocialCombineOp if fused
                             else GroupedAggregationOp
                         )
-                        assert shards == 1 or execution.plan.uses_sharded_scan
+                        assert (scan == "columnar") == any(
+                            op.access_path == COLUMNAR for op in
+                            execution.plan._walk(execution.plan.root, set())
+                        )
                         # the root hands its values over; the standalone
                         # stage answers with the graph encoding them
                         assert (execution.payload is None) is not fused
@@ -663,16 +669,15 @@ ROOT_FORMS = (
 )
 
 
-def root_discoverer(graph, shards, form):
-    """A discoverer whose planner lowers the root's social half to *form*."""
+def root_discoverer(graph, scan, form):
+    """A discoverer whose planner lowers the root's social half to *form*
+    and its candidate scan to *scan*."""
     discoverer = InformationDiscoverer(graph)
     planner = discoverer.planner
     planner.cost_model = CostModel(
-        shard_scan_min_nodes=0.0,
+        columnar_scan_min_nodes=SCAN_FORMS[scan],
         network_entry_budget=0.0 if form.endswith("clustered") else 1e9,
     )
-    if shards > 1:
-        planner.attach_shards(shards)
     if form == "degraded-to-probe":
         planner.network_index = lambda variant: None  # provider gone
     return discoverer
@@ -686,7 +691,7 @@ def assert_rows_match(got, want):
 
 class TestRootPayloadParity:
     """``execution.payload`` equals the decoded ``Expr.evaluate`` of the
-    same plan: every strategy, shard count, social form and window."""
+    same plan: every strategy, scan form, social form and window."""
 
     @settings(max_examples=40, deadline=None)
     @given(social_workloads())
@@ -695,8 +700,8 @@ class TestRootPayloadParity:
         for strategy, form, access in ROOT_FORMS:
             terms = () if access == "index" else keywords
             query = parse_query(user, " ".join(terms))
-            for shards in (1, 2):
-                discoverer = root_discoverer(graph, shards, form)
+            for scan in SCAN_FORMS:
+                discoverer = root_discoverer(graph, scan, form)
                 full = None
                 for limit in ROOT_LIMITS:
                     execution = discoverer.rank(

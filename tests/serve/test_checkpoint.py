@@ -32,8 +32,8 @@ class FakeClock:
         self.now += dt
 
 
-def durable_session(tmp_path, shards=2):
-    dm = DataManager(shards=shards)
+def durable_session(tmp_path):
+    dm = DataManager()
     dm.load_graph(social_site_graph(num_users=8, num_items=10))
     dm.enable_wal(tmp_path / "wal")
     return Session(dm)

@@ -4,8 +4,9 @@ Two layers under test.  The *registry* (``repro.core.faults`` +
 ``repro.testing.faults``): arming is explicit, typo-proof, budgeted, and
 reversible — a production process that never imports ``repro.testing``
 can never fire a handler.  The *sites*: a fault armed at a real seam
-(WAL fsync, snapshot bytes) produces the failure the durability layer
-claims to survive, and the typed error actually surfaces.
+(a columnar scan, WAL fsync, snapshot bytes) produces the failure the
+serving and durability layers claim to survive, and the error actually
+surfaces.
 """
 
 from __future__ import annotations
@@ -108,6 +109,31 @@ class TestSchedule:
 
 
 class TestRealSites:
+    def test_the_scan_point_fires_once_per_columnar_scan(self):
+        from repro.core import input_graph
+        from repro.plan import CostModel, QueryPlanner
+
+        graph = factories.social_site_graph()
+        planner = QueryPlanner(
+            graph, cost_model=CostModel(columnar_scan_min_nodes=0.0)
+        )
+        items = input_graph("G").select_nodes({"type": "item"})
+        users = input_graph("G").select_nodes({"type": "user"})
+        fired: list = []
+        with armed_faults({"physical.scan": lambda name, **info:
+                           fired.append(name)}):
+            planner.execute(items, env={"G": graph})
+            planner.execute(users, env={"G": graph})
+        assert fired == ["physical.scan"] * 2
+        with armed_faults({"physical.scan": raising(
+            lambda: RuntimeError("injected scan fault"), times=1
+        )}):
+            with pytest.raises(RuntimeError, match="injected scan fault"):
+                planner.execute(items, env={"G": graph})
+            # budget spent: the same scan answers again
+            assert planner.execute(items, env={"G": graph}).result \
+                .num_nodes == len(list(graph.nodes_of_type("item")))
+
     def test_wal_fsync_fault_surfaces_the_os_error(self, tmp_path):
         writer = WalWriter(tmp_path, fsync_every_append=True)
         writer.append(OP_NODE, {"id": "u1"})
@@ -122,8 +148,8 @@ class TestRealSites:
         from repro.api import Session
 
         session = Session.from_graph(factories.tiny_travel_graph())
-        # corrupt the first durable file written (a shard, before the
-        # manifest): the bytes flip AFTER the CRC is taken, so the
+        # corrupt the first durable file written (the records, before
+        # the manifest): the bytes flip AFTER the CRC is taken, so the
         # read-side verify is what must catch it
         arm({"persist.snapshot": file_corruptor(times=1)})
         session.save(tmp_path)

@@ -17,8 +17,7 @@ from pathlib import Path
 #: paper's three serving layers (content management → discovery →
 #: presentation, §3) threaded onto the engine stack
 #: (core ← indexing ← plan ← api).  ``management`` and ``plan`` never
-#: import each other (which is what moved ``shard_of`` into
-#: ``repro.core.partition``).
+#: import each other: what both need lives in ``repro.core``.
 DEFAULT_LAYERS: dict[str, tuple[str, ...]] = {
     "errors": (),
     "core": ("errors",),

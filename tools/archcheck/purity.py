@@ -2,11 +2,11 @@
 
 * **P001** — a configured purity module calls a graph-mutating method
   (``add_node``, ``add_link``, ``remove_*``) on an object it did not
-  construct locally.  The columnar shard views exist precisely so
+  construct locally.  The columnar view exists precisely so
   operators stop materialising intermediate graphs; an operator that
   mutates its *input* graph corrupts every other plan sharing the
-  snapshot (the shard store hands out the same objects under a
-  generation stamp, not copies).
+  snapshot (the planner hands out the same objects under a generation
+  stamp, not copies).
 
 A receiver counts as *locally constructed* (and therefore fair game)
 when, within the same function, the name was assigned from a direct
