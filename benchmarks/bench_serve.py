@@ -20,6 +20,7 @@ overhead against committed baselines.
 from __future__ import annotations
 
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,10 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_plan.json"
 RESULTS: dict = {}
 
 SEED = 17
+
+#: order-alternated (no deadline, deadline) pairs the overhead is the
+#: median ratio of
+DEADLINE_PAIRS = 5
 
 
 @pytest.fixture(scope="module")
@@ -99,14 +104,15 @@ def test_gateway_under_zipf_load(serve_site, mix, report, quick):
 def test_deadline_overhead(serve_site, report, quick):
     """What do deadlines cost when nothing expires?
 
-    Two closed-loop runs over the *same* seeded request stream on the
-    same warm session: one with deadlines disabled, one with a generous 30s default deadline every request
-    carries end to end (timer armed, absolute deadline threaded into the
-    plan executor's cooperative checks — the full machinery, zero
-    expiries).  The duration ratio is the no-fault deadline tax; the
-    design target is <3%, and the regression gate
-    (``serve.deadline_overhead``) holds the ratio near 1.0 against the
-    committed baseline.
+    Pairs of closed-loop runs over the *same* seeded request stream on
+    the same warm session: one with deadlines disabled, one with a
+    generous 30s default deadline every request carries end to end
+    (timer armed, absolute deadline threaded into the plan executor's
+    cooperative checks — the full machinery, zero expiries).  The two
+    runs of a pair go in alternating order, and the median of the pairs'
+    duration ratios is the no-fault deadline tax; the design target is
+    <3%, and the regression gate (``serve.deadline_overhead``) holds the
+    ratio near 1.0 against the committed baseline.
     """
     concurrency = 16 if quick else 32
     total = 96 if quick else 256
@@ -130,27 +136,35 @@ def test_deadline_overhead(serve_site, report, quick):
         return run_closed_loop(session, mix, harness)
 
     run_once(None)  # warm the plan cache so neither timed run compiles
-    base = run_once(None)
-    deadlined = run_once(30.0)
+    # the run timed second in a pair reads faster or slower by the box's
+    # drift alone: alternate which goes first, and keep the median ratio
+    ratios = []
+    for pair in range(DEADLINE_PAIRS):
+        order = (None, 30.0) if pair % 2 == 0 else (30.0, None)
+        timed = {deadline_s: run_once(deadline_s) for deadline_s in order}
+        base, deadlined = timed[None], timed[30.0]
+        ratios.append(
+            deadlined.duration_s / base.duration_s
+            if base.duration_s > 0 else 1.0
+        )
+        # a generous deadline must never shed
+        assert deadlined.completed == total
+        assert deadlined.shed == 0
+    overhead = statistics.median(ratios)
 
-    overhead = (
-        deadlined.duration_s / base.duration_s
-        if base.duration_s > 0 else 1.0
-    )
     RESULTS.setdefault("serve", {})["deadline_overhead"] = overhead
     report(
         "",
-        f"=== Deadline overhead (no expiries, {total} requests) ===",
-        f"  no deadlines:      {base.duration_s * 1e3:8.1f} ms",
-        f"  30s deadline:      {deadlined.duration_s * 1e3:8.1f} ms",
-        f"  overhead ratio:    {overhead:8.3f}x",
+        f"=== Deadline overhead (no expiries, {total} requests, "
+        f"{DEADLINE_PAIRS} alternated pairs) ===",
+        "  pair ratios:       "
+        + "  ".join(f"{ratio:.3f}" for ratio in ratios),
+        f"  median ratio:      {overhead:8.3f}x",
     )
 
-    # a generous deadline must never shed, and the machinery must stay
-    # cheap — the tight <3% claim lives in the baseline gate, this bound
-    # only catches gross regressions above run-to-run noise
-    assert deadlined.completed == total
-    assert deadlined.shed == 0
+    # the machinery must stay cheap — the tight <3% claim lives in the
+    # baseline gate, this bound only catches gross regressions above
+    # run-to-run noise
     assert overhead < 1.25
 
 

@@ -23,9 +23,15 @@ Jaccard → the co-actors' items).  The differential parity suite
 compiler rearrange the physical form underneath.
 
 Per request, every kernel reads adjacency (``out_links`` / ``in_links``)
-of nodes it was led to.  Two helpers still walk ``graph.links()``:
-``expert_candidates``, whose inversion needs link-tag postings no derived
-structure holds yet, and ``resolve_auto_strategy``, which compiled plans
+of nodes it was led to, and the root reads the social set and the
+window, not the candidates: a :class:`SemanticOrder` of each σN result,
+kept beside it in the planner's sub-plan memo, lets it walk the
+candidates in ranking order and stop.  The expert fallback reads the
+query terms' postings of :func:`act_term_postings` (the planner keeps
+them per generation and patches them across a vote).  Two builders still
+walk the site — :class:`SemanticOrder` its candidates and
+:func:`act_term_postings` the ``act`` links, each once per value they
+derive from — and so does ``resolve_auto_strategy``, which compiled plans
 never reach (the compiler resolves "auto" from statistics).
 
 Encoding conventions of the graph-valued side (``Expr.evaluate`` and the
@@ -46,8 +52,11 @@ standalone social-stage operators; the fused root encodes nothing):
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Container
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Container, Mapping
 
 from repro.core.attrs import SCORE_ATTR
 from repro.core.delta import GraphDelta
@@ -116,32 +125,105 @@ def topical_fit(graph: SocialContentGraph, user: Id, query_terms: set[str]) -> f
     return len(query_terms & activity_vocabulary(graph, user)) / len(query_terms)
 
 
+#: The expert fallback's postings: term → {``act`` link id: its source}.
+ActPostings = Mapping[str, Mapping[Id, Id]]
+
+
+def act_term_postings(graph: SocialContentGraph) -> dict[str, dict[Id, Id]]:
+    """Every ``act`` link of *graph*, filed under each of its terms.
+
+    A link's terms are its target's text and its own tags, tokenised as
+    the expert walk of ``tests/oracle`` tokenises them.  The one builder
+    of the postings :func:`expert_candidates` reads — the planner keeps
+    its result for a generation, the algebra builds it per fallback.
+    """
+    postings: dict[str, dict[Id, Id]] = {}
+    item_terms: dict[Id, set[str]] = {}
+    for link in graph.links():
+        if link.has_type("act"):
+            for term in _act_terms(graph, link, item_terms):
+                postings.setdefault(term, {})[link.id] = link.src
+    return postings
+
+
+def _act_terms(
+    graph: SocialContentGraph, link: Link, item_terms: dict[Id, set[str]]
+) -> set[str]:
+    """The terms an ``act`` link is filed under: its target's text,
+    tokenised once per target into *item_terms*, and its own tags."""
+    terms = item_terms.get(link.tgt)
+    if terms is None:
+        terms = item_terms[link.tgt] = set(
+            tokenize(graph.node(link.tgt).text())
+        )
+    tags = link.values("tags")
+    return terms.union(*(tokenize(str(value)) for value in tags)) if tags \
+        else terms
+
+
+def patched_act_postings(
+    postings: ActPostings, graph: SocialContentGraph, delta: GraphDelta
+) -> dict[str, dict[Id, Id]]:
+    """*postings* after the links-only *delta* that led to *graph*.
+
+    A new map: it shares every term's postings the delta did not touch
+    and copies the rest (the old map may be serving a request).  Node
+    records did not change, so a removed link's terms are read off the
+    target it still has.  Equal to ``act_term_postings(graph)``.
+    """
+    out = dict(postings)
+    copied: set[str] = set()
+    item_terms: dict[Id, set[str]] = {}
+    for _kind, old, new in delta:
+        for link, add in ((old, False), (new, True)):
+            if link is None or not link.has_type("act"):
+                continue
+            for term in _act_terms(graph, link, item_terms):
+                if term not in copied:
+                    out[term] = dict(out.get(term, {}))
+                    copied.add(term)
+                if add:
+                    out[term][link.id] = link.src
+                else:
+                    out[term].pop(link.id, None)
+    for term in copied:
+        if not out[term]:
+            del out[term]
+    return out
+
+
 def expert_candidates(
-    graph: SocialContentGraph,
+    postings: Callable[[], ActPostings],
     query_terms: set[str],
-    exclude: set[Id] = frozenset(),
+    exclude: Container[Id] = frozenset(),
     limit: int = FALLBACK_EXPERT_LIMIT,
 ) -> list[Id]:
-    """Users with the most activity on items matching the query terms."""
+    """Users with the most activity on items matching the query terms.
+
+    An ``act`` link counts once for its source when any query term is
+    among its terms; only the query terms' postings are read.
+    *postings* is called only when there are query terms.
+    """
     if not query_terms:
-        return []  # every match test below is a non-empty intersection
+        return []  # nothing can match: read no postings
+    index = postings()
+    matched: dict[Id, Id] = {}
+    for term in query_terms:
+        matched.update(index.get(term, {}))
     counts: dict[Id, int] = {}
-    item_matches: dict[Id, bool] = {}  # one tokenisation per acted item
-    for link in graph.links():
-        if not link.has_type("act") or link.src in exclude:
-            continue
-        matches = item_matches.get(link.tgt)
-        if matches is None:
-            matches = item_matches[link.tgt] = not query_terms.isdisjoint(
-                tokenize(graph.node(link.tgt).text())
-            )
-        if matches or any(
-            not query_terms.isdisjoint(tokenize(str(value)))
-            for value in link.values("tags")
-        ):
-            counts[link.src] = counts.get(link.src, 0) + 1
+    for src in matched.values():
+        if src not in exclude:
+            counts[src] = counts.get(src, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], repr(kv[0])))
     return [user for user, _ in ranked[:limit]]
+
+
+def _postings_reader(
+    graph: SocialContentGraph, postings: Callable[[], ActPostings] | None
+) -> Callable[[], ActPostings]:
+    """*postings*, or a build of *graph*'s own when none was handed in."""
+    return postings if postings is not None else partial(act_term_postings,
+                                                         graph)
 
 
 def connection_basis(
@@ -151,12 +233,14 @@ def connection_basis(
     min_fit: float = 0.15,
     min_qualified: int = 2,
     max_experts: int = 10,
+    postings: Callable[[], ActPostings] | None = None,
 ) -> SocialContentGraph:
     """The chosen social basis of a query, as a null graph.
 
     Semi-join reading: σN(id=u) ⋉ connect links picks the friends, a
     per-friend aggregation attaches the topical fit, and the expert
-    fallback replaces the membership when too few friends qualify.
+    fallback replaces the membership when too few friends qualify.  The
+    fallback reads *postings* (built from *graph* when not given).
     """
     query_terms = set(keywords)
     friends = sorted(
@@ -172,7 +256,8 @@ def connection_basis(
         out.add_node(Node(META_ID, type=META_TYPE, basis_kind="friends",
                           expert_fallback=0))
         return out
-    experts = expert_candidates(graph, query_terms, exclude={user_id},
+    experts = expert_candidates(_postings_reader(graph, postings),
+                                query_terms, exclude={user_id},
                                 limit=max_experts)
     for expert in experts:
         out.add_node(graph.node(expert).with_attrs(fit=1.0))
@@ -278,6 +363,7 @@ def _friends_scores(
     basis: SocialContentGraph,
     user_id: Id,
     keywords: tuple[str, ...],
+    postings: Callable[[], ActPostings] | None = None,
 ) -> tuple[dict, dict, bool]:
     """Friend/expert endorsement with the score-time Selma fallback."""
     meta = basis.node(META_ID) if basis.has_node(META_ID) else None
@@ -294,8 +380,8 @@ def _friends_scores(
         # (the discoverer-level half of the Selma fallback).
         fallback = True
         experts = expert_candidates(
-            graph, set(keywords), exclude={user_id},
-            limit=FALLBACK_EXPERT_LIMIT,
+            _postings_reader(graph, postings), set(keywords),
+            exclude={user_id}, limit=FALLBACK_EXPERT_LIMIT,
         )
         scores, endorsers = friend_probe(
             graph, [(expert, 1.0) for expert in experts], candidates
@@ -404,10 +490,12 @@ def _strategy_scores(
     keywords: tuple[str, ...],
     sim_threshold: float,
     act_type: str,
+    postings: Callable[[], ActPostings] | None = None,
 ) -> tuple[str, dict, dict, dict, bool]:
     """Shared strategy dispatch: (strategy, scores, endorsers, supporting,
     fallback) — consumed by both the standalone social stage and the fused
-    social+combine physical form."""
+    social+combine physical form.  *postings* feeds the friends
+    strategy's expert fallback."""
     from repro.errors import ExpressionError
 
     if strategy == "auto":
@@ -422,7 +510,7 @@ def _strategy_scores(
     fallback = False
     if strategy == "friends":
         scores, endorsers, fallback = _friends_scores(
-            graph, candidate_ids, basis, user_id, keywords
+            graph, candidate_ids, basis, user_id, keywords, postings
         )
     elif strategy == "similar_users":
         meta = basis.node(META_ID) if basis.has_node(META_ID) else None
@@ -536,6 +624,57 @@ def combine_scores_graph(
     return out
 
 
+class SemanticOrder:
+    """A σN result's semantic scores, ordered once per candidates value.
+
+    Derived from one candidates graph (held as :attr:`candidates`, which
+    a holder checks by identity): the score map in candidate order, its
+    top score, how many scores are positive and the least of those, and
+    — sorted on first use — the ``(item, score)`` rows in the ranking
+    key's order.  The planner's sub-plan memo keeps one beside the
+    ``"select"`` entry it derives from, so a warm request reads no
+    candidate it does not return.
+    """
+
+    __slots__ = ("candidates", "scores", "top", "positive",
+                 "least_positive", "_rows")
+
+    def __init__(self, candidates: SocialContentGraph):
+        self.candidates = candidates
+        scores: dict[Id, float] = {}
+        for node in candidates.nodes():
+            value = node.attrs.get(SCORE_ATTR)
+            scores[node.id] = value[0] if value else 0.0
+        positives = [score for score in scores.values() if score > 0]
+        self.scores = scores
+        self.top = max(scores.values(), default=0.0)
+        self.positive = len(positives)
+        self.least_positive = min(positives, default=0.0)
+        self._rows: list[tuple[Id, float]] | None = None
+
+    def rows(self) -> list[tuple[Id, float]]:
+        """``(item, score)`` in the ranking key's order: score desc, then
+        item-id ``repr`` asc."""
+        rows = self._rows
+        if rows is None:
+            rows = sorted(self.scores.items(), key=lambda row: repr(row[0]))
+            rows.sort(key=itemgetter(1), reverse=True)  # stable
+            self._rows = rows
+        return rows
+
+    def surviving(self, combined: Callable[[float], float]) -> int:
+        """How many rows, from the top, *combined* maps above zero.
+
+        *combined* must be non-decreasing in the score and zero at zero,
+        so the survivors are a prefix of the positive rows: counted from
+        the least positive score, searched only when rounding cut it.
+        """
+        if not self.positive or combined(self.least_positive) > 0.0:
+            return self.positive
+        return bisect_left(self.rows(), True, hi=self.positive,
+                           key=lambda row: combined(row[1]) <= 0.0)
+
+
 def fused_social_combine(
     graph: SocialContentGraph,
     candidates: SocialContentGraph,
@@ -551,51 +690,91 @@ def fused_social_combine(
     endorsements: Callable[
         [Container[Id]], "tuple[dict, dict, bool] | None"
     ] | None = None,
+    order: SemanticOrder | None = None,
+    postings: Callable[[], ActPostings] | None = None,
 ) -> "DecodedSocialResult":
-    """Social scoring and α-combination in one pass, ranked to a window.
+    """Social scoring and α-combination, ranked to a window.
 
     The values of ``decode_social_result(combine_scores_graph(candidates,
     social_scores_graph(...)))`` — asserted by the differential parity
-    suite — computed without building either graph: one pass over the
-    candidates reads their semantic scores (whose keys are the candidate
-    set the strategy kernels probe into), scores and provenance stay
-    plain dicts, and only the best *limit* rows are ordered (top-k
-    pushdown; ``None`` ranks every survivor).  Score and provenance maps
-    still cover every surviving item, and ``matched`` counts them.
+    suite — computed without building either graph: scores and
+    provenance stay plain dicts, and only the best *limit* rows are
+    ordered (``None`` ranks every survivor).  Score and provenance maps
+    cover every surviving item, and ``matched`` counts them.
+
+    The strategy kernels score the social set S (the candidates with a
+    social score).  Every other candidate ranks by α·sem/sem_top alone,
+    so under ``drop_zero``:
+
+    * with α = 0 or no positive semantic score, no row outside S
+      survives and only S is read;
+    * with α > 0, a *limit* and a kept *order* (:class:`SemanticOrder`
+      of *candidates*), the order is walked until *limit* rows outside S
+      are taken, and on through the tie group of the last one (distinct
+      scores may round to one combined value); ``matched`` and
+      ``encoded_size`` come from the order's counts and membership;
+    * otherwise every candidate is read.
 
     *endorsements*, when given, replaces friend scoring with a §6.2
     index read over the candidate set, returning ``(scores, endorsers,
-    fallback)``; a ``None`` answer falls back to the probe.  This is the
-    compute kernel behind :class:`repro.plan.physical.FusedSocialCombineOp`.
+    fallback)``; a ``None`` answer falls back to the probe.  *postings*
+    feeds the expert fallback (built from *graph* when not given).  This
+    is the compute kernel behind
+    :class:`repro.plan.physical.FusedSocialCombineOp`.
     """
-    semantic: dict[Id, float] = {}
-    for node in candidates.nodes():
-        value = node.attrs.get(SCORE_ATTR)
-        semantic[node.id] = value[0] if value else 0.0
+    walkable = order is not None
+    if order is None:
+        order = SemanticOrder(candidates)
+    semantic = order.scores
     read = endorsements(semantic) if endorsements is not None else None
     if read is None:
         strategy, scores, endorsers, supporting, fallback = _strategy_scores(
             graph, semantic, basis, strategy, user_id, keywords,
-            sim_threshold, act_type,
+            sim_threshold, act_type, postings,
         )
     else:
         (scores, endorsers, fallback), supporting = read, {}
     # max-normalisation as combine_scores_graph does it, inlined
-    sem_top = max(semantic.values(), default=0.0)
+    sem_top = order.top
     soc_top = max(scores.values(), default=0.0)
     beta = 1 - alpha
-    rows = []
-    kept: dict[Id, float] = {}
-    for item, sem in semantic.items():
+
+    def combine(item: Id, raw: float | None) -> tuple:
+        sem = semantic[item]
         sem = sem / sem_top if sem_top > 0 else 0.0
-        raw = scores.get(item)
         soc = raw / soc_top if raw is not None and soc_top > 0 else 0.0
-        combined = alpha * sem + beta * soc
-        if drop_zero and combined <= 0.0:
-            continue
-        rows.append((item, sem, soc, combined))
-        if raw is not None:
-            kept[item] = raw
+        return item, sem, soc, alpha * sem + beta * soc
+
+    def survives(item: Id) -> bool:
+        return not drop_zero or combine(item, scores.get(item))[3] > 0.0
+
+    social_only = sem_top <= 0 or alpha == 0
+    if drop_zero and (social_only or alpha > 0 and walkable
+                      and limit is not None and limit >= 0):
+        rows = [
+            row for row in (
+                combine(item, raw) for item, raw in scores.items()
+                if item in semantic
+            ) if row[3] > 0.0
+        ]
+        matched = len(rows)
+        if not social_only:
+            # combine(item, None)'s combined value, as a function of sem
+            alone = lambda sem: alpha * (sem / sem_top) + beta * 0.0  # noqa: E731
+            matched += order.surviving(alone) - sum(
+                1 for item in scores
+                if item in semantic and alone(semantic[item]) > 0.0
+            )
+            rows.extend(_walk_outside(order, scores, combine, limit))
+    else:
+        rows = [
+            row for row in (
+                combine(item, scores.get(item)) for item in semantic
+            ) if not drop_zero or row[3] > 0.0
+        ]
+        matched = len(rows)
+    kept = {item: scores[item] for item in scores if item in semantic
+            and survives(item)}
     # provenance exists only for scored items, so "scored and kept" is
     # "survived" for every key of the two maps
     endorsers = {i: e for i, e in endorsers.items() if i in kept}
@@ -607,22 +786,67 @@ def fused_social_combine(
         supporting_items=supporting,
         strategy=strategy,
         used_expert_fallback=fallback,
-        matched=len(rows),
-        encoded_size=_encoded_size(rows, semantic, endorsers, supporting),
+        matched=matched,
+        encoded_size=_encoded_size(matched, semantic, survives, endorsers,
+                                   supporting),
     )
 
 
+def _walk_outside(
+    order: SemanticOrder,
+    scored: Container[Id],
+    combine: Callable[[Id, float | None], tuple],
+    limit: int,
+) -> list:
+    """The surviving rows outside *scored* that can reach the top *limit*.
+
+    The first *limit* in the order, then the rest of the last one's tie
+    group: distinct scores may round to one combined value, so the group
+    may hold several runs of equal scores.  A run is in ``repr`` order,
+    so past *limit* rows of one run the rest of it ranks below them: the
+    walk jumps to the next run.
+    """
+    rows = order.rows()
+    taken: list = []
+    last = run = None
+    in_run = 0
+    at, end = 0, len(rows)
+    while at < end:
+        item, sem = rows[at]
+        if item in scored:
+            at += 1
+            continue
+        row = combine(item, None)
+        if row[3] <= 0.0 or len(taken) >= limit and row[3] != last:
+            break
+        if sem != run:
+            run, in_run = sem, 0
+        elif in_run >= limit:
+            at = bisect_right(rows, -sem, lo=at, key=_descending_score)
+            continue
+        taken.append(row)
+        in_run += 1
+        last = row[3]
+        at += 1
+    return taken
+
+
+def _descending_score(row: tuple[Id, float]) -> float:
+    return -row[1]
+
+
 def _encoded_size(
-    rows: list,
+    matched: int,
     candidates: Container[Id],
+    survives: Callable[[Id], bool],
     endorsers: dict[Id, dict[Id, float]],
     supporting: dict[Id, dict[Id, float]],
 ) -> tuple[int, int]:
     """(nodes, links) of the combined graph ``Expr.evaluate`` builds.
 
-    Its nodes are the survivors, the endorsers and supporters of
-    survivors that are not survivors themselves, and the marker node; its
-    links are one ``endorse`` / ``support`` edge per provenance pair.
+    Its nodes are the *matched* survivors, the endorsers and supporters
+    of survivors that are not survivors themselves, and the marker node;
+    its links are one ``endorse`` / ``support`` edge per provenance pair.
     """
     providers: set = set()
     links = 0
@@ -630,12 +854,9 @@ def _encoded_size(
         for per in provenance.values():
             providers.update(per)
             links += len(per)
-    outside = len(providers)
-    among = [p for p in providers if p in candidates]
-    if among:
-        survivors = {row[0] for row in rows}
-        outside -= sum(1 for p in among if p in survivors)
-    return len(rows) + outside + 1, links
+    outside = sum(1 for p in providers
+                  if p not in candidates or not survives(p))
+    return matched + outside + 1, links
 
 
 @dataclass

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, Callable, Hashable
 
+from repro.core.social import SemanticOrder
 from repro.plan.physical import PhysicalPlan
 
 #: Rough heap footprint of one graph record in a memoised result: the
@@ -44,6 +45,14 @@ def estimate_graph_bytes(graph: Any) -> int:
         + graph.num_nodes * NODE_BYTES
         + graph.num_links * LINK_BYTES
     )
+
+
+def _estimate_bytes(value: Any) -> int:
+    """Byte estimate of one memo entry: a result graph, or the semantic
+    order of one, whose rows cost what that graph's nodes do."""
+    if isinstance(value, SemanticOrder):
+        return GRAPH_BYTES + len(value.scores) * NODE_BYTES
+    return estimate_graph_bytes(value)
 
 
 @dataclass(frozen=True)
@@ -133,7 +142,9 @@ class ResultMemo:
     """The sub-plan result memo: an LRU of graphs with a byte budget.
 
     Holds deterministic base-graph stage results (connection bases, σN
-    selections) for one graph generation.  Unlike the plan caches this
+    selections, and the :class:`~repro.core.social.SemanticOrder` of a
+    σN selection, keyed ``("order", select key)``) for one graph
+    generation.  Unlike the plan caches this
     stores *result graphs*, whose footprint varies by orders of
     magnitude — so the bound is an estimated byte budget
     (:func:`estimate_graph_bytes`), not just an entry count.  Thread
@@ -174,7 +185,7 @@ class ResultMemo:
             return key in self._entries
 
     def __setitem__(self, key: Hashable, graph: Any) -> None:
-        nbytes = estimate_graph_bytes(graph)
+        nbytes = _estimate_bytes(graph)
         with self._lock:
             replaced = self._entries.pop(key, None)
             if replaced is not None:

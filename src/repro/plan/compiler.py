@@ -50,6 +50,7 @@ from repro.plan.physical import (
     SCAN,
     ColumnarLinkScanOp,
     ColumnarScanOp,
+    ConnectionBasisOp,
     EndorsementMergeOp,
     FusedSocialCombineOp,
     GroupedAggregationOp,
@@ -360,6 +361,8 @@ def compile_plan(
                 node, children, stats, access, model, decisions,
                 strategy_state,
             )
+        elif isinstance(node, ConnectionBasisE):
+            physical = ConnectionBasisOp(node, children)
         elif _index_eligible(node, index) and access != SCAN:
             physical = _choose_select_path(
                 node, children, stats, index, access, model, decisions,

@@ -28,6 +28,13 @@ from repro.core.expr import Expr, LiteralE, iter_plan_nodes
 from repro.core.faults import fault_point
 from repro.core.optimizer import OptimizeReport
 from repro.core.graph import SocialContentGraph
+from repro.core.social import (
+    ActPostings,
+    SemanticOrder,
+    connection_basis,
+    encode_social_result,
+    fused_social_combine,
+)
 from repro.core.stats import Card, GraphStats
 from repro.errors import DeadlineError, ExpressionError
 from repro.plan.columnar import ColumnarView, VectorCondition, link_subgraph
@@ -52,11 +59,17 @@ class ExecContext:
         view_provider: Callable[
             [SocialContentGraph], ColumnarView | None
         ] | None = None,
+        postings_provider: Callable[
+            [SocialContentGraph], ActPostings
+        ] | None = None,
     ):
         self.env = env
         self.index_provider = index_provider
         #: variant name ("exact"/"clustered") → §6.2 endorsement index
         self.network_provider = network_provider
+        #: base graph → the expert fallback's act-term postings of it
+        #: (``None``: each fallback builds them from the graph)
+        self.postings_provider = postings_provider
         #: base graph → its columnar view (None when the graph is not the
         #: one the provider cut its view from — the op degrades to a scan)
         self.view_provider = view_provider
@@ -106,6 +119,13 @@ class ExecContext:
             return
         label = stage() if callable(stage) else stage
         raise DeadlineError(label, now - self.deadline_anchor)
+
+    def postings_for(
+        self, graph: SocialContentGraph
+    ) -> Callable[[], ActPostings] | None:
+        """The expert fallback's postings of *graph*, read on demand."""
+        provider = self.postings_provider
+        return None if provider is None else partial(provider, graph)
 
 
 class PhysicalOp:
@@ -224,6 +244,23 @@ class ScanOp(PhysicalOp):
         self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
     ) -> SocialContentGraph:
         return self.logical._compute(inputs)
+
+
+class ConnectionBasisOp(ScanOp):
+    """Connection selection whose expert fallback reads the planner's
+    act-term postings instead of building them from the graph."""
+
+    def _run(
+        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
+    ) -> SocialContentGraph:
+        node = self.logical
+        return connection_basis(
+            inputs[0], node.user_id, node.keywords,  # type: ignore[attr-defined]
+            min_fit=node.min_fit,  # type: ignore[attr-defined]
+            min_qualified=node.min_qualified,  # type: ignore[attr-defined]
+            max_experts=node.max_experts,  # type: ignore[attr-defined]
+            postings=ctx.postings_for(inputs[0]),
+        )
 
 
 class IndexKeywordScanOp(PhysicalOp):
@@ -401,8 +438,6 @@ class FusedSocialCombineOp(PhysicalOp):
     def _run(
         self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
     ) -> SocialContentGraph:
-        from repro.core.social import fused_social_combine
-
         graph, candidates, basis = inputs
         ctx.payloads[id(self)] = fused_social_combine(
             graph,
@@ -420,8 +455,28 @@ class FusedSocialCombineOp(PhysicalOp):
                 endorsement_read, ctx, self, self.variant,
                 self.social.user_id,  # type: ignore[attr-defined]
             ),
+            order=self._semantic_order(ctx, candidates),
+            postings=ctx.postings_for(graph),
         )
         return SocialContentGraph(catalog=candidates.catalog)
+
+    def _semantic_order(
+        self, ctx: ExecContext, candidates: SocialContentGraph
+    ) -> SemanticOrder | None:
+        """The kept :class:`~repro.core.social.SemanticOrder` of
+        *candidates*: in the sub-plan memo beside the σN entry it derives
+        from, checked by identity against that value (``None`` without a
+        memo, or when the candidates are not a memoised stage)."""
+        select_key = self.children[1].memo_key
+        cache = ctx.result_cache
+        if cache is None or select_key is None:
+            return None
+        key = ("order", select_key)
+        order = cache.get(key)
+        if order is None or order.candidates is not candidates:
+            order = SemanticOrder(candidates)
+            cache[key] = order
+        return order
 
     def _record(
         self, ctx: ExecContext, result: SocialContentGraph, elapsed: float
@@ -553,8 +608,6 @@ class EndorsementMergeOp(_SocialStageOp):
     def _run(
         self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
     ) -> SocialContentGraph:
-        from repro.core.social import encode_social_result
-
         graph, candidates, _basis = inputs
         read = endorsement_read(
             ctx, self, self.variant,
@@ -761,6 +814,9 @@ class PhysicalPlan:
         view_provider: Callable[
             [SocialContentGraph], ColumnarView | None
         ] | None = None,
+        postings_provider: Callable[
+            [SocialContentGraph], ActPostings
+        ] | None = None,
         result_cache: dict | None = None,
         topk: int | None = None,
         deadline: float | None = None,
@@ -779,7 +835,7 @@ class PhysicalPlan:
         doomed work.
         """
         ctx = ExecContext(env, index_provider, network_provider,
-                          view_provider)
+                          view_provider, postings_provider)
         ctx.result_cache = result_cache
         ctx.topk = topk
         if deadline is not None:

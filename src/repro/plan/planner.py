@@ -44,7 +44,11 @@ from repro.core.expr import (
 )
 from repro.core.delta import GraphDelta
 from repro.core.graph import SocialContentGraph
-from repro.core.social import basis_keeper
+from repro.core.social import (
+    act_term_postings,
+    basis_keeper,
+    patched_act_postings,
+)
 from repro.core.stats import GraphStats
 from repro.plan.cache import PlanCache, ResultMemo
 from repro.plan.columnar import ColumnarView, cut_columnar_view
@@ -124,6 +128,10 @@ class QueryPlanner:
         #: an exact index of an earlier state and the link changes since,
         #: for :meth:`network_index` to patch if it is asked
         self._network_behind: tuple[Any, GraphDelta] | None = None
+        #: the expert fallback's act-term postings of the live graph,
+        #: built on the first fallback of a generation, stamped with it
+        self._postings: dict | None = None
+        self._postings_generation = -1
         #: generation-stamped memo of deterministic sub-plan results
         #: (connection bases, σN selections): repeated queries skip
         #: re-deriving them; bounded by entries *and* estimated bytes
@@ -149,13 +157,15 @@ class QueryPlanner:
         structure keeps what the step cannot have changed, as a new
         object (the old ones may be serving a request).  The statistics
         are patched.  When the step touched only links, the view keeps
-        its node side, the sub-plan memo its ``"select"`` entries and
-        every ``"basis"`` entry the step left true
-        (:func:`~repro.core.social.basis_keeper`), the exact endorsement
-        index waits for :meth:`network_index` to patch it; the view's
-        link side goes.  Compiled plans hold no data, so they stay
-        through a link-only step unless the statistics moved where a plan
-        could tell: a count beyond :data:`PLAN_DRIFT`, or a signal
+        its node side, the sub-plan memo its ``"select"`` entries, the
+        semantic ``"order"`` of each, and every ``"basis"`` entry the
+        step left true (:func:`~repro.core.social.basis_keeper`), the
+        expert fallback's postings are patched by the touched ``act``
+        links, the exact endorsement index waits for
+        :meth:`network_index` to patch it; the view's link side goes.
+        Compiled plans hold no data, so they stay through a link-only
+        step unless the statistics moved where a plan could tell: a
+        count beyond :data:`PLAN_DRIFT`, or a signal
         ``strategy="auto"`` resolves from.  A step that touched a node
         keeps the statistics only (the scorer plans embed is replaced
         with the corpus).
@@ -167,6 +177,8 @@ class QueryPlanner:
             view = self._view if self._view_generation == before else None
             memo = self._subplan_results \
                 if self._subplan_generation == before else None
+            postings = self._postings \
+                if self._postings_generation == before else None
             behind = self._network_behind
             if self._network_generation == before \
                     and "exact" in self._network_indexes:
@@ -174,6 +186,7 @@ class QueryPlanner:
             self.graph = graph.freeze()
             self.generation += 1
             self._stats = self._view = self._network_behind = None
+            self._postings = None
             after = self.generation
             if delta is not None and stats is not None:
                 self._stats = stats.patched(delta, old, graph)
@@ -185,10 +198,15 @@ class QueryPlanner:
                 if memo is not None:
                     keeps_basis = basis_keeper(graph, delta)
                     self._subplan_results = memo.carried(
-                        lambda key, result: key[0] == "select"
+                        lambda key, result: key[0] in ("select", "order")
                         or keeps_basis(key[1], result)
                     )
                     self._subplan_generation = after
+                if postings is not None:
+                    self._postings = patched_act_postings(
+                        postings, graph, delta
+                    )
+                    self._postings_generation = after
                 if behind is not None and \
                         len(behind[1]) + len(delta) <= NETWORK_BEHIND_BOUND:
                     self._network_behind = (
@@ -286,6 +304,22 @@ class QueryPlanner:
                 self._network_indexes[variant] = index
         return index
 
+    def act_postings(self, graph: SocialContentGraph) -> dict:
+        """The expert fallback's act-term postings of *graph*.
+
+        For the live graph they are built on the first fallback of a
+        generation and kept for it (patched across a links-only
+        refresh); any other graph gets a build of its own.
+        """
+        with self._lock:
+            if graph is not self.graph:
+                return act_term_postings(graph)
+            if self._postings_generation != self.generation or \
+                    self._postings is None:
+                self._postings = act_term_postings(graph)
+                self._postings_generation = self.generation
+            return self._postings
+
     @property
     def stats(self) -> GraphStats:
         """Term-aware statistics of the live graph (lazy, per generation)."""
@@ -353,6 +387,7 @@ class QueryPlanner:
             index_provider=provider,
             network_provider=self.network_index,
             view_provider=self.columnar_view,
+            postings_provider=self.act_postings,
             result_cache=result_cache,
             topk=topk,
             deadline=deadline,

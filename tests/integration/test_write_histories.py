@@ -36,7 +36,7 @@ import shutil
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -45,11 +45,18 @@ from hypothesis.stateful import (
     rule,
 )
 
+import oracle
 from benchmarks.e2e.harness import canonical_response, first_difference
 from repro.analysis import ContentAnalyzer
 from repro.api import SearchRequest, Session, SessionConfig
 from repro.core import Link, Node, SocialContentGraph
 from repro.core.delta import LINK, NODE, Change, GraphDelta
+from repro.core.social import (
+    SemanticOrder,
+    act_term_postings,
+    expert_candidates,
+)
+from repro.core.text import tokenize
 from repro.core.stats import GraphStats
 from repro.errors import DanglingLinkError, FrozenGraphError
 from repro.indexing.endorsement import exact_endorsement_index
@@ -57,6 +64,7 @@ from repro.management import DataManager, RemoteSocialSite
 from repro.management import datamanager as datamanager_module
 from repro.management.storage import GraphStore
 from repro.plan import QueryPlanner
+from repro.plan import planner as planner_module
 from repro.presentation import InformationOrganizer
 from repro.presentation.projection import ActivityProjection, OutView
 from repro.workloads import WorkloadConfig, build_site
@@ -117,6 +125,18 @@ def assert_same_projection(projection: ActivityProjection) -> None:
             list(rebuilt.endorsers(item).items()), item
     for node, found in projection._users.items():
         assert found == rebuilt.is_user(node), node
+
+
+def assert_same_orders(planner: QueryPlanner) -> None:
+    """Every kept semantic order equals one cut afresh from its candidates."""
+    memo = planner._subplan_cache()
+    for key, (order, _bytes) in list(memo._entries.items()):
+        if key[0] != "order":
+            continue
+        fresh = SemanticOrder(order.candidates)
+        for name in ("scores", "top", "positive", "least_positive"):
+            assert getattr(order, name) == getattr(fresh, name), (key, name)
+        assert order.rows() == fresh.rows(), key
 
 
 class WriteHistories(RuleBasedStateMachine):
@@ -302,6 +322,9 @@ class WriteHistories(RuleBasedStateMachine):
             planner.network_index("exact"), exact_endorsement_index(graph)
         )
         assert_same_projection(live.organizer.projection)
+        assert_same_orders(planner)
+        # built here if no fallback has yet: every later step carries them
+        assert planner.act_postings(graph) == act_term_postings(graph)
 
 
 TestWriteHistories = WriteHistories.TestCase
@@ -389,6 +412,132 @@ def test_a_vote_makes_no_pass_over_the_site(monkeypatch, factor):
     assert session.stats.delta_refreshes == \
         before.delta_refreshes + len(requests)
     assert session.stats.refreshes == before.refreshes + len(requests)
+
+
+# ---------------------------------------------------------------------------
+# A vote keeps the semantic orders and patches the expert postings
+# ---------------------------------------------------------------------------
+
+
+def kept_orders(session: Session) -> dict:
+    return {key: order for key, (order, _bytes)
+            in session.planner._subplan_cache()._entries.items()
+            if key[0] == "order"}
+
+
+def assert_answers_as_a_fresh_session(session: Session, requests) -> None:
+    fresh = Session.from_graph(session.data_manager.store.snapshot())
+    for request in requests:
+        assert first_difference(
+            canonical_response(session.run(request)),
+            canonical_response(fresh.run(request)),
+        ) is None, request
+
+
+def test_a_vote_keeps_the_orders_and_patches_the_postings(monkeypatch):
+    site = build_site(SITE)
+    session = Session.from_graph(site.graph)
+    planner = session.planner
+    user, friend = site.user_ids[0], site.user_ids[1]
+    requests = [SearchRequest(user_id=user, text=text, k=3)
+                for text in ("museum park", "food", site.categories[0])]
+    for request in requests:
+        session.run(request)
+    orders = kept_orders(session)
+    assert orders
+    postings = planner.act_postings(session.graph)
+    builds = Spy(monkeypatch, planner_module, "act_term_postings")
+
+    session.data_manager.add_link(Link(
+        "vote", friend, site.item_ids[0], type="act, visit", tags="museum",
+    ))
+    for request in requests:
+        session.run(request)
+    kept = kept_orders(session)
+    assert kept.keys() == orders.keys()
+    assert all(kept[key] is orders[key] for key in orders)
+    patched = planner.act_postings(session.graph)
+    assert builds.calls == 0
+    assert patched is not postings
+    assert patched == act_term_postings(session.graph)
+    assert "vote" in patched["museum"] and "vote" not in postings["museum"]
+    assert_answers_as_a_fresh_session(session, requests)
+
+    builds.calls = 0  # the fresh session built postings of its own
+    session.data_manager.add_node(Node(
+        "new-item", type="item", name="new-item", keywords="museum food",
+    ))
+    for request in requests:
+        session.run(request)
+    # a node write replaces the scorer, which keys the selections anew
+    rebuilt = kept_orders(session)
+    assert len(rebuilt) == len(orders)
+    assert not {id(order) for order in rebuilt.values()} & \
+        {id(order) for order in orders.values()}
+    assert planner.act_postings(session.graph) == \
+        act_term_postings(session.graph)
+    assert builds.calls == 1
+    assert_answers_as_a_fresh_session(session, requests)
+
+
+def site_terms(graph: SocialContentGraph) -> list[str]:
+    """Every term the site's items and tags are filed under."""
+    terms = {term for node in graph.nodes() if node.has_type("item")
+             for term in tokenize(node.text())}
+    return sorted(terms | set(WORDS) | {"fun"})
+
+
+VOTE_STEPS = st.lists(
+    st.tuples(st.sampled_from(("vote", "unvote", "retag")), indexes,
+              indexes, st.booleans()),
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=VOTE_STEPS, queries=st.lists(
+    st.tuples(st.lists(indexes, min_size=0, max_size=3), indexes),
+    min_size=1, max_size=4,
+))
+def test_expert_postings_rank_as_the_link_walk_after_votes(steps, queries):
+    """After random vote / unvote / re-tag steps the planner's patched
+    postings equal a rebuild, and the experts they rank are the oracle's
+    link walk's."""
+    graph = build_site(SITE).graph
+    planner = QueryPlanner(graph)
+    planner.act_postings(graph)
+    users = sorted((n.id for n in graph.nodes() if n.has_type("user")),
+                   key=repr)
+    items = sorted((n.id for n in graph.nodes() if n.has_type("item")),
+                   key=repr)
+    vocabulary = site_terms(graph)
+    for serial, (kind, who, what, tagged) in enumerate(steps):
+        acts = sorted((l for l in graph.links() if l.has_type("act")),
+                      key=lambda l: repr(l.id))
+        if kind == "vote" or not acts:
+            attrs = {"tags": pick(WORDS, what)} if tagged else {}
+            change = Change(LINK, None, Link(
+                f"v{serial}", pick(users, who), pick(items, what),
+                type="act, visit", **attrs,
+            ))
+        elif kind == "unvote":
+            change = Change(LINK, pick(acts, who), None)
+        else:
+            old = pick(acts, who)
+            attrs = {"tags": pick(WORDS, what)} if tagged else {}
+            change = Change(LINK, old, Link(
+                old.id, old.src, old.tgt, type=old.types, **attrs,
+            ))
+        delta = GraphDelta([change])
+        graph = graph.patched(delta)
+        planner.refresh(graph, delta)
+    postings = planner.act_postings(graph)
+    assert postings == act_term_postings(graph)
+    for picks, excluded in queries:
+        terms = {pick(vocabulary, at) for at in picks}
+        exclude = {pick(users, excluded)}
+        assert expert_candidates(lambda: postings, terms, exclude) == \
+            oracle.find_experts(graph, terms, exclude)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 import repro.core.social
+import repro.plan.physical
 from factories import social_site_graph
 from oracle import decode_social_result
 from repro.api import SearchRequest, Session
 from repro.core import Link, Node, SocialContentGraph, input_graph
 from repro.core.expr import CombineScoresE, ConnectionBasisE, SocialScoreE
-from repro.core.social import COMPILED_STRATEGIES, _similar_user_scores
+from repro.core.social import (
+    COMPILED_STRATEGIES,
+    SemanticOrder,
+    _similar_user_scores,
+)
 from repro.discovery import InformationDiscoverer, parse_query
 from repro.plan import (
     COLUMNAR,
@@ -683,6 +688,42 @@ def root_discoverer(graph, scan, form):
     return discoverer
 
 
+#: Semantic weights of the root's parity: social only, even, semantic only.
+ROOT_ALPHAS = (0.0, 0.5, 1.0)
+
+#: Hand-set semantic scores: 0.709 and the float just below it are
+#: distinct, but TIE_ALPHA · s / 3.0 rounds both to one value.
+TIE_ALPHA = 0.9
+TIE_SCORES = (
+    ("top", 3.0), ("m1", 0.709), ("m2", 0.709), ("m3", 0.709),
+    ("a", 0.7089999999999999), ("c", 0.0), ("z", 0.0),
+)
+
+
+def tie_site():
+    """Items carrying :data:`TIE_SCORES`; u0's friend u1 acts on c only,
+    so the social set is {c}, ranked below the tie by its small weight."""
+    g = SocialContentGraph()
+    for u in ("u0", "u1"):
+        g.add_node(Node(u, type="user"))
+    for item, score in TIE_SCORES:
+        g.add_node(Node(item, type="item", score=score))
+    g.add_link(Link("f0", "u0", "u1", type="connect, friend"))
+    g.add_link(Link("v0", "u1", "c", type="act, visit"))
+    return g
+
+
+def tie_plan():
+    """The discovery pipeline's shape over :func:`tie_site`'s hand-scored
+    items (a selection without a scorer keeps the scores they carry)."""
+    G = input_graph("G")
+    candidates = G.select_nodes({"type": "item"})
+    basis = ConnectionBasisE(G, user_id="u0")
+    social = SocialScoreE(G, candidates, basis, strategy="friends",
+                          user_id="u0")
+    return CombineScoresE(candidates, social, alpha=TIE_ALPHA)
+
+
 def assert_rows_match(got, want):
     assert [row[0] for row in got] == [row[0] for row in want]
     for got_row, want_row in zip(got, want):
@@ -752,6 +793,77 @@ class TestRootPayloadParity:
         assert root.payload.endorsers == standalone.endorsers
         reference = decode_social_result(combined.evaluate({"G": graph}))
         assert root.payload == reference
+
+    @settings(max_examples=25, deadline=None)
+    @given(social_workloads(), st.booleans())
+    def test_every_alpha_and_drop_zero_read_the_window_alike(
+        self, workload, empty_text
+    ):
+        """α ∈ {0, 0.5, 1} × ``drop_zero`` × every window, keyword text
+        and empty text (every semantic score 0): the windowed payload equals
+        the decoded combined graph at 1e-9, and — exactly — the full pass
+        over the candidates a run without the sub-plan memo takes."""
+        graph, user, keywords = workload
+        query = parse_query(user, "" if empty_text else " ".join(keywords))
+        for strategy in COMPILED_STRATEGIES:
+            for scan in SCAN_FORMS:
+                discoverer = root_discoverer(graph, scan, "probe")
+                planner = discoverer.planner
+                scorer = discoverer.semantic.scorer if query.keywords \
+                    else None
+                for alpha in ROOT_ALPHAS:
+                    for drop_zero in (True, False):
+                        full = None
+                        for limit in ROOT_LIMITS:
+                            execution = planner.discovery_pipeline(
+                                query, scorer=scorer, strategy=strategy,
+                                alpha=alpha, drop_zero=drop_zero,
+                                limit=limit,
+                            )
+                            source = execution.plan.source
+                            if full is None:
+                                full = decode_social_result(
+                                    source.evaluate({"G": graph})
+                                )
+                            got = execution.payload
+                            assert_scores_match(
+                                full, full.used_expert_fallback, got
+                            )
+                            assert_rows_match(got.items, full.items[:limit])
+                            assert got.matched == full.matched
+                            assert got.encoded_size == full.encoded_size
+                            bare = planner.execute(
+                                source, env={"G": graph}, topk=limit,
+                            ).payload
+                            assert got == bare
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4])
+    def test_a_window_cut_inside_a_rounding_tie_reads_the_tie_whole(
+        self, limit
+    ):
+        """m1..m3 and ``a`` have distinct semantic scores whose
+        α·sem/sem_top round to one combined value at :data:`TIE_ALPHA`,
+        so ``a`` (lowest score, least ``repr``) outranks all three: a walk that
+        stopped at its *limit*-th row, or read one equal-score run past
+        *limit* rows, would miss it."""
+        graph = tie_site()
+        root = tie_plan()
+        sem = dict(TIE_SCORES)
+        combined = {item: TIE_ALPHA * (sem[item] / sem["top"])
+                    for item in ("m1", "a")}
+        assert sem["m1"] != sem["a"] and combined["m1"] == combined["a"]
+        want = decode_social_result(root.evaluate({"G": graph}))
+        assert [row[0] for row in want.items] == \
+            ["top", "a", "m1", "m2", "m3", "c"]
+        planner = QueryPlanner(graph)
+        for _ in range(2):  # cold, then with the kept order
+            got = planner.execute(root, topk=limit).payload
+            assert_rows_match(got.items, want.items[:limit])
+            assert got.matched == want.matched
+            assert got.encoded_size == want.encoded_size
+            assert got == planner.execute(
+                root, env={"G": graph}, topk=limit
+            ).payload
 
 
 # ---------------------------------------------------------------------------
@@ -880,6 +992,196 @@ class TestRootBuildsNothing:
             assert len(full) > 3 or strategy == "item_based" and not text
 
 
+def reach_site():
+    """:func:`window_site` plus a user whose friends qualify for "thing"
+    through their tags but act only on an item that does not match it:
+    the friend probe finds nothing, and the expert fallback runs."""
+    g = window_site().copy()
+    g.add_node(Node("x0", type="item", name="aside", keywords="elsewhere"))
+    for user in ("loner", "f1", "f2"):
+        g.add_node(Node(user, type="user", name=user))
+    for friend in ("f1", "f2"):
+        g.add_link(Link(f"c-{friend}", "loner", friend,
+                        type="connect, friend"))
+        g.add_link(Link(f"a-{friend}", friend, "x0", type="act, visit",
+                        tags="thing"))
+    return g
+
+
+def padded(graph, factor=10):
+    """*graph* beside ``factor - 1`` copies of its users and items that
+    share nothing with it: their own ids, text no request matches, and
+    friendships and acts among themselves only."""
+    grown = graph.copy()
+    users = [n.id for n in graph.nodes() if n.has_type("user")]
+    items = [n.id for n in graph.nodes() if n.has_type("item")]
+    for copy in range(1, factor):
+        for k in range(len(users)):
+            grown.add_node(Node(f"p{copy}u{k}", type="user", name="far"))
+        for k in range(len(items)):
+            grown.add_node(Node(f"p{copy}i{k}", type="item", name="far",
+                                keywords="elsewhere"))
+        for k in range(len(users)):
+            grown.add_link(Link(
+                f"p{copy}c{k}", f"p{copy}u{k}",
+                f"p{copy}u{(k + 1) % len(users)}", type="connect, friend",
+            ))
+            for step in range(3):
+                grown.add_link(Link(
+                    f"p{copy}a{k}.{step}", f"p{copy}u{k}",
+                    f"p{copy}i{(k + step) % len(items)}", type="act, visit",
+                ))
+    return grown
+
+
+def reach_requests(strategy):
+    """A deep page, a keyword + structural scan, recommendations (also
+    off the endorsement index) and the expert fallback."""
+    return (*window_requests(strategy),
+            SearchRequest(user_id="loner", text="thing", strategy=strategy,
+                          k=5))
+
+
+class CountedRows(list):
+    """A semantic order's rows that count how many a walk reads."""
+
+    def __init__(self, rows, probe):
+        super().__init__(rows)
+        self.probe = probe
+
+    def __getitem__(self, at):
+        self.probe.rows += 1
+        return super().__getitem__(at)
+
+    def __iter__(self):
+        for row in super().__iter__():
+            self.probe.rows += 1
+            yield row
+
+
+class CountedScores(dict):
+    """A semantic order's score map that counts the entries a pass over
+    it reads (membership probes are free)."""
+
+    def __init__(self, scores, probe):
+        super().__init__(scores)
+        self.probe = probe
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.probe.rows += 1
+            yield item
+
+    def items(self):
+        for entry in super().items():
+            self.probe.rows += 1
+            yield entry
+
+    def values(self):
+        for score in super().values():
+            self.probe.rows += 1
+            yield score
+
+
+class ReadProbe:
+    """Per request: candidate rows read (from the semantic order's rows or
+    a pass over its score map), social-set entries the root combined, and
+    whole-site passes (``nodes()`` / ``links()`` ...) made inside the root
+    on any graph but a connection basis; plus the query terms of every
+    expert fallback."""
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        self.social = 0
+        self.passes: Counter = Counter()
+        self.fallbacks: list = []
+        self._inside = False
+        run = FusedSocialCombineOp._run
+
+        def probed_run(op, ctx, inputs):
+            self._inside = True
+            try:
+                return run(op, ctx, inputs)
+            finally:
+                self._inside = False
+
+        monkeypatch.setattr(FusedSocialCombineOp, "_run", probed_run)
+        rows, init = SemanticOrder.rows, SemanticOrder.__init__
+
+        def counted_init(order, candidates):
+            init(order, candidates)
+            order.scores = CountedScores(order.scores, self)
+
+        monkeypatch.setattr(SemanticOrder, "__init__", counted_init)
+        monkeypatch.setattr(SemanticOrder, "rows",
+                            lambda order: CountedRows(rows(order), self))
+        # where each social read's answer holds its scores
+        for module, name, at in ((repro.core.social, "_strategy_scores", 1),
+                                 (repro.plan.physical, "endorsement_read", 0)):
+            monkeypatch.setattr(module, name,
+                                self._social_set(getattr(module, name), at))
+        experts = repro.core.social.expert_candidates
+
+        def kept_experts(postings, query_terms, *args, **kwargs):
+            self.fallbacks.append(set(query_terms))
+            return experts(postings, query_terms, *args, **kwargs)
+
+        monkeypatch.setattr(repro.core.social, "expert_candidates",
+                            kept_experts)
+        for name in SITE_PASSES:
+            monkeypatch.setattr(
+                SocialContentGraph, name,
+                self._counting(name, getattr(SocialContentGraph, name)),
+            )
+
+    def _social_set(self, read, at):
+        def counted(*args, **kwargs):
+            answer = read(*args, **kwargs)
+            if answer is not None:
+                self.social += len(answer[at])
+            return answer
+        return counted
+
+    def _counting(self, name, method):
+        def walk(graph, *args):
+            if self._inside and not graph.has_node(repro.core.social.META_ID):
+                self.passes[name] += 1
+            return method(graph, *args)
+        return walk
+
+    def reads(self):
+        return self.rows, self.social
+
+
+class TestRootReadsTheWindow:
+    def test_a_warm_request_reads_as_much_on_a_site_ten_times_larger(
+        self, monkeypatch
+    ):
+        requests = [r for strategy in COMPILED_STRATEGIES
+                    for r in reach_requests(strategy)]
+        probe = ReadProbe(monkeypatch)
+        measured = {}
+        for factor in (1, 10):
+            site = reach_site()
+            session = Session.from_graph(padded(site, factor))
+            assert session.graph.num_nodes == factor * site.num_nodes
+            for request in requests:  # cold: compile, build and keep
+                session.run(request)
+            probe.fallbacks.clear()
+            probe.passes.clear()
+            reads = []
+            for request in requests:
+                probe.rows = probe.social = 0
+                session.run(request)
+                reads.append(probe.reads())
+            assert probe.passes == Counter()
+            assert {"thing"} in probe.fallbacks
+            measured[factor] = reads
+        assert measured[10] == measured[1]
+        assert any(rows for rows, _social in measured[1])
+        assert any(social for _rows, social in measured[1])
+
+
 class TestExpertCandidates:
     def test_no_query_terms_returns_before_walking_the_links(
         self, monkeypatch
@@ -904,9 +1206,9 @@ class TestExpertCandidates:
             walks["links"] += 1
             return links(graph, *args)
 
-        def kept_experts(graph, query_terms, *args, **kwargs):
+        def kept_experts(postings, query_terms, *args, **kwargs):
             asked.append(set(query_terms))
-            return experts(graph, query_terms, *args, **kwargs)
+            return experts(postings, query_terms, *args, **kwargs)
 
         monkeypatch.setattr(SocialContentGraph, "links", counted_links)
         monkeypatch.setattr(repro.core.social, "expert_candidates",
@@ -915,7 +1217,9 @@ class TestExpertCandidates:
         assert asked == [set()]
         assert walks["links"] == 0
         assert response.items == ()
-        assert experts(g, set()) == []
-        assert walks["links"] == 0
-        assert experts(g, {"topic0"}, exclude={"u0"}) == ["u2"]
+        unread = lambda: pytest.fail("postings read without query terms")  # noqa: E731
+        assert experts(unread, set()) == []
+        postings = repro.core.social.act_term_postings(g)
+        assert walks["links"] == 1  # the one build
+        assert experts(lambda: postings, {"topic0"}, exclude={"u0"}) == ["u2"]
         assert walks["links"] == 1
