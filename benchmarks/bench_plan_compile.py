@@ -168,72 +168,6 @@ def test_scan_vs_index_crossover(report, quick):
                 assert point["index_ms"] < point["scan_ms"]
 
 
-def test_social_index_vs_scan_crossover(report, quick):
-    """Sweep endorsement density; record the social access-path choice.
-
-    Dense overlap (many friends acting on a small shared pool) should
-    route to the §6.2 endorsement index — few postings stand in for many
-    probes; sparse graphs stay on the adjacency probe.
-    """
-    from factories import social_site_graph
-    from repro.discovery import parse_query
-
-    rounds = 3 if quick else 20
-    shapes = [
-        # (users, follows, items, acts each) — the shared ring-site
-        # factory the parity suite randomises over, density dialed up
-        (30, 2, 200, 2),     # sparse: the probe is a handful of links
-        (30, 6, 120, 4),
-        (30, 15, 20, 15),    # dense: 225 probes collapse onto ≤20 postings
-        (40, 25, 12, 20),
-    ]
-    sweep = []
-    for users, follows, items, acts in shapes:
-        graph = social_site_graph(
-            num_users=users, num_items=items, friends_per_user=follows,
-            acts_per_user=acts, with_sim_links=False,
-        )
-        planner = QueryPlanner(graph)
-        query = parse_query("u0", "")
-        auto = planner.discovery_pipeline(query, alpha=0.0, access="auto")
-        chosen = next(
-            (d.chosen for d in auto.plan.decisions
-             if d.op.startswith("social")), "scan",
-        )
-        timings = {}
-        for access in ("scan", "index"):
-            planner.discovery_pipeline(query, alpha=0.0, access=access)
-            start = time.perf_counter()
-            for _ in range(rounds):
-                planner.discovery_pipeline(query, alpha=0.0, access=access)
-            timings[access] = (time.perf_counter() - start) / rounds
-        sweep.append({
-            "users": users, "follows": follows, "items": items,
-            "acts_per_user": acts, "chosen": chosen,
-            "probe_ms": timings["scan"] * 1e3,
-            "index_ms": timings["index"] * 1e3,
-        })
-
-    RESULTS["social_access_sweep"] = {"points": sweep}
-    lines = [
-        "",
-        "=== Social access path vs endorsement density ===",
-        "  users  follows  items  acts   chosen            probe ms  index ms",
-    ]
-    for point in sweep:
-        lines.append(
-            f"  {point['users']:5d}  {point['follows']:7d}"
-            f"  {point['items']:5d}  {point['acts_per_user']:4d}"
-            f"   {point['chosen']:<16}"
-            f"  {point['probe_ms']:8.2f}  {point['index_ms']:8.2f}"
-        )
-    report(*lines)
-
-    chosen_set = {p["chosen"] for p in sweep}
-    assert "scan" in chosen_set           # sparse shapes stay on the probe
-    assert chosen_set - {"scan"}          # dense shapes take a network index
-
-
 def test_cf_kernel_over_recipe(site, report, quick):
     """The plan's CF stage against the paper's Example 5, same user.
 
@@ -346,5 +280,4 @@ def test_emit_bench_json(report, quick):
     OUTPUT.write_text(json.dumps(RESULTS, indent=2) + "\n")
     report("", f"BENCH_plan.json written: {OUTPUT}")
     assert OUTPUT.exists()
-    assert {"compile", "selectivity_sweep", "social_access_sweep",
-            "cf", "rank"} <= RESULTS.keys()
+    assert {"compile", "selectivity_sweep", "cf", "rank"} <= RESULTS.keys()

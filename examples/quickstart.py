@@ -120,9 +120,9 @@ if page1.page_info.next_cursor:
 # scoring strategy (a semi-join probe / grouped aggregation), and the
 # α-combination — is built as one algebra plan, rule-optimized, and
 # lowered to physical operators.  The cost model over GraphStats picks
-# every access path: scan vs. the semantic inverted index for keyword
-# scoping, and adjacency probe vs. the §6.2 network-aware endorsement
-# indexes for friend scoring.  `.explain()` attaches the executed plan.
+# every access path — scan vs. the semantic inverted index for keyword
+# scoping — and the social stage runs fused into the combination, one
+# form per strategy.  `.explain()` attaches the executed plan.
 explained = (session.query(1)
              .text("denver baseball")
              .explain()

@@ -60,7 +60,8 @@ class SearchRequest:
     cursor: str | None = None
     #: route keyword scoping through the semantic index (None = auto: the
     #: compiler's cost model chooses; True forces the index where eligible;
-    #: False refuses it)
+    #: False refuses it).  Only the keyword stage has an index: the social
+    #: stage runs one form per strategy either way
     use_index: bool | None = None
     #: attach the executed physical plan (per-operator estimated vs. actual
     #: cardinalities, rewrites, access path) to the response

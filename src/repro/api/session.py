@@ -24,11 +24,10 @@ Information Organizer on top — and serves :class:`SearchRequest` after
   physical compiler (:mod:`repro.plan`): rule-optimized, lowered with
   cost-based access-path choices — scan vs. the lazily built
   :class:`~repro.indexing.semantic.SemanticItemIndex` for keyword
-  scoping, adjacency probe vs. the §6.2 endorsement indexes for friend
-  scoring (identical results by eligibility), and a cost-based strategy
-  pick under ``strategy="auto"`` — compiled once per plan shape into a
-  generation-stamped plan cache, and profiled per operator for
-  first-class EXPLAIN (``SearchRequest.explain=True`` →
+  scoping (identical results by eligibility) — and a cost-based
+  strategy pick under ``strategy="auto"`` — compiled once per plan
+  shape into a generation-stamped plan cache, and profiled per operator
+  for first-class EXPLAIN (``SearchRequest.explain=True`` →
   ``SearchResponse.plan``);
 * **deterministic pagination** — the full combined ranking is a total
   order, so ``page``/``cursor`` windows never duplicate or drop items.
@@ -134,8 +133,6 @@ class SessionStats:
     index_queries: int = 0
     #: queries that fell back to the scan path
     scan_queries: int = 0
-    #: queries whose social stage read a §6.2 endorsement index
-    social_index_queries: int = 0
     #: physical plans compiled (plan-cache misses)
     plan_compiles: int = 0
     #: queries served by an already-compiled plan
@@ -517,8 +514,6 @@ class Session:
                 self.stats.plan_cache_hits += 1
             else:
                 self.stats.plan_compiles += 1
-            if ev.execution.used_network_index:
-                self.stats.social_index_queries += 1
             self.stats.tfidf_builds = self.discoverer.semantic.builds
         return SearchResponse(
             request=request,

@@ -622,22 +622,23 @@ class SocialScoreE(_Ternary):
                             self.user_id, self.keywords,
                             self.sim_threshold, self.act_type)
 
-    def compute_resolved(self, inputs, strategy: str) -> SocialContentGraph:
-        """Run the stage under an already-resolved strategy name.
+    def pinned(self, strategy: str) -> "SocialScoreE":
+        """This stage under an already-resolved strategy name.
 
-        The physical layer resolves ``"auto"`` at compile time and pins
-        the choice here, so EXPLAIN reports what actually ran.
+        The compiler resolves ``"auto"`` from statistics and pins the
+        choice here, so EXPLAIN reports what actually ran.
         """
+        return SocialScoreE(*self.children(), strategy, self.user_id,
+                            self.keywords, self.sim_threshold, self.act_type)
+
+    def _compute(self, inputs):
         from repro.core.social import social_scores_graph
 
         return social_scores_graph(
-            inputs[0], inputs[1], inputs[2], strategy, self.user_id,
+            inputs[0], inputs[1], inputs[2], self.strategy, self.user_id,
             keywords=self.keywords, sim_threshold=self.sim_threshold,
             act_type=self.act_type,
         )
-
-    def _compute(self, inputs):
-        return self.compute_resolved(inputs, self.strategy)
 
     def estimate(self, stats: GraphStats) -> Card:
         candidates = self._children[1].estimate(stats)

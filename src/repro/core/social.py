@@ -687,9 +687,6 @@ def fused_social_combine(
     act_type: str = "visit",
     drop_zero: bool = True,
     limit: int | None = None,
-    endorsements: Callable[
-        [Container[Id]], "tuple[dict, dict, bool] | None"
-    ] | None = None,
     order: SemanticOrder | None = None,
     postings: Callable[[], ActPostings] | None = None,
 ) -> "DecodedSocialResult":
@@ -715,25 +712,18 @@ def fused_social_combine(
       ``encoded_size`` come from the order's counts and membership;
     * otherwise every candidate is read.
 
-    *endorsements*, when given, replaces friend scoring with a §6.2
-    index read over the candidate set, returning ``(scores, endorsers,
-    fallback)``; a ``None`` answer falls back to the probe.  *postings*
-    feeds the expert fallback (built from *graph* when not given).  This
-    is the compute kernel behind
+    *postings* feeds the expert fallback (built from *graph* when not
+    given).  This is the compute kernel behind
     :class:`repro.plan.physical.FusedSocialCombineOp`.
     """
     walkable = order is not None
     if order is None:
         order = SemanticOrder(candidates)
     semantic = order.scores
-    read = endorsements(semantic) if endorsements is not None else None
-    if read is None:
-        strategy, scores, endorsers, supporting, fallback = _strategy_scores(
-            graph, semantic, basis, strategy, user_id, keywords,
-            sim_threshold, act_type, postings,
-        )
-    else:
-        (scores, endorsers, fallback), supporting = read, {}
+    strategy, scores, endorsers, supporting, fallback = _strategy_scores(
+        graph, semantic, basis, strategy, user_id, keywords,
+        sim_threshold, act_type, postings,
+    )
     # max-normalisation as combine_scores_graph does it, inlined
     sem_top = order.top
     soc_top = max(scores.values(), default=0.0)

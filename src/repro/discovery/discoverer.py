@@ -14,8 +14,8 @@ Pipeline per query:
    σN⟨C,S⟩ scoping (index vs. scan chosen cost-wise), connection
    selection (friend subset fit for the query, falling back to topic
    experts — Example 2), social relevance (friend endorsements by
-   default; Example 5 CF and item-based available; probe vs. §6.2
-   endorsement index chosen cost-wise, and the strategy itself under
+   default, an adjacency probe; Example 5 CF and item-based available,
+   one grouped aggregation; the strategy itself chosen cost-wise under
    ``"auto"``), and the ``α·semantic + (1-α)·social`` combination over
    max-normalised components (empty queries use social only, §4) —
    compiled once per shape into the generation-stamped plan cache;

@@ -7,13 +7,6 @@ model behind the paper's 1 TB estimate.
 """
 
 from repro.indexing.clustered import ClusteredIndex
-from repro.indexing.endorsement import (
-    ACT_TAG,
-    EndorsementData,
-    clustered_endorsement_index,
-    endorsement_entries,
-    exact_endorsement_index,
-)
 from repro.indexing.clustering import (
     Clustering,
     STRATEGIES,
@@ -50,8 +43,6 @@ __all__ = [
     "Clustering", "network_clustering", "behavior_clustering",
     "hybrid_clustering", "exact_clustering", "STRATEGIES",
     "ClusteredIndex",
-    "ACT_TAG", "EndorsementData", "exact_endorsement_index",
-    "clustered_endorsement_index", "endorsement_entries",
     "SemanticItemIndex",
     "threshold_algorithm", "no_random_access", "brute_force", "QueryStats",
     "SizingScenario", "SizingEstimate", "paper_scale_estimate",

@@ -8,10 +8,10 @@ foundation carries weight.  Every serving query — ``Session.run``,
 
 * :mod:`repro.plan.compiler` — rule-optimize, then lower each logical
   operator to a physical one, choosing access paths (semantic-index
-  keyword selection vs. full scan; adjacency probe vs. the §6.2
-  network-aware endorsement indexes for the social stage) and — when the
-  request leaves it open — the social strategy itself, from a
-  :class:`CostModel` fed by :class:`~repro.core.stats.GraphStats`;
+  keyword selection vs. full scan; columnar vs. row scan) and — when
+  the request leaves it open — the social strategy itself, from a
+  :class:`CostModel` fed by :class:`~repro.core.stats.GraphStats`; the
+  social stage has one form per strategy, fused into the root;
 * :mod:`repro.plan.physical` — the executable operators, self-profiling
   with per-operator actual cardinalities;
 * :mod:`repro.plan.cache` — the planner's token-stamped LRU of compiled
@@ -44,15 +44,11 @@ from repro.plan.explain import PlanExplain, explain_execution
 from repro.plan.physical import (
     COLUMNAR,
     INDEX,
-    NETWORK_CLUSTERED,
-    NETWORK_EXACT,
     SCAN,
     ColumnarLinkScanOp,
     ColumnarScanOp,
-    EndorsementMergeOp,
     ExecContext,
     FusedSocialCombineOp,
-    GroupedAggregationOp,
     IndexKeywordScanOp,
     InputOp,
     LiteralOp,
@@ -61,7 +57,6 @@ from repro.plan.physical import (
     PhysicalPlan,
     PlanExecution,
     ScanOp,
-    SemiJoinProbeOp,
 )
 from repro.plan.planner import BASE_GRAPH, QueryPlanner
 
@@ -75,17 +70,13 @@ __all__ = [
     "ColumnarScanOp",
     "ColumnarView",
     "CostModel",
-    "EndorsementMergeOp",
     "ExecContext",
     "FusedSocialCombineOp",
-    "GroupedAggregationOp",
     "INDEX",
     "IndexBinding",
     "IndexKeywordScanOp",
     "InputOp",
     "LiteralOp",
-    "NETWORK_CLUSTERED",
-    "NETWORK_EXACT",
     "OperatorProfile",
     "PhysicalOp",
     "PhysicalPlan",
@@ -96,7 +87,6 @@ __all__ = [
     "ResultMemo",
     "SCAN",
     "ScanOp",
-    "SemiJoinProbeOp",
     "StrategyDecision",
     "VectorCondition",
     "compile_plan",

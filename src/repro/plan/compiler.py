@@ -24,7 +24,7 @@ the sequential scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.core.conditions import AttrEquals, Condition, HasType
 from repro.core.expr import (
@@ -45,22 +45,17 @@ from repro.errors import QueryError
 from repro.plan.physical import (
     COLUMNAR,
     INDEX,
-    NETWORK_CLUSTERED,
-    NETWORK_EXACT,
     SCAN,
     ColumnarLinkScanOp,
     ColumnarScanOp,
     ConnectionBasisOp,
-    EndorsementMergeOp,
     FusedSocialCombineOp,
-    GroupedAggregationOp,
     IndexKeywordScanOp,
     InputOp,
     LiteralOp,
     PhysicalOp,
     PhysicalPlan,
     ScanOp,
-    SemiJoinProbeOp,
 )
 
 #: Valid access-path preferences for compilation.
@@ -81,17 +76,6 @@ class CostModel:
 
     scan_cost_per_node: float = 1.0
     index_cost_per_posting: float = 2.0
-    #: price of testing one adjacency link during the social-stage
-    #: semi-join probe (the scan form of friend endorsement)
-    probe_cost_per_link: float = 1.0
-    #: price of one §6.2 endorsement-posting touch (exact lists)
-    endorsement_posting_cost: float = 1.5
-    #: surcharge per posting for the clustered variant's exact rescoring
-    #: (Eq 1's "having to compute exact scores at query time")
-    clustered_recompute_cost: float = 2.0
-    #: exact-index entry budget: past this estimated size the compiler
-    #: prefers the cluster-compressed lists (the paper's 1 TB concern)
-    network_entry_budget: float = 100_000.0
     #: minimum estimated input population before a base-graph σN lowers
     #: to the columnar scan — cutting and caching columns for a tiny
     #: population costs more than row tests
@@ -105,17 +89,6 @@ class CostModel:
 
     def index_cost(self, expected_matches: float) -> float:
         return expected_matches * self.index_cost_per_posting
-
-    def social_probe_cost(self, basis_size: float, act_degree: float) -> float:
-        """Work of the adjacency probe: every act link of every member."""
-        return self.probe_cost_per_link * basis_size * max(act_degree, 1.0)
-
-    def endorsement_index_cost(self, postings: float, clustered: bool) -> float:
-        """Work of merging one user's endorsement posting list."""
-        per_posting = self.endorsement_posting_cost
-        if clustered:
-            per_posting += self.clustered_recompute_cost
-        return postings * per_posting
 
 
 @dataclass(frozen=True)
@@ -153,6 +126,14 @@ class StrategyDecision:
     chosen: str
     reason: str
     considered: tuple[str, ...] = COMPILED_STRATEGIES
+
+
+class SocialPath(NamedTuple):
+    """The lowered social stage: its resolved strategy and physical form
+    (``"probe"`` for friend endorsement, ``"group-agg"`` otherwise)."""
+
+    strategy: str
+    form: str
 
 
 def _scopes_item_population(condition: Condition, item_type: str) -> bool:
@@ -357,10 +338,11 @@ def compile_plan(
         elif isinstance(node, LiteralE):
             physical = LiteralOp(node, ())
         elif isinstance(node, SocialScoreE):
-            physical = _choose_social_path(
-                node, children, stats, access, model, decisions,
-                strategy_state,
-            )
+            # no fusable combination: the eager compute, under the
+            # strategy the compiler resolved (never re-resolved at run
+            # time, so EXPLAIN and execution agree)
+            path = _choose_social_path(node, stats, strategy_state)
+            physical = ScanOp(node.pinned(path.strategy), children)
         elif isinstance(node, ConnectionBasisE):
             physical = ConnectionBasisOp(node, children)
         elif _index_eligible(node, index) and access != SCAN:
@@ -380,9 +362,8 @@ def compile_plan(
         Safe means: the social stage is a compiled :class:`SocialScoreE`,
         the combination is its only consumer, and both read the *same*
         candidate sub-plan — the shape every discovery pipeline has.
-        Whatever social form the cost model picks, probe, grouped
-        aggregation or a §6.2 endorsement index, runs inside the root.
-        Anything else lowers to the plain two-operator pipeline.
+        The social form, probe or grouped aggregation, runs inside the
+        root.  Anything else lowers to the plain two-operator pipeline.
         """
         social = node.right
         fusable = (
@@ -392,16 +373,10 @@ def compile_plan(
         )
         if fusable:
             social_children = tuple(lower(c) for c in social.children())
-            social_phys = _choose_social_path(
-                social, social_children, stats, access, model, decisions,
-                strategy_state,
-            )
+            path = _choose_social_path(social, stats, strategy_state)
             return FusedSocialCombineOp(
                 node, social, social_children,
-                strategy=social_phys.strategy, form=social_phys.form,
-                variant=(social_phys.variant
-                         if isinstance(social_phys, EndorsementMergeOp)
-                         else None),
+                strategy=path.strategy, form=path.form,
             )
         return ScanOp(node, tuple(lower(child) for child in node.children()))
 
@@ -495,22 +470,13 @@ def _resolve_strategy(stats: GraphStats) -> tuple[str, str]:
 
 
 def _choose_social_path(
-    node: SocialScoreE,
-    children: tuple[PhysicalOp, ...],
-    stats: GraphStats,
-    access: str,
-    model: CostModel,
-    decisions: list[AccessDecision],
-    strategy_state: dict,
-) -> PhysicalOp:
-    """Lower the social stage: resolve the strategy, then pick its form.
+    node: SocialScoreE, stats: GraphStats, strategy_state: dict
+) -> SocialPath:
+    """Resolve the social stage's strategy; each has one physical form.
 
-    Friend endorsement has three physical forms — the adjacency probe
-    (scan), the exact §6.2 endorsement index, and the cluster-compressed
-    variant; the similarity strategies have one (grouped aggregation).
-    The network-index forms are eligible only for empty-keyword queries,
-    where every basis weight is 1.0 and the stored ``count`` scores match
-    the probe exactly (the correctness boundary, mirrored at runtime).
+    Friend endorsement is the adjacency probe; the similarity strategies
+    are one grouped aggregation pass.  Neither reads beyond the
+    adjacency of nodes the requester led to.
     """
     resolved = node.strategy
     if resolved == "auto":
@@ -519,53 +485,5 @@ def _choose_social_path(
             op=node.describe(), chosen=resolved, reason=reason
         )
     strategy_state["resolved"] = resolved
-    if resolved != "friends":
-        return GroupedAggregationOp(node, children, resolved)
-
-    eligible = node.keywords == () and access != SCAN
-    if not eligible:
-        if node.keywords == () and access == SCAN:
-            decisions.append(AccessDecision(
-                op=node.describe(), chosen=SCAN,
-                scan_cost=model.social_probe_cost(
-                    stats.expected_basis_size(), stats.avg_act_degree()
-                ),
-                index_cost=None, reason="forced by request",
-            ))
-        return SemiJoinProbeOp(node, children, resolved)
-
-    basis = stats.expected_basis_size()
-    act_degree = stats.avg_act_degree()
-    scan_cost = model.social_probe_cost(basis, act_degree)
-    items = max(stats.node_types.get("item", stats.num_nodes), 1)
-    postings = min(stats.expected_endorsements(), items)
-    # Exact lists are per-user: size the whole structure before choosing.
-    total_entries = stats.users_with_connections() * postings
-    clustered = total_entries > model.network_entry_budget
-    variant = "clustered" if clustered else "exact"
-    index_cost = model.endorsement_index_cost(postings, clustered)
-    if access == INDEX:
-        chosen, reason = variant, "forced by request"
-    elif index_cost < scan_cost:
-        chosen, reason = variant, (
-            f"~{postings:.0f} endorsement postings cheaper than probing "
-            f"~{basis:.1f} members x {act_degree:.1f} activities"
-            + (f"; ~{total_entries:.0f} entries over budget, clustered lists"
-               if clustered else "")
-        )
-    else:
-        chosen, reason = SCAN, (
-            f"probe (~{scan_cost:.0f}) beats posting merge "
-            f"(~{index_cost:.0f})"
-        )
-    decisions.append(AccessDecision(
-        op=node.describe(),
-        chosen=(NETWORK_CLUSTERED if chosen == "clustered"
-                else NETWORK_EXACT if chosen == "exact" else SCAN),
-        scan_cost=scan_cost,
-        index_cost=index_cost,
-        reason=reason,
-    ))
-    if chosen == SCAN:
-        return SemiJoinProbeOp(node, children, resolved)
-    return EndorsementMergeOp(node, children, resolved, chosen)
+    return SocialPath(resolved,
+                      "probe" if resolved == "friends" else "group-agg")

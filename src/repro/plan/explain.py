@@ -25,7 +25,8 @@ class PlanExplain:
     operators: tuple[OperatorProfile, ...]
     #: logical rewrite rules applied, in application order
     rewrites: tuple[str, ...]
-    #: scan-vs-index choices the compiler costed (semantic and social)
+    #: access-path choices the compiler costed (keyword index vs. scan,
+    #: columnar vs. row scan)
     decisions: tuple[AccessDecision, ...]
     #: dominant access path ("index" or "scan")
     access_path: str

@@ -32,7 +32,6 @@ from repro.core.social import (
     ActPostings,
     SemanticOrder,
     connection_basis,
-    encode_social_result,
     fused_social_combine,
 )
 from repro.core.stats import Card, GraphStats
@@ -42,9 +41,6 @@ from repro.plan.columnar import ColumnarView, VectorCondition, link_subgraph
 #: Access-path tags used in plan rendering and response metadata.
 SCAN = "scan"
 INDEX = "index"
-#: Network-aware (§6.2) access paths of the compiled social stage.
-NETWORK_EXACT = "network-exact"
-NETWORK_CLUSTERED = "network-clustered"
 #: Physical-form tag of the columnar scan.
 COLUMNAR = "columnar-scan"
 
@@ -55,7 +51,6 @@ class ExecContext:
         self,
         env: Mapping[str, SocialContentGraph],
         index_provider: Callable[[], Any] | None = None,
-        network_provider: Callable[[str], Any] | None = None,
         view_provider: Callable[
             [SocialContentGraph], ColumnarView | None
         ] | None = None,
@@ -65,8 +60,6 @@ class ExecContext:
     ):
         self.env = env
         self.index_provider = index_provider
-        #: variant name ("exact"/"clustered") → §6.2 endorsement index
-        self.network_provider = network_provider
         #: base graph → the expert fallback's act-term postings of it
         #: (``None``: each fallback builds them from the graph)
         self.postings_provider = postings_provider
@@ -85,7 +78,7 @@ class ExecContext:
         #: id()s of result graphs aliased straight from env/literal inputs
         self.borrowed: set[int] = set()
         #: id()s of operators that degraded from their planned access path
-        #: at runtime (e.g. endorsement merge falling back to the probe)
+        #: at runtime (a columnar scan falling back to the row scan)
         self.degraded: set[int] = set()
         #: operator id → plain-value output (the social root's ranking,
         #: handed to consumers instead of a graph)
@@ -398,20 +391,16 @@ class FusedSocialCombineOp(PhysicalOp):
 
     Every discovery pipeline ends here.  When the social stage's result
     feeds only the combination (the shape ``discovery_pipeline`` builds)
-    the compiler fuses the pair whatever the social form — adjacency
-    probe, grouped aggregation, or the §6.2 endorsement index — and the
-    kernel (:func:`repro.core.social.fused_social_combine`) computes
-    scores and provenance as plain dicts, ranks only the caller's window
+    the compiler fuses the pair whatever the social form — the adjacency
+    probe for friend endorsement, grouped aggregation for the similarity
+    strategies — and the kernel
+    (:func:`repro.core.social.fused_social_combine`) computes scores and
+    provenance as plain dicts, ranks only the caller's window
     (``ctx.topk``) and hands over the
     :class:`~repro.core.social.DecodedSocialResult` as the execution's
     payload.  No record is built: the operator's result graph is empty,
     and its EXPLAIN actual is the size the combined graph would have
     (``encoded_size``), so EXPLAIN reads the same numbers.
-
-    With a *variant* (``"exact"`` / ``"clustered"``) friend scoring is
-    read from that endorsement index; if the provider is missing or the
-    data regime diverges the read degrades to the probe, marked in
-    ``ctx.degraded`` like the standalone :class:`EndorsementMergeOp`.
 
     Children are ``(graph, candidates, basis)`` — the social stage's
     inputs; the combination's candidate input is the same sub-plan, DAG
@@ -419,18 +408,12 @@ class FusedSocialCombineOp(PhysicalOp):
     """
 
     def __init__(self, logical: Expr, social: Expr,
-                 children: Sequence[PhysicalOp], strategy: str, form: str,
-                 variant: str | None = None):
+                 children: Sequence[PhysicalOp], strategy: str, form: str):
         super().__init__(logical, children)
         self.social = social
         self.strategy = strategy
-        #: physical form of the fused social half ("probe" / "group-agg"
-        #: / "endorse-merge:<variant>")
+        #: physical form of the fused social half ("probe" / "group-agg")
         self.form = form
-        #: endorsement-index variant the social half reads (None = none)
-        self.variant = variant
-        if variant is not None:
-            self.access_path = _network_path(variant)
 
     def describe(self) -> str:
         return f"combine+social⟨{self.strategy}⟩ [fused-{self.form}]"
@@ -451,10 +434,6 @@ class FusedSocialCombineOp(PhysicalOp):
             act_type=self.social.act_type,  # type: ignore[attr-defined]
             drop_zero=self.logical.drop_zero,  # type: ignore[attr-defined]
             limit=ctx.topk,
-            endorsements=None if self.variant is None else partial(
-                endorsement_read, ctx, self, self.variant,
-                self.social.user_id,  # type: ignore[attr-defined]
-            ),
             order=self._semantic_order(ctx, candidates),
             postings=ctx.postings_for(graph),
         )
@@ -484,142 +463,6 @@ class FusedSocialCombineOp(PhysicalOp):
         super()._record(ctx, result, elapsed)
         size = ctx.payloads[id(self)].encoded_size
         ctx.actuals[id(self)] = (Card(*size), elapsed)
-
-
-def _network_path(variant: str) -> str:
-    return NETWORK_CLUSTERED if variant == "clustered" else NETWORK_EXACT
-
-
-def endorsement_read(
-    ctx: ExecContext,
-    op: PhysicalOp,
-    variant: str,
-    user: Any,
-    candidate_ids: Any,
-) -> tuple[dict, dict, bool] | None:
-    """Friend endorsement of the candidates, read from a §6.2 index.
-
-    ``(scores, endorsers, fallback)`` exactly as the probe computes them
-    in the uniform-weight regime (empty-keyword queries, every fit 1.0),
-    where the probe's score is ``count(friends(u) ∩ actors(i))`` — the
-    stored ``IL^u_k`` score with one pseudo-tag.  ``None`` when the
-    provider is missing or the index cannot answer exactly (multi
-    -activity pairs): *op* is marked degraded and falls back to the
-    probe.  Shared by :class:`EndorsementMergeOp` and the social root.
-    """
-    from repro.indexing.endorsement import ACT_TAG, endorsement_entries
-
-    provider = ctx.network_provider
-    index = provider(variant) if provider is not None else None
-    entries = endorsement_entries(index, user) if index is not None else None
-    if entries is None:
-        ctx.degraded.add(id(op))
-        return None
-    basis_members = index.data.basis.get(user, set())
-    scores: dict = {}
-    endorsers: dict = {}
-    for item, score in entries:
-        if item not in candidate_ids:
-            continue
-        scores[item] = float(score)
-        members = index.data.taggers.get((item, ACT_TAG), set())
-        endorsers[item] = {m: 1.0 for m in sorted(members & basis_members,
-                                                  key=repr)}
-    # Uniform-weight Selma fallback: an empty endorsement set under an
-    # empty query marks the expert fallback (whose expert search over
-    # zero query terms yields nothing), exactly as the probe path does.
-    return scores, endorsers, not scores
-
-
-class _SocialStageOp(PhysicalOp):
-    """Base of the social-stage physical forms.
-
-    The logical node may still say ``"auto"``; the compiler resolves the
-    strategy from statistics at lowering time and pins it here, so
-    execution and EXPLAIN agree on what actually ran.
-    """
-
-    #: short physical-form tag shown in plan rendering
-    form = "social"
-
-    def __init__(self, logical: Expr, children: Sequence[PhysicalOp],
-                 strategy: str):
-        super().__init__(logical, children)
-        self.strategy = strategy
-
-    def describe(self) -> str:
-        return f"social⟨{self.strategy}⟩ [{self.form}]"
-
-    def _run(
-        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
-    ) -> SocialContentGraph:
-        return self.logical.compute_resolved(inputs, self.strategy)  # type: ignore[attr-defined]
-
-
-class SemiJoinProbeOp(_SocialStageOp):
-    """Friend/expert endorsement by probing each basis member's adjacency.
-
-    The scan form of the social stage: a semi-join of basis activities
-    into the candidate set, aggregated per item — one adjacency probe per
-    basis member, Example 4's reading executed directly.
-    """
-
-    form = "probe"
-
-
-class GroupedAggregationOp(_SocialStageOp):
-    """Similarity-driven strategies as one grouped aggregation pass.
-
-    Serves ``similar_users`` (Example 5's collaborative filter as a probe
-    of the querying user's neighbourhood: their acted targets' co-actors,
-    Jaccard against each, similarity averaged per candidate item over the
-    kept co-actors' activities) and ``item_based`` (group ``sim_item``
-    support per candidate).  Neither reads beyond the adjacency of nodes
-    the user led to.
-    """
-
-    form = "group-agg"
-
-
-class EndorsementMergeOp(_SocialStageOp):
-    """Friend endorsement served from §6.2 network-aware posting lists.
-
-    The standalone social-stage form, lowered where a ``SocialScoreE``
-    is compiled without a fusable combination; under one, the index read
-    (:func:`endorsement_read`) runs inside :class:`FusedSocialCombineOp`.
-    Lowered only in the uniform-weight regime (empty-keyword queries,
-    every fit 1.0).  The exact variant reads the user's list; the
-    clustered variant reads the cluster's upper-bound list and rescores
-    exactly (the paper's Eq 1 overhead).  If the provider is missing or
-    the data regime diverges (multi-activity pairs), the operator
-    degrades to the probe compute rather than risking drift.
-    """
-
-    def __init__(self, logical: Expr, children: Sequence[PhysicalOp],
-                 strategy: str, variant: str):
-        super().__init__(logical, children, strategy)
-        self.variant = variant
-        self.access_path = _network_path(variant)
-
-    @property
-    def form(self) -> str:  # type: ignore[override]
-        return f"endorse-merge:{self.variant}"
-
-    def _run(
-        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
-    ) -> SocialContentGraph:
-        graph, candidates, _basis = inputs
-        read = endorsement_read(
-            ctx, self, self.variant,
-            self.logical.user_id,  # type: ignore[attr-defined]
-            {n.id for n in candidates.nodes()},
-        )
-        if read is None:
-            return super()._run(ctx, inputs)
-        scores, endorsers, fallback = read
-        return encode_social_result(
-            graph, candidates, scores, endorsers, {}, self.strategy, fallback
-        )
 
 
 @dataclass(frozen=True)
@@ -705,16 +548,6 @@ class PlanExecution:
         """
         return self.ctx.payloads.get(id(self.plan.root))
 
-    @property
-    def used_network_index(self) -> bool:
-        """True when a §6.2 endorsement index actually served this run.
-
-        Plan-level ``uses_network_index`` says what was *lowered*; an
-        operator may still degrade at execution time (missing provider,
-        data regime the index cannot serve exactly) — then this is False.
-        """
-        return self.plan.uses_network_index and self.degraded_ops == 0
-
     def scores(self) -> dict:
         """The result as a score map (Def 1 null-graph reading).
 
@@ -783,14 +616,6 @@ class PhysicalPlan:
         )
 
     @property
-    def uses_network_index(self) -> bool:
-        """True when the social stage reads a §6.2 endorsement index."""
-        return any(
-            op.access_path in (NETWORK_EXACT, NETWORK_CLUSTERED)
-            for op in self._walk(self.root, set())
-        )
-
-    @property
     def access_path(self) -> str:
         """Dominant access path tag for response metadata."""
         return INDEX if self.uses_index else SCAN
@@ -810,7 +635,6 @@ class PhysicalPlan:
         self,
         env: Mapping[str, SocialContentGraph],
         index_provider: Callable[[], Any] | None = None,
-        network_provider: Callable[[str], Any] | None = None,
         view_provider: Callable[
             [SocialContentGraph], ColumnarView | None
         ] | None = None,
@@ -834,8 +658,8 @@ class PhysicalPlan:
         passed, unwinding the execution promptly instead of finishing
         doomed work.
         """
-        ctx = ExecContext(env, index_provider, network_provider,
-                          view_provider, postings_provider)
+        ctx = ExecContext(env, index_provider, view_provider,
+                          postings_provider)
         ctx.result_cache = result_cache
         ctx.topk = topk
         if deadline is not None:
@@ -856,7 +680,7 @@ class PhysicalPlan:
         actual, elapsed = ctx.actuals.get(id(op), (None, 0.0))
         description = op.describe()
         if id(op) in ctx.degraded:
-            description += " (degraded→probe)"
+            description += " (degraded→row scan)"
         if id(op) in ctx.subplan_hits:
             description += " (memo)"
         yield OperatorProfile(

@@ -61,9 +61,6 @@ BASE_GRAPH = "G"
 #: Compiled plans outlive a patched refresh until the node or the link
 #: count has drifted by more than this share of what they were costed on.
 PLAN_DRIFT = 1 / 8
-#: Link changes an exact endorsement index may fall behind before it is
-#: rebuilt rather than patched when next asked for.
-NETWORK_BEHIND_BOUND = 256
 
 
 def _plan_basis(stats: GraphStats) -> tuple:
@@ -121,13 +118,6 @@ class QueryPlanner:
         #: generation it was cut under
         self._view: ColumnarView | None = None
         self._view_generation = -1
-        #: lazily built §6.2 endorsement indexes, keyed by variant and
-        #: stamped with the generation they were built under
-        self._network_indexes: dict[str, Any] = {}
-        self._network_generation = -1
-        #: an exact index of an earlier state and the link changes since,
-        #: for :meth:`network_index` to patch if it is asked
-        self._network_behind: tuple[Any, GraphDelta] | None = None
         #: the expert fallback's act-term postings of the live graph,
         #: built on the first fallback of a generation, stamped with it
         self._postings: dict | None = None
@@ -159,10 +149,9 @@ class QueryPlanner:
         are patched.  When the step touched only links, the view keeps
         its node side, the sub-plan memo its ``"select"`` entries, the
         semantic ``"order"`` of each, and every ``"basis"`` entry the
-        step left true (:func:`~repro.core.social.basis_keeper`), the
+        step left true (:func:`~repro.core.social.basis_keeper`), and the
         expert fallback's postings are patched by the touched ``act``
-        links, the exact endorsement index waits for
-        :meth:`network_index` to patch it; the view's link side goes.
+        links; the view's link side goes.
         Compiled plans hold no data, so they stay through a link-only
         step unless the statistics moved where a plan could tell: a
         count beyond :data:`PLAN_DRIFT`, or a signal
@@ -179,14 +168,9 @@ class QueryPlanner:
                 if self._subplan_generation == before else None
             postings = self._postings \
                 if self._postings_generation == before else None
-            behind = self._network_behind
-            if self._network_generation == before \
-                    and "exact" in self._network_indexes:
-                behind = (self._network_indexes["exact"], GraphDelta())
             self.graph = graph.freeze()
             self.generation += 1
-            self._stats = self._view = self._network_behind = None
-            self._postings = None
+            self._stats = self._view = self._postings = None
             after = self.generation
             if delta is not None and stats is not None:
                 self._stats = stats.patched(delta, old, graph)
@@ -207,11 +191,6 @@ class QueryPlanner:
                         postings, graph, delta
                     )
                     self._postings_generation = after
-                if behind is not None and \
-                        len(behind[1]) + len(delta) <= NETWORK_BEHIND_BOUND:
-                    self._network_behind = (
-                        behind[0], GraphDelta([*behind[1], *delta])
-                    )
                 if self._stats is not None and not _drifted(
                     self._plan_basis, _plan_basis(self._stats)
                 ):
@@ -269,40 +248,6 @@ class QueryPlanner:
                 self._view = cut_columnar_view(graph)
                 self._view_generation = self.generation
             return self._view
-
-    def network_index(self, variant: str) -> Any:
-        """The §6.2 endorsement index of the live graph (lazy, cached).
-
-        ``variant`` is ``"exact"`` (per-user lists) or ``"clustered"``
-        (per-cluster upper-bound lists).  Indexes rebuild lazily after any
-        generation bump, so a cached physical plan re-executing after a
-        refresh can never read stale postings.  The exact index is patched
-        instead, here and only when asked for, if all that separates it
-        from the live graph are link-only steps it can follow
-        (:func:`~repro.indexing.endorsement.patched_exact_index`).
-        """
-        with self._lock:
-            if self._network_generation != self.generation:
-                self._network_indexes.clear()
-                self._network_generation = self.generation
-            index = self._network_indexes.get(variant)
-            if index is None:
-                from repro.indexing.endorsement import (
-                    clustered_endorsement_index,
-                    exact_endorsement_index,
-                    patched_exact_index,
-                )
-
-                if variant == "clustered":
-                    index = clustered_endorsement_index(self.graph)
-                else:
-                    behind, self._network_behind = self._network_behind, None
-                    if behind is not None:
-                        index = patched_exact_index(*behind)
-                    if index is None:
-                        index = exact_endorsement_index(self.graph)
-                self._network_indexes[variant] = index
-        return index
 
     def act_postings(self, graph: SocialContentGraph) -> dict:
         """The expert fallback's act-term postings of *graph*.
@@ -385,7 +330,6 @@ class QueryPlanner:
         execution = plan.execute(
             run_env,
             index_provider=provider,
-            network_provider=self.network_index,
             view_provider=self.columnar_view,
             postings_provider=self.act_postings,
             result_cache=result_cache,

@@ -87,9 +87,10 @@ class TestExplainResponses:
     def test_recommendation_explains_as_scan(self, session):
         response = session.run(SearchRequest(user_id=JOHN, explain=True))
         assert response.plan.access_path == "scan"
-        # No keyword selection to cost — the only decision on record is
-        # the social stage's probe-vs-endorsement-index choice.
-        assert [d.op for d in response.plan.decisions] == ["social⟨friends⟩"]
+        # No keyword selection to cost, and friend endorsement has one
+        # form (the probe): no access decision is on record.
+        assert response.plan.decisions == ()
+        assert "[fused-probe]" in response.plan.operators[0].op
 
     def test_plan_covers_semantic_and_social_stages(self, session):
         response = session.run(
@@ -172,10 +173,9 @@ class TestGoldenPlanShapes:
             "σN", "input",
             "basis", "input",
         ]
-        (decision,) = response.plan.decisions
-        assert decision.op == "social⟨friends⟩"
-        assert decision.chosen in ("scan", "network-exact",
-                                   "network-clustered")
+        # one friend-endorsement form: nothing to cost, nothing recorded
+        assert response.plan.decisions == ()
+        assert "[fused-probe]" in response.plan.operators[0].op
 
     def test_similarity_strategies_lower_to_grouped_aggregation(
         self, fixed_session
@@ -190,13 +190,14 @@ class TestGoldenPlanShapes:
                                       for op in social_ops)
 
     def test_forced_network_index_shape_and_parity(self, fixed_session):
-        plain = fixed_session.run(SearchRequest(user_id="u0"))
+        # use_index steers only the keyword stage: an empty-text friends
+        # request forced onto the index runs the probe it always runs
+        plain = fixed_session.run(SearchRequest(user_id="u0",
+                                                use_index=False))
         forced = fixed_session.run(
             SearchRequest(user_id="u0", use_index=True, explain=True)
         )
         assert forced.items == plain.items
-        # the index read runs inside the social root: the pipeline keeps
-        # the shape of every other recommendation
         assert op_kinds(forced.plan) == [
             "combine+social",
             "input",
@@ -204,19 +205,17 @@ class TestGoldenPlanShapes:
             "basis", "input",
         ]
         root = forced.plan.operators[0]
-        assert "[fused-endorse-merge:" in root.op
+        assert "[fused-probe]" in root.op
         assert "(degraded" not in root.op
-        assert root.access_path in ("network-exact", "network-clustered")
-        assert fixed_session.stats.social_index_queries >= 1
-        # and the payload it hands over is the probe's, value for value
+        assert root.access_path is None
+        # and the payload it hands over is the scan plan's, value for value
         from repro.discovery import parse_query
 
         query = parse_query("u0", "")
         rank = fixed_session.discoverer.rank
         via_index = rank(query, access="index").execution
         via_probe = rank(query, access="scan").execution
-        assert via_index.used_network_index
-        assert not via_probe.plan.uses_network_index
+        assert via_index.plan.root.form == via_probe.plan.root.form == "probe"
         assert via_index.payload == via_probe.payload
 
     def test_strategy_auto_records_a_cost_based_decision(self, fixed_session):
@@ -237,31 +236,34 @@ class TestGoldenPlanShapes:
             user_id="u0", text="topic0", use_index=False, explain=True,
         ))
         text = response.plan.text
-        assert "endorse-merge" not in text and "[index:" not in text
+        assert "[fused-probe]" in text and "[index:" not in text
         assert response.plan.access_path == "scan"
 
     def test_runtime_degrade_is_visible_in_explain_and_stats(self):
-        # Duplicate (user, item) act pairs put the graph outside the
-        # regime the endorsement index can serve exactly: the lowered
-        # merge op must fall back to the probe, say so in EXPLAIN, and
-        # not count as an index-served query.
-        from repro.core import Link
+        # A columnar scan whose view provider is gone falls back to the
+        # row scan, says so in EXPLAIN, and still answers as a session
+        # that lowered the row scan in the first place.
+        import dataclasses
 
         graph = factories.social_site_graph(num_users=4, num_items=4)
-        graph.add_link(Link("dup", "u1", "i1", type="act, tag",
-                            tags="again"))
         session = Session.from_graph(graph)
-        response = session.run(
-            SearchRequest(user_id="u0", use_index=True, explain=True)
+        planner = session.planner
+        planner.cost_model = dataclasses.replace(
+            planner.cost_model, columnar_scan_min_nodes=0.0
         )
-        merge_rows = [p.op for p in response.plan.operators
-                      if "endorse-merge" in p.op]
-        assert merge_rows and all("(degraded→probe)" in op
-                                  for op in merge_rows)
-        assert session.stats.social_index_queries == 0
-        # and the degraded run still matches the pure probe path
-        scanned = session.run(SearchRequest(user_id="u0", use_index=False))
-        assert response.items == scanned.items
+        planner.columnar_view = lambda graph: None  # provider gone
+        response = session.run(
+            SearchRequest(user_id="u0", use_index=False, explain=True)
+        )
+        scan_rows = [p.op for p in response.plan.operators
+                     if "[columnar" in p.op]
+        assert scan_rows and all(op.endswith("(degraded→row scan)")
+                                 for op in scan_rows)
+        assert session.stats.scan_queries == 1
+        rows = Session.from_graph(graph).run(
+            SearchRequest(user_id="u0", use_index=False)
+        )
+        assert response.items == rows.items
 
     def test_custom_strategy_still_honors_use_index(self, travel):
         # A record registered under a custom name runs the compiled plan

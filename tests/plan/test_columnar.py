@@ -395,6 +395,9 @@ class TestAttrIndexPath:
         execution = plan.execute({"G": graph})  # no view provider
         assert execution.degraded_ops == 1
         assert {n.id for n in execution.result.nodes()} == {0, 200}
+        # EXPLAIN names the fallback the scan took
+        scan, _input = execution.profiles
+        assert scan.op.endswith("[columnar:item] (degraded→row scan)")
 
     def test_faulting_postings_fail_like_a_scan_fault(
         self, monkeypatch
@@ -715,14 +718,14 @@ class TestPlanCacheEndpoint:
 
 
 # ---------------------------------------------------------------------------
-# The strategy picker and the social access path read the live statistics
+# The strategy picker and the social estimates read the live statistics
 # ---------------------------------------------------------------------------
 
 
 class TestSocialFeedback:
     """Served requests never move the social stage's expectations: the
-    strategy pick and the probe-vs-index choice are priced from the
-    connection and activity histograms alone.  (The class keeps its name
+    strategy pick and the stage's estimates come from the connection and
+    activity histograms alone.  (The class keeps its name
     for its ids; execution actuals once corrected these numbers.)"""
 
     def test_basis_actuals_correct_the_expected_basis_size(self):

@@ -33,6 +33,7 @@ from repro.plan import (
     ColumnarScanOp,
     CostModel,
     QueryPlanner,
+    ScanOp,
 )
 from repro.testing import armed_faults
 
@@ -209,9 +210,9 @@ class TestInPlaceWriteInvalidation:
 
     The planner's live graph is frozen, so an in-place write is refused;
     the same write through the Data Manager refreshes the planner, and
-    the result-bearing caches (sub-plan memo, the columnar view,
-    endorsement index) must follow it, or a cached plan silently serves
-    pre-write records.
+    the result-bearing caches (sub-plan memo, the columnar view, the
+    social probe's inputs) must follow it, or a cached plan silently
+    serves pre-write records.
     """
 
     def test_subplan_memo_sees_in_place_writes(self):
@@ -278,8 +279,10 @@ class TestInPlaceWriteInvalidation:
         ))
         planner = QueryPlanner(graph)
         query = parse_query("u0", "")
+        # use_index reaches only the keyword stage: the social half is
+        # the probe, and it must read the graph the write produced
         before = planner.discovery_pipeline(query, alpha=0.0, access="index")
-        assert before.used_network_index
+        assert before.plan.root.form == "probe"
         assert "i-live" not in before.payload.scores
         item = Node("i-live", type="item", name="in-place")
         act = Link("a-live", "u1", "i-live", type="act, visit")
@@ -292,7 +295,7 @@ class TestInPlaceWriteInvalidation:
 
         live = factories.write_through(manager, planner, write)
         after = planner.discovery_pipeline(query, alpha=0.0, access="index")
-        assert after.used_network_index
+        assert after.degraded_ops == 0
         assert "i-live" in after.payload.scores  # u0 follows u1
         assert "i-live" in [row[0] for row in after.payload.items]
         fresh = QueryPlanner(live.copy()).discovery_pipeline(
@@ -445,18 +448,14 @@ class TestSessionWiring:
 
 
 # ---------------------------------------------------------------------------
-# Endorsement merges over columnar candidates
+# Endorsement over columnar candidates
 # ---------------------------------------------------------------------------
 
 
 def _friends_social_expr(user: str = "u0"):
-    """A SocialScoreE eligible for the §6.2 endorsement-merge lowering.
-
-    The merge form exists only for the friends strategy on empty-keyword
-    queries (the basis-weight correctness boundary), so that is the
-    regime the merge must hold parity in when its candidates arrive from
-    the columnar scan.
-    """
+    """An unfused empty-keyword friends SocialScoreE: the probe, lowered
+    to the stage's eager compute, whose candidates may arrive from the
+    columnar scan."""
     from repro.core.expr import ConnectionBasisE, SocialScoreE
 
     G = input_graph("G")
@@ -469,17 +468,23 @@ def _friends_social_expr(user: str = "u0"):
 
 
 class TestShardedEndorsementMerge:
+    """Each strategy's one social form ranks alike over row and columnar
+    candidates, forced onto the keyword index or not."""
+
     def test_ranking_parity_across_shard_counts_and_strategies(self):
         graph = factories.social_site_graph()
-        for strategy in ("friends", "similar_users", "item_based"):
-            for text in ("topic0", ""):
+        forms = {"friends": "probe", "similar_users": "group-agg",
+                 "item_based": "group-agg"}
+        for strategy, form in forms.items():
+            for text, access in (("topic0", "auto"), ("", "index")):
                 query = parse_query("u0", text)
                 rows = InformationDiscoverer(graph)
                 rows.planner.cost_model = ROW_MODEL
                 reference = rows.rank(query, strategy=strategy)
                 discoverer = InformationDiscoverer(graph)
                 discoverer.planner.cost_model = COLUMNAR_MODEL
-                got = discoverer.rank(query, strategy=strategy)
+                got = discoverer.rank(query, strategy=strategy, access=access)
+                assert got.execution.plan.root.form == form
                 assert [s.item_id for s in got.items] == [
                     s.item_id for s in reference.items
                 ], (strategy, text)
@@ -502,6 +507,9 @@ class TestShardedEndorsementMerge:
         assert reference.scores  # the regime is non-degenerate
         execution = columnar_planner(graph).execute(expr, access="index")
         assert columnar_ops(execution.plan)
+        for run in (rows, execution):
+            assert type(run.plan.root) is ScanOp
+            assert run.plan.root.logical.strategy == "friends"
         got = decode_social_result(execution.result)
         assert got.scores == pytest.approx(reference.scores, abs=TOL)
         assert set(got.endorsers) == set(reference.endorsers)

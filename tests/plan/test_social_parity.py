@@ -1,9 +1,9 @@
 """Differential parity: the compiled social stage vs. the legacy strategies.
 
 The correctness net under the social-stage compiler: hypothesis-driven
-property tests hold the compiled plans (logical evaluation, the lowered
-physical forms, and the §6.2 network-index access paths) equal — within
-1e-9 — to the hand-executed reference implementations in
+property tests hold the compiled plans (logical evaluation and the
+lowered physical forms under every access mode) equal — within 1e-9 —
+to the hand-executed reference implementations in
 ``tests/oracle`` across randomized workload graphs, all three
 strategies, and the degenerate regimes (empty neighborhoods, null
 graphs, absent users) where relevance reproductions drift silently.
@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 import repro.core.social
-import repro.plan.physical
 from factories import social_site_graph
 from oracle import decode_social_result
 from repro.api import SearchRequest, Session
@@ -34,8 +33,8 @@ from repro.plan import (
     COLUMNAR,
     CostModel,
     FusedSocialCombineOp,
-    GroupedAggregationOp,
     QueryPlanner,
+    ScanOp,
     explain_execution,
 )
 
@@ -256,27 +255,24 @@ class TestStrategyParity:
 
 
 class TestPhysicalPathParity:
-    """Every lowered form — probe, exact index, clustered index — agrees."""
+    """Friend endorsement has one form, the probe, under every access
+    mode; the compiled pipeline ranks as the oracle does."""
 
     @settings(max_examples=30, deadline=None)
     @given(social_workloads())
     def test_network_index_paths_match_the_probe(self, workload):
         graph, user, _keywords = workload
-        keywords = ()  # the uniform-weight regime the index paths serve
+        keywords = ()  # the empty-keyword regime §6.2's lists covered
         reference, fallback = legacy_social(graph, user, keywords, "friends")
-        exact = compiled_social(
-            graph, user, keywords, "friends",
-            planner=QueryPlanner(graph), access="index",
-        )
-        clustered = compiled_social(
-            graph, user, keywords, "friends",
-            planner=QueryPlanner(
-                graph, cost_model=CostModel(network_entry_budget=0.0)
-            ),
-            access="index",
-        )
-        assert_scores_match(reference, fallback, exact)
-        assert_scores_match(reference, fallback, clustered)
+        planner = QueryPlanner(graph)
+        for access in ("auto", "index", "scan"):
+            execution = planner.execute(
+                social_stage(user, keywords, "friends"), access=access
+            )
+            assert type(execution.plan.root) is ScanOp
+            assert execution.plan.resolved_strategy == "friends"
+            assert_scores_match(reference, fallback,
+                                decode_social_result(execution.result))
 
     @settings(max_examples=25, deadline=None)
     @given(social_workloads(), st.sampled_from(
@@ -383,8 +379,8 @@ class TestDegenerateRegimes:
                 assert explained.resolved_strategy == "similar_users"
 
     def test_multi_activity_pairs_degrade_the_index_path_safely(self):
-        # Two act links (u1 -> i0): per-link probe weights diverge from
-        # set-semantics postings, so the index path must fall back.
+        # Two act links (u1 -> i0): the probe weighs each link, so i0
+        # scores 2 — what set-semantics postings could not answer.
         g = SocialContentGraph()
         for u in ("u0", "u1"):
             g.add_node(Node(u, type="user"))
@@ -398,6 +394,13 @@ class TestDegenerateRegimes:
             g, "u0", (), "friends", planner=QueryPlanner(g), access="index"
         )
         assert_scores_match(reference, fallback, decoded)
+        query = parse_query("u0", "")
+        for access in ("auto", "index", "scan"):
+            ranked = InformationDiscoverer(g).rank(query, access=access)
+            want = oracle.rank_reference(g, query, "friends")
+            assert [(s.item_id, s.combined) for s in ranked.items] == \
+                pytest.approx([(s.item_id, s.combined) for s in want.items])
+            assert ranked.social.endorsers == want.social.endorsers
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +472,7 @@ class TestSimilarUsersKernel:
                             **stage,
                         ))
                         assert type(execution.plan.root) is (
-                            FusedSocialCombineOp if fused
-                            else GroupedAggregationOp
+                            FusedSocialCombineOp if fused else ScanOp
                         )
                         assert (scan == "columnar") == any(
                             op.access_path == COLUMNAR for op in
@@ -662,30 +664,33 @@ class TestCfStageFollowsTheNeighbourhood:
 #: Window limits: none, empty, one row, a few, and past every survivor.
 ROOT_LIMITS = (None, 0, 1, 3, 10_000)
 
-#: (strategy, physical form of the root's social half, access mode); the
-#: index forms serve only the empty-keyword regime.
+#: (strategy, physical form of the root's social half, access mode):
+#: one form per strategy.
 ROOT_FORMS = (
     ("friends", "probe", "scan"),
-    ("friends", "endorse-merge:exact", "index"),
-    ("friends", "endorse-merge:clustered", "index"),
-    ("friends", "degraded-to-probe", "index"),
+    ("friends", "probe", "index"),
     ("similar_users", "group-agg", "auto"),
     ("item_based", "group-agg", "auto"),
 )
 
 
-def root_discoverer(graph, scan, form):
-    """A discoverer whose planner lowers the root's social half to *form*
-    and its candidate scan to *scan*."""
+def root_discoverer(graph, scan):
+    """A discoverer whose planner lowers its candidate scan to *scan*."""
     discoverer = InformationDiscoverer(graph)
-    planner = discoverer.planner
-    planner.cost_model = CostModel(
+    discoverer.planner.cost_model = CostModel(
         columnar_scan_min_nodes=SCAN_FORMS[scan],
-        network_entry_budget=0.0 if form.endswith("clustered") else 1e9,
     )
-    if form == "degraded-to-probe":
-        planner.network_index = lambda variant: None  # provider gone
     return discoverer
+
+
+#: Sites for the unfused stage's parity, named by the §6.2 list variant
+#: the compiler once lowered on each: the default ring, and a dense ring
+#: (30 users × 15 follows onto 20 items) past the old entry budget.
+STANDALONE_SITES = {
+    "exact": {},
+    "clustered": dict(num_users=30, num_items=20, friends_per_user=15,
+                      acts_per_user=15, with_sim_links=False),
+}
 
 
 #: Semantic weights of the root's parity: social only, even, semantic only.
@@ -739,10 +744,9 @@ class TestRootPayloadParity:
     def test_payload_is_the_decoded_combined_graph(self, workload):
         graph, user, keywords = workload
         for strategy, form, access in ROOT_FORMS:
-            terms = () if access == "index" else keywords
-            query = parse_query(user, " ".join(terms))
+            query = parse_query(user, " ".join(keywords))
             for scan in SCAN_FORMS:
-                discoverer = root_discoverer(graph, scan, form)
+                discoverer = root_discoverer(graph, scan)
                 full = None
                 for limit in ROOT_LIMITS:
                     execution = discoverer.rank(
@@ -750,14 +754,8 @@ class TestRootPayloadParity:
                     ).execution
                     root = execution.plan.root
                     assert type(root) is FusedSocialCombineOp
-                    degraded = id(root) in execution.ctx.degraded
-                    if access == "index":
-                        # clustered lists need connected users to size;
-                        # multi-activity pairs degrade any index read
-                        assert root.form.startswith("endorse-merge:")
-                        assert degraded or form != "degraded-to-probe"
-                    else:
-                        assert root.form == form and not degraded
+                    assert root.form == form
+                    assert id(root) not in execution.ctx.degraded
                     assert execution.result.is_empty()
                     if full is None:
                         full = decode_social_result(
@@ -777,18 +775,23 @@ class TestRootPayloadParity:
     def test_the_standalone_merge_and_the_root_read_the_index_alike(
         self, variant
     ):
-        graph = social_site_graph()
-        expr = social_stage("u0", (), "friends")
+        """The unfused stage (a :class:`ScanOp` under the pinned
+        strategy) and the root decode alike, on the sites §6.2's exact
+        and clustered lists were once lowered for: the small ring, and a
+        dense one whose per-user lists outgrew the entry budget."""
+        graph = social_site_graph(**STANDALONE_SITES[variant])
+        expr = social_stage("u0", (), "auto")
         combined = CombineScoresE(expr.children()[1], expr, alpha=0.0)
-        planner = QueryPlanner(graph, cost_model=CostModel(
-            network_entry_budget=0.0 if variant == "clustered" else 1e9,
-        ))
-        merge = planner.execute(expr, access="index")
+        planner = QueryPlanner(graph)
+        stage = planner.execute(expr, access="index")
         root = planner.execute(combined, access="index")
-        assert merge.plan.root.variant == root.plan.root.variant == variant
-        assert merge.used_network_index and root.used_network_index
-        standalone = decode_social_result(merge.result)
+        assert type(stage.plan.root) is ScanOp
+        assert stage.plan.root.logical.strategy == "friends"
+        assert stage.plan.resolved_strategy == "friends"
+        assert root.plan.root.form == "probe"
+        standalone = decode_social_result(stage.result)
         assert standalone.scores and not standalone.used_expert_fallback
+        assert standalone.strategy == "friends"
         assert root.payload.scores == standalone.scores
         assert root.payload.endorsers == standalone.endorsers
         reference = decode_social_result(combined.evaluate({"G": graph}))
@@ -807,7 +810,7 @@ class TestRootPayloadParity:
         query = parse_query(user, "" if empty_text else " ".join(keywords))
         for strategy in COMPILED_STRATEGIES:
             for scan in SCAN_FORMS:
-                discoverer = root_discoverer(graph, scan, "probe")
+                discoverer = root_discoverer(graph, scan)
                 planner = discoverer.planner
                 scorer = discoverer.semantic.scorer if query.keywords \
                     else None
@@ -956,7 +959,6 @@ class TestRootBuildsNothing:
             assert response.items
             info = response.page_info
             window_ends.append(info.offset + info.page_size)
-        assert session.stats.social_index_queries > 0
         assert probe.calls == Counter()
         ranked = [len(ranking.items) for ranking in probe.rankings]
         assert len(ranked) == len(requests)
@@ -1115,11 +1117,15 @@ class ReadProbe:
         monkeypatch.setattr(SemanticOrder, "__init__", counted_init)
         monkeypatch.setattr(SemanticOrder, "rows",
                             lambda order: CountedRows(rows(order), self))
-        # where each social read's answer holds its scores
-        for module, name, at in ((repro.core.social, "_strategy_scores", 1),
-                                 (repro.plan.physical, "endorsement_read", 0)):
-            monkeypatch.setattr(module, name,
-                                self._social_set(getattr(module, name), at))
+        scores = repro.core.social._strategy_scores
+
+        def counted_scores(*args, **kwargs):
+            answer = scores(*args, **kwargs)
+            self.social += len(answer[1])  # the social set S
+            return answer
+
+        monkeypatch.setattr(repro.core.social, "_strategy_scores",
+                            counted_scores)
         experts = repro.core.social.expert_candidates
 
         def kept_experts(postings, query_terms, *args, **kwargs):
@@ -1133,14 +1139,6 @@ class ReadProbe:
                 SocialContentGraph, name,
                 self._counting(name, getattr(SocialContentGraph, name)),
             )
-
-    def _social_set(self, read, at):
-        def counted(*args, **kwargs):
-            answer = read(*args, **kwargs)
-            if answer is not None:
-                self.social += len(answer[at])
-            return answer
-        return counted
 
     def _counting(self, name, method):
         def walk(graph, *args):
