@@ -12,7 +12,6 @@ import pytest
 
 from repro.discovery import InformationDiscoverer
 from repro.presentation import (
-    ActivityProjection,
     InformationOrganizer,
     endorser_group_grouping,
     explain_collaborative,
@@ -84,12 +83,12 @@ def test_full_page_assembly(travel_site, msgs, benchmark):
 @pytest.mark.parametrize("source", ["graph", "projection"])
 def test_explanation_latency(travel_site, msgs, benchmark, population,
                              source):
-    """One CF explanation: from the bare graph (a one-off projection per
-    call, what a script pays) and from a kept projection (what a request
-    pays through the organizer)."""
+    """One CF explanation: from an unfrozen copy of the graph (a one-off
+    activity relation per call, what a script pays) and from a frozen copy
+    that keeps its relation (what a request pays through the organizer)."""
     msg = msgs["john"]
     item = msg.item_ids[0]
-    base = (travel_site.graph if source == "graph"
-            else ActivityProjection(travel_site.graph))
+    base = (travel_site.graph.copy() if source == "graph"
+            else travel_site.graph.copy().freeze())
     benchmark(explain_collaborative, base, JOHN, item,
               population == "friends")

@@ -409,7 +409,7 @@ class Session:
             return
         graph = self.analyzer.graph
         self.discoverer.refresh(graph, delta)
-        self.organizer.refresh(graph, delta)
+        self.organizer.refresh(graph)
         if delta is None or not delta.links_only:
             # a function of the item records, like the tf-idf corpus
             self._semantic_index = None

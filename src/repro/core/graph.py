@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
+from repro.core.activity import ActivityRelation
 from repro.core.attrs import (
     SCORE_ATTR,
     TYPE_ATTR,
@@ -361,7 +362,8 @@ class SocialContentGraph:
     :meth:`patched`).
     """
 
-    __slots__ = ("_nodes", "_links", "_out", "_in", "_frozen", "catalog")
+    __slots__ = ("_nodes", "_links", "_out", "_in", "_frozen", "_activity",
+                 "catalog")
 
     def __init__(
         self,
@@ -374,6 +376,8 @@ class SocialContentGraph:
         self._out: dict[Id, set[Id]] = {}
         self._in: dict[Id, set[Id]] = {}
         self._frozen = False
+        #: the kept activity relation (frozen graphs only; see activity())
+        self._activity: ActivityRelation | None = None
         self.catalog = catalog if catalog is not None else DEFAULT_CATALOG
         for node in nodes:
             self.add_node(node)
@@ -385,6 +389,17 @@ class SocialContentGraph:
         :meth:`copy` gives a mutable graph with the same content."""
         self._frozen = True
         return self
+
+    def activity(self) -> ActivityRelation:
+        """The graph's :class:`~repro.core.activity.ActivityRelation`:
+        kept by a frozen graph (and carried by :meth:`patched`), a
+        one-off per call for an unfrozen one."""
+        relation = self._activity
+        if relation is None:
+            relation = ActivityRelation(self)
+            if self._frozen:
+                self._activity = relation
+        return relation
 
     # ------------------------------------------------------------------
     # Construction / mutation
@@ -627,7 +642,9 @@ class SocialContentGraph:
         ``GraphStore.snapshot()`` of the written store does.  The maps are
         copied, every adjacency set is shared until the delta first
         touches its node in its direction; sharing sets, ``self`` is
-        frozen too.
+        frozen too.  A links-only *delta* carries the kept activity
+        relation (:meth:`ActivityRelation.carried`); a node-touching one
+        carries none.
         """
         from repro.core.delta import NODE
 
@@ -666,6 +683,9 @@ class SocialContentGraph:
                     own(out_adj, self._out, new.src).add(new.id)
                     own(in_adj, self._in, new.tgt).add(new.id)
         out._frozen = True
+        relation = self._activity
+        if relation is not None and delta.links_only:
+            out._activity = relation.carried(out, delta)
         return out
 
     def null_graph(self, nodes: Iterable[Node]) -> "SocialContentGraph":

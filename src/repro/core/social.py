@@ -27,12 +27,13 @@ of nodes it was led to, and the root reads the social set and the
 window, not the candidates: a :class:`SemanticOrder` of each σN result,
 kept beside it in the planner's sub-plan memo, lets it walk the
 candidates in ranking order and stop.  The expert fallback reads the
-query terms' postings of :func:`act_term_postings` (the planner keeps
-them per generation and patches them across a vote).  Two builders still
-walk the site — :class:`SemanticOrder` its candidates and
-:func:`act_term_postings` the ``act`` links, each once per value they
-derive from — and so does ``resolve_auto_strategy``, which compiled plans
-never reach (the compiler resolves "auto" from statistics).
+query terms' postings of ``graph.activity()`` (the graph's
+:class:`~repro.core.activity.ActivityRelation`, kept by a frozen graph
+and carried across a vote by ``patched``).  Two builders still walk the
+site — :class:`SemanticOrder` its candidates and the relation's postings
+the ``act`` links, each once per value they derive from — and so does
+``resolve_auto_strategy``, which compiled plans never reach (the
+compiler resolves "auto" from statistics).
 
 Encoding conventions of the graph-valued side (``Expr.evaluate`` and the
 standalone social-stage operators; the fused root encodes nothing):
@@ -54,9 +55,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
-from typing import Callable, Container, Mapping
+from typing import Callable, Container
 
 from repro.core.attrs import SCORE_ATTR
 from repro.core.delta import GraphDelta
@@ -125,75 +125,8 @@ def topical_fit(graph: SocialContentGraph, user: Id, query_terms: set[str]) -> f
     return len(query_terms & activity_vocabulary(graph, user)) / len(query_terms)
 
 
-#: The expert fallback's postings: term → {``act`` link id: its source}.
-ActPostings = Mapping[str, Mapping[Id, Id]]
-
-
-def act_term_postings(graph: SocialContentGraph) -> dict[str, dict[Id, Id]]:
-    """Every ``act`` link of *graph*, filed under each of its terms.
-
-    A link's terms are its target's text and its own tags, tokenised as
-    the expert walk of ``tests/oracle`` tokenises them.  The one builder
-    of the postings :func:`expert_candidates` reads — the planner keeps
-    its result for a generation, the algebra builds it per fallback.
-    """
-    postings: dict[str, dict[Id, Id]] = {}
-    item_terms: dict[Id, set[str]] = {}
-    for link in graph.links():
-        if link.has_type("act"):
-            for term in _act_terms(graph, link, item_terms):
-                postings.setdefault(term, {})[link.id] = link.src
-    return postings
-
-
-def _act_terms(
-    graph: SocialContentGraph, link: Link, item_terms: dict[Id, set[str]]
-) -> set[str]:
-    """The terms an ``act`` link is filed under: its target's text,
-    tokenised once per target into *item_terms*, and its own tags."""
-    terms = item_terms.get(link.tgt)
-    if terms is None:
-        terms = item_terms[link.tgt] = set(
-            tokenize(graph.node(link.tgt).text())
-        )
-    tags = link.values("tags")
-    return terms.union(*(tokenize(str(value)) for value in tags)) if tags \
-        else terms
-
-
-def patched_act_postings(
-    postings: ActPostings, graph: SocialContentGraph, delta: GraphDelta
-) -> dict[str, dict[Id, Id]]:
-    """*postings* after the links-only *delta* that led to *graph*.
-
-    A new map: it shares every term's postings the delta did not touch
-    and copies the rest (the old map may be serving a request).  Node
-    records did not change, so a removed link's terms are read off the
-    target it still has.  Equal to ``act_term_postings(graph)``.
-    """
-    out = dict(postings)
-    copied: set[str] = set()
-    item_terms: dict[Id, set[str]] = {}
-    for _kind, old, new in delta:
-        for link, add in ((old, False), (new, True)):
-            if link is None or not link.has_type("act"):
-                continue
-            for term in _act_terms(graph, link, item_terms):
-                if term not in copied:
-                    out[term] = dict(out.get(term, {}))
-                    copied.add(term)
-                if add:
-                    out[term][link.id] = link.src
-                else:
-                    out[term].pop(link.id, None)
-    for term in copied:
-        if not out[term]:
-            del out[term]
-    return out
-
-
 def expert_candidates(
-    postings: Callable[[], ActPostings],
+    graph: SocialContentGraph,
     query_terms: set[str],
     exclude: Container[Id] = frozenset(),
     limit: int = FALLBACK_EXPERT_LIMIT,
@@ -201,12 +134,12 @@ def expert_candidates(
     """Users with the most activity on items matching the query terms.
 
     An ``act`` link counts once for its source when any query term is
-    among its terms; only the query terms' postings are read.
-    *postings* is called only when there are query terms.
+    among its terms; only the query terms' postings of
+    ``graph.activity()`` are read, and none without query terms.
     """
     if not query_terms:
         return []  # nothing can match: read no postings
-    index = postings()
+    index = graph.activity().term_postings()
     matched: dict[Id, Id] = {}
     for term in query_terms:
         matched.update(index.get(term, {}))
@@ -218,14 +151,6 @@ def expert_candidates(
     return [user for user, _ in ranked[:limit]]
 
 
-def _postings_reader(
-    graph: SocialContentGraph, postings: Callable[[], ActPostings] | None
-) -> Callable[[], ActPostings]:
-    """*postings*, or a build of *graph*'s own when none was handed in."""
-    return postings if postings is not None else partial(act_term_postings,
-                                                         graph)
-
-
 def connection_basis(
     graph: SocialContentGraph,
     user_id: Id,
@@ -233,20 +158,15 @@ def connection_basis(
     min_fit: float = 0.15,
     min_qualified: int = 2,
     max_experts: int = 10,
-    postings: Callable[[], ActPostings] | None = None,
 ) -> SocialContentGraph:
     """The chosen social basis of a query, as a null graph.
 
     Semi-join reading: σN(id=u) ⋉ connect links picks the friends, a
     per-friend aggregation attaches the topical fit, and the expert
-    fallback replaces the membership when too few friends qualify.  The
-    fallback reads *postings* (built from *graph* when not given).
+    fallback replaces the membership when too few friends qualify.
     """
     query_terms = set(keywords)
-    friends = sorted(
-        {l.tgt for l in graph.out_links(user_id) if l.has_type("connect")},
-        key=repr,
-    )
+    friends = sorted(graph.activity().out(user_id).friends, key=repr)
     fit = {f: topical_fit(graph, f, query_terms) for f in friends}
     qualified = [f for f in friends if fit[f] >= min_fit]
     out = SocialContentGraph(catalog=graph.catalog)
@@ -256,8 +176,7 @@ def connection_basis(
         out.add_node(Node(META_ID, type=META_TYPE, basis_kind="friends",
                           expert_fallback=0))
         return out
-    experts = expert_candidates(_postings_reader(graph, postings),
-                                query_terms, exclude={user_id},
+    experts = expert_candidates(graph, query_terms, exclude={user_id},
                                 limit=max_experts)
     for expert in experts:
         out.add_node(graph.node(expert).with_attrs(fit=1.0))
@@ -363,7 +282,6 @@ def _friends_scores(
     basis: SocialContentGraph,
     user_id: Id,
     keywords: tuple[str, ...],
-    postings: Callable[[], ActPostings] | None = None,
 ) -> tuple[dict, dict, bool]:
     """Friend/expert endorsement with the score-time Selma fallback."""
     meta = basis.node(META_ID) if basis.has_node(META_ID) else None
@@ -379,10 +297,7 @@ def _friends_scores(
         # The friend basis produced nothing: rerun over topic experts
         # (the discoverer-level half of the Selma fallback).
         fallback = True
-        experts = expert_candidates(
-            _postings_reader(graph, postings), set(keywords),
-            exclude={user_id}, limit=FALLBACK_EXPERT_LIMIT,
-        )
+        experts = expert_candidates(graph, set(keywords), exclude={user_id})
         scores, endorsers = friend_probe(
             graph, [(expert, 1.0) for expert in experts], candidates
         )
@@ -490,12 +405,10 @@ def _strategy_scores(
     keywords: tuple[str, ...],
     sim_threshold: float,
     act_type: str,
-    postings: Callable[[], ActPostings] | None = None,
 ) -> tuple[str, dict, dict, dict, bool]:
     """Shared strategy dispatch: (strategy, scores, endorsers, supporting,
     fallback) — consumed by both the standalone social stage and the fused
-    social+combine physical form.  *postings* feeds the friends
-    strategy's expert fallback."""
+    social+combine physical form."""
     from repro.errors import ExpressionError
 
     if strategy == "auto":
@@ -510,7 +423,7 @@ def _strategy_scores(
     fallback = False
     if strategy == "friends":
         scores, endorsers, fallback = _friends_scores(
-            graph, candidate_ids, basis, user_id, keywords, postings
+            graph, candidate_ids, basis, user_id, keywords
         )
     elif strategy == "similar_users":
         meta = basis.node(META_ID) if basis.has_node(META_ID) else None
@@ -688,7 +601,6 @@ def fused_social_combine(
     drop_zero: bool = True,
     limit: int | None = None,
     order: SemanticOrder | None = None,
-    postings: Callable[[], ActPostings] | None = None,
 ) -> "DecodedSocialResult":
     """Social scoring and α-combination, ranked to a window.
 
@@ -712,8 +624,7 @@ def fused_social_combine(
       ``encoded_size`` come from the order's counts and membership;
     * otherwise every candidate is read.
 
-    *postings* feeds the expert fallback (built from *graph* when not
-    given).  This is the compute kernel behind
+    This is the compute kernel behind
     :class:`repro.plan.physical.FusedSocialCombineOp`.
     """
     walkable = order is not None
@@ -722,7 +633,7 @@ def fused_social_combine(
     semantic = order.scores
     strategy, scores, endorsers, supporting, fallback = _strategy_scores(
         graph, semantic, basis, strategy, user_id, keywords,
-        sim_threshold, act_type, postings,
+        sim_threshold, act_type,
     )
     # max-normalisation as combine_scores_graph does it, inlined
     sem_top = order.top

@@ -13,6 +13,7 @@ activity manager + scheduler) for externally-integrated data.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from typing import Any
 
 from repro.core import Id, Link, Node, SocialContentGraph
 from repro.core.delta import LINK, NODE, Change, GraphDelta
+from repro.core.faults import fault_point
 from repro.core.serialize import link_to_dict, node_to_dict
 from repro.management.activity import ActivityManager, UserActivityProfile
 from repro.management.integrator import ContentIntegrator, IntegrationReport
@@ -56,9 +58,12 @@ class DataManager:
         this = weakref.ref(self)
         self.integrator = ContentIntegrator(
             self.store, client_name=site_name,
-            on_import=lambda: this()._mark_changed(),
+            on_import=lambda: this()._imported(),
         )
         self.activity_manager = ActivityManager()
+        #: held by every write and by :meth:`graph` from cut to stamp;
+        #: reentrant, so code run inside :meth:`graph` may write
+        self._lock = threading.RLock()
         #: the last logical graph served (frozen) and the version it
         #: reflects (-1: none yet, which no change feed reaches back to)
         self._served: SocialContentGraph | None = None
@@ -85,7 +90,12 @@ class DataManager:
         """
         return self._version
 
-    def _mark_changed(self, *changes: Change) -> None:
+    def _imported(self) -> None:
+        """An integration pull wrote to the store: a bulk change."""
+        with self._lock:
+            self._mark_changed_locked()
+
+    def _mark_changed_locked(self, *changes: Change) -> None:
         """One accepted write: move the version and feed the change log.
 
         Called with the records the write touched, or with none for a
@@ -109,6 +119,10 @@ class DataManager:
         integration pull or a recovery lies in between, or *version* is
         further back than the log reaches (or not one of this manager's).
         """
+        with self._lock:
+            return self._changes_since_locked(version)
+
+    def _changes_since_locked(self, version: int) -> GraphDelta | None:
         if not self._changes_floor <= version <= self._version:
             return None
         recent: list[Change] = []
@@ -125,9 +139,10 @@ class DataManager:
         The jump is a bulk change — nothing that read the dead process's
         versions may take the feed for an account of what happened since.
         """
-        self._mark_changed()
-        self._version = self._changes_floor = max(self._version, version)
-        self._applied_seq = applied_seq
+        with self._lock:
+            self._mark_changed_locked()
+            self._version = self._changes_floor = max(self._version, version)
+            self._applied_seq = applied_seq
 
     # ------------------------------------------------------------ durability
     @property
@@ -162,7 +177,7 @@ class DataManager:
         self.attach_wal(wal)
         return wal
 
-    def _log(self, op: str, payload: dict[str, Any]) -> None:
+    def _log_locked(self, op: str, payload: dict[str, Any]) -> None:
         if self._wal is not None:
             self._applied_seq = self._wal.append(op, payload)
 
@@ -209,53 +224,66 @@ class DataManager:
     # ------------------------------------------------------------------ load
     def load_graph(self, graph: SocialContentGraph, origin: str = LOCAL) -> None:
         """Bulk-load a logical graph into the store under one origin."""
-        for node in graph.nodes():
-            self.store.upsert_node(node, origin=origin)
-            self._log(OP_NODE, {**node_to_dict(node), "origin": origin})
-        for link in graph.links():
-            self.store.upsert_link(link, origin=origin)
-            self._log(OP_LINK, {**link_to_dict(link), "origin": origin})
-        self._mark_changed()
+        with self._lock:
+            for node in graph.nodes():
+                self.store.upsert_node(node, origin=origin)
+                self._log_locked(
+                    OP_NODE, {**node_to_dict(node), "origin": origin}
+                )
+            for link in graph.links():
+                self.store.upsert_link(link, origin=origin)
+                self._log_locked(
+                    OP_LINK, {**link_to_dict(link), "origin": origin}
+                )
+            self._mark_changed_locked()
 
     def add_node(self, node: Node, origin: str = LOCAL) -> Node:
         """Insert/update one node."""
         store = self.store
-        old = store.node(node.id) if store.has_node(node.id) else None
-        stored = store.upsert_node(node, origin=origin)
-        self._log(OP_NODE, {**node_to_dict(stored), "origin": origin})
-        self._mark_changed(Change(NODE, old, stored))
+        with self._lock:
+            old = store.node(node.id) if store.has_node(node.id) else None
+            stored = store.upsert_node(node, origin=origin)
+            self._log_locked(
+                OP_NODE, {**node_to_dict(stored), "origin": origin}
+            )
+            self._mark_changed_locked(Change(NODE, old, stored))
         return stored
 
     def add_link(self, link: Link, origin: str = LOCAL) -> Link:
         """Insert/update one link."""
         store = self.store
-        old = store.link(link.id) if store.has_link(link.id) else None
-        stored = store.upsert_link(link, origin=origin)
-        self._log(OP_LINK, {**link_to_dict(stored), "origin": origin})
-        self._mark_changed(Change(LINK, old, stored))
+        with self._lock:
+            old = store.link(link.id) if store.has_link(link.id) else None
+            stored = store.upsert_link(link, origin=origin)
+            self._log_locked(
+                OP_LINK, {**link_to_dict(stored), "origin": origin}
+            )
+            self._mark_changed_locked(Change(LINK, old, stored))
         return stored
 
     def delete_node(self, node_id: Id) -> None:
         """Remove a node (incident links cascade, exactly as on replay)."""
         store = self.store
-        old = store.node(node_id)
-        cascaded = {
-            link.id: link for link in
-            chain(store.out_links(node_id), store.in_links(node_id))
-        }
-        store.delete_node(node_id)
-        self._log(OP_DEL_NODE, {"id": node_id})
-        self._mark_changed(
-            *(Change(LINK, link, None) for link in cascaded.values()),
-            Change(NODE, old, None),
-        )
+        with self._lock:
+            old = store.node(node_id)
+            cascaded = {
+                link.id: link for link in
+                chain(store.out_links(node_id), store.in_links(node_id))
+            }
+            store.delete_node(node_id)
+            self._log_locked(OP_DEL_NODE, {"id": node_id})
+            self._mark_changed_locked(
+                *(Change(LINK, link, None) for link in cascaded.values()),
+                Change(NODE, old, None),
+            )
 
     def delete_link(self, link_id: Id) -> None:
         """Remove one link."""
-        old = self.store.link(link_id)
-        self.store.delete_link(link_id)
-        self._log(OP_DEL_LINK, {"id": link_id})
-        self._mark_changed(Change(LINK, old, None))
+        with self._lock:
+            old = self.store.link(link_id)
+            self.store.delete_link(link_id)
+            self._log_locked(OP_DEL_LINK, {"id": link_id})
+            self._mark_changed_locked(Change(LINK, old, None))
 
     def merge_derived(self, derived: SocialContentGraph) -> None:
         """Union a Content Analyzer derivation into the store."""
@@ -272,21 +300,29 @@ class DataManager:
         keeps one whole state of the site.  When the feed cannot itemise
         the step the graph is re-snapshotted from the store; either way it
         iterates as ``store.snapshot()`` does.
+
+        The graph is stamped with the version its delta was cut at, under
+        the lock every write takes: a write that lands after the cut (the
+        ``management.serve`` fault point sits there) is the next call's.
         """
-        if self._served_version != self._version:
-            delta = self.changes_since(self._served_version)
-            self._served = (
-                self._served.patched(delta) if delta is not None
-                else self.store.snapshot().freeze()
-            )
-            self._served_version = self._version
-        return self._served
+        with self._lock:
+            version = self._version
+            if self._served_version != version:
+                delta = self._changes_since_locked(self._served_version)
+                served = (
+                    self._served.patched(delta) if delta is not None
+                    else self.store.snapshot().freeze()
+                )
+                fault_point("management.serve")
+                self._served, self._served_version = served, version
+            return self._served
 
     def serves(self, graph: SocialContentGraph, version: int) -> bool:
         """True while *graph* is the object served at *version* — i.e.
         ``changes_since(version)`` describes what separates it from
         :meth:`graph`."""
-        return graph is self._served and version == self._served_version
+        with self._lock:
+            return graph is self._served and version == self._served_version
 
     def statistics(self) -> GraphStats:
         """Cardinality statistics for the optimizer."""

@@ -48,7 +48,6 @@ from repro.plan.physical import (
     SCAN,
     ColumnarLinkScanOp,
     ColumnarScanOp,
-    ConnectionBasisOp,
     FusedSocialCombineOp,
     IndexKeywordScanOp,
     InputOp,
@@ -343,8 +342,6 @@ def compile_plan(
             # time, so EXPLAIN and execution agree)
             path = _choose_social_path(node, stats, strategy_state)
             physical = ScanOp(node.pinned(path.strategy), children)
-        elif isinstance(node, ConnectionBasisE):
-            physical = ConnectionBasisOp(node, children)
         elif _index_eligible(node, index) and access != SCAN:
             physical = _choose_select_path(
                 node, children, stats, index, access, model, decisions,

@@ -39,21 +39,6 @@ class PlanExplain:
     #: result bound pushed into the ranking stage (None = full ranking)
     topk: int | None = None
 
-    def estimation_error(self) -> float:
-        """Largest |estimated − actual| / max(actual, 1) over node counts.
-
-        A quick scalar for "how wrong was the cost model on this query".
-        Estimates are read from the statistics the plan was compiled
-        against, so the number depends only on the plan and this run.
-        """
-        worst = 0.0
-        for profile in self.operators:
-            if profile.actual is None:
-                continue
-            actual = max(profile.actual.nodes, 1.0)
-            worst = max(worst, abs(profile.estimated.nodes - actual) / actual)
-        return worst
-
     def __str__(self) -> str:
         return self.text
 

@@ -21,19 +21,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.expr import Expr, LiteralE, iter_plan_nodes
 from repro.core.faults import fault_point
 from repro.core.optimizer import OptimizeReport
 from repro.core.graph import SocialContentGraph
-from repro.core.social import (
-    ActPostings,
-    SemanticOrder,
-    connection_basis,
-    fused_social_combine,
-)
+from repro.core.social import SemanticOrder, fused_social_combine
 from repro.core.stats import Card, GraphStats
 from repro.errors import DeadlineError, ExpressionError
 from repro.plan.columnar import ColumnarView, VectorCondition, link_subgraph
@@ -54,15 +48,9 @@ class ExecContext:
         view_provider: Callable[
             [SocialContentGraph], ColumnarView | None
         ] | None = None,
-        postings_provider: Callable[
-            [SocialContentGraph], ActPostings
-        ] | None = None,
     ):
         self.env = env
         self.index_provider = index_provider
-        #: base graph → the expert fallback's act-term postings of it
-        #: (``None``: each fallback builds them from the graph)
-        self.postings_provider = postings_provider
         #: base graph → its columnar view (None when the graph is not the
         #: one the provider cut its view from — the op degrades to a scan)
         self.view_provider = view_provider
@@ -112,13 +100,6 @@ class ExecContext:
             return
         label = stage() if callable(stage) else stage
         raise DeadlineError(label, now - self.deadline_anchor)
-
-    def postings_for(
-        self, graph: SocialContentGraph
-    ) -> Callable[[], ActPostings] | None:
-        """The expert fallback's postings of *graph*, read on demand."""
-        provider = self.postings_provider
-        return None if provider is None else partial(provider, graph)
 
 
 class PhysicalOp:
@@ -239,23 +220,6 @@ class ScanOp(PhysicalOp):
         return self.logical._compute(inputs)
 
 
-class ConnectionBasisOp(ScanOp):
-    """Connection selection whose expert fallback reads the planner's
-    act-term postings instead of building them from the graph."""
-
-    def _run(
-        self, ctx: ExecContext, inputs: Sequence[SocialContentGraph]
-    ) -> SocialContentGraph:
-        node = self.logical
-        return connection_basis(
-            inputs[0], node.user_id, node.keywords,  # type: ignore[attr-defined]
-            min_fit=node.min_fit,  # type: ignore[attr-defined]
-            min_qualified=node.min_qualified,  # type: ignore[attr-defined]
-            max_experts=node.max_experts,  # type: ignore[attr-defined]
-            postings=ctx.postings_for(inputs[0]),
-        )
-
-
 class IndexKeywordScanOp(PhysicalOp):
     """σN over the item population served from inverted posting lists.
 
@@ -264,7 +228,8 @@ class IndexKeywordScanOp(PhysicalOp):
     compile time), so the produced null graph — matching items with their
     scores attached — is record-for-record what :class:`ScanOp` would
     build.  If the index provider disappears between compile and execute,
-    the operator degrades to the scan compute rather than failing.
+    the operator degrades to the scan compute rather than failing, and
+    says so (EXPLAIN's ``(degraded→row scan)``, ``degraded_ops``).
     """
 
     access_path = INDEX
@@ -284,6 +249,7 @@ class IndexKeywordScanOp(PhysicalOp):
     ) -> SocialContentGraph:
         index = ctx.index_provider() if ctx.index_provider is not None else None
         if index is None:
+            ctx.degraded.add(id(self))
             return self.logical._compute(inputs)
         graph = inputs[0]
         scores = index.candidates(self.keywords)
@@ -435,7 +401,6 @@ class FusedSocialCombineOp(PhysicalOp):
             drop_zero=self.logical.drop_zero,  # type: ignore[attr-defined]
             limit=ctx.topk,
             order=self._semantic_order(ctx, candidates),
-            postings=ctx.postings_for(graph),
         )
         return SocialContentGraph(catalog=candidates.catalog)
 
@@ -638,9 +603,6 @@ class PhysicalPlan:
         view_provider: Callable[
             [SocialContentGraph], ColumnarView | None
         ] | None = None,
-        postings_provider: Callable[
-            [SocialContentGraph], ActPostings
-        ] | None = None,
         result_cache: dict | None = None,
         topk: int | None = None,
         deadline: float | None = None,
@@ -658,8 +620,7 @@ class PhysicalPlan:
         passed, unwinding the execution promptly instead of finishing
         doomed work.
         """
-        ctx = ExecContext(env, index_provider, view_provider,
-                          postings_provider)
+        ctx = ExecContext(env, index_provider, view_provider)
         ctx.result_cache = result_cache
         ctx.topk = topk
         if deadline is not None:

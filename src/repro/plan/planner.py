@@ -44,11 +44,7 @@ from repro.core.expr import (
 )
 from repro.core.delta import GraphDelta
 from repro.core.graph import SocialContentGraph
-from repro.core.social import (
-    act_term_postings,
-    basis_keeper,
-    patched_act_postings,
-)
+from repro.core.social import basis_keeper
 from repro.core.stats import GraphStats
 from repro.plan.cache import PlanCache, ResultMemo
 from repro.plan.columnar import ColumnarView, cut_columnar_view
@@ -118,10 +114,6 @@ class QueryPlanner:
         #: generation it was cut under
         self._view: ColumnarView | None = None
         self._view_generation = -1
-        #: the expert fallback's act-term postings of the live graph,
-        #: built on the first fallback of a generation, stamped with it
-        self._postings: dict | None = None
-        self._postings_generation = -1
         #: generation-stamped memo of deterministic sub-plan results
         #: (connection bases, σN selections): repeated queries skip
         #: re-deriving them; bounded by entries *and* estimated bytes
@@ -149,9 +141,8 @@ class QueryPlanner:
         are patched.  When the step touched only links, the view keeps
         its node side, the sub-plan memo its ``"select"`` entries, the
         semantic ``"order"`` of each, and every ``"basis"`` entry the
-        step left true (:func:`~repro.core.social.basis_keeper`), and the
-        expert fallback's postings are patched by the touched ``act``
-        links; the view's link side goes.
+        step left true (:func:`~repro.core.social.basis_keeper`); the
+        view's link side goes.
         Compiled plans hold no data, so they stay through a link-only
         step unless the statistics moved where a plan could tell: a
         count beyond :data:`PLAN_DRIFT`, or a signal
@@ -166,11 +157,9 @@ class QueryPlanner:
             view = self._view if self._view_generation == before else None
             memo = self._subplan_results \
                 if self._subplan_generation == before else None
-            postings = self._postings \
-                if self._postings_generation == before else None
             self.graph = graph.freeze()
             self.generation += 1
-            self._stats = self._view = self._postings = None
+            self._stats = self._view = None
             after = self.generation
             if delta is not None and stats is not None:
                 self._stats = stats.patched(delta, old, graph)
@@ -186,11 +175,6 @@ class QueryPlanner:
                         or keeps_basis(key[1], result)
                     )
                     self._subplan_generation = after
-                if postings is not None:
-                    self._postings = patched_act_postings(
-                        postings, graph, delta
-                    )
-                    self._postings_generation = after
                 if self._stats is not None and not _drifted(
                     self._plan_basis, _plan_basis(self._stats)
                 ):
@@ -248,22 +232,6 @@ class QueryPlanner:
                 self._view = cut_columnar_view(graph)
                 self._view_generation = self.generation
             return self._view
-
-    def act_postings(self, graph: SocialContentGraph) -> dict:
-        """The expert fallback's act-term postings of *graph*.
-
-        For the live graph they are built on the first fallback of a
-        generation and kept for it (patched across a links-only
-        refresh); any other graph gets a build of its own.
-        """
-        with self._lock:
-            if graph is not self.graph:
-                return act_term_postings(graph)
-            if self._postings_generation != self.generation or \
-                    self._postings is None:
-                self._postings = act_term_postings(graph)
-                self._postings_generation = self.generation
-            return self._postings
 
     @property
     def stats(self) -> GraphStats:
@@ -331,7 +299,6 @@ class QueryPlanner:
             run_env,
             index_provider=provider,
             view_provider=self.columnar_view,
-            postings_provider=self.act_postings,
             result_cache=result_cache,
             topk=topk,
             deadline=deadline,

@@ -3,8 +3,8 @@
 Grouping (social / topical / structural / endorser-group), group
 meaningfulness and dimension choice, hierarchical zoom, ranking within and
 across groups, and item/group explanations — all reading the base graph
-through the organizer's per-graph :class:`ActivityProjection`, never by a
-pass over the whole site.
+through its :class:`~repro.core.activity.ActivityRelation`
+(``graph.activity()``), never by a pass over the whole site.
 """
 
 from repro.presentation.diversify import (
@@ -51,7 +51,6 @@ from repro.presentation.organizer import (
     ResultGroup,
     ResultPage,
 )
-from repro.presentation.projection import ActivityProjection
 from repro.presentation.ranking import RankedGroup, ResultSelector
 
 __all__ = [
@@ -65,7 +64,7 @@ __all__ = [
     "Explanation", "GroupExplanation", "explain_content_based",
     "explain_collaborative", "explain_group", "item_similarity",
     "user_similarity", "CONTENT_BASED", "COLLABORATIVE",
-    "InformationOrganizer", "OrganizerConfig", "ActivityProjection",
+    "InformationOrganizer", "OrganizerConfig",
     "ResultPage", "ResultGroup", "ResultEntry",
     "mmr_diversify", "coverage_diversify", "intra_list_similarity",
 ]

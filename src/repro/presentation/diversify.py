@@ -23,20 +23,19 @@ from typing import Callable, Sequence
 
 from repro.core import Id, SocialContentGraph
 from repro.discovery.msg import MeaningfulSocialGraph
-from repro.presentation.explanations import item_similarity
-from repro.presentation.projection import ActivityProjection
+from repro.presentation.explanations import item_sim
 
 Similarity = Callable[[Id, Id], float]
 
 
 def _default_similarity(graph: SocialContentGraph) -> Similarity:
     cache: dict[tuple[Id, Id], float] = {}
-    projection = ActivityProjection(graph)
+    activity = graph.activity()
 
     def sim(a: Id, b: Id) -> float:
         key = (a, b) if repr(a) <= repr(b) else (b, a)
         if key not in cache:
-            cache[key] = item_similarity(projection, key[0], key[1])
+            cache[key] = item_sim(activity, key[0], key[1])
         return cache[key]
 
     return sim

@@ -17,9 +17,9 @@ before") and group-level explanations aggregated from item explanations.
 §7.2's definition makes every non-endorser contribute 0, so the CF
 explanation walks the *item's* endorsers (its ``act`` in-links) and keeps
 those in the population — never the population itself.  Every graph read
-goes through an :class:`~repro.presentation.projection.ActivityProjection`;
-each function takes the base graph or a projection the caller keeps
-(the organizer's, shared by all requests on one graph).  The
+goes through ``graph.activity()``, read once per call by the functions
+taking the base graph; :func:`collaborative_pair`, :func:`content_based`
+and :func:`item_sim` take a relation the caller holds.  The
 population-walking reference is ``tests/oracle/explanations.py``.
 """
 
@@ -29,11 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.similarity import jaccard
 from repro.core import Id, SocialContentGraph
-from repro.presentation.projection import (
-    ActivityProjection,
-    GraphSource,
-    OutView,
-)
+from repro.core.activity import ActivityRelation, OutView
 
 CONTENT_BASED = "content"
 COLLABORATIVE = "cf"
@@ -61,42 +57,54 @@ class Explanation:
         return ranked[:k]
 
 
-def item_similarity(graph: GraphSource, a: Id, b: Id) -> float:
+def item_similarity(graph: SocialContentGraph, a: Id, b: Id) -> float:
     """ItemSim(i, i′): derived ``sim_item`` link weight when present,
     tagger-set Jaccard otherwise."""
-    proj = ActivityProjection.of(graph)
-    sim = proj.out(a).sim_item.get(b)
+    return item_sim(graph.activity(), a, b)
+
+
+def item_sim(activity: ActivityRelation, a: Id, b: Id) -> float:
+    """:func:`item_similarity` over a relation the caller holds."""
+    sim = activity.out(a).sim_item.get(b)
     if sim is not None:
         return sim
-    return jaccard(proj.endorsers(a).keys(), proj.endorsers(b).keys())
+    return jaccard(activity.endorsers(a).keys(), activity.endorsers(b).keys())
 
 
-def user_similarity(graph: GraphSource, a: Id, b: Id) -> float:
+def user_similarity(graph: SocialContentGraph, a: Id, b: Id) -> float:
     """UserSim(u, u′): derived ``sim_user`` link weight when present,
     item-set Jaccard otherwise (0 when unrelated, as §7.2 requires)."""
-    proj = ActivityProjection.of(graph)
-    return _user_similarity(proj, proj.out(a), b)
+    activity = graph.activity()
+    return _user_similarity(activity, activity.out(a), b)
 
 
-def _user_similarity(proj: ActivityProjection, mine: OutView, b: Id) -> float:
+def _user_similarity(
+    activity: ActivityRelation, mine: OutView, b: Id
+) -> float:
     sim = mine.sim_user.get(b)
     if sim is not None:
         return sim
-    return jaccard(mine.acted.keys(), proj.out(b).acted.keys())
+    return jaccard(mine.acted.keys(), activity.out(b).acted.keys())
 
 
 def explain_content_based(
-    graph: GraphSource, user: Id, item: Id
+    graph: SocialContentGraph, user: Id, item: Id
 ) -> Explanation:
     """§7.2 content-based explanation with ItemSim × rating weights."""
-    proj = ActivityProjection.of(graph)
+    return content_based(graph.activity(), user, item)
+
+
+def content_based(
+    activity: ActivityRelation, user: Id, item: Id
+) -> Explanation:
+    """:func:`explain_content_based` over a relation the caller holds."""
     explanation = Explanation(item_id=item, kind=CONTENT_BASED)
-    past = proj.out(user).acted
+    past = activity.out(user).acted
     similar = 0
     for past_item, rating in past.items():
         if past_item == item:
             continue
-        sim = item_similarity(proj, item, past_item)
+        sim = item_sim(activity, item, past_item)
         if sim <= 0:
             continue
         similar += 1
@@ -113,7 +121,7 @@ def explain_content_based(
 
 
 def explain_collaborative(
-    graph: GraphSource,
+    graph: SocialContentGraph,
     user: Id,
     item: Id,
     friends_only: bool = False,
@@ -123,28 +131,26 @@ def explain_collaborative(
     ``friends_only`` restricts U to the user's direct connections, which
     also powers the "% of your friends endorsed this item" aggregate.
     """
-    return _collaborative(
-        ActivityProjection.of(graph), user, item, friends_only, {}
-    )
+    return _collaborative(graph.activity(), user, item, friends_only, {})
 
 
 def collaborative_pair(
-    graph: GraphSource, user: Id, item: Id, sims: dict[Id, float]
+    activity: ActivityRelation, user: Id, item: Id, sims: dict[Id, float]
 ) -> tuple[Explanation, Explanation]:
-    """One item's friends-only and everyone CF explanations.
+    """One item's friends-only and everyone CF explanations, over a
+    relation the caller holds.
 
     *sims* memoises UserSim(user, ·): the two populations share it, and a
     caller explaining several items to one user passes the same dict.
     """
-    proj = ActivityProjection.of(graph)
     return (
-        _collaborative(proj, user, item, True, sims),
-        _collaborative(proj, user, item, False, sims),
+        _collaborative(activity, user, item, True, sims),
+        _collaborative(activity, user, item, False, sims),
     )
 
 
 def _collaborative(
-    proj: ActivityProjection,
+    activity: ActivityRelation,
     user: Id,
     item: Id,
     friends_only: bool,
@@ -154,19 +160,19 @@ def _collaborative(
     user's ``connect`` targets (of any node type, the user included), or
     every ``user``-typed node but the user."""
     explanation = Explanation(item_id=item, kind=COLLABORATIVE)
-    mine = proj.out(user)
+    mine = activity.out(user)
     friends = mine.friends
     endorsing = 0
-    for other, rating in proj.endorsers(item).items():
+    for other, rating in activity.endorsers(item).items():
         if friends_only:
             if other not in friends:
                 continue
-        elif other == user or not proj.is_user(other):
+        elif other == user or not activity.is_user(other):
             continue
         endorsing += 1
         sim = sims.get(other)
         if sim is None:
-            sim = sims[other] = _user_similarity(proj, mine, other)
+            sim = sims[other] = _user_similarity(activity, mine, other)
         if sim <= 0:
             continue
         weight = sim * rating
@@ -195,7 +201,7 @@ class GroupExplanation:
 
 
 def explain_group(
-    graph: GraphSource,
+    graph: SocialContentGraph,
     user: Id,
     label: str,
     items: list[Id],
@@ -207,14 +213,14 @@ def explain_group(
     dominant supporter and explanation coverage — "converting individual
     explanations ... into a concise explanation at a group level".
     """
-    proj = ActivityProjection.of(graph)
-    explain = (
-        explain_collaborative if kind == COLLABORATIVE
-        else explain_content_based
-    )
-    return aggregate_group(
-        proj.graph, label, [explain(proj, user, item) for item in items]
-    )
+    activity = graph.activity()
+    if kind == COLLABORATIVE:
+        explanations = [_collaborative(activity, user, item, False, {})
+                        for item in items]
+    else:
+        explanations = [content_based(activity, user, item)
+                        for item in items]
+    return aggregate_group(graph, label, explanations)
 
 
 def aggregate_group(

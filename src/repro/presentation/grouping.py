@@ -23,7 +23,6 @@ from typing import Sequence
 from repro.analysis.similarity import jaccard
 from repro.core import Id, SocialContentGraph
 from repro.discovery.msg import MeaningfulSocialGraph
-from repro.presentation.projection import ActivityProjection, GraphSource
 
 
 @dataclass
@@ -63,11 +62,6 @@ class GroupingResult:
         return seen == set(items)
 
 
-def _taggers(graph: SocialContentGraph, item: Id) -> set[Id]:
-    """Users with an activity link onto the item (§7's taggers(i))."""
-    return {l.src for l in graph.in_links(item) if l.has_type("act")}
-
-
 def social_grouping(
     msg: MeaningfulSocialGraph,
     theta: float = 0.3,
@@ -79,7 +73,7 @@ def social_grouping(
     """
     graph = msg.graph
     items = msg.item_ids
-    taggers = {i: _taggers(graph, i) for i in items}
+    taggers = {i: msg.taggers_of(i) for i in items}
     leaders: list[Id] = []
     clusters: list[list[Id]] = []
     for item in items:  # msg order = best first, so leaders are top items
@@ -173,7 +167,7 @@ def structural_grouping(
 
 def endorser_group_grouping(
     msg: MeaningfulSocialGraph,
-    base: GraphSource,
+    base: SocialContentGraph,
 ) -> GroupingResult:
     """Alexia's grouping: by which user-group endorsed each item.
 
@@ -183,13 +177,13 @@ def endorser_group_grouping(
     links from users to ``group`` nodes in the *base* graph — read per
     endorser from their own out-links, never by scanning the site.
     """
-    proj = ActivityProjection.of(base)
+    activity = base.activity()
     by_group: dict[Id, list[Id]] = {}
     other: list[Id] = []
     for item in msg.item_ids:
         votes: dict[Id, int] = {}
         for user in msg.taggers_of(item) | set(msg.endorsers_of(item)):
-            for group_id in proj.out(user).groups:
+            for group_id in activity.out(user).groups:
                 votes[group_id] = votes.get(group_id, 0) + 1
         if not votes:
             other.append(item)
@@ -198,7 +192,7 @@ def endorser_group_grouping(
         by_group.setdefault(winner, []).append(item)
     groups = []
     for group_id, items in sorted(by_group.items(), key=lambda kv: repr(kv[0])):
-        name = proj.graph.node(group_id).value("name", str(group_id))
+        name = base.node(group_id).value("name", str(group_id))
         groups.append(
             Group(label=f"endorsed by your {name}", dimension="endorser",
                   items=items)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core import Id, SocialContentGraph
-from repro.core.delta import GraphDelta
+from repro.core.activity import ActivityRelation
 from repro.discovery.msg import MeaningfulSocialGraph
 from repro.errors import PresentationError
 from repro.presentation.explanations import (
@@ -28,7 +28,7 @@ from repro.presentation.explanations import (
     GroupExplanation,
     aggregate_group,
     collaborative_pair,
-    explain_content_based,
+    content_based,
 )
 from repro.presentation.grouping import (
     GroupingResult,
@@ -39,12 +39,11 @@ from repro.presentation.grouping import (
 )
 from repro.presentation.hierarchy import GroupingFactory, HierarchicalPresenter
 from repro.presentation.meaningful import MeaningfulnessWeights, choose_grouping
-from repro.presentation.projection import ActivityProjection
 from repro.presentation.ranking import RankedGroup, ResultSelector
 
 #: A grouping dimension as the organizer holds it: it groups an MSG
-#: against the projection of the request being served.
-Grouper = Callable[[MeaningfulSocialGraph, ActivityProjection], GroupingResult]
+#: against the base graph of the request being served.
+Grouper = Callable[[MeaningfulSocialGraph, SocialContentGraph], GroupingResult]
 
 
 @dataclass
@@ -100,12 +99,9 @@ class OrganizerConfig:
 class InformationOrganizer:
     """Builds result pages (and zoomable hierarchies) from MSGs.
 
-    Every read of the base graph goes through one
-    :class:`~repro.presentation.projection.ActivityProjection` of
-    :attr:`base_graph`, which is frozen on adoption: the projection is
-    kept across requests and dropped the moment :attr:`base_graph` is
-    reassigned (so a replaced graph is never pinned).
-    A request takes the projection once and reads only it, so one page
+    Every read of the base graph goes through ``base_graph.activity()``,
+    kept by the graph (frozen on adoption) across requests.  A page takes
+    the graph and its relation once and reads only them, so one page
     never mixes two states of the site.  Assign :attr:`config` to change
     the configuration; the grouping dimensions are built from it once.
     """
@@ -115,11 +111,10 @@ class InformationOrganizer:
         base_graph: SocialContentGraph,
         config: OrganizerConfig | None = None,
     ):
-        # guards the two fields request threads swap: the graph and its
-        # projection (the projection's own fills need no lock, see there)
+        # guards the graph request threads swap (its relation's fills
+        # need no lock, see repro.core.activity)
         self._lock = threading.Lock()
         self._base_graph = base_graph.freeze()
-        self._projection: ActivityProjection | None = None
         self.config = config or OrganizerConfig()
         self.selector = ResultSelector()
 
@@ -133,32 +128,11 @@ class InformationOrganizer:
     def base_graph(self, graph: SocialContentGraph) -> None:
         self.refresh(graph)
 
-    def refresh(
-        self, graph: SocialContentGraph, delta: GraphDelta | None = None
-    ) -> None:
-        """Organize against *graph* from now on.
-
-        The projection of the old graph is dropped — unless *delta* says
-        that only links separate the two graphs, and which: then the next
-        request starts from the reads those links cannot have changed.
-        """
+    def refresh(self, graph: SocialContentGraph) -> None:
+        """Organize against *graph* from now on (what a page reads of it
+        lives on ``graph.activity()``, which ``patched`` carries)."""
         with self._lock:
-            projection = self._projection
             self._base_graph = graph.freeze()
-            self._projection = (
-                projection.carried(graph, delta)
-                if projection is not None
-                and delta is not None and delta.links_only
-                else None
-            )
-
-    @property
-    def projection(self) -> ActivityProjection:
-        """The projection of the base graph as it is now."""
-        with self._lock:
-            if self._projection is None:
-                self._projection = ActivityProjection(self._base_graph)
-            return self._projection
 
     @property
     def config(self) -> OrganizerConfig:
@@ -182,9 +156,9 @@ class InformationOrganizer:
     # ---------------------------------------------------------------- groups
     def grouping_factories(self) -> dict[str, GroupingFactory]:
         """All grouping dimensions available on this site, each reading
-        the projection current when it is called."""
+        the base graph current when it is called."""
         return {
-            name: (lambda msg, g=grouper: g(msg, self.projection))
+            name: (lambda msg, g=grouper: g(msg, self.base_graph))
             for name, grouper in self._groupers.items()
         }
 
@@ -218,12 +192,13 @@ class InformationOrganizer:
         )
         if not msg.items:
             return page
-        projection = self.projection
+        graph = self.base_graph
+        activity = graph.activity()
         if grouper is not None:
-            winner = grouper(msg, projection)
+            winner = grouper(msg, graph)
             scores = {dimension: 1.0}
         else:
-            candidates = [g(msg, projection) for g in self._groupers.values()]
+            candidates = [g(msg, graph) for g in self._groupers.values()]
             winner, scores = choose_grouping(
                 candidates, msg, self.config.weights
             )
@@ -234,7 +209,7 @@ class InformationOrganizer:
         sims: dict[Id, float] = {}  # UserSim(user, ·), shared by the page
         for ranked in ranked_groups:
             page.groups.append(
-                self._render_group(ranked, msg, projection, sims)
+                self._render_group(ranked, msg, graph, activity, sims)
             )
         # The flat list is the classic single ranked list (global combined
         # score order); interleaved across-group selection remains available
@@ -249,14 +224,14 @@ class InformationOrganizer:
         self,
         ranked: RankedGroup,
         msg: MeaningfulSocialGraph,
-        projection: ActivityProjection,
+        graph: SocialContentGraph,
+        activity: ActivityRelation,
         sims: dict[Id, float],
     ) -> ResultGroup:
-        graph = projection.graph
         entries = []
         counted = []
         for item, score in ranked.items:
-            shown, for_group = self._explain(msg, item, projection, sims)
+            shown, for_group = self._explain(msg, item, activity, sims)
             counted.append(for_group)
             entries.append(
                 ResultEntry(
@@ -280,7 +255,7 @@ class InformationOrganizer:
         self,
         msg: MeaningfulSocialGraph,
         item: Id,
-        projection: ActivityProjection,
+        activity: ActivityRelation,
         sims: dict[Id, float],
     ) -> tuple[Explanation, Explanation]:
         """One item explained once: (what its entry shows, what its
@@ -288,11 +263,9 @@ class InformationOrganizer:
         explanation, or the one content-based explanation twice."""
         if self.config.explanation_kind == COLLABORATIVE:
             return collaborative_pair(
-                projection, msg.query.user_id, item, sims
+                activity, msg.query.user_id, item, sims
             )
-        explanation = explain_content_based(
-            projection, msg.query.user_id, item
-        )
+        explanation = content_based(activity, msg.query.user_id, item)
         return explanation, explanation
 
     # ------------------------------------------------------------- hierarchy

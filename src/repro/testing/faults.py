@@ -23,6 +23,8 @@ Registered fault-point names (the contract with production modules):
 ``persist.snapshot``     after an atomic snapshot write (``path=``)
 ``serve.batch``          inside a gateway worker slot, before the
                          request runs
+``management.serve``     inside ``DataManager.graph()``, after the next
+                         graph is cut and before it is stamped served
 ======================  ====================================================
 """
 
@@ -46,6 +48,7 @@ KNOWN_FAULT_POINTS = (
     "wal.fsync",
     "persist.snapshot",
     "serve.batch",
+    "management.serve",
 )
 
 _registry_lock = threading.Lock()

@@ -6,9 +6,11 @@ populations for plan/cache tests, the controlled-selectivity corpus the
 access-path tests sweep, and a small social site with every signal the
 social-stage strategies read (connections, activities, derived
 similarity) — plus :func:`served` and :func:`write_through`, the way a
-test writes to a graph once something serves it, and
-:func:`split_snapshot`, which lays a site snapshot out as the
-multi-file snapshots a hash-sharded store used to write.  Test modules import
+test writes to a graph once something serves it,
+:func:`assert_relation_as_rebuilt`, which holds a graph's kept activity
+relation against a fresh one, and :func:`split_snapshot`, which lays a
+site snapshot out as the multi-file snapshots a hash-sharded store used
+to write.  Test modules import
 them directly (``tests`` is on the pytest ``pythonpath``); the root
 conftest re-exports the fixtures.
 """
@@ -21,9 +23,9 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core import Link, Node, SocialContentGraph
+from repro.core.activity import ActivityRelation, OutView
 from repro.management import DataManager
 from repro.plan import QueryPlanner
-from repro.presentation import InformationOrganizer
 
 
 def tiny_travel_graph() -> SocialContentGraph:
@@ -143,7 +145,7 @@ def served(graph: SocialContentGraph) -> tuple[DataManager, SocialContentGraph]:
 
 def write_through(
     manager: DataManager,
-    holder: QueryPlanner | InformationOrganizer,
+    holder: QueryPlanner,
     write: Callable[[DataManager], object],
 ) -> SocialContentGraph:
     """Apply *write* through *manager* and move *holder* to the graph the
@@ -153,6 +155,32 @@ def write_through(
     graph = manager.graph()
     holder.refresh(graph, manager.changes_since(version))
     return graph
+
+
+def assert_relation_as_rebuilt(graph: SocialContentGraph) -> int:
+    """Every read filled on *graph*'s kept activity relation — out views,
+    endorsers, ``is_user``, the term postings — equals a fresh
+    relation's, iteration order included; returns how many were held
+    (0 when the graph keeps no relation)."""
+    kept = graph._activity
+    if kept is None:
+        return 0
+    fresh = ActivityRelation(graph)
+    for node, view in kept._out.items():
+        again = fresh.out(node)
+        for name in OutView.__slots__:
+            assert getattr(view, name) == getattr(again, name), (node, name)
+        assert list(view.acted) == list(again.acted), node
+    for item, endorsers in kept._endorsers.items():
+        assert list(endorsers.items()) == \
+            list(fresh.endorsers(item).items()), item
+    for node, found in kept._users.items():
+        assert found == fresh.is_user(node), node
+    held = len(kept._out) + len(kept._endorsers) + len(kept._users)
+    if kept._postings is not None:
+        assert kept._postings == fresh.term_postings()
+        held += 1
+    return held
 
 
 def split_snapshot(directory: str | Path, files: int) -> dict:

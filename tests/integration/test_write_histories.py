@@ -18,7 +18,8 @@ same site:
 * the working graph: equal records *and* equal node / link iteration
   order;
 * the planner's statistics against ``GraphStats.of``;
-* every carried ``OutView`` / endorser map against a fresh projection's;
+* every read the served graph's activity relation holds — carried by
+  ``patched`` or filled since — against a fresh relation's;
 * what ``strategy="auto"`` resolved to.
 
 Beside it: a vote makes no pass over the site (counting spies, and the
@@ -44,17 +45,15 @@ from hypothesis.stateful import (
     rule,
 )
 
+import factories
 import oracle
 from benchmarks.e2e.harness import canonical_response, first_difference
 from repro.analysis import ContentAnalyzer
 from repro.api import SearchRequest, Session, SessionConfig
 from repro.core import Link, Node, SocialContentGraph
+from repro.core.activity import ActivityRelation
 from repro.core.delta import LINK, NODE, Change, GraphDelta
-from repro.core.social import (
-    SemanticOrder,
-    act_term_postings,
-    expert_candidates,
-)
+from repro.core.social import SemanticOrder, expert_candidates
 from repro.core.text import tokenize
 from repro.core.stats import GraphStats
 from repro.errors import DanglingLinkError, FrozenGraphError
@@ -62,9 +61,7 @@ from repro.management import DataManager, RemoteSocialSite
 from repro.management import datamanager as datamanager_module
 from repro.management.storage import GraphStore
 from repro.plan import QueryPlanner
-from repro.plan import planner as planner_module
 from repro.presentation import InformationOrganizer
-from repro.presentation.projection import ActivityProjection, OutView
 from repro.workloads import WorkloadConfig, build_site
 
 SITE = WorkloadConfig(
@@ -101,21 +98,6 @@ def probe_for(user) -> list[SearchRequest]:
                       structural={"type": "item"}, k=8),
         SearchRequest(user_id=user, text="", strategy="auto", k=8),
     ]
-
-
-def assert_same_projection(projection: ActivityProjection) -> None:
-    graph = projection.graph
-    for node, view in projection._out.items():
-        fresh = OutView(graph, node)
-        for name in OutView.__slots__:
-            assert getattr(view, name) == getattr(fresh, name), (node, name)
-        assert list(view.acted) == list(fresh.acted), node
-    rebuilt = ActivityProjection(graph)
-    for item, endorsers in projection._endorsers.items():
-        assert list(endorsers.items()) == \
-            list(rebuilt.endorsers(item).items()), item
-    for node, found in projection._users.items():
-        assert found == rebuilt.is_user(node), node
 
 
 def assert_same_orders(planner: QueryPlanner) -> None:
@@ -309,10 +291,11 @@ class WriteHistories(RuleBasedStateMachine):
 
         planner = live.planner
         assert planner.stats == GraphStats.of(graph, with_terms=True)
-        assert_same_projection(live.organizer.projection)
         assert_same_orders(planner)
-        # built here if no fallback has yet: every later step carries them
-        assert planner.act_postings(graph) == act_term_postings(graph)
+        # postings built here if no fallback has yet: every later step
+        # carries them with the rest of the relation
+        graph.activity().term_postings()
+        assert factories.assert_relation_as_rebuilt(graph)
 
 
 TestWriteHistories = WriteHistories.TestCase
@@ -421,7 +404,6 @@ def assert_answers_as_a_fresh_session(session: Session, requests) -> None:
 def test_a_vote_keeps_the_orders_and_patches_the_postings(monkeypatch):
     site = build_site(SITE)
     session = Session.from_graph(site.graph)
-    planner = session.planner
     user, friend = site.user_ids[0], site.user_ids[1]
     requests = [SearchRequest(user_id=user, text=text, k=3)
                 for text in ("museum park", "food", site.categories[0])]
@@ -429,8 +411,17 @@ def test_a_vote_keeps_the_orders_and_patches_the_postings(monkeypatch):
         session.run(request)
     orders = kept_orders(session)
     assert orders
-    postings = planner.act_postings(session.graph)
-    builds = Spy(monkeypatch, planner_module, "act_term_postings")
+    held = session.graph
+    postings = held.activity().term_postings()
+    builds: list[ActivityRelation] = []
+    term_postings = ActivityRelation.term_postings
+
+    def counted(relation: ActivityRelation):
+        if relation._postings is None:
+            builds.append(relation)
+        return term_postings(relation)
+
+    monkeypatch.setattr(ActivityRelation, "term_postings", counted)
 
     session.data_manager.add_link(Link(
         "vote", friend, site.item_ids[0], type="act, visit", tags="museum",
@@ -440,17 +431,19 @@ def test_a_vote_keeps_the_orders_and_patches_the_postings(monkeypatch):
     kept = kept_orders(session)
     assert kept.keys() == orders.keys()
     assert all(kept[key] is orders[key] for key in orders)
-    patched = planner.act_postings(session.graph)
-    assert builds.calls == 0
+    assert session.graph is not held
+    # patched carried the postings onto the new graph's relation
+    patched = session.graph.activity().term_postings()
+    assert builds == []
     assert patched is not postings
-    assert patched == act_term_postings(session.graph)
+    assert patched == ActivityRelation(session.graph).term_postings()
     assert "vote" in patched["museum"] and "vote" not in postings["museum"]
     assert_answers_as_a_fresh_session(session, requests)
 
-    builds.calls = 0  # the fresh session built postings of its own
     session.data_manager.add_node(Node(
         "new-item", type="item", name="new-item", keywords="museum food",
     ))
+    builds.clear()  # the rebuilds above built postings of their own
     for request in requests:
         session.run(request)
     # a node write replaces the scorer, which keys the selections anew
@@ -458,9 +451,11 @@ def test_a_vote_keeps_the_orders_and_patches_the_postings(monkeypatch):
     assert len(rebuilt) == len(orders)
     assert not {id(order) for order in rebuilt.values()} & \
         {id(order) for order in orders.values()}
-    assert planner.act_postings(session.graph) == \
-        act_term_postings(session.graph)
-    assert builds.calls == 1
+    # and carries no relation: the postings are built once, on first read
+    relation = session.graph.activity()
+    found = relation.term_postings()
+    assert builds == [relation]
+    assert found == ActivityRelation(session.graph).term_postings()
     assert_answers_as_a_fresh_session(session, requests)
 
 
@@ -484,12 +479,11 @@ VOTE_STEPS = st.lists(
     min_size=1, max_size=4,
 ))
 def test_expert_postings_rank_as_the_link_walk_after_votes(steps, queries):
-    """After random vote / unvote / re-tag steps the planner's patched
-    postings equal a rebuild, and the experts they rank are the oracle's
+    """After random vote / unvote / re-tag steps the postings ``patched``
+    carried equal a rebuild, and the experts they rank are the oracle's
     link walk's."""
-    graph = build_site(SITE).graph
-    planner = QueryPlanner(graph)
-    planner.act_postings(graph)
+    graph = build_site(SITE).graph.freeze()
+    graph.activity().term_postings()
     users = sorted((n.id for n in graph.nodes() if n.has_type("user")),
                    key=repr)
     items = sorted((n.id for n in graph.nodes() if n.has_type("item")),
@@ -512,15 +506,14 @@ def test_expert_postings_rank_as_the_link_walk_after_votes(steps, queries):
             change = Change(LINK, old, Link(
                 old.id, old.src, old.tgt, type=old.types, **attrs,
             ))
-        delta = GraphDelta([change])
-        graph = graph.patched(delta)
-        planner.refresh(graph, delta)
-    postings = planner.act_postings(graph)
-    assert postings == act_term_postings(graph)
+        graph = graph.patched(GraphDelta([change]))
+    postings = graph.activity()._postings
+    assert postings is not None  # carried, never rebuilt
+    assert postings == ActivityRelation(graph).term_postings()
     for picks, excluded in queries:
         terms = {pick(vocabulary, at) for at in picks}
         exclude = {pick(users, excluded)}
-        assert expert_candidates(lambda: postings, terms, exclude) == \
+        assert expert_candidates(graph, terms, exclude) == \
             oracle.find_experts(graph, terms, exclude)
 
 

@@ -11,6 +11,7 @@ from repro.core.stats import GraphStats
 from repro.discovery import parse_query
 from repro.errors import QueryError
 from repro.indexing import SemanticItemIndex
+from repro.workloads import TravelSiteConfig, build_travel_site
 from repro.plan import (
     CostModel,
     IndexBinding,
@@ -183,3 +184,31 @@ class TestProfiles:
         assert "input(G)" in text
         assert "est" in text and "act" in text
         assert "access=index" in text
+
+
+class TestIndexDegrade:
+    def test_an_index_plan_run_without_its_index_says_it_scanned(self):
+        """``σN type=item kw=denver`` compiled to the index path, then run
+        with no index provider: the row scan answers, and EXPLAIN and
+        ``degraded_ops`` say so."""
+        graph = build_travel_site(TravelSiteConfig(seed=42)).graph
+        index = SemanticItemIndex(graph)
+        planner = QueryPlanner(graph)
+        planner.attach_index(
+            "item", provider=lambda: index,
+            scorer_provider=lambda: index.scorer,
+        )
+        plan, _ = planner.compile(
+            keyword_expr("denver", index.scorer), access="index"
+        )
+        assert isinstance(plan.root, IndexKeywordScanOp)
+
+        scanned = plan.execute({"G": graph})
+        assert scanned.degraded_ops == 1
+        (row,) = [p.op for p in scanned.profiles if "[index:item]" in p.op]
+        assert row.endswith("[index:item] (degraded→row scan)")
+
+        indexed = plan.execute({"G": graph}, index_provider=lambda: index)
+        assert indexed.degraded_ops == 0
+        assert scanned.result.num_nodes > 0
+        assert scanned.result.same_as(indexed.result)

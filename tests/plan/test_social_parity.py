@@ -22,6 +22,7 @@ from factories import social_site_graph
 from oracle import decode_social_result
 from repro.api import SearchRequest, Session
 from repro.core import Link, Node, SocialContentGraph, input_graph
+from repro.core.activity import ActivityRelation
 from repro.core.expr import CombineScoresE, ConnectionBasisE, SocialScoreE
 from repro.core.social import (
     COMPILED_STRATEGIES,
@@ -1198,26 +1199,35 @@ class TestExpertCandidates:
         walks: Counter = Counter()
         asked: list = []
         links = SocialContentGraph.links
+        term_postings = ActivityRelation.term_postings
         experts = repro.core.social.expert_candidates
 
         def counted_links(graph, *args):
             walks["links"] += 1
             return links(graph, *args)
 
-        def kept_experts(postings, query_terms, *args, **kwargs):
+        def counted_postings(relation):
+            walks["postings"] += 1
+            return term_postings(relation)
+
+        def kept_experts(graph, query_terms, *args, **kwargs):
             asked.append(set(query_terms))
-            return experts(postings, query_terms, *args, **kwargs)
+            return experts(graph, query_terms, *args, **kwargs)
 
         monkeypatch.setattr(SocialContentGraph, "links", counted_links)
+        monkeypatch.setattr(ActivityRelation, "term_postings",
+                            counted_postings)
         monkeypatch.setattr(repro.core.social, "expert_candidates",
                             kept_experts)
         response = session.run(request)
         assert asked == [set()]
-        assert walks["links"] == 0
+        assert walks == Counter()
         assert response.items == ()
-        unread = lambda: pytest.fail("postings read without query terms")  # noqa: E731
-        assert experts(unread, set()) == []
-        postings = repro.core.social.act_term_postings(g)
-        assert walks["links"] == 1  # the one build
-        assert experts(lambda: postings, {"topic0"}, exclude={"u0"}) == ["u2"]
-        assert walks["links"] == 1
+
+        class Unread:
+            def activity(self):
+                pytest.fail("postings read without query terms")
+
+        assert experts(Unread(), set()) == []
+        assert experts(g, {"topic0"}, exclude={"u0"}) == ["u2"]
+        assert walks == Counter(postings=1)  # the one build

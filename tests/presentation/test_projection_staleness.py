@@ -1,7 +1,8 @@
-"""The organizer's activity projection never serves a stale site.
+"""The base graph's activity relation never serves a stale site.
 
-The projection memoises per-node reads of the base graph across requests,
-so every way the site can change must be seen by the next page: a write
+The relation (``graph.activity()``) memoises per-node reads of the base
+graph across requests, and ``patched`` carries it to the next graph, so
+every way the site can change must be seen by the next page: a write
 through the Data Manager, an analysis, a reassigned ``base_graph`` — and
 request threads sharing one organizer while a writer is at work must each
 get a page of *one* state of the site.  An in-place write to the graph the
@@ -86,26 +87,29 @@ class TestBehindTheSessionsBack:
     def test_in_place_writes_move_the_epoch_and_the_page(self, graph, msg):
         manager, served = factories.served(graph)
         organizer = InformationOrganizer(served)
-        first = organizer.projection
+        first = organizer.base_graph.activity()
         assert entry_of(organizer.organize(msg), "d4") \
             .explanation.aggregate_text.startswith("50%")
-        assert organizer.projection is first  # kept across requests
+        assert organizer.base_graph.activity() is first  # kept across pages
 
         vote = Link("v-new", ANN, "d4", type="act, visit")
         with pytest.raises(FrozenGraphError):
             organizer.base_graph.add_link(vote)
 
-        factories.write_through(manager, organizer,
-                                lambda dm: dm.add_link(vote))
-        assert organizer.projection is not first
+        manager.add_link(vote)
+        organizer.base_graph = manager.graph()
+        # the vote's graph came with a relation carried from the first
+        assert organizer.base_graph._activity is not None
+        assert organizer.base_graph.activity() is not first
         explanation = entry_of(organizer.organize(msg), "d4").explanation
         assert explanation.aggregate_text.startswith("100%")
         assert set(explanation.supporters) == {ANN, BOB}
+        assert factories.assert_relation_as_rebuilt(organizer.base_graph)
 
         with pytest.raises(FrozenGraphError):
             organizer.base_graph.remove_link("v-new")
-        factories.write_through(manager, organizer,
-                                lambda dm: dm.delete_link("v-new"))
+        manager.delete_link("v-new")
+        organizer.base_graph = manager.graph()
         explanation = entry_of(organizer.organize(msg), "d4").explanation
         assert explanation.aggregate_text.startswith("50%")
         assert set(explanation.supporters) == {BOB}
@@ -115,18 +119,21 @@ class TestBehindTheSessionsBack:
     ):
         organizer = InformationOrganizer(graph)
         organizer.organize(msg)
+        old = graph.activity()
         # a different site of the same shape: only the object tells them
         # apart
         other = graph.copy()
         other.add_link(Link("v-new", ANN, "d4", type="act, visit"))
 
         organizer.base_graph = other
-        assert organizer._projection is None  # dropped now, not lazily
+        assert organizer.base_graph is other  # replaced now, not lazily
+        assert other._activity is None  # a copy carries no relation
         with pytest.raises(FrozenGraphError):  # adopted, so frozen
             other.remove_link("v-new")
         assert entry_of(organizer.organize(msg), "d4") \
             .explanation.aggregate_text.startswith("100%")
-        assert organizer.projection.graph is other
+        assert other.activity() is not old
+        assert graph.activity() is old
 
     def test_grouping_dimensions_are_built_once_per_config(self, graph, msg):
         organizer = InformationOrganizer(graph)
@@ -208,9 +215,9 @@ def test_request_storm_with_a_writer_serves_only_whole_states():
     """Four ``Session.run`` threads share the organizer (as the gateway's
     workers do) while a writer adds endorsements: every response equals
     the reference page of *some* prefix of the writes, and no thread goes
-    back in time.  The projection's unlocked lazy fills are what is on
-    trial: a fill from the wrong graph, or a page mixing two projections,
-    matches no prefix."""
+    back in time.  The relation's unlocked lazy fills and its carry in
+    ``patched`` are what is on trial: a fill from the wrong graph, or a
+    page mixing two relations, matches no prefix."""
     expected = reference_digests()
     tracker = RaceTracker()
     with tracker.trace(organizer_module):
@@ -289,8 +296,8 @@ def test_request_storm_with_a_writer_serves_only_whole_states():
     for history in seen:
         assert history == sorted(history)  # never back in time
         assert history[-1] == len(storm_writes())  # the last saw it all
-    # the swap of graph and projection is consistently lock-guarded, and
-    # the storm really did contend on it
+    # the swap of the base graph is consistently lock-guarded, and the
+    # storm really did contend on it
     tracker.assert_race_free()
     states = tracker.field_states()
-    assert states["InformationOrganizer._projection"] == "shared-modified"
+    assert states["InformationOrganizer._base_graph"] == "shared-modified"

@@ -22,8 +22,8 @@ construction is made visible, which keeps the audit trail honest.
   ``nodes_of_type(`` or ``links_of_type(``: a pass over the *whole site*
   on a path that runs per request.  Everything between the ranked window
   and the rendered page must cost the window's neighbourhood — read a
-  node's own ``in_links`` / ``out_links`` (or the organizer's activity
-  projection) instead.  The rule is syntactic on purpose: it does not
+  node's own ``in_links`` / ``out_links`` (or the graph's activity
+  relation, ``graph.activity()``) instead.  The rule is syntactic on purpose: it does not
   try to prove the receiver is a graph, and the modules in scope have no
   other use for these names.
 """
@@ -133,7 +133,7 @@ def _check_site_scans(modules: list[Module], config: Config) -> list[Finding]:
                         f"{ast.unparse(func)}() walks the whole site on a "
                         f"per-request path — {module.name!r} must read a "
                         f"node's own in_links/out_links (or the activity "
-                        f"projection), never every link or node"
+                        f"relation), never every link or node"
                     ),
                     detail=name,
                 ))
