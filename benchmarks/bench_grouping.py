@@ -41,7 +41,7 @@ def test_grouping_choice_table(travel_site, msgs, report, benchmark):
         "topical": topical_grouping(msg),
         "structural:city": structural_grouping(msg, "city"),
         "structural:category": structural_grouping(msg, "category"),
-        "endorser-group": endorser_group_grouping(msg, travel_site.graph),
+        "endorser-group": endorser_group_grouping(msg),
     }
     lines = [
         "",
@@ -71,11 +71,11 @@ def test_grouping_latency(travel_site, msgs, benchmark, dimension):
     elif dimension == "structural":
         benchmark(structural_grouping, msg, "category")
     else:
-        benchmark(endorser_group_grouping, msg, travel_site.graph)
+        benchmark(endorser_group_grouping, msg)
 
 
 def test_full_page_assembly(travel_site, msgs, benchmark):
-    organizer = InformationOrganizer(travel_site.graph)
+    organizer = InformationOrganizer()
     benchmark(organizer.organize, msgs["john"])
 
 

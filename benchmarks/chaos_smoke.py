@@ -237,9 +237,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     def cold_scan_phase(index: int) -> None:
         # and they run cache-cold: the references warmed every memo
-        # entry, and a memo hit runs no scan
+        # entry, and a memo hit runs no scan; a stale generation's
+        # successor starts with an empty memo
         if in_scan_phase(index):
-            session.planner.refresh(session.planner.graph)
+            session.invalidate()
 
     failures: list[str] = []
 

@@ -5,19 +5,17 @@ bottom, Content Analyzer + Information Discoverer in the middle,
 Information Organizer on top — and serves :class:`SearchRequest` after
 :class:`SearchRequest` without tearing anything down between queries:
 
-* **incremental refresh** — graph changes (analyses, remote attachment,
-  direct Data Manager writes) set a dirty flag; the next query retargets
-  the existing components and invalidates only the per-graph caches
-  (tf-idf corpus, search indexes) instead of reconstructing the layers.
-  A Data Manager write is less than that: the manager cuts the next
-  graph from the one it served by copy-and-patch, and when its change
-  feed describes the whole step the session hands it down, so that each
-  derived structure keeps what those records cannot have changed — for
-  a vote (links only): the tf-idf corpus, the semantic index, the node
-  side of the scan columns, compiled plans (see
-  :meth:`repro.plan.QueryPlanner.refresh`).  ``stats.delta_refreshes``
-  counts the refreshes that went that way; the full resync is the one
-  fallback;
+* **one served generation** — what a request reads of the site is one
+  frozen :class:`~repro.discovery.Generation`, pinned at entry.  When
+  the Data Manager moved past it (or an analysis marked it stale) the
+  request first publishes the next one under the session lock; a
+  request that waited there takes that one.  A write is followed by its
+  record changes when they describe the whole step, so each derived
+  structure keeps what they cannot have changed — for a vote: the
+  tf-idf corpus, the semantic index, the node side of the scan columns,
+  compiled plans (see :meth:`repro.plan.QueryPlanner.refresh`).
+  ``stats.delta_refreshes`` counts the refreshes that went that way;
+  the full resync is the one fallback;
 * **compiled serving** — every request's *whole* pipeline (semantic
   σN⟨C,S⟩ scoping, connection selection, social strategy scoring,
   α-combination) is built as one algebra plan and executed through the
@@ -26,7 +24,7 @@ Information Organizer on top — and serves :class:`SearchRequest` after
   :class:`~repro.indexing.semantic.SemanticItemIndex` for keyword
   scoping (identical results by eligibility) — and a cost-based
   strategy pick under ``strategy="auto"`` — compiled once per plan
-  shape into a generation-stamped plan cache, and profiled per operator
+  shape into a stamped plan cache, and profiled per operator
   for first-class EXPLAIN (``SearchRequest.explain=True`` →
   ``SearchResponse.plan``);
 * **deterministic pagination** — the full combined ranking is a total
@@ -41,8 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
@@ -58,6 +55,7 @@ from repro.api.request import (
 from repro.core import Id, SocialContentGraph
 from repro.discovery import (
     DiscoveryConfig,
+    Generation,
     InformationDiscoverer,
     MeaningfulSocialGraph,
     ScoredItem,
@@ -68,10 +66,9 @@ from repro.discovery.discoverer import RankedDiscovery
 from repro.discovery.query import Query
 from repro.errors import DeadlineError, QueryError
 from repro.indexing import SemanticItemIndex
-from repro.management import DataManager, RemoteSocialSite
+from repro.management import DataManager
 from repro.plan import (
     INDEX,
-    PlanExecution,
     QueryPlanner,
     SCAN,
     explain_execution,
@@ -159,7 +156,6 @@ class _Evaluation(NamedTuple):
     offset: int
     size: int
     total: int
-    execution: PlanExecution
 
 
 class Session:
@@ -172,12 +168,11 @@ class Session:
     ):
         self.config = config or SessionConfig()
         self.data_manager = data_manager
-        self.analyzer = ContentAnalyzer(data_manager.graph())
+        graph, version, _ = data_manager.graph_since(version=-1)
+        self.analyzer = ContentAnalyzer(graph)
         self.stats = SessionStats()
+        #: publishes generations; also guards the stats and the recipes
         self._lock = threading.Lock()
-        #: refresh generation — bumped whenever cached per-graph state is
-        #: invalidated; embedded in cursors to detect cross-refresh paging
-        self.epoch = 0
         #: site incarnation — 0 for a freshly built session, bumped by
         #: every :meth:`restore`; embedded in cursors so pre-crash tokens
         #: cannot alias a restarted epoch counter
@@ -187,27 +182,15 @@ class Session:
         #: through the new session's planner so the first real request
         #: after a restart hits an already-compiled plan
         self._warm_recipes: list[dict[str, object]] = []
-        self._dm_version = data_manager.version
-        self._dirty = False
-        self._semantic_index: SemanticItemIndex | None = None
+        # the semantic index builds lazily, when a plan takes it
         self.discoverer = InformationDiscoverer(
-            self.analyzer.graph, config=self.config.discovery
+            graph, config=self.config.discovery,
+            index_factory=SemanticItemIndex,
         )
-        # Declare the session's semantic index to the compiler: provider
-        # and scorer stay lazy (nothing builds until a plan takes the
-        # index path), but the cost model now has the choice.  Neither
-        # closure holds the session strongly: session → planner → closure
-        # → session would make every dropped session (a replaced or
-        # restored one, with its graphs and indexes) wait for the cycle
-        # collector instead of being freed when its last reference goes.
-        this = weakref.ref(self)
-        self.discoverer.planner.attach_index(
-            self.discoverer.semantic.item_type,
-            provider=lambda: this().semantic_index,
-            scorer_provider=lambda: this().discoverer.semantic.scorer,
-        )
-        self.organizer = InformationOrganizer(
-            self.analyzer.graph, config=self.config.organizer
+        self.organizer = InformationOrganizer(config=self.config.organizer)
+        #: the published generation: read unlocked, replaced under the lock
+        self._gen = self.discoverer.generation = replace(
+            self.discoverer.generation, version=version
         )
         for name in self.config.auto_analyses:
             self.analyze(name)
@@ -240,7 +223,7 @@ class Session:
         recipes.  Nothing the planner prices plans from is persisted: the
         statistics are re-collected from the recovered graph.
         """
-        self._ensure_fresh()
+        gen = self._fresh()
         with self._lock:
             recipes = [dict(r) for r in self._warm_recipes]
         analyses = list(dict.fromkeys(
@@ -248,7 +231,7 @@ class Session:
         ))
         extra: dict[str, Any] = {
             "session": {
-                "epoch": self.epoch,
+                "epoch": gen.epoch,
                 "boot": self.boot,
                 "analyses": analyses,
                 "warm_recipes": recipes,
@@ -280,8 +263,9 @@ class Session:
         state = report.extra.get("session", {})
         for name in state.get("analyses", ()):
             session.analyze(name)
-        session._ensure_fresh()
-        session.epoch = max(session.epoch, int(state.get("epoch", 0)))
+        gen, epoch = session._fresh(), int(state.get("epoch", 0))
+        with session._lock:  # the epoch never goes back
+            session._gen = replace(gen, epoch=max(gen.epoch, epoch))
         session.boot = int(state.get("boot", 0)) + 1
         if warm:
             session._replay_recipes(state.get("warm_recipes", ()))
@@ -344,80 +328,75 @@ class Session:
     # ---------------------------------------------------------------- content
     @property
     def graph(self) -> SocialContentGraph:
-        """The current (possibly analysis-enriched) social content graph."""
-        return self.analyzer.graph
+        """The current (possibly analysis-enriched) social content graph:
+        the served graph of the generation a request would pin now."""
+        return self._fresh().graph
+
+    @property
+    def epoch(self) -> int:
+        """The published generation's cursor epoch: it moves with every
+        generation, and cursors minted at another one are refused."""
+        return self._gen.epoch
 
     def analyze(self, name: str) -> None:
-        """Run one Content Analyzer analysis and mark discovery stale."""
-        self.analyzer.run(name)
-        self.invalidate()
-
-    def attach_remote(self, site: RemoteSocialSite,
-                      with_activities: bool = False) -> None:
-        """Pull a remote site's social data in (Open Cartel integration).
-
-        Previously-run analyses are re-derived over the expanded graph —
-        same policy as the direct-write resync in :meth:`_ensure_fresh`.
-        """
-        self.data_manager.attach_remote(site, with_activities=with_activities)
-        self._resync_from_store()
-        self.invalidate()
-
-    def _resync_from_store(self) -> None:
-        """Reset the working graph from the store, re-deriving analyses.
-
-        Derivations are re-derivable and marked ``derived_by``; dropping
-        them silently would degrade every strategy/grouping relying on
-        derived nodes/links (similarity links, topics).
-        """
-        rerun = list(dict.fromkeys(
-            entry.name for entry in self.analyzer.run_log
-        ))
-        self.analyzer.graph = self.data_manager.graph()
-        for name in rerun:
+        """Run one Content Analyzer analysis and mark the generation stale."""
+        with self._lock:
             self.analyzer.run(name)
-        self._dm_version = self.data_manager.version
+            self._gen = replace(self._gen, stale=True)
 
     def invalidate(self) -> None:
-        """Flag the upper layers stale; the next query refreshes them.
+        """Mark the generation stale; the next request publishes a new one.
 
-        Dirty-flag invalidation is the whole point of the session: nothing
-        is rebuilt here, and back-to-back invalidations cost nothing.
+        Nothing is rebuilt here, and back-to-back invalidations cost
+        nothing.
         """
-        self._dirty = True
+        with self._lock:
+            self._gen = replace(self._gen, stale=True)
 
-    def _ensure_fresh(self) -> None:
-        """Incremental refresh: retarget components, drop per-graph caches.
+    def _fresh(self) -> Generation:
+        """The generation a request pins: the published one, unless the
+        site has moved past it.  The warm path takes no lock."""
+        gen = self._gen
+        if gen.version != self.data_manager.version or gen.stale:
+            gen = self._refresh()
+        return gen
 
-        Direct Data Manager writes are followed by their record changes
-        when those describe the whole step: nothing else is pending, no
+    def _refresh(self) -> Generation:
+        """Publish the generation of the site as it is now; return it.
+
+        Single-flight: a thread that waited on the lock while another
+        published takes that generation.  A Data Manager step is followed
+        by its record changes when they describe the whole step: no
         analysis has derived links into the working graph (they are
-        functions of the data and re-derive in full), and the working
-        graph is the one the manager served.
+        functions of the data and re-derive in full) and the generation
+        is not stale.  The changes come with the served graph in one
+        read, so another reader of the manager does not force a resync.
         """
         manager = self.data_manager
-        delta = None
-        if manager.version != self._dm_version:
-            # Direct Data Manager writes happened behind the analyzer's
-            # back: resync the working graph, re-deriving analyses.
-            if not self._dirty and not self.analyzer.run_log \
-                    and manager.serves(self.graph, self._dm_version):
-                delta = manager.changes_since(self._dm_version)
-            self._resync_from_store()
-            self._dirty = True
-        if not self._dirty:
-            return
-        graph = self.analyzer.graph
-        self.discoverer.refresh(graph, delta)
-        self.organizer.refresh(graph)
-        if delta is None or not delta.links_only:
-            # a function of the item records, like the tf-idf corpus
-            self._semantic_index = None
-        self.epoch += 1
         with self._lock:
+            gen = self._gen
+            if gen.version == manager.version and not gen.stale:
+                return gen
+            graph, version, delta = manager.graph_since(gen.version)
+            if gen.stale or self.analyzer.run_log:
+                delta = None
+            if version != gen.version:
+                # the working graph follows the manager; analyses
+                # re-derive over it
+                rerun = dict.fromkeys(e.name for e in self.analyzer.run_log)
+                self.analyzer.graph = graph
+                for name in rerun:
+                    self.analyzer.run(name)
+            graph = self.analyzer.graph
+            links_only = delta is not None and delta.links_only
+            semantic = gen.semantic.successor(graph, keep_corpus=links_only)
+            plan = self.planner.refresh(graph, delta, semantic.binding())
+            self._gen = self.discoverer.generation = Generation(
+                plan, semantic, version=version, epoch=gen.epoch + 1
+            )
             self.stats.refreshes += 1
             self.stats.delta_refreshes += delta is not None
-        self._dirty = False
+            return self._gen
 
     # ---------------------------------------------------------------- planning
     @property
@@ -437,17 +416,9 @@ class Session:
     # ---------------------------------------------------------------- indexes
     @property
     def semantic_index(self) -> SemanticItemIndex:
-        """The session's semantic inverted index (built lazily, cached)."""
-        if self._semantic_index is None:
-            semantic = self.discoverer.semantic
-            self._semantic_index = SemanticItemIndex(
-                self.graph,
-                item_type=semantic.item_type,
-                scorer=semantic.scorer,  # share idf with the scan path
-            )
-            with self._lock:
-                self.stats.index_builds += 1
-        return self._semantic_index
+        """The current generation's semantic inverted index (built lazily,
+        carried across votes)."""
+        return self._fresh().semantic.index()
 
     # ---------------------------------------------------------------- serving
     def query(self, user_id: Id) -> QueryBuilder:
@@ -468,16 +439,16 @@ class Session:
         session serves several concurrent requests.
         """
         started = time.monotonic() if deadline is not None else 0.0
-        self._ensure_fresh()
-        ev = self._evaluate(request, deadline=deadline)
+        gen = self._fresh()
+        ev = self._evaluate(request, gen, deadline=deadline)
         query, window, offset, size, total = (
             ev.query, ev.window, ev.offset, ev.size, ev.total,
         )
         ranking = ev.ranking
-        index_used = ev.execution.used_index
+        index_used = ev.ranking.execution.used_index
         _check_deadline(deadline, started, "assemble_msg")
         msg = assemble_msg(
-            self.graph, query, window, ranking.social,
+            gen.graph, query, window, ranking.social,
             ranking.used_expert_fallback,
         )
         _check_deadline(deadline, started, "organize")
@@ -492,7 +463,7 @@ class Session:
         )
         end = offset + len(window)
         next_cursor = (
-            encode_cursor(end, size, self.epoch, boot=self.boot)
+            encode_cursor(end, size, gen.epoch, boot=self.boot)
             if end < total else None
         )
         info = PageInfo(
@@ -510,11 +481,13 @@ class Session:
                 self.stats.index_queries += 1
             else:
                 self.stats.scan_queries += 1
-            if ev.execution.cache_hit:
+            if ev.ranking.execution.cache_hit:
                 self.stats.plan_cache_hits += 1
             else:
                 self.stats.plan_compiles += 1
-            self.stats.tfidf_builds = self.discoverer.semantic.builds
+            # the builds of the generation chain (carried over votes)
+            self.stats.tfidf_builds = gen.semantic.builds
+            self.stats.index_builds = gen.semantic.index_builds
         return SearchResponse(
             request=request,
             page=page,
@@ -528,9 +501,10 @@ class Session:
                           else self.config.discovery.alpha),
                 "offset": offset,
                 "size": size,
-                "epoch": self.epoch,
+                "epoch": gen.epoch,
             },
-            plan=explain_execution(ev.execution) if request.explain else None,
+            plan=(explain_execution(ev.ranking.execution)
+                  if request.explain else None),
         )
 
     # ---------------------------------------------------------------- internals
@@ -551,12 +525,15 @@ class Session:
             return "auto"
         return INDEX if request.use_index else SCAN
 
-    def _window(self, request: SearchRequest) -> tuple[int, int]:
+    def _window(
+        self, request: SearchRequest, gen: Generation
+    ) -> tuple[int, int]:
         """Resolve (offset, size) from page/page_size/k or a cursor.
 
-        A cursor minted before the last refresh is rejected: the ranking
-        it pointed into no longer exists, and serving it would break the
-        no-duplicates/no-drops pagination guarantee.
+        A cursor minted at another generation than *gen* is rejected: the
+        ranking it pointed into is not the one this request reads, and
+        serving it would break the no-duplicates/no-drops pagination
+        guarantee.
         """
         size = (
             request.page_size
@@ -568,18 +545,22 @@ class Session:
             offset, cursor_size, epoch = decode_cursor(
                 request.cursor, expected_boot=self.boot
             )
-            if epoch != self.epoch:
+            if epoch != gen.epoch:
                 raise QueryError(
                     f"stale cursor: issued at refresh epoch {epoch}, "
-                    f"session is now at {self.epoch}; restart pagination"
+                    f"session is now at {gen.epoch}; restart pagination"
                 )
             return offset, cursor_size
         return (request.page - 1) * size, size
 
     def _evaluate(
-        self, request: SearchRequest, deadline: float | None = None
+        self,
+        request: SearchRequest,
+        gen: Generation | None = None,
+        deadline: float | None = None,
     ) -> "_Evaluation":
-        """The shared evaluation pipeline: parse → compile → rank → cut.
+        """The shared evaluation pipeline: parse → compile → rank → cut,
+        over *gen* (default: the generation a request would pin now).
 
         Both :meth:`run` and :meth:`discover` go through here, so plan
         compilation, budgeting and windowing cannot drift between them.
@@ -588,8 +569,9 @@ class Session:
         access-path and strategy routing live in the compiler's cost
         model, not here.
         """
+        gen = self._fresh() if gen is None else gen
         query = self._parse(request)
-        offset, size = self._window(request)
+        offset, size = self._window(request, gen)
         # Window pushdown: the ranking stage orders only the rows up to
         # the window's end.  ``k`` caps the ranking even when page_size
         # drives the window, so ``.limit(4).page_size(2)`` means two
@@ -604,6 +586,7 @@ class Session:
             access=self._access_mode(request),
             limit=limit,
             deadline=deadline,
+            generation=gen,
         )
         total = ranking.matched
         if request.k is not None:
@@ -615,16 +598,15 @@ class Session:
             offset=offset,
             size=size,
             total=total,
-            execution=ranking.execution,
         )
 
     # ---------------------------------------------------- discovery passthrough
     def discover(self, request: SearchRequest) -> MeaningfulSocialGraph:
         """Evaluate a request only as far as the MSG (no presentation)."""
-        self._ensure_fresh()
-        ev = self._evaluate(request)
+        gen = self._fresh()
+        ev = self._evaluate(request, gen)
         return assemble_msg(
-            self.graph, ev.query, ev.window, ev.ranking.social,
+            gen.graph, ev.query, ev.window, ev.ranking.social,
             ev.ranking.used_expert_fallback,
         )
 

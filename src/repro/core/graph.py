@@ -24,8 +24,8 @@ Design notes
   :mod:`repro.management.storage`; this class is the in-memory logical view
   the algebra operates on.
 * A graph is mutable while it is built and frozen once it is served (by
-  the Data Manager, an analysis publishing its union, a planner or
-  organizer adopting it): every mutator then raises
+  the Data Manager, an analysis publishing its union, a planner adopting
+  it, an MSG cut from it): every mutator then raises
   :class:`~repro.errors.FrozenGraphError`, so what was derived from it
   stays true as long as it lives, and :meth:`patched` shares adjacency.
 """

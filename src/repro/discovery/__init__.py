@@ -15,6 +15,7 @@ from repro.discovery.classify import (
 )
 from repro.discovery.discoverer import (
     DiscoveryConfig,
+    Generation,
     InformationDiscoverer,
     RankedDiscovery,
 )
@@ -38,4 +39,5 @@ __all__ = [
     "SocialScores", "DEFAULT_STRATEGIES",
     "MeaningfulSocialGraph", "ScoredItem", "assemble_msg",
     "InformationDiscoverer", "DiscoveryConfig", "RankedDiscovery",
+    "Generation",
 ]

@@ -18,7 +18,7 @@ Pipeline per query:
    one grouped aggregation; the strategy itself chosen cost-wise under
    ``"auto"``), and the ``α·semantic + (1-α)·social`` combination over
    max-normalised components (empty queries use social only, §4) —
-   compiled once per shape into the generation-stamped plan cache;
+   compiled once per shape into the stamped plan cache;
 3. assemble the MSG.
 
 There is one ranking path: every strategy name resolves to a parameter
@@ -31,10 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Real
+from typing import Any, Callable
 
 from repro.core import Id, SocialContentGraph
-from repro.core.delta import GraphDelta
-from repro.discovery.classify import QueryClassifier
 from repro.discovery.msg import MeaningfulSocialGraph, ScoredItem, assemble_msg
 from repro.discovery.query import Query, parse_query
 from repro.discovery.relevance import SemanticRelevance
@@ -46,7 +45,7 @@ from repro.discovery.strategies import (
     plan_strategy_name,
 )
 from repro.errors import DiscoveryError, QueryError
-from repro.plan import PlanExecution, QueryPlanner
+from repro.plan import PlanExecution, PlanState, QueryPlanner
 
 #: Strategy name the compiler resolves from statistics; accepted beside
 #: the registry's names.
@@ -86,6 +85,30 @@ class DiscoveryConfig:
             raise QueryError(f"drop_zero must be a bool, got {self.drop_zero!r}")
 
 
+@dataclass(frozen=True)
+class Generation:
+    """One served state of the site: the graph and all that is derived
+    from it, published whole by a :class:`~repro.api.Session` and read by
+    a request from start to end."""
+
+    #: graph, statistics, columnar view, sub-plan memo, plan stamp, index
+    plan: PlanState
+    #: the tf-idf scorer and the semantic index of the graph's items
+    semantic: SemanticRelevance
+    #: the Data Manager version the graph reflects
+    version: int = 0
+    #: the cursor epoch: moves with every generation a session publishes
+    epoch: int = 0
+    #: an analysis or ``invalidate()`` made the next generation due
+    #: although the Data Manager did not move
+    stale: bool = False
+
+    @property
+    def graph(self) -> SocialContentGraph:
+        """The served (analysis-enriched) graph."""
+        return self.plan.graph
+
+
 @dataclass
 class RankedDiscovery:
     """One query's combined ranking, cut to the limit it was asked for.
@@ -120,8 +143,8 @@ class InformationDiscoverer:
         config: DiscoveryConfig | None = None,
         strategies: dict[str, StrategyRecord] | None = None,
         item_type: str = "item",
+        index_factory: Callable[..., Any] | None = None,
     ):
-        self.graph = graph
         self.config = config or DiscoveryConfig()
         self.strategies = dict(strategies or DEFAULT_STRATEGIES)
         # fail at construction, not at the first query: every registered
@@ -129,29 +152,18 @@ class InformationDiscoverer:
         for record in self.strategies.values():
             plan_strategy_name(record)
         self._plan_strategy(self.config.strategy)
-        self.classifier = QueryClassifier()
-        self.semantic = SemanticRelevance(graph, item_type=item_type)
-        #: compiles every query's plan; sessions attach their semantic
-        #: index here so the cost model can choose it
-        self.planner = QueryPlanner(graph)
+        # *index_factory* builds the semantic index a plan may take
+        semantic = SemanticRelevance(graph, item_type, index_factory)
+        #: compiles every query's plan
+        self.planner = QueryPlanner(graph, index=semantic.binding())
+        #: what a call that pins no generation reads; a session points it
+        #: at every generation it publishes
+        self.generation = Generation(self.planner.state, semantic)
 
-    def refresh(
-        self, graph: SocialContentGraph, delta: GraphDelta | None = None
-    ) -> None:
-        """Point the pipeline at a (possibly new) graph in place.
-
-        The incremental alternative to reconstructing the discoverer:
-        the semantic layer's cached corpus state is invalidated rather
-        than eagerly rebuilt, and the planner bumps its generation (stale
-        compiled plans die on lookup).  *delta* — the record changes that
-        separate the current graph from *graph* — lets both keep what the
-        step cannot have changed: see :meth:`QueryPlanner.refresh`.
-        """
-        self.graph = graph
-        self.semantic.invalidate(
-            graph, keep_corpus=delta is not None and delta.links_only
-        )
-        self.planner.refresh(graph, delta)
+    @property
+    def semantic(self) -> SemanticRelevance:
+        """The semantic relevance of :attr:`generation`."""
+        return self.generation.semantic
 
     def strategy(self, name: str | None = None) -> StrategyRecord:
         """Resolve a strategy record by name (configured default when None)."""
@@ -185,9 +197,11 @@ class InformationDiscoverer:
     ) -> MeaningfulSocialGraph:
         """Evaluate an already-parsed query into an MSG of the best *k*."""
         limit = k if k is not None else self.config.max_results
-        ranking = self.rank(query, strategy=strategy, limit=limit)
+        generation = self.generation
+        ranking = self.rank(query, strategy=strategy, limit=limit,
+                            generation=generation)
         return assemble_msg(
-            self.graph, query, ranking.items[:limit], ranking.social,
+            generation.graph, query, ranking.items[:limit], ranking.social,
             ranking.used_expert_fallback,
         )
 
@@ -215,6 +229,7 @@ class InformationDiscoverer:
         access: str = "auto",
         limit: int | None = None,
         deadline: float | None = None,
+        generation: Generation | None = None,
     ) -> RankedDiscovery:
         """Compute the combined ranking for an already-parsed query.
 
@@ -233,15 +248,20 @@ class InformationDiscoverer:
         score and provenance maps still cover them all.  ``None`` keeps
         the full ranking.  A session passes the end of the requested
         window (``offset + size``, capped by ``k``).
+
+        *generation* is the state to rank against (default:
+        :attr:`generation`).
         """
         plan_strategy, cf = self._plan_strategy(strategy or self.config.strategy)
         weight = 0.0 if query.is_empty else (
             self.config.alpha if alpha is None else alpha
         )
+        generation = self.generation if generation is None else generation
+        semantic = generation.semantic
         execution = self.planner.discovery_pipeline(
             query,
-            item_type=self.semantic.item_type,
-            scorer=self.semantic.scorer if query.keywords else None,
+            item_type=semantic.item_type,
+            scorer=semantic.scorer if query.keywords else None,
             strategy=plan_strategy,
             sim_threshold=cf.sim_threshold,
             act_type=cf.act_type,
@@ -250,6 +270,7 @@ class InformationDiscoverer:
             access=access,
             limit=limit,
             deadline=deadline,
+            state=generation.plan,
         )
         # the social root hands the ranking over as plain values
         decoded = execution.payload

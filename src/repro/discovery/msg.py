@@ -32,13 +32,16 @@ class ScoredItem:
 
 @dataclass
 class MeaningfulSocialGraph:
-    """The discovery result: subgraph + scores + provenance."""
+    """The discovery result: subgraph + scores + provenance, and the
+    (frozen) graph it was cut from, which a result page reads."""
 
     graph: SocialContentGraph
     query: Query
     items: list[ScoredItem] = field(default_factory=list)
     social: SocialScores | None = None
     used_expert_fallback: bool = False
+    base: SocialContentGraph = field(kw_only=True, repr=False,
+                                     compare=False)
 
     @property
     def item_ids(self) -> list[Id]:
@@ -85,8 +88,10 @@ def assemble_msg(
     activity links onto result items, and items' ``belong`` links (topics,
     cities) so structural grouping has material to work with.  Every link
     is found from the adjacency of a node already in the MSG — the cut
-    costs the window's neighbourhood, not the site.
+    costs the window's neighbourhood, not the site.  *base* is frozen and
+    kept as the MSG's :attr:`~MeaningfulSocialGraph.base`.
     """
+    base.freeze()
     msg = SocialContentGraph(catalog=base.catalog)
     if base.has_node(query.user_id):
         msg.add_node(base.node(query.user_id))
@@ -123,4 +128,5 @@ def assemble_msg(
         items=scored_items,
         social=social,
         used_expert_fallback=used_expert_fallback,
+        base=base,
     )

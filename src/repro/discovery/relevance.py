@@ -14,55 +14,78 @@ scores barely differentiate — which is what the social side then breaks).
 
 from __future__ import annotations
 
+import threading
+from typing import Any, Callable
+
 from repro.core import SocialContentGraph, TfIdfScorer
-from repro.core.scoring import ScoringFunction
+from repro.plan import IndexBinding
 
 
 class SemanticRelevance:
-    """Owns the semantic scoring function of the item population."""
+    """The semantic scoring function of one graph's item population, and
+    its inverted index (built by *index_factory* from the graph,
+    ``item_type`` and the scorer, whose idf it shares; none without one).
+    Both are built on first use, once per value."""
 
     def __init__(
         self,
         graph: SocialContentGraph,
-        scorer: ScoringFunction | None = None,
         item_type: str = "item",
+        index_factory: Callable[..., Any] | None = None,
     ):
         self.graph = graph
         self.item_type = item_type
-        self._custom_scorer = scorer
-        self._scorer: ScoringFunction | None = scorer
-        #: corpus passes performed so far — the session engine asserts warm
-        #: queries keep this at one.
+        self._index_factory = index_factory
+        self._scorer: TfIdfScorer | None = None
+        self._index: Any = None
+        #: corpus passes and index builds so far, predecessors' included —
+        #: the session engine asserts warm queries keep these at one
         self.builds = 0
+        self.index_builds = 0
+        self._lock = threading.RLock()
 
     @property
-    def scorer(self) -> ScoringFunction:
-        """The scoring function S — corpus-aware tf-idf built lazily.
-
-        Built on first use and cached until :meth:`invalidate`, so a warm
-        session pays the corpus pass once across queries.
-        """
+    def scorer(self) -> TfIdfScorer:
+        """The scoring function S — corpus-aware tf-idf, built once."""
         if self._scorer is None:
-            self._scorer = TfIdfScorer(
-                list(self.graph.nodes_of_type(self.item_type))
-            )
-            self.builds += 1
+            with self._lock:
+                if self._scorer is None:
+                    self._scorer = TfIdfScorer(
+                        list(self.graph.nodes_of_type(self.item_type))
+                    )
+                    self.builds += 1
         return self._scorer
 
-    def invalidate(
-        self, graph: SocialContentGraph | None = None,
-        keep_corpus: bool = False,
-    ) -> None:
-        """Point at a (possibly new) graph and drop the cached corpus state.
+    def index(self) -> Any:
+        """The semantic inverted index over the item population, built
+        once (``None`` without a factory)."""
+        if self._index is None and self._index_factory is not None:
+            with self._lock:  # reentrant: the scorer may build under it
+                if self._index is None:
+                    self._index = self._index_factory(
+                        self.graph, item_type=self.item_type,
+                        scorer=self.scorer,
+                    )
+                    self.index_builds += 1
+        return self._index
 
-        A caller-supplied scorer is kept — its corpus is the caller's
-        responsibility; only the default tf-idf is corpus-derived.  So is
-        the default one under *keep_corpus*: the caller knows the item
-        records of *graph* are the ones the scorer was built on (a step
-        that touched only links), and plans keyed on the scorer object
-        keep hitting.
-        """
-        if graph is not None:
-            self.graph = graph
-        if self._custom_scorer is None and not keep_corpus:
-            self._scorer = None
+    def binding(self) -> IndexBinding | None:
+        """How a plan over this graph reaches its index and the scorer the
+        index shares (``None`` without a factory)."""
+        if self._index_factory is None:
+            return None
+        return IndexBinding(self.item_type, self.index, lambda: self.scorer)
+
+    def successor(
+        self, graph: SocialContentGraph, keep_corpus: bool
+    ) -> "SemanticRelevance":
+        """The relevance of *graph*, the next served graph.  Under
+        *keep_corpus* — the step touched only links, so the item records
+        are the ones this scorer was built on — the scorer and the index
+        are carried as the same objects, and plans keyed on the scorer
+        keep hitting."""
+        nxt = SemanticRelevance(graph, self.item_type, self._index_factory)
+        nxt.builds, nxt.index_builds = self.builds, self.index_builds
+        if keep_corpus:
+            nxt._scorer, nxt._index = self._scorer, self._index
+        return nxt

@@ -306,23 +306,31 @@ class DataManager:
         ``management.serve`` fault point sits there) is the next call's.
         """
         with self._lock:
-            version = self._version
-            if self._served_version != version:
-                delta = self._changes_since_locked(self._served_version)
-                served = (
-                    self._served.patched(delta) if delta is not None
-                    else self.store.snapshot().freeze()
-                )
-                fault_point("management.serve")
-                self._served, self._served_version = served, version
-            return self._served
+            return self._graph_locked()
 
-    def serves(self, graph: SocialContentGraph, version: int) -> bool:
-        """True while *graph* is the object served at *version* — i.e.
-        ``changes_since(version)`` describes what separates it from
-        :meth:`graph`."""
+    def _graph_locked(self) -> SocialContentGraph:
+        version = self._version
+        if self._served_version != version:
+            delta = self._changes_since_locked(self._served_version)
+            served = (
+                self._served.patched(delta) if delta is not None
+                else self.store.snapshot().freeze()
+            )
+            fault_point("management.serve")
+            self._served, self._served_version = served, version
+        return self._served
+
+    def graph_since(
+        self, version: int
+    ) -> tuple[SocialContentGraph, int, GraphDelta | None]:
+        """One locked read: :meth:`graph`, the version it reflects, and
+        the record changes from *version* to it (:meth:`changes_since`).
+        A reader holding the graph served at *version* follows the step
+        by that delta however many others read in between."""
         with self._lock:
-            return graph is self._served and version == self._served_version
+            # cut before graph(): a write it lets in is the next read's
+            delta = self._changes_since_locked(version)
+            return self._graph_locked(), self._served_version, delta
 
     def statistics(self) -> GraphStats:
         """Cardinality statistics for the optimizer."""

@@ -58,7 +58,7 @@ from repro.plan.physical import (
     PlanExecution,
     ScanOp,
 )
-from repro.plan.planner import BASE_GRAPH, QueryPlanner
+from repro.plan.planner import BASE_GRAPH, PlanState, QueryPlanner
 
 __all__ = [
     "ACCESS_MODES",
@@ -83,6 +83,7 @@ __all__ = [
     "PlanCache",
     "PlanExecution",
     "PlanExplain",
+    "PlanState",
     "QueryPlanner",
     "ResultMemo",
     "SCAN",

@@ -143,9 +143,9 @@ class ResultMemo:
 
     Holds deterministic base-graph stage results (connection bases, σN
     selections, and the :class:`~repro.core.social.SemanticOrder` of a
-    σN selection, keyed ``("order", select key)``) for one graph
-    generation.  Unlike the plan caches this
-    stores *result graphs*, whose footprint varies by orders of
+    σN selection, keyed ``("order", select key)``) for one planner
+    state, and is replaced with it, never cleared.  Unlike the plan
+    caches this stores *result graphs*, whose footprint varies by orders of
     magnitude — so the bound is an estimated byte budget
     (:func:`estimate_graph_bytes`), not just an entry count.  Thread
     -safe: gateway threads execute plans concurrently on one session,
@@ -225,11 +225,6 @@ class ResultMemo:
         """Estimated resident footprint of the memoised results."""
         with self._lock:
             return self._bytes
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
 
 
 def shared_plan_cache() -> SimpleNamespace:

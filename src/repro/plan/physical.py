@@ -71,10 +71,10 @@ class ExecContext:
         #: operator id → plain-value output (the social root's ranking,
         #: handed to consumers instead of a graph)
         self.payloads: dict[int, Any] = {}
-        #: generation-stamped sub-plan result memo (planner-owned): ops
-        #: carrying a ``memo_key`` — deterministic base-graph stages like
-        #: the connection basis — reuse results across executions within
-        #: one graph generation.  ``None`` disables (custom environments).
+        #: the planner state's sub-plan result memo: ops carrying a
+        #: ``memo_key`` — deterministic base-graph stages like the
+        #: connection basis — reuse results across executions on that
+        #: state's graph.  ``None`` disables (custom environments).
         self.result_cache: dict | None = None
         #: operator ids whose result came from the sub-plan memo
         self.subplan_hits: set[int] = set()

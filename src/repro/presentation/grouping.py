@@ -165,18 +165,16 @@ def structural_grouping(
     return GroupingResult(dimension=f"structural:{attribute}", groups=groups)
 
 
-def endorser_group_grouping(
-    msg: MeaningfulSocialGraph,
-    base: SocialContentGraph,
-) -> GroupingResult:
+def endorser_group_grouping(msg: MeaningfulSocialGraph) -> GroupingResult:
     """Alexia's grouping: by which user-group endorsed each item.
 
     An item lands in the group (e.g. 'history class') whose members
     produced most of its endorsements; items with no group-affiliated
     endorsers fall into 'other travelers'.  Requires ``belong, member``
-    links from users to ``group`` nodes in the *base* graph — read per
-    endorser from their own out-links, never by scanning the site.
+    links from users to ``group`` nodes in the MSG's base graph — read
+    per endorser from their own out-links, never by scanning the site.
     """
+    base = msg.base
     activity = base.activity()
     by_group: dict[Id, list[Id]] = {}
     other: list[Id] = []

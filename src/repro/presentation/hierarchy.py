@@ -40,6 +40,7 @@ def restrict_msg(
         items=[s for s in msg.items if s.item_id in keep],
         social=msg.social,
         used_expert_fallback=msg.used_expert_fallback,
+        base=msg.base,
     )
 
 

@@ -14,9 +14,7 @@ answer object.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core import Id, SocialContentGraph
 from repro.core.activity import ActivityRelation
@@ -31,7 +29,6 @@ from repro.presentation.explanations import (
     content_based,
 )
 from repro.presentation.grouping import (
-    GroupingResult,
     endorser_group_grouping,
     social_grouping,
     structural_grouping,
@@ -40,10 +37,6 @@ from repro.presentation.grouping import (
 from repro.presentation.hierarchy import GroupingFactory, HierarchicalPresenter
 from repro.presentation.meaningful import MeaningfulnessWeights, choose_grouping
 from repro.presentation.ranking import RankedGroup, ResultSelector
-
-#: A grouping dimension as the organizer holds it: it groups an MSG
-#: against the base graph of the request being served.
-Grouper = Callable[[MeaningfulSocialGraph, SocialContentGraph], GroupingResult]
 
 
 @dataclass
@@ -99,40 +92,17 @@ class OrganizerConfig:
 class InformationOrganizer:
     """Builds result pages (and zoomable hierarchies) from MSGs.
 
-    Every read of the base graph goes through ``base_graph.activity()``,
-    kept by the graph (frozen on adoption) across requests.  A page takes
-    the graph and its relation once and reads only them, so one page
-    never mixes two states of the site.  Assign :attr:`config` to change
-    the configuration; the grouping dimensions are built from it once.
+    The organizer holds no graph: a page reads the graph its MSG was cut
+    from (``msg.base``), and every read of it beyond the MSG goes through
+    ``msg.base.activity()``, kept by that frozen graph across requests.
+    So one page never mixes two states of the site.  Assign
+    :attr:`config` to change the configuration; the grouping dimensions
+    are built from it once.
     """
 
-    def __init__(
-        self,
-        base_graph: SocialContentGraph,
-        config: OrganizerConfig | None = None,
-    ):
-        # guards the graph request threads swap (its relation's fills
-        # need no lock, see repro.core.activity)
-        self._lock = threading.Lock()
-        self._base_graph = base_graph.freeze()
+    def __init__(self, config: OrganizerConfig | None = None):
         self.config = config or OrganizerConfig()
         self.selector = ResultSelector()
-
-    @property
-    def base_graph(self) -> SocialContentGraph:
-        """The site graph pages are organized against."""
-        with self._lock:
-            return self._base_graph
-
-    @base_graph.setter
-    def base_graph(self, graph: SocialContentGraph) -> None:
-        self.refresh(graph)
-
-    def refresh(self, graph: SocialContentGraph) -> None:
-        """Organize against *graph* from now on (what a page reads of it
-        lives on ``graph.activity()``, which ``patched`` carries)."""
-        with self._lock:
-            self._base_graph = graph.freeze()
 
     @property
     def config(self) -> OrganizerConfig:
@@ -141,26 +111,23 @@ class InformationOrganizer:
 
     @config.setter
     def config(self, config: OrganizerConfig) -> None:
-        groupers: dict[str, Grouper] = {
-            "social": lambda msg, _: social_grouping(msg, config.social_theta),
-            "topical": lambda msg, _: topical_grouping(msg),
+        groupers: dict[str, GroupingFactory] = {
+            "social": lambda msg: social_grouping(msg, config.social_theta),
+            "topical": topical_grouping,
             "endorser": endorser_group_grouping,
         }
         for facet in config.structural_facets:
             groupers[f"structural:{facet}"] = (
-                lambda msg, _, f=facet: structural_grouping(msg, f)
+                lambda msg, f=facet: structural_grouping(msg, f)
             )
         self._config = config
         self._groupers = dict(sorted(groupers.items()))
 
     # ---------------------------------------------------------------- groups
     def grouping_factories(self) -> dict[str, GroupingFactory]:
-        """All grouping dimensions available on this site, each reading
-        the base graph current when it is called."""
-        return {
-            name: (lambda msg, g=grouper: g(msg, self.base_graph))
-            for name, grouper in self._groupers.items()
-        }
+        """All grouping dimensions available on this site (each reads the
+        base graph of the MSG it groups)."""
+        return dict(self._groupers)
 
     # ------------------------------------------------------------------ page
     def organize(
@@ -192,13 +159,13 @@ class InformationOrganizer:
         )
         if not msg.items:
             return page
-        graph = self.base_graph
+        graph = msg.base
         activity = graph.activity()
         if grouper is not None:
-            winner = grouper(msg, graph)
+            winner = grouper(msg)
             scores = {dimension: 1.0}
         else:
-            candidates = [g(msg, graph) for g in self._groupers.values()]
+            candidates = [g(msg) for g in self._groupers.values()]
             winner, scores = choose_grouping(
                 candidates, msg, self.config.weights
             )

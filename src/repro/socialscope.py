@@ -83,13 +83,12 @@ class SocialScope:
     @property
     def discoverer(self):
         """The Information Discoverer (kept warm by the session)."""
-        self.session._ensure_fresh()
+        self.session._fresh()
         return self.session.discoverer
 
     @property
     def organizer(self):
-        """The Information Organizer (kept warm by the session)."""
-        self.session._ensure_fresh()
+        """The Information Organizer (it holds no graph)."""
         return self.session.organizer
 
     # ---------------------------------------------------------------- content
@@ -100,8 +99,9 @@ class SocialScope:
 
     def attach_remote(self, site: RemoteSocialSite,
                       with_activities: bool = False) -> None:
-        """Pull a remote site's social data in (Open Cartel integration)."""
-        self.session.attach_remote(site, with_activities=with_activities)
+        """Pull a remote site's social data in (Open Cartel integration);
+        the session's next request resyncs, re-deriving its analyses."""
+        self.session.data_manager.attach_remote(site, with_activities)
 
     def analyze(self, name: str) -> None:
         """Run one Content Analyzer analysis and refresh discovery.

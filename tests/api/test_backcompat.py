@@ -77,7 +77,7 @@ class TestFacadeMatchesHandWiredPipeline:
     @pytest.mark.parametrize("user_id,text,strategy,k", CASES)
     def test_identical_pages(self, travel, scope, user_id, text, strategy, k):
         discoverer = InformationDiscoverer(scope.graph)
-        organizer = InformationOrganizer(scope.graph)
+        organizer = InformationOrganizer()
         msg = discoverer.discover(user_id, text, strategy=strategy, k=k)
         expected = organizer.organize(msg)
         actual = scope.search(user_id, text, strategy=strategy, k=k)

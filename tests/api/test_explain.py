@@ -251,7 +251,7 @@ class TestGoldenPlanShapes:
         planner.cost_model = dataclasses.replace(
             planner.cost_model, columnar_scan_min_nodes=0.0
         )
-        planner.columnar_view = lambda graph: None  # provider gone
+        planner.state.columnar_view = lambda graph: None  # provider gone
         response = session.run(
             SearchRequest(user_id="u0", use_index=False, explain=True)
         )

@@ -23,9 +23,9 @@ def session(travel):
 
 def full_ranking(session, user_id, text):
     """The complete combined ranking for a query, via the discovery layer."""
-    session._ensure_fresh()
     ranking = session.discoverer.rank(
-        session._parse(SearchRequest(user_id=user_id, text=text))
+        session._parse(SearchRequest(user_id=user_id, text=text)),
+        generation=session._fresh(),
     )
     return [s.item_id for s in ranking.items]
 

@@ -120,7 +120,63 @@ class TestIncrementalRefresh:
         # incremental refresh retargets the same components
         assert session.discoverer is discoverer
         assert session.organizer is organizer
-        assert organizer.base_graph is session.graph
+        # the organizer holds no graph: a page reads the served graph its
+        # MSG was cut from, which is the session's
+        msg = session.discover(SearchRequest(user_id=JOHN, text="Denver"))
+        assert msg.base is session.graph is discoverer.generation.graph
+        assert any(l.has_type("sim_user") for l in msg.base.links())
+
+
+class TestOneGenerationPerRequest:
+    """A request reads the generation it pinned at entry, start to end.
+
+    A write and a second request land in the middle of the first one —
+    before its ranking or before its page.  The first response still
+    equals a fresh session's from before the write, and its cursor names
+    the pinned generation, which the next request refuses as stale."""
+
+    REQUEST = SearchRequest(user_id=101, text="denver", page_size=1)
+    WRITES = {
+        "vote": lambda dm: dm.add_link(
+            Link("w", 103, "d3", type="act, visit")),
+        "new-item": lambda dm: dm.add_node(Node(
+            "d5", type="item, destination", name="Denver Mint",
+            keywords="denver mint")),
+    }
+
+    @pytest.mark.parametrize("stage", ["rank", "organize"])
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_a_request_reads_the_generation_it_pinned(
+        self, stage, write, tiny_travel_graph
+    ):
+        from benchmarks.e2e.harness import canonical_response, first_difference
+        from repro.api.request import decode_cursor
+
+        expected = Session.from_graph(tiny_travel_graph.copy()).run(
+            self.REQUEST
+        )
+        session = Session.from_graph(tiny_travel_graph)
+        layer = session.discoverer if stage == "rank" else session.organizer
+        inner = getattr(layer, stage)
+        fired = []
+
+        def interrupted(*args, **kwargs):
+            if not fired:
+                fired.append(True)
+                self.WRITES[write](session.data_manager)
+                session.run(SearchRequest(user_id=102, text="denver"))
+            return inner(*args, **kwargs)
+
+        setattr(layer, stage, interrupted)
+        response = session.run(self.REQUEST)
+        assert fired
+        assert first_difference(canonical_response(response),
+                                canonical_response(expected)) is None
+        assert session.epoch == 1  # the inner request published one
+        cursor = response.page_info.next_cursor
+        assert response.resolved["epoch"] == decode_cursor(cursor)[2] == 0
+        with pytest.raises(QueryError, match="stale cursor"):
+            session.run(self.REQUEST.replace(cursor=cursor))
 
 
 class TestRequestOverrides:

@@ -64,6 +64,26 @@ class TestDetectorFires:
         assert tracker.field_states()["Frozen.value"] == "shared"
 
 
+    def test_an_unlocked_write_to_a_published_field_is_a_race(self):
+        """Reads of a published field are not checked; its writes are."""
+        tracker = RaceTracker()
+
+        class Slot:
+            def __init__(self):
+                self.value = (0,)
+
+        with tracker.trace():
+            box = Slot()
+            tracker.monitor(box, published=("value",))
+            worker = threading.Thread(target=lambda: setattr(box, "value", (1,)))
+            worker.start()
+            worker.join()
+            box.value = (2,)  # a second writer, no lock
+
+        with pytest.raises(RaceError, match="Slot.value"):
+            tracker.assert_race_free()
+
+
 class TestDetectorStaysSilent:
     def test_consistently_locked_counter_is_race_free(self):
         tracker = RaceTracker()
@@ -102,6 +122,47 @@ class TestDetectorStaysSilent:
         tracker.assert_race_free()
         assert total == 800
         assert tracker.field_states()["Guarded.count"] == "shared-modified"
+
+    def test_a_published_field_read_without_the_lock_is_race_free(self):
+        """One reference replaced whole under a lock and read without one
+        (the session's generation slot) is safe publication."""
+        tracker = RaceTracker()
+        with tracker.trace(THIS_MODULE):
+
+            class Published:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.current = (0,)
+
+                def publish(self):
+                    with self._lock:
+                        self.current = (self.current[0] + 1,)
+
+            box = Published()
+            tracker.monitor(box, published=("current",))
+            together = threading.Barrier(4)
+            seen: list[int] = []
+
+            def reader():
+                together.wait()
+                seen.extend(box.current[0] for _ in range(200))
+
+            def writer():
+                together.wait()
+                for _ in range(200):
+                    box.publish()
+
+            threads = [threading.Thread(target=reader) for _ in range(2)] \
+                + [threading.Thread(target=writer) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        tracker.assert_race_free()
+        assert box.current == (400,)
+        assert tracker.field_states()["Published.current"] == \
+            "shared-modified"
 
     @pytest.mark.usefixtures("deadlock_watchdog")
     def test_shared_plan_cache_storm_is_race_free(self):

@@ -55,6 +55,12 @@ from repro.core.activity import ActivityRelation
 from repro.core.delta import LINK, NODE, Change, GraphDelta
 from repro.core.social import SemanticOrder, expert_candidates
 from repro.core.text import tokenize
+from repro.discovery import (
+    ScoredItem,
+    SocialScores,
+    assemble_msg,
+    parse_query,
+)
 from repro.core.stats import GraphStats
 from repro.errors import DanglingLinkError, FrozenGraphError
 from repro.management import DataManager, RemoteSocialSite
@@ -102,7 +108,7 @@ def probe_for(user) -> list[SearchRequest]:
 
 def assert_same_orders(planner: QueryPlanner) -> None:
     """Every kept semantic order equals one cut afresh from its candidates."""
-    memo = planner._subplan_cache()
+    memo = planner.state.memo
     for key, (order, _bytes) in list(memo._entries.items()):
         if key[0] != "order":
             continue
@@ -388,7 +394,7 @@ def test_a_vote_makes_no_pass_over_the_site(monkeypatch, factor):
 
 def kept_orders(session: Session) -> dict:
     return {key: order for key, (order, _bytes)
-            in session.planner._subplan_cache()._entries.items()
+            in session.planner.state.memo._entries.items()
             if key[0] == "order"}
 
 
@@ -456,6 +462,37 @@ def test_a_vote_keeps_the_orders_and_patches_the_postings(monkeypatch):
     found = relation.term_postings()
     assert builds == [relation]
     assert found == ActivityRelation(session.graph).term_postings()
+    assert_answers_as_a_fresh_session(session, requests)
+
+
+def test_a_second_reader_of_the_manager_costs_no_resync():
+    """A vote is followed by its delta whoever else reads the manager.
+
+    The session reads the served graph, its version and the changes since
+    its own version in one locked read, so a ``dm.graph()`` call between
+    the vote and the next run changes nothing: one delta refresh, and the
+    semantic orders are the same objects."""
+    site = build_site(SITE)
+    session = Session.from_graph(site.graph)
+    requests = [SearchRequest(user_id=site.user_ids[0], text=text, k=3)
+                for text in ("museum park", "food", site.categories[0])]
+    for request in requests:
+        session.run(request)
+    orders = kept_orders(session)
+    assert orders
+    before = dataclasses.replace(session.stats)
+
+    session.data_manager.add_link(Link(
+        "vote", site.user_ids[1], site.item_ids[0], type="act, visit",
+    ))
+    session.data_manager.graph()  # a second reader of the manager
+    for request in requests:
+        session.run(request)
+    assert session.stats.refreshes == before.refreshes + 1
+    assert session.stats.delta_refreshes == before.delta_refreshes + 1
+    kept = kept_orders(session)
+    assert kept.keys() == orders.keys()
+    assert all(kept[key] is orders[key] for key in orders)
     assert_answers_as_a_fresh_session(session, requests)
 
 
@@ -566,9 +603,10 @@ def test_the_manager_never_writes_to_a_graph_it_served():
 
 
 def test_whoever_serves_or_adopts_a_graph_freezes_it():
-    """The snapshot the manager serves, an analysis's published union, and
-    the graph a planner or an organizer adopts — at construction and at
-    refresh — all refuse in-place writes; what is only built does not."""
+    """The snapshot the manager serves, an analysis's published union, the
+    graph a planner adopts — at construction and at refresh — and the
+    base graph an MSG is cut from (what a page reads) all refuse in-place
+    writes; what is only built does not."""
     vote = Link("behind", 1, "i1", type="act, visit")
 
     def frozen(graph: SocialContentGraph) -> bool:
@@ -585,14 +623,20 @@ def test_whoever_serves_or_adopts_a_graph_freezes_it():
     analyzer = ContentAnalyzer(manager.graph())
     analyzer.run("user_similarity")
     assert frozen(analyzer.graph)
-    for adopt in (QueryPlanner, InformationOrganizer):
-        built = build_site(SITE).graph
-        assert not frozen(built.copy())
-        holder = adopt(built)
-        assert frozen(built)
-        again = build_site(SITE).graph
-        holder.refresh(again)
-        assert frozen(again)
+    built = build_site(SITE).graph
+    assert not frozen(built.copy())
+    planner = QueryPlanner(built)
+    assert frozen(built)
+    again = build_site(SITE).graph
+    planner.refresh(again)
+    assert frozen(again)
+
+    base = build_site(SITE).graph
+    msg = assemble_msg(base, parse_query(1, ""),
+                       [ScoredItem("i1", 0.0, 1.0, 1.0)],
+                       SocialScores(strategy="friends"), False)
+    assert msg.base is base and frozen(base)
+    assert InformationOrganizer().organize(msg).all_items == ["i1"]
 
 
 def test_a_write_to_the_served_graph_is_refused_not_lost(tmp_path):

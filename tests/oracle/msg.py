@@ -67,6 +67,7 @@ def assemble_msg(
         items=scored_items,
         social=social,
         used_expert_fallback=used_expert_fallback,
+        base=base,
     )
 
 

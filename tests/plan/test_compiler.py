@@ -65,10 +65,10 @@ class TestAccessPathChoice:
         sparse = GraphStats.of(selectivity_graph(), with_terms=True)
         sparse.term_doc_freq["common"] = 1  # pretend the term is rare
         chosen_sparse = compile_plan(
-            expr, sparse, index=planner.index_binding
+            expr, sparse, index=planner.state.index
         ).root
         chosen_dense = compile_plan(
-            expr, planner.stats, index=planner.index_binding
+            expr, planner.stats, index=planner.state.index
         ).root
         assert isinstance(chosen_sparse, IndexKeywordScanOp)
         assert isinstance(chosen_dense, ScanOp)

@@ -99,7 +99,7 @@ class TestGroupExplanations:
 
 class TestOrganizer:
     def test_page_structure(self, travel, john_msg):
-        organizer = InformationOrganizer(travel.graph)
+        organizer = InformationOrganizer()
         page = organizer.organize(john_msg)
         assert page.groups
         assert page.chosen_dimension in page.dimension_scores
@@ -108,39 +108,39 @@ class TestOrganizer:
         assert displayed == set(john_msg.item_ids)
 
     def test_entries_have_explanations(self, travel, john_msg):
-        organizer = InformationOrganizer(travel.graph)
+        organizer = InformationOrganizer()
         page = organizer.organize(john_msg)
         some_entries = [e for g in page.groups for e in g.entries][:5]
         assert all(e.explanation is not None for e in some_entries)
 
     def test_group_explanations_attached(self, travel, john_msg):
-        page = InformationOrganizer(travel.graph).organize(john_msg)
+        page = InformationOrganizer().organize(john_msg)
         assert all(g.explanation is not None for g in page.groups)
 
     def test_empty_msg_yields_empty_page(self, travel):
         msg = InformationDiscoverer(travel.graph).discover(
             JOHN, "zzz qqq nonexistent"
         )
-        page = InformationOrganizer(travel.graph).organize(msg)
+        page = InformationOrganizer().organize(msg)
         assert page.groups == [] and page.flat == []
 
     def test_alexia_page_groups_by_endorser(self, travel):
         msg = InformationDiscoverer(travel.graph).discover(ALEXIA, "history")
-        page = InformationOrganizer(travel.graph).organize(msg)
+        page = InformationOrganizer().organize(msg)
         assert page.chosen_dimension == "endorser"
         labels = {g.label for g in page.groups}
         assert any("history class" in label for label in labels)
 
     def test_custom_facets(self, travel, john_msg):
         config = OrganizerConfig(structural_facets=("city",))
-        organizer = InformationOrganizer(travel.graph, config)
+        organizer = InformationOrganizer(config)
         page = organizer.organize(john_msg)
         assert "structural:category" not in page.dimension_scores
 
 
 class TestHierarchy:
     def test_zoom_in_and_out(self, travel, john_msg):
-        organizer = InformationOrganizer(travel.graph)
+        organizer = InformationOrganizer()
         presenter = organizer.hierarchy(john_msg)
         assert presenter.depth == 1
         root_groups = presenter.groups
@@ -158,17 +158,17 @@ class TestHierarchy:
         assert presenter.depth == 1
 
     def test_zoom_unknown_group(self, travel, john_msg):
-        presenter = InformationOrganizer(travel.graph).hierarchy(john_msg)
+        presenter = InformationOrganizer().hierarchy(john_msg)
         with pytest.raises(PresentationError):
             presenter.zoom_in("no such group")
 
     def test_zoom_out_at_root_is_noop(self, travel, john_msg):
-        presenter = InformationOrganizer(travel.graph).hierarchy(john_msg)
+        presenter = InformationOrganizer().hierarchy(john_msg)
         presenter.zoom_out()
         assert presenter.depth == 1
 
     def test_breadcrumbs(self, travel, john_msg):
-        presenter = InformationOrganizer(travel.graph).hierarchy(john_msg)
+        presenter = InformationOrganizer().hierarchy(john_msg)
         target = presenter.groups[0]
         presenter.zoom_in(target.label)
         assert presenter.breadcrumbs == ["all results", target.label]

@@ -71,7 +71,8 @@ class TestGroupings:
         assert any(g.label == "other topics" for g in grouping.groups)
 
     def test_endorser_grouping_alexia(self, alexia_msg, travel):
-        grouping = endorser_group_grouping(alexia_msg, travel.graph)
+        grouping = endorser_group_grouping(alexia_msg)
+        assert alexia_msg.base is travel.graph
         labels = {g.label for g in grouping.groups}
         assert any("history class" in label for label in labels)
         assert grouping.covers(alexia_msg.item_ids)

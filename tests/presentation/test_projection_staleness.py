@@ -3,10 +3,11 @@
 The relation (``graph.activity()``) memoises per-node reads of the base
 graph across requests, and ``patched`` carries it to the next graph, so
 every way the site can change must be seen by the next page: a write
-through the Data Manager, an analysis, a reassigned ``base_graph`` — and
-request threads sharing one organizer while a writer is at work must each
-get a page of *one* state of the site.  An in-place write to the graph the
-organizer reads is not a way: the organizer freezes it, and it refuses.
+through the Data Manager, an analysis, an MSG cut from another graph —
+and request threads sharing one session while a writer is at work must
+each get a page of *one* state of the site.  A page reads the graph its
+MSG was cut from (``msg.base``); an in-place write to it is not a way:
+the cut freezes it, and it refuses.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import oracle
 from benchmarks.e2e.harness import canonical_response, digest
 from repro.api import SearchRequest, Session
 from repro.core import Link, Node, SocialContentGraph
-from repro.discovery import InformationDiscoverer
+from repro.discovery import InformationDiscoverer, assemble_msg
 from repro.errors import FrozenGraphError
 from repro.presentation import InformationOrganizer
 from tools.archcheck.racetrack import RaceTracker, TracedLock
 
-import repro.presentation.organizer as organizer_module
+import repro.api.session as session_module
 
 JOHN, ANN, BOB = 101, 102, 103
 #: John's friends are Ann and Bob; only Bob has visited d4
@@ -75,6 +76,12 @@ class TestThroughTheSession:
         assert after.supporters[BOB] == before.supporters[BOB]
 
 
+def recut(msg, base: SocialContentGraph):
+    """*msg*'s window cut again from *base*, as a request on it would."""
+    return assemble_msg(base, msg.query, msg.items, msg.social,
+                        msg.used_expert_fallback)
+
+
 class TestBehindTheSessionsBack:
     @pytest.fixture()
     def graph(self):
@@ -86,30 +93,31 @@ class TestBehindTheSessionsBack:
 
     def test_in_place_writes_move_the_epoch_and_the_page(self, graph, msg):
         manager, served = factories.served(graph)
-        organizer = InformationOrganizer(served)
-        first = organizer.base_graph.activity()
+        organizer = InformationOrganizer()
+        msg = recut(msg, served)
+        first = msg.base.activity()
         assert entry_of(organizer.organize(msg), "d4") \
             .explanation.aggregate_text.startswith("50%")
-        assert organizer.base_graph.activity() is first  # kept across pages
+        assert msg.base.activity() is first  # kept across pages
 
         vote = Link("v-new", ANN, "d4", type="act, visit")
         with pytest.raises(FrozenGraphError):
-            organizer.base_graph.add_link(vote)
+            msg.base.add_link(vote)
 
         manager.add_link(vote)
-        organizer.base_graph = manager.graph()
+        msg = recut(msg, manager.graph())
         # the vote's graph came with a relation carried from the first
-        assert organizer.base_graph._activity is not None
-        assert organizer.base_graph.activity() is not first
+        assert msg.base._activity is not None
+        assert msg.base.activity() is not first
         explanation = entry_of(organizer.organize(msg), "d4").explanation
         assert explanation.aggregate_text.startswith("100%")
         assert set(explanation.supporters) == {ANN, BOB}
-        assert factories.assert_relation_as_rebuilt(organizer.base_graph)
+        assert factories.assert_relation_as_rebuilt(msg.base)
 
         with pytest.raises(FrozenGraphError):
-            organizer.base_graph.remove_link("v-new")
+            msg.base.remove_link("v-new")
         manager.delete_link("v-new")
-        organizer.base_graph = manager.graph()
+        msg = recut(msg, manager.graph())
         explanation = entry_of(organizer.organize(msg), "d4").explanation
         assert explanation.aggregate_text.startswith("50%")
         assert set(explanation.supporters) == {BOB}
@@ -117,7 +125,7 @@ class TestBehindTheSessionsBack:
     def test_a_reassigned_graph_never_reads_the_old_projection(
         self, graph, msg
     ):
-        organizer = InformationOrganizer(graph)
+        organizer = InformationOrganizer()
         organizer.organize(msg)
         old = graph.activity()
         # a different site of the same shape: only the object tells them
@@ -125,18 +133,21 @@ class TestBehindTheSessionsBack:
         other = graph.copy()
         other.add_link(Link("v-new", ANN, "d4", type="act, visit"))
 
-        organizer.base_graph = other
-        assert organizer.base_graph is other  # replaced now, not lazily
+        again = recut(msg, other)
+        assert again.base is other  # the page reads the graph cut from
         assert other._activity is None  # a copy carries no relation
-        with pytest.raises(FrozenGraphError):  # adopted, so frozen
+        with pytest.raises(FrozenGraphError):  # cut from, so frozen
             other.remove_link("v-new")
-        assert entry_of(organizer.organize(msg), "d4") \
+        assert entry_of(organizer.organize(again), "d4") \
             .explanation.aggregate_text.startswith("100%")
         assert other.activity() is not old
         assert graph.activity() is old
+        # the first MSG still reads its own graph
+        assert entry_of(organizer.organize(msg), "d4") \
+            .explanation.aggregate_text.startswith("50%")
 
     def test_grouping_dimensions_are_built_once_per_config(self, graph, msg):
-        organizer = InformationOrganizer(graph)
+        organizer = InformationOrganizer()
         groupers = organizer._groupers
         organizer.organize(msg)
         organizer.organize(msg, dimension="social")
@@ -212,30 +223,20 @@ def reference_digests() -> list[str]:
 
 @pytest.mark.usefixtures("deadlock_watchdog")
 def test_request_storm_with_a_writer_serves_only_whole_states():
-    """Four ``Session.run`` threads share the organizer (as the gateway's
-    workers do) while a writer adds endorsements: every response equals
-    the reference page of *some* prefix of the writes, and no thread goes
-    back in time.  The relation's unlocked lazy fills and its carry in
-    ``patched`` are what is on trial: a fill from the wrong graph, or a
-    page mixing two relations, matches no prefix."""
+    """Four ``Session.run`` threads share one session (as the gateway's
+    workers do) while a writer adds endorsements through the Data
+    Manager: every response equals the reference page of *some* prefix of
+    the writes, and no thread goes back in time.  Nothing serialises the
+    writer against the refreshes: each request pins the generation the
+    session published, and the relation's unlocked lazy fills and its
+    carry in ``patched`` are on trial too — a fill from the wrong graph,
+    or a page mixing two generations, matches no prefix."""
     expected = reference_digests()
     tracker = RaceTracker()
-    with tracker.trace(organizer_module):
+    with tracker.trace(session_module):
         session = Session.from_graph(storm_site())
-        assert isinstance(session.organizer._lock, TracedLock)
-        tracker.monitor(session.organizer)
-
-        # The Data Manager and the session's refresh are single-writer by
-        # contract (the gateway has no write path); serialise exactly
-        # those two, and leave rank / MSG / organize to race freely.
-        refresh_lock = threading.Lock()
-        ensure_fresh = session._ensure_fresh
-
-        def locked_ensure_fresh() -> None:
-            with refresh_lock:
-                ensure_fresh()
-
-        session._ensure_fresh = locked_ensure_fresh
+        assert isinstance(session._lock, TracedLock)
+        tracker.monitor(session, published=("_gen",))
         session.run(STORM_REQUEST)
 
         # hold every page open between its groups, so that refreshes by
@@ -272,8 +273,7 @@ def test_request_storm_with_a_writer_serves_only_whole_states():
                 together.wait()
                 for link in storm_writes():
                     time.sleep(0.005)
-                    with refresh_lock:
-                        session.data_manager.add_link(link)
+                    session.data_manager.add_link(link)
             except BaseException as error:
                 errors.append(error)
             finally:
@@ -296,8 +296,8 @@ def test_request_storm_with_a_writer_serves_only_whole_states():
     for history in seen:
         assert history == sorted(history)  # never back in time
         assert history[-1] == len(storm_writes())  # the last saw it all
-    # the swap of the base graph is consistently lock-guarded, and the
-    # storm really did contend on it
+    # every publication of the generation held the session lock, and the
+    # storm really did contend on the slot
     tracker.assert_race_free()
     states = tracker.field_states()
-    assert states["InformationOrganizer._base_graph"] == "shared-modified"
+    assert states["Session._gen"] == "shared-modified"

@@ -22,6 +22,12 @@ Usage (see ``tests/archcheck/test_racetrack.py``)::
         ...spawn the thread storm...
     tracker.assert_race_free()
 
+A field that *publishes* frozen values — one reference, replaced whole
+under a lock and read without one — is named to :meth:`RaceTracker.monitor`
+as ``published``: its reads are one load of a reference whose target
+never changes, so they do not narrow its lockset; its writes still must
+all hold one lock.
+
 ``trace`` rebinds the name ``threading`` *inside the given modules only*
 to a shim whose ``Lock()`` returns a :class:`TracedLock`; the rest of
 the process keeps real locks.  Objects must be constructed inside the
@@ -35,7 +41,8 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 VIRGIN = "virgin"
 EXCLUSIVE = "exclusive"
@@ -92,7 +99,8 @@ class _FieldState:
     label: str
     state: str = VIRGIN
     owner: int | None = None
-    lockset: frozenset[int] = frozenset()
+    #: locks every checked shared access held (None: none checked yet)
+    lockset: frozenset[int] | None = None
     reported: bool = False
 
 
@@ -120,6 +128,8 @@ class RaceTracker:
         self._tls = threading.local()
         self._state_lock = threading.Lock()  # guards _fields/races
         self._traced_classes: dict[type, type] = {}
+        #: id(monitored object) → its published fields
+        self._published: dict[int, frozenset[str]] = {}
 
     # ---------------------------------------------------------- held locks
     def _held(self) -> set[int]:
@@ -155,8 +165,13 @@ class RaceTracker:
                 else:
                     del module.threading
 
-    def monitor(self, obj) -> None:
-        """Swap *obj*'s class for a traced subclass recording every access."""
+    def monitor(self, obj, published: Iterable[str] = ()) -> None:
+        """Swap *obj*'s class for a traced subclass recording every access.
+
+        *published* names fields whose unlocked reads are safe (see the
+        module docstring); only their writes are checked.
+        """
+        self._published[id(obj)] = frozenset(published)
         cls = type(obj)
         traced = self._traced_classes.get(cls)
         if traced is None:
@@ -171,6 +186,7 @@ class RaceTracker:
         thread = threading.get_ident()
         locks = frozenset(self._held())
         key = (id(obj), name)
+        checked = write or name not in self._published.get(id(obj), ())
         with self._state_lock:
             fs = self._fields.get(key)
             if fs is None:
@@ -184,13 +200,14 @@ class RaceTracker:
                 if thread == fs.owner:
                     return
                 fs.state = SHARED_MODIFIED if write else SHARED
-                fs.lockset = locks
-            else:
-                if write and fs.state == SHARED:
-                    fs.state = SHARED_MODIFIED
-                fs.lockset &= locks
+            elif write and fs.state == SHARED:
+                fs.state = SHARED_MODIFIED
+            if checked:
+                fs.lockset = locks if fs.lockset is None \
+                    else fs.lockset & locks
             if (
                 fs.state == SHARED_MODIFIED
+                and fs.lockset is not None
                 and not fs.lockset
                 and not fs.reported
             ):
