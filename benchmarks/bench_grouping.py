@@ -20,6 +20,7 @@ from repro.presentation import (
     structural_grouping,
     topical_grouping,
 )
+from repro.presentation.explanations import collaborative_pair
 from repro.workloads import ALEXIA, JOHN
 
 
@@ -80,15 +81,25 @@ def test_full_page_assembly(travel_site, msgs, benchmark):
 
 
 @pytest.mark.parametrize("population", ["friends", "everyone"])
-@pytest.mark.parametrize("source", ["graph", "projection"])
+@pytest.mark.parametrize("source", ["graph", "projection", "warm-row"])
 def test_explanation_latency(travel_site, msgs, benchmark, population,
                              source):
     """One CF explanation: from an unfrozen copy of the graph (a one-off
-    activity relation per call, what a script pays) and from a frozen copy
-    that keeps its relation (what a request pays through the organizer)."""
+    activity relation per call, what a script pays), from a frozen copy
+    that keeps its relation, and — ``warm-row`` — the organizer's own
+    call, ``collaborative_pair`` on a frozen copy whose requester
+    similarity row is already built (what a repeat requester pays)."""
     msg = msgs["john"]
     item = msg.item_ids[0]
     base = (travel_site.graph.copy() if source == "graph"
             else travel_site.graph.copy().freeze())
+    if source == "warm-row":
+        activity = base.activity()
+        activity.user_row(JOHN)
+        pair = benchmark(collaborative_pair, activity, JOHN, item)
+        assert pair[population == "everyone"].supporters == \
+            explain_collaborative(base, JOHN, item,
+                                  population == "friends").supporters
+        return
     benchmark(explain_collaborative, base, JOHN, item,
               population == "friends")

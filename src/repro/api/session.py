@@ -339,7 +339,10 @@ class Session:
         return self._gen.epoch
 
     def analyze(self, name: str) -> None:
-        """Run one Content Analyzer analysis and mark the generation stale."""
+        """Run one Content Analyzer analysis over the site as it is now (a
+        pending write is followed first) and mark the generation stale."""
+        if self._gen.version != self.data_manager.version:
+            self._refresh()
         with self._lock:
             self.analyzer.run(name)
             self._gen = replace(self._gen, stale=True)

@@ -9,6 +9,10 @@ graph the relation :meth:`~ActivityRelation.carried` over a links-only
 delta (none over a node-touching one, or when none was built).  So every
 layer reads one relation per graph and none holds a copy.
 
+§7.2's UserSim and ItemSim fall back to a Jaccard of acted / endorser
+sets; ``user_row`` / ``item_row`` hold one node's whole row of them, so
+a requester's similarities are computed once per served graph.
+
 What stays on adjacency: ``friend_probe``, ``_similar_user_scores`` and
 ``_item_based_scores`` (:mod:`repro.core.social`) count once per ``act``
 link — a member who visited and tagged an item counts twice — and
@@ -24,7 +28,7 @@ never mutated, so a reader sees a key absent or complete.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.core.text import tokenize
 
@@ -73,7 +77,8 @@ class ActivityRelation:
     """Lazily filled activity reads of one graph."""
 
     __slots__ = ("_nodes", "_links", "_out_ids", "_in_ids", "_out",
-                 "_endorsers", "_users", "_postings")
+                 "_endorsers", "_users", "_postings", "_user_rows",
+                 "_item_rows")
 
     def __init__(self, graph: SocialContentGraph):
         # the graph's maps, not the graph: a frozen graph holds its
@@ -86,6 +91,8 @@ class ActivityRelation:
         self._endorsers: dict[Id, dict[Id, float]] = {}
         self._users: dict[Id, bool] = {}
         self._postings: dict[str, dict[Id, Id]] | None = None
+        self._user_rows: dict[Id, dict[Id, float]] = {}
+        self._item_rows: dict[Id, dict[Id, float]] = {}
 
     def carried(
         self, graph: SocialContentGraph, delta: GraphDelta
@@ -95,15 +102,36 @@ class ActivityRelation:
         all but ``out`` of a changed link's source and ``endorsers`` of
         its target, with the postings patched per touched term (a new map
         sharing every term's postings the step did not touch).
+
+        A changed ``act`` link v→j drops the user rows of v, of j's
+        endorsers after the step and every row holding v, and the item
+        rows of j, of v's items after the step and every row holding j.
         """
         carried = ActivityRelation(graph)
         # dict() is one atomic copy; a reader may be filling the original
         carried._out = dict(self._out)
         carried._endorsers = dict(self._endorsers)
         carried._users = dict(self._users)
+        carried._user_rows = dict(self._user_rows)
+        carried._item_rows = dict(self._item_rows)
+        actors, acted = set(), set()
         for link in delta.touched_links():
             carried._out.pop(link.src, None)
             carried._endorsers.pop(link.tgt, None)
+            if "act" in link.attrs["type"]:
+                actors.add(link.src)
+                acted.add(link.tgt)
+        for rows, moved, via, reach in (
+            (carried._user_rows, actors, acted, carried.endorsers),
+            (carried._item_rows, acted, actors, carried._acted),
+        ):
+            if rows and moved:
+                for key in [key for key, row in rows.items() if key in moved
+                            or any(node in row for node in moved)]:
+                    del rows[key]
+                for node in via:
+                    for key in reach(node):
+                        rows.pop(key, None)
         if self._postings is None:
             return carried
         postings = carried._postings = dict(self._postings)
@@ -150,6 +178,42 @@ class ActivityRelation:
                 sorted(ratings.items(), key=_by_repr)
             )
         return found
+
+    def user_row(self, user: Id) -> dict[Id, float]:
+        """Co-actor → Jaccard of the two acted sets, for every node that
+        acted on an item *user* acted on (*user* included); a node
+        missing from the row shares no item with *user* (0.0)."""
+        return self._row(self._user_rows, user, self._acted, self.endorsers)
+
+    def item_row(self, item: Id) -> dict[Id, float]:
+        """The mirror of :meth:`user_row`: co-endorsed item → Jaccard of
+        the two endorser sets, 0.0 for an item missing from the row."""
+        return self._row(self._item_rows, item, self.endorsers, self._acted)
+
+    def _row(
+        self,
+        rows: dict[Id, dict[Id, float]],
+        node: Id,
+        forward: Callable[[Id], dict[Id, float]],
+        back: Callable[[Id], dict[Id, float]],
+    ) -> dict[Id, float]:
+        """{other: Jaccard(forward(node), forward(other))} for every other
+        in back(forward(node)), with the arithmetic of
+        :func:`repro.analysis.similarity.jaccard`: the same floats."""
+        row = rows.get(node)
+        if row is None:
+            mine, shared = forward(node), {}
+            for via in mine:
+                for other in back(via):
+                    shared[other] = shared.get(other, 0) + 1
+            row = rows[node] = {
+                other: count / (len(mine) + len(forward(other)) - count)
+                for other, count in shared.items()
+            }
+        return row
+
+    def _acted(self, node: Id) -> dict[Id, float]:
+        return self.out(node).acted
 
     def is_user(self, node: Id) -> bool:
         """True for a ``user``-typed node of the graph."""

@@ -32,7 +32,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.core.activity import ActivityRelation
 from repro.core.attrs import (
@@ -587,16 +587,6 @@ class SocialContentGraph:
         for link_id in self._in.get(node_id, ()):
             yield self._links[link_id]
 
-    def incident_links(self, node_id: Id) -> Iterator[Link]:
-        """All links touching *node_id* (each yielded once)."""
-        seen: set[Id] = set()
-        for link in self.out_links(node_id):
-            seen.add(link.id)
-            yield link
-        for link in self.in_links(node_id):
-            if link.id not in seen:
-                yield link
-
     def out_degree(self, node_id: Id) -> int:
         """Number of outgoing links."""
         return len(self._out.get(node_id, ()))
@@ -736,14 +726,6 @@ class SocialContentGraph:
             if link.src in keep and link.tgt in keep:
                 out.add_link(link)
         return out
-
-    def filter_nodes(self, predicate: Callable[[Node], bool]) -> list[Node]:
-        """All nodes satisfying *predicate* (evaluation helper)."""
-        return [n for n in self.nodes() if predicate(n)]
-
-    def filter_links(self, predicate: Callable[[Link], bool]) -> list[Link]:
-        """All links satisfying *predicate* (evaluation helper)."""
-        return [l for l in self.links() if predicate(l)]
 
     # ------------------------------------------------------------------
     # Overlay views (paper §4: activity / network / topical sub-graphs)

@@ -4,18 +4,18 @@
     Graph (MSG), that is semantically and socially relevant to a given
     user and query."
 
-An MSG is a genuine :class:`~repro.core.graph.SocialContentGraph` — the
-querying user, the relevant items (annotated with semantic / social /
-combined scores), the endorsing users, and the links among them (the social
-provenance §7 builds groups and explanations from) — plus convenience
-accessors the presentation layer uses.
+An MSG is a *view* of the frozen graph its request was served from
+(``base``): the querying user, the scored items and the endorsers the
+social strategy found (the provenance §7 groups and explains with).  A
+page reads ``base`` and its activity relation through it and copies no
+graph; the subgraph itself is cut on the first read of ``graph``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core import Id, Link, SocialContentGraph
+from repro.core import Id, SocialContentGraph
 from repro.discovery.query import Query
 from repro.discovery.strategies import SocialScores
 
@@ -30,30 +30,50 @@ class ScoredItem:
     combined: float
 
 
-@dataclass
 class MeaningfulSocialGraph:
-    """The discovery result: subgraph + scores + provenance, and the
-    (frozen) graph it was cut from, which a result page reads."""
+    """The discovery result: scores + provenance over the (frozen) graph
+    they were found in, which a result page reads.  *graph* is the
+    subgraph when already cut; a sub-MSG (``within=``) keeps the endorser
+    set and subgraph of the MSG it was restricted from."""
 
-    graph: SocialContentGraph
-    query: Query
-    items: list[ScoredItem] = field(default_factory=list)
-    social: SocialScores | None = None
-    used_expert_fallback: bool = False
-    base: SocialContentGraph = field(kw_only=True, repr=False,
-                                     compare=False)
+    def __init__(
+        self,
+        graph: SocialContentGraph | None = None,
+        query: Query | None = None,
+        items: list[ScoredItem] | None = None,
+        social: SocialScores | None = None,
+        used_expert_fallback: bool = False,
+        *,
+        base: SocialContentGraph,
+        within: MeaningfulSocialGraph | None = None,
+    ):
+        self.query, self.social, self.base = query, social, base
+        self.items = items if items is not None else []
+        self.used_expert_fallback = used_expert_fallback
+        # read per item by ranking and §7.1 meaningfulness; the first
+        # record of an id wins, as a scan of ``items`` would find it
+        self._scores = {s.item_id: s.combined for s in reversed(self.items)}
+        # a root holds None, not itself: a cycle would pin its served graph
+        self._of = None if within is None else within._of or within
+        if within is None:
+            self._graph = graph
+            endorsers = social.endorsers if social else {}
+            self._endorser_set = frozenset(
+                e for s in self.items for e in endorsers.get(s.item_id, {})
+            )
 
     @property
     def item_ids(self) -> list[Id]:
         """Result item ids, best first."""
         return [s.item_id for s in self.items]
 
-    def __post_init__(self) -> None:
-        # read per item by ranking and §7.1 meaningfulness; the first
-        # record of an id wins, as a scan of ``items`` would find it
-        self._scores: dict[Id, float] = {}
-        for scored in self.items:
-            self._scores.setdefault(scored.item_id, scored.combined)
+    @property
+    def graph(self) -> SocialContentGraph:
+        """The MSG subgraph, cut from :attr:`base` on first read and kept."""
+        root = self._of or self
+        if root._graph is None:
+            root._graph = root._cut()
+        return root._graph
 
     def score_of(self, item_id: Id) -> float:
         """Combined score of one result item (0 when absent)."""
@@ -66,12 +86,61 @@ class MeaningfulSocialGraph:
         return dict(self.social.endorsers.get(item_id, {}))
 
     def taggers_of(self, item_id: Id) -> set[Id]:
-        """Users with an activity link onto the item *within the MSG*."""
-        return {
-            l.src
-            for l in self.graph.in_links(item_id)
-            if l.has_type("act")
-        }
+        """Users with an activity link onto the item *within the MSG*: a
+        result item's endorsers in the endorser set, and those whose
+        ``act`` link the cut keeps by another rule — a result item's
+        ``belong`` link, the user's ``connect`` link onto an endorser."""
+        root = self._of or self
+        scope, items = root._endorser_set, root._scores
+        found = set()
+        for src in self.base.activity().endorsers(item_id):
+            if src in scope and item_id in items or (
+                src in items and self._act_link(src, item_id, "belong")
+            ) or (
+                src == self.query.user_id and item_id in scope
+                and self._act_link(src, item_id, "connect")
+            ):
+                found.add(src)
+        return found
+
+    def _act_link(self, src: Id, tgt: Id, also: str) -> bool:
+        return any(link.src == src and link.has_type("act")
+                   and link.has_type(also)
+                   for link in self.base.in_links(tgt))
+
+    def _cut(self) -> SocialContentGraph:
+        """The user, the scored items, every endorser, the user's connect
+        links to endorsers, endorsers' ``act`` links onto result items and
+        items' ``belong`` links, each found from a kept node's adjacency."""
+        base, query, endorser_set = self.base, self.query, self._endorser_set
+        msg = SocialContentGraph(catalog=base.catalog)
+        if base.has_node(query.user_id):
+            msg.add_node(base.node(query.user_id))
+        for scored in self.items:
+            node = base.node(scored.item_id).with_attrs(
+                semantic_score=round(scored.semantic, 6),
+                social_score=round(scored.social, 6),
+                score=round(scored.combined, 6),
+            )
+            msg.add_node(node)
+        for endorser in endorser_set:
+            if base.has_node(endorser) and not msg.has_node(endorser):
+                msg.add_node(base.node(endorser))
+        # a link that qualifies twice (typed both ``act`` and ``belong``
+        # between two result items) consolidates with itself: same record
+        for link in base.out_links(query.user_id):
+            if link.has_type("connect") and link.tgt in endorser_set:
+                msg.add_link(link)
+        for scored in self.items:
+            for link in base.in_links(scored.item_id):
+                if link.has_type("act") and link.src in endorser_set:
+                    msg.add_link(link)
+            for link in base.out_links(scored.item_id):
+                if link.has_type("belong"):
+                    if not msg.has_node(link.tgt):
+                        msg.add_node(base.node(link.tgt))
+                    msg.add_link(link)
+        return msg
 
 
 def assemble_msg(
@@ -81,52 +150,9 @@ def assemble_msg(
     social: SocialScores,
     used_expert_fallback: bool,
 ) -> MeaningfulSocialGraph:
-    """Cut the MSG subgraph out of the base graph.
-
-    Included: the user, every result item (annotated with scores), every
-    endorsing user, the user's connect links to endorsers, endorsers'
-    activity links onto result items, and items' ``belong`` links (topics,
-    cities) so structural grouping has material to work with.  Every link
-    is found from the adjacency of a node already in the MSG — the cut
-    costs the window's neighbourhood, not the site.  *base* is frozen and
-    kept as the MSG's :attr:`~MeaningfulSocialGraph.base`.
-    """
-    base.freeze()
-    msg = SocialContentGraph(catalog=base.catalog)
-    if base.has_node(query.user_id):
-        msg.add_node(base.node(query.user_id))
-    for scored in scored_items:
-        node = base.node(scored.item_id).with_attrs(
-            semantic_score=round(scored.semantic, 6),
-            social_score=round(scored.social, 6),
-            score=round(scored.combined, 6),
-        )
-        msg.add_node(node)
-    endorser_set: set[Id] = set()
-    for scored in scored_items:
-        endorser_set.update(social.endorsers.get(scored.item_id, {}))
-    for endorser in endorser_set:
-        if base.has_node(endorser) and not msg.has_node(endorser):
-            msg.add_node(base.node(endorser))
-    # a link that qualifies twice (typed both ``act`` and ``belong``
-    # between two result items) consolidates with itself: same record
-    for link in base.out_links(query.user_id):
-        if link.has_type("connect") and link.tgt in endorser_set:
-            msg.add_link(link)
-    for scored in scored_items:
-        for link in base.in_links(scored.item_id):
-            if link.has_type("act") and link.src in endorser_set:
-                msg.add_link(link)
-        for link in base.out_links(scored.item_id):
-            if link.has_type("belong"):
-                if not msg.has_node(link.tgt):
-                    msg.add_node(base.node(link.tgt))
-                msg.add_link(link)
+    """The MSG of a ranked window over *base*, which is frozen and kept
+    as the MSG's :attr:`~MeaningfulSocialGraph.base`; nothing is cut."""
     return MeaningfulSocialGraph(
-        graph=msg,
-        query=query,
-        items=scored_items,
-        social=social,
-        used_expert_fallback=used_expert_fallback,
-        base=base,
+        query=query, items=scored_items, social=social,
+        used_expert_fallback=used_expert_fallback, base=base.freeze(),
     )

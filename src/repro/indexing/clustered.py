@@ -77,18 +77,6 @@ class ClusteredIndex:
             lists=len(self.lists),
         )
 
-    # -- invariants ----------------------------------------------------------------
-
-    def upper_bound(self, item: Id, tag: str, user: Id) -> float:
-        """The stored bound for (item, tag) in *user*'s cluster (0 if absent)."""
-        cluster = self.clustering.cluster_of.get(user)
-        if cluster is None:
-            return 0.0
-        for entry_item, score in self.lists.get((tag, cluster), ()):
-            if entry_item == item:
-                return score
-        return 0.0
-
     # -- querying -------------------------------------------------------------------
 
     def query(

@@ -120,12 +120,3 @@ class ActivityManager:
             profile.refresh_interval = interval
         self.profiles = profiles
         return profiles
-
-    def category_histogram(self) -> dict[str, int]:
-        """Category -> user count (after :meth:`analyze`)."""
-        histogram: dict[str, int] = {}
-        for profile in self.profiles.values():
-            histogram[profile.category.value] = (
-                histogram.get(profile.category.value, 0) + 1
-            )
-        return histogram

@@ -29,14 +29,10 @@ Similarity = Callable[[Id, Id], float]
 
 
 def _default_similarity(graph: SocialContentGraph) -> Similarity:
-    cache: dict[tuple[Id, Id], float] = {}
-    activity = graph.activity()
+    activity = graph.activity()  # one relation: its item rows are kept
 
     def sim(a: Id, b: Id) -> float:
-        key = (a, b) if repr(a) <= repr(b) else (b, a)
-        if key not in cache:
-            cache[key] = item_sim(activity, key[0], key[1])
-        return cache[key]
+        return item_sim(activity, *sorted((a, b), key=repr))
 
     return sim
 

@@ -15,21 +15,23 @@ endorsed this item", "This item is similar to 75% of items you visited
 before") and group-level explanations aggregated from item explanations.
 
 §7.2's definition makes every non-endorser contribute 0, so the CF
-explanation walks the *item's* endorsers (its ``act`` in-links) and keeps
-those in the population — never the population itself.  Every graph read
-goes through ``graph.activity()``, read once per call by the functions
-taking the base graph; :func:`collaborative_pair`, :func:`content_based`
-and :func:`item_sim` take a relation the caller holds.  The
-population-walking reference is ``tests/oracle/explanations.py``.
+explanation walks the *item's* endorsers (its ``act`` in-links) once and
+keeps those in either population — never the population itself.  The
+Jaccard fallbacks are read off the relation's similarity rows
+(``user_row`` / ``item_row``), kept with the served graph.  Every graph
+read goes through ``graph.activity()``, read once per call by the
+functions taking the base graph; :func:`collaborative_pair`,
+:func:`content_based` and :func:`item_sim` take a relation the caller
+holds.  The population-walking reference is
+``tests/oracle/explanations.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.similarity import jaccard
 from repro.core import Id, SocialContentGraph
-from repro.core.activity import ActivityRelation, OutView
+from repro.core.activity import ActivityRelation
 
 CONTENT_BASED = "content"
 COLLABORATIVE = "cf"
@@ -65,26 +67,14 @@ def item_similarity(graph: SocialContentGraph, a: Id, b: Id) -> float:
 
 def item_sim(activity: ActivityRelation, a: Id, b: Id) -> float:
     """:func:`item_similarity` over a relation the caller holds."""
-    sim = activity.out(a).sim_item.get(b)
-    if sim is not None:
-        return sim
-    return jaccard(activity.endorsers(a).keys(), activity.endorsers(b).keys())
+    return activity.out(a).sim_item.get(b, activity.item_row(a).get(b, 0.0))
 
 
 def user_similarity(graph: SocialContentGraph, a: Id, b: Id) -> float:
     """UserSim(u, u′): derived ``sim_user`` link weight when present,
     item-set Jaccard otherwise (0 when unrelated, as §7.2 requires)."""
     activity = graph.activity()
-    return _user_similarity(activity, activity.out(a), b)
-
-
-def _user_similarity(
-    activity: ActivityRelation, mine: OutView, b: Id
-) -> float:
-    sim = mine.sim_user.get(b)
-    if sim is not None:
-        return sim
-    return jaccard(mine.acted.keys(), activity.out(b).acted.keys())
+    return activity.out(a).sim_user.get(b, activity.user_row(a).get(b, 0.0))
 
 
 def explain_content_based(
@@ -100,11 +90,13 @@ def content_based(
     """:func:`explain_content_based` over a relation the caller holds."""
     explanation = Explanation(item_id=item, kind=CONTENT_BASED)
     past = activity.out(user).acted
+    overrides = activity.out(item).sim_item
+    row = activity.item_row(item)
     similar = 0
     for past_item, rating in past.items():
         if past_item == item:
             continue
-        sim = item_sim(activity, item, past_item)
+        sim = overrides.get(past_item, row.get(past_item, 0.0))
         if sim <= 0:
             continue
         similar += 1
@@ -131,63 +123,56 @@ def explain_collaborative(
     ``friends_only`` restricts U to the user's direct connections, which
     also powers the "% of your friends endorsed this item" aggregate.
     """
-    return _collaborative(graph.activity(), user, item, friends_only, {})
+    return collaborative_pair(graph.activity(), user, item)[
+        0 if friends_only else 1
+    ]
 
 
 def collaborative_pair(
-    activity: ActivityRelation, user: Id, item: Id, sims: dict[Id, float]
+    activity: ActivityRelation, user: Id, item: Id
 ) -> tuple[Explanation, Explanation]:
     """One item's friends-only and everyone CF explanations, over a
-    relation the caller holds.
+    relation the caller holds, from one walk of the item's endorsers.
 
-    *sims* memoises UserSim(user, ·): the two populations share it, and a
-    caller explaining several items to one user passes the same dict.
+    An endorser counts for the friends when it is one of the user's
+    ``connect`` targets (of any node type, the user included), and for
+    everyone when it is a ``user``-typed node other than the user; its
+    UserSim is the user's ``sim_user`` link onto it, or else its entry in
+    the user's similarity row.
     """
-    return (
-        _collaborative(activity, user, item, True, sims),
-        _collaborative(activity, user, item, False, sims),
-    )
-
-
-def _collaborative(
-    activity: ActivityRelation,
-    user: Id,
-    item: Id,
-    friends_only: bool,
-    sims: dict[Id, float],
-) -> Explanation:
-    """Walk the item's endorsers, keeping those in the population: the
-    user's ``connect`` targets (of any node type, the user included), or
-    every ``user``-typed node but the user."""
-    explanation = Explanation(item_id=item, kind=COLLABORATIVE)
+    friends_only = Explanation(item_id=item, kind=COLLABORATIVE)
+    everyone = Explanation(item_id=item, kind=COLLABORATIVE)
     mine = activity.out(user)
-    friends = mine.friends
-    endorsing = 0
+    friends, overrides = mine.friends, mine.sim_user
+    row = activity.user_row(user)
+    endorsing_friends = endorsing = 0
     for other, rating in activity.endorsers(item).items():
-        if friends_only:
-            if other not in friends:
-                continue
-        elif other == user or not activity.is_user(other):
+        friend = other in friends
+        counted = other != user and activity.is_user(other)
+        if not (friend or counted):
             continue
-        endorsing += 1
-        sim = sims.get(other)
-        if sim is None:
-            sim = sims[other] = _user_similarity(activity, mine, other)
+        endorsing_friends += friend
+        endorsing += counted
+        sim = overrides.get(other, row.get(other, 0.0))
         if sim <= 0:
             continue
         weight = sim * rating
         if weight > 0:
-            explanation.supporters[other] = round(weight, 6)
-    if friends_only and friends:
-        pct = round(100 * endorsing / len(friends))
-        explanation.aggregate_text = (
+            weight = round(weight, 6)
+            if friend:
+                friends_only.supporters[other] = weight
+            if counted:
+                everyone.supporters[other] = weight
+    if friends:
+        pct = round(100 * endorsing_friends / len(friends))
+        friends_only.aggregate_text = (
             f"{pct}% of your friends endorsed this item"
         )
-    elif endorsing and not friends_only:
-        explanation.aggregate_text = (
+    if endorsing:
+        everyone.aggregate_text = (
             f"{endorsing} travelers like you endorsed this item"
         )
-    return explanation
+    return friends_only, everyone
 
 
 @dataclass
@@ -215,7 +200,7 @@ def explain_group(
     """
     activity = graph.activity()
     if kind == COLLABORATIVE:
-        explanations = [_collaborative(activity, user, item, False, {})
+        explanations = [collaborative_pair(activity, user, item)[1]
                         for item in items]
     else:
         explanations = [content_based(activity, user, item)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.analysis.similarity import jaccard
-from repro.core import Id, SocialContentGraph
+from repro.core import Id
 from repro.discovery.msg import MeaningfulSocialGraph
 
 
@@ -71,7 +71,7 @@ def social_grouping(
     Groups are labelled by their most active endorser ("endorsed by
     user…"), the information a user can actually interpret.
     """
-    graph = msg.graph
+    graph = msg.base
     items = msg.item_ids
     taggers = {i: msg.taggers_of(i) for i in items}
     leaders: list[Id] = []
@@ -93,20 +93,13 @@ def social_grouping(
             for user in taggers[item]:
                 endorsers[user] = endorsers.get(user, 0) + 1
         if endorsers:
-            top = max(endorsers.items(), key=lambda kv: (kv[1], repr(kv[0])))
-            label = f"endorsed by {_user_label(graph, top[0])} (+{len(endorsers) - 1} others)"
+            top = max(endorsers.items(), key=lambda kv: (kv[1], repr(kv[0])))[0]
+            name = graph.node(top).value("name") if graph.has_node(top) else None
+            label = f"endorsed by {name or top} (+{len(endorsers) - 1} others)"
         else:
             label = "no endorsements"
         groups.append(Group(label=label, dimension="social", items=cluster))
     return GroupingResult(dimension="social", groups=groups)
-
-
-def _user_label(graph: SocialContentGraph, user: Id) -> str:
-    if graph.has_node(user):
-        name = graph.node(user).value("name")
-        if name:
-            return str(name)
-    return str(user)
 
 
 def topical_grouping(msg: MeaningfulSocialGraph) -> GroupingResult:
@@ -115,25 +108,20 @@ def topical_grouping(msg: MeaningfulSocialGraph) -> GroupingResult:
     Items without topic links fall into a 'misc' group; the topic node's
     keywords label the group.
     """
-    graph = msg.graph
+    graph = msg.base
     by_topic: dict[Id, list[Id]] = {}
     misc: list[Id] = []
     for item in msg.item_ids:
-        topics = [
-            l.tgt for l in graph.out_links(item)
-            if l.has_type("belong") and graph.node(l.tgt).has_type("topic")
-        ]
+        # topic → the prob of the item's first ``belong`` link onto it
+        topics: dict[Id, float] = {}
+        for l in graph.out_links(item):
+            if l.has_type("belong") and graph.node(l.tgt).has_type("topic"):
+                topics.setdefault(l.tgt, float(l.value("prob", 0.0)))
         if not topics:
             misc.append(item)
             continue
         # strongest topic wins (highest prob attribute, then id)
-        def strength(topic_id: Id) -> tuple:
-            for l in graph.out_links(item):
-                if l.tgt == topic_id and l.has_type("belong"):
-                    return (float(l.value("prob", 0.0)), repr(topic_id))
-            return (0.0, repr(topic_id))
-
-        best = max(topics, key=strength)
+        best = max(topics, key=lambda t: (topics[t], repr(t)))
         by_topic.setdefault(best, []).append(item)
     groups = []
     for topic_id, items in sorted(by_topic.items(), key=lambda kv: repr(kv[0])):
@@ -151,7 +139,7 @@ def structural_grouping(
 ) -> GroupingResult:
     """Facet-style grouping on an item attribute (e.g. ``city``,
     ``category``)."""
-    graph = msg.graph
+    graph = msg.base
     by_value: dict[str, list[Id]] = {}
     for item in msg.item_ids:
         values = graph.node(item).values(attribute)

@@ -32,15 +32,13 @@ GroupingFactory = Callable[[MeaningfulSocialGraph], GroupingResult]
 def restrict_msg(
     msg: MeaningfulSocialGraph, items: Sequence[Id]
 ) -> MeaningfulSocialGraph:
-    """A sub-MSG over a subset of result items (graph reused, items cut)."""
+    """A sub-MSG over a subset of result items: it keeps the parent's
+    endorser set and subgraph, so its taggers are the parent's."""
     keep = set(items)
     return MeaningfulSocialGraph(
-        graph=msg.graph,
-        query=msg.query,
-        items=[s for s in msg.items if s.item_id in keep],
-        social=msg.social,
-        used_expert_fallback=msg.used_expert_fallback,
-        base=msg.base,
+        query=msg.query, items=[s for s in msg.items if s.item_id in keep],
+        social=msg.social, used_expert_fallback=msg.used_expert_fallback,
+        base=msg.base, within=msg,
     )
 
 

@@ -172,11 +172,9 @@ class InformationOrganizer:
         page.chosen_dimension = winner.dimension
         page.dimension_scores = scores
 
-        ranked_groups = self.selector.rank_groups(winner, msg)
-        sims: dict[Id, float] = {}  # UserSim(user, ·), shared by the page
-        for ranked in ranked_groups:
+        for ranked in self.selector.rank_groups(winner, msg):
             page.groups.append(
-                self._render_group(ranked, msg, graph, activity, sims)
+                self._render_group(ranked, msg.query.user_id, graph, activity)
             )
         # The flat list is the classic single ranked list (global combined
         # score order); interleaved across-group selection remains available
@@ -190,26 +188,23 @@ class InformationOrganizer:
     def _render_group(
         self,
         ranked: RankedGroup,
-        msg: MeaningfulSocialGraph,
+        user: Id,
         graph: SocialContentGraph,
         activity: ActivityRelation,
-        sims: dict[Id, float],
     ) -> ResultGroup:
-        entries = []
-        counted = []
+        entries, counted = [], []
         for item, score in ranked.items:
-            shown, for_group = self._explain(msg, item, activity, sims)
+            # one explanation per item and use: the entry shows the
+            # friends-only one, the group sums the everyone one
+            if self.config.explanation_kind == COLLABORATIVE:
+                shown, for_group = collaborative_pair(activity, user, item)
+            else:
+                shown = for_group = content_based(activity, user, item)
             counted.append(for_group)
-            entries.append(
-                ResultEntry(
-                    item_id=item,
-                    name=str(graph.node(item).value("name", item))
-                    if graph.has_node(item)
-                    else str(item),
-                    score=score,
-                    explanation=shown,
-                )
-            )
+            name = graph.node(item).value("name", item) \
+                if graph.has_node(item) else item
+            entries.append(ResultEntry(item_id=item, name=str(name),
+                                       score=score, explanation=shown))
         return ResultGroup(
             label=ranked.label,
             dimension=ranked.dimension,
@@ -217,23 +212,6 @@ class InformationOrganizer:
             group_score=ranked.group_score,
             explanation=aggregate_group(graph, ranked.label, counted),
         )
-
-    def _explain(
-        self,
-        msg: MeaningfulSocialGraph,
-        item: Id,
-        activity: ActivityRelation,
-        sims: dict[Id, float],
-    ) -> tuple[Explanation, Explanation]:
-        """One item explained once: (what its entry shows, what its
-        group's aggregate counts) — the friends-only and the everyone CF
-        explanation, or the one content-based explanation twice."""
-        if self.config.explanation_kind == COLLABORATIVE:
-            return collaborative_pair(
-                activity, msg.query.user_id, item, sims
-            )
-        explanation = content_based(activity, msg.query.user_id, item)
-        return explanation, explanation
 
     # ------------------------------------------------------------- hierarchy
     def hierarchy(self, msg: MeaningfulSocialGraph) -> HierarchicalPresenter:

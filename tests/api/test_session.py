@@ -9,6 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from benchmarks.e2e.harness import canonical_response
+from repro.analysis import user_similarity_links
 from repro.api import SearchRequest, Session, SessionConfig
 from repro.core import Link, Node
 from repro.discovery import DiscoveryConfig, SimilarUserStrategy
@@ -125,6 +127,33 @@ class TestIncrementalRefresh:
         msg = session.discover(SearchRequest(user_id=JOHN, text="Denver"))
         assert msg.base is session.graph is discoverer.generation.graph
         assert any(l.has_type("sim_user") for l in msg.base.links())
+
+    def test_an_analysis_after_a_write_derives_once(self, travel):
+        """An analysis asked for after a write no request has followed
+        derives over the written site, once: the next run keeps it."""
+        derivations = []
+
+        def counted(graph):
+            derivations.append(graph)
+            return user_similarity_links(graph, basis="items")
+
+        session = Session.from_graph(travel.graph)
+        session.analyzer.register("user_similarity", counted)
+        request = SearchRequest(user_id=JOHN, text="Denver attractions")
+        session.run(request)
+        session.data_manager.add_link(
+            Link("vote:analyze", ALEXIA, "attr:denver:history:2",
+                 type="act, visit")
+        )
+        session.analyze("user_similarity")
+        response = session.run(request)
+        assert len(derivations) == 1
+        assert derivations[0].has_link("vote:analyze")
+
+        fresh = Session.from_graph(session.data_manager.store.snapshot())
+        fresh.analyze("user_similarity")
+        assert canonical_response(response) == \
+            canonical_response(fresh.run(request))
 
 
 class TestOneGenerationPerRequest:

@@ -9,6 +9,8 @@ Manager — ``act``, ``connect``, ``member`` and ``sim_*`` links added,
 replaced and deleted — fills a random part of each served graph's
 relation first, and holds every read the next graph's relation holds
 equal to a fresh :class:`~repro.core.activity.ActivityRelation` of it.
+The similarity rows get a differential of their own: a row carried past
+a step must be the very row a fresh relation builds, float for float.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ from __future__ import annotations
 from hypothesis import event, given, settings, strategies as st
 
 import factories
+from repro.analysis.similarity import jaccard
 from repro.core import Link, Node, SocialContentGraph
 from repro.core.activity import ActivityRelation
 from repro.management import DataManager
 
 KINDS = ("act", "connect", "member", "sim_user", "sim_item")
 READS = ("out", "endorsers", "is_user", "postings")
+ROW_KINDS = ("act", "act", "connect", "sim_user", "sim_item")
+ROWS = ("user_row", "item_row", "out", "endorsers")
 indexes = st.integers(min_value=0, max_value=1000)
 
 
@@ -89,6 +94,10 @@ def fill(graph: SocialContentGraph, reads: list[tuple[str, int]]) -> None:
             relation.endorsers(pick(nodes, at))
         elif read == "is_user":
             relation.is_user(pick(nodes, at))
+        elif read == "user_row":
+            relation.user_row(pick(nodes, at))
+        elif read == "item_row":
+            relation.item_row(pick(nodes, at))
         else:
             relation.term_postings()
 
@@ -116,6 +125,54 @@ def test_every_carried_read_equals_a_rebuild(writes, reads):
         held = factories.assert_relation_as_rebuilt(new)
         event(f"held {min(held, 20) // 5 * 5}+ reads")
         graph = new
+
+
+row_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("add", "add", "replace", "delete")),
+        st.sampled_from(ROW_KINDS), indexes, indexes,
+        st.integers(min_value=0, max_value=5),
+    ),
+    min_size=1, max_size=8,
+)
+row_fills = st.lists(st.tuples(st.sampled_from(ROWS), indexes), max_size=10)
+
+
+@settings(max_examples=120, deadline=None)
+@given(writes=row_steps, reads=st.lists(row_fills, min_size=8, max_size=8))
+def test_every_carried_row_equals_a_fresh_row(writes, reads):
+    manager, graph = factories.served(site())
+    for serial, step in enumerate(writes):
+        fill(graph, reads[serial])
+        write(manager, serial, step)
+        new = manager.graph()
+        kept, fresh = new._activity, ActivityRelation(new)
+        for node, row in kept._user_rows.items():
+            assert row == fresh.user_row(node), node
+        for item, row in kept._item_rows.items():
+            assert row == fresh.item_row(item), item
+        event(f"carried {min(len(kept._user_rows), 4)}+ user rows, "
+              f"{min(len(kept._item_rows), 4)}+ item rows")
+        graph = new
+
+
+def test_rows_hold_the_jaccard_of_the_analysis():
+    """A row's value is ``analysis.similarity.jaccard`` of the two sets,
+    the same float, and a node sharing nothing is absent."""
+    graph = site()
+    relation = ActivityRelation(graph)
+    users, items = ids_of(graph, "user"), ids_of(graph, "item")
+    for a in users:
+        row = relation.user_row(a)
+        for b in users:
+            sets = (relation.out(a).acted.keys(), relation.out(b).acted.keys())
+            assert row.get(b, 0.0) == jaccard(*map(set, sets))
+    for a in items:
+        row = relation.item_row(a)
+        for b in items:
+            sets = (relation.endorsers(a).keys(), relation.endorsers(b).keys())
+            assert row.get(b, 0.0) == jaccard(*map(set, sets))
+    assert relation.user_row("u0")["u0"] == 1.0
 
 
 def test_a_node_step_carries_nothing():

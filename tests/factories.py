@@ -159,12 +159,20 @@ def write_through(
 
 def assert_relation_as_rebuilt(graph: SocialContentGraph) -> int:
     """Every read filled on *graph*'s kept activity relation — out views,
-    endorsers, ``is_user``, the term postings — equals a fresh
-    relation's, iteration order included; returns how many were held
-    (0 when the graph keeps no relation)."""
+    endorsers, ``is_user``, the term postings, the similarity rows —
+    equals a fresh relation's, iteration order included; returns how many
+    were held (0 when the graph keeps no relation).
+
+    First it forces the similarity rows of every node whose out view is
+    held and of every item whose endorsers are, so that the next served
+    graph has rows to carry and its check compares them."""
     kept = graph._activity
     if kept is None:
         return 0
+    for node in list(kept._out):
+        kept.user_row(node)
+    for item in list(kept._endorsers):
+        kept.item_row(item)
     fresh = ActivityRelation(graph)
     for node, view in kept._out.items():
         again = fresh.out(node)
@@ -176,7 +184,12 @@ def assert_relation_as_rebuilt(graph: SocialContentGraph) -> int:
             list(fresh.endorsers(item).items()), item
     for node, found in kept._users.items():
         assert found == fresh.is_user(node), node
-    held = len(kept._out) + len(kept._endorsers) + len(kept._users)
+    for node, row in kept._user_rows.items():
+        assert row == fresh.user_row(node), node
+    for item, row in kept._item_rows.items():
+        assert row == fresh.item_row(item), item
+    held = len(kept._out) + len(kept._endorsers) + len(kept._users) \
+        + len(kept._user_rows) + len(kept._item_rows)
     if kept._postings is not None:
         assert kept._postings == fresh.term_postings()
         held += 1

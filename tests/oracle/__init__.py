@@ -24,7 +24,14 @@ from oracle.explanations import (
     item_similarity,
     user_similarity,
 )
-from oracle.msg import assemble_msg, endorser_group_grouping
+from oracle.msg import (
+    assemble_msg,
+    endorser_group_grouping,
+    social_grouping,
+    structural_grouping,
+    taggers_of,
+    topical_grouping,
+)
 from oracle.page import organize_reference
 from oracle.ranking import (
     ReferenceRanking,
@@ -49,5 +56,7 @@ __all__ = [
     "explain_collaborative", "explain_content_based", "explain_group",
     "item_similarity", "user_similarity",
     "assemble_msg", "endorser_group_grouping", "organize_reference",
+    "taggers_of", "social_grouping", "topical_grouping",
+    "structural_grouping",
     "decode_social_result",
 ]

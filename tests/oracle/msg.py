@@ -1,11 +1,14 @@
-"""Reference MSG cut and endorser-group membership: the ``links()`` scans.
+"""Reference MSG cut, its taggers and the groupings that read the cut.
 
 Verbatim what ``repro.discovery.msg.assemble_msg`` and
 ``repro.presentation.grouping.endorser_group_grouping`` did before they
 read adjacency: one pass over *every link of the site* per request, to cut
-the MSG and again to collect group membership.
-``tests/presentation/test_explanation_parity.py`` holds the adjacency
-versions equal to these.
+the MSG and again to collect group membership.  :func:`taggers_of` and
+the social, topical and structural groupings are the bodies that read the
+cut subgraph (``msg.graph``) before the MSG became a view of its base.
+``tests/presentation/test_explanation_parity.py`` and
+``tests/presentation/test_msg_view.py`` hold the served versions equal to
+these.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from repro.core import Id, SocialContentGraph
 from repro.discovery.msg import MeaningfulSocialGraph, ScoredItem
 from repro.discovery.query import Query
 from repro.discovery.strategies import SocialScores
+from repro.analysis.similarity import jaccard
 from repro.presentation.grouping import Group, GroupingResult
 
 
@@ -91,7 +95,7 @@ def endorser_group_grouping(
     other: list[Id] = []
     for item in msg.item_ids:
         votes: dict[Id, int] = {}
-        for user in msg.taggers_of(item) | set(msg.endorsers_of(item)):
+        for user in taggers_of(msg, item) | set(msg.endorsers_of(item)):
             for group_id in membership.get(user, ()):
                 votes[group_id] = votes.get(group_id, 0) + 1
         if not votes:
@@ -110,3 +114,103 @@ def endorser_group_grouping(
         groups.append(Group(label="endorsed by other travelers",
                             dimension="endorser", items=other))
     return GroupingResult(dimension="endorser", groups=groups)
+
+
+def taggers_of(msg: MeaningfulSocialGraph, item_id: Id) -> set[Id]:
+    """Users with an activity link onto the item *within the cut*."""
+    return {l.src for l in msg.graph.in_links(item_id) if l.has_type("act")}
+
+
+def social_grouping(
+    msg: MeaningfulSocialGraph, theta: float = 0.3
+) -> GroupingResult:
+    """Definition 14 over the cut: leader-cluster by tagger Jaccard ≥ θ."""
+    graph = msg.graph
+    items = msg.item_ids
+    taggers = {i: taggers_of(msg, i) for i in items}
+    leaders: list[Id] = []
+    clusters: list[list[Id]] = []
+    for item in items:
+        placed = False
+        for index, leader in enumerate(leaders):
+            if jaccard(taggers[item], taggers[leader]) >= theta:
+                clusters[index].append(item)
+                placed = True
+                break
+        if not placed:
+            leaders.append(item)
+            clusters.append([item])
+    groups = []
+    for cluster in clusters:
+        endorsers: dict[Id, int] = {}
+        for item in cluster:
+            for user in taggers[item]:
+                endorsers[user] = endorsers.get(user, 0) + 1
+        if endorsers:
+            top = max(endorsers.items(), key=lambda kv: (kv[1], repr(kv[0])))
+            label = (f"endorsed by {_user_label(graph, top[0])} "
+                     f"(+{len(endorsers) - 1} others)")
+        else:
+            label = "no endorsements"
+        groups.append(Group(label=label, dimension="social", items=cluster))
+    return GroupingResult(dimension="social", groups=groups)
+
+
+def _user_label(graph: SocialContentGraph, user: Id) -> str:
+    if graph.has_node(user):
+        name = graph.node(user).value("name")
+        if name:
+            return str(name)
+    return str(user)
+
+
+def topical_grouping(msg: MeaningfulSocialGraph) -> GroupingResult:
+    """Group by each item's strongest topic, read off the cut."""
+    graph = msg.graph
+    by_topic: dict[Id, list[Id]] = {}
+    misc: list[Id] = []
+    for item in msg.item_ids:
+        topics = [
+            l.tgt for l in graph.out_links(item)
+            if l.has_type("belong") and graph.node(l.tgt).has_type("topic")
+        ]
+        if not topics:
+            misc.append(item)
+            continue
+
+        def strength(topic_id: Id) -> tuple:
+            for l in graph.out_links(item):
+                if l.tgt == topic_id and l.has_type("belong"):
+                    return (float(l.value("prob", 0.0)), repr(topic_id))
+            return (0.0, repr(topic_id))
+
+        best = max(topics, key=strength)
+        by_topic.setdefault(best, []).append(item)
+    groups = []
+    for topic_id, items in sorted(by_topic.items(), key=lambda kv: repr(kv[0])):
+        keywords = graph.node(topic_id).value("keywords", str(topic_id))
+        groups.append(
+            Group(label=f"topic: {keywords}", dimension="topical", items=items)
+        )
+    if misc:
+        groups.append(Group(label="other topics", dimension="topical",
+                            items=misc))
+    return GroupingResult(dimension="topical", groups=groups)
+
+
+def structural_grouping(
+    msg: MeaningfulSocialGraph, attribute: str
+) -> GroupingResult:
+    """Facet grouping on an item attribute, read off the cut."""
+    graph = msg.graph
+    by_value: dict[str, list[Id]] = {}
+    for item in msg.item_ids:
+        values = graph.node(item).values(attribute)
+        key = str(values[0]) if values else "(none)"
+        by_value.setdefault(key, []).append(item)
+    groups = [
+        Group(label=f"{attribute}: {value}",
+              dimension=f"structural:{attribute}", items=items)
+        for value, items in sorted(by_value.items())
+    ]
+    return GroupingResult(dimension=f"structural:{attribute}", groups=groups)

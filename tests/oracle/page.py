@@ -3,8 +3,8 @@
 :func:`organize_reference` is ``InformationOrganizer.organize`` as it ran
 when every entry was explained by its own call and every group re-explained
 its items: the same grouping choice and Result Selector (shared code, not
-under test), with the reference endorser-group scan and the reference
-explanations plugged in.  It is what the whole-response parity suite
+under test), with the reference groupings over the cut MSG
+(``oracle.msg``) and the reference explanations plugged in.  It is what the whole-response parity suite
 renders the "old" page with.
 """
 
@@ -14,11 +14,6 @@ from repro.core import Id, SocialContentGraph
 from repro.discovery.msg import MeaningfulSocialGraph
 from repro.errors import PresentationError
 from repro.presentation.explanations import COLLABORATIVE, Explanation
-from repro.presentation.grouping import (
-    social_grouping,
-    structural_grouping,
-    topical_grouping,
-)
 from repro.presentation.meaningful import choose_grouping
 from repro.presentation.organizer import (
     OrganizerConfig,
@@ -33,7 +28,12 @@ from oracle.explanations import (
     explain_content_based,
     explain_group,
 )
-from oracle.msg import endorser_group_grouping
+from oracle.msg import (
+    endorser_group_grouping,
+    social_grouping,
+    structural_grouping,
+    topical_grouping,
+)
 
 
 def _factories(base: SocialContentGraph, config: OrganizerConfig) -> dict:
